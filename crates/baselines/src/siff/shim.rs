@@ -94,7 +94,7 @@ impl Shim for SiffShim {
         let st = self.peer(pkt.dst);
         let mut header = match &st.marks {
             Some((marks, acquired)) if !force_explore && now.since(*acquired) < refresh => {
-                CapHeader::regular_with_caps(FlowNonce::new(0), dummy_grant(), *marks)
+                CapHeader::regular_with_caps(FlowNonce::new(0), dummy_grant(), marks.clone())
             }
             _ => {
                 if !force_explore {
@@ -110,7 +110,7 @@ impl Shim for SiffShim {
             if now.since(*granted_at) < SimDuration::from_secs(30) {
                 header.return_info = Some(ReturnInfo::Capabilities {
                     grant: dummy_grant(),
-                    caps: *marks,
+                    caps: marks.clone(),
                 });
             } else {
                 st.pending_return = None;
@@ -128,7 +128,7 @@ impl Shim for SiffShim {
                 let st = self.peer(src);
                 let dup = st.marks.as_ref().is_some_and(|(m, _)| m == caps);
                 if !dup {
-                    st.marks = Some((*caps, now));
+                    st.marks = Some((caps.clone(), now));
                     self.marks_acquired += 1;
                 }
             }

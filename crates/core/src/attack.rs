@@ -272,7 +272,7 @@ impl Node for SpoofColluder {
         for &accomplice in &self.accomplices {
             let mut reply = CapHeader::request();
             reply.return_info =
-                Some(ReturnInfo::Capabilities { grant: self.grant, caps });
+                Some(ReturnInfo::Capabilities { grant: self.grant, caps: caps.clone() });
             let id = ctx.alloc_packet_id();
             ctx.send_new(Packet {
                 id,

@@ -181,9 +181,9 @@ impl TvaHostShim {
 
         let header = if need_renew {
             self.stats.renewals_sent += 1;
-            CapHeader::renewal(caps.nonce, caps.grant, caps.caps)
+            CapHeader::renewal(caps.nonce, caps.grant, caps.caps.clone())
         } else if cache_cold {
-            CapHeader::regular_with_caps(caps.nonce, caps.grant, caps.caps)
+            CapHeader::regular_with_caps(caps.nonce, caps.grant, caps.caps.clone())
         } else {
             CapHeader::regular_nonce_only(caps.nonce)
         };
@@ -274,7 +274,7 @@ impl TvaHostShim {
                 st.pending_return = None;
             } else {
                 header.return_info =
-                    Some(ReturnInfo::Capabilities { grant: *grant, caps: *caps });
+                    Some(ReturnInfo::Capabilities { grant: *grant, caps: caps.clone() });
                 return;
             }
         }
@@ -364,7 +364,7 @@ impl Shim for TvaHostShim {
                     .is_some_and(|c| c.caps == *caps && c.grant == *grant);
                 if !dup {
                     st.send = Some(SendCaps {
-                        caps: *caps,
+                        caps: caps.clone(),
                         grant: *grant,
                         nonce,
                         acquired: now,

@@ -10,6 +10,15 @@
 //! enqueue into the egress scheduler. Per TX slot: dequeue in scheduler
 //! priority order, re-encode into the transport's retained buffer, and
 //! record the RX→TX forwarding latency in a log-linear histogram.
+//!
+//! A burst moves through those stages one stage at a time — all frames
+//! decoded, then all wrapped, then all processed, then all enqueued — not
+//! one frame through all stages. The stage boundaries are exactly the public
+//! calls (`decode_packet`, `Pkt::new`, `TvaRouter::process`,
+//! `TvaScheduler::enqueue`), so the stage-by-stage replica the repo
+//! benchmark times is this loop, not an approximation of it
+//! (`tests/stages.rs` holds the two equal, output for output; DESIGN.md
+//! §4g prices the choice).
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
@@ -17,6 +26,7 @@ use tva_core::{RouterConfig, TvaRouter, TvaScheduler};
 use tva_obs::Histogram;
 use tva_sim::{ChannelId, Enqueued, Pkt, QueueDisc, SimTime};
 use tva_wire::ipcodec::{decode_packet, encode_packet_into};
+use tva_wire::Packet;
 
 use crate::transport::Transport;
 use crate::NodeConfig;
@@ -28,7 +38,8 @@ use crate::NodeConfig;
 /// `Instant` delta for nanosecond-resolution latency accounting.
 pub struct NodeClock {
     base_ns: u64,
-    start: Instant,
+    /// `None` for a stopped clock, which reads `base_ns` forever.
+    start: Option<Instant>,
 }
 
 impl NodeClock {
@@ -38,13 +49,21 @@ impl NodeClock {
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs() * 1_000_000_000)
             .unwrap_or(0);
-        NodeClock { base_ns, start: Instant::now() }
+        NodeClock { base_ns, start: Some(Instant::now()) }
+    }
+
+    /// A clock stopped at `t`: every read returns `t`. Lets a test (or a
+    /// replay) hand [`NodeEngine::poll`] the exact instant it hands a second
+    /// implementation, so the two can be compared output for output.
+    pub fn stopped_at(t: SimTime) -> Self {
+        NodeClock { base_ns: t.as_nanos(), start: None }
     }
 
     /// The current instant.
     #[inline]
     pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.base_ns + self.start.elapsed().as_nanos() as u64)
+        let run_ns = self.start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+        SimTime::from_nanos(self.base_ns + run_ns)
     }
 }
 
@@ -94,6 +113,11 @@ pub struct NodeEngine {
     /// A packet dequeued while the transport was backpressured; retried
     /// first on the next poll so scheduler order is preserved.
     pending: Option<Pkt>,
+    /// The RX burst after decode, and after the pool wrap: both empty
+    /// between calls, their capacity retained so the steady state stays
+    /// allocation-free.
+    rx_decoded: Vec<Packet>,
+    rx_burst: Vec<Pkt>,
 }
 
 impl NodeEngine {
@@ -122,28 +146,45 @@ impl NodeEngine {
             stats: NodeStats::default(),
             latency_ns: Histogram::new(),
             pending: None,
+            rx_decoded: Vec::new(),
+            rx_burst: Vec::new(),
         }
     }
 
-    /// Ingests one raw frame at `now`: decode, process, enqueue. Malformed
-    /// frames only bump counters — the daemon boundary must never panic on
-    /// wire input (see `tests/frames.rs`).
-    #[inline]
+    /// Ingests one raw frame at `now`: decode, process, enqueue — a burst of
+    /// one. Malformed frames only bump counters — the daemon boundary must
+    /// never panic on wire input (see `tests/frames.rs`).
     pub fn rx_frame(&mut self, frame: &[u8], now: SimTime) {
+        self.decode_frame(frame);
+        self.admit_burst(now);
+    }
+
+    /// Counts `frame` and decodes it onto the back of the RX burst; a
+    /// malformed frame is counted and dropped.
+    #[inline]
+    fn decode_frame(&mut self, frame: &[u8]) {
         self.stats.rx_frames += 1;
         self.stats.rx_bytes += frame.len() as u64;
         match decode_packet(frame) {
-            Ok(pkt) => {
-                let mut pkt = Pkt::new(pkt);
-                let _verdict = self.router.process(&mut pkt, NODE_INGRESS, now);
-                pkt.set_enqueued_at(now);
-                if self.sched.enqueue(pkt, now) == Enqueued::Dropped {
-                    self.stats.queue_drops += 1;
-                }
-            }
+            Ok(pkt) => self.rx_decoded.push(pkt),
             Err(_) => {
                 self.stats.malformed_drops += 1;
                 self.router.stats.malformed_drops += 1;
+            }
+        }
+    }
+
+    /// Takes the decoded RX burst through pool wrap, router and egress
+    /// scheduler, one stage over the whole burst at a time.
+    fn admit_burst(&mut self, now: SimTime) {
+        self.rx_burst.extend(self.rx_decoded.drain(..).map(Pkt::new));
+        for pkt in &mut self.rx_burst {
+            let _verdict = self.router.process(pkt, NODE_INGRESS, now);
+        }
+        for mut pkt in self.rx_burst.drain(..) {
+            pkt.set_enqueued_at(now);
+            if self.sched.enqueue(pkt, now) == Enqueued::Dropped {
+                self.stats.queue_drops += 1;
             }
         }
     }
@@ -161,7 +202,8 @@ impl NodeEngine {
         // Split borrows: the closure mutates `self` while `port` is handed
         // out separately.
         let this = &mut *self;
-        let rx = port.rx_burst(batch, &mut |frame| this.rx_frame(frame, now_rx));
+        let rx = port.rx_burst(batch, &mut |frame| this.decode_frame(frame));
+        self.admit_burst(now_rx);
 
         let now_tx = clock.now();
         let mut tx = 0;

@@ -221,7 +221,7 @@ impl PktGen {
             id: PacketId(idx as u64),
             src: flow.src,
             dst: GEN_DST,
-            cap: Some(CapHeader::regular_with_caps(nonce, self.grant, vec![cap])),
+            cap: Some(CapHeader::regular_with_caps(nonce, self.grant, [cap])),
             tcp: None,
             payload_len: 0,
         };

@@ -198,3 +198,68 @@ fn max_size_request_round_trips_through_the_daemon() {
     };
     assert_eq!(entries.len(), MAX_PATH_ROUTERS, "node appended its stamp into the last slot");
 }
+
+/// Lists at the protocol bound — 32 entries, 28 past what a packet holds
+/// inline — survive the whole daemon loop in each of the three positions a
+/// list can occupy: a full request (no room to stamp: forwarded demoted,
+/// entries intact), a 32-capability regular packet and a 32-capability
+/// return list (neither validates here; both are forwarded with their
+/// lists untouched).
+#[test]
+fn full_capacity_lists_round_trip_through_the_daemon() {
+    let caps: Vec<CapValue> =
+        (0..MAX_PATH_ROUTERS).map(|i| CapValue::new(i as u8, 0xC0DE + i as u64)).collect();
+    let entries: Vec<RequestEntry> = caps
+        .iter()
+        .enumerate()
+        .map(|(i, &precap)| RequestEntry { path_id: PathId(i as u16), precap })
+        .collect();
+    let grant = Grant::from_parts(100, 10);
+    let request = CapHeader {
+        demoted: false,
+        payload: CapPayload::Request { entries: RequestList::from(entries) },
+        return_info: None,
+    };
+    let regular = CapHeader::regular_with_caps(FlowNonce::new(9), grant, caps.clone());
+    let mut returning = CapHeader::regular_nonce_only(FlowNonce::new(10));
+    returning.return_info = Some(ReturnInfo::Capabilities { grant, caps: caps.into() });
+
+    for header in [request, regular, returning] {
+        let pkt = Packet {
+            id: PacketId(7),
+            src: Addr::new(10, 0, 0, 1),
+            dst: Addr::new(10, 0, 0, 2),
+            cap: Some(header.clone()),
+            tcp: None,
+            payload_len: 32,
+        };
+        let (mut node, clock) = fresh_node();
+        let (mut node_port, mut wire) = tva_node::ring_pair(8);
+        assert!(wire.tx_frame(&mut |b| {
+            b.clear();
+            b.extend_from_slice(&encode_packet(&pkt));
+        }));
+        assert_eq!(node.poll(&mut node_port, &clock, 8), (1, 1));
+        assert_eq!(node.stats.malformed_drops, 0);
+        let mut out = Vec::new();
+        assert_eq!(wire.rx_burst(4, &mut |f| out.extend_from_slice(f)), 1);
+        let back = decode_packet(&out).expect("forwarded frame re-decodes");
+        assert_eq!(back.wire_len(), pkt.wire_len());
+        let back = back.cap.expect("the shim is forwarded");
+        match (&back.payload, &header.payload) {
+            (CapPayload::Request { entries: got }, CapPayload::Request { entries: sent }) => {
+                assert_eq!(got, sent);
+                assert!(back.demoted, "a full request cannot be stamped");
+            }
+            (
+                CapPayload::Regular { caps: got, nonce: n1, .. },
+                CapPayload::Regular { caps: sent, nonce: n2, .. },
+            ) => {
+                assert_eq!(got, sent);
+                assert_eq!(n1, n2);
+            }
+            other => panic!("payload kind changed in flight: {other:?}"),
+        }
+        assert_eq!(back.return_info, header.return_info);
+    }
+}

@@ -2,14 +2,16 @@
 //! boxes, so the forwarding fast path recycles packet storage instead of
 //! allocating and dropping per hop.
 //!
-//! With the capability lists stored inline (see `tva_wire::InlineList`), a
-//! [`Packet`] is one flat block of plain data — but a large one (several
-//! hundred bytes), so moving it by value through event slab, queues and
-//! channels would memcpy it at every step. [`Pkt`] boxes the packet once
-//! and moves the 8-byte handle instead; dropping a `Pkt` returns its box to
-//! a thread-local free list, and the next packet construction reuses it.
-//! After warm-up the data path performs zero allocations per forwarded
-//! packet.
+//! With the first four entries of each capability list stored inline (see
+//! `tva_wire::InlineList`), a [`Packet`] on any path this repository runs
+//! is one flat 192-byte block of plain data — three cache lines, cheap to
+//! build but still too big to memcpy through event slab, queues and
+//! channels at every step. [`Pkt`] boxes the packet once and moves the
+//! handle instead; dropping a `Pkt` returns its box to a thread-local free
+//! list, and the next packet construction reuses it. After warm-up the data
+//! path performs zero allocations per forwarded packet. (A packet whose
+//! list is longer than four entries owns one heap block per such list; the
+//! block is freed when the recycled box is overwritten.)
 //!
 //! Determinism is unaffected: the pool only recycles *storage*. A recycled
 //! box is fully overwritten with the new packet before it is ever read, so
@@ -25,9 +27,9 @@ use std::ops::{Deref, DerefMut};
 use crate::time::SimTime;
 use tva_wire::Packet;
 
-/// Free boxes retained per thread. Bounds pool memory at roughly
-/// `256 KiB` per thread (packets are ~900 bytes); busier simulations are
-/// bounded by their own in-flight packet population, not by this cap.
+/// Free boxes retained per thread. Bounds pool memory at `48 KiB` per
+/// thread (256 boxes of 192 bytes); busier simulations are bounded by their
+/// own in-flight packet population, not by this cap.
 const MAX_FREE: usize = 256;
 
 thread_local! {

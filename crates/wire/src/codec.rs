@@ -5,12 +5,19 @@
 //! implemented and tested bit-exactly against the field layout of Figure 5.
 //! Decoding is strict: trailing garbage, truncation, bad versions or
 //! inconsistent counts are errors, never panics.
+//!
+//! Both directions work on fixed-width groups of bytes — one bounds check
+//! (decode) or one append (encode) per group of adjacent fields, and one per
+//! *list*, not one per element — so the cost of a header tracks its size on
+//! the wire. `tests/oracle.rs` holds this codec to the field-at-a-time
+//! cursor implementation it replaced, result for result and byte for byte.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::cap::{CapList, CapValue, FlowNonce, PathId, RequestEntry, RequestList, MAX_PATH_ROUTERS};
 use crate::error::WireError;
 use crate::header::{CapHeader, CapKind, CapPayload, ReturnInfo, VERSION};
+use crate::inline::InlineList;
 use crate::nt::Grant;
 
 /// Return-info type byte: demotion notification.
@@ -25,59 +32,86 @@ pub fn encode(header: &CapHeader, upper_proto: u8) -> Bytes {
     b.freeze()
 }
 
+/// Appends a capability list: a 4-byte preamble — two leading bytes, then
+/// the grant — and the capabilities. The leading bytes are `[num, ptr]` on
+/// a regular header and `[RET_CAPS, num]` on return info.
+#[inline]
+fn put_caps(b: &mut impl BufMut, first: u8, second: u8, grant: Grant, caps: &CapList) {
+    let [g0, g1] = grant.pack().to_be_bytes();
+    b.put_slice(&[first, second, g0, g1]);
+    for c in caps {
+        b.put_slice(&c.to_u64().to_be_bytes());
+    }
+}
+
 /// Appends the encoded header to `out` without allocating a fresh buffer;
 /// the daemon TX path uses this to serialize into reused frame slots.
+#[inline]
 pub fn encode_into(header: &CapHeader, upper_proto: u8, b: &mut impl BufMut) {
     let vt = (VERSION << 4) | header.type_nibble();
-    b.put_u8(vt);
-    b.put_u8(upper_proto);
     match &header.payload {
         CapPayload::Request { entries } => {
-            b.put_u8(entries.len() as u8); // capability num
-            b.put_u8(entries.len() as u8); // capability ptr (next blank slot)
+            // capability num, then capability ptr (the next blank slot).
+            let n = entries.len() as u8;
+            b.put_slice(&[vt, upper_proto, n, n]);
             for e in entries {
-                b.put_u16(e.path_id.0);
-                b.put_u64(e.precap.to_u64());
+                let mut entry = [0u8; 10];
+                entry[..2].copy_from_slice(&e.path_id.0.to_be_bytes());
+                entry[2..].copy_from_slice(&e.precap.to_u64().to_be_bytes());
+                b.put_slice(&entry);
             }
         }
-        CapPayload::Regular { nonce, caps, .. } => {
+        CapPayload::Regular { nonce, ptr, caps, .. } => {
             // 48-bit nonce, big-endian.
-            let n = nonce.to_u64();
-            b.put_u16((n >> 32) as u16);
-            b.put_u32(n as u32);
+            let [_, _, n0, n1, n2, n3, n4, n5] = nonce.to_u64().to_be_bytes();
+            b.put_slice(&[vt, upper_proto, n0, n1, n2, n3, n4, n5]);
             if let Some((grant, list)) = caps {
-                b.put_u8(list.len() as u8); // capability num
-                b.put_u8(match &header.payload {
-                    CapPayload::Regular { ptr, .. } => *ptr,
-                    CapPayload::Request { .. } => 0,
-                });
-                b.put_u16(grant.pack());
-                for c in list {
-                    b.put_u64(c.to_u64());
-                }
+                put_caps(b, list.len() as u8, *ptr, *grant, list);
             }
         }
     }
     match &header.return_info {
         None => {}
-        Some(ReturnInfo::DemotionNotice) => b.put_u8(RET_DEMOTION),
+        Some(ReturnInfo::DemotionNotice) => b.put_slice(&[RET_DEMOTION]),
         Some(ReturnInfo::Capabilities { grant, caps }) => {
-            b.put_u8(RET_CAPS);
-            b.put_u8(caps.len() as u8);
-            b.put_u16(grant.pack());
-            for c in caps {
-                b.put_u64(c.to_u64());
-            }
+            put_caps(b, RET_CAPS, caps.len() as u8, *grant, caps);
         }
     }
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
-    } else {
-        Ok(())
+/// Splits `K` bytes off the front of `buf`.
+#[inline]
+fn take<const K: usize>(buf: &mut &[u8]) -> Result<[u8; K], WireError> {
+    let (head, rest) = buf.split_first_chunk::<K>().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
+/// Reads a list of `num` fixed-width (`W`-byte) elements off the front of
+/// `buf`: the count is bounded, then the whole list's length is checked
+/// once.
+#[inline]
+fn take_list<T: Copy + Default, const W: usize>(
+    buf: &mut &[u8],
+    num: u8,
+    parse: impl Fn(&[u8; W]) -> T,
+) -> Result<InlineList<T, MAX_PATH_ROUTERS>, WireError> {
+    let num = num as usize;
+    if num > MAX_PATH_ROUTERS {
+        return Err(WireError::BadCount(num));
     }
+    let (body, rest) = buf.split_at_checked(num * W).ok_or(WireError::Truncated)?;
+    *buf = rest;
+    let (elems, _) = body.as_chunks::<W>();
+    Ok(elems.iter().map(parse).collect())
+}
+
+/// Reads `num` capabilities; `grant` is the (N, T) field read with the
+/// count, unpacked only once the count has passed its bound.
+#[inline]
+fn take_caps(buf: &mut &[u8], num: u8, grant: [u8; 2]) -> Result<(Grant, CapList), WireError> {
+    let caps = take_list(buf, num, |c: &[u8; 8]| CapValue::from_u64(u64::from_be_bytes(*c)))?;
+    Ok((Grant::unpack(u16::from_be_bytes(grant)), caps))
 }
 
 /// Decodes a capability header; returns the header and the upper protocol.
@@ -96,10 +130,23 @@ pub fn decode(buf: &[u8]) -> Result<(CapHeader, u8), WireError> {
 /// is self-describing (its counts determine its length), so no outer
 /// framing is needed.
 pub fn decode_prefix(buf: &[u8]) -> Result<(CapHeader, u8, usize), WireError> {
+    let mut header = None;
+    let (upper_proto, used) = decode_prefix_into(buf, &mut header)?;
+    Ok((header.expect("a successful decode fills the slot"), upper_proto, used))
+}
+
+/// [`decode_prefix`], writing the header into `slot` — the packet decoder
+/// passes the `cap` field of the packet it is building, so the header is
+/// never moved. Returns the upper protocol and the bytes consumed; on error
+/// `slot` is left unspecified.
+#[inline]
+pub(crate) fn decode_prefix_into(
+    buf: &[u8],
+    slot: &mut Option<CapHeader>,
+) -> Result<(u8, usize), WireError> {
     let original = buf.len();
     let mut buf = buf;
-    need(&buf, 2)?;
-    let vt = buf.get_u8();
+    let [vt, upper_proto] = take(&mut buf)?;
     let version = vt >> 4;
     if version != VERSION {
         return Err(WireError::BadVersion(version));
@@ -108,81 +155,48 @@ pub fn decode_prefix(buf: &[u8]) -> Result<(CapHeader, u8, usize), WireError> {
     let demoted = type_nibble & 0b1000 != 0;
     let has_return = type_nibble & 0b0100 != 0;
     let kind = CapKind::from_bits(type_nibble);
-    let upper_proto = buf.get_u8();
 
     let payload = match kind {
         CapKind::Request => {
-            need(&buf, 2)?;
-            let num = buf.get_u8() as usize;
-            let _ptr = buf.get_u8();
-            if num > MAX_PATH_ROUTERS {
-                return Err(WireError::BadCount(num));
-            }
-            let mut entries = RequestList::new();
-            for _ in 0..num {
-                need(&buf, 10)?;
-                let path_id = PathId(buf.get_u16());
-                let precap = CapValue::from_u64(buf.get_u64());
-                entries.push(RequestEntry { path_id, precap });
-            }
+            let [num, _ptr] = take(&mut buf)?;
+            let entries: RequestList = take_list(&mut buf, num, |e: &[u8; 10]| {
+                let [p0, p1, precap @ ..] = *e;
+                RequestEntry {
+                    path_id: PathId(u16::from_be_bytes([p0, p1])),
+                    precap: CapValue::from_u64(u64::from_be_bytes(precap)),
+                }
+            })?;
             CapPayload::Request { entries }
         }
         CapKind::RegularNonceOnly | CapKind::RegularWithCaps | CapKind::Renewal => {
-            need(&buf, 6)?;
-            let hi = buf.get_u16() as u64;
-            let lo = buf.get_u32() as u64;
-            let nonce = FlowNonce::new((hi << 32) | lo);
+            let [n0, n1, n2, n3, n4, n5] = take(&mut buf)?;
+            let nonce = FlowNonce::new(u64::from_be_bytes([0, 0, n0, n1, n2, n3, n4, n5]));
             let mut ptr = 0;
             let caps = if kind == CapKind::RegularNonceOnly {
                 None
             } else {
-                need(&buf, 4)?;
-                let num = buf.get_u8() as usize;
-                ptr = buf.get_u8();
-                if num > MAX_PATH_ROUTERS {
-                    return Err(WireError::BadCount(num));
-                }
-                let grant = Grant::unpack(buf.get_u16());
-                let mut list = CapList::new();
-                for _ in 0..num {
-                    need(&buf, 8)?;
-                    list.push(CapValue::from_u64(buf.get_u64()));
-                }
-                Some((grant, list))
+                let [num, p, g0, g1] = take(&mut buf)?;
+                ptr = p;
+                Some(take_caps(&mut buf, num, [g0, g1])?)
             };
             CapPayload::Regular { nonce, ptr, caps, renewal: kind == CapKind::Renewal }
         }
     };
+    let header = slot.insert(CapHeader { demoted, payload, return_info: None });
 
-    let return_info = if has_return {
-        need(&buf, 1)?;
-        match buf.get_u8() {
-            RET_DEMOTION => Some(ReturnInfo::DemotionNotice),
-            RET_CAPS => {
-                need(&buf, 3)?;
-                let num = buf.get_u8() as usize;
-                if num > MAX_PATH_ROUTERS {
-                    return Err(WireError::BadCount(num));
-                }
-                let grant = Grant::unpack(buf.get_u16());
-                let mut caps = CapList::new();
-                for _ in 0..num {
-                    need(&buf, 8)?;
-                    caps.push(CapValue::from_u64(buf.get_u64()));
-                }
-                Some(ReturnInfo::Capabilities { grant, caps })
+    if has_return {
+        header.return_info = Some(match take(&mut buf)? {
+            [RET_DEMOTION] => ReturnInfo::DemotionNotice,
+            [RET_CAPS] => {
+                let [num, g0, g1] = take(&mut buf)?;
+                let (grant, caps) = take_caps(&mut buf, num, [g0, g1])?;
+                ReturnInfo::Capabilities { grant, caps }
             }
-            other => return Err(WireError::BadReturnType(other)),
-        }
-    } else {
-        None
-    };
+            [other] => return Err(WireError::BadReturnType(other)),
+        });
+    }
 
-    Ok((
-        CapHeader { demoted, payload, return_info },
-        upper_proto,
-        original - buf.remaining(),
-    ))
+    Ok((upper_proto, original - buf.len()))
 }
 
 #[cfg(test)]

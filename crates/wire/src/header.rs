@@ -54,10 +54,9 @@ impl CapKind {
 
 /// The variable payload that follows the common header.
 ///
-/// Deliberately large: the TTL-bounded lists live inline (see
-/// `InlineList`) so a `Packet` owns no heap — boxing the big variant
-/// would reintroduce the per-packet allocation the pool exists to avoid.
-#[allow(clippy::large_enum_variant)]
+/// The TTL-bounded lists are `InlineList`s: up to four entries live in the
+/// payload itself, so a header on any path this repository runs owns no
+/// heap; only a longer list allocates (one block).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CapPayload {
     /// Request: the per-router entries accumulated so far (path-id + blank
@@ -101,8 +100,6 @@ impl CapPayload {
 /// Return information piggybacked toward the *sender* of the reverse flow
 /// (present when the return bit of the type nibble is set).
 ///
-/// Inline capability list for the same reason as [`CapPayload`].
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ReturnInfo {
     /// Notifies the peer that its packets were demoted somewhere on the path

@@ -1,31 +1,45 @@
-//! A fixed-capacity inline list: the allocation-free backing store for the
-//! capability and request lists of the shim header.
+//! A bounded small list: the backing store for the capability and request
+//! lists of the shim header.
 //!
 //! The paper bounds the capability list by the path length (§4.1: one entry
 //! per capability router, and the TTL bounds the path), so the header never
-//! needs a growable vector. Storing the entries inline keeps packet
-//! construction, cloning and dropping allocation-free on the forwarding
-//! fast path — the property the §4.3 "bounded state" argument rests on.
+//! needs a growable vector. The first [`INLINE`] entries live in the list
+//! itself; a longer list moves into one heap block sized for the full bound
+//! `N`. Every path this repository simulates or benchmarks crosses at most
+//! four capability routers, so packet construction, cloning and dropping
+//! stay allocation-free on the forwarding fast path — the property the §4.3
+//! "bounded state" argument rests on — while a `Packet` stays small enough
+//! to move cheaply. Only a list of five or more entries (an adversarially
+//! long request, a deep path) pays one allocation.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 
-/// A list of at most `N` elements stored inline (no heap allocation).
+/// Entries stored in the list itself before it spills to the heap: the
+/// deepest capability-router path in the repository (`tests/long_paths.rs`).
+pub const INLINE: usize = 4;
+
+/// A list of at most `N` elements: up to [`INLINE`] stored inline, a longer
+/// one in a single heap block of `N` slots (which then holds *all* entries,
+/// so the live prefix is always one contiguous slice).
 ///
 /// Dereferences to a slice of the live prefix, so iteration, indexing and
 /// slice methods work exactly as they did on the `Vec` it replaces.
 /// Equality, hashing and debug formatting all see only the live prefix.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 pub struct InlineList<T, const N: usize> {
     len: u8,
-    items: [T; N],
+    head: [T; INLINE],
+    /// `Some` exactly when `len > INLINE`.
+    spill: Option<Box<[T; N]>>,
 }
 
 impl<T: Copy + Default, const N: usize> InlineList<T, N> {
     /// An empty list.
+    #[inline]
     pub fn new() -> Self {
-        InlineList { len: 0, items: [T::default(); N] }
+        InlineList { len: 0, head: [T::default(); INLINE], spill: None }
     }
 
     /// Appends an element.
@@ -37,15 +51,40 @@ impl<T: Copy + Default, const N: usize> InlineList<T, N> {
     /// the codec rejects oversized counts before ever pushing.
     #[inline]
     pub fn push(&mut self, item: T) {
-        assert!((self.len as usize) < N, "InlineList capacity ({N}) exceeded");
-        self.items[self.len as usize] = item;
+        let len = self.len as usize;
+        assert!(len < N, "InlineList capacity ({N}) exceeded");
+        if len < INLINE {
+            self.head[len] = item;
+        } else {
+            let head = &self.head;
+            self.spill.get_or_insert_with(|| Self::spill_block(head))[len] = item;
+        }
         self.len += 1;
     }
 
-    /// Removes all elements.
+    /// A fresh heap block seeded with the inline entries. Built on the heap
+    /// directly: a block is `N` entries, too large to stage on the stack.
+    #[cold]
+    fn spill_block(head: &[T; INLINE]) -> Box<[T; N]> {
+        let mut block = vec![T::default(); N].into_boxed_slice();
+        block[..INLINE].copy_from_slice(head);
+        block.try_into().unwrap_or_else(|_| unreachable!("the block was built with N slots"))
+    }
+
+    /// Removes all elements (and frees the heap block, if any).
     #[inline]
     pub fn clear(&mut self) {
         self.len = 0;
+        self.spill = None;
+    }
+}
+
+impl<T, const N: usize> InlineList<T, N> {
+    /// Whether the entries live in the heap block (the list is longer than
+    /// [`INLINE`]).
+    #[inline]
+    pub fn spilled(&self) -> bool {
+        self.spill.is_some()
     }
 }
 
@@ -60,24 +99,37 @@ impl<T, const N: usize> Deref for InlineList<T, N> {
 
     #[inline]
     fn deref(&self) -> &[T] {
-        &self.items[..self.len as usize]
+        let len = self.len as usize;
+        match &self.spill {
+            None => &self.head[..len],
+            Some(block) => &block[..len],
+        }
     }
 }
 
 impl<T, const N: usize> DerefMut for InlineList<T, N> {
     #[inline]
     fn deref_mut(&mut self) -> &mut [T] {
-        &mut self.items[..self.len as usize]
+        let len = self.len as usize;
+        match &mut self.spill {
+            None => &mut self.head[..len],
+            Some(block) => &mut block[..len],
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Extend<T> for InlineList<T, N> {
+    #[inline]
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for item in iter {
+            self.push(item);
+        }
     }
 }
 
 impl<T: Copy + Default, const N: usize> From<&[T]> for InlineList<T, N> {
     fn from(slice: &[T]) -> Self {
-        let mut list = Self::new();
-        for &item in slice {
-            list.push(item);
-        }
-        list
+        slice.iter().copied().collect()
     }
 }
 
@@ -96,9 +148,7 @@ impl<T: Copy + Default, const N: usize, const M: usize> From<[T; M]> for InlineL
 impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineList<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let mut list = Self::new();
-        for item in iter {
-            list.push(item);
-        }
+        list.extend(iter);
         list
     }
 }
@@ -141,8 +191,16 @@ impl<T: fmt::Debug, const N: usize> fmt::Debug for InlineList<T, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
 
     type L = InlineList<u32, 4>;
+    type Long = InlineList<u32, 32>;
+
+    fn hash_of<T: Hash + ?Sized>(v: &T) -> u64 {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
 
     #[test]
     fn starts_empty_and_grows() {
@@ -159,6 +217,15 @@ mod tests {
     fn push_past_capacity_panics() {
         let mut l = L::new();
         for i in 0..5 {
+            l.push(i);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity")]
+    fn push_past_spilled_capacity_panics() {
+        let mut l = Long::new();
+        for i in 0..33 {
             l.push(i);
         }
     }
@@ -204,5 +271,69 @@ mod tests {
         l.push(2);
         l[0] = 10;
         assert_eq!(&l[..], &[10, 2]);
+        let mut long: Long = (0..9).collect();
+        long[8] = 80;
+        long[1] = 10;
+        assert_eq!(&long[..], &[0, 10, 2, 3, 4, 5, 6, 7, 80]);
+    }
+
+    #[test]
+    fn up_to_four_entries_never_spill() {
+        let mut l = Long::new();
+        assert!(!l.spilled());
+        for i in 0..INLINE as u32 {
+            l.push(i);
+            assert!(!l.spilled(), "{} entries must stay inline", i + 1);
+        }
+        for n in 0..=INLINE {
+            let from_slice = Long::from(&[9u32; INLINE][..n]);
+            assert!(!from_slice.spilled());
+            assert!(!from_slice.clone().spilled());
+        }
+    }
+
+    #[test]
+    fn fifth_push_spills_and_preserves_the_first_four() {
+        let mut l: Long = [10u32, 11, 12, 13].into();
+        l.push(14);
+        assert!(l.spilled());
+        assert_eq!(&l[..], &[10, 11, 12, 13, 14]);
+        for i in 15..42 {
+            l.push(i);
+        }
+        assert_eq!(l.len(), 32);
+        assert_eq!(l.iter().copied().collect::<Vec<_>>(), (10..42).collect::<Vec<u32>>());
+        assert_eq!(l.clone(), l);
+    }
+
+    #[test]
+    fn clear_then_repush_starts_inline_again() {
+        let mut l: Long = (0..20).collect();
+        assert!(l.spilled());
+        l.clear();
+        assert!(l.is_empty());
+        assert!(!l.spilled(), "clear frees the heap block");
+        l.push(7);
+        assert_eq!(&l[..], &[7]);
+        assert!(!l.spilled());
+        l.extend(8..14);
+        assert!(l.spilled());
+        assert_eq!(&l[..], &[7, 8, 9, 10, 11, 12, 13]);
+    }
+
+    #[test]
+    fn equality_and_hash_see_entries_not_storage() {
+        let inline: Long = [1u32, 2, 3, 4].into();
+        let spilled: Long = [1u32, 2, 3, 4, 5].into();
+        assert_ne!(inline, spilled);
+        assert_ne!(hash_of(&inline), hash_of(&spilled));
+        // Same four-entry prefix, one side read out of a heap block.
+        let prefix: Long = spilled[..4].into();
+        assert_eq!(prefix, inline);
+        assert_eq!(hash_of(&prefix), hash_of(&inline));
+        assert_eq!(hash_of(&inline), hash_of(&vec![1u32, 2, 3, 4][..]));
+        let again: Long = (1..=5).collect();
+        assert_eq!(again, spilled);
+        assert_eq!(hash_of(&again), hash_of(&spilled));
     }
 }

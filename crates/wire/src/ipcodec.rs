@@ -8,8 +8,6 @@
 //! above IP"); the header's first eight bytes deliberately contain no
 //! pre-capability material so ICMP error bodies cannot leak stamps (§7).
 
-use bytes::{Buf, BufMut};
-
 use crate::addr::Addr;
 use crate::codec;
 use crate::error::WireError;
@@ -30,6 +28,7 @@ pub const UPPER_NONE: u8 = 0;
 pub const IPPROTO_DATA: u8 = 252;
 
 /// Computes the RFC 1071 internet checksum of `data`.
+#[inline]
 pub fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;
     let mut chunks = data.chunks_exact(2);
@@ -45,44 +44,39 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-fn put_ipv4_header(out: &mut Vec<u8>, pkt: &Packet, total_len: u16, proto: u8) {
-    let start = out.len();
-    out.put_u8(0x45); // version 4, IHL 5
-    out.put_u8(0); // DSCP/ECN
-    out.put_u16(total_len);
-    out.put_u16((pkt.id.0 & 0xFFFF) as u16); // identification (tracing only)
-    out.put_u16(0); // flags/fragment offset
-    out.put_u8(64); // TTL
-    out.put_u8(proto);
-    out.put_u16(0); // checksum placeholder
-    out.put_u32(pkt.src.to_u32());
-    out.put_u32(pkt.dst.to_u32());
-    let csum = internet_checksum(&out[start..start + IP_HEADER_LEN]);
-    out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+// The IPv4 and TCP headers are fixed-size, so both directions work on a
+// `[u8; 20]` at constant offsets: no cursor, no per-field bounds check.
+
+fn ipv4_header(pkt: &Packet, total_len: u16, proto: u8) -> [u8; IP_HEADER_LEN] {
+    let mut h = [0u8; IP_HEADER_LEN];
+    h[0] = 0x45; // version 4, IHL 5; byte 1 (DSCP/ECN) stays 0
+    h[2..4].copy_from_slice(&total_len.to_be_bytes());
+    // Identification (tracing only); bytes 6..8 (flags/fragment offset) stay 0.
+    h[4..6].copy_from_slice(&(pkt.id.0 as u16).to_be_bytes());
+    h[8] = 64; // TTL
+    h[9] = proto;
+    h[12..16].copy_from_slice(&pkt.src.to_u32().to_be_bytes());
+    h[16..20].copy_from_slice(&pkt.dst.to_u32().to_be_bytes());
+    let csum = internet_checksum(&h); // over a zero checksum field
+    h[10..12].copy_from_slice(&csum.to_be_bytes());
+    h
 }
 
-fn put_tcp_header(out: &mut Vec<u8>, seg: &TcpSegment) {
-    out.put_u16(seg.src_port);
-    out.put_u16(seg.dst_port);
-    out.put_u32(seg.seq);
-    out.put_u32(seg.ack);
-    let mut flags: u16 = (5 << 12) & 0xF000; // data offset 5 words
-    if seg.flags.fin {
-        flags |= 0x01;
-    }
-    if seg.flags.syn {
-        flags |= 0x02;
-    }
-    if seg.flags.rst {
-        flags |= 0x04;
-    }
-    if seg.flags.ack {
-        flags |= 0x10;
-    }
-    out.put_u16(flags);
-    out.put_u16(0xFFFF); // window (flow control is not modeled)
-    out.put_u16(0); // checksum (not computed: payload bytes are synthetic)
-    out.put_u16(0); // urgent
+fn tcp_header(seg: &TcpSegment) -> [u8; TCP_HEADER_LEN] {
+    let mut h = [0u8; TCP_HEADER_LEN];
+    h[0..2].copy_from_slice(&seg.src_port.to_be_bytes());
+    h[2..4].copy_from_slice(&seg.dst_port.to_be_bytes());
+    h[4..8].copy_from_slice(&seg.seq.to_be_bytes());
+    h[8..12].copy_from_slice(&seg.ack.to_be_bytes());
+    h[12] = 5 << 4; // data offset 5 words
+    h[13] = u8::from(seg.flags.fin)
+        | u8::from(seg.flags.syn) << 1
+        | u8::from(seg.flags.rst) << 2
+        | u8::from(seg.flags.ack) << 4;
+    h[14..16].copy_from_slice(&[0xFF, 0xFF]); // window (flow control is not modeled)
+    // Bytes 16..20 stay 0: checksum (not computed: payload bytes are
+    // synthetic) and urgent pointer.
+    h
 }
 
 /// Serializes `pkt` to its full on-wire byte representation. The payload is
@@ -109,87 +103,79 @@ pub fn encode_packet_into(pkt: &Packet, out: &mut Vec<u8>) {
     } else {
         IPPROTO_DATA
     };
-    put_ipv4_header(out, pkt, total as u16, proto);
+    out.extend_from_slice(&ipv4_header(pkt, total as u16, proto));
     if let Some(cap) = &pkt.cap {
         let upper = if pkt.tcp.is_some() { IPPROTO_TCP } else { UPPER_NONE };
         codec::encode_into(cap, upper, out);
     }
     if let Some(tcp) = &pkt.tcp {
-        put_tcp_header(out, tcp);
+        out.extend_from_slice(&tcp_header(tcp));
     }
     out.resize(total as usize, 0);
 }
 
-fn parse_tcp(buf: &mut &[u8]) -> Result<TcpSegment, WireError> {
-    if buf.remaining() < TCP_HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let src_port = buf.get_u16();
-    let dst_port = buf.get_u16();
-    let seq = buf.get_u32();
-    let ack = buf.get_u32();
-    let flags_raw = buf.get_u16();
-    let _window = buf.get_u16();
-    let _csum = buf.get_u16();
-    let _urgent = buf.get_u16();
-    Ok(TcpSegment {
-        src_port,
-        dst_port,
-        seq,
-        ack,
+fn parse_tcp(h: &[u8; TCP_HEADER_LEN]) -> TcpSegment {
+    // Window, checksum and urgent pointer (bytes 14..20) are not modeled.
+    let flags = h[13];
+    TcpSegment {
+        src_port: u16::from_be_bytes([h[0], h[1]]),
+        dst_port: u16::from_be_bytes([h[2], h[3]]),
+        seq: u32::from_be_bytes([h[4], h[5], h[6], h[7]]),
+        ack: u32::from_be_bytes([h[8], h[9], h[10], h[11]]),
         flags: TcpFlags {
-            fin: flags_raw & 0x01 != 0,
-            syn: flags_raw & 0x02 != 0,
-            rst: flags_raw & 0x04 != 0,
-            ack: flags_raw & 0x10 != 0,
+            fin: flags & 0x01 != 0,
+            syn: flags & 0x02 != 0,
+            rst: flags & 0x04 != 0,
+            ack: flags & 0x10 != 0,
         },
-    })
+    }
 }
 
 /// Parses a full on-wire packet. The IPv4 header checksum is verified;
 /// payload contents are discarded (only the length is kept).
+///
+/// The packet is created once, from the IPv4 header, and the shim and TCP
+/// headers are decoded straight into its fields.
 pub fn decode_packet(data: &[u8]) -> Result<Packet, WireError> {
-    if data.len() < IP_HEADER_LEN {
+    let Some((ip, mut rest)) = data.split_first_chunk::<IP_HEADER_LEN>() else {
         return Err(WireError::Truncated);
+    };
+    if internet_checksum(ip) != 0 {
+        return Err(WireError::BadChecksum);
     }
-    if internet_checksum(&data[..IP_HEADER_LEN]) != 0 {
-        return Err(WireError::BadVersion(0xFF)); // corrupted header
+    if ip[0] != 0x45 {
+        return Err(WireError::BadVersion(ip[0] >> 4));
     }
-    let mut buf = data;
-    let vihl = buf.get_u8();
-    if vihl != 0x45 {
-        return Err(WireError::BadVersion(vihl >> 4));
-    }
-    let _tos = buf.get_u8();
-    let total_len = buf.get_u16() as usize;
+    // DSCP/ECN (1), flags/fragment offset (6..8) and TTL (8) are ignored.
+    let total_len = u16::from_be_bytes([ip[2], ip[3]]) as usize;
     if total_len != data.len() {
         return Err(WireError::TrailingBytes(data.len().abs_diff(total_len)));
     }
-    let id = buf.get_u16();
-    let _frag = buf.get_u16();
-    let _ttl = buf.get_u8();
-    let proto = buf.get_u8();
-    let _csum = buf.get_u16();
-    let src = Addr(buf.get_u32());
-    let dst = Addr(buf.get_u32());
-
-    let (cap, upper) = if proto == IPPROTO_TVA {
-        let (h, upper, used) = codec::decode_prefix(buf)?;
-        buf.advance(used);
-        (Some(h), upper)
-    } else {
-        (None, proto)
+    let mut pkt = Packet {
+        id: PacketId(u64::from(u16::from_be_bytes([ip[4], ip[5]]))),
+        src: Addr(u32::from_be_bytes([ip[12], ip[13], ip[14], ip[15]])),
+        dst: Addr(u32::from_be_bytes([ip[16], ip[17], ip[18], ip[19]])),
+        cap: None,
+        tcp: None,
+        payload_len: 0,
     };
 
-    let has_tcp = upper == IPPROTO_TCP;
-    let tcp = if has_tcp {
-        Some(parse_tcp(&mut buf)?)
+    let proto = ip[9];
+    let upper = if proto == IPPROTO_TVA {
+        let (upper, used) = codec::decode_prefix_into(rest, &mut pkt.cap)?;
+        rest = &rest[used..];
+        upper
     } else {
-        None
+        proto
     };
-
-    let payload_len = buf.remaining() as u32;
-    Ok(Packet { id: PacketId(id as u64), src, dst, cap, tcp, payload_len })
+    if upper == IPPROTO_TCP {
+        let (tcp, payload) =
+            rest.split_first_chunk::<TCP_HEADER_LEN>().ok_or(WireError::Truncated)?;
+        pkt.tcp = Some(parse_tcp(tcp));
+        rest = payload;
+    }
+    pkt.payload_len = rest.len() as u32;
+    Ok(pkt)
 }
 
 #[cfg(test)]
@@ -276,12 +262,40 @@ mod tests {
         }
     }
 
+    /// Full-capacity lists (32 entries, far past the four held inline)
+    /// survive the packet codec in each of the three list positions.
+    #[test]
+    fn full_capacity_lists_roundtrip() {
+        use crate::cap::{CapValue, PathId, RequestEntry, MAX_PATH_ROUTERS};
+        use crate::header::{CapPayload, ReturnInfo};
+        let caps: Vec<CapValue> =
+            (0..MAX_PATH_ROUTERS).map(|i| CapValue::new(i as u8, 1 << i)).collect();
+        let grant = Grant::from_parts(100, 10);
+        let mut request = CapHeader::request();
+        if let CapPayload::Request { entries } = &mut request.payload {
+            entries.extend(
+                caps.iter().map(|&precap| RequestEntry { path_id: PathId(7), precap }),
+            );
+        }
+        let regular = CapHeader::regular_with_caps(FlowNonce::new(1), grant, caps.clone());
+        let mut returning = CapHeader::regular_nonce_only(FlowNonce::new(2));
+        returning.return_info =
+            Some(ReturnInfo::Capabilities { grant, caps: caps.as_slice().into() });
+        let mut buf = Vec::new();
+        for header in [request, regular, returning] {
+            let p = pkt(Some(header), Some(TcpSegment::syn(1, 2, 3)), 100);
+            encode_packet_into(&p, &mut buf);
+            assert_eq!(buf.len() as u32, p.wire_len());
+            eq_modulo_id(&p, &decode_packet(&buf).unwrap());
+        }
+    }
+
     #[test]
     fn checksum_detects_corruption() {
         let p = pkt(None, Some(TcpSegment::syn(1, 2, 3)), 10);
         let mut bytes = encode_packet(&p);
         bytes[12] ^= 0xFF; // flip a source-address byte
-        assert!(decode_packet(&bytes).is_err());
+        assert_eq!(decode_packet(&bytes), Err(WireError::BadChecksum));
     }
 
     #[test]

@@ -149,6 +149,15 @@ mod tests {
         }
     }
 
+    /// The packet is moved by value through decode, pool and queues: its size
+    /// is a forwarding cost. Four inline list entries keep it under four
+    /// cache lines while the protocol's path bound stays 32.
+    #[test]
+    fn packet_stays_small() {
+        assert!(std::mem::size_of::<Packet>() <= 256, "{}", std::mem::size_of::<Packet>());
+        assert_eq!(crate::cap::MAX_PATH_ROUTERS, 32);
+    }
+
     #[test]
     fn wire_len_legacy_data() {
         let mut p = base_packet();

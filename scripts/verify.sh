@@ -7,6 +7,7 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# default-members in the root manifest makes this the whole workspace.
 echo "==> cargo test -q"
 cargo test -q
 
@@ -46,6 +47,16 @@ TVA_CHECK=1 TVA_SHARDS=2 TVA_RESULTS_DIR=target/verify-statebound/s2 \
   cargo run --release -q -p tva-experiments --bin statebound -- --gate >/dev/null
 cmp target/verify-statebound/s1/statebound.tsv target/verify-statebound/s2/statebound.tsv
 cmp target/verify-statebound/s1/statebound.json target/verify-statebound/s2/statebound.json
+
+# The benchmark's traced runs rebuild NodeEngine::poll from public calls and
+# reject a run whose staged sum drifts from poll (node.stage_cover outside
+# 0.85-1.15); its own tests run every workload traced and untraced at the
+# --quick sizing, so a divergence fails here, not at the benchmark driver.
+# One retry: at the quick sizing a rep is ~25 ms, so a busy host can push
+# stage_cover out of band on its own; a real divergence fails both times.
+echo "==> repo benchmark self-test (5 workloads, traced + untraced, quick sizing)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml ||
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> allocation discipline (counting allocator, steady-state dumbbell)"
 cargo test -q --release -p tva-bench --features alloc-count --test alloc_steady
