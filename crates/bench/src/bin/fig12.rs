@@ -46,10 +46,7 @@ fn main() {
         .iter()
         .map(|&(t, p)| vec![t.key().to_string(), format!("{p:.1}")])
         .collect();
-    let dir = std::env::var_os("TVA_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| "results".into());
-    let path = dir.join("fig12.tsv");
+    let path = tva_experiments::figrun::results_dir().join("fig12.tsv");
     if let Err(e) = tva_experiments::write_tsv(&path, &["type", "peak_kpps"], &rows) {
         eprintln!("could not write {}: {e}", path.display());
     } else {

@@ -53,7 +53,7 @@ pub use trace_audit::{
 use std::path::PathBuf;
 
 use serde_json::{Map, Value};
-use tva_sim::{SimTime, Simulator, Tracer};
+use tva_sim::{env_flag, env_u64, SimTime, Simulator, Tracer};
 
 /// Parsed `TVA_CHECK_*` environment configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,17 +68,6 @@ pub struct CheckConfig {
     /// Flight-recorder capacity backing violation artifacts
     /// (`TVA_CHECK_FLIGHT`, clamped to ≥ 16).
     pub flight_events: usize,
-}
-
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-    })
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
 impl CheckConfig {

@@ -36,24 +36,6 @@ pub enum RequestLimiter {
     Sketched,
 }
 
-/// How the capability flow cache reclaims entries when full.
-///
-/// Both modes preserve the §3.6 rule that an entry with remaining ttl is
-/// never evicted — that is what makes the 2N byte bound provable — and
-/// both carry `bytes_used` across re-admissions of the *same* capability
-/// so eviction churn cannot launder the byte budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheEviction {
-    /// Exact reclaim: a `BTreeSet` ordered by ttl expiry always finds an
-    /// expired victim if one exists (the default).
-    ExactTtl,
-    /// CLOCK sweep with reference bits over a fixed slot ring, plus a
-    /// ghost list (ARC-lite) remembering recently evicted capabilities'
-    /// spent bytes. O(1) untracked memory beyond the slot array; may
-    /// miss an expired victim the exact index would find (bounded sweep).
-    Clock,
-}
-
 /// Router-side configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -103,8 +85,6 @@ pub struct RouterConfig {
     /// Request-channel state bound: exact per-PathId DRR or the constant-
     /// memory count-min sketch limiter.
     pub request_limiter: RequestLimiter,
-    /// Flow-cache reclaim: exact ttl index or CLOCK + ghost list.
-    pub cache_eviction: CacheEviction,
     /// Hierarchical DRR for the request channel: fair-queue first over
     /// /8-style path-identifier prefixes (high byte), then over full tags,
     /// so a colluder ring fanning out k tags behind one ingress shares one
@@ -138,7 +118,6 @@ impl Default for RouterConfig {
             flow_sample_n: 0,
             flow_sample_seed: 0x5F10_77CA, // "sFlowCA"
             request_limiter: RequestLimiter::Exact,
-            cache_eviction: CacheEviction::ExactTtl,
             prefix_drr: false,
             // One epoch's fair share if ~16 paths split a 1%-of-10Mb/s
             // request channel for 250 ms — roughly what a flat DRR round

@@ -16,26 +16,17 @@
 //! legitimate fast flow needs one — attackers cannot exhaust the memory
 //! (invariant 2 of DESIGN.md).
 //!
-//! Two reclaim strategies coexist ([`CacheEviction`]):
-//!
-//! * **ExactTtl** (default) — a `BTreeSet` ordered by ttl expiry always
-//!   finds an expired victim if one exists. Faithful, but the index costs
-//!   B-tree nodes beside every entry.
-//! * **Clock** — a CLOCK sweep with reference bits over a plain slot ring,
-//!   plus a bounded *ghost list* (ARC-lite) remembering recently evicted
-//!   capabilities' spent bytes. Two full sweeps visit every expired entry
-//!   twice, so a victim is found whenever one exists — admission fails only
-//!   when every entry is live, the same semantics as ExactTtl, at different
-//!   victim order. The ghost list closes the 2N loophole eviction would
-//!   otherwise open: re-admitting the *same* capability restores its spent
-//!   `bytes_used`, so cache churn cannot launder the byte budget.
+//! There is one reclaim strategy: a `BTreeSet` ordered by ttl expiry finds
+//! an expired victim whenever one exists and proves "every entry is live"
+//! from its oldest record alone. A reclaimed entry had `ttl ≤ now`, so the
+//! paper's 2N argument already covers the fresh budget a re-admitted
+//! capability starts with — nothing about the evicted entry needs
+//! remembering (DESIGN.md §4i has the argument and the measurements).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
 use tva_sim::{SimDuration, SimTime};
 use tva_wire::{CapValue, DetHashMap, FlowKey, FlowNonce, Grant};
-
-use crate::config::CacheEviction;
 
 /// One cached flow (§4.3: "the valid capability, the flow nonce, the
 /// authorized bytes to send (N), the valid time (T), and the ttl and byte
@@ -52,16 +43,11 @@ pub struct FlowEntry {
     pub bytes_used: u64,
     /// The instant the entry's ttl reaches zero (reclaim eligibility).
     pub ttl_expires: SimTime,
-    /// Where the reclaim index currently records this entry (ExactTtl
-    /// mode). Lags `ttl_expires` after charges (the index is refreshed
-    /// lazily on reclaim, never on the packet fast path) but never exceeds
-    /// it, so an indexed expiry in the future proves the entry is live.
+    /// Where the reclaim index currently records this entry. Lags
+    /// `ttl_expires` after charges (the index is refreshed lazily on
+    /// reclaim, never on the packet fast path) but never exceeds it, so an
+    /// indexed expiry in the future proves the entry is live.
     indexed_at: SimTime,
-    /// This entry's slot in the CLOCK ring (Clock mode; unused otherwise).
-    slot: usize,
-    /// CLOCK reference bit: set by every charge, cleared by the sweep's
-    /// first pass, so a recently active expired entry gets a second chance.
-    referenced: bool,
 }
 
 /// Outcome of charging a packet to a cached flow.
@@ -73,41 +59,19 @@ pub enum Charge {
     OverBudget,
 }
 
-/// The reclaim machinery, per [`CacheEviction`] mode.
-enum ReclaimIndex {
-    /// Exact reclaim index ordered by ttl expiry (time, key).
-    ExactTtl { by_expiry: BTreeSet<(SimTime, FlowKey)> },
-    /// CLOCK ring + ghost list.
-    Clock {
-        /// One slot per live entry; the ring has no holes (slots free up
-        /// only on eviction, which immediately reuses them) and grows to
-        /// the table's high-water mark, never past `max_entries`.
-        ring: Vec<FlowKey>,
-        /// Sweep position.
-        hand: usize,
-        /// Evicted capabilities' identity and spent bytes, bounded at the
-        /// table capacity. The FIFO records eviction order and may hold
-        /// stale keys (consumed ghosts are removed from the map lazily);
-        /// it is compacted when it reaches twice the bound.
-        ghost_fifo: VecDeque<FlowKey>,
-        ghost_map: DetHashMap<FlowKey, (CapValue, u64)>,
-    },
-}
-
 /// The bounded flow cache.
 ///
 /// `entries` uses the seeded deterministic hasher ([`DetHashMap`]): the
 /// packet fast path hashes a [`FlowKey`] per lookup, and SipHash with a
 /// random per-process seed is both slower and a determinism hazard.
-/// Reclaim never scans `entries` — the victim comes from the mode's index
-/// (`by_expiry`, or the CLOCK ring) — so no behavior depends on hash
-/// iteration order; the fixed seed makes that non-dependence hold by
-/// construction in every process.
+/// Reclaim never scans `entries` — the victim comes from `by_expiry` — so
+/// no behavior depends on hash iteration order; the fixed seed makes that
+/// non-dependence hold by construction in every process.
 ///
-/// The ExactTtl index is **lazy**: `charge` extends an entry's
-/// `ttl_expires` without re-keying its `by_expiry` record (a per-packet
-/// `BTreeSet` remove+insert churns B-tree nodes — measured ≈1 allocation
-/// per 7 packets on the `tva-node` fast path). Each record's time is
+/// The index is **lazy**: `charge` extends an entry's `ttl_expires`
+/// without re-keying its `by_expiry` record (a per-packet `BTreeSet`
+/// remove+insert churns B-tree nodes — measured ≈1 allocation per 7
+/// packets on the `tva-node` fast path). Each record's time is
 /// therefore a *lower bound* on the entry's true expiry; reclaim refreshes
 /// stale records to their true expiry as it meets them. Every refresh is
 /// paid for by at least one charge since the record was last keyed, so the
@@ -115,52 +79,25 @@ enum ReclaimIndex {
 /// is pure arithmetic with zero allocations.
 pub struct FlowTable {
     entries: DetHashMap<FlowKey, FlowEntry>,
-    index: ReclaimIndex,
+    /// Reclaim index ordered by (indexed expiry, key).
+    by_expiry: BTreeSet<(SimTime, FlowKey)>,
     max_entries: usize,
     /// Cumulative entries reclaimed to admit new flows.
     pub reclaims: u64,
     /// Cumulative admissions refused because every entry was still live.
     pub admission_failures: u64,
-    /// Clock mode: re-admissions whose spent bytes were restored from the
-    /// ghost list (always 0 in ExactTtl mode).
-    pub ghost_hits: u64,
 }
 
 impl FlowTable {
-    /// Creates a table bounded at `max_entries` records, with the exact ttl
-    /// reclaim index.
+    /// Creates a table bounded at `max_entries` records.
     pub fn new(max_entries: usize) -> Self {
-        Self::with_eviction(max_entries, CacheEviction::ExactTtl)
-    }
-
-    /// Creates a table bounded at `max_entries` records with the given
-    /// reclaim strategy.
-    pub fn with_eviction(max_entries: usize, eviction: CacheEviction) -> Self {
         assert!(max_entries > 0);
-        let index = match eviction {
-            CacheEviction::ExactTtl => ReclaimIndex::ExactTtl { by_expiry: BTreeSet::new() },
-            CacheEviction::Clock => ReclaimIndex::Clock {
-                ring: Vec::new(),
-                hand: 0,
-                ghost_fifo: VecDeque::new(),
-                ghost_map: DetHashMap::default(),
-            },
-        };
         FlowTable {
             entries: DetHashMap::default(),
-            index,
+            by_expiry: BTreeSet::new(),
             max_entries,
             reclaims: 0,
             admission_failures: 0,
-            ghost_hits: 0,
-        }
-    }
-
-    /// The table's reclaim strategy.
-    pub fn eviction(&self) -> CacheEviction {
-        match self.index {
-            ReclaimIndex::ExactTtl { .. } => CacheEviction::ExactTtl,
-            ReclaimIndex::Clock { .. } => CacheEviction::Clock,
         }
     }
 
@@ -175,9 +112,8 @@ impl FlowTable {
     /// extending anything if the budget would be exceeded.
     ///
     /// This is the packet fast path: it never touches the reclaim index
-    /// (the ExactTtl record keeps its now-stale, still-lower-bound time
-    /// until reclaim refreshes it; the CLOCK ring only needs the reference
-    /// bit set), so it performs no allocation.
+    /// (the record keeps its now-stale, still-lower-bound time until
+    /// reclaim refreshes it), so it performs no allocation.
     pub fn charge(&mut self, flow: FlowKey, len: u32, now: SimTime) -> Charge {
         let Some(entry) = self.entries.get_mut(&flow) else {
             return Charge::OverBudget; // caller must have created state
@@ -189,7 +125,6 @@ impl FlowTable {
         let add = ttl_value(len, entry.grant);
         // ttl decrements as time passes: extend from max(now, old expiry).
         entry.ttl_expires = entry.ttl_expires.max(now) + add;
-        entry.referenced = true;
         Charge::Ok
     }
 
@@ -201,9 +136,7 @@ impl FlowTable {
     /// Byte counts are charged against the **capability**, not the cache
     /// entry: replacing an entry with the *same* capability (e.g. an
     /// attacker cycling flow nonces to force the replace path) carries the
-    /// spent bytes over, so nonce churn cannot launder the budget — and in
-    /// Clock mode a re-admission after eviction restores the spent bytes
-    /// from the ghost list, so eviction churn cannot either. Only a
+    /// spent bytes over, so nonce churn cannot launder the budget. Only a
     /// genuinely renewed capability (different value) starts a fresh
     /// budget.
     pub fn create(
@@ -215,81 +148,24 @@ impl FlowTable {
         len: u32,
         now: SimTime,
     ) -> bool {
-        if let Some(old) = self.entries.get(&flow) {
-            let carried = if old.cap == cap { old.bytes_used } else { 0 };
-            if carried + len as u64 > grant.n.bytes() {
-                return false; // the same capability's budget is spent
-            }
-            // Replacing our own old entry (e.g. renewed capability) is
-            // always allowed and is not an eviction of another flow: the
-            // slot (Clock) or index record (ExactTtl) is reused in place.
-            let slot = old.slot;
-            let old_indexed = old.indexed_at;
-            if let ReclaimIndex::ExactTtl { by_expiry } = &mut self.index {
-                by_expiry.remove(&(old_indexed, flow));
-            }
-            let ttl_expires = now + ttl_value(len, grant);
-            self.entries.insert(
-                flow,
-                FlowEntry {
-                    cap,
-                    nonce,
-                    grant,
-                    bytes_used: carried + len as u64,
-                    ttl_expires,
-                    indexed_at: ttl_expires,
-                    slot,
-                    referenced: true,
-                },
-            );
-            if let ReclaimIndex::ExactTtl { by_expiry } = &mut self.index {
-                by_expiry.insert((ttl_expires, flow));
-            }
-            return true;
-        }
-        // Fresh flow: recover spent bytes for the same capability from the
-        // ghost list (Clock mode) before the budget check.
-        let carried = match &self.index {
-            ReclaimIndex::Clock { ghost_map, .. } => match ghost_map.get(&flow) {
-                Some(&(ghost_cap, bytes)) if ghost_cap == cap => bytes,
-                _ => 0,
-            },
-            ReclaimIndex::ExactTtl { .. } => 0,
-        };
+        let old = self.entries.get(&flow);
+        let carried = old.filter(|old| old.cap == cap).map_or(0, |old| old.bytes_used);
         if carried + len as u64 > grant.n.bytes() {
-            return false; // budget spent (possibly across an eviction)
+            return false; // the capability's budget is spent
         }
-        // Any ghost for this key is settled here, before reclaim can bound
-        // the ghost list underneath us: consumed (budget recovered exactly
-        // once per entry generation) when the capability matched, discarded
-        // when the flow returned under a renewed capability — a key is
-        // never live and a ghost at once. Note the admission below can
-        // still fail (every entry live); losing the ghost then is sound,
-        // because a refused packet charges nothing against the budget.
-        if let ReclaimIndex::Clock { ghost_map, .. } = &mut self.index {
-            if ghost_map.remove(&flow).is_some() && carried > 0 {
-                self.ghost_hits += 1;
-            }
-        }
-        let slot = if self.entries.len() >= self.max_entries {
+        if let Some(old) = old {
+            // Replacing our own old entry (e.g. renewed capability) is
+            // always allowed and is not an eviction of another flow.
+            self.by_expiry.remove(&(old.indexed_at, flow));
+        } else if self.entries.len() >= self.max_entries {
             // Reclaim an expired entry if one exists; never evict live
             // state.
-            let Some(slot) = self.reclaim_victim(now) else {
+            if !self.reclaim_victim(now) {
                 self.admission_failures += 1;
                 return false;
-            };
-            self.reclaims += 1;
-            slot
-        } else {
-            // Room left: Clock mode appends a fresh ring slot.
-            match &mut self.index {
-                ReclaimIndex::ExactTtl { .. } => 0,
-                ReclaimIndex::Clock { ring, .. } => {
-                    ring.push(flow);
-                    ring.len() - 1
-                }
             }
-        };
+            self.reclaims += 1;
+        }
         let ttl_expires = now + ttl_value(len, grant);
         self.entries.insert(
             flow,
@@ -300,98 +176,37 @@ impl FlowTable {
                 bytes_used: carried + len as u64,
                 ttl_expires,
                 indexed_at: ttl_expires,
-                slot,
-                referenced: true,
             },
         );
-        match &mut self.index {
-            ReclaimIndex::ExactTtl { by_expiry } => {
-                by_expiry.insert((ttl_expires, flow));
-            }
-            ReclaimIndex::Clock { ring, .. } => {
-                ring[slot] = flow;
-            }
-        }
+        self.by_expiry.insert((ttl_expires, flow));
         true
     }
 
-    /// Removes one entry whose ttl has reached zero and returns the ring
-    /// slot it freed (Clock) or 0 (ExactTtl); `None` if every entry is
-    /// live.
-    fn reclaim_victim(&mut self, now: SimTime) -> Option<usize> {
-        match &mut self.index {
-            ReclaimIndex::ExactTtl { by_expiry } => {
-                // Walks `by_expiry` from the oldest record: a record in the
-                // future proves its entry live (indexed times are lower
-                // bounds), so the walk stops there; a stale record — the
-                // entry was charged since it was keyed — is refreshed to
-                // the entry's true expiry and the walk continues. Each
-                // refresh strictly advances a record and is paid for by at
-                // least one intervening `charge`, so the amortized cost per
-                // packet stays constant.
-                while let Some(&(indexed, victim)) = by_expiry.first() {
-                    if indexed > now {
-                        return None; // oldest record is live ⇒ every entry is
-                    }
-                    let actual = self
-                        .entries
-                        .get(&victim)
-                        .expect("index and table are in bijection")
-                        .ttl_expires;
-                    by_expiry.pop_first();
-                    if actual <= now {
-                        self.entries.remove(&victim);
-                        return Some(0);
-                    }
-                    by_expiry.insert((actual, victim));
-                    self.entries.get_mut(&victim).expect("still present").indexed_at = actual;
-                }
-                None
+    /// Removes one entry whose ttl has reached zero; `false` if every entry
+    /// is live.
+    ///
+    /// Walks `by_expiry` from the oldest record: a record in the future
+    /// proves its entry live (indexed times are lower bounds), so the walk
+    /// stops there; a stale record — the entry was charged since it was
+    /// keyed — is refreshed to the entry's true expiry and the walk
+    /// continues. Each refresh strictly advances a record and is paid for
+    /// by at least one intervening `charge`, so the amortized cost per
+    /// packet stays constant.
+    fn reclaim_victim(&mut self, now: SimTime) -> bool {
+        while let Some(&(indexed, victim)) = self.by_expiry.first() {
+            if indexed > now {
+                return false; // oldest record is live ⇒ every entry is
             }
-            ReclaimIndex::Clock { ring, hand, ghost_fifo, ghost_map } => {
-                // Two full passes: the first clears reference bits on
-                // expired entries (second chance), the second evicts the
-                // first expired entry it meets. Live entries are skipped
-                // unconditionally — never evicted — so after 2·len steps
-                // with no victim, every entry is provably live.
-                let len = ring.len();
-                debug_assert!(len > 0, "reclaim on an empty ring");
-                for _ in 0..2 * len {
-                    let pos = *hand % len;
-                    *hand = (pos + 1) % len;
-                    let key = ring[pos];
-                    let entry = self.entries.get_mut(&key).expect("ring and table in bijection");
-                    if entry.ttl_expires > now {
-                        continue; // live: protected by the §3.6 rule
-                    }
-                    if entry.referenced {
-                        entry.referenced = false;
-                        continue;
-                    }
-                    // Evict: remember the capability's spent bytes so a
-                    // re-admission cannot restart the budget.
-                    let (cap, bytes) = (entry.cap, entry.bytes_used);
-                    self.entries.remove(&key);
-                    if ghost_map.insert(key, (cap, bytes)).is_none() {
-                        ghost_fifo.push_back(key);
-                    }
-                    // Bound the ghost list at table capacity; compact the
-                    // FIFO (dropping stale consumed keys) at 2× capacity.
-                    while ghost_map.len() > self.max_entries {
-                        if let Some(oldest) = ghost_fifo.pop_front() {
-                            ghost_map.remove(&oldest);
-                        } else {
-                            break;
-                        }
-                    }
-                    if ghost_fifo.len() > 2 * self.max_entries {
-                        ghost_fifo.retain(|k| ghost_map.contains_key(k));
-                    }
-                    return Some(pos);
-                }
-                None
+            let entry = self.entries.get_mut(&victim).expect("index and table are in bijection");
+            self.by_expiry.pop_first();
+            if entry.ttl_expires <= now {
+                self.entries.remove(&victim);
+                return true;
             }
+            entry.indexed_at = entry.ttl_expires;
+            self.by_expiry.insert((entry.ttl_expires, victim));
         }
+        false
     }
 
     /// Live entry count.
@@ -409,33 +224,14 @@ impl FlowTable {
         self.max_entries
     }
 
-    /// Ghost-list occupancy (Clock mode; 0 otherwise).
-    pub fn ghost_len(&self) -> usize {
-        match &self.index {
-            ReclaimIndex::ExactTtl { .. } => 0,
-            ReclaimIndex::Clock { ghost_map, .. } => ghost_map.len(),
-        }
-    }
-
-    /// A size estimate in bytes of the table's heap state: entries, the
-    /// reclaim index, and (Clock) the ghost list. An estimator, not an
-    /// allocator measurement — used by the `statebound` experiment's
-    /// memory-vs-flow-count curves alongside process RSS.
+    /// A size estimate in bytes of the table's heap state: entries plus
+    /// the reclaim index. An estimator, not an allocator measurement — used
+    /// by the `statebound` experiment's memory-vs-flow-count curves
+    /// alongside process RSS.
     pub fn state_bytes_estimate(&self) -> usize {
         let per_entry = std::mem::size_of::<FlowEntry>() + std::mem::size_of::<FlowKey>() + 16;
-        let entries = self.entries.len() * per_entry;
-        let index = match &self.index {
-            ReclaimIndex::ExactTtl { by_expiry } => {
-                by_expiry.len() * (std::mem::size_of::<(SimTime, FlowKey)>() + 16)
-            }
-            ReclaimIndex::Clock { ring, ghost_fifo, ghost_map, .. } => {
-                ring.len() * std::mem::size_of::<FlowKey>()
-                    + ghost_fifo.len() * std::mem::size_of::<FlowKey>()
-                    + ghost_map.len()
-                        * (std::mem::size_of::<(FlowKey, (CapValue, u64))>() + 16)
-            }
-        };
-        entries + index
+        let per_record = std::mem::size_of::<(SimTime, FlowKey)>() + 16;
+        self.entries.len() * per_entry + self.by_expiry.len() * per_record
     }
 
     /// Iterates the live entries (cold path, for auditors tracking per-
@@ -447,18 +243,14 @@ impl FlowTable {
     /// Verifies the table's internal consistency (cold path; used by the
     /// `TVA_CHECK` runtime auditors and the bijection proptest):
     ///
-    /// * the reclaim index and `entries` are in exact bijection — ExactTtl:
-    ///   every entry has exactly its `(indexed_at, key)` record and the
-    ///   index holds nothing else; Clock: every entry's `slot` points at a
-    ///   ring cell holding its key, the ring has no duplicate or phantom
-    ///   cells (a desynchronized index means reclaim picks phantom victims
-    ///   or live entries become unreclaimable);
-    /// * ExactTtl: every index record is a valid lower bound, `indexed_at ≤
+    /// * the reclaim index and `entries` are in exact bijection — every
+    ///   entry has exactly its `(indexed_at, key)` record and the index
+    ///   holds nothing else (a desynchronized index means reclaim picks
+    ///   phantom victims or live entries become unreclaimable);
+    /// * every index record is a valid lower bound, `indexed_at ≤
     ///   ttl_expires` (an indexed time in the future must *prove* the entry
     ///   live, or reclaim's early stop would skip reclaimable state);
-    /// * the record bound holds, and Clock's ghost list respects its own
-    ///   bounds (map ≤ capacity, FIFO ≤ 2× capacity, every ghost reachable
-    ///   from the FIFO);
+    /// * the record bound holds;
     /// * no entry's `bytes_used` exceeds its grant's `N` (§3.6: over-budget
     ///   packets are demoted before being charged).
     pub fn audit(&self) -> Result<(), String> {
@@ -469,6 +261,16 @@ impl FlowTable {
                 self.max_entries
             ));
         }
+        // Same lengths + every entry present ⇒ bijection (the set cannot
+        // hold a duplicate key at a different time without the lengths
+        // diverging, because each entry matches exactly one index record).
+        if self.by_expiry.len() != self.entries.len() {
+            return Err(format!(
+                "flowtable: reclaim index has {} records, table has {}",
+                self.by_expiry.len(),
+                self.entries.len()
+            ));
+        }
         for (key, entry) in &self.entries {
             if entry.bytes_used > entry.grant.n.bytes() {
                 return Err(format!(
@@ -477,82 +279,17 @@ impl FlowTable {
                     entry.grant.n.bytes()
                 ));
             }
-        }
-        match &self.index {
-            ReclaimIndex::ExactTtl { by_expiry } => {
-                if by_expiry.len() != self.entries.len() {
-                    return Err(format!(
-                        "flowtable: reclaim index has {} records, table has {}",
-                        by_expiry.len(),
-                        self.entries.len()
-                    ));
-                }
-                for (key, entry) in &self.entries {
-                    if !by_expiry.contains(&(entry.indexed_at, *key)) {
-                        return Err(format!(
-                            "flowtable: entry {key:?} (indexed {:?}) missing from reclaim index",
-                            entry.indexed_at
-                        ));
-                    }
-                    if entry.indexed_at > entry.ttl_expires {
-                        return Err(format!(
-                            "flowtable: entry {key:?} indexed at {:?}, after its expiry {:?}",
-                            entry.indexed_at, entry.ttl_expires
-                        ));
-                    }
-                }
-                // Same lengths + every entry present ⇒ bijection (the set
-                // cannot hold a duplicate key at a different time without
-                // the lengths diverging, because each entry matches exactly
-                // one index record).
+            if !self.by_expiry.contains(&(entry.indexed_at, *key)) {
+                return Err(format!(
+                    "flowtable: entry {key:?} (indexed {:?}) missing from reclaim index",
+                    entry.indexed_at
+                ));
             }
-            ReclaimIndex::Clock { ring, ghost_fifo, ghost_map, .. } => {
-                if ring.len() != self.entries.len() {
-                    return Err(format!(
-                        "flowtable: clock ring has {} slots, table has {} entries",
-                        ring.len(),
-                        self.entries.len()
-                    ));
-                }
-                for (key, entry) in &self.entries {
-                    match ring.get(entry.slot) {
-                        Some(k) if k == key => {}
-                        other => {
-                            return Err(format!(
-                                "flowtable: entry {key:?} slot {} holds {other:?}",
-                                entry.slot
-                            ));
-                        }
-                    }
-                }
-                // Equal lengths + every entry's slot holds its key ⇒ the
-                // slot map is injective, hence a bijection.
-                if ghost_map.len() > self.max_entries {
-                    return Err(format!(
-                        "flowtable: ghost list {} over bound {}",
-                        ghost_map.len(),
-                        self.max_entries
-                    ));
-                }
-                if ghost_fifo.len() > 2 * self.max_entries {
-                    return Err(format!(
-                        "flowtable: ghost FIFO {} over compaction bound {}",
-                        ghost_fifo.len(),
-                        2 * self.max_entries
-                    ));
-                }
-                for key in ghost_map.keys() {
-                    if !ghost_fifo.contains(key) {
-                        return Err(format!(
-                            "flowtable: ghost {key:?} unreachable from the eviction FIFO"
-                        ));
-                    }
-                    if self.entries.contains_key(key) {
-                        return Err(format!(
-                            "flowtable: flow {key:?} is both live and a ghost"
-                        ));
-                    }
-                }
+            if entry.indexed_at > entry.ttl_expires {
+                return Err(format!(
+                    "flowtable: entry {key:?} indexed at {:?}, after its expiry {:?}",
+                    entry.indexed_at, entry.ttl_expires
+                ));
             }
         }
         Ok(())
@@ -759,127 +496,6 @@ mod tests {
         assert!(t.reclaims > 0, "expired churn entries were reclaimed");
     }
 
-    // ---- Clock + ghost-list mode -------------------------------------
-
-    fn clock_table(n: usize) -> FlowTable {
-        FlowTable::with_eviction(n, CacheEviction::Clock)
-    }
-
-    #[test]
-    fn clock_never_evicts_live_entries() {
-        let mut t = clock_table(2);
-        let g = grant_32kb_10s();
-        let now = SimTime::ZERO;
-        assert!(t.create(flow(1), cap(), FlowNonce::new(1), g, 10_000, now));
-        assert!(t.create(flow(2), cap(), FlowNonce::new(2), g, 10_000, now));
-        assert!(!t.create(flow(3), cap(), FlowNonce::new(3), g, 1000, now));
-        assert_eq!(t.admission_failures, 1);
-        assert_eq!(t.len(), 2);
-        t.audit().expect("ring bijection after refused admission");
-    }
-
-    #[test]
-    fn clock_evicts_expired_after_second_chance() {
-        let mut t = clock_table(2);
-        let g = grant_32kb_10s();
-        assert!(t.create(flow(1), cap(), FlowNonce::new(1), g, 1000, SimTime::ZERO));
-        assert!(t.create(flow(2), cap(), FlowNonce::new(2), g, 1000, SimTime::ZERO));
-        // Both expired at t = 1 s: the sweep clears reference bits on the
-        // first pass and evicts on the second, so admission succeeds.
-        let later = SimTime::from_secs(1);
-        assert!(t.create(flow(3), cap(), FlowNonce::new(3), g, 1000, later));
-        assert_eq!(t.reclaims, 1);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.ghost_len(), 1, "evicted capability remembered as a ghost");
-        t.audit().expect("ring bijection after eviction");
-    }
-
-    #[test]
-    fn clock_ghost_blocks_budget_laundering_across_eviction() {
-        // Spend most of a capability's budget, let the entry expire and be
-        // evicted, then re-admit the *same* capability: the ghost must carry
-        // the spent bytes, so the total admitted stays ≤ N.
-        let mut t = clock_table(1);
-        let g = grant_32kb_10s(); // N = 32768
-        let mut now = SimTime::ZERO;
-        assert!(t.create(flow(1), cap(), FlowNonce::new(1), g, 1000, now));
-        for _ in 0..30 {
-            assert_eq!(t.charge(flow(1), 1000, now), Charge::Ok);
-        }
-        // 31 KB spent. Expire (31 packets × ~0.305 s ≈ 9.5 s of ttl) and
-        // force eviction by admitting a different flow.
-        now = SimTime::from_secs(60);
-        assert!(t.create(flow(2), CapValue::new(3, 7), FlowNonce::new(9), g, 1000, now));
-        assert_eq!(t.ghost_len(), 1);
-        // Same capability returns: only ~1.7 KB of budget is left, so a
-        // 2000-byte first packet must be refused outright...
-        assert!(!t.create(flow(1), cap(), FlowNonce::new(5), g, 2000, now));
-        // ...and a 1000-byte one is admitted with the spent bytes restored.
-        now = SimTime::from_secs(120);
-        assert!(t.create(flow(1), cap(), FlowNonce::new(5), g, 1000, now));
-        assert_eq!(t.ghost_hits, 1);
-        assert_eq!(t.get(flow(1)).unwrap().bytes_used, 32_000, "ghost bytes restored");
-        assert_eq!(t.charge(flow(1), 1000, now), Charge::OverBudget, "budget still spent");
-        t.audit().expect("ghost accounting clean");
-    }
-
-    #[test]
-    fn clock_referenced_expired_entry_survives_one_sweep_pass() {
-        // With one expired-but-referenced entry and one expired-cold entry,
-        // the cold one is evicted first (second-chance order).
-        let mut t = clock_table(2);
-        let g = grant_32kb_10s();
-        assert!(t.create(flow(1), cap(), FlowNonce::new(1), g, 1000, SimTime::ZERO));
-        assert!(t.create(flow(2), cap(), FlowNonce::new(2), g, 1000, SimTime::ZERO));
-        // Both referenced bits set by create; clear both via one failed
-        // admission... they are expired at t=1s, so the first sweep clears
-        // bits and the second evicts flow(1) (hand order). Re-reference
-        // flow(2) only.
-        let later = SimTime::from_secs(1);
-        t.charge(flow(2), 100, later); // extends ttl AND references
-        assert!(t.create(flow(3), cap(), FlowNonce::new(3), g, 1000, later));
-        assert!(t.get(flow(2)).is_some(), "recharged entry survives");
-        assert!(t.get(flow(1)).is_none(), "cold expired entry evicted");
-        t.audit().expect("clean after second-chance sweep");
-    }
-
-    #[test]
-    fn clock_churn_keeps_ring_bijective_and_bounded() {
-        let mut t = clock_table(8);
-        let g = grant_32kb_10s();
-        let mut now = SimTime::ZERO;
-        for round in 0u32..50 {
-            for i in 0..12 {
-                t.create(flow(round * 12 + i), cap(), FlowNonce::new(i.into()), g, 1000, now);
-                t.audit().expect("ring bijection and ghost bounds hold through churn");
-                assert!(t.len() <= t.capacity(), "never overfull");
-            }
-            now += SimDuration::from_millis(400);
-        }
-        assert_eq!(t.len(), t.capacity(), "table stays full under churn");
-        assert!(t.reclaims > 0, "expired entries were reclaimed");
-        assert!(t.ghost_len() <= t.capacity(), "ghost list bounded");
-    }
-
-    #[test]
-    fn clock_state_estimate_is_bounded_by_capacity() {
-        let mut t = clock_table(64);
-        let g = grant_32kb_10s();
-        let mut now = SimTime::ZERO;
-        let mut peak = 0usize;
-        for i in 0..10_000u32 {
-            t.create(flow(i), cap(), FlowNonce::new(1), g, 1000, now);
-            if i % 100 == 0 {
-                now += SimDuration::from_millis(400);
-            }
-            peak = peak.max(t.state_bytes_estimate());
-        }
-        let cap_bytes = clock_table(64).state_bytes_estimate()
-            + 64 * (std::mem::size_of::<FlowEntry>() + 64)
-            + 3 * 64 * (std::mem::size_of::<FlowKey>() + 64);
-        assert!(peak <= cap_bytes, "estimate {peak} exceeded capacity-derived bound {cap_bytes}");
-    }
-
     // ---- Satellite: same-instant churn against the lazy index ---------
 
     use proptest::prelude::*;
@@ -887,27 +503,21 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The PR 8 lazy-index change weakened the ExactTtl audit from
+        /// The PR 8 lazy-index change weakened the audit from
         /// "indexed_at == ttl_expires" to "indexed_at ≤ ttl_expires".
         /// Interleave charge / create-with-reclaim / replace (forget) at
         /// *identical* SimTimes — the regime where a lazily refreshed
         /// record, a same-instant expiry, and a same-instant re-create can
         /// disagree by zero nanoseconds — and prove the weakened invariant
-        /// plus the by_expiry bijection still hold after every single op,
-        /// in both eviction modes.
+        /// plus the by_expiry bijection still hold after every single op.
         #[test]
         fn same_instant_churn_keeps_lazy_index_sound(
-            clock_mode in any::<bool>(),
             ops in proptest::collection::vec(
                 (0u8..3, 0u32..6, prop_oneof![Just(0u64), Just(0), Just(1), Just(400)]),
                 1..120,
             ),
         ) {
-            let mut t = if clock_mode {
-                FlowTable::with_eviction(3, CacheEviction::Clock)
-            } else {
-                FlowTable::new(3)
-            };
+            let mut t = FlowTable::new(3);
             let g = Grant::from_parts(32, 10);
             let mut now = SimTime::ZERO;
             let mut nonce = 0u64;
@@ -947,7 +557,7 @@ mod tests {
                     }
                 }
                 // The audit asserts indexed_at ≤ ttl_expires and the exact
-                // index/ring bijection — the full weakened-form contract.
+                // index bijection — the full weakened-form contract.
                 if let Err(e) = t.audit() {
                     panic!("audit failed after op ({kind}, {id}, {dt_ms}): {e}");
                 }

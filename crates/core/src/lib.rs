@@ -63,7 +63,7 @@ pub use attack::strategies::{
 };
 pub use attack::{AuthorizedFlooder, SpoofColluder};
 pub use capability::{expired, mint_cap, mint_precap, validate_cap, validate_precap, CapError};
-pub use config::{CacheEviction, HostConfig, RegularQueueKey, RequestLimiter, RouterConfig};
+pub use config::{HostConfig, RegularQueueKey, RequestLimiter, RouterConfig};
 pub use flowtable::{Charge, FlowEntry, FlowTable};
 pub use policy::{AllowAll, ClientPolicy, GrantPolicy, RequestInfo, ServerPolicy};
 pub use router::{RouterStats, TvaRouter, TvaRouterNode, Verdict};

@@ -143,7 +143,7 @@ impl TvaRouter {
         let bound = cfg.flow_table_bound(link_bps);
         let schedule = SecretSchedule::from_seed(cfg.secret_seed);
         let flow = FlowSampler::new(cfg.flow_sample_n, cfg.flow_sample_seed);
-        let table = FlowTable::with_eviction(bound, cfg.cache_eviction);
+        let table = FlowTable::new(bound);
         TvaRouter {
             cfg,
             schedule,
@@ -364,10 +364,7 @@ impl TvaRouter {
     /// authorized traffic will be demoted (not dropped) until senders
     /// re-acquire capabilities via the demotion-echo path.
     pub fn restart(&mut self, new_secret_seed: u64) {
-        let bound = self.table.capacity();
-        // The restarted table keeps the configured eviction strategy (state
-        // is lost, the mechanism is not).
-        self.table = FlowTable::with_eviction(bound, self.cfg.cache_eviction);
+        self.table = FlowTable::new(self.table.capacity());
         self.cfg.secret_seed = new_secret_seed;
         self.schedule = SecretSchedule::from_seed(new_secret_seed);
         self.tags.clear();
@@ -743,27 +740,5 @@ mod tests {
         let serde_json::Value::Object(root) = &snap else { panic!("snapshot is an object") };
         let Some(serde_json::Value::Object(gauges)) = root.get("gauges") else { panic!() };
         assert!(gauges.get("r1.cache_hit_rate").is_some());
-    }
-
-    #[test]
-    fn clock_eviction_router_forwards_and_restart_keeps_the_mode() {
-        use crate::config::CacheEviction;
-        let cfg = RouterConfig { cache_eviction: CacheEviction::Clock, ..Default::default() };
-        let mut r = TvaRouter::new(cfg, 10_000_000);
-        assert_eq!(r.table().eviction(), CacheEviction::Clock);
-        let now = SimTime::from_secs(10);
-        let grant = Grant::from_parts(100, 10);
-        let cv = good_cap(&r, now, grant);
-        let nonce = FlowNonce::new(7);
-        let mut p1 = pkt(Some(CapHeader::regular_with_caps(nonce, grant, vec![cv])), 1000);
-        assert_eq!(r.process(&mut p1, IN, now), Verdict::Regular);
-        let mut p2 = pkt(Some(CapHeader::regular_nonce_only(nonce)), 1000);
-        assert_eq!(r.process(&mut p2, IN, now), Verdict::Regular);
-        assert_eq!(r.stats.nonce_hits, 1, "fast path works under Clock eviction");
-        r.table().audit().expect("clock table clean");
-        // A restart loses the state but keeps the strategy.
-        r.restart(42);
-        assert_eq!(r.table().eviction(), CacheEviction::Clock);
-        assert_eq!(r.table().len(), 0);
     }
 }

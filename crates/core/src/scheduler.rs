@@ -48,14 +48,15 @@ impl PacedGate {
         }
     }
 
-    fn refill(&mut self, now: SimTime) {
+    /// The balance a refill at `now` would leave (stores nothing).
+    fn refilled(&self, now: SimTime) -> i128 {
         let dt = now.since(self.last_refill).as_nanos();
-        if dt == 0 {
-            return;
-        }
-        self.last_refill = now;
-        self.balance_nb =
-            (self.balance_nb + self.rate_bytes_per_sec as i128 * dt as i128).min(self.burst_bytes);
+        (self.balance_nb + self.rate_bytes_per_sec as i128 * dt as i128).min(self.burst_bytes)
+    }
+
+    fn refill(&mut self, now: SimTime) {
+        self.balance_nb = self.refilled(now);
+        self.last_refill = self.last_refill.max(now);
     }
 
     fn ready(&mut self, now: SimTime) -> bool {
@@ -68,12 +69,12 @@ impl PacedGate {
     }
 
     /// Time until the balance becomes positive again.
-    fn time_until_ready(&mut self, now: SimTime) -> SimDuration {
-        self.refill(now);
-        if self.balance_nb > 0 {
+    fn time_until_ready(&self, now: SimTime) -> SimDuration {
+        let balance_nb = self.refilled(now);
+        if balance_nb > 0 {
             return SimDuration::ZERO;
         }
-        let deficit = (-self.balance_nb) as u128 + 1;
+        let deficit = (-balance_nb) as u128 + 1;
         SimDuration::from_nanos(deficit.div_ceil(self.rate_bytes_per_sec as u128) as u64)
     }
 }
@@ -547,14 +548,7 @@ impl QueueDisc for TvaScheduler {
         if self.requests.len_pkts() == 0 {
             return None;
         }
-        // `time_until_ready` needs &mut for refill; emulate with a probe.
-        let mut probe = PacedGate {
-            rate_bytes_per_sec: self.gate.rate_bytes_per_sec,
-            burst_bytes: self.gate.burst_bytes,
-            balance_nb: self.gate.balance_nb,
-            last_refill: self.gate.last_refill,
-        };
-        Some(now + probe.time_until_ready(now))
+        Some(now + self.gate.time_until_ready(now))
     }
 
     fn len_pkts(&self) -> usize {

@@ -153,12 +153,7 @@ impl std::fmt::Debug for SketchLimiter {
 
 fn check_enabled() -> bool {
     static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("TVA_CHECK").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-        })
-    })
+    *ON.get_or_init(|| tva_sim::env_flag("TVA_CHECK"))
 }
 
 impl SketchLimiter {

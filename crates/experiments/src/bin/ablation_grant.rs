@@ -86,10 +86,7 @@ fn main() {
             12
         )
     );
-    let dir = std::env::var_os("TVA_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| "results".into());
-    let path = dir.join("ablation_grant.tsv");
+    let path = tva_experiments::figrun::results_dir().join("ablation_grant.tsv");
     let _ = write_tsv(
         &path,
         &["n_kb", "baseline_s", "total_excess_s", "worst_s", "fraction"],

@@ -14,7 +14,6 @@
 //! deterministic fields (no RSS), so they are byte-identical across runs
 //! and under `TVA_SHARDS`.
 
-use tva_core::CacheEviction;
 use tva_experiments::figrun::{results_dir, write_json};
 use tva_experiments::report::{ascii_chart, Series};
 use tva_experiments::statebound::{
@@ -24,6 +23,10 @@ use tva_experiments::statebound::{
 use tva_experiments::{table, write_tsv};
 
 const HEADERS: [&str; 5] = ["section", "mode", "x", "metric", "value"];
+
+/// The hit-rate panel's `mode` column and chart label (the flow cache's one
+/// reclaim index).
+const HIT_MODE: &str = "exact_ttl";
 
 /// Runs one microstate leg in-process and prints a parseable record.
 fn leg_main(mode: Mode, flows: usize) {
@@ -100,21 +103,17 @@ fn mem_rows(points: &[(MemPoint, Option<u64>)], rows: &mut Vec<Vec<String>>) {
 
 fn hit_rows(points: &[HitPoint], rows: &mut Vec<Vec<String>>) {
     for p in points {
-        let mode = match p.eviction {
-            CacheEviction::ExactTtl => "exact_ttl",
-            CacheEviction::Clock => "clock",
-        };
         let x = p.capacity.to_string();
         rows.push(vec![
             "hitrate".into(),
-            mode.into(),
+            HIT_MODE.into(),
             x.clone(),
             "hit_rate".into(),
             format!("{:.4}", p.hit_rate()),
         ]);
         rows.push(vec![
             "hitrate".into(),
-            mode.into(),
+            HIT_MODE.into(),
             x,
             "refused".into(),
             p.refused.to_string(),
@@ -243,13 +242,8 @@ fn main() {
         }
     }
 
-    eprintln!("  hit-rate legs ({} sizes x 2 modes, {hit_refs} refs)", HIT_SIZES.len());
-    let mut hits = Vec::new();
-    for &ev in &[CacheEviction::ExactTtl, CacheEviction::Clock] {
-        for &size in &HIT_SIZES {
-            hits.push(hit_rate_leg(ev, size, hit_refs));
-        }
-    }
+    eprintln!("  hit-rate legs ({} sizes, {hit_refs} refs)", HIT_SIZES.len());
+    let hits: Vec<HitPoint> = HIT_SIZES.iter().map(|&size| hit_rate_leg(size, hit_refs)).collect();
 
     eprintln!("  goodput legs (2 shapes x 2 modes, {duration_s}s horizon, k={k})");
     let mut goodput = Vec::new();
@@ -286,17 +280,10 @@ fn main() {
         })
         .collect();
     println!("{}", ascii_chart("statebound: state (KiB) vs concurrent flows", &mem_series, 60, 12));
-    let hit_series: Vec<Series> = [CacheEviction::ExactTtl, CacheEviction::Clock]
-        .iter()
-        .map(|&ev| Series {
-            label: if ev == CacheEviction::Clock { "clock".into() } else { "exact_ttl".into() },
-            points: hits
-                .iter()
-                .filter(|p| p.eviction == ev)
-                .map(|p| (p.capacity as f64, p.hit_rate()))
-                .collect(),
-        })
-        .collect();
+    let hit_series = [Series {
+        label: HIT_MODE.into(),
+        points: hits.iter().map(|p| (p.capacity as f64, p.hit_rate())).collect(),
+    }];
     println!("{}", ascii_chart("statebound: hit rate vs cache size", &hit_series, 60, 12));
 
     let path = results_dir().join("statebound.tsv");

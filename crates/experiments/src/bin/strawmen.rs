@@ -78,10 +78,7 @@ fn main() {
          both collapses (see fig8/fig10).",
         rows.last().map(|r| r[2].parse::<f64>().unwrap_or(0.0) * 100.0).unwrap_or(0.0)
     );
-    let dir = std::env::var_os("TVA_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| "results".into());
-    let path = dir.join("strawmen.tsv");
+    let path = tva_experiments::figrun::results_dir().join("strawmen.tsv");
     let _ = write_tsv(&path, &["queuing", "attackers", "share", "analytic"], &rows);
     println!("wrote {}", path.display());
 }

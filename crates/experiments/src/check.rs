@@ -376,9 +376,6 @@ pub fn scenario_to_json(cfg: &ScenarioConfig) -> Value {
     if cfg.sketched_requests {
         m.insert("sketched_requests".into(), Value::Bool(true));
     }
-    if cfg.clock_cache {
-        m.insert("clock_cache".into(), Value::Bool(true));
-    }
     if cfg.prefix_drr {
         m.insert("prefix_drr".into(), Value::Bool(true));
     }
@@ -388,6 +385,11 @@ pub fn scenario_to_json(cfg: &ScenarioConfig) -> Value {
 /// Parses a scenario configuration back out of a replay artifact.
 pub fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
     let obj = as_object(v, "scenario config")?;
+    if opt_bool(obj, "clock_cache") {
+        return Err("key \"clock_cache\": the CLOCK flow cache was removed, so a run \
+                    recorded under it cannot be replayed"
+            .into());
+    }
     let attack = match get_str(obj, "attack")? {
         "none" => Attack::None,
         "legacy-flood" => Attack::LegacyFlood,
@@ -445,7 +447,6 @@ pub fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
         per_queue_cap_bytes: opt_u64(obj, "per_queue_cap_bytes"),
         flow_sample_n: opt_u64(obj, "flow_sample_n").unwrap_or(0) as u32,
         sketched_requests: opt_bool(obj, "sketched_requests"),
-        clock_cache: opt_bool(obj, "clock_cache"),
         prefix_drr: opt_bool(obj, "prefix_drr"),
     })
 }
@@ -711,10 +712,9 @@ pub fn random_config(seed: u64) -> (ScenarioConfig, FuzzExtras) {
         flow_sample_n: if chance(&mut rng, 25) { pick(&mut rng, 1, 17) as u32 } else { 0 },
         // The bounded-state alternatives each cover a third-ish of runs
         // (independently, so their combinations appear too): the sketch
-        // limiter, the CLOCK flow cache, and prefix-hierarchical DRR all
-        // carry their own invariants for the auditors to chew on.
+        // limiter and prefix-hierarchical DRR each carry their own
+        // invariants for the auditors to chew on.
         sketched_requests: chance(&mut rng, 33),
-        clock_cache: chance(&mut rng, 33),
         prefix_drr: chance(&mut rng, 33),
     };
     let mut extras = FuzzExtras::default();
@@ -815,6 +815,25 @@ mod tests {
         }
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(flight);
+    }
+
+    #[test]
+    fn artifact_recorded_under_clock_cache_is_rejected_by_key() {
+        let (cfg, extras) = random_config(3);
+        let path = std::env::temp_dir().join("tva-check-test-clock-cache.json");
+        for recorded_under_clock in [true, false] {
+            let mut config = scenario_to_json(&cfg);
+            let Value::Object(m) = &mut config else { panic!("config is an object") };
+            m.insert("clock_cache".into(), Value::Bool(recorded_under_clock));
+            let doc = artifact_json("scenario", config, Some(extras), &CheckReport::default());
+            std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
+            let parsed = read_artifact(&path).map(|_| ());
+            assert_eq!(parsed.is_err(), recorded_under_clock, "{parsed:?}");
+            if let Err(e) = parsed {
+                assert!(e.contains("\"clock_cache\""), "message names the key: {e}");
+            }
+        }
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -198,10 +198,6 @@ pub struct ScenarioConfig {
     /// per-path key table, `true` swaps in the constant-memory count-min
     /// sketch limiter on both routers.
     pub sketched_requests: bool,
-    /// TVA flow-cache reclaim: `false` (default) keeps the exact
-    /// ttl-ordered index, `true` switches both routers to the CLOCK +
-    /// ghost-list strategy.
-    pub clock_cache: bool,
     /// Hierarchical (prefix-first) DRR for the TVA request channel
     /// (ignored when `sketched_requests` replaces the key table).
     pub prefix_drr: bool,
@@ -231,7 +227,6 @@ impl Default for ScenarioConfig {
             per_queue_cap_bytes: None,
             flow_sample_n: 0,
             sketched_requests: false,
-            clock_cache: false,
             prefix_drr: false,
         }
     }
@@ -405,9 +400,6 @@ impl<'a> Builder<'a> {
         for rc in [&mut tva_cfg1, &mut tva_cfg2] {
             if cfg.sketched_requests {
                 rc.request_limiter = tva_core::RequestLimiter::Sketched;
-            }
-            if cfg.clock_cache {
-                rc.cache_eviction = tva_core::CacheEviction::Clock;
             }
             rc.prefix_drr = cfg.prefix_drr;
         }

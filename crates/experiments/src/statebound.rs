@@ -5,13 +5,13 @@
 //!
 //! 1. **Memory vs concurrent flows** — drive a router's two stateful
 //!    structures (flow cache + request channel) directly with N distinct
-//!    concurrent flows, in *exact* mode (ttl-indexed table sized to the
-//!    paper's `C/(N/T)min` bound, per-path DRR key table) and in *bounded*
-//!    mode (CLOCK cache capped at 4096 entries, count-min sketch limiter).
+//!    concurrent flows, in *exact* mode (table sized to the paper's
+//!    `C/(N/T)min` bound, per-path DRR key table) and in *bounded* mode
+//!    (the same table capped at 4096 entries, count-min sketch limiter).
 //!    Exact state grows linearly with flows; bounded state is flat.
 //! 2. **Hit rate vs cache size** — a skewed (log-uniform) reference stream
-//!    over 8192 flows against CLOCK and ExactTtl tables of increasing
-//!    capacity: the cost of the bounded table is misses, not correctness.
+//!    over 8192 flows against tables of increasing capacity: the cost of
+//!    the capped table is misses, not correctness.
 //! 3. **Goodput parity** — full scenario runs (fig8 legacy-flood shape and
 //!    the PR 7 colluder-ring adversary) in exact vs bounded mode:
 //!    legitimate completion must not pay for the flat memory.
@@ -21,7 +21,7 @@
 //! RSS is reported and gated (`--gate`) but kept **out** of the TSV/JSON
 //! artifacts, which stay byte-identical across runs and shard counts.
 
-use tva_core::{CacheEviction, Charge, FlowTable, RequestLimiter, RouterConfig, TvaScheduler};
+use tva_core::{Charge, FlowTable, RequestLimiter, RouterConfig, TvaScheduler};
 use tva_sim::{splitmix64, QueueDisc, SimDuration, SimTime};
 use tva_wire::{
     Addr, CapHeader, CapPayload, CapValue, FlowKey, FlowNonce, Grant, PathId, Packet,
@@ -41,10 +41,10 @@ pub const BOUNDED_CACHE_ENTRIES: usize = 4096;
 /// State-structure modes compared by the experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// ExactTtl cache at the paper's table bound + per-path DRR key table.
+    /// Flow cache at the paper's table bound + per-path DRR key table.
     Exact,
-    /// CLOCK+ghost cache capped at [`BOUNDED_CACHE_ENTRIES`] + count-min
-    /// sketch request limiter.
+    /// Flow cache capped at [`BOUNDED_CACHE_ENTRIES`] + count-min sketch
+    /// request limiter.
     Bounded,
 }
 
@@ -72,7 +72,6 @@ pub fn leg_config(mode: Mode) -> RouterConfig {
     let mut cfg = RouterConfig::default();
     if mode == Mode::Bounded {
         cfg.request_limiter = RequestLimiter::Sketched;
-        cfg.cache_eviction = CacheEviction::Clock;
         cfg.max_flow_entries = Some(BOUNDED_CACHE_ENTRIES);
     }
     cfg
@@ -131,7 +130,7 @@ fn request_pkt(path: u16) -> Packet {
 pub fn drive_leg(mode: Mode, flows: usize) -> MemPoint {
     let cfg = leg_config(mode);
     let bound = cfg.flow_table_bound(LEG_LINK_BPS);
-    let mut table = FlowTable::with_eviction(bound, cfg.cache_eviction);
+    let mut table = FlowTable::new(bound);
     let mut sched = TvaScheduler::new(LEG_LINK_BPS, &cfg);
 
     let now = SimTime::from_secs(1);
@@ -169,8 +168,6 @@ pub fn vm_hwm_kb() -> Option<u64> {
 /// skewed reference stream.
 #[derive(Debug, Clone, Copy)]
 pub struct HitPoint {
-    /// Eviction mode driven.
-    pub eviction: CacheEviction,
     /// Cache capacity in entries.
     pub capacity: usize,
     /// References issued.
@@ -203,8 +200,8 @@ pub const HIT_SIZES: [usize; 4] = [256, 1024, 4096, 16384];
 /// Drives a skewed (log-uniform rank) reference stream against one cache.
 /// Time advances 1 ms per reference so the unpopular tail expires and the
 /// reclaim policy actually has victims to choose.
-pub fn hit_rate_leg(eviction: CacheEviction, capacity: usize, refs: usize) -> HitPoint {
-    let mut table = FlowTable::with_eviction(capacity, eviction);
+pub fn hit_rate_leg(capacity: usize, refs: usize) -> HitPoint {
+    let mut table = FlowTable::new(capacity);
     let grant = Grant::from_parts(32, 10);
     let mut gen = vec![0u64; HIT_UNIVERSE];
     let mut now = SimTime::from_secs(1);
@@ -232,7 +229,7 @@ pub fn hit_rate_leg(eviction: CacheEviction, capacity: usize, refs: usize) -> Hi
             refused += 1;
         }
     }
-    HitPoint { eviction, capacity, refs, hits, admitted, refused }
+    HitPoint { capacity, refs, hits, admitted, refused }
 }
 
 fn hit_cap(idx: usize, gen: u64) -> CapValue {
@@ -248,7 +245,7 @@ pub fn goodput_shapes() -> Vec<(&'static str, Attack)> {
 }
 
 /// Scenario config for one goodput leg: fig8 dumbbell shape, TVA scheme,
-/// exact or fully bounded (sketch + CLOCK + prefix DRR) router state.
+/// exact or bounded (sketch limiter + prefix DRR) request-channel state.
 pub fn goodput_cfg(mode: Mode, attack: Attack, k: usize, duration_s: u64) -> ScenarioConfig {
     ScenarioConfig {
         scheme: Scheme::Tva,
@@ -258,7 +255,6 @@ pub fn goodput_cfg(mode: Mode, attack: Attack, k: usize, duration_s: u64) -> Sce
         duration: SimTime::from_secs(duration_s),
         measure_after: SimTime::from_secs(15),
         sketched_requests: mode == Mode::Bounded,
-        clock_cache: mode == Mode::Bounded,
         prefix_drr: mode == Mode::Bounded,
         ..ScenarioConfig::default()
     }
@@ -329,8 +325,8 @@ mod tests {
 
     #[test]
     fn hit_rate_improves_with_cache_size() {
-        let small = hit_rate_leg(CacheEviction::Clock, 256, 20_000);
-        let large = hit_rate_leg(CacheEviction::Clock, 16_384, 20_000);
+        let small = hit_rate_leg(256, 20_000);
+        let large = hit_rate_leg(16_384, 20_000);
         assert!(
             large.hit_rate() > small.hit_rate() + 0.05,
             "bigger cache must hit more: {:.3} vs {:.3}",
@@ -346,8 +342,8 @@ mod tests {
         let b = drive_leg(Mode::Bounded, 5_000);
         assert_eq!(a.total_bytes(), b.total_bytes());
         assert_eq!(a.table_entries, b.table_entries);
-        let ha = hit_rate_leg(CacheEviction::Clock, 1024, 5_000);
-        let hb = hit_rate_leg(CacheEviction::Clock, 1024, 5_000);
+        let ha = hit_rate_leg(1024, 5_000);
+        let hb = hit_rate_leg(1024, 5_000);
         assert_eq!(ha.hits, hb.hits);
         assert_eq!(ha.refused, hb.refused);
     }

@@ -69,8 +69,8 @@ fn bench(cfg: &NodeConfig, args: &[String]) {
     let sample_n = if cfg.sample_n == 0 { 16 } else { cfg.sample_n };
     let tcfg = NodeConfig { sample_n, ..cfg.clone() };
     // Bounded-state A/B: same traffic through a router whose request
-    // channel is the count-min sketch and whose flow cache reclaims via
-    // CLOCK — the constant-memory fast path, gated as `node_pps_sketched`.
+    // channel is the count-min sketch — the constant-memory fast path,
+    // gated as `node_pps_sketched`.
     let scfg = NodeConfig { sketched: true, ..cfg.clone() };
     const AB_REPS: usize = 3;
     let mut best: Option<(tva_node::NodeEngine, harness::NodeReport)> = None;

@@ -69,9 +69,9 @@ pub struct NodeReport {
     /// telemetry-on A/B leg the `bench` subcommand runs; `None` when that
     /// leg didn't run).
     pub pps_telemetry: Option<f64>,
-    /// Forwarded pps with the router in fully bounded-state mode (sketched
-    /// request limiter + CLOCK cache — the `bench` subcommand's third A/B
-    /// leg; `None` when that leg didn't run).
+    /// Forwarded pps with the count-min sketched request limiter (the
+    /// `bench` subcommand's third A/B leg; `None` when that leg didn't
+    /// run).
     pub pps_sketched: Option<f64>,
     /// Policing-state bytes (flow cache + request channel) of the sketched
     /// leg's router after the run — the flat-memory gate input.
@@ -462,6 +462,30 @@ mod tests {
         assert_eq!(r.malformed_drops, 0, "clean mix");
         assert!(r.p50_ns <= r.p99_ns && r.p99_ns <= r.p999_ns);
         assert!(node.latency_ns.count() > 0);
+    }
+
+    #[test]
+    fn loopback_layers_count_the_same_window() {
+        // `reset_meters` after warm-up must zero the router's and the
+        // scheduler's counters with the node's, or they keep 50 ms more
+        // traffic than the frames the node reports.
+        let (node, r) = run_loopback(&quick_cfg());
+        let (rs, ss) = (&node.router.stats, &node.sched.stats);
+        assert!(
+            rs.nonce_hits + rs.full_validations <= node.stats.rx_frames,
+            "router validated {} + {} packets of {} received",
+            rs.nonce_hits,
+            rs.full_validations,
+            node.stats.rx_frames
+        );
+        // One dequeued frame may sit in `pending` behind TX backpressure.
+        let sent = ss.regular_sent + ss.requests_sent + ss.legacy_sent;
+        assert!(
+            sent == node.stats.tx_frames || sent == node.stats.tx_frames + 1,
+            "scheduler sent {sent}, node transmitted {}",
+            node.stats.tx_frames
+        );
+        assert_eq!(r.forwarded, node.stats.tx_frames);
     }
 
     #[test]

@@ -98,8 +98,8 @@ pub struct NodeConfig {
     pub flows: usize,
     /// Flow-record packet sampling, 1-in-N (0 = off); `TVA_OBS_SAMPLE_N`.
     pub sample_n: u32,
-    /// Run the router in fully bounded-state mode (count-min sketched
-    /// request limiter + CLOCK flow-cache eviction); `TVA_NODE_SKETCHED`.
+    /// Run the router with the count-min sketched request limiter
+    /// instead of the per-path key table; `TVA_NODE_SKETCHED`.
     pub sketched: bool,
 }
 

@@ -131,11 +131,6 @@ impl NodeEngine {
             } else {
                 tva_core::RequestLimiter::Exact
             },
-            cache_eviction: if cfg.sketched {
-                tva_core::CacheEviction::Clock
-            } else {
-                tva_core::CacheEviction::ExactTtl
-            },
             ..RouterConfig::default()
         };
         let sched = TvaScheduler::new(cfg.link_bps, &rcfg);
@@ -229,10 +224,15 @@ impl NodeEngine {
         (rx, tx)
     }
 
-    /// Resets counters and the latency histogram (after warm-up), leaving
-    /// router/scheduler state — flow table, DRR queues — intact.
+    /// Resets the node's, router's and scheduler's counters and the latency
+    /// histogram at one point (after warm-up), so adjacent layers count the
+    /// same window. Router/scheduler state — flow table (with its
+    /// `reclaims` / `admission_failures`), DRR queues, gate balance — stays
+    /// intact.
     pub fn reset_meters(&mut self) {
         self.stats = NodeStats::default();
+        self.router.stats = Default::default();
+        self.sched.stats = Default::default();
         self.latency_ns.reset();
     }
 

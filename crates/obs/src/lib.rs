@@ -72,6 +72,8 @@ pub use series::{ColId, SeriesSet};
 
 use std::path::PathBuf;
 
+use tva_sim::{env_flag, env_u64};
+
 /// Parsed `TVA_OBS_*` environment configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsConfig {
@@ -92,17 +94,6 @@ pub struct ObsConfig {
     /// (`TVA_OBS_SAMPLE_N`). Independent of the `TVA_OBS` master switch so
     /// the daemon can sample flows without trace export.
     pub sample_n: u32,
-}
-
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-    })
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
 impl ObsConfig {

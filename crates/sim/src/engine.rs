@@ -813,11 +813,21 @@ pub struct Simulator {
 /// (default 1, clamped to [`MAX_SHARDS`]). Harness seams pass this to
 /// [`crate::topology::TopologyBuilder::build_sharded`].
 pub fn shards_from_env() -> usize {
-    std::env::var("TVA_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .clamp(1, MAX_SHARDS)
+    (env_u64("TVA_SHARDS", 1) as usize).clamp(1, MAX_SHARDS)
+}
+
+/// Truthy environment flag (`1`, `true`, anything non-empty except `0` /
+/// `false`). The one parser behind every boolean `TVA_*` knob.
+pub fn env_flag(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| {
+        let v = v.trim();
+        !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
+    })
+}
+
+/// Decimal `u64` environment knob; `default` when unset or unparsable.
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
 impl Simulator {

@@ -46,7 +46,7 @@ pub mod trace;
 pub use bucket::TokenBucket;
 pub use drr::Drr;
 pub use hdrr::Hdrr;
-pub use engine::{shards_from_env, Channel, Simulator, MAX_SHARDS};
+pub use engine::{env_flag, env_u64, shards_from_env, Channel, Simulator, MAX_SHARDS};
 pub use event::{ChannelId, NodeId};
 pub use fault::{splitmix64, DutyCycleOutage, Impairments};
 pub use intern::AddrInterner;

@@ -13,7 +13,7 @@
 //! silently collapses to a single shard rather than failing the build.
 
 use crate::engine::{
-    pack_loc, Channel, Global, RouteTable, Shard, ShardCore, Shared, Simulator, MAX_SHARDS,
+    env_flag, pack_loc, Channel, Global, RouteTable, Shard, ShardCore, Shared, Simulator, MAX_SHARDS,
 };
 use crate::event::{EventKey, EventQueue, NodeId};
 use crate::intern::AddrInterner;
@@ -22,15 +22,6 @@ use crate::time::{SimDuration, SimTime};
 use tva_wire::Addr;
 
 use crate::event::ChannelId;
-
-/// Truthy environment flag (`1`, `true`, anything non-empty except `0` /
-/// `false`).
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-    })
-}
 
 /// Assigns each node a shard in `0..want` by chunking a DFS order of the
 /// link graph into `want` contiguous, near-equal pieces. Deterministic:

@@ -128,4 +128,6 @@ test -s target/verify-obs/obs/fig8_TVA_trace.perfetto.json
 cargo run --release -q -p tva-obs --bin obscheck -- \
   target/verify-obs/obs/*.json target/verify-obs/obs/*.jsonl
 
+sh scripts/loc.sh | tail -1
+
 echo "verify: OK"

@@ -33,6 +33,43 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     )
 }
 
+/// `FlowTable::create`, held to a naive scan on the one decision the lazy
+/// reclaim index makes: a key not in the table arriving at a full table is
+/// admitted iff some entry's ttl has run out (every `len` the callers pass
+/// is under N, so a fresh key's budget always allows), and the admission
+/// costs exactly one other entry, which was expired. Any other create just
+/// runs.
+fn create_vs_scan(
+    table: &mut FlowTable,
+    flow: FlowKey,
+    cap: CapValue,
+    nonce: FlowNonce,
+    grant: Grant,
+    len: u32,
+    now: SimTime,
+) -> Result<(), TestCaseError> {
+    if table.get(flow).is_some() || table.len() < table.capacity() {
+        let _ = table.create(flow, cap, nonce, grant, len, now);
+        return Ok(());
+    }
+    let before: Vec<(FlowKey, SimTime)> =
+        table.iter_entries().map(|(k, e)| (*k, e.ttl_expires)).collect();
+    let victim_exists = before.iter().any(|&(_, ttl)| ttl <= now);
+    let (reclaims, failures) = (table.reclaims, table.admission_failures);
+    let admitted = table.create(flow, cap, nonce, grant, len, now);
+    prop_assert_eq!(admitted, victim_exists, "admission must match the scan at {:?}", now);
+    let gone: Vec<_> = before.iter().filter(|(k, _)| table.get(*k).is_none()).collect();
+    if admitted {
+        prop_assert_eq!(gone.len(), 1, "one admission reclaims one entry");
+        prop_assert!(gone[0].1 <= now, "reclaimed {:?}, live until {:?}", gone[0].0, gone[0].1);
+        prop_assert_eq!((table.reclaims, table.admission_failures), (reclaims + 1, failures));
+    } else {
+        prop_assert!(gone.is_empty(), "a refused admission evicted {:?}", gone);
+        prop_assert_eq!((table.reclaims, table.admission_failures), (reclaims, failures + 1));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -164,11 +201,13 @@ proptest! {
     /// same-capability replacements, renewals), charges, and reclaim
     /// pressure — the pairing the `TVA_CHECK` flow-table auditor enforces
     /// at runtime. A desync would let reclaim pick phantom victims or
-    /// strand live entries forever.
+    /// strand live entries forever. Every create at a full table is also
+    /// compared with a brute-force scan ([`create_vs_scan`]): the lazy
+    /// index finds a victim whenever one exists, and only an expired one.
     #[test]
     fn flowtable_index_stays_in_bijection(
         ops in proptest::collection::vec(
-            (0u8..4, 0u32..6, 0u64..2000, 40u32..1500, 0u64..4),
+            (0u8..5, 0u32..6, 0u64..2000, 40u32..1500, 0u64..4),
             1..300,
         ),
         bound in 1usize..6,
@@ -184,18 +223,21 @@ proptest! {
                 // replacement (nonce churn), a renewal, or a reclaim of
                 // some other flow's expired slot.
                 0 | 1 => {
-                    let _ = table.create(
-                        flow,
-                        CapValue::new(0, cap_i),
-                        FlowNonce::new(now.as_nanos()),
-                        grant,
-                        len,
-                        now,
-                    );
+                    let nonce = FlowNonce::new(now.as_nanos());
+                    create_vs_scan(&mut table, flow, CapValue::new(0, cap_i), nonce, grant, len, now)?;
                 }
                 // Charge an existing entry (no-op when absent).
                 2 => {
                     let _ = table.charge(flow, len, now);
+                }
+                // Land on the exact instant the earliest entry expires
+                // (`ttl == now` is already reclaimable), then a competitor.
+                3 => {
+                    if let Some(t) = table.iter_entries().map(|(_, e)| e.ttl_expires).min() {
+                        now = now.max(t);
+                    }
+                    let comp = FlowKey::new(Addr::new(9, 9, 9, 9), DST);
+                    create_vs_scan(&mut table, comp, CapValue::new(0, 0xC9), FlowNonce::new(9), grant, 100, now)?;
                 }
                 // A long idle gap, then maximum reclaim pressure from a
                 // burst of competitors.
@@ -203,14 +245,8 @@ proptest! {
                     now += SimDuration::from_secs(3);
                     for c in 0..4u32 {
                         let comp = FlowKey::new(Addr::new(9, 9, 9, c as u8), DST);
-                        let _ = table.create(
-                            comp,
-                            CapValue::new(0, 0xC0 + c as u64),
-                            FlowNonce::new(c as u64),
-                            grant,
-                            100,
-                            now,
-                        );
+                        let cap = CapValue::new(0, 0xC0 + c as u64);
+                        create_vs_scan(&mut table, comp, cap, FlowNonce::new(c as u64), grant, 100, now)?;
                     }
                 }
             }
