@@ -1,12 +1,14 @@
-//! Heap-allocation accounting for the benchmark harness.
+//! Heap-allocation accounting and peak RSS.
 //!
 //! With the `alloc-count` feature enabled this module installs a global
 //! allocator that wraps [`std::alloc::System`] and counts every
 //! allocation (and reallocation) with a relaxed atomic — cheap enough to
-//! leave on for timed runs. The `bench` binary divides the count delta
-//! across a steady-state dumbbell run by the packets forwarded to report
-//! `allocs_per_packet` in `BENCH_sim.json`; a paired test asserts the
-//! data path stays allocation-free once the packet pool is warm.
+//! leave on for timed runs. `tests/alloc_steady.rs` divides the count
+//! delta across a steady-state dumbbell run by the packets forwarded and
+//! asserts the data path stays allocation-free once the packet pool is
+//! warm; the `tva-node bench` smoke prints the same ratio for the daemon.
+//! The repo benchmark (`bash benchmark/run.sh`, `BENCHMARK.json`) reads
+//! `peak_rss_mb` through [`peak_rss_kb`].
 //!
 //! Without the feature the counters read as zero and
 //! [`counting_enabled`] reports `false`; callers skip the metric rather

@@ -1,21 +1,27 @@
-//! Internet-scale topology benchmark: a fig11-style multi-path tree grown
-//! to ~100k hosts / 10k attackers, reporting engine throughput and memory
-//! headline numbers into `results/scale.{tsv,json}`.
+//! Internet-scale topology experiment: a fig11-style multi-path tree grown
+//! to 1M hosts / 100k attackers, reporting engine throughput and memory
+//! headline numbers into `scale.{tsv,json}` and `scale_metrics.json` under
+//! `results/` (`TVA_RESULTS_DIR` overrides the directory). Nothing gates on
+//! these numbers: the repo's performance ledger is `BENCHMARK.json`, run by
+//! `bash benchmark/run.sh`, whose `sim_scale` workload times the same tree
+//! at 100k hosts.
 //!
 //! Flags:
 //!
 //! * `--quick` — the CI-sized variant (~10k hosts, same shape)
 //! * `--hosts N` / `--attackers N` / `--secs N` — override the population
 //!   and simulated horizon
-//! * `--out-dir DIR` — output directory (default `results`)
 //!
 //! Environment: `TVA_SHARDS=N` splits the engine into N lookahead-
-//! synchronized shards (trace-equivalent to 1 shard); `TVA_CHECK=1` runs
-//! the full invariant-checker suite alongside and the binary exits
-//! non-zero on any violation.
+//! synchronized shards (trace-equivalent to 1 shard: `events` and
+//! `bottleneck_tx_pkts` in `scale.json` must not move, and `verify.sh`
+//! compares them on the quick tree); `TVA_CHECK=1` runs the full
+//! invariant-checker suite alongside and the binary exits non-zero on any
+//! violation.
 
 use serde_json::{Map, Value};
-use tva_bench::scale::{run_scale, run_scale_with, ScaleConfig, ScaleRun};
+use tva_bench::scale::{run_scale, ScaleConfig, ScaleRun};
+use tva_experiments::figrun::results_dir;
 
 fn flag_value(args: &[String], flag: &str) -> Option<u64> {
     let v = args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))?;
@@ -43,12 +49,6 @@ fn main() {
     if let Some(n) = flag_value(&args, "--secs") {
         cfg.sim_secs = n;
     }
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out-dir")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "results".to_string());
 
     eprintln!(
         "scale: {} hosts / {} attackers / {} active users, {}s simulated ...",
@@ -71,106 +71,20 @@ fn main() {
         eprintln!("scale: invariant checker ran alongside: {v} violation(s)");
     }
 
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let tsv = format!("{out_dir}/scale.tsv");
-    let json = format!("{out_dir}/scale.json");
+    let dir = results_dir();
+    std::fs::create_dir_all(&dir).expect("create output directory");
+    let (tsv, json, metrics) =
+        (dir.join("scale.tsv"), dir.join("scale.json"), dir.join("scale_metrics.json"));
     std::fs::write(&tsv, tsv_report(&run)).expect("write scale.tsv");
     std::fs::write(&json, json_report(&run)).expect("write scale.json");
-    let metrics = format!("{out_dir}/scale_metrics.json");
-    tva_experiments::write_snapshot(
-        std::path::Path::new(&metrics),
-        "scale",
-        &metrics_registry(&run),
-    )
-    .expect("write scale_metrics.json");
-    println!("wrote {tsv}, {json} and {metrics}");
-    if !quick {
-        // Record the full-size headline into the tracked baseline as
-        // `scale_full_*` keys (the `bench` binary carries them forward).
-        merge_bench(&run, "BENCH_sim.json");
-        println!("merged scale_full_* into BENCH_sim.json");
-    }
+    tva_experiments::write_snapshot(&metrics, "scale", &metrics_registry(&run))
+        .expect("write scale_metrics.json");
+    println!("wrote {}, {} and {}", tsv.display(), json.display(), metrics.display());
 
-    // Opportunistic 2-shard rerun of the full-size tree: the sharded
-    // engine's conservative lookahead only shows its true cost at this
-    // scale, so record it next to the sequential headline. Skipped when
-    // the primary run was already shard-steered via TVA_SHARDS, and under
-    // --quick (verify.sh covers the quick sharded smoke).
-    let sharded = if quick {
-        None
-    } else if let Ok(v) = std::env::var("TVA_SHARDS") {
-        eprintln!("scale: TVA_SHARDS={v} set; skipping the opportunistic 2-shard rerun");
-        None
-    } else {
-        eprintln!("scale: opportunistic 2-shard rerun ...");
-        let s = run_scale_with(cfg, 2);
-        eprintln!(
-            "scale: 2 shards: {} events in {:.2}s = {:.0} events/s ({} cross-shard)",
-            s.events, s.run_s, s.events_per_sec, s.cross_shard_events,
-        );
-        assert_eq!(s.events, run.events, "sharding must be trace-equivalent");
-        merge_sharded_bench(&s, "BENCH_sim.json");
-        println!("merged scale_full_sharded_* into BENCH_sim.json");
-        Some(s)
-    };
-
-    let violations = run.check_violations.unwrap_or(0)
-        + sharded.as_ref().and_then(|s| s.check_violations).unwrap_or(0);
-    if violations > 0 {
+    if run.check_violations.unwrap_or(0) > 0 {
         eprintln!("scale: FAILING on invariant violations (see above)");
         std::process::exit(1);
     }
-}
-
-/// Merges the full-scale headline numbers into `BENCH_sim.json` without
-/// disturbing the engine/fig8 baseline keys the gate tracks.
-fn merge_bench(r: &ScaleRun, path: &str) {
-    let mut map = match std::fs::read_to_string(path).ok().and_then(|s| serde_json::from_str(&s).ok())
-    {
-        Some(Value::Object(m)) => m,
-        _ => Map::new(),
-    };
-    map.insert("scale_full_hosts".into(), Value::Number(r.hosts as f64));
-    map.insert("scale_full_events".into(), Value::Number(r.events as f64));
-    map.insert("scale_full_events_per_sec".into(), Value::Number(r.events_per_sec.round()));
-    map.insert("scale_full_build_s".into(), Value::Number((r.build_s * 1000.0).round() / 1000.0));
-    map.insert("scale_full_run_s".into(), Value::Number((r.run_s * 1000.0).round() / 1000.0));
-    if let Some(kb) = r.peak_rss_kb {
-        map.insert("scale_full_peak_rss_kb".into(), Value::Number(kb as f64));
-    }
-    map.insert("scale_full_shards".into(), Value::Number(r.shards as f64));
-    map.insert(
-        "scale_full_cross_shard_events".into(),
-        Value::Number(r.cross_shard_events as f64),
-    );
-    let json = serde_json::to_string_pretty(&Value::Object(map)).expect("serializable");
-    std::fs::write(path, json + "\n").expect("write BENCH_sim.json");
-}
-
-/// Merges the opportunistic 2-shard rerun's headline into `BENCH_sim.json`
-/// as `scale_full_sharded_*` keys (carried forward by the `bench` binary
-/// like the rest of the full-scale record).
-fn merge_sharded_bench(r: &ScaleRun, path: &str) {
-    let mut map = match std::fs::read_to_string(path).ok().and_then(|s| serde_json::from_str(&s).ok())
-    {
-        Some(Value::Object(m)) => m,
-        _ => Map::new(),
-    };
-    map.insert("scale_full_sharded_shards".into(), Value::Number(r.shards as f64));
-    map.insert(
-        "scale_full_sharded_events_per_sec".into(),
-        Value::Number(r.events_per_sec.round()),
-    );
-    map.insert(
-        "scale_full_sharded_run_s".into(),
-        Value::Number((r.run_s * 1000.0).round() / 1000.0),
-    );
-    map.insert(
-        "scale_full_sharded_cross_shard_events".into(),
-        Value::Number(r.cross_shard_events as f64),
-    );
-    let json = serde_json::to_string_pretty(&Value::Object(map)).expect("serializable");
-    std::fs::write(path, json + "\n").expect("write BENCH_sim.json");
 }
 
 /// Folds the headline scale numbers into a metrics registry so the run is

@@ -1,6 +1,8 @@
 //! The end-to-end engine workload: a 5-user TVA dumbbell driven through the
-//! full simulator. Shared by the Criterion `simulator` bench and the
-//! `bench` binary that tracks `BENCH_sim.json`.
+//! full simulator. `tests/alloc_steady.rs` counts its steady-state
+//! allocations; the repo benchmark (`bash benchmark/run.sh`,
+//! `BENCHMARK.json`) prices the flight recorder from the plain / observed
+//! pair (`obs.flight_ns_per_event`).
 
 use tva_core::{
     ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler,
@@ -27,9 +29,9 @@ pub fn run_dumbbell(sim_secs: u64) -> DumbbellRun {
 
 /// The same dumbbell with the observability hook live: a tracer is
 /// installed and every trace event goes through the flight-recorder ring,
-/// the way an obs-enabled run pays for it. The `bench` binary compares
-/// this against [`run_dumbbell`] to price the hook (`obs_overhead_pct` in
-/// `BENCH_sim.json`).
+/// the way an obs-enabled run pays for it. The repo benchmark compares
+/// this against [`run_dumbbell`] to price the hook; the two must dispatch
+/// the same events.
 pub fn run_dumbbell_observed(sim_secs: u64) -> DumbbellRun {
     run_dumbbell_with(sim_secs, true)
 }
@@ -120,5 +122,12 @@ mod tests {
         let run = run_dumbbell(2);
         assert!(run.bottleneck_tx_pkts > 0, "bottleneck must carry packets");
         assert!(run.events > run.bottleneck_tx_pkts, "every tx is at least one event");
+    }
+
+    #[test]
+    fn tracing_does_not_perturb_the_simulation() {
+        let (plain, observed) = (run_dumbbell(10), run_dumbbell_observed(10));
+        assert_eq!(plain.events, observed.events);
+        assert_eq!(plain.bottleneck_tx_pkts, observed.bottleneck_tx_pkts);
     }
 }

@@ -3,8 +3,10 @@
 //! The Table 1 / Figure 12 measurement substrate: crafted packets of every
 //! type the paper's §6 micro-benchmarks exercise, driven straight through
 //! the real [`tva_core::TvaRouter`] pipeline (the same code the simulations
-//! run), plus helpers shared between the Criterion benches and the
-//! `table1` / `fig12` binaries.
+//! run), shared by the `table1` / `fig12` binaries and the Criterion
+//! ablation bench; plus the simulator workloads ([`dumbbell`], [`scale`])
+//! and the allocation / RSS probes ([`alloc`]) that the repo benchmark
+//! (`bash benchmark/run.sh`, `BENCHMARK.json`) builds against.
 //!
 //! The paper measured a Linux 2.6.8 netfilter module on a 3.2 GHz Xeon with
 //! a kernel packet generator; we measure the identical pipeline in-process
@@ -228,8 +230,7 @@ impl Rig {
 
     /// Measures mean per-packet processing time for `t` over `n` packets
     /// (packet construction excluded from the timed section), returning
-    /// seconds per packet. The `table1`/`fig12` binaries use this; the
-    /// Criterion benches time the same calls with Criterion's machinery.
+    /// seconds per packet. The `table1`/`fig12` binaries use this.
     pub fn measure(&mut self, t: PktType, n: usize) -> f64 {
         let batch = 4096.min(n.max(1));
         let mut total = std::time::Duration::ZERO;

@@ -121,7 +121,8 @@ pub fn run_scale(cfg: ScaleConfig) -> ScaleRun {
     run_scale_with(cfg, tva_sim::shards_from_env())
 }
 
-/// [`run_scale`] with an explicit shard count (the bench harness compares
+/// [`run_scale`] with an explicit shard count (the repo benchmark pins one
+/// shard whatever the environment says; the shard-invariance test compares
 /// 1-shard and sharded runs of the same config in one process, where an
 /// env knob can't distinguish them). `TVA_CHECK` is still honored.
 pub fn run_scale_with(cfg: ScaleConfig, shards: usize) -> ScaleRun {

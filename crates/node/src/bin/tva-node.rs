@@ -2,15 +2,15 @@
 //!
 //! Subcommands:
 //!
-//! * `bench [--merge] [--force] [--out PATH]` — the loopback benchmark:
-//!   pktgen → node over the SPSC virtual NIC pair on one thread, gated
-//!   against the `node_*` keys in `BENCH_sim.json` (default `--out`).
-//!   `--merge` records the new numbers (refused on a >10% regression
-//!   unless `--force`); metrics are exported to
-//!   `results/node_metrics.json` either way.
+//! * `bench` — the loopback smoke: pktgen → node over the SPSC virtual NIC
+//!   pair on one thread, three legs (exact state, telemetry on, sketched
+//!   request limiter), one run each. It prints rates and gates nothing;
+//!   the daemon's tracked numbers are the `node_*` workloads of
+//!   `bash benchmark/run.sh` (`BENCHMARK.json`). Metrics are exported to
+//!   `node_metrics.json` under `results/` (`TVA_RESULTS_DIR` overrides).
 //! * `udp-demo` — generator and node on separate threads over loopback
 //!   UDP sockets, reporting end-to-end latency percentiles measured at
-//!   the generator.
+//!   the generator; exports `node_udp_metrics.json` likewise.
 //! * `serve --bind ADDR --peer ADDR [--stats ADDR]` — run the node over
 //!   real UDP sockets until killed, printing a stats line every 5 seconds
 //!   (pair with the standalone `pktgen` binary). With `--stats` (or
@@ -31,7 +31,7 @@ fn main() {
     let cmd = args.first().map(String::as_str).unwrap_or("bench");
     let cfg = NodeConfig::from_env();
     match cmd {
-        "bench" => bench(&cfg, &args),
+        "bench" => bench(&cfg),
         "udp-demo" => udp_demo(&cfg),
         "serve" => serve(&cfg, &args),
         other => {
@@ -45,10 +45,7 @@ fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
-fn bench(cfg: &NodeConfig, args: &[String]) {
-    let merge = args.iter().any(|a| a == "--merge");
-    let force = args.iter().any(|a| a == "--force");
-    let out = arg_value(args, "--out").unwrap_or("BENCH_sim.json");
+fn bench(cfg: &NodeConfig) {
     eprintln!(
         "node bench: {} mix, {} flows, batch {}, ring {}, {}ms ...",
         match cfg.mix {
@@ -61,89 +58,48 @@ fn bench(cfg: &NodeConfig, args: &[String]) {
         cfg.ring_depth,
         cfg.duration_ms
     );
-    // Telemetry-on A/B: the same run with flow sampling + flow records
-    // enabled, so the live telemetry plane's cost is measured (and gated as
-    // `node_pps_telemetry`) instead of assumed. Legs are interleaved
-    // best-of-3 pairs — a single 1s shot per side swings ±10% on a shared
-    // box and reads as phantom overhead (same lesson as the engine A/B).
-    let sample_n = if cfg.sample_n == 0 { 16 } else { cfg.sample_n };
-    let tcfg = NodeConfig { sample_n, ..cfg.clone() };
-    // Bounded-state A/B: same traffic through a router whose request
-    // channel is the count-min sketch — the constant-memory fast path,
-    // gated as `node_pps_sketched`.
-    let scfg = NodeConfig { sketched: true, ..cfg.clone() };
-    const AB_REPS: usize = 3;
-    let mut best: Option<(tva_node::NodeEngine, harness::NodeReport)> = None;
-    let mut best_t: Option<(tva_node::NodeEngine, harness::NodeReport)> = None;
-    let mut best_s: Option<(tva_node::NodeEngine, harness::NodeReport)> = None;
-    for _ in 0..AB_REPS {
-        let (n, r) = harness::run_loopback(cfg);
-        if best.as_ref().is_none_or(|(_, b)| r.pps > b.pps) {
-            best = Some((n, r));
-        }
-        let (tn, tr) = harness::run_loopback(&tcfg);
-        if best_t.as_ref().is_none_or(|(_, b)| tr.pps > b.pps) {
-            best_t = Some((tn, tr));
-        }
-        let (sn, sr) = harness::run_loopback(&scfg);
-        if best_s.as_ref().is_none_or(|(_, b)| sr.pps > b.pps) {
-            best_s = Some((sn, sr));
-        }
-    }
-    let (node, mut report) = best.expect("at least one rep");
-    let (tnode, treport) = best_t.expect("at least one rep");
-    let (snode, sreport) = best_s.expect("at least one rep");
+    let (node, report) = harness::run_loopback(cfg);
     println!("{}", summarize(&report));
-    report.pps_telemetry = Some(treport.pps);
-    let flow_records = tnode.router.flow.len() + tnode.sched.flow.len();
+
+    // Second leg: the same run with flow sampling + flow records on, so the
+    // live telemetry plane is exercised on the fast path (and shown not to
+    // allocate there).
+    let sample_n = if cfg.sample_n == 0 { 16 } else { cfg.sample_n };
+    let (tnode, treport) = harness::run_loopback(&NodeConfig { sample_n, ..cfg.clone() });
     println!(
-        "telemetry on [1-in-{sample_n}]: {:.0} pps ({:+.1}% vs off, best of {AB_REPS}), {flow_records} flow records{}",
+        "telemetry on [1-in-{sample_n}]: {:.0} pps, {} flow records{}",
         treport.pps,
-        (treport.pps / report.pps - 1.0) * 100.0,
-        treport
-            .allocs_per_pkt
-            .map(|a| format!(", {a:.4} allocs/pkt"))
-            .unwrap_or_default(),
+        tnode.router.flow.len() + tnode.sched.flow.len(),
+        treport.allocs_per_pkt.map(|a| format!(", {a:.4} allocs/pkt")).unwrap_or_default(),
     );
-    report.pps_sketched = Some(sreport.pps);
-    let sketched_state = (snode.router.table().state_bytes_estimate()
-        + snode.sched.request_state_bytes()) as u64;
-    report.state_bytes_sketched = Some(sketched_state);
+
+    // Third leg: same traffic through a router whose request channel is the
+    // count-min sketch — the constant-memory fast path.
+    let (snode, sreport) = harness::run_loopback(&NodeConfig { sketched: true, ..cfg.clone() });
     println!(
-        "sketched state: {:.0} pps ({:+.1}% vs exact, best of {AB_REPS}), {sketched_state} policing-state bytes",
+        "sketched state: {:.0} pps, {} policing-state bytes",
         sreport.pps,
-        (sreport.pps / report.pps - 1.0) * 100.0,
+        snode.router.table().state_bytes_estimate() + snode.sched.request_state_bytes(),
     );
 
-    std::fs::create_dir_all("results").expect("create results directory");
-    let metrics = std::path::Path::new("results/node_metrics.json");
-    tva_experiments::write_snapshot(metrics, "node", &harness::metrics_registry(&node, &report))
-        .expect("write node_metrics.json");
-    println!("wrote {}", metrics.display());
-
-    let regressions = harness::gate(&report, out);
-    for r in &regressions {
-        eprintln!("REGRESSION >10%: {r}");
-    }
-    if !regressions.is_empty() && !force {
-        eprintln!("refusing to update {out}; rerun with --force to accept");
-        std::process::exit(1);
-    }
-    if merge {
-        harness::merge_bench(&report, out);
-        println!("merged node_* into {out}");
-    }
+    write_metrics("node_metrics.json", "node", &node, &report);
 }
 
 fn udp_demo(cfg: &NodeConfig) {
     eprintln!("node udp-demo: loopback sockets, {}ms ...", cfg.duration_ms);
     let (node, report) = harness::run_udp(cfg).expect("loopback UDP sockets");
     println!("{}", summarize(&report));
-    std::fs::create_dir_all("results").expect("create results directory");
-    let metrics = std::path::Path::new("results/node_udp_metrics.json");
-    tva_experiments::write_snapshot(metrics, "node-udp", &harness::metrics_registry(&node, &report))
-        .expect("write node_udp_metrics.json");
-    println!("wrote {}", metrics.display());
+    write_metrics("node_udp_metrics.json", "node-udp", &node, &report);
+}
+
+/// Exports the run's registry snapshot under `results/` (`TVA_RESULTS_DIR`).
+fn write_metrics(file: &str, label: &str, node: &NodeEngine, report: &harness::NodeReport) {
+    let dir = tva_experiments::figrun::results_dir();
+    std::fs::create_dir_all(&dir).expect("create results directory");
+    let path = dir.join(file);
+    tva_experiments::write_snapshot(&path, label, &harness::metrics_registry(node, report))
+        .expect("write metrics snapshot");
+    println!("wrote {}", path.display());
 }
 
 fn serve(cfg: &NodeConfig, args: &[String]) {

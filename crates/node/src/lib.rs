@@ -20,8 +20,10 @@
 //! forged path identifiers, spoofed capabilities, legacy floods, and (in
 //! the dirty mix) malformed frames. [`harness`] wires generator and node
 //! together, measures pps / per-packet ns / p50/p99/p999 forwarding
-//! latency, exports `node.*` metrics through `tva-obs`, and merges gated
-//! `node_*` baselines into `BENCH_sim.json`.
+//! latency and exports `node.*` metrics through `tva-obs`. Those readings
+//! are a smoke; the daemon's tracked performance numbers are the `node_*`
+//! workloads of the repo benchmark (`bash benchmark/run.sh`,
+//! `BENCHMARK.json`).
 //!
 //! # Environment knobs
 //!

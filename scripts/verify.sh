@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Everything below writes under target/; the last step checks that.
+tree_before=$(git status --porcelain)
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -62,10 +65,9 @@ echo "==> allocation discipline (counting allocator, steady-state dumbbell)"
 cargo test -q --release -p tva-bench --features alloc-count --test alloc_steady
 
 echo "==> tva-node loopback smoke (daemon fast path: goodput up, zero malformed, zero allocs)"
-node_out=$(TVA_NODE_DUR_MS=1000 cargo run --release -q -p tva-node \
-  --features alloc-count --bin tva-node -- bench --out target/verify-node-bench.json)
+node_out=$(TVA_NODE_DUR_MS=1000 TVA_RESULTS_DIR=target/verify-node \
+  cargo run --release -q -p tva-node --features alloc-count --bin tva-node -- bench)
 echo "$node_out"
-rm -f target/verify-node-bench.json
 case "$node_out" in *" 0 malformed"*) ;; *)
   echo "verify: FAIL — clean mix must produce zero malformed frames"; exit 1;;
 esac
@@ -105,14 +107,20 @@ wait "$serve_pid" 2>/dev/null || true
 trap - EXIT
 
 echo "==> internet-scale tree, quick variant (~10k hosts)"
-cargo run --release -q -p tva-bench --bin scale -- --quick --out-dir target/verify-scale
+TVA_RESULTS_DIR=target/verify-scale \
+  cargo run --release -q -p tva-bench --bin scale -- --quick
 test -s target/verify-scale/scale_metrics.json
 
 echo "==> sharded engine smoke (quick scale on 2 shards, invariant checker on)"
-TVA_SHARDS=2 TVA_CHECK=1 \
-  cargo run --release -q -p tva-bench --bin scale -- --quick --out-dir target/verify-scale-sharded
+TVA_SHARDS=2 TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-scale-sharded \
+  cargo run --release -q -p tva-bench --bin scale -- --quick
 grep -q '"shards": 2' target/verify-scale-sharded/scale.json
 grep -q '"check_violations": 0' target/verify-scale-sharded/scale.json
+# Sharding is exactly invisible: the two runs dispatched the same events and
+# carried the same packets over the bottleneck.
+scale_counts() { grep -E '"(events|bottleneck_tx_pkts)":' "$1/scale.json"; }
+test "$(scale_counts target/verify-scale | wc -l)" -eq 2
+diff <(scale_counts target/verify-scale) <(scale_counts target/verify-scale-sharded)
 
 echo "==> observability smoke (fig8 quick: obs-off vs obs-on, TSVs byte-identical)"
 rm -rf target/verify-obs
@@ -123,11 +131,20 @@ TVA_RESULTS_DIR=target/verify-obs/on \
   cargo run --release -q -p tva-experiments --bin fig8 >/dev/null
 cmp target/verify-obs/off/fig8.tsv target/verify-obs/on/fig8.tsv
 cmp target/verify-obs/off/fig8.json target/verify-obs/on/fig8.json
+# The tracked artifact is what this commit's fig8 binary writes.
+cmp target/verify-obs/off/fig8.tsv results/fig8.tsv
+cmp target/verify-obs/off/fig8.json results/fig8.json
 test -s target/verify-obs/obs/fig8_TVA_series.json
 test -s target/verify-obs/obs/fig8_TVA_trace.perfetto.json
 cargo run --release -q -p tva-obs --bin obscheck -- \
   target/verify-obs/obs/*.json target/verify-obs/obs/*.jsonl
 
 sh scripts/loc.sh | tail -1
+
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+  git status --porcelain
+  echo "verify: FAIL — the run changed the working tree (status above; it must write under target/ only)"
+  exit 1
+fi
 
 echo "verify: OK"
