@@ -6,7 +6,7 @@
 //! leave on for timed runs. `tests/alloc_steady.rs` divides the count
 //! delta across a steady-state dumbbell run by the packets forwarded and
 //! asserts the data path stays allocation-free once the packet pool is
-//! warm; the `tva-node bench` smoke prints the same ratio for the daemon.
+//! warm; `tva-node`'s `tests/loopback.rs` asserts the same of the daemon.
 //! The repo benchmark (`bash benchmark/run.sh`, `BENCHMARK.json`) reads
 //! `peak_rss_mb` through [`peak_rss_kb`].
 //!

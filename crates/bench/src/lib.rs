@@ -3,10 +3,10 @@
 //! The Table 1 / Figure 12 measurement substrate: crafted packets of every
 //! type the paper's §6 micro-benchmarks exercise, driven straight through
 //! the real [`tva_core::TvaRouter`] pipeline (the same code the simulations
-//! run), shared by the `table1` / `fig12` binaries and the Criterion
-//! ablation bench; plus the simulator workloads ([`dumbbell`], [`scale`])
-//! and the allocation / RSS probes ([`alloc`]) that the repo benchmark
-//! (`bash benchmark/run.sh`, `BENCHMARK.json`) builds against.
+//! run), behind the `table1` / `fig12` binaries; plus the simulator
+//! workloads ([`dumbbell`], [`scale`]) and the allocation / RSS probes
+//! ([`alloc`]) that the repo benchmark (`bash benchmark/run.sh`,
+//! `BENCHMARK.json`) builds against.
 //!
 //! The paper measured a Linux 2.6.8 netfilter module on a 3.2 GHz Xeon with
 //! a kernel packet generator; we measure the identical pipeline in-process

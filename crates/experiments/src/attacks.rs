@@ -66,17 +66,13 @@ impl SearchConfig {
     /// Reads `TVA_ATTACK_TRIALS`, `TVA_ATTACK_SEED`, `TVA_ATTACK_SECS` and
     /// `TVA_ATTACK_HOSTS` over the defaults.
     pub fn from_env() -> Self {
-        fn env_u64(key: &str) -> Option<u64> {
-            std::env::var(key).ok()?.trim().parse().ok()
-        }
+        use tva_sim::env_u64;
         let d = SearchConfig::default();
         SearchConfig {
-            trials: env_u64("TVA_ATTACK_TRIALS").map_or(d.trials, |v| v.max(1) as usize),
-            seed: env_u64("TVA_ATTACK_SEED").unwrap_or(d.seed),
-            n_attackers: env_u64("TVA_ATTACK_HOSTS")
-                .map_or(d.n_attackers, |v| v.clamp(1, 100) as usize),
-            duration_secs: env_u64("TVA_ATTACK_SECS")
-                .map_or(d.duration_secs, |v| v.clamp(5, 120)),
+            trials: env_u64("TVA_ATTACK_TRIALS", d.trials as u64).max(1) as usize,
+            seed: env_u64("TVA_ATTACK_SEED", d.seed),
+            n_attackers: env_u64("TVA_ATTACK_HOSTS", d.n_attackers as u64).clamp(1, 100) as usize,
+            duration_secs: env_u64("TVA_ATTACK_SECS", d.duration_secs).clamp(5, 120),
         }
     }
 }

@@ -3,12 +3,9 @@
 //! provides the seeded configuration generator behind the `invcheck`
 //! scenario fuzzer.
 //!
-//! This module only exists when the `check` cargo feature is on (the
-//! default); building the harness with `--no-default-features` compiles
-//! every call site here down to the plain `run_until` path. With the
-//! feature on, the auditors still cost nothing until `TVA_CHECK=1` is set
-//! at runtime: [`CheckConfig::from_env`] is consulted once per run, off
-//! the packet path.
+//! The auditors cost nothing until `TVA_CHECK=1` is set at runtime:
+//! [`CheckConfig::from_env`] is consulted once per run, off the packet
+//! path.
 //!
 //! A violation artifact is a JSON document carrying the harness kind, the
 //! full run configuration (seed included), the violated invariants, and

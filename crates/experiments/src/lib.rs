@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod attacks;
-#[cfg(feature = "check")]
 pub mod check;
 pub mod figrun;
 pub mod figures;

@@ -17,9 +17,7 @@ use std::path::{Path, PathBuf};
 use serde_json::Value;
 use tva_baselines::{PushbackRouterNode, SiffRouterNode};
 use tva_core::{TvaRouterNode, TvaScheduler};
-use tva_obs::{
-    to_jsonl, to_ns2, to_perfetto, Observe, ObsConfig, Registry, SeriesSet, TraceCollector,
-};
+use tva_obs::{to_jsonl, to_perfetto, Observe, ObsConfig, Registry, SeriesSet, TraceCollector};
 use tva_sim::{ChannelId, SimDuration, SimTime, Simulator, TraceEvent, Tracer};
 
 use crate::scenario::{run_driven, BuiltNodes, ScenarioConfig, ScenarioResult, Scheme};
@@ -266,10 +264,6 @@ pub fn write_observed(
         let jsonl_path = ocfg.dir.join(format!("{base}_trace.jsonl"));
         std::fs::write(&jsonl_path, to_jsonl(&run.events))?;
         written.push(jsonl_path);
-
-        let ns2_path = ocfg.dir.join(format!("{base}_trace.tr"));
-        std::fs::write(&ns2_path, to_ns2(&run.events))?;
-        written.push(ns2_path);
     }
     Ok(written)
 }

@@ -289,13 +289,9 @@ pub fn run(cfg: &RobustnessConfig) -> RobustnessResult {
             sim.schedule_link_up(primary, up_at);
         }
     }
-    // With the `check` feature, the drive step routes through the
-    // TVA_CHECK auditors (inert unless enabled); without it, this is the
-    // plain run to the horizon.
-    #[cfg(feature = "check")]
+    // The drive step routes through the TVA_CHECK auditors, which are
+    // inert (a plain run to the horizon) unless enabled.
     crate::check::robustness_drive(&mut sim, cfg);
-    #[cfg(not(feature = "check"))]
-    sim.run_until(cfg.duration);
 
     // Collect.
     let failure_at = cfg.link_failure.map(|f| f.down_at);

@@ -309,32 +309,27 @@ pub fn run_inspect(
 }
 
 /// The standard run loop: install the env-configured flight recorder (if
-/// any) and run straight to the horizon. With the `check` feature built
-/// in and `TVA_CHECK=1` set, the run is instead driven in audited steps
-/// and panics (after dumping a replay artifact) on any invariant
-/// violation.
+/// any) and run straight to the horizon. With `TVA_CHECK=1` set, the run
+/// is instead driven in audited steps and panics (after dumping a replay
+/// artifact) on any invariant violation.
 fn default_driver(
     cfg: &ScenarioConfig,
 ) -> impl FnOnce(&mut tva_sim::Simulator, &BuiltNodes) {
     let end = cfg.duration;
-    #[cfg(feature = "check")]
     let cfg_check = cfg.clone();
     move |sim, _| {
-        #[cfg(feature = "check")]
-        {
-            let check = tva_check::CheckConfig::from_env();
-            if check.enabled {
-                let report = crate::check::drive_checked(sim, end, &check);
-                crate::check::enforce_clean(
-                    &check,
-                    "scenario",
-                    cfg_check.seed,
-                    crate::check::scenario_to_json(&cfg_check),
-                    None,
-                    &report,
-                );
-                return;
-            }
+        let check = tva_check::CheckConfig::from_env();
+        if check.enabled {
+            let report = crate::check::drive_checked(sim, end, &check);
+            crate::check::enforce_clean(
+                &check,
+                "scenario",
+                cfg_check.seed,
+                crate::check::scenario_to_json(&cfg_check),
+                None,
+                &report,
+            );
+            return;
         }
         let flight = tva_obs::ObsConfig::from_env().flight_events;
         if flight > 0 {

@@ -70,13 +70,10 @@ fn dump_flight_on_panic(index: usize) -> Option<PathBuf> {
 /// positive integer (so CI and bench runs can pin parallelism for
 /// reproducible timing), otherwise the machine's available parallelism.
 pub fn sweep_workers() -> usize {
-    if let Ok(v) = std::env::var("TVA_SWEEP_WORKERS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => eprintln!("warning: ignoring invalid TVA_SWEEP_WORKERS={v:?}"),
-        }
+    match tva_sim::env_u64("TVA_SWEEP_WORKERS", 0) {
+        0 => thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+        n => n as usize,
     }
-    thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {

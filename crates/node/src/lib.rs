@@ -9,34 +9,33 @@
 //! the answer:
 //!
 //! * [`transport::RingPort`] — a lock-free SPSC-ring virtual NIC pair
-//!   ([`ring`]), in-process, for maximum-rate loopback benchmarking
-//!   (`tva-node bench`).
+//!   ([`ring`]), in-process, for maximum-rate loopback runs (the repo
+//!   benchmark's `node_*` workloads and `tests/loopback.rs`).
 //! * [`transport::UdpPort`] — nonblocking UDP sockets drained in
 //!   `recvmmsg`-style bursts, for end-to-end runs across processes
-//!   (`tva-node udp-demo`, `tva-node serve` + standalone `pktgen`).
+//!   (`tva-node serve` + standalone `pktgen`).
 //!
 //! [`pktgen::PktGen`] generates the offered load from pre-encoded frame
 //! templates: legitimate capability-carrying flows, request floods sweeping
 //! forged path identifiers, spoofed capabilities, legacy floods, and (in
-//! the dirty mix) malformed frames. [`harness`] wires generator and node
-//! together, measures pps / per-packet ns / p50/p99/p999 forwarding
-//! latency and exports `node.*` metrics through `tva-obs`. Those readings
-//! are a smoke; the daemon's tracked performance numbers are the `node_*`
-//! workloads of the repo benchmark (`bash benchmark/run.sh`,
-//! `BENCHMARK.json`).
+//! the dirty mix) malformed frames. [`NodeEngine::observe`] exports the
+//! `node.*` metrics through `tva-obs`. The daemon's performance numbers are
+//! the `node_*` workloads of the repo benchmark (`bash benchmark/run.sh`,
+//! `BENCHMARK.json`); `tests/loopback.rs` holds the loopback properties
+//! (frames forwarded, none malformed, layers counting one window, zero
+//! allocations per frame under `--features alloc-count`).
 //!
 //! # Environment knobs
 //!
 //! | Variable | Default | Meaning |
 //! |---|---|---|
 //! | `TVA_NODE_BATCH` | `64` | frames per RX/TX burst |
-//! | `TVA_NODE_RING` | `1024` | ring depth per direction (rounded up to a power of two) |
-//! | `TVA_NODE_TRANSPORT` | `ring` | `ring` or `udp` |
-//! | `TVA_NODE_DUR_MS` | `1000` | measured run length, milliseconds |
+//! | `TVA_NODE_DUR_MS` | `1000` | `pktgen` run length, milliseconds |
 //! | `TVA_NODE_LINK_BPS` | `10000000000` | egress link rate the scheduler shapes to |
 //! | `TVA_NODE_SEED` | `0x7E57_5EED` | router secret seed (pktgen must match to mint valid capabilities) |
 //! | `TVA_NODE_MIX` | `clean` | `clean`, `contested`, or `dirty` traffic mix |
 //! | `TVA_NODE_FLOWS` | `128` | legitimate flow count in the generated mix |
+//! | `TVA_NODE_SKETCHED` | `0` | `1` runs the router with the count-min sketched request limiter |
 //! | `TVA_OBS_SAMPLE_N` | `0` (off) | flow-record packet sampling, 1-in-N |
 //! | `TVA_NODE_STATS_ADDR` | unset (off) | bind the live stats socket here (`serve` only), e.g. `127.0.0.1:47100` |
 
@@ -44,7 +43,6 @@
 // per-block safety rationale.
 #![deny(unsafe_code)]
 
-pub mod harness;
 pub mod node;
 pub mod pktgen;
 #[allow(unsafe_code)]
@@ -56,15 +54,6 @@ pub use node::{NodeClock, NodeEngine, NodeStats, NODE_INGRESS};
 pub use pktgen::{GenStats, PktGen};
 pub use stats::{snapshot_line, StatsServer};
 pub use transport::{ring_pair, udp_pair, RingPort, Transport, UdpPort, MAX_FRAME};
-
-/// Which transport the daemon binary drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportKind {
-    /// In-process SPSC-ring virtual NIC pair (loopback benchmark).
-    Ring,
-    /// Nonblocking UDP sockets in burst loops.
-    Udp,
-}
 
 /// Offered-traffic mix shapes, from best-case to adversarial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,11 +73,9 @@ pub enum MixKind {
 pub struct NodeConfig {
     /// Frames per RX/TX burst.
     pub batch: usize,
-    /// Ring depth per direction.
+    /// Ring depth per direction, for callers that build a [`ring_pair`].
     pub ring_depth: usize,
-    /// Transport the binary drives.
-    pub transport: TransportKind,
-    /// Measured run length, milliseconds.
+    /// `pktgen` run length, milliseconds.
     pub duration_ms: u64,
     /// Egress link rate the scheduler shapes to (bits/s).
     pub link_bps: u64,
@@ -110,7 +97,6 @@ impl Default for NodeConfig {
         NodeConfig {
             batch: 64,
             ring_depth: 1024,
-            transport: TransportKind::Ring,
             duration_ms: 1000,
             link_bps: 10_000_000_000,
             secret_seed: 0x7E57_5EED,
@@ -122,69 +108,36 @@ impl Default for NodeConfig {
     }
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    let v = std::env::var(name).ok()?;
-    let v = v.trim();
-    let parsed = if let Some(hex) = v.strip_prefix("0x") {
-        u64::from_str_radix(&hex.replace('_', ""), 16)
-    } else {
-        v.replace('_', "").parse()
-    };
-    match parsed {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("tva-node: ignoring unparseable {name}={v:?}");
-            None
-        }
-    }
-}
-
 impl NodeConfig {
     /// Defaults overridden by any `TVA_NODE_*` variables present.
     pub fn from_env() -> Self {
-        let mut cfg = NodeConfig::default();
-        if let Some(v) = env_u64("TVA_NODE_BATCH") {
-            cfg.batch = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("TVA_NODE_RING") {
-            cfg.ring_depth = (v as usize).max(2);
-        }
-        if let Ok(v) = std::env::var("TVA_NODE_TRANSPORT") {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "ring" => cfg.transport = TransportKind::Ring,
-                "udp" => cfg.transport = TransportKind::Udp,
-                other => eprintln!("tva-node: unknown TVA_NODE_TRANSPORT={other:?} (want ring|udp)"),
-            }
-        }
-        if let Some(v) = env_u64("TVA_NODE_DUR_MS") {
-            cfg.duration_ms = v.max(1);
-        }
-        if let Some(v) = env_u64("TVA_NODE_LINK_BPS") {
-            cfg.link_bps = v.max(1);
-        }
-        if let Some(v) = env_u64("TVA_NODE_SEED") {
-            cfg.secret_seed = v;
-        }
-        if let Ok(v) = std::env::var("TVA_NODE_MIX") {
-            match v.trim().to_ascii_lowercase().as_str() {
-                "clean" => cfg.mix = MixKind::Clean,
-                "contested" => cfg.mix = MixKind::Contested,
-                "dirty" => cfg.mix = MixKind::Dirty,
+        use tva_sim::env_u64;
+        let d = NodeConfig::default();
+        let mix = match std::env::var("TVA_NODE_MIX") {
+            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
+                "clean" => MixKind::Clean,
+                "contested" => MixKind::Contested,
+                "dirty" => MixKind::Dirty,
                 other => {
-                    eprintln!("tva-node: unknown TVA_NODE_MIX={other:?} (want clean|contested|dirty)")
+                    eprintln!(
+                        "tva-node: unknown TVA_NODE_MIX={other:?} (want clean|contested|dirty)"
+                    );
+                    d.mix
                 }
-            }
+            },
+            Err(_) => d.mix,
+        };
+        NodeConfig {
+            batch: (env_u64("TVA_NODE_BATCH", d.batch as u64) as usize).max(1),
+            duration_ms: env_u64("TVA_NODE_DUR_MS", d.duration_ms).max(1),
+            link_bps: env_u64("TVA_NODE_LINK_BPS", d.link_bps).max(1),
+            secret_seed: env_u64("TVA_NODE_SEED", d.secret_seed),
+            mix,
+            flows: (env_u64("TVA_NODE_FLOWS", d.flows as u64) as usize).max(1),
+            sample_n: env_u64("TVA_OBS_SAMPLE_N", d.sample_n as u64) as u32,
+            sketched: env_u64("TVA_NODE_SKETCHED", d.sketched as u64) != 0,
+            ..d
         }
-        if let Some(v) = env_u64("TVA_NODE_FLOWS") {
-            cfg.flows = (v as usize).max(1);
-        }
-        if let Some(v) = env_u64("TVA_OBS_SAMPLE_N") {
-            cfg.sample_n = v as u32;
-        }
-        if let Some(v) = env_u64("TVA_NODE_SKETCHED") {
-            cfg.sketched = v != 0;
-        }
-        cfg
     }
 }
 
@@ -193,22 +146,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_u64_accepts_hex_underscores_and_rejects_junk() {
-        std::env::set_var("TVA_NODE_TEST_A", "0x7E57_5EED");
-        std::env::set_var("TVA_NODE_TEST_B", "1_000_000");
-        std::env::set_var("TVA_NODE_TEST_C", "banana");
-        assert_eq!(env_u64("TVA_NODE_TEST_A"), Some(0x7E57_5EED));
-        assert_eq!(env_u64("TVA_NODE_TEST_B"), Some(1_000_000));
-        assert_eq!(env_u64("TVA_NODE_TEST_C"), None);
-        assert_eq!(env_u64("TVA_NODE_TEST_UNSET"), None);
-    }
-
-    #[test]
     fn defaults_are_sane() {
         let cfg = NodeConfig::default();
         assert!(cfg.batch > 0);
         assert!(cfg.ring_depth >= 2);
-        assert_eq!(cfg.transport, TransportKind::Ring);
         assert_eq!(cfg.mix, MixKind::Clean);
     }
 }

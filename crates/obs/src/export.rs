@@ -1,10 +1,9 @@
-//! Trace exporters: JSONL, ns-2-style text, and Chrome/Perfetto
-//! `trace_event` JSON, all produced from the same captured
-//! [`TraceEvent`] stream so one run can be grepped, diffed against
-//! classic ns-2 tooling, or opened on a timeline in `ui.perfetto.dev`.
+//! Trace exporters: JSONL and Chrome/Perfetto `trace_event` JSON, both
+//! produced from the same captured [`TraceEvent`] stream so one run can be
+//! grepped or opened on a timeline in `ui.perfetto.dev`.
 
 use serde_json::{Map, Value};
-use tva_sim::{format_event, ChannelId, SimDuration, TraceEvent, TraceKind, Tracer};
+use tva_sim::{ChannelId, SimDuration, TraceEvent, TraceKind, Tracer};
 
 use std::sync::{Arc, Mutex};
 
@@ -39,16 +38,6 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
     let mut out = String::new();
     for ev in events {
         out.push_str(&serde_json::to_string(&event_to_json(ev)).unwrap_or_default());
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders events as a classic ns-2-style text trace, one line per event.
-pub fn to_ns2(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&format_event(ev));
         out.push('\n');
     }
     out
@@ -190,13 +179,6 @@ mod tests {
             assert!(m.get("kind").is_some());
             assert_eq!(m.get("src"), Some(&Value::String("10.0.0.1".into())));
         }
-    }
-
-    #[test]
-    fn ns2_lines_match_sim_formatter() {
-        let events = [ev(TraceKind::Dropped, 1_000_000_000)];
-        let text = to_ns2(&events);
-        assert_eq!(text, "d 1.000000 ch2 10.0.0.1>10.0.0.2 1000B #5\n");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   figures can plot dynamics, not just endpoints.
 //! * [`flight`] — a fixed-size ring over [`tva_sim::TraceEvent`]s dumped
 //!   as JSON on panic or anomaly (black-box flight recorder).
-//! * [`export`] — JSONL, ns-2-style text, and Chrome/Perfetto
-//!   `trace_event` JSON exporters over captured trace streams.
+//! * [`export`] — JSONL and Chrome/Perfetto `trace_event` JSON exporters
+//!   over captured trace streams.
 //! * [`observe`] — the [`Observe`] trait scheme crates implement to fold
 //!   their stats structs into a registry.
 //! * [`flow`] — deterministic 1-in-N sampled flow records keyed by
@@ -37,7 +37,7 @@
 //! | `TVA_OBS_DIR` | output directory for obs artifacts | `results/obs` |
 //! | `TVA_OBS_SAMPLE_MS` | time-series bucket width, sim-ms | `1000` |
 //! | `TVA_OBS_FLIGHT` | flight-recorder capacity (events; `0` = off) | `4096` when `TVA_OBS` on |
-//! | `TVA_OBS_PERFETTO` | also write Perfetto/ns-2/JSONL traces | off |
+//! | `TVA_OBS_PERFETTO` | also write Perfetto/JSONL traces | off |
 //! | `TVA_OBS_TRACE_LIMIT` | max events retained for export | `200000` |
 //! | `TVA_OBS_SAMPLE_N` | flow-record packet sampling, 1-in-N (`0` = off) | off |
 
@@ -57,8 +57,8 @@ pub mod top;
 
 pub use damage::record_attack_damage;
 pub use export::{
-    collector_tracer, event_to_json, kind_label, to_jsonl, to_ns2, to_perfetto,
-    SharedCollector, TraceCollector,
+    collector_tracer, event_to_json, kind_label, to_jsonl, to_perfetto, SharedCollector,
+    TraceCollector,
 };
 pub use flight::{
     clear_thread_flight, dump_thread_flight, flight_tracer, install_thread_flight,
@@ -86,7 +86,7 @@ pub struct ObsConfig {
     pub sample_ms: u64,
     /// Flight-recorder capacity in events; 0 disables (`TVA_OBS_FLIGHT`).
     pub flight_events: usize,
-    /// Whether to export Perfetto/ns-2/JSONL traces (`TVA_OBS_PERFETTO`).
+    /// Whether to export Perfetto/JSONL traces (`TVA_OBS_PERFETTO`).
     pub perfetto: bool,
     /// Max trace events retained for export (`TVA_OBS_TRACE_LIMIT`).
     pub trace_limit: usize,

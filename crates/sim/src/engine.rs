@@ -825,9 +825,21 @@ pub fn env_flag(name: &str) -> bool {
     })
 }
 
-/// Decimal `u64` environment knob; `default` when unset or unparsable.
+/// `u64` environment knob — decimal or `0x` hex, `_` separators allowed;
+/// `default` when unset. A value that does not parse is reported on stderr
+/// by variable and value, then `default` is used. The one parser behind
+/// every numeric `TVA_*` knob.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
+    let Ok(v) = std::env::var(name) else { return default };
+    let digits = v.trim().replace('_', "");
+    let parsed = match digits.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => digits.parse(),
+    };
+    parsed.unwrap_or_else(|_| {
+        eprintln!("warning: ignoring unparseable {name}={v:?}, using {default}");
+        default
+    })
 }
 
 impl Simulator {

@@ -57,3 +57,19 @@ pub use stats::ChannelStats;
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkHandle, TopologyBuilder};
 pub use trace::{format_event, TraceCounts, TraceEvent, TraceKind, Tracer};
+
+#[cfg(test)]
+mod tests {
+    use super::env_u64;
+
+    #[test]
+    fn env_u64_accepts_hex_underscores_and_rejects_junk() {
+        std::env::set_var("TVA_NODE_TEST_A", "0x7E57_5EED");
+        std::env::set_var("TVA_NODE_TEST_B", " 1_000_000 ");
+        std::env::set_var("TVA_NODE_TEST_C", "banana");
+        assert_eq!(env_u64("TVA_NODE_TEST_A", 1), 0x7E57_5EED);
+        assert_eq!(env_u64("TVA_NODE_TEST_B", 1), 1_000_000);
+        assert_eq!(env_u64("TVA_NODE_TEST_C", 7), 7, "junk is reported, then the default");
+        assert_eq!(env_u64("TVA_NODE_TEST_UNSET", 9), 9);
+    }
+}
