@@ -11,7 +11,7 @@ use tva_experiments::{ascii_chart, Series};
 
 fn main() {
     let n: usize = if std::env::args().any(|a| a == "--full") { 1_000_000 } else { 200_000 };
-    let mut rig = Rig::new(65_536, 50_000);
+    let mut rig = Rig::new(65_536, 262_144);
     println!("Figure 12: peak output rate by packet type ({n} packets per type)\n");
     println!("{:<22} {:>14}", "Packet type", "peak kpps");
     println!("{}", "-".repeat(38));

@@ -22,7 +22,7 @@ fn paper_ns(t: PktType) -> Option<f64> {
 
 fn main() {
     let n: usize = if std::env::args().any(|a| a == "--full") { 1_000_000 } else { 200_000 };
-    let mut rig = Rig::new(65_536, 50_000);
+    let mut rig = Rig::new(65_536, 262_144);
     println!("Table 1: processing overhead of different types of packets");
     println!("({n} packets per type)\n");
     println!("{:<22} {:>12} {:>12}", "Packet type", "measured ns", "paper ns");

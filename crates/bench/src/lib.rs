@@ -26,7 +26,7 @@ pub mod dumbbell;
 pub mod scale;
 
 use tva_core::{capability, RouterConfig, TvaRouter, Verdict};
-use tva_sim::{ChannelId, SimTime};
+use tva_sim::{ChannelId, SimDuration, SimTime};
 use tva_wire::{Addr, CapHeader, CapValue, FlowNonce, Grant, Packet, PacketId};
 
 /// The five capability packet types of Table 1, plus plain IP forwarding as
@@ -85,9 +85,13 @@ impl PktType {
     }
 }
 
-/// Fixed wall-clock instant used for all bench processing (no expiry and a
-/// frozen ttl clock: the flow-table state is steady across the run).
-pub const BENCH_NOW: SimTime = SimTime::from_secs(100);
+/// How far the rig's clock advances per [`Rig::measure`] batch: far past
+/// the few-millisecond ttl one bench packet earns its entry, so every entry
+/// of an earlier batch is reclaimable, and a whole second, so each batch
+/// mints capabilities with a fresh timestamp.
+const BATCH_STEP: SimDuration = SimDuration::from_secs(1);
+/// Packets built, then timed, per [`Rig::measure`] batch.
+const BATCH: usize = 4096;
 
 const DST: Addr = Addr::new(10, 0, 0, 1);
 const INGRESS: ChannelId = ChannelId(1);
@@ -97,6 +101,8 @@ const INGRESS: ChannelId = ChannelId(1);
 pub struct Rig {
     /// The router under test.
     pub router: TvaRouter,
+    /// The processing clock, advanced once per measurement batch.
+    now: SimTime,
     grant: Grant,
     /// Sources cycled by the uncached generators.
     src_pool: u32,
@@ -111,8 +117,15 @@ impl Rig {
     /// Builds a rig with a bounded flow table (`max_entries`), cycling
     /// `src_pool` distinct sources for the uncached paths, and warms one
     /// flow for the cached paths.
+    ///
+    /// The table starts full of expired entries and the pool is at least
+    /// twice the table, so a source has long been reclaimed when it comes
+    /// round again: every uncached packet finds no entry, and its create
+    /// reclaims an expired one — the steady state of a router whose table
+    /// is sized to its link (a measurement batch must fit the table for
+    /// that, or its tail finds only live entries to reclaim).
     pub fn new(max_entries: usize, src_pool: u32) -> Self {
-        assert!(src_pool > 0);
+        assert!(src_pool as usize >= 2 * max_entries, "a source recurs while still cached");
         let cfg = RouterConfig {
             max_flow_entries: Some(max_entries),
             secret_seed: 0xBEEF,
@@ -122,12 +135,21 @@ impl Rig {
         let grant = Grant::from_parts(1023, 63);
         let warm_src = Addr::new(172, 16, 0, 1);
         let warm_nonce = FlowNonce::new(0xFACE);
-        let warm_caps = vec![capability::mint_cap(
-            capability::mint_precap(router.schedule(), BENCH_NOW.as_secs(), warm_src, DST),
+        let mut rig = Rig {
+            router,
+            now: SimTime::from_secs(100),
             grant,
-        )];
-        let mut rig =
-            Rig { router, grant, src_pool, next_src: 0, warm_src, warm_nonce, warm_caps };
+            src_pool,
+            next_src: 0,
+            warm_src,
+            warm_nonce,
+            warm_caps: Vec::new(),
+        };
+        for _ in 0..max_entries {
+            let mut pkt = rig.make(PktType::RegularUncached);
+            rig.process(PktType::RegularUncached, &mut pkt);
+        }
+        rig.now += BATCH_STEP;
         rig.rewarm();
         rig
     }
@@ -138,9 +160,9 @@ impl Rig {
     ///
     /// The warm *source address* rotates every rewarm: capabilities are
     /// deterministic per (src, dst, second, secret) and byte budgets are
-    /// charged against the capability value, so under the bench's frozen
-    /// clock a fixed source could never obtain a fresh budget. A fresh
-    /// source yields a genuinely new capability (and a new nonce keeps the
+    /// charged against the capability value, so within one clock second a
+    /// fixed source could never obtain a fresh budget. A fresh source
+    /// yields a genuinely new capability (and a new nonce keeps the
     /// replace path exercised).
     pub fn rewarm(&mut self) {
         let next = self.warm_src.to_u32().wrapping_add(1) | 0xAC00_0000;
@@ -149,7 +171,7 @@ impl Rig {
         self.warm_caps = vec![capability::mint_cap(
             capability::mint_precap(
                 self.router.schedule(),
-                BENCH_NOW.as_secs(),
+                self.now.as_secs(),
                 self.warm_src,
                 DST,
             ),
@@ -167,7 +189,7 @@ impl Rig {
             tcp: None,
             payload_len: 0,
         };
-        let v = self.router.process(&mut pkt, INGRESS, BENCH_NOW);
+        let v = self.router.process(&mut pkt, INGRESS, self.now);
         assert_eq!(v, Verdict::Regular, "warm flow must validate");
     }
 
@@ -194,7 +216,7 @@ impl Rig {
                 let cap = capability::mint_cap(
                     capability::mint_precap(
                         self.router.schedule(),
-                        BENCH_NOW.as_secs(),
+                        self.now.as_secs(),
                         src,
                         DST,
                     ),
@@ -215,7 +237,7 @@ impl Rig {
     /// Processes one packet, asserting (in debug builds) the expected
     /// verdict for its type.
     pub fn process(&mut self, t: PktType, pkt: &mut Packet) -> Verdict {
-        let v = self.router.process(pkt, INGRESS, BENCH_NOW);
+        let v = self.router.process(pkt, INGRESS, self.now);
         debug_assert_eq!(
             v,
             match t {
@@ -232,13 +254,14 @@ impl Rig {
     /// (packet construction excluded from the timed section), returning
     /// seconds per packet. The `table1`/`fig12` binaries use this.
     pub fn measure(&mut self, t: PktType, n: usize) -> f64 {
-        let batch = 4096.min(n.max(1));
+        let batch = BATCH.min(n.max(1));
         let mut total = std::time::Duration::ZERO;
         let mut done = 0;
         while done < n {
             let take = batch.min(n - done);
             // Rewarm FIRST: it rotates the warm nonce, and the packets must
             // carry the nonce the router's entry now holds.
+            self.now += BATCH_STEP;
             self.rewarm();
             let mut pkts: Vec<Packet> = (0..take).map(|_| self.make(t)).collect();
             let start = std::time::Instant::now();
@@ -258,7 +281,7 @@ mod tests {
 
     #[test]
     fn every_type_takes_its_expected_path() {
-        let mut rig = Rig::new(65_536, 50_000);
+        let mut rig = Rig::new(65_536, 262_144);
         for t in PktType::ALL {
             let mut p = rig.make(t);
             rig.process(t, &mut p);
@@ -274,17 +297,26 @@ mod tests {
 
     #[test]
     fn uncached_sources_cycle_without_demotion() {
-        let mut rig = Rig::new(4_096, 2_000);
-        for _ in 0..10_000 {
-            let mut p = rig.make(PktType::RegularUncached);
-            assert_eq!(rig.process(PktType::RegularUncached, &mut p), Verdict::Regular);
+        // More packets than the pool holds sources, so sources recur: each
+        // measured packet must still find no entry (a full validation,
+        // never a nonce hit) and reclaim an expired one for its own.
+        let (mut rig, n) = (Rig::new(8_192, 32_768), 40_000);
+        for t in [PktType::RegularUncached, PktType::RenewalUncached] {
+            let (before, reclaims) = (rig.router.stats.clone(), rig.router.table().reclaims);
+            rig.measure(t, n);
+            let (after, batches) = (&rig.router.stats, n.div_ceil(BATCH) as u64);
+            // Each batch's rewarm is one more validation and reclaim.
+            assert_eq!(after.full_validations - before.full_validations, n as u64 + batches);
+            assert_eq!(rig.router.table().reclaims - reclaims, n as u64 + batches, "{t:?}");
+            assert_eq!(after.nonce_hits, before.nonce_hits, "{t:?} found a cached entry");
+            assert_eq!(after.table_admission_failures, 0, "{t:?} found no expired entry");
+            assert_eq!(after.demotions, 0, "{t:?}");
         }
-        assert_eq!(rig.router.stats.demotions, 0);
     }
 
     #[test]
     fn measure_returns_sane_times() {
-        let mut rig = Rig::new(65_536, 50_000);
+        let mut rig = Rig::new(65_536, 262_144);
         let fast = rig.measure(PktType::RegularCached, 20_000);
         let slow = rig.measure(PktType::RenewalUncached, 20_000);
         assert!(fast > 0.0 && slow > 0.0);

@@ -21,7 +21,7 @@ pub enum RegularQueueKey {
 
 /// How the request channel bounds per-path state (ROADMAP item 4).
 ///
-/// The exact DRR key table is faithful to §3.2 but holds one queue per
+/// The exact DRR key tables are faithful to §3.2 but hold one queue per
 /// distinct path identifier — O(keys) memory. The sketched alternative
 /// replaces the key table with a count-min sketch rate limiter whose
 /// memory is a fixed array regardless of how many identifiers an
@@ -30,7 +30,12 @@ pub enum RegularQueueKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestLimiter {
     /// Per-PathId DRR queues (the paper's design; the default).
-    Exact,
+    Flat,
+    /// Per-PathId DRR queues, fair-queued first over /8-style
+    /// path-identifier prefixes (high byte), then over full tags, so a
+    /// colluder ring fanning out k tags behind one ingress shares one
+    /// prefix-level allotment instead of claiming k× fair share.
+    Prefix,
     /// Count-min sketch byte policing over a single FIFO: constant
     /// memory under path-identifier sweeps.
     Sketched,
@@ -82,15 +87,9 @@ pub struct RouterConfig {
     /// pure function of the packet id and merged tables stay
     /// shard-independent.
     pub flow_sample_seed: u64,
-    /// Request-channel state bound: exact per-PathId DRR or the constant-
-    /// memory count-min sketch limiter.
+    /// Request-channel state bound: exact per-PathId DRR (flat or
+    /// prefix-first) or the constant-memory count-min sketch limiter.
     pub request_limiter: RequestLimiter,
-    /// Hierarchical DRR for the request channel: fair-queue first over
-    /// /8-style path-identifier prefixes (high byte), then over full tags,
-    /// so a colluder ring fanning out k tags behind one ingress shares one
-    /// prefix-level allotment instead of claiming k× fair share. Ignored
-    /// when `request_limiter` is [`RequestLimiter::Sketched`].
-    pub prefix_drr: bool,
     /// Per-path byte budget for the sketch limiter, per decay epoch.
     pub sketch_budget_bytes: u64,
     /// Sketch decay epoch: all counters halve every this many milliseconds
@@ -117,8 +116,7 @@ impl Default for RouterConfig {
             secret_seed: 0x7441_5641, // "tAVA"
             flow_sample_n: 0,
             flow_sample_seed: 0x5F10_77CA, // "sFlowCA"
-            request_limiter: RequestLimiter::Exact,
-            prefix_drr: false,
+            request_limiter: RequestLimiter::Flat,
             // One epoch's fair share if ~16 paths split a 1%-of-10Mb/s
             // request channel for 250 ms — roughly what a flat DRR round
             // would grant each backlogged path.

@@ -127,7 +127,7 @@ fn path_prefix(p: &PathId) -> u8 {
 }
 
 /// The request-channel policing structure, per
-/// [`RequestLimiter`]/[`RouterConfig::prefix_drr`]. All three enforce the
+/// [`RouterConfig::request_limiter`]. All three enforce the
 /// same contract — per-path fair shares with bounded router state, demoting
 /// (never dropping) what they refuse — at different state/precision
 /// trade-offs.
@@ -306,13 +306,13 @@ impl TvaScheduler {
                     cfg.sketch_decay_ms,
                 ),
             },
-            RequestLimiter::Exact if cfg.prefix_drr => RequestChannel::Prefix(Hdrr::new(
+            RequestLimiter::Prefix => RequestChannel::Prefix(Hdrr::new(
                 path_prefix,
                 cfg.request_quantum,
                 cfg.per_queue_cap_bytes,
                 cfg.max_request_queues,
             )),
-            RequestLimiter::Exact => RequestChannel::Flat(Drr::new(
+            RequestLimiter::Flat => RequestChannel::Flat(Drr::new(
                 cfg.request_quantum,
                 cfg.per_queue_cap_bytes,
                 cfg.max_request_queues,
@@ -960,7 +960,11 @@ mod tests {
         // 16 tags sharing a prefix flood; a lone path under another prefix
         // sends a little. Flat DRR gives the ring 16/17 of request service;
         // the hierarchy pins it to ~half.
-        let cfg = RouterConfig { prefix_drr: true, request_fraction: 0.05, ..cfg() };
+        let cfg = RouterConfig {
+            request_limiter: RequestLimiter::Prefix,
+            request_fraction: 0.05,
+            ..cfg()
+        };
         let mut s = TvaScheduler::new(10_000_000, &cfg);
         let now = SimTime::ZERO;
         for tag in 0..16u16 {

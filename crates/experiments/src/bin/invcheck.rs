@@ -7,8 +7,9 @@
 //! cargo run --release -p tva-experiments --bin invcheck -- search [--trials N] [--seed S]
 //! ```
 //!
-//! * `fuzz` derives a randomized scenario (topology parameters × attack
-//!   mix × wire impairments × optional bottleneck failure) from each seed
+//! * `fuzz` derives a randomized scenario (topology parameters, backup
+//!   path × attack mix × wire impairments × optional bottleneck failure)
+//!   from each seed
 //!   in `[S, S+N)`, runs it with every auditor on, and writes a replay
 //!   artifact for any seed that violates an invariant. Exit code 1 if any
 //!   seed failed.
@@ -27,8 +28,7 @@ use std::process::ExitCode;
 
 use tva_check::CheckConfig;
 use tva_experiments::check::{
-    artifact_json, random_config, read_artifact, replay, run_checked, scenario_to_json,
-    write_artifact,
+    artifact_json, random_config, read_artifact, replay, run_checked, write_artifact,
 };
 
 fn usage() -> ExitCode {
@@ -112,8 +112,8 @@ fn fuzz(args: &[String]) -> ExitCode {
     }
     let mut failed = 0usize;
     for seed in start..start.saturating_add(seeds) {
-        let (cfg, extras) = random_config(seed);
-        let (_, report) = run_checked(&cfg, &extras, &check);
+        let cfg = random_config(seed);
+        let (_, report) = run_checked(&cfg, &check);
         if report.is_clean() {
             println!(
                 "seed {seed}: clean ({} events, {} audit passes, scheme {}, {:?})",
@@ -126,7 +126,7 @@ fn fuzz(args: &[String]) -> ExitCode {
         }
         failed += 1;
         let labels = report.violated_invariants().join(", ");
-        let doc = artifact_json("scenario", scenario_to_json(&cfg), Some(extras), &report);
+        let doc = artifact_json(&cfg, &report);
         match write_artifact(&check.dir, &format!("fuzz-seed{seed}"), &doc) {
             Ok((path, _)) => eprintln!(
                 "seed {seed}: {} violation(s) [{labels}] — artifact: {}",
@@ -168,10 +168,9 @@ fn dump(args: &[String]) -> ExitCode {
             None => return usage(),
         },
     );
-    let (cfg, extras) = random_config(seed);
-    let (_, report) = run_checked(&cfg, &extras, &CheckConfig::enabled_default());
-    let doc = artifact_json("scenario", scenario_to_json(&cfg), Some(extras), &report);
-    match write_artifact(&dir, &stem, &doc) {
+    let cfg = random_config(seed);
+    let (_, report) = run_checked(&cfg, &CheckConfig::enabled_default());
+    match write_artifact(&dir, &stem, &artifact_json(&cfg, &report)) {
         Ok((path, _)) => {
             let verdict = if report.is_clean() {
                 "clean".to_string()

@@ -11,47 +11,63 @@
 
 use tva_experiments::figrun::{results_dir, write_json};
 use tva_experiments::observe::write_snapshot;
-use tva_experiments::robustness::{fold_metrics, run, LinkFailure, RobustnessConfig, RobustnessResult};
-use tva_experiments::{table, write_tsv, Scheme};
+use tva_experiments::robustness::{diamond, fold_metrics};
+use tva_experiments::{
+    run_all, table, write_tsv, LinkFaults, ScenarioConfig, ScenarioResult, Scheme,
+};
 use tva_sim::{SimDuration, SimTime};
 
 const SCHEMES: [Scheme; 3] = [Scheme::Internet, Scheme::Siff, Scheme::Tva];
 
-fn base(scheme: Scheme, seed_salt: u64) -> RobustnessConfig {
-    RobustnessConfig {
-        scheme,
-        seed: 20050821 ^ seed_salt,
-        ..RobustnessConfig::default()
+fn base(scheme: Scheme, seed_salt: u64, faults: LinkFaults) -> ScenarioConfig {
+    ScenarioConfig { seed: 20050821 ^ seed_salt, faults, ..diamond(scheme) }
+}
+
+fn loss(loss_ppm: u32) -> LinkFaults {
+    LinkFaults { loss_ppm, ..LinkFaults::default() }
+}
+
+fn corrupt(corrupt_ppm: u32) -> LinkFaults {
+    LinkFaults { corrupt_ppm, ..LinkFaults::default() }
+}
+
+/// A mid-transfer failure of the primary, with recovery.
+fn failure(down_secs: u64, up_secs: u64, wire: LinkFaults) -> LinkFaults {
+    LinkFaults {
+        down_at: Some(SimTime::from_secs(down_secs)),
+        up_at: Some(SimTime::from_secs(up_secs)),
+        ..wire
     }
 }
 
-fn failure() -> LinkFailure {
-    LinkFailure {
-        down_at: SimTime::from_secs(40),
-        up_at: Some(SimTime::from_secs(80)),
-    }
+/// The configured (loss, corruption) probabilities and whether the primary fails.
+fn wire(cfg: &ScenarioConfig) -> (f64, f64, u8) {
+    let f = &cfg.faults;
+    (f64::from(f.loss_ppm) / 1e6, f64::from(f.corrupt_ppm) / 1e6, u8::from(f.down_at.is_some()))
 }
 
-fn row(cfg: &RobustnessConfig, r: &RobustnessResult) -> Vec<String> {
+fn row(cfg: &ScenarioConfig, r: &ScenarioResult) -> Vec<String> {
+    let (loss, corrupt, fails) = wire(cfg);
+    let f = &r.faults;
     vec![
         cfg.scheme.name().to_string(),
-        format!("{:.3}", cfg.loss),
-        format!("{:.3}", cfg.corrupt),
-        if cfg.link_failure.is_some() { "1" } else { "0" }.to_string(),
+        format!("{loss:.3}"),
+        format!("{corrupt:.3}"),
+        fails.to_string(),
         r.summary.attempts.to_string(),
         r.summary.completed.to_string(),
         format!("{:.3}", r.summary.completion_fraction),
         format!("{:.3}", r.summary.avg_completion_secs),
         format!("{:.3}", r.summary.p95_secs),
-        r.completed_after_failure.to_string(),
-        r.reconvergences.to_string(),
-        r.backup_pkts.to_string(),
-        r.backup_requests_stamped.to_string(),
-        r.backup_validations.to_string(),
-        r.lost_pkts.to_string(),
-        r.corrupted_pkts.to_string(),
-        r.malformed_pkts.to_string(),
-        r.malformed_drops.to_string(),
+        f.completed_after_failure.to_string(),
+        f.reconvergences.to_string(),
+        f.backup_pkts.to_string(),
+        f.backup_requests_stamped.to_string(),
+        f.backup_validations.to_string(),
+        f.lost_pkts.to_string(),
+        f.corrupted_pkts.to_string(),
+        f.malformed_pkts.to_string(),
+        f.malformed_drops.to_string(),
     ]
 }
 
@@ -78,39 +94,27 @@ const HEADERS: [&str; 18] = [
 
 fn smoke() {
     eprintln!("== robustness --smoke: loss sweep + mid-transfer failure ==");
-    for (i, loss) in [0.0, 0.1].into_iter().enumerate() {
-        let cfg = RobustnessConfig {
-            loss,
-            n_users: 2,
-            duration: SimTime::from_secs(30),
-            failure_grace: SimDuration::from_secs(10),
-            ..base(Scheme::Tva, i as u64)
-        };
-        let r = run(&cfg);
-        eprintln!(
-            "  loss={loss:.2}: fraction={:.3} lost={}",
-            r.summary.completion_fraction, r.lost_pkts
-        );
-        assert!(
-            r.summary.completion_fraction > 0.9,
-            "TVA must ride out {loss} loss: {:?}",
-            r.summary
-        );
-        if loss > 0.0 {
-            assert!(r.lost_pkts > 0, "impairment must have fired");
-        }
-    }
-    let cfg = RobustnessConfig {
+    let quick = |salt: u64, faults: LinkFaults| ScenarioConfig {
         n_users: 2,
         duration: SimTime::from_secs(30),
         failure_grace: SimDuration::from_secs(10),
-        link_failure: Some(LinkFailure {
-            down_at: SimTime::from_secs(10),
-            up_at: Some(SimTime::from_secs(20)),
-        }),
-        ..base(Scheme::Tva, 99)
+        ..base(Scheme::Tva, salt, faults)
     };
-    let r = run(&cfg);
+    let runs = run_all(vec![
+        quick(0, loss(0)),
+        quick(1, loss(100_000)),
+        quick(99, failure(10, 20, LinkFaults::default())),
+    ]);
+    for (cfg, r) in &runs[..2] {
+        let lossy = cfg.faults.loss_ppm > 0;
+        eprintln!(
+            "  loss_ppm={}: fraction={:.3} lost={}",
+            cfg.faults.loss_ppm, r.summary.completion_fraction, r.faults.lost_pkts
+        );
+        assert!(r.summary.completion_fraction > 0.9, "TVA must ride out loss: {:?}", r.summary);
+        assert_eq!(r.faults.lost_pkts > 0, lossy, "impairment fires iff configured");
+    }
+    let r = &runs[2].1.faults;
     eprintln!(
         "  failure: reconvergences={} backup_stamped={} completed_after={}",
         r.reconvergences, r.backup_requests_stamped, r.completed_after_failure
@@ -129,60 +133,35 @@ fn main() {
     }
     let full = args.iter().any(|a| a == "--full");
 
-    let losses: &[f64] = if full {
-        &[0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2]
+    // Per-packet probabilities in ppm: 0–20 % loss, 2–10 % corruption.
+    let losses: &[u32] = if full {
+        &[0, 10_000, 20_000, 50_000, 100_000, 150_000, 200_000]
     } else {
-        &[0.0, 0.05, 0.1, 0.2]
+        &[0, 50_000, 100_000, 200_000]
     };
-    let corrupts: &[f64] = if full { &[0.02, 0.1] } else { &[0.05] };
+    let corrupts: &[u32] = if full { &[20_000, 100_000] } else { &[50_000] };
 
-    let mut configs: Vec<RobustnessConfig> = Vec::new();
+    let mut configs: Vec<ScenarioConfig> = Vec::new();
     for &scheme in &SCHEMES {
-        for (i, &loss) in losses.iter().enumerate() {
-            configs.push(RobustnessConfig { loss, ..base(scheme, i as u64) });
+        for (i, &p) in losses.iter().enumerate() {
+            configs.push(base(scheme, i as u64, loss(p)));
         }
-        for (i, &corrupt) in corrupts.iter().enumerate() {
-            configs.push(RobustnessConfig { corrupt, ..base(scheme, 0x100 + i as u64) });
+        for (i, &p) in corrupts.iter().enumerate() {
+            configs.push(base(scheme, 0x100 + i as u64, corrupt(p)));
         }
         // Mid-transfer failure with recovery, clean wire and lossy wire.
-        configs.push(RobustnessConfig {
-            link_failure: Some(failure()),
-            ..base(scheme, 0x200)
-        });
-        configs.push(RobustnessConfig {
-            loss: 0.05,
-            link_failure: Some(failure()),
-            ..base(scheme, 0x201)
-        });
+        configs.push(base(scheme, 0x200, failure(40, 80, LinkFaults::default())));
+        configs.push(base(scheme, 0x201, failure(40, 80, loss(50_000))));
     }
 
     eprintln!("== robustness: {} runs ==", configs.len());
     let mut rows = Vec::new();
     let mut registry = tva_obs::Registry::new();
-    for (i, cfg) in configs.iter().enumerate() {
-        let r = run(cfg);
-        fold_metrics(
-            &format!(
-                "{}.loss{:.2}.corrupt{:.2}.fail{}",
-                cfg.scheme.name(),
-                cfg.loss,
-                cfg.corrupt,
-                cfg.link_failure.is_some() as u8
-            ),
-            &r,
-            &mut registry,
-        );
-        eprintln!(
-            "  [{}/{}] {} loss={:.2} corrupt={:.2} failure={} fraction={:.3}",
-            i + 1,
-            configs.len(),
-            cfg.scheme.name(),
-            cfg.loss,
-            cfg.corrupt,
-            cfg.link_failure.is_some() as u8,
-            r.summary.completion_fraction,
-        );
-        rows.push(row(cfg, &r));
+    for (cfg, r) in &run_all(configs) {
+        let (loss, corrupt, fails) = wire(cfg);
+        let prefix = format!("{}.loss{loss:.2}.corrupt{corrupt:.2}.fail{fails}", cfg.scheme.name());
+        fold_metrics(&prefix, r, &mut registry);
+        rows.push(row(cfg, r));
     }
 
     println!("robustness: impairments and link failure on the diamond testbed\n");

@@ -1,6 +1,7 @@
 //! # tva-experiments
 //!
-//! The evaluation harness: declarative scenarios for the Figure 7 dumbbell,
+//! The evaluation harness: declarative scenarios for the Figure 7 dumbbell
+//! (optionally with a backup path and wire faults on the bottleneck),
 //! attacker models for every §5 attack, parallel parameter sweeps, and
 //! reporting that regenerates each table and figure of the paper.
 //!
@@ -31,8 +32,7 @@ pub use figures::{fig10, fig11, fig8, fig9, Fidelity};
 pub use observe::{run_observed, snapshot_document, write_observed, write_snapshot, ObservedRun};
 pub use report::{ascii_chart, table, write_tsv, Series};
 pub use scenario::{
-    attacker_addr, run, run_driven, run_inspect, Attack, BuiltNodes, ScenarioConfig,
-    ScenarioResult, Scheme, COLLUDER, DEST,
+    attacker_addr, run, run_driven, run_inspect, Attack, BuiltNodes, FaultCounters, LinkFaults,
+    ScenarioConfig, ScenarioResult, Scheme, COLLUDER, DEST,
 };
-pub use robustness::{LinkFailure, RobustnessConfig, RobustnessResult};
 pub use sweep::{run_all, run_all_checked, SweepFailure};

@@ -5,24 +5,34 @@
 //! ```text
 //! 10 users ───┐                         ┌─── destination
 //!             ├── R1 ══ 10 Mb/s ══ R2 ──┤
-//! 1–100 atk ──┘      (bottleneck)       └─── colluder
+//! 1–100 atk ──┘   \  (bottleneck)  /    └─── colluder
+//!                  R3 ─ ─ ─ ─ ─ ─ ─          (R3: `backup_path` only)
 //! ```
 //!
 //! All access links are 100 Mb/s with 10 ms delay; the bottleneck is
 //! 10 Mb/s with 10 ms delay, giving the paper's 60 ms RTT.
+//!
+//! With `backup_path` the dumbbell becomes a diamond: the bottleneck is one
+//! hop, the R1–R3–R2 detour two, so shortest-path routing prefers the
+//! bottleneck until `faults` takes it down and routes re-converge through
+//! R3. For TVA that re-route invalidates every capability in flight —
+//! capabilities are bound to the router path (§3.1), and R3 has never
+//! stamped these flows — so senders must recover via demotion notices and
+//! re-request (§3.8). R3's `requests_stamped` counter is the direct
+//! evidence that they did.
 
 use tva_baselines::{
     EgressSpec, LegacyRouterNode, PushbackConfig, PushbackRouterNode, SiffConfig, SiffRouterNode,
     SiffScheduler, SiffShim,
 };
 use tva_core::{
-    AllowAll, AuthorizedFlooder, ClientPolicy, HostConfig, MimicFlooder, PulseFlooder,
-    RingFlooder, RotatingFlooder, RouterConfig, ServerPolicy, SpoofColluder,
-    SpoofedRequestFlooder, TvaHostShim, TvaRouterNode, TvaScheduler,
+    AllowAll, AuthorizedFlooder, ClientPolicy, GrantPolicy, HostConfig, MimicFlooder,
+    PulseFlooder, RequestLimiter, RingFlooder, RotatingFlooder, RouterConfig, ServerPolicy,
+    SpoofColluder, SpoofedRequestFlooder, TvaHostShim, TvaRouterNode, TvaScheduler,
 };
 use tva_sim::{
-    ChannelId, DropTail, LinkHandle, NodeId, QueueDisc, SimDuration, SimTime,
-    TopologyBuilder,
+    DropTail, DutyCycleOutage, Impairments, LinkHandle, Node, NodeId, QueueDisc, SimDuration,
+    SimTime, Simulator, TopologyBuilder,
 };
 use tva_transport::{
     summarize, ClientNode, FloodNode, NullShim, ServerNode, Shim, TcpConfig, TransferRecord,
@@ -139,6 +149,44 @@ pub enum Attack {
     },
 }
 
+/// Wire faults on the bottleneck link: random impairments, periodic
+/// blackouts, and one scheduled failure (with optional recovery). The
+/// default is a perfect wire that stays up. Probabilities are
+/// parts-per-million so a configuration round-trips exactly through a
+/// replay artifact.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkFaults {
+    /// Per-packet loss probability, in ppm.
+    pub loss_ppm: u32,
+    /// Per-packet bit-corruption probability, in ppm.
+    pub corrupt_ppm: u32,
+    /// Periodic outage windows.
+    pub outage: Option<DutyCycleOutage>,
+    /// When the link goes down, if it does.
+    pub down_at: Option<SimTime>,
+    /// When it comes back (only read when `down_at` is set).
+    pub up_at: Option<SimTime>,
+}
+
+impl LinkFaults {
+    fn apply(&self, sim: &mut Simulator, link: LinkHandle) {
+        sim.impair_link(
+            link,
+            Impairments {
+                loss: f64::from(self.loss_ppm) / 1e6,
+                corrupt: f64::from(self.corrupt_ppm) / 1e6,
+                outage: self.outage,
+            },
+        );
+        if let Some(down) = self.down_at {
+            sim.schedule_link_down(link, down);
+            if let Some(up) = self.up_at {
+                sim.schedule_link_up(link, up);
+            }
+        }
+    }
+}
+
 /// Scenario parameters (defaults reproduce the paper's setup).
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
@@ -194,13 +242,16 @@ pub struct ScenarioConfig {
     /// `RouterConfig` sampling seed so their records merge into one
     /// per-prefix attribution table after the run.
     pub flow_sample_n: u32,
-    /// TVA request-channel policing: `false` (default) keeps the exact
-    /// per-path key table, `true` swaps in the constant-memory count-min
-    /// sketch limiter on both routers.
-    pub sketched_requests: bool,
-    /// Hierarchical (prefix-first) DRR for the TVA request channel
-    /// (ignored when `sketched_requests` replaces the key table).
-    pub prefix_drr: bool,
+    /// TVA request-channel policing on every router: the exact per-path
+    /// key table (flat, the default, or prefix-first) or the
+    /// constant-memory count-min sketch limiter.
+    pub request_limiter: RequestLimiter,
+    /// Adds a third router R3 and the R1–R3, R3–R2 links (bottleneck
+    /// capacity each): a two-hop detour that carries nothing until
+    /// `faults` takes the bottleneck down.
+    pub backup_path: bool,
+    /// Wire faults on the bottleneck link.
+    pub faults: LinkFaults,
 }
 
 impl Default for ScenarioConfig {
@@ -226,14 +277,43 @@ impl Default for ScenarioConfig {
             deny_attackers: false,
             per_queue_cap_bytes: None,
             flow_sample_n: 0,
-            sketched_requests: false,
-            prefix_drr: false,
+            request_limiter: RequestLimiter::Flat,
+            backup_path: false,
+            faults: LinkFaults::default(),
         }
     }
 }
 
+/// What the wire faults did and how the network recovered, over one run.
+/// All zero on a fault-free dumbbell.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultCounters {
+    /// Transfers that completed strictly after `faults.down_at` — the
+    /// liveness half of the recovery story.
+    pub completed_after_failure: usize,
+    /// Route re-convergence events the engine performed.
+    pub reconvergences: u64,
+    /// Packets the backup R3→R2 channel carried (any scheme).
+    pub backup_pkts: u64,
+    /// Requests the backup TVA router stamped (0 for other schemes):
+    /// capability re-establishment went through the new path.
+    pub backup_requests_stamped: u64,
+    /// Regular packets the backup TVA router fully validated (0 for other
+    /// schemes): re-issued capabilities were honored there.
+    pub backup_validations: u64,
+    /// Packets lost on the bottleneck (random loss, outage windows, and
+    /// the failure instant combined), both directions.
+    pub lost_pkts: u64,
+    /// Packets bit-corrupted on the bottleneck.
+    pub corrupted_pkts: u64,
+    /// Corrupted packets that no longer parsed at all.
+    pub malformed_pkts: u64,
+    /// Malformed datagrams dropped and counted by the TVA routers.
+    pub malformed_drops: u64,
+}
+
 /// Outcome of one scenario run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioResult {
     /// Aggregate §5 metrics.
     pub summary: TransferSummary,
@@ -245,6 +325,8 @@ pub struct ScenarioResult {
     pub bottleneck_drop_rate: f64,
     /// Bottleneck utilization over the run.
     pub bottleneck_utilization: f64,
+    /// Fault and recovery counters.
+    pub faults: FaultCounters,
 }
 
 /// Well-known addresses.
@@ -297,13 +379,15 @@ pub struct BuiltNodes {
     pub attacker_links: Vec<LinkHandle>,
     /// The bottleneck link (r1→r2 direction is `.ab`).
     pub bottleneck: LinkHandle,
+    /// With `backup_path`: R3 and the R3–R2 link (R3→R2 is `.ab`).
+    pub backup: Option<(NodeId, LinkHandle)>,
 }
 
 /// Like [`run`], but hands the finished simulator to `inspect` before
 /// metrics are returned (tests and diagnostics).
 pub fn run_inspect(
     cfg: &ScenarioConfig,
-    inspect: impl FnOnce(&tva_sim::Simulator, &BuiltNodes),
+    inspect: impl FnOnce(&Simulator, &BuiltNodes),
 ) -> ScenarioResult {
     run_driven(cfg, default_driver(cfg), inspect)
 }
@@ -314,21 +398,14 @@ pub fn run_inspect(
 /// artifact) on any invariant violation.
 fn default_driver(
     cfg: &ScenarioConfig,
-) -> impl FnOnce(&mut tva_sim::Simulator, &BuiltNodes) {
+) -> impl FnOnce(&mut Simulator, &BuiltNodes) {
     let end = cfg.duration;
     let cfg_check = cfg.clone();
     move |sim, _| {
         let check = tva_check::CheckConfig::from_env();
         if check.enabled {
             let report = crate::check::drive_checked(sim, end, &check);
-            crate::check::enforce_clean(
-                &check,
-                "scenario",
-                cfg_check.seed,
-                crate::check::scenario_to_json(&cfg_check),
-                None,
-                &report,
-            );
+            crate::check::enforce_clean(&check, &cfg_check, &report);
             return;
         }
         let flight = tva_obs::ObsConfig::from_env().flight_events;
@@ -347,114 +424,96 @@ fn default_driver(
 /// `inspect` then sees the finished simulator before metrics collection.
 pub fn run_driven(
     cfg: &ScenarioConfig,
-    drive: impl FnOnce(&mut tva_sim::Simulator, &BuiltNodes),
-    inspect: impl FnOnce(&tva_sim::Simulator, &BuiltNodes),
+    drive: impl FnOnce(&mut Simulator, &BuiltNodes),
+    inspect: impl FnOnce(&Simulator, &BuiltNodes),
 ) -> ScenarioResult {
     let mut b = Builder::new(cfg);
     b.build_and_run(drive, inspect)
 }
+
+/// Per-router secret salts, in R1, R2, R3 order.
+const TVA_SALTS: [u64; 3] = [0x1111, 0x2222, 0x3333];
+const SIFF_SALTS: [u64; 3] = [0x3333, 0x4444, 0x5555];
 
 struct Builder<'a> {
     cfg: &'a ScenarioConfig,
     topo: TopologyBuilder,
     r1: NodeId,
     r2: NodeId,
+    /// The backup router, with `backup_path`.
+    r3: Option<NodeId>,
     kicks: Vec<(NodeId, u64, SimTime)>,
     clients: Vec<NodeId>,
     attackers: Vec<NodeId>,
     attacker_links: Vec<LinkHandle>,
-    tva_cfg1: RouterConfig,
-    tva_cfg2: RouterConfig,
+    /// One per router, in R1, R2, R3 order.
+    tva_cfgs: [RouterConfig; 3],
     siff_cfg: SiffConfig,
-    bottleneck: Option<LinkHandle>,
-    /// (r1 ingress channels, used to size pushback) — captured as we link.
-    r1_egress_bottleneck: Option<ChannelId>,
 }
 
 impl<'a> Builder<'a> {
     fn new(cfg: &'a ScenarioConfig) -> Self {
         // Note: `flow_sample_seed` stays at its shared default on purpose —
-        // samplers with one (n, seed) pair can be merged across r1, r2, and
-        // the egress schedulers for whole-testbed attribution.
-        let mut tva_cfg1 = RouterConfig {
+        // samplers with one (n, seed) pair can be merged across the routers
+        // and the egress schedulers for whole-testbed attribution.
+        let defaults = RouterConfig::default();
+        let tva_cfgs = TVA_SALTS.map(|salt| RouterConfig {
             request_fraction: cfg.request_fraction,
-            secret_seed: cfg.seed ^ 0x1111,
+            secret_seed: cfg.seed ^ salt,
             flow_sample_n: cfg.flow_sample_n,
-            ..RouterConfig::default()
-        };
-        let mut tva_cfg2 = RouterConfig {
-            request_fraction: cfg.request_fraction,
-            secret_seed: cfg.seed ^ 0x2222,
-            flow_sample_n: cfg.flow_sample_n,
-            ..RouterConfig::default()
-        };
-        if let Some(cap) = cfg.per_queue_cap_bytes {
-            tva_cfg1.per_queue_cap_bytes = cap;
-            tva_cfg2.per_queue_cap_bytes = cap;
-        }
-        for rc in [&mut tva_cfg1, &mut tva_cfg2] {
-            if cfg.sketched_requests {
-                rc.request_limiter = tva_core::RequestLimiter::Sketched;
-            }
-            rc.prefix_drr = cfg.prefix_drr;
-        }
+            per_queue_cap_bytes: cfg.per_queue_cap_bytes.unwrap_or(defaults.per_queue_cap_bytes),
+            request_limiter: cfg.request_limiter,
+            ..defaults.clone()
+        });
         let siff_cfg = SiffConfig {
             key_rotation: cfg.siff_key_rotation,
             accept_previous: cfg.siff_accept_previous,
-            secret_seed: cfg.seed ^ 0x3333,
+            secret_seed: cfg.seed ^ SIFF_SALTS[0],
             ..SiffConfig::default()
         };
-        let mut topo = TopologyBuilder::new();
-        let (r1, r2) = match cfg.scheme {
-            Scheme::Tva => (
-                topo.add_node(Box::new(TvaRouterNode::new(
-                    tva_cfg1.clone(),
-                    cfg.bottleneck_bps,
-                ))),
-                topo.add_node(Box::new(TvaRouterNode::new(
-                    tva_cfg2.clone(),
-                    cfg.bottleneck_bps,
-                ))),
-            ),
-            Scheme::Siff => (
-                topo.add_node(Box::new(SiffRouterNode::new(siff_cfg.clone()))),
-                topo.add_node(Box::new(SiffRouterNode::new(SiffConfig {
-                    secret_seed: cfg.seed ^ 0x4444,
+        let router = |i: usize| -> Box<dyn Node> {
+            match cfg.scheme {
+                Scheme::Tva => {
+                    Box::new(TvaRouterNode::new(tva_cfgs[i].clone(), cfg.bottleneck_bps))
+                }
+                Scheme::Siff => Box::new(SiffRouterNode::new(SiffConfig {
+                    secret_seed: cfg.seed ^ SIFF_SALTS[i],
                     ..siff_cfg.clone()
-                }))),
-            ),
-            Scheme::Pushback => (
-                topo.add_node(Box::new(PushbackRouterNode::new(PushbackConfig::default()))),
-                topo.add_node(Box::new(PushbackRouterNode::new(PushbackConfig::default()))),
-            ),
-            Scheme::Internet => (
-                topo.add_node(Box::<LegacyRouterNode>::default()),
-                topo.add_node(Box::<LegacyRouterNode>::default()),
-            ),
+                })),
+                Scheme::Pushback => Box::new(PushbackRouterNode::new(PushbackConfig::default())),
+                Scheme::Internet => Box::<LegacyRouterNode>::default(),
+            }
         };
+        let mut topo = TopologyBuilder::new();
+        let r1 = topo.add_node(router(0));
+        let r2 = topo.add_node(router(1));
+        let r3 = cfg.backup_path.then(|| topo.add_node(router(2)));
         Builder {
             cfg,
             topo,
             r1,
             r2,
+            r3,
             kicks: Vec::new(),
             clients: Vec::new(),
             attackers: Vec::new(),
             attacker_links: Vec::new(),
-            tva_cfg1,
-            tva_cfg2,
+            tva_cfgs,
             siff_cfg,
-            bottleneck: None,
-            r1_egress_bottleneck: None,
         }
+    }
+
+    /// R1, R2 and — with `backup_path` — R3.
+    fn routers(&self) -> impl Iterator<Item = NodeId> {
+        [self.r1, self.r2].into_iter().chain(self.r3)
     }
 
     /// An egress queue appropriate for the scheme, for a link of `bps`.
     fn router_queue(&self, which: NodeId, bps: u64) -> Box<dyn QueueDisc> {
         match self.cfg.scheme {
             Scheme::Tva => {
-                let cfg = if which == self.r1 { &self.tva_cfg1 } else { &self.tva_cfg2 };
-                Box::new(TvaScheduler::new(bps, cfg))
+                let i = self.routers().position(|r| r == which).expect("a router of this testbed");
+                Box::new(TvaScheduler::new(bps, &self.tva_cfgs[i]))
             }
             Scheme::Siff => Box::new(SiffScheduler::from_config(&self.siff_cfg)),
             Scheme::Pushback | Scheme::Internet => Box::new(DropTail::packets(ROUTER_QUEUE_PKTS)),
@@ -465,26 +524,32 @@ impl<'a> Builder<'a> {
         Box::new(DropTail::new(HOST_QUEUE))
     }
 
-    /// The shim for a legitimate user.
-    fn user_shim(&self, addr: Addr) -> Box<dyn Shim> {
+    /// The scheme's host shim for `addr`, granting by `policy`. `tuning` is
+    /// the TVA host configuration. Pushback and the Internet have no
+    /// authorization concept, so every host there gets the `NullShim`.
+    fn host_shim(
+        &self,
+        addr: Addr,
+        policy: Box<dyn GrantPolicy>,
+        tuning: HostConfig,
+    ) -> Box<dyn Shim> {
         match self.cfg.scheme {
-            Scheme::Tva => Box::new(TvaHostShim::new(
-                addr,
-                HostConfig::default(),
-                Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
-            )),
-            Scheme::Siff => Box::new(SiffShim::new(
-                addr,
-                Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
-                self.siff_refresh(),
-            )),
+            Scheme::Tva => Box::new(TvaHostShim::new(addr, tuning, policy)),
+            Scheme::Siff => {
+                // Hosts refresh marks slightly faster than routers rotate keys.
+                let refresh = SimDuration::from_nanos(
+                    (self.cfg.siff_key_rotation.as_nanos() as f64 * 0.9) as u64,
+                );
+                let mut s = SiffShim::new(addr, policy, refresh);
+                // SIFF keeps its own report threshold; only a colluder's
+                // "never reports" carries over from the TVA tuning.
+                if tuning.misbehavior_bytes_per_sec == f64::INFINITY {
+                    s.misbehavior_bytes_per_sec = f64::INFINITY;
+                }
+                Box::new(s)
+            }
             Scheme::Pushback | Scheme::Internet => Box::new(NullShim),
         }
-    }
-
-    /// Hosts refresh marks slightly faster than routers rotate keys.
-    fn siff_refresh(&self) -> SimDuration {
-        SimDuration::from_nanos((self.cfg.siff_key_rotation.as_nanos() as f64 * 0.9) as u64)
     }
 
     /// The destination's shim, honoring `deny_attackers` and the scenario
@@ -509,15 +574,18 @@ impl<'a> Builder<'a> {
                 policy.single_grant(attacker_addr(i));
             }
         }
-        match self.cfg.scheme {
-            Scheme::Tva => Box::new(TvaHostShim::new(
-                DEST,
-                HostConfig { default_grant: self.cfg.grant, ..HostConfig::default() },
-                Box::new(policy),
-            )),
-            Scheme::Siff => Box::new(SiffShim::new(DEST, Box::new(policy), self.siff_refresh())),
-            Scheme::Pushback | Scheme::Internet => Box::new(NullShim),
-        }
+        self.host_shim(
+            DEST,
+            Box::new(policy),
+            HostConfig { default_grant: self.cfg.grant, ..HostConfig::default() },
+        )
+    }
+
+    /// A router-to-router link at the bottleneck's capacity.
+    fn core_link(&mut self, from: NodeId, to: NodeId) -> LinkHandle {
+        let bps = self.cfg.bottleneck_bps;
+        let (qf, qt) = (self.router_queue(from, bps), self.router_queue(to, bps));
+        self.topo.link(from, to, bps, LINK_DELAY, qf, qt)
     }
 
     fn attach_host(&mut self, node: NodeId, addr: Addr, via: NodeId) -> LinkHandle {
@@ -697,25 +765,13 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// The scheme-appropriate shim for an attacking host: its own policy is
-    /// irrelevant (it never grants anyone useful service), and Pushback /
-    /// Internet have no authorization concept — an authorized strategy
-    /// degenerates to a data flood via the NullShim, which the paper notes
-    /// matches the legacy-flood results.
+    /// The shim for an attacking host: its own policy is irrelevant (it
+    /// never grants anyone useful service). Under Pushback / Internet an
+    /// authorized strategy degenerates to a data flood via the NullShim,
+    /// which the paper notes matches the legacy-flood results.
     fn attacker_shim(&self, addr: Addr) -> Box<dyn Shim> {
-        match self.cfg.scheme {
-            Scheme::Tva => Box::new(TvaHostShim::new(
-                addr,
-                HostConfig::default(),
-                Box::new(AllowAll { grant: Grant::from_parts(1023, 10) }),
-            )),
-            Scheme::Siff => Box::new(SiffShim::new(
-                addr,
-                Box::new(AllowAll { grant: Grant::from_parts(1023, 10) }),
-                self.siff_refresh(),
-            )),
-            Scheme::Pushback | Scheme::Internet => Box::new(NullShim),
-        }
+        let policy = AllowAll { grant: Grant::from_parts(1023, 10) };
+        self.host_shim(addr, Box::new(policy), HostConfig::default())
     }
 
     fn authorized_flooder(
@@ -737,28 +793,16 @@ impl<'a> Builder<'a> {
     /// grants every request, never reports misbehavior, and absorbs the
     /// authorized flood.
     fn add_colluder_server(&mut self, addr: Addr) {
-        let shim: Box<dyn Shim> = match self.cfg.scheme {
-            Scheme::Tva => Box::new(TvaHostShim::new(
-                addr,
-                HostConfig {
-                    default_grant: Grant::from_parts(1023, 10),
-                    // The colluder never reports its friends.
-                    misbehavior_bytes_per_sec: f64::INFINITY,
-                    ..HostConfig::default()
-                },
-                Box::new(AllowAll { grant: Grant::from_parts(1023, 10) }),
-            )),
-            Scheme::Siff => {
-                let mut s = SiffShim::new(
-                    addr,
-                    Box::new(AllowAll { grant: Grant::from_parts(1023, 10) }),
-                    self.siff_refresh(),
-                );
-                s.misbehavior_bytes_per_sec = f64::INFINITY;
-                Box::new(s)
-            }
-            Scheme::Pushback | Scheme::Internet => Box::new(NullShim),
-        };
+        let shim = self.host_shim(
+            addr,
+            Box::new(AllowAll { grant: Grant::from_parts(1023, 10) }),
+            HostConfig {
+                default_grant: Grant::from_parts(1023, 10),
+                // The colluder never reports its friends.
+                misbehavior_bytes_per_sec: f64::INFINITY,
+                ..HostConfig::default()
+            },
+        );
         let colluder =
             self.topo.add_node(Box::new(ServerNode::new(addr, TcpConfig::default(), shim)));
         self.topo.bind_addr(colluder, addr);
@@ -768,8 +812,8 @@ impl<'a> Builder<'a> {
 
     fn build_and_run(
         &mut self,
-        drive: impl FnOnce(&mut tva_sim::Simulator, &BuiltNodes),
-        inspect: impl FnOnce(&tva_sim::Simulator, &BuiltNodes),
+        drive: impl FnOnce(&mut Simulator, &BuiltNodes),
+        inspect: impl FnOnce(&Simulator, &BuiltNodes),
     ) -> ScenarioResult {
         let cfg = self.cfg.clone();
 
@@ -781,13 +825,9 @@ impl<'a> Builder<'a> {
         )));
         self.topo.bind_addr(dest, DEST);
 
-        // Bottleneck.
-        let q1 = self.router_queue(self.r1, cfg.bottleneck_bps);
-        let q2 = self.router_queue(self.r2, cfg.bottleneck_bps);
-        let bottleneck =
-            self.topo.link(self.r1, self.r2, cfg.bottleneck_bps, LINK_DELAY, q1, q2);
-        self.bottleneck = Some(bottleneck);
-        self.r1_egress_bottleneck = Some(bottleneck.ab);
+        // Bottleneck, then the two-hop detour around it.
+        let bottleneck = self.core_link(self.r1, self.r2);
+        let detour = self.r3.map(|r3| (self.core_link(self.r1, r3), self.core_link(r3, self.r2)));
 
         // Destination access link.
         let qd = self.router_queue(self.r2, ACCESS_BPS);
@@ -832,7 +872,8 @@ impl<'a> Builder<'a> {
         // Users.
         for i in 0..cfg.n_users {
             let addr = user_addr(i);
-            let shim = self.user_shim(addr);
+            let policy = ClientPolicy { grant: Grant::from_parts(100, 10) };
+            let shim = self.host_shim(addr, Box::new(policy), HostConfig::default());
             let c = self.topo.add_node(Box::new(ClientNode::new(
                 addr,
                 DEST,
@@ -857,21 +898,24 @@ impl<'a> Builder<'a> {
         let mut sim =
             std::mem::take(&mut self.topo).build_sharded(cfg.seed, tva_sim::shards_from_env());
 
-        // Pushback routers need their managed egress registered and their
-        // review loop kicked.
+        // Pushback routers need their managed egresses registered (R1's
+        // toward R2, direct and via the detour) and their review loop kicked.
         if cfg.scheme == Scheme::Pushback {
-            let bn = self.r1_egress_bottleneck.expect("bottleneck linked");
-            sim.node_mut::<PushbackRouterNode>(self.r1).manage(EgressSpec {
-                channel: bn,
-                capacity_bps: cfg.bottleneck_bps,
-            });
-            sim.kick(self.r1, tva_baselines::TOKEN_REVIEW);
-            sim.kick(self.r2, tva_baselines::TOKEN_REVIEW);
+            for link in std::iter::once(bottleneck).chain(detour.map(|(r1_r3, _)| r1_r3)) {
+                sim.node_mut::<PushbackRouterNode>(self.r1).manage(EgressSpec {
+                    channel: link.ab,
+                    capacity_bps: cfg.bottleneck_bps,
+                });
+            }
+            for r in self.routers() {
+                sim.kick(r, tva_baselines::TOKEN_REVIEW);
+            }
         }
 
         for &(node, token, at) in &self.kicks {
             sim.kick_at(node, token, at);
         }
+        cfg.faults.apply(&mut sim, bottleneck);
 
         let nodes = BuiltNodes {
             r1: self.r1,
@@ -881,6 +925,7 @@ impl<'a> Builder<'a> {
             attackers: self.attackers.clone(),
             attacker_links: self.attacker_links.clone(),
             bottleneck,
+            backup: self.r3.zip(detour.map(|(_, r3_r2)| r3_r2)),
         };
         drive(&mut sim, &nodes);
         inspect(&sim, &nodes);
@@ -888,8 +933,13 @@ impl<'a> Builder<'a> {
         // Collect metrics.
         let mut transfers = Vec::new();
         let mut per_user = Vec::new();
+        let mut faults = FaultCounters { reconvergences: sim.reconvergences(), ..Default::default() };
         for &c in &self.clients {
             let node = sim.node::<ClientNode>(c);
+            if let Some(at) = cfg.faults.down_at {
+                faults.completed_after_failure +=
+                    node.records.iter().filter(|t| t.finished.is_some_and(|f| f > at)).count();
+            }
             per_user.push(
                 node.records
                     .iter()
@@ -908,13 +958,30 @@ impl<'a> Builder<'a> {
         }
         transfers.retain(|t| t.started >= cfg.measure_after);
         let summary = summarize(&transfers);
-        let st = &sim.channel(self.bottleneck.expect("bottleneck linked").ab).stats;
+        let st = &sim.channel(bottleneck.ab).stats;
+        for wire in [st, &sim.channel(bottleneck.ba).stats] {
+            faults.lost_pkts += wire.lost_pkts;
+            faults.corrupted_pkts += wire.corrupted_pkts;
+            faults.malformed_pkts += wire.malformed_pkts;
+        }
+        if let Some((_, r3_r2)) = nodes.backup {
+            faults.backup_pkts = sim.channel(r3_r2.ab).stats.tx_pkts;
+        }
+        if cfg.scheme == Scheme::Tva {
+            let stats = |r: NodeId| &sim.node::<TvaRouterNode>(r).router.stats;
+            faults.malformed_drops = self.routers().map(|r| stats(r).malformed_drops).sum();
+            if let Some(r3) = self.r3 {
+                faults.backup_requests_stamped = stats(r3).requests_stamped;
+                faults.backup_validations = stats(r3).full_validations;
+            }
+        }
         ScenarioResult {
             summary,
             transfers,
             per_user,
             bottleneck_drop_rate: st.drop_rate(),
             bottleneck_utilization: st.utilization(cfg.bottleneck_bps, sim.now()),
+            faults,
         }
     }
 }

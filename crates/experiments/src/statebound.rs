@@ -245,7 +245,8 @@ pub fn goodput_shapes() -> Vec<(&'static str, Attack)> {
 }
 
 /// Scenario config for one goodput leg: fig8 dumbbell shape, TVA scheme,
-/// exact or bounded (sketch limiter + prefix DRR) request-channel state.
+/// exact (flat DRR key table) or bounded (sketch limiter) request-channel
+/// state — the same choice [`leg_config`] makes for the microstate legs.
 pub fn goodput_cfg(mode: Mode, attack: Attack, k: usize, duration_s: u64) -> ScenarioConfig {
     ScenarioConfig {
         scheme: Scheme::Tva,
@@ -254,8 +255,7 @@ pub fn goodput_cfg(mode: Mode, attack: Attack, k: usize, duration_s: u64) -> Sce
         transfers_per_user: 2_000,
         duration: SimTime::from_secs(duration_s),
         measure_after: SimTime::from_secs(15),
-        sketched_requests: mode == Mode::Bounded,
-        prefix_drr: mode == Mode::Bounded,
+        request_limiter: leg_config(mode).request_limiter,
         ..ScenarioConfig::default()
     }
 }

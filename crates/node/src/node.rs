@@ -129,7 +129,7 @@ impl NodeEngine {
             request_limiter: if cfg.sketched {
                 tva_core::RequestLimiter::Sketched
             } else {
-                tva_core::RequestLimiter::Exact
+                tva_core::RequestLimiter::Flat
             },
             ..RouterConfig::default()
         };

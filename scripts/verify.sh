@@ -20,6 +20,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> fault-injection smoke (loss sweep + mid-transfer link failure)"
 cargo run --release -q -p tva-experiments --bin robustness -- --smoke
 
+echo "==> robustness quick sweep (the tracked artifacts are what this commit writes)"
+TVA_RESULTS_DIR=target/verify-robustness \
+  cargo run --release -q -p tva-experiments --bin robustness >/dev/null
+for f in robustness.tsv robustness.json robustness_metrics.json; do
+  cmp target/verify-robustness/$f results/$f
+done
+
 echo "==> invariant-checker smoke (fuzz batch + replay round-trip, auditors on)"
 rm -rf target/verify-invcheck
 cargo run --release -q -p tva-experiments --bin invcheck -- \
@@ -125,7 +132,12 @@ test -s target/verify-obs/obs/fig8_TVA_trace.perfetto.json
 cargo run --release -q -p tva-obs --bin obscheck -- \
   target/verify-obs/obs/*.json target/verify-obs/obs/*.jsonl
 
-sh scripts/loc.sh | tail -1
+echo "==> README's knob tables name exactly the TVA_* variables the code reads"
+diff <(git grep -ohE '(env_u64|env_flag|env::var|env::var_os)\("TVA_[A-Z0-9_]+' -- 'crates/*/src/*' |
+         grep -oE 'TVA_[A-Z0-9_]+' | grep -v '^TVA_NODE_TEST_' | sort -u) \
+     <(git grep -ohE 'TVA_[A-Z0-9_]+' -- README.md | sort -u)
+
+sh scripts/loc.sh | tail -2
 
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
   git status --porcelain

@@ -9,37 +9,37 @@
 use proptest::prelude::*;
 
 use tva::core::{RouterConfig, TvaRouterNode};
-use tva::experiments::robustness::{run, LinkFailure, RobustnessConfig};
-use tva::experiments::Scheme;
+use tva::experiments::robustness::diamond;
+use tva::experiments::{run, LinkFaults, ScenarioConfig, Scheme};
 use tva::sim::{
     DropTail, DutyCycleOutage, SimDuration, SimTime, SinkNode, TopologyBuilder,
 };
 use tva::wire::{decode_packet, Addr};
 
+/// Loss and corruption are per-mille, as the proptest draws them.
 fn chaos_cfg(
     scheme: Scheme,
-    loss: f64,
-    corrupt: f64,
+    loss_pm: u32,
+    corrupt_pm: u32,
     outage: bool,
     fail: bool,
     seed: u64,
-) -> RobustnessConfig {
-    RobustnessConfig {
-        scheme,
-        loss,
-        corrupt,
-        outage: outage.then(|| {
-            DutyCycleOutage::new(SimDuration::from_secs(7), SimDuration::from_secs(1))
-        }),
-        link_failure: fail.then(|| LinkFailure {
-            down_at: SimTime::from_secs(8),
-            up_at: Some(SimTime::from_secs(14)),
-        }),
+) -> ScenarioConfig {
+    ScenarioConfig {
+        faults: LinkFaults {
+            loss_ppm: loss_pm * 1000,
+            corrupt_ppm: corrupt_pm * 1000,
+            outage: outage.then(|| {
+                DutyCycleOutage::new(SimDuration::from_secs(7), SimDuration::from_secs(1))
+            }),
+            down_at: fail.then(|| SimTime::from_secs(8)),
+            up_at: fail.then(|| SimTime::from_secs(14)),
+        },
         n_users: 2,
         duration: SimTime::from_secs(20),
         failure_grace: SimDuration::from_secs(8),
         seed,
-        ..RobustnessConfig::default()
+        ..diamond(scheme)
     }
 }
 
@@ -80,21 +80,20 @@ proptest! {
     /// transport's own complete-or-abort rules hold under chaos.
     #[test]
     fn transfers_resolve_under_any_impairment_mix(
-        loss_pm in 0u64..250,
-        corrupt_pm in 0u64..150,
+        loss_pm in 0u32..250,
+        corrupt_pm in 0u32..150,
         outage in any::<bool>(),
         fail in any::<bool>(),
         seed in 0u64..1_000,
     ) {
-        let (loss, corrupt) = (loss_pm as f64 / 1000.0, corrupt_pm as f64 / 1000.0);
-        let cfg = chaos_cfg(Scheme::Tva, loss, corrupt, outage, fail, seed);
+        let cfg = chaos_cfg(Scheme::Tva, loss_pm, corrupt_pm, outage, fail, seed);
         let r = run(&cfg);
         prop_assert!(r.summary.attempts > 0, "clients made attempts: {:?}", r.summary);
         // The summary only ever contains resolved records plus over-grace
         // stragglers; a wedged stack would strand transfers silently.
         prop_assert!(r.summary.completed <= r.summary.attempts);
         if fail {
-            prop_assert!(r.reconvergences >= 1, "failure must re-converge");
+            prop_assert!(r.faults.reconvergences >= 1, "failure must re-converge");
         }
     }
 }
@@ -104,10 +103,10 @@ proptest! {
 #[test]
 fn impairment_mixes_are_deterministic_end_to_end() {
     let mixes = [
-        (0.1, 0.0, false, false),
-        (0.0, 0.1, false, false),
-        (0.0, 0.0, true, false),
-        (0.05, 0.05, true, true),
+        (100, 0, false, false),
+        (0, 100, false, false),
+        (0, 0, true, false),
+        (50, 50, true, true),
     ];
     for (i, &(loss, corrupt, outage, fail)) in mixes.iter().enumerate() {
         for &scheme in &[Scheme::Tva, Scheme::Internet] {
@@ -117,8 +116,8 @@ fn impairment_mixes_are_deterministic_end_to_end() {
             assert_eq!(a, b, "mix {i} {scheme:?}: equal seeds, equal runs");
         }
     }
-    let base = chaos_cfg(Scheme::Tva, 0.1, 0.0, false, false, 1);
-    let other = RobustnessConfig { seed: 2, ..base.clone() };
+    let base = chaos_cfg(Scheme::Tva, 100, 0, false, false, 1);
+    let other = ScenarioConfig { seed: 2, ..base.clone() };
     assert_ne!(run(&base), run(&other), "the fault stream is seed-dependent");
 }
 
@@ -127,8 +126,8 @@ fn impairment_mixes_are_deterministic_end_to_end() {
 /// over the backup router, and transfers keep completing.
 #[test]
 fn tva_failover_recovers_end_to_end() {
-    let cfg = chaos_cfg(Scheme::Tva, 0.0, 0.0, false, true, 7);
-    let r = run(&cfg);
+    let cfg = chaos_cfg(Scheme::Tva, 0, 0, false, true, 7);
+    let r = run(&cfg).faults;
     assert_eq!(r.reconvergences, 2);
     assert!(r.backup_pkts > 0, "backup path carried traffic: {r:?}");
     assert!(r.backup_requests_stamped > 0, "re-requests crossed R3: {r:?}");
