@@ -66,11 +66,12 @@ pub fn validate_precap(
 /// Converts a pre-capability into a full capability bound to `grant`
 /// (performed by the destination, §3.5).
 pub fn mint_cap(precap: CapValue, grant: Grant) -> CapValue {
-    let hash = second56(&[
-        &precap.to_u64().to_be_bytes(),
-        &[grant.n.kb() as u8, (grant.n.kb() >> 8) as u8, grant.t.secs()],
-    ]);
-    CapValue::new(precap.timestamp(), hash)
+    // 11 bytes: the pre-capability big-endian, N in KB low byte first, T.
+    let mut input = [0u8; 11];
+    input[..8].copy_from_slice(&precap.to_u64().to_be_bytes());
+    input[8..10].copy_from_slice(&grant.n.kb().to_le_bytes());
+    input[10] = grant.t.secs();
+    CapValue::new(precap.timestamp(), second56(&input))
 }
 
 /// Why capability validation failed.
@@ -245,5 +246,37 @@ mod tests {
         let pc = mint_precap(&s, 127, SRC, DST);
         let cap = mint_cap(pc, grant);
         assert_eq!(validate_cap(&s, 130, SRC, DST, grant, cap, 1.0), Ok(()));
+    }
+
+    /// Capabilities minted by the streaming SHA-1 that preceded the one-block
+    /// `second56`, captured before it changed: the hashed bytes (precap
+    /// big-endian, N in KB low byte first, T) and their digest are pinned, so
+    /// every capability a host already holds still validates.
+    #[test]
+    fn mint_cap_bytes_are_pinned() {
+        #[rustfmt::skip]
+        // (precap timestamp, precap hash, N in KB, T in s) → capability.
+        const PINNED: [(u8, u64, u16, u8, u64); 16] = [
+            (0x00, 0x0000000000000000, 0, 0, 0x00e89931b7aa0422),
+            (0x01, 0x0000000000000001, 100, 10, 0x01e83ff969fdf8ff),
+            (0x7f, 0x00ffffffffffffff, 513, 30, 0x7f40d9b362b23f29),
+            (0x80, 0x00123456789abcde, 1, 1, 0x80d8d4b5f8e406e2),
+            (0xff, 0x00deadbeef012345, 255, 63, 0xff35129f996bf2f0),
+            (0x2a, 0x0000000000000100, 1023, 63, 0x2adf28400059d0e5),
+            (0x7f, 0x0080000000000000, 32, 10, 0x7f6e4ae75fc4d3fe),
+            (0x80, 0x0055aa55aa55aa55, 256, 7, 0x80228e42c6ce7591),
+            (0x00, 0x0000000000000000, 1, 1, 0x00528aaf88cc72f1),
+            (0x01, 0x0000000000000001, 255, 63, 0x01b0b9d1d161bfe2),
+            (0x7f, 0x00ffffffffffffff, 1023, 63, 0x7fc06e0cfccddba2),
+            (0x80, 0x00123456789abcde, 32, 10, 0x8064b97e939a637a),
+            (0xff, 0x00deadbeef012345, 256, 7, 0xff5e4f0c26b905e1),
+            (0x2a, 0x0000000000000100, 0, 0, 0x2a421465a956e57b),
+            (0x7f, 0x0080000000000000, 100, 10, 0x7f5816f326baf511),
+            (0x80, 0x0055aa55aa55aa55, 513, 30, 0x8089a68872a3bd43),
+        ];
+        for (ts, hash, kb, t, want) in PINNED {
+            let cap = mint_cap(CapValue::new(ts, hash), Grant::from_parts(kb, t));
+            assert_eq!(cap.to_u64(), want, "precap ({ts:#x}, {hash:#x}), grant {kb} KB / {t} s");
+        }
     }
 }

@@ -23,6 +23,7 @@
 //! capability starts with — nothing about the evicted entry needs
 //! remembering (DESIGN.md §4i has the argument and the measurements).
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 
 use tva_sim::{SimDuration, SimTime};
@@ -197,12 +198,15 @@ impl FlowTable {
             if indexed > now {
                 return false; // oldest record is live ⇒ every entry is
             }
-            let entry = self.entries.get_mut(&victim).expect("index and table are in bijection");
             self.by_expiry.pop_first();
-            if entry.ttl_expires <= now {
-                self.entries.remove(&victim);
+            let Entry::Occupied(slot) = self.entries.entry(victim) else {
+                unreachable!("index and table are in bijection");
+            };
+            if slot.get().ttl_expires <= now {
+                slot.remove();
                 return true;
             }
+            let entry = slot.into_mut();
             entry.indexed_at = entry.ttl_expires;
             self.by_expiry.insert((entry.ttl_expires, victim));
         }

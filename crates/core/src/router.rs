@@ -171,6 +171,9 @@ impl TvaRouter {
     /// This is the exact pipeline of Figure 6.
     pub fn process(&mut self, pkt: &mut Packet, ingress: ChannelId, now: SimTime) -> Verdict {
         let now_secs = now.as_secs();
+        // Between rotations this is one comparison; the stamp, validate and
+        // renewal paths below then derive no key.
+        self.schedule.refresh(now_secs);
         let (src, dst) = (pkt.src, pkt.dst);
         let flow = pkt.flow();
         let len = pkt.wire_len();
@@ -263,10 +266,9 @@ impl TvaRouter {
                             ok
                         }
                     }
-                    existing => {
+                    _ => {
                         // Slow path: full validation of the capability at
                         // our position, then create (or replace) the entry.
-                        let had_entry = existing.is_some();
                         match caps {
                             Some((grant, list)) => {
                                 let idx = *ptr as usize;
@@ -297,7 +299,6 @@ impl TvaRouter {
                                     // enforced and the table is sized to
                                     // C/(N/T)min) costs the flow its state,
                                     // not its authorization.
-                                    let _ = had_entry;
                                     true
                                 } else {
                                     self.stats.demoted_bad_cap += 1;
@@ -677,6 +678,31 @@ mod tests {
         let cv2 = crate::capability::mint_cap(entries[0].precap, grant);
         let mut p3 = pkt(Some(CapHeader::regular_with_caps(FlowNonce::new(8), grant, vec![cv2])), 500);
         assert_eq!(r.process(&mut p3, IN, now), Verdict::Regular);
+    }
+
+    #[test]
+    fn restart_discards_the_refreshed_secret_keys() {
+        // A router whose schedule holds this generation's keys restarts
+        // under a new seed in the same generation: the old keys must not
+        // outlive the old secret.
+        let mut r = router();
+        let now = SimTime::from_secs(300);
+        let grant = Grant::from_parts(100, 10);
+        let with_cap = |nonce, cap| {
+            pkt(Some(CapHeader::regular_with_caps(FlowNonce::new(nonce), grant, vec![cap])), 500)
+        };
+        let old = good_cap(&r, now, grant);
+        assert_eq!(r.process(&mut with_cap(1, old), IN, now), Verdict::Regular);
+
+        r.restart(0xD00D);
+        assert_eq!(r.process(&mut with_cap(2, old), IN, now), Verdict::Legacy);
+        assert_eq!(r.stats.demoted_bad_cap, 1);
+        assert_eq!(
+            crate::capability::validate_cap(r.schedule(), 300, SRC, DST, grant, old, 1.0),
+            Err(crate::capability::CapError::BadHash),
+        );
+        let new = good_cap(&r, now, grant);
+        assert_eq!(r.process(&mut with_cap(3, new), IN, now), Verdict::Regular);
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! * [`second56`] — the second hash that binds a pre-capability to the byte
 //!   limit `N` and validity period `T` (the paper's SHA-1 slot).
 //!
-//! Both truncate to the low 56 bits so the values drop directly into the
-//! wire format.
+//! Both yield 56 bits so the values drop directly into the wire format:
+//! `keyed56` keeps the low 56 bits of the SipHash output, `second56` the
+//! first 7 bytes of the SHA-1 digest.
 
-use crate::sha1::Sha1;
+use crate::sha1::sha1;
 use crate::siphash::{siphash24, SipKey};
 
 /// Bit mask selecting the 56 hash bits of a capability word.
@@ -24,19 +25,16 @@ pub fn keyed56(key: SipKey, data: &[u8]) -> u64 {
     siphash24(key, data) & MASK56
 }
 
-/// Second-stage 56-bit hash (capability role): SHA-1 over the parts,
-/// truncated to the low-order 56 bits of the digest head.
+/// Second-stage 56-bit hash (capability role): the first 7 bytes of the
+/// SHA-1 digest of `input`, read big-endian.
 ///
-/// `parts` are hashed in order with their lengths implicitly delimited by the
-/// caller using fixed-width encodings (all TVA fields are fixed width, so no
-/// ambiguity arises).
-pub fn second56(parts: &[&[u8]]) -> u64 {
-    let mut h = Sha1::new();
-    for p in parts {
-        h.update(p);
-    }
-    let d = h.finalize();
-    u64::from_be_bytes([0, d[0], d[1], d[2], d[3], d[4], d[5], d[6]]) & MASK56
+/// `input` is one record of fixed-width fields (all TVA fields are fixed
+/// width, so no ambiguity arises) of at most 55 bytes — one SHA-1 block.
+/// Panics on a longer one, as [`HashInput`] does past its capacity.
+#[inline]
+pub fn second56(input: &[u8]) -> u64 {
+    let d = sha1(input);
+    u64::from_be_bytes([0, d[0], d[1], d[2], d[3], d[4], d[5], d[6]])
 }
 
 /// A tiny fixed-capacity byte builder for composing hash inputs without heap
@@ -119,10 +117,16 @@ mod tests {
 
     #[test]
     fn second56_is_56_bits_and_order_sensitive() {
-        let a = second56(&[b"one", b"two"]);
-        let b = second56(&[b"two", b"one"]);
+        let a = second56(b"onetwo");
+        let b = second56(b"twoone");
         assert_eq!(a & !MASK56, 0);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 55 bytes")]
+    fn second56_refuses_a_second_block() {
+        second56(&[0u8; 56]);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! Everything here is implemented from scratch so the repository is
 //! self-contained:
 //!
-//! * [`sha1`](mod@sha1) — SHA-1, the paper's second hash function (capability =
-//!   hash(pre-capability, N, T)).
+//! * [`sha1`](mod@sha1) — one-block SHA-1, the paper's second hash function
+//!   (capability = hash(pre-capability, N, T)).
 //! * [`siphash`] — SipHash-2-4, standing in for the prototype's AES-hash as
 //!   the fast keyed hash that mints pre-capabilities (see DESIGN.md §1 for
 //!   the substitution rationale).
@@ -30,5 +30,5 @@ pub mod siphash;
 
 pub use keyed::{keyed56, second56, HashInput, MASK56};
 pub use secret::{SecretChoice, SecretSchedule, ROTATION_PERIOD_SECS, TIMESTAMP_ROLLOVER_SECS};
-pub use sha1::{sha1, Sha1};
+pub use sha1::sha1;
 pub use siphash::{siphash24, SipKey};

@@ -14,6 +14,11 @@
 //! flips, so a stamp whose high bit matches the router's present high bit was
 //! minted under the current secret; otherwise under the previous one. The
 //! router therefore tries exactly one secret per validation.
+//!
+//! Deriving a generation key costs two SipHash-2-4 calls. A router that
+//! calls [`SecretSchedule::refresh`] with its clock keeps the current and
+//! previous keys of that instant's generation, so minting and validating
+//! derive nothing until the next rotation.
 
 use crate::siphash::{siphash24, SipKey};
 
@@ -37,21 +42,49 @@ pub enum SecretChoice {
 /// Generation `g` covers wall-clock seconds `[g * 128, (g + 1) * 128)`.
 /// Deriving (rather than randomly drawing) keys keeps the whole simulation
 /// reproducible from a single seed.
+///
+/// The schedule also holds the keys of one generation, set by
+/// [`refresh`](Self::refresh). They are used only when the generation asked
+/// for is that one, so every key this type returns is a pure function of
+/// `(master, stamp timestamp, now)` whatever the cache holds.
 #[derive(Clone, Copy, Debug)]
 pub struct SecretSchedule {
     master: SipKey,
+    /// The generation `keys` belong to; [`NO_GENERATION`] until the first
+    /// `refresh`.
+    cached_gen: u64,
+    /// The keys of generations `cached_gen` and `cached_gen - 1` (saturating
+    /// at generation 0, as [`validate_key`](Self::validate_key) does).
+    keys: [SipKey; 2],
 }
+
+/// A generation no clock reaches (`u64::MAX / 128` is the last one), marking
+/// the cache empty.
+const NO_GENERATION: u64 = u64::MAX;
 
 impl SecretSchedule {
     /// Creates a schedule from a 128-bit master key.
     pub const fn new(master: SipKey) -> Self {
-        SecretSchedule { master }
+        let unset = SipKey::from_halves(0, 0);
+        SecretSchedule { master, cached_gen: NO_GENERATION, keys: [unset, unset] }
     }
 
     /// Creates a schedule from a simple u64 seed (convenience for tests and
     /// simulations).
     pub fn from_seed(seed: u64) -> Self {
-        SecretSchedule { master: SipKey::from_halves(seed, seed ^ 0x9E37_79B9_7F4A_7C15) }
+        Self::new(SipKey::from_halves(seed, seed ^ 0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// Keeps the keys of the generation in force at `now_secs`, deriving them
+    /// only when it differs from the one already kept: one comparison per
+    /// call between rotations.
+    #[inline]
+    pub fn refresh(&mut self, now_secs: u64) {
+        let g = self.generation_at(now_secs);
+        if g != self.cached_gen {
+            self.keys = [self.key_for_generation(g), self.key_for_generation(g.saturating_sub(1))];
+            self.cached_gen = g;
+        }
     }
 
     /// The secret generation index in force at `now_secs`.
@@ -75,8 +108,14 @@ impl SecretSchedule {
     }
 
     /// The key a router should use to **mint** a stamp at `now_secs`.
+    #[inline]
     pub fn mint_key(&self, now_secs: u64) -> SipKey {
-        self.key_for_generation(self.generation_at(now_secs))
+        let g = self.generation_at(now_secs);
+        if g == self.cached_gen {
+            self.keys[0]
+        } else {
+            self.key_for_generation(g)
+        }
     }
 
     /// The 8-bit router timestamp for `now_secs` (modulo-256 seconds clock).
@@ -105,11 +144,17 @@ impl SecretSchedule {
     /// The key to **validate** a stamp with timestamp `stamp_ts` at
     /// `now_secs`. Applies the high-bit selection trick; the caller never
     /// tries more than this one key.
+    #[inline]
     pub fn validate_key(&self, stamp_ts: u8, now_secs: u64) -> SipKey {
         let g = self.generation_at(now_secs);
-        match self.choose(stamp_ts, now_secs) {
-            SecretChoice::Current => self.key_for_generation(g),
-            SecretChoice::Previous => self.key_for_generation(g.saturating_sub(1)),
+        let slot = match self.choose(stamp_ts, now_secs) {
+            SecretChoice::Current => 0,
+            SecretChoice::Previous => 1,
+        };
+        if g == self.cached_gen {
+            self.keys[slot]
+        } else {
+            self.key_for_generation(g.saturating_sub(slot as u64))
         }
     }
 

@@ -1,4 +1,4 @@
-//! SHA-1 (FIPS 180-1), implemented from scratch.
+//! SHA-1 (FIPS 180-1) of one block, implemented from scratch.
 //!
 //! The TVA paper uses SHA-1 as the second hash function that converts a
 //! router pre-capability into a full capability bound to the byte limit `N`
@@ -7,8 +7,12 @@
 //! requires second-preimage resistance against an attacker who never sees the
 //! router secret, and we reproduce the paper's construction faithfully.
 //!
-//! This implementation is self-contained (no external crates) and verified
-//! against the FIPS 180-1 test vectors in the unit tests below.
+//! Every input the capability scheme hashes is one fixed 11-byte record, so
+//! production needs exactly one block: [`sha1`] takes messages of at most
+//! [`MAX_ONE_BLOCK`] bytes, lays the `0x80` pad and the bit length down in
+//! place, and runs the compression function once. The general streaming
+//! hasher it replaced is kept as the reference oracle in `tests/oracle.rs`,
+//! which also holds the multi-block FIPS 180-1 vectors.
 
 /// Output size of SHA-1 in bytes.
 pub const DIGEST_LEN: usize = 20;
@@ -16,126 +20,82 @@ pub const DIGEST_LEN: usize = 20;
 /// Block size of SHA-1 in bytes.
 pub const BLOCK_LEN: usize = 64;
 
+/// Longest message [`sha1`] accepts: the `0x80` pad byte and the 8-byte
+/// length must follow it inside the same block.
+pub const MAX_ONE_BLOCK: usize = BLOCK_LEN - 9;
+
 const H0: [u32; 5] = [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2_E1F0];
 
-/// Incremental SHA-1 hasher.
+/// One-shot SHA-1 of a message of at most [`MAX_ONE_BLOCK`] bytes. Panics
+/// on a longer one (every TVA hash input is far smaller; exceeding it is a
+/// programming error, as with [`crate::keyed::HashInput`]'s capacity).
 ///
 /// ```
-/// use tva_crypto::sha1::Sha1;
-/// let mut h = Sha1::new();
-/// h.update(b"abc");
-/// let digest = h.finalize();
+/// use tva_crypto::sha1::sha1;
+/// let digest = sha1(b"abc");
 /// assert_eq!(digest[..4], [0xa9, 0x99, 0x3e, 0x36]);
 /// ```
-#[derive(Clone)]
-pub struct Sha1 {
-    state: [u32; 5],
-    /// Total message length in bytes processed so far (including buffered).
-    len: u64,
-    buf: [u8; BLOCK_LEN],
-    buf_len: usize,
-}
-
-impl Default for Sha1 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha1 {
-    /// Creates a fresh hasher with the FIPS 180-1 initial state.
-    pub fn new() -> Self {
-        Sha1 { state: H0, len: 0, buf: [0u8; BLOCK_LEN], buf_len: 0 }
-    }
-
-    /// Absorbs `data` into the hash state.
-    pub fn update(&mut self, data: &[u8]) {
-        self.len = self.len.wrapping_add(data.len() as u64);
-        let mut rest = data;
-        if self.buf_len > 0 {
-            let take = rest.len().min(BLOCK_LEN - self.buf_len);
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
-    }
-
-    /// Finishes the hash and returns the 20-byte digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // `update` would double-count the length bytes; splice them in manually.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-    }
-}
-
-/// One-shot SHA-1 of `data`.
+#[inline]
 pub fn sha1(data: &[u8]) -> [u8; DIGEST_LEN] {
-    let mut h = Sha1::new();
-    h.update(data);
-    h.finalize()
+    assert!(
+        data.len() <= MAX_ONE_BLOCK,
+        "one-block SHA-1 takes at most 55 bytes, got {}",
+        data.len()
+    );
+    let mut block = [0u8; BLOCK_LEN];
+    block[..data.len()].copy_from_slice(data);
+    block[data.len()] = 0x80;
+    block[BLOCK_LEN - 8..].copy_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &block);
+    let mut out = [0u8; DIGEST_LEN];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// The SHA-1 compression function: folds one 64-byte block into `state`.
+/// The 80 rounds run as four 20-round groups, each with its own boolean
+/// function and constant, so no round branches on its index.
+fn compress(state: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 80];
+    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    let mut v = *state;
+    for &wi in &w[..20] {
+        let [_, b, c, d, _] = v;
+        round(&mut v, (b & c) | (!b & d), 0x5A82_7999, wi);
+    }
+    for &wi in &w[20..40] {
+        let [_, b, c, d, _] = v;
+        round(&mut v, b ^ c ^ d, 0x6ED9_EBA1, wi);
+    }
+    for &wi in &w[40..60] {
+        let [_, b, c, d, _] = v;
+        round(&mut v, (b & c) | (b & d) | (c & d), 0x8F1B_BCDC, wi);
+    }
+    for &wi in &w[60..] {
+        let [_, b, c, d, _] = v;
+        round(&mut v, b ^ c ^ d, 0xCA62_C1D6, wi);
+    }
+    for (s, x) in state.iter_mut().zip(v) {
+        *s = s.wrapping_add(x);
+    }
+}
+
+/// One SHA-1 round over the working variables `[a, b, c, d, e]`, given the
+/// group's boolean function value `f`, its constant `k` and the schedule
+/// word `w`.
+#[inline(always)]
+fn round(v: &mut [u32; 5], f: u32, k: u32, w: u32) {
+    let [a, b, c, d, e] = *v;
+    let t = a.rotate_left(5).wrapping_add(f).wrapping_add(e).wrapping_add(k).wrapping_add(w);
+    *v = [t, a, b.rotate_left(30), c, d];
 }
 
 #[cfg(test)]
@@ -152,51 +112,22 @@ mod tests {
     }
 
     #[test]
-    fn fips_vector_two_blocks() {
-        assert_eq!(
-            hex(&sha1(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
-    }
-
-    #[test]
     fn empty_message() {
         assert_eq!(hex(&sha1(b"")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
     }
 
     #[test]
-    fn million_a() {
-        let mut h = Sha1::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
-        }
-        assert_eq!(hex(&h.finalize()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
-    }
-
-    #[test]
-    fn incremental_equals_oneshot() {
-        let data: Vec<u8> = (0..=255u16).map(|b| b as u8).cycle().take(1000).collect();
-        for split in [0usize, 1, 55, 56, 63, 64, 65, 500, 999, 1000] {
-            let mut h = Sha1::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), sha1(&data), "split at {split}");
-        }
-    }
-
-    #[test]
     fn padding_boundaries() {
-        // Lengths that straddle the 55/56-byte padding boundary must all work.
-        for len in 50..70 {
-            let data = vec![0x5au8; len];
-            let d = sha1(&data);
-            // Recompute incrementally byte-by-byte.
-            let mut h = Sha1::new();
-            for b in &data {
-                h.update(std::slice::from_ref(b));
-            }
-            assert_eq!(h.finalize(), d, "len {len}");
+        // The longest one-block messages, where the pad byte meets the
+        // length field. Digests from coreutils `sha1sum`, an independent
+        // implementation (`tests/oracle.rs` checks every length 0..=55
+        // against the streaming reference).
+        for (len, want) in [
+            (53, "137a788c7213380a76bbde549c382873de34310b"),
+            (54, "3341ab8cd11f0accc2d0afa78e89f96f2998f92f"),
+            (55, "55b80d96c523566d3c8a3b8de03a5549fd04915c"),
+        ] {
+            assert_eq!(hex(&sha1(&vec![0x5au8; len])), want, "len {len}");
         }
     }
 }

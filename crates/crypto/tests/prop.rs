@@ -1,23 +1,9 @@
 //! Property-based tests for the crypto substrate.
 
 use proptest::prelude::*;
-use tva_crypto::{keyed56, second56, SecretSchedule, Sha1, SipKey, MASK56};
+use tva_crypto::{keyed56, SecretSchedule, SipKey, MASK56};
 
 proptest! {
-    /// SHA-1 over arbitrary data must give identical digests regardless of
-    /// how the input is split across `update` calls.
-    #[test]
-    fn sha1_incremental_agrees(data in proptest::collection::vec(any::<u8>(), 0..2048),
-                               split in 0usize..2048) {
-        let split = split.min(data.len());
-        let mut a = Sha1::new();
-        a.update(&data);
-        let mut b = Sha1::new();
-        b.update(&data[..split]);
-        b.update(&data[split..]);
-        prop_assert_eq!(a.finalize(), b.finalize());
-    }
-
     /// keyed56 is a function of (key, data): same inputs, same output; and
     /// output always fits in 56 bits.
     #[test]
@@ -44,15 +30,6 @@ proptest! {
         prop_assert_ne!(keyed56(k, &data), keyed56(k, &flipped));
     }
 
-    /// second56 distinguishes part boundaries only via fixed-width fields;
-    /// with equal concatenation it must agree (it hashes the byte stream).
-    #[test]
-    fn second56_is_stream_hash(a in proptest::collection::vec(any::<u8>(), 0..64),
-                               b in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let joined: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
-        prop_assert_eq!(second56(&[&a, &b]), second56(&[&joined]));
-    }
-
     /// Within a stamp's lifetime the validator recovers exactly the minting
     /// key; two full rotations later it never does.
     #[test]
@@ -62,5 +39,33 @@ proptest! {
         // dt < 128 is always within the remaining lifetime (minimum is 128+1).
         prop_assert_eq!(s.validate_key(ts, mint + dt), s.mint_key(mint));
         prop_assert_ne!(s.validate_key(ts, mint + 256 + dt), s.mint_key(mint));
+    }
+
+    /// The key cache can never be stale: under any interleaving of
+    /// `refresh`, `mint_key` and `validate_key` over ten-odd minutes —
+    /// rotations, the timestamp wrap, and generation 0 where "previous"
+    /// saturates to generation 0 itself — every key equals the one a
+    /// schedule that was never refreshed derives for the same call.
+    #[test]
+    fn refreshed_keys_equal_derived_keys(
+        seed: u64,
+        ops in proptest::collection::vec(
+            (0u8..3, prop_oneof![0u64..128, 0u64..1_000], any::<u8>()),
+            1..64,
+        ),
+    ) {
+        let cold = SecretSchedule::from_seed(seed);
+        let mut warm = cold;
+        for (op, now, ts) in ops {
+            match op {
+                0 => warm.refresh(now),
+                1 => prop_assert_eq!(warm.mint_key(now), cold.mint_key(now), "mint at {}", now),
+                _ => prop_assert_eq!(
+                    warm.validate_key(ts, now),
+                    cold.validate_key(ts, now),
+                    "validate ts {} at {}", ts, now
+                ),
+            }
+        }
     }
 }

@@ -137,6 +137,16 @@ diff <(git grep -ohE '(env_u64|env_flag|env::var|env::var_os)\("TVA_[A-Z0-9_]+' 
          grep -oE 'TVA_[A-Z0-9_]+' | grep -v '^TVA_NODE_TEST_' | sort -u) \
      <(git grep -ohE 'TVA_[A-Z0-9_]+' -- README.md | sort -u)
 
+echo "==> unsafe inventory (a speed-up must not quietly add intrinsics)"
+diff <(git grep -lw unsafe -- 'crates/*/src/*') - <<'EOF'
+crates/bench/src/alloc.rs
+crates/bench/src/lib.rs
+crates/node/src/ring.rs
+EOF
+diff <(git grep -L 'forbid(unsafe_code)' -- 'crates/*/src/lib.rs') - <<'EOF'
+crates/node/src/lib.rs
+EOF
+
 sh scripts/loc.sh | tail -2
 
 if [ "$(git status --porcelain)" != "$tree_before" ]; then
