@@ -13,9 +13,9 @@
 //!   and simulated horizon
 //!
 //! Environment: `TVA_SHARDS=N` splits the engine into N lookahead-
-//! synchronized shards (trace-equivalent to 1 shard: `events` and
-//! `bottleneck_tx_pkts` in `scale.json` must not move, and `verify.sh`
-//! compares them on the quick tree); `TVA_CHECK=1` runs the full
+//! synchronized shards run on N threads (trace-equivalent to 1 shard:
+//! `events` and `bottleneck_tx_pkts` in `scale.json` must not move, and
+//! `verify.sh` compares them on the quick tree); `TVA_CHECK=1` runs the full
 //! invariant-checker suite alongside and the binary exits non-zero on any
 //! violation.
 

@@ -19,9 +19,9 @@ pub enum RegularQueueKey {
     PerSource,
 }
 
-/// How the request channel bounds per-path state (ROADMAP item 4).
+/// How the request channel bounds per-path state.
 ///
-/// The exact DRR key tables are faithful to §3.2 but hold one queue per
+/// The exact DRR key table is faithful to §3.2 but holds one queue per
 /// distinct path identifier — O(keys) memory. The sketched alternative
 /// replaces the key table with a count-min sketch rate limiter whose
 /// memory is a fixed array regardless of how many identifiers an
@@ -31,11 +31,6 @@ pub enum RegularQueueKey {
 pub enum RequestLimiter {
     /// Per-PathId DRR queues (the paper's design; the default).
     Flat,
-    /// Per-PathId DRR queues, fair-queued first over /8-style
-    /// path-identifier prefixes (high byte), then over full tags, so a
-    /// colluder ring fanning out k tags behind one ingress shares one
-    /// prefix-level allotment instead of claiming k× fair share.
-    Prefix,
     /// Count-min sketch byte policing over a single FIFO: constant
     /// memory under path-identifier sweeps.
     Sketched,
@@ -87,8 +82,8 @@ pub struct RouterConfig {
     /// pure function of the packet id and merged tables stay
     /// shard-independent.
     pub flow_sample_seed: u64,
-    /// Request-channel state bound: exact per-PathId DRR (flat or
-    /// prefix-first) or the constant-memory count-min sketch limiter.
+    /// Request-channel state bound: exact per-PathId DRR or the
+    /// constant-memory count-min sketch limiter.
     pub request_limiter: RequestLimiter,
     /// Per-path byte budget for the sketch limiter, per decay epoch.
     pub sketch_budget_bytes: u64,

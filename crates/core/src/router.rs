@@ -156,7 +156,8 @@ impl TvaRouter {
 
     /// The path-identifier tag for an ingress interface: a pseudo-random
     /// 16-bit value derived from the interface, stable for the router's
-    /// lifetime, never [`PathId::NONE`] (§3.2).
+    /// lifetime, never [`PathId::NONE`] (§3.2). Not distinct: ingresses
+    /// collide like random draws from 2^16 (DESIGN.md §3a).
     pub fn tag_for(&mut self, ingress: ChannelId) -> PathId {
         let seed = self.cfg.secret_seed;
         *self.tags.entry(ingress).or_insert_with(|| {

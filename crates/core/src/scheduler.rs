@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 
 use tva_obs::{FlowClass, FlowSampler, FlowVerdict};
-use tva_sim::{Drr, Enqueued, Hdrr, Pkt, QueueDisc, SimDuration, SimTime};
+use tva_sim::{Drr, Enqueued, Pkt, QueueDisc, SimDuration, SimTime};
 use tva_wire::{Addr, CapPayload, Packet, PathId};
 
 use crate::config::{RegularQueueKey, RequestLimiter, RouterConfig};
@@ -120,25 +120,15 @@ impl tva_obs::Observe for SchedulerStats {
     }
 }
 
-/// The /8-style aggregate of a path identifier: all tags sharing the high
-/// byte (one ingress region's worth of re-tag space) land in one group.
-fn path_prefix(p: &PathId) -> u8 {
-    (p.0 >> 8) as u8
-}
-
 /// The request-channel policing structure, per
-/// [`RouterConfig::request_limiter`]. All three enforce the
-/// same contract — per-path fair shares with bounded router state, demoting
+/// [`RouterConfig::request_limiter`]. Both enforce the
+/// same contract — per-path shares with bounded router state, demoting
 /// (never dropping) what they refuse — at different state/precision
 /// trade-offs.
 enum RequestChannel {
     /// Exact flat DRR over path identifiers (§3.2 verbatim): one queue per
     /// distinct tag, O(distinct tags) state.
     Flat(Drr<PathId>),
-    /// Exact two-level DRR: fair over tag prefixes first, then over full
-    /// tags within a prefix, so a colluder ring fanning requests across k
-    /// tags behind one ingress splits one aggregate share.
-    Prefix(Hdrr<PathId>),
     /// Constant-memory: a count-min sketch polices per-path byte budgets
     /// over a decaying window and admitted requests share one FIFO. No
     /// per-key state at all; over-estimates can only over-police (the
@@ -173,15 +163,6 @@ impl RequestChannel {
                     ReqVerdict::Dropped
                 }
             }
-            RequestChannel::Prefix(h) => {
-                if !h.contains_key(&key) && !h.can_admit_new_key() {
-                    ReqVerdict::Demote(pkt)
-                } else if h.enqueue(key, pkt) {
-                    ReqVerdict::Accepted
-                } else {
-                    ReqVerdict::Dropped
-                }
-            }
             RequestChannel::Sketched { fifo, bytes, cap_bytes, limiter } => {
                 if !limiter.admit(u64::from(key.0), len, now) {
                     ReqVerdict::Demote(pkt)
@@ -199,7 +180,6 @@ impl RequestChannel {
     fn dequeue(&mut self) -> Option<Pkt> {
         match self {
             RequestChannel::Flat(drr) => drr.dequeue(),
-            RequestChannel::Prefix(h) => h.dequeue(),
             RequestChannel::Sketched { fifo, bytes, .. } => {
                 let pkt = fifo.pop_front()?;
                 *bytes -= pkt.wire_len() as u64;
@@ -211,7 +191,6 @@ impl RequestChannel {
     fn len_pkts(&self) -> usize {
         match self {
             RequestChannel::Flat(drr) => drr.len_pkts(),
-            RequestChannel::Prefix(h) => h.len_pkts(),
             RequestChannel::Sketched { fifo, .. } => fifo.len(),
         }
     }
@@ -219,7 +198,6 @@ impl RequestChannel {
     fn len_bytes(&self) -> u64 {
         match self {
             RequestChannel::Flat(drr) => drr.len_bytes(),
-            RequestChannel::Prefix(h) => h.len_bytes(),
             RequestChannel::Sketched { bytes, .. } => *bytes,
         }
     }
@@ -229,7 +207,6 @@ impl RequestChannel {
     fn active_keys(&self) -> usize {
         match self {
             RequestChannel::Flat(drr) => drr.active_queues(),
-            RequestChannel::Prefix(h) => h.active_keys(),
             RequestChannel::Sketched { .. } => 0,
         }
     }
@@ -244,9 +221,6 @@ impl RequestChannel {
         const PER_KEY: usize = 96;
         match self {
             RequestChannel::Flat(drr) => drr.active_queues() * PER_KEY,
-            RequestChannel::Prefix(h) => {
-                h.active_keys() * PER_KEY + h.active_groups() * PER_KEY
-            }
             RequestChannel::Sketched { limiter, .. } => limiter.state_bytes(),
         }
     }
@@ -254,7 +228,6 @@ impl RequestChannel {
     fn audit(&self) -> Result<(), String> {
         match self {
             RequestChannel::Flat(drr) => drr.audit(),
-            RequestChannel::Prefix(h) => h.audit(),
             RequestChannel::Sketched { fifo, bytes, limiter, .. } => {
                 let held: u64 = fifo.iter().map(|p| p.wire_len() as u64).sum();
                 if held != *bytes {
@@ -306,12 +279,6 @@ impl TvaScheduler {
                     cfg.sketch_decay_ms,
                 ),
             },
-            RequestLimiter::Prefix => RequestChannel::Prefix(Hdrr::new(
-                path_prefix,
-                cfg.request_quantum,
-                cfg.per_queue_cap_bytes,
-                cfg.max_request_queues,
-            )),
             RequestLimiter::Flat => RequestChannel::Flat(Drr::new(
                 cfg.request_quantum,
                 cfg.per_queue_cap_bytes,
@@ -953,55 +920,5 @@ mod tests {
             exact.enqueue((request_pkt(path)).into(), now);
         }
         assert!(exact.request_state_bytes() > small, "exact state grows with paths");
-    }
-
-    #[test]
-    fn prefix_drr_contains_a_colluder_ring() {
-        // 16 tags sharing a prefix flood; a lone path under another prefix
-        // sends a little. Flat DRR gives the ring 16/17 of request service;
-        // the hierarchy pins it to ~half.
-        let cfg = RouterConfig {
-            request_limiter: RequestLimiter::Prefix,
-            request_fraction: 0.05,
-            ..cfg()
-        };
-        let mut s = TvaScheduler::new(10_000_000, &cfg);
-        let now = SimTime::ZERO;
-        for tag in 0..16u16 {
-            for _ in 0..20 {
-                s.enqueue((request_pkt(0x0100 | tag)).into(), now);
-            }
-        }
-        for _ in 0..40 {
-            s.enqueue((request_pkt(0x0200)).into(), now);
-        }
-        let (mut ring, mut lone) = (0u32, 0u32);
-        let mut t = now;
-        for _ in 0..80 {
-            loop {
-                if let Some(p) = s.dequeue(t) {
-                    if let Some(CapPayload::Request { entries }) =
-                        p.cap.as_ref().map(|c| &c.payload)
-                    {
-                        if entries[0].path_id.0 & 0xFF00 == 0x0100 {
-                            ring += 1;
-                        } else {
-                            lone += 1;
-                        }
-                    }
-                    break;
-                }
-                t += SimDuration::from_millis(10);
-            }
-        }
-        // Tiny request packets make each quantum a multi-packet burst, so
-        // allow burst-level slack — flat DRR would give the 16-tag ring
-        // 16/17 of service (~75 of 80); the hierarchy must hold it near
-        // half.
-        assert!(
-            ring <= 50 && lone >= 30,
-            "prefix hierarchy must contain the ring near half: ring {ring}, lone {lone}"
-        );
-        s.audit().expect("hierarchical channel accounting clean");
     }
 }

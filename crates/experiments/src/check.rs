@@ -149,11 +149,8 @@ fn scheme_from_str(s: &str) -> Result<Scheme, String> {
         .ok_or_else(|| format!("unknown scheme {s:?}"))
 }
 
-const LIMITERS: [(RequestLimiter, &str); 3] = [
-    (RequestLimiter::Flat, "flat"),
-    (RequestLimiter::Prefix, "prefix"),
-    (RequestLimiter::Sketched, "sketched"),
-];
+const LIMITERS: [(RequestLimiter, &str); 2] =
+    [(RequestLimiter::Flat, "flat"), (RequestLimiter::Sketched, "sketched")];
 
 /// Keys of artifact formats this build no longer replays, rejected by name
 /// (in a config object or the artifact around it) so a stale artifact
@@ -165,6 +162,11 @@ fn reject_retired(obj: &Map<String, Value>) -> Result<(), String> {
         ("clock_cache", opt_bool(obj, "clock_cache"), "the CLOCK flow cache was removed"),
         ("sketched_requests", has("sketched_requests"), one_limiter),
         ("prefix_drr", has("prefix_drr"), one_limiter),
+        (
+            "request_limiter",
+            matches!(obj.get("request_limiter"), Some(Value::String(l)) if l == "prefix"),
+            "the prefix limiter was removed: it measured no better than \"flat\"",
+        ),
         (
             "extras",
             has("extras"),
@@ -542,10 +544,10 @@ pub fn random_config(seed: u64) -> ScenarioConfig {
         // A quarter of runs sample flow records, so the fuzzer also covers
         // the telemetry hooks (sampling must never perturb the simulation).
         flow_sample_n: if chance(&mut rng, 25) { pick(&mut rng, 1, 17) as u32 } else { 0 },
-        // The three request-channel structures each cover a third of
-        // runs: the sketch limiter and prefix-hierarchical DRR carry their
-        // own invariants for the auditors to chew on.
-        request_limiter: LIMITERS[pick(&mut rng, 0, 3) as usize].0,
+        // The two request-channel structures each cover half of runs: the
+        // sketch limiter carries its own invariants for the auditors to
+        // chew on.
+        request_limiter: LIMITERS[pick(&mut rng, 0, 2) as usize].0,
         // Half of runs have the detour, so a bottleneck failure below
         // re-converges through R3 (under attack) instead of partitioning.
         backup_path: chance(&mut rng, 50),
@@ -579,7 +581,7 @@ mod tests {
         // canonical JSON forms instead — equal trees ⇒ equal configs.
         let diamond = ScenarioConfig {
             scheme: Scheme::Siff,
-            request_limiter: RequestLimiter::Prefix,
+            request_limiter: RequestLimiter::Sketched,
             backup_path: true,
             faults: LinkFaults {
                 loss_ppm: 13_000,
@@ -665,6 +667,8 @@ mod tests {
             ("clock_cache", Value::Bool(false), true, false),
             ("sketched_requests", t.clone(), true, true),
             ("prefix_drr", t.clone(), true, true),
+            ("request_limiter", Value::String("prefix".into()), true, true),
+            ("request_limiter", Value::String("sketched".into()), true, false),
             ("extras", Value::Object(Map::new()), false, true),
             ("harness", Value::String("robustness".into()), false, true),
             ("harness", Value::String("scenario".into()), false, false),

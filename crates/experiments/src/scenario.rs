@@ -243,8 +243,8 @@ pub struct ScenarioConfig {
     /// per-prefix attribution table after the run.
     pub flow_sample_n: u32,
     /// TVA request-channel policing on every router: the exact per-path
-    /// key table (flat, the default, or prefix-first) or the
-    /// constant-memory count-min sketch limiter.
+    /// key table (the default) or the constant-memory count-min sketch
+    /// limiter.
     pub request_limiter: RequestLimiter,
     /// Adds a third router R3 and the R1–R3, R3–R2 links (bottleneck
     /// capacity each): a two-hop detour that carries nothing until

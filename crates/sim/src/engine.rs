@@ -7,11 +7,11 @@
 //! that advances them under conservative lookahead (Chandy–Misra style).
 //! One shard — the default — degenerates to the classic single event
 //! loop with no synchronization cost. With more shards, each burns down
-//! its queue to a safe horizon `T_min + L` (`T_min` = the global earliest
-//! pending event, `L` = the minimum cross-shard link delay), cross-shard
-//! arrivals are exchanged in batches at horizon barriers, and scheduled
-//! link events act as global barriers so route reconvergence stays
-//! coherent. See DESIGN.md "Sharded engine".
+//! its queue on its own scoped thread to a safe horizon `T_min + L`
+//! (`T_min` = the global earliest pending event, `L` = the minimum
+//! cross-shard link delay), cross-shard arrivals are exchanged in batches
+//! at horizon barriers, and scheduled link events act as global barriers
+//! so route reconvergence stays coherent. See DESIGN.md "Sharded engine".
 //!
 //! Determinism survives sharding exactly: event keys ([`EventKey`]) are
 //! derived from globally-numbered lanes, every RNG stream is a pure
@@ -262,9 +262,9 @@ pub(crate) fn pack_loc(shard: usize, local: usize) -> u32 {
     ((shard as u32) << LOC_SHIFT) | local as u32
 }
 
-/// Read-only state shared by every shard (and, under `TVA_SHARD_THREADS`,
-/// every worker thread): the address interner and the global→local
-/// location maps. Nothing here mutates after assembly.
+/// Read-only state shared by every shard (and so by every worker thread of
+/// a multi-shard run): the address interner and the global→local location
+/// maps. Nothing here mutates after assembly.
 pub(crate) struct Shared {
     /// Destination-address index assigned at topology build.
     pub interner: AddrInterner,
@@ -793,8 +793,6 @@ pub(crate) struct Global {
     /// Minimum cross-shard link delay — the conservative lookahead bound.
     /// `None` when no channel crosses a shard boundary.
     pub lookahead: Option<SimDuration>,
-    /// Run each horizon round on real threads (`TVA_SHARD_THREADS`).
-    pub threads: bool,
     /// The coordinator clock (equals every shard's clock between runs).
     pub now: SimTime,
     /// Events that crossed a shard boundary through the outboxes.
@@ -853,9 +851,10 @@ impl Simulator {
     ///
     /// With one shard this is the classic sequential loop. With more, the
     /// coordinator repeatedly computes the safe horizon `T_min + L`, lets
-    /// every shard burn down to it independently, exchanges cross-shard
-    /// events, merges buffered traces in key order, and applies any due
-    /// link barrier — producing exactly the single-loop dispatch order.
+    /// every shard burn down to it on its own scoped thread, exchanges
+    /// cross-shard events, merges buffered traces in key order, and applies
+    /// any due link barrier — producing exactly the single-loop dispatch
+    /// order.
     pub fn run_until(&mut self, limit: SimTime) {
         if self.shards.len() == 1 {
             self.run_single(limit);
@@ -929,22 +928,14 @@ impl Simulator {
 
             let buffered = self.global.tracer.is_some();
             let shared = &self.shared;
-            if self.global.threads {
-                std::thread::scope(|scope| {
-                    for shard in &mut self.shards {
-                        scope.spawn(move || {
-                            let mut sink =
-                                if buffered { TraceSink::Buffer } else { TraceSink::Off };
-                            shard.run_below(bound, shared, &mut sink);
-                        });
-                    }
-                });
-            } else {
+            std::thread::scope(|scope| {
                 for shard in &mut self.shards {
-                    let mut sink = if buffered { TraceSink::Buffer } else { TraceSink::Off };
-                    shard.run_below(bound, shared, &mut sink);
+                    scope.spawn(move || {
+                        let mut sink = if buffered { TraceSink::Buffer } else { TraceSink::Off };
+                        shard.run_below(bound, shared, &mut sink);
+                    });
                 }
-            }
+            });
 
             // Exchange cross-shard events. Every outbox entry's time is at
             // least `T_min + L >= bound.time`, so no receiver has passed it.

@@ -14,9 +14,9 @@ use tva_wire::Packet;
 
 /// A simulated network element.
 ///
-/// `Send` because shards may burn down their horizons on worker threads
-/// (`TVA_SHARD_THREADS`); node state is still only ever touched by one
-/// thread at a time.
+/// `Send` because a multi-shard run burns down each horizon on one worker
+/// thread per shard; node state is still only ever touched by one thread
+/// at a time.
 pub trait Node: Any + Send {
     /// Called when a packet arrives at this node on channel `from`.
     fn on_packet(&mut self, pkt: Pkt, from: ChannelId, ctx: &mut dyn Ctx);

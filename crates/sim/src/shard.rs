@@ -3,7 +3,7 @@
 //! The partitioner assigns nodes to shards by chunking a DFS ordering of
 //! the (undirected) link graph: DFS keeps each subtree — and therefore
 //! each shard's working set of node state, channels, and pending events —
-//! contiguous, which is the entire point of sharding on one CPU. Channels
+//! contiguous, so each shard's worker thread stays on its own memory. Channels
 //! are owned by their transmitter's shard, so the only events that ever
 //! cross a shard boundary are deliveries on cross-shard links, whose
 //! propagation delay bounds the conservative lookahead.
@@ -13,7 +13,7 @@
 //! silently collapses to a single shard rather than failing the build.
 
 use crate::engine::{
-    env_flag, pack_loc, Channel, Global, RouteTable, Shard, ShardCore, Shared, Simulator, MAX_SHARDS,
+    pack_loc, Channel, Global, RouteTable, Shard, ShardCore, Shared, Simulator, MAX_SHARDS,
 };
 use crate::event::{EventKey, EventQueue, NodeId};
 use crate::intern::AddrInterner;
@@ -189,7 +189,6 @@ pub(crate) fn assemble(
             tracer: None,
             link_events: Vec::new(),
             lookahead,
-            threads: env_flag("TVA_SHARD_THREADS"),
             now: SimTime::ZERO,
             cross_shard_events: 0,
         },

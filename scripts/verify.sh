@@ -105,7 +105,7 @@ TVA_RESULTS_DIR=target/verify-scale \
 test -s target/verify-scale/scale_metrics.json
 
 echo "==> sharded engine smoke (quick scale on 2 shards, threaded rounds, invariant checker on)"
-TVA_SHARDS=2 TVA_SHARD_THREADS=1 TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-scale-sharded \
+TVA_SHARDS=2 TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-scale-sharded \
   cargo run --release -q -p tva-bench --bin scale -- --quick
 grep -q '"shards": 2' target/verify-scale-sharded/scale.json
 grep -q '"check_violations": 0' target/verify-scale-sharded/scale.json
@@ -132,10 +132,18 @@ test -s target/verify-obs/obs/fig8_TVA_trace.perfetto.json
 cargo run --release -q -p tva-obs --bin obscheck -- \
   target/verify-obs/obs/*.json target/verify-obs/obs/*.jsonl
 
-echo "==> README's knob tables name exactly the TVA_* variables the code reads"
-diff <(git grep -ohE '(env_u64|env_flag|env::var|env::var_os)\("TVA_[A-Z0-9_]+' -- 'crates/*/src/*' |
-         grep -oE 'TVA_[A-Z0-9_]+' | grep -v '^TVA_NODE_TEST_' | sort -u) \
-     <(git grep -ohE 'TVA_[A-Z0-9_]+' -- README.md | sort -u)
+echo "==> README's knob tables name exactly the TVA_* variables the code reads; other docs name no others"
+code_knobs() {
+  git grep -ohE '(env_u64|env_flag|env::var|env::var_os)\("TVA_[A-Z0-9_]+' -- 'crates/*/src/*' |
+    grep -oE 'TVA_[A-Z0-9_]+' | grep -v '^TVA_NODE_TEST_' | sort -u
+}
+diff <(code_knobs) <(git grep -ohE 'TVA_[A-Z0-9_]+' -- README.md | sort -u)
+unread=$(comm -13 <(code_knobs) <(git grep -ohE 'TVA_[A-Z0-9_]+' -- \
+  DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md | sort -u))
+if [ -n "$unread" ]; then
+  echo "verify: FAIL — docs name TVA_* variables no code reads:" $unread
+  exit 1
+fi
 
 echo "==> unsafe inventory (a speed-up must not quietly add intrinsics)"
 diff <(git grep -lw unsafe -- 'crates/*/src/*') - <<'EOF'

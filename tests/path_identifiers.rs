@@ -13,12 +13,14 @@
 //!   forged tag entries, but every trust boundary appends its own tag and
 //!   queuing uses the most recent one, so forgery buys nothing beyond the
 //!   attacker's own ingress.
+//! * How many ingresses share a 16-bit tag, and so a request queue, at the
+//!   fan-out of one scale-tree leaf.
 
 use tva::core::{
-    ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode,
+    ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouter, TvaRouterNode,
     TvaScheduler,
 };
-use tva::sim::{DropTail, NodeId, SimDuration, SimTime, Simulator, TopologyBuilder};
+use tva::sim::{ChannelId, DropTail, NodeId, SimDuration, SimTime, Simulator, TopologyBuilder};
 use tva::transport::{summarize, ClientNode, FloodNode, ServerNode, TcpConfig, TOKEN_START};
 use tva::wire::{
     Addr, CapHeader, CapPayload, CapValue, Grant, Packet, PacketId, PathId, RequestEntry,
@@ -172,4 +174,45 @@ fn forged_path_identifiers_buy_the_attacker_nothing_downstream() {
     let s = run(50, true);
     assert!(s.completion_fraction > 0.99, "fraction {}", s.completion_fraction);
     assert!(s.avg_completion_secs < 0.5, "time {}", s.avg_completion_secs);
+}
+
+#[test]
+fn tags_fill_the_16_bit_space_like_random_draws() {
+    // One leaf of the 1 M-host scale tree has 10 000 ingresses. If the
+    // keyed hash spreads them like uniform draws from 2^16 tags, the
+    // birthday expectation gives the distinct tags, and every tag held by
+    // two ingresses is a request queue they share under `Flat`.
+    const INGRESSES: usize = 10_000;
+    const ROUTERS: u64 = 20;
+    const SPACE: f64 = 65_536.0;
+    let (mut distinct, mut shared) = (0usize, 0usize);
+    for r in 0..ROUTERS {
+        let cfg = RouterConfig { secret_seed: 0x1EAF_0000 + r, ..Default::default() };
+        let mut router = TvaRouter::new(cfg, 1_000_000_000);
+        let mut holders = vec![0u32; 1 << 16];
+        for i in 0..INGRESSES {
+            holders[router.tag_for(ChannelId(i)).0 as usize] += 1;
+        }
+        distinct += holders.iter().filter(|&&n| n > 0).count();
+        shared += holders.iter().filter(|&&n| n > 1).map(|&n| n as usize).sum::<usize>();
+    }
+    let n = INGRESSES as f64;
+    let mean_distinct = distinct as f64 / ROUTERS as f64;
+    let expect_distinct = SPACE * (1.0 - (-n / SPACE).exp());
+    let share = shared as f64 / (n * ROUTERS as f64);
+    let expect_share = 1.0 - (-(n - 1.0) / SPACE).exp();
+    println!(
+        "{INGRESSES} ingresses x {ROUTERS} routers: {mean_distinct:.0} distinct tags \
+         (birthday {expect_distinct:.0}); {:.2} % share a queue (birthday {:.2} %)",
+        share * 100.0,
+        expect_share * 100.0
+    );
+    assert!(
+        (mean_distinct - expect_distinct).abs() < 0.01 * expect_distinct,
+        "mean distinct tags {mean_distinct:.0}, birthday expectation {expect_distinct:.0}"
+    );
+    assert!(
+        (share - expect_share).abs() < 0.01,
+        "shared-queue share {share:.4}, birthday expectation {expect_share:.4}"
+    );
 }
