@@ -53,7 +53,7 @@ pub use trace_audit::{
 use std::path::PathBuf;
 
 use serde_json::{Map, Value};
-use tva_sim::{env_flag, env_u64, SimTime, Simulator, Tracer};
+use tva_sim::{env_flag, SimTime, Simulator, Tracer};
 
 /// Parsed `TVA_CHECK_*` environment configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,25 +62,22 @@ pub struct CheckConfig {
     pub enabled: bool,
     /// Directory for violation artifacts (`TVA_CHECK_DIR`).
     pub dir: PathBuf,
-    /// Structural-audit interval in simulated milliseconds
-    /// (`TVA_CHECK_INTERVAL_MS`, clamped to ≥ 1).
+    /// Structural-audit interval in simulated milliseconds (250).
     pub interval_ms: u64,
-    /// Flight-recorder capacity backing violation artifacts
-    /// (`TVA_CHECK_FLIGHT`, clamped to ≥ 16).
+    /// Flight-recorder capacity backing violation artifacts (4096 events).
     pub flight_events: usize,
 }
 
 impl CheckConfig {
-    /// Reads the `TVA_CHECK_*` variables. With `TVA_CHECK` unset or falsy,
-    /// `enabled` is false and callers must skip all checking work.
+    /// Reads `TVA_CHECK` and `TVA_CHECK_DIR`. With `TVA_CHECK` unset or
+    /// falsy, `enabled` is false and callers must skip all checking work.
     pub fn from_env() -> Self {
         CheckConfig {
             enabled: env_flag("TVA_CHECK"),
             dir: PathBuf::from(
                 std::env::var("TVA_CHECK_DIR").unwrap_or_else(|_| "results/check".into()),
             ),
-            interval_ms: env_u64("TVA_CHECK_INTERVAL_MS", 250).max(1),
-            flight_events: env_u64("TVA_CHECK_FLIGHT", 4096).max(16) as usize,
+            ..Self::enabled_default()
         }
     }
 

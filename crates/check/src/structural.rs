@@ -2,7 +2,7 @@
 //! table integrity, and TVA protocol soundness.
 //!
 //! Run between `run_until` steps (the stepped driver pauses every
-//! `TVA_CHECK_INTERVAL_MS` of simulated time), so state-exhaustion and
+//! `CheckConfig::interval_ms` of simulated time), so state-exhaustion and
 //! ledger-drift bugs are caught *while the run is in the offending state*,
 //! not just if they happen to persist to the end.
 

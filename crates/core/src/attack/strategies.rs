@@ -1,47 +1,29 @@
-//! Strategic adversaries beyond constant-rate flooding.
+//! Attackers that never hold a capability.
 //!
-//! The paper evaluates fixed-rate attackers (§5.1–§5.4); the literature that
-//! followed (NetFence's colluder model, the shrew attack, path-identifier
-//! spoofing from the path-validation survey) shows the interesting failures
-//! come from adversaries that *adapt* — to the transport's timers, to the
-//! fair-queuing granularity, to the flow table's capacity. This module
-//! implements five such strategies as deterministic [`Node`]s:
+//! Every strategy that *acquires* capabilities — the paper's constant
+//! authorized flood and the colluder-ring, shrew, flash-crowd and
+//! identity-churn adversaries the later literature suggests — is one
+//! [`AuthorizedFlooder`](crate::AuthorizedFlooder) on a different
+//! [`Cadence`](crate::Cadence). What remains here attacks the request
+//! channel itself:
 //!
-//! - [`RingFlooder`]: a colluder *ring* — attackers hold capabilities to many
-//!   cooperating destinations behind the bottleneck and flood them
-//!   round-robin in coordinated on/off waves, multiplying the share that
-//!   per-destination fair queuing hands the attack.
-//! - [`PulseFlooder`]: a shrew — short high-rate bursts phase-locked to the
-//!   transport's retransmission timer (`tva-transport`'s 200 ms min RTO /
-//!   1 s initial RTO doubling schedule), spending bytes only when victims
-//!   are trying to recover.
-//! - [`MimicFlooder`]: flash-crowd mimicry — request, transfer a small
-//!   legitimate-looking burst, think, repeat; indistinguishable from an
-//!   eager user at the policy layer.
 //! - [`SpoofedRequestFlooder`]: request-channel exhaustion with forged
-//!   path-identifier entries and a rotating spoofed source pool, aimed at
-//!   the request fair-queuer's key table.
-//! - [`RotatingFlooder`]: identity churn — rotate through spoofed sources,
-//!   re-acquiring capabilities under each (leaked back by a
-//!   [`SpoofColluder`](crate::SpoofColluder)), so every rotation plants a
-//!   fresh flow-table entry at the routers.
+//!   path-identifier entries (the path-validation survey's spoofing
+//!   concern) and a rotating spoofed source pool, aimed at the request
+//!   fair-queuer's key table.
+//! - [`spoofed_identity`]: the source pool it and the rotating-identity
+//!   cadence draw from.
 //!
-//! Every node draws only from its own per-node RNG stream (`ctx.rng()`) and
-//! derives all coordination (wave/pulse phase) from the shared simulation
-//! clock, so sharded runs stay byte-identical — the engine's determinism
-//! contract that the attack-search loop depends on.
+//! The node draws only from its own per-node RNG stream (`ctx.rng()`), so
+//! sharded runs stay byte-identical — the engine's determinism contract
+//! that the attack-search loop depends on.
 
 use std::any::Any;
 
-use tva_sim::{ChannelId, Ctx, Node, SimDuration, SimTime};
-use tva_transport::Shim;
+use tva_sim::{ChannelId, Ctx, Node, SimDuration};
 use tva_wire::{Addr, CapHeader, CapPayload, CapValue, Packet, PathId, RequestEntry};
 
-const TOKEN_EMIT: u64 = 0;
-
-/// Minimum pacing delay: keeps degenerate search parameters (zero-length
-/// waves, absurd rates) from collapsing into a zero-delay timer loop.
-const MIN_ARM: SimDuration = SimDuration::from_nanos(1_000);
+use super::{jittered, MIN_ARM, TOKEN_EMIT};
 
 /// The `k`-th spoofed identity derived from `base`. The XOR lands in the
 /// middle octets so the pool stays inside the attacker's own address block
@@ -51,537 +33,6 @@ const MIN_ARM: SimDuration = SimDuration::from_nanos(1_000);
 pub fn spoofed_identity(base: Addr, k: u32) -> Addr {
     Addr(base.0 ^ ((k & 0xFFFF) << 8))
 }
-
-/// Uniform sample in `[0, 1)` from the node's own deterministic stream.
-fn unit(ctx: &mut dyn Ctx) -> f64 {
-    (ctx.rng().next_u64() >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// `base` scaled by a uniform factor in `[0.5, 1.5)` — the same de-phasing
-/// jitter `FloodNode` and `AuthorizedFlooder` use.
-fn jittered(ctx: &mut dyn Ctx, base: SimDuration) -> SimDuration {
-    let u = unit(ctx);
-    SimDuration::from_nanos((base.as_nanos() as f64 * (0.5 + u)) as u64)
-}
-
-/// The shared request-probe backoff: while unauthorized, probe at a
-/// doubling interval capped at 60 s (so a refused attacker goes quiet
-/// instead of squatting the rate-limited request channel), reset to the
-/// base once capabilities arrive. Mirrors `AuthorizedFlooder` exactly so
-/// the regression test for one covers the idiom used by all.
-struct RequestProber {
-    interval: SimDuration,
-    base: SimDuration,
-    last: Option<SimTime>,
-}
-
-impl RequestProber {
-    fn new() -> Self {
-        let base = SimDuration::from_millis(200);
-        RequestProber { interval: base, base, last: None }
-    }
-
-    fn reset(&mut self) {
-        self.interval = self.base;
-        self.last = None;
-    }
-
-    /// Emits one bare request from `src` to `dst` through `shim` if a probe
-    /// is due; returns the delay until the caller should try again.
-    fn probe(
-        &mut self,
-        ctx: &mut dyn Ctx,
-        shim: &mut dyn Shim,
-        src: Addr,
-        dst: Addr,
-    ) -> SimDuration {
-        let now = ctx.now();
-        if self.last.is_none_or(|t| now.since(t) >= self.interval) {
-            self.last = Some(now);
-            let mut pkt = Packet {
-                id: ctx.alloc_packet_id(),
-                src,
-                dst,
-                cap: None,
-                tcp: None,
-                payload_len: 0,
-            };
-            shim.on_send(&mut pkt, now);
-            ctx.send_new(pkt);
-            // Unanswered so far: back off.
-            self.interval = (self.interval * 2).min(SimDuration::from_secs(60));
-        }
-        self.interval
-    }
-}
-
-/// Drains a shim's outbox through the simulator (fresh packet ids).
-fn drain_outbox(shim: &mut dyn Shim, ctx: &mut dyn Ctx) {
-    for mut out in shim.take_outbox() {
-        out.id = ctx.alloc_packet_id();
-        ctx.send_new(out);
-    }
-}
-
-/// Pacing-timer bookkeeping shared by the strategy nodes: one outstanding
-/// timer at a time (parallel chains would multiply the emission rate), with
-/// an epoch token so a pending backoff-probe wait — which can sit 60 s out —
-/// is superseded the moment capabilities arrive instead of being waited
-/// for. Timers carry the epoch as their token; a bumped epoch makes the
-/// stale timer land dead.
-struct Pacing {
-    armed: bool,
-    probe: bool,
-    epoch: u64,
-}
-
-impl Pacing {
-    fn new() -> Self {
-        Pacing { armed: false, probe: false, epoch: TOKEN_EMIT }
-    }
-
-    /// Arms the single pacing timer; `probe` marks a backoff-probe wait
-    /// that capability arrival may supersede.
-    fn arm(&mut self, ctx: &mut dyn Ctx, delay: SimDuration, probe: bool) {
-        self.armed = true;
-        self.probe = probe;
-        ctx.set_timer(delay.max(MIN_ARM), self.epoch);
-    }
-
-    /// A timer fired: true iff it belongs to the live chain (which is now
-    /// disarmed and should emit).
-    fn fired(&mut self, token: u64) -> bool {
-        if token != self.epoch {
-            return false;
-        }
-        self.armed = false;
-        true
-    }
-
-    /// Capabilities just arrived: invalidate a pending probe wait. Returns
-    /// true if the caller should emit now (no live timer remains).
-    fn preempt_probe(&mut self) -> bool {
-        if self.probe {
-            self.epoch = self.epoch.wrapping_add(1);
-            self.armed = false;
-            self.probe = false;
-        }
-        !self.armed
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Colluder ring
-// ---------------------------------------------------------------------------
-
-/// A colluder-ring member: floods authorized traffic round-robin across
-/// *several* cooperating destinations behind the bottleneck, in coordinated
-/// on/off waves.
-///
-/// Per-destination fair queuing (the paper's fig10 defense) bounds a single
-/// colluder to one destination's share; a ring of `C` colluders claims
-/// `C/(C+1)` of the bottleneck. The wave schedule is computed from the
-/// global simulation clock, so every ring member bursts in the same phase
-/// without exchanging a single coordination packet.
-pub struct RingFlooder {
-    shim: Box<dyn Shim>,
-    local: Addr,
-    targets: Vec<Addr>,
-    rate_bps: u64,
-    payload: u32,
-    wave: SimDuration,
-    on: SimDuration,
-    next_target: usize,
-    prober: RequestProber,
-    pacing: Pacing,
-    /// Authorized packets flooded.
-    pub flooded: u64,
-    /// Authorized bytes emitted.
-    pub flooded_bytes: u64,
-}
-
-impl RingFlooder {
-    /// Creates a ring member at `local` flooding `targets` at `rate_bps`
-    /// through `shim`, active for the first `duty_pct`% of every `wave`.
-    pub fn new(
-        local: Addr,
-        targets: Vec<Addr>,
-        rate_bps: u64,
-        shim: Box<dyn Shim>,
-        wave: SimDuration,
-        duty_pct: u8,
-    ) -> Self {
-        let wave = wave.max(SimDuration::from_millis(10));
-        let duty = f64::from(duty_pct.clamp(1, 100)) / 100.0;
-        let on = SimDuration::from_nanos((wave.as_nanos() as f64 * duty) as u64);
-        RingFlooder {
-            shim,
-            local,
-            targets,
-            rate_bps: rate_bps.max(1),
-            payload: 980,
-            wave,
-            on,
-            next_target: 0,
-            prober: RequestProber::new(),
-            pacing: Pacing::new(),
-            flooded: 0,
-            flooded_bytes: 0,
-        }
-    }
-
-    fn any_ready(&self, now: SimTime) -> bool {
-        self.targets.iter().any(|&t| self.shim.ready_to_send(t, now))
-    }
-
-    fn emit(&mut self, ctx: &mut dyn Ctx) {
-        let now = ctx.now();
-        // Wave phase from the shared clock: every ring member sees the same
-        // schedule, so the bursts coordinate without any traffic.
-        let pos =
-            SimDuration::from_nanos(now.as_nanos() % self.wave.as_nanos().max(1));
-        if pos >= self.on {
-            let d = SimDuration::from_nanos(self.wave.as_nanos() - pos.as_nanos());
-            self.pacing.arm(ctx, d, false);
-            return;
-        }
-        // Probe every target we are not yet authorized toward (one backoff
-        // clock for the lot: the ring grants in one round trip anyway).
-        let unready: Vec<Addr> = self
-            .targets
-            .iter()
-            .copied()
-            .filter(|&t| !self.shim.ready_to_send(t, now))
-            .collect();
-        if !unready.is_empty() {
-            let due =
-                self.prober.last.is_none_or(|t| now.since(t) >= self.prober.interval);
-            let mut delay = self.prober.interval;
-            if due {
-                for (i, t) in unready.into_iter().enumerate() {
-                    if i == 0 {
-                        delay = self.prober.probe(ctx, self.shim.as_mut(), self.local, t);
-                    } else {
-                        // The prober already charged this round's backoff;
-                        // send the remaining probes directly.
-                        let mut pkt = Packet {
-                            id: ctx.alloc_packet_id(),
-                            src: self.local,
-                            dst: t,
-                            cap: None,
-                            tcp: None,
-                            payload_len: 0,
-                        };
-                        self.shim.on_send(&mut pkt, now);
-                        ctx.send_new(pkt);
-                    }
-                }
-            }
-            if !self.any_ready(now) {
-                self.pacing.arm(ctx, delay, true);
-                return;
-            }
-        }
-        // Flood round-robin across the authorized ring members.
-        let ready: Vec<Addr> = self
-            .targets
-            .iter()
-            .copied()
-            .filter(|&t| self.shim.ready_to_send(t, now))
-            .collect();
-        let t = ready[self.next_target % ready.len()];
-        self.next_target = self.next_target.wrapping_add(1);
-        let mut pkt = Packet {
-            id: ctx.alloc_packet_id(),
-            src: self.local,
-            dst: t,
-            cap: None,
-            tcp: None,
-            payload_len: self.payload,
-        };
-        self.shim.on_send(&mut pkt, now);
-        let len = pkt.wire_len();
-        ctx.send_new(pkt);
-        self.flooded += 1;
-        self.flooded_bytes += len as u64;
-        let base = SimDuration::transmission(len, self.rate_bps);
-        let gap = jittered(ctx, base);
-        self.pacing.arm(ctx, gap, false);
-    }
-}
-
-impl Node for RingFlooder {
-    fn on_packet(&mut self, mut pkt: tva_sim::Pkt, _from: ChannelId, ctx: &mut dyn Ctx) {
-        let _ = self.shim.on_receive(&mut pkt, ctx.now());
-        drain_outbox(self.shim.as_mut(), ctx);
-        if self.any_ready(ctx.now()) {
-            self.prober.reset();
-            if self.pacing.preempt_probe() {
-                self.emit(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut dyn Ctx) {
-        if !self.pacing.fired(token) {
-            return;
-        }
-        self.emit(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pulse / shrew
-// ---------------------------------------------------------------------------
-
-/// A pulse (shrew) attacker: floods at a high peak rate for a short burst
-/// once per period, silent otherwise.
-///
-/// With `period` near the transport's retransmission timeout (200 ms min
-/// RTO, 1 s initial, doubling — see `tva-transport::conn`), each burst
-/// arrives exactly when the victims' lost windows are being retransmitted,
-/// re-killing them for a fraction of a constant flood's byte budget. The
-/// burst schedule derives from the simulation clock (`phase` offsets it),
-/// so a cohort of pulse attackers fires in lockstep deterministically.
-pub struct PulseFlooder {
-    shim: Box<dyn Shim>,
-    local: Addr,
-    target: Addr,
-    peak_bps: u64,
-    payload: u32,
-    period: SimDuration,
-    burst: SimDuration,
-    phase: SimDuration,
-    prober: RequestProber,
-    pacing: Pacing,
-    /// Packets flooded within bursts.
-    pub flooded: u64,
-    /// Bytes emitted within bursts.
-    pub flooded_bytes: u64,
-}
-
-impl PulseFlooder {
-    /// Creates a pulse attacker at `local` aimed at `target`, bursting at
-    /// `peak_bps` for `burst` out of every `period`, offset by `phase`.
-    pub fn new(
-        local: Addr,
-        target: Addr,
-        peak_bps: u64,
-        shim: Box<dyn Shim>,
-        period: SimDuration,
-        burst: SimDuration,
-        phase: SimDuration,
-    ) -> Self {
-        let period = period.max(SimDuration::from_millis(10));
-        let burst = burst.max(SimDuration::from_millis(1)).min(period);
-        PulseFlooder {
-            shim,
-            local,
-            target,
-            peak_bps: peak_bps.max(1),
-            payload: 980,
-            period,
-            burst,
-            phase,
-            prober: RequestProber::new(),
-            pacing: Pacing::new(),
-            flooded: 0,
-            flooded_bytes: 0,
-        }
-    }
-
-    fn emit(&mut self, ctx: &mut dyn Ctx) {
-        let now = ctx.now();
-        let p = self.period.as_nanos().max(1);
-        let pos = (now.as_nanos() + self.phase.as_nanos()) % p;
-        if pos >= self.burst.as_nanos() {
-            // Off phase: sleep to the start of the next burst. Silence is
-            // the point — the shrew's average rate stays low.
-            self.pacing.arm(ctx, SimDuration::from_nanos(p - pos), false);
-            return;
-        }
-        if self.shim.ready_to_send(self.target, now) {
-            let mut pkt = Packet {
-                id: ctx.alloc_packet_id(),
-                src: self.local,
-                dst: self.target,
-                cap: None,
-                tcp: None,
-                payload_len: self.payload,
-            };
-            self.shim.on_send(&mut pkt, now);
-            let len = pkt.wire_len();
-            ctx.send_new(pkt);
-            self.flooded += 1;
-            self.flooded_bytes += len as u64;
-            let base = SimDuration::transmission(len, self.peak_bps);
-            let gap = jittered(ctx, base);
-            self.pacing.arm(ctx, gap, false);
-        } else {
-            let delay = self.prober.probe(ctx, self.shim.as_mut(), self.local, self.target);
-            self.pacing.arm(ctx, delay, true);
-        }
-    }
-}
-
-impl Node for PulseFlooder {
-    fn on_packet(&mut self, mut pkt: tva_sim::Pkt, _from: ChannelId, ctx: &mut dyn Ctx) {
-        let _ = self.shim.on_receive(&mut pkt, ctx.now());
-        drain_outbox(self.shim.as_mut(), ctx);
-        if self.shim.ready_to_send(self.target, ctx.now()) {
-            self.prober.reset();
-            if self.pacing.preempt_probe() {
-                self.emit(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut dyn Ctx) {
-        if !self.pacing.fired(token) {
-            return;
-        }
-        self.emit(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Flash-crowd mimicry
-// ---------------------------------------------------------------------------
-
-/// A flash-crowd mimic: requests service like a user, transfers a short
-/// burst, "thinks", and repeats.
-///
-/// At the destination's policy layer this is indistinguishable from an
-/// enthusiastic legitimate client — it stays under any per-sender
-/// misbehavior threshold and earns real grants. The damage comes purely
-/// from aggregate volume: many mimics raise the request load and share the
-/// destination's fair-queuing weight, exactly the flash-crowd ambiguity
-/// the paper concedes capabilities cannot resolve (§9).
-pub struct MimicFlooder {
-    shim: Box<dyn Shim>,
-    local: Addr,
-    target: Addr,
-    rate_bps: u64,
-    payload: u32,
-    burst_bytes: u64,
-    think: SimDuration,
-    sent_in_burst: u64,
-    prober: RequestProber,
-    pacing: Pacing,
-    /// Completed request→burst cycles.
-    pub bursts: u64,
-    /// Total burst bytes emitted.
-    pub flooded_bytes: u64,
-}
-
-impl MimicFlooder {
-    /// Creates a mimic at `local` cycling `burst_bytes`-byte transfers to
-    /// `target` at `rate_bps`, idling a jittered `think` between bursts.
-    pub fn new(
-        local: Addr,
-        target: Addr,
-        rate_bps: u64,
-        shim: Box<dyn Shim>,
-        burst_bytes: u64,
-        think: SimDuration,
-    ) -> Self {
-        MimicFlooder {
-            shim,
-            local,
-            target,
-            rate_bps: rate_bps.max(1),
-            payload: 980,
-            burst_bytes: burst_bytes.max(1),
-            think: think.max(SimDuration::from_millis(10)),
-            sent_in_burst: 0,
-            prober: RequestProber::new(),
-            pacing: Pacing::new(),
-            bursts: 0,
-            flooded_bytes: 0,
-        }
-    }
-
-    fn emit(&mut self, ctx: &mut dyn Ctx) {
-        let now = ctx.now();
-        if !self.shim.ready_to_send(self.target, now) {
-            let delay = self.prober.probe(ctx, self.shim.as_mut(), self.local, self.target);
-            self.pacing.arm(ctx, delay, true);
-            return;
-        }
-        if self.sent_in_burst >= self.burst_bytes {
-            // Burst done: think, then come back for another round.
-            self.sent_in_burst = 0;
-            self.bursts += 1;
-            let delay = jittered(ctx, self.think);
-            self.pacing.arm(ctx, delay, false);
-            return;
-        }
-        let mut pkt = Packet {
-            id: ctx.alloc_packet_id(),
-            src: self.local,
-            dst: self.target,
-            cap: None,
-            tcp: None,
-            payload_len: self.payload,
-        };
-        self.shim.on_send(&mut pkt, now);
-        let len = pkt.wire_len();
-        ctx.send_new(pkt);
-        self.sent_in_burst += len as u64;
-        self.flooded_bytes += len as u64;
-        let base = SimDuration::transmission(len, self.rate_bps);
-        let gap = jittered(ctx, base);
-        self.pacing.arm(ctx, gap, false);
-    }
-}
-
-impl Node for MimicFlooder {
-    fn on_packet(&mut self, mut pkt: tva_sim::Pkt, _from: ChannelId, ctx: &mut dyn Ctx) {
-        let _ = self.shim.on_receive(&mut pkt, ctx.now());
-        drain_outbox(self.shim.as_mut(), ctx);
-        if self.shim.ready_to_send(self.target, ctx.now()) {
-            self.prober.reset();
-            if self.pacing.preempt_probe() {
-                self.emit(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut dyn Ctx) {
-        if !self.pacing.fired(token) {
-            return;
-        }
-        self.emit(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Spoofed-path request storm
-// ---------------------------------------------------------------------------
 
 /// A request-channel exhaustion attacker: floods hand-crafted capability
 /// requests whose entry lists are pre-seeded with *forged* path-identifier
@@ -601,7 +52,6 @@ pub struct SpoofedRequestFlooder {
     src_pool: u32,
     fill: usize,
     seq: u64,
-    pacing_armed: bool,
     /// Forged requests emitted.
     pub requests: u64,
     /// Request bytes emitted.
@@ -620,7 +70,6 @@ impl SpoofedRequestFlooder {
             src_pool: src_pool.max(1),
             fill: fill.min(tva_wire::MAX_PATH_ROUTERS),
             seq: 0,
-            pacing_armed: false,
             requests: 0,
             request_bytes: 0,
         }
@@ -657,7 +106,6 @@ impl SpoofedRequestFlooder {
         self.request_bytes += len as u64;
         let base = SimDuration::transmission(len, self.rate_bps);
         let gap = jittered(ctx, base);
-        self.pacing_armed = true;
         ctx.set_timer(gap.max(MIN_ARM), TOKEN_EMIT);
     }
 }
@@ -668,157 +116,6 @@ impl Node for SpoofedRequestFlooder {
     }
 
     fn on_timer(&mut self, _token: u64, ctx: &mut dyn Ctx) {
-        self.pacing_armed = false;
-        self.emit(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rotating identity
-// ---------------------------------------------------------------------------
-
-/// An identity-churning attacker: floods authorized traffic like
-/// `AuthorizedFlooder`, but rotates its (spoofed) source address every
-/// `rotate` interval, discarding its authorization state and re-acquiring
-/// capabilities under the new identity.
-///
-/// Capabilities bind to the source address, so each rotation forces a fresh
-/// request — and, once granted, a fresh validated flow, planting a new
-/// entry in every router's bounded flow table. With enough attackers
-/// rotating fast enough, the churn contends with legitimate flows for
-/// table slots (the eviction policy's worst case). Under TVA the grants
-/// come back via a [`SpoofColluder`](crate::SpoofColluder) that leaks them
-/// to this node's *real* address.
-pub struct RotatingFlooder {
-    shim: Box<dyn Shim>,
-    local: Addr,
-    target: Addr,
-    rate_bps: u64,
-    payload: u32,
-    rotate: SimDuration,
-    pool: u32,
-    spoof: bool,
-    identity: u32,
-    rotated_at: SimTime,
-    prober: RequestProber,
-    pacing: Pacing,
-    /// Identity rotations performed.
-    pub rotations: u64,
-    /// Authorized packets flooded.
-    pub flooded: u64,
-    /// Authorized bytes emitted.
-    pub flooded_bytes: u64,
-}
-
-impl RotatingFlooder {
-    /// Creates a rotating attacker at `local` flooding `target` at
-    /// `rate_bps` through `shim`, switching among `pool` identities every
-    /// `rotate`. With `spoof` false the node keeps its real source (for
-    /// schemes where replies must route back) and rotation only resets
-    /// authorization state.
-    pub fn new(
-        local: Addr,
-        target: Addr,
-        rate_bps: u64,
-        shim: Box<dyn Shim>,
-        pool: u32,
-        rotate: SimDuration,
-        spoof: bool,
-    ) -> Self {
-        RotatingFlooder {
-            shim,
-            local,
-            target,
-            rate_bps: rate_bps.max(1),
-            payload: 980,
-            rotate: rotate.max(SimDuration::from_millis(10)),
-            pool: pool.max(1),
-            spoof,
-            identity: 0,
-            rotated_at: SimTime::ZERO,
-            prober: RequestProber::new(),
-            pacing: Pacing::new(),
-            rotations: 0,
-            flooded: 0,
-            flooded_bytes: 0,
-        }
-    }
-
-    /// The source address of the current identity.
-    pub fn current_src(&self) -> Addr {
-        if self.spoof {
-            spoofed_identity(self.local, self.identity % self.pool)
-        } else {
-            self.local
-        }
-    }
-
-    fn maybe_rotate(&mut self, now: SimTime) {
-        if now.since(self.rotated_at) < self.rotate {
-            return;
-        }
-        self.rotated_at = now;
-        self.identity = self.identity.wrapping_add(1);
-        self.rotations += 1;
-        // Capabilities were bound to the old source: useless now. Drop them
-        // and probe eagerly under the new identity.
-        self.shim.forget(self.target);
-        self.prober.reset();
-    }
-
-    fn emit(&mut self, ctx: &mut dyn Ctx) {
-        let now = ctx.now();
-        self.maybe_rotate(now);
-        let src = self.current_src();
-        if self.shim.ready_to_send(self.target, now) {
-            let mut pkt = Packet {
-                id: ctx.alloc_packet_id(),
-                src,
-                dst: self.target,
-                cap: None,
-                tcp: None,
-                payload_len: self.payload,
-            };
-            self.shim.on_send(&mut pkt, now);
-            let len = pkt.wire_len();
-            ctx.send_new(pkt);
-            self.flooded += 1;
-            self.flooded_bytes += len as u64;
-            let base = SimDuration::transmission(len, self.rate_bps);
-            let gap = jittered(ctx, base);
-            self.pacing.arm(ctx, gap, false);
-        } else {
-            let delay = self.prober.probe(ctx, self.shim.as_mut(), src, self.target);
-            // Never sleep past the next rotation: churn is the strategy.
-            self.pacing.arm(ctx, delay.min(self.rotate), true);
-        }
-    }
-}
-
-impl Node for RotatingFlooder {
-    fn on_packet(&mut self, mut pkt: tva_sim::Pkt, _from: ChannelId, ctx: &mut dyn Ctx) {
-        let _ = self.shim.on_receive(&mut pkt, ctx.now());
-        drain_outbox(self.shim.as_mut(), ctx);
-        if self.shim.ready_to_send(self.target, ctx.now()) {
-            self.prober.reset();
-            if self.pacing.preempt_probe() {
-                self.emit(ctx);
-            }
-        }
-    }
-
-    fn on_timer(&mut self, token: u64, ctx: &mut dyn Ctx) {
-        if !self.pacing.fired(token) {
-            return;
-        }
         self.emit(ctx);
     }
 

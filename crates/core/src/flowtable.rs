@@ -442,7 +442,7 @@ mod tests {
 
     #[test]
     fn churn_at_capacity_reclaims_only_expired_and_keeps_the_index_bijective() {
-        // An identity-churning attacker (RotatingFlooder) plants a fresh
+        // An identity-churning attacker (`Cadence::Rotating`) plants a fresh
         // flow per rotation against a full table. Drive rapid create/expire
         // cycles and check, at every step, that the `entries` ↔ `by_expiry`
         // invariant the reclaim path depends on never desynchronizes.

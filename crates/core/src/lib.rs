@@ -21,8 +21,11 @@
 //!   fine-grained (N, T) budgets, router-cache modeling, renewal, demotion
 //!   echo and re-acquisition.
 //!
-//! [`attack::AuthorizedFlooder`] models the strategic adversaries of
-//! §5.3–§5.4 for the evaluation harness.
+//! [`attack::AuthorizedFlooder`] models the authorized-flood adversary of
+//! §5.3–§5.4 for the evaluation harness; its [`attack::Cadence`] turns it
+//! into the strategic variants (colluder ring, shrew, flash-crowd mimicry,
+//! identity churn). [`attack::strategies`] holds the request-channel
+//! attacker that never holds a capability.
 //!
 //! ## Quick tour
 //!
@@ -57,11 +60,8 @@ pub mod scheduler;
 pub mod shim;
 pub mod sketch;
 
-pub use attack::strategies::{
-    spoofed_identity, MimicFlooder, PulseFlooder, RingFlooder, RotatingFlooder,
-    SpoofedRequestFlooder,
-};
-pub use attack::{AuthorizedFlooder, SpoofColluder};
+pub use attack::strategies::{spoofed_identity, SpoofedRequestFlooder};
+pub use attack::{AuthorizedFlooder, Cadence, SpoofColluder};
 pub use capability::{expired, mint_cap, mint_precap, validate_cap, validate_precap, CapError};
 pub use config::{HostConfig, RegularQueueKey, RequestLimiter, RouterConfig};
 pub use flowtable::{Charge, FlowEntry, FlowTable};

@@ -1,9 +1,10 @@
 //! Behavioral tests for the adversary models themselves: the authorized
-//! flooder's lifecycle (request → flood → renew → give up) and the window
-//! scheduling used by Figure 11's staged attacks.
+//! flooder's lifecycle (request → flood → renew → give up), the window
+//! scheduling used by Figure 11's staged attacks, and the request backoff
+//! every cadence shares.
 
 use tva_core::{
-    AllowAll, AuthorizedFlooder, GrantPolicy, HostConfig, RequestInfo, RouterConfig,
+    AllowAll, AuthorizedFlooder, Cadence, GrantPolicy, HostConfig, RequestInfo, RouterConfig,
     TvaHostShim, TvaRouterNode, TvaScheduler,
 };
 use tva_sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
@@ -27,9 +28,10 @@ impl GrantPolicy for GrantWindow {
     }
 }
 
-/// One attacker, one TVA router, one always-granting colluder.
+/// One attacker flooding on `cadence`, one TVA router, one always-granting
+/// colluder.
 fn build(
-    window: Option<(SimTime, SimTime)>,
+    cadence: Cadence,
     grant: Grant,
 ) -> (
     tva_sim::Simulator,
@@ -38,13 +40,13 @@ fn build(
     tva_sim::NodeId,
     tva_sim::LinkHandle,
 ) {
-    build_with_policy(window, grant, Box::new(AllowAll { grant }))
+    build_with_policy(cadence, grant, Box::new(AllowAll { grant }))
 }
 
 /// Same topology as [`build`], but the colluder decides requests with an
 /// arbitrary policy (used to exercise the refused-attacker probe path).
 fn build_with_policy(
-    window: Option<(SimTime, SimTime)>,
+    cadence: Cadence,
     grant: Grant,
     policy: Box<dyn GrantPolicy>,
 ) -> (
@@ -72,10 +74,7 @@ fn build_with_policy(
         )),
     )));
     t.bind_addr(colluder, COLLUDER);
-    let mut flooder = AuthorizedFlooder::new(ATTACKER, COLLUDER, 1_000_000);
-    if let Some((s, e)) = window {
-        flooder = flooder.with_window(s, e);
-    }
+    let flooder = AuthorizedFlooder::new(ATTACKER, COLLUDER, 1_000_000).with_cadence(cadence);
     let attacker = t.add_node(Box::new(flooder));
     t.bind_addr(attacker, ATTACKER);
     let d = SimDuration::from_millis(5);
@@ -101,7 +100,7 @@ fn build_with_policy(
 
 #[test]
 fn flooder_acquires_caps_then_floods_at_rate() {
-    let (mut sim, attacker, colluder, _, _) = build(None, Grant::from_parts(1023, 10));
+    let (mut sim, attacker, colluder, _, _) = build(Cadence::Always, Grant::from_parts(1023, 10));
     sim.kick(attacker, 0);
     sim.run_until(SimTime::from_secs(20));
     let f = sim.node::<AuthorizedFlooder>(attacker);
@@ -117,10 +116,8 @@ fn flooder_acquires_caps_then_floods_at_rate() {
 
 #[test]
 fn flooder_respects_its_window() {
-    let (mut sim, attacker, _, _, up) = build(
-        Some((SimTime::from_secs(5), SimTime::from_secs(8))),
-        Grant::from_parts(1023, 10),
-    );
+    let window = Cadence::Window { start: SimTime::from_secs(5), end: SimTime::from_secs(8) };
+    let (mut sim, attacker, _, _, up) = build(window, Grant::from_parts(1023, 10));
     sim.kick(attacker, 0);
     // Nothing before the window (requests included: attackers stay quiet).
     sim.run_until(SimTime::from_secs(4));
@@ -143,7 +140,7 @@ fn flooder_is_throttled_by_small_grants() {
     // the attacker's 1 Mb/s line rate. The attacker may *emit* more —
     // everything past the budget is demoted to legacy priority, harmless
     // under contention.
-    let (mut sim, attacker, _, router, _) = build(None, Grant::from_parts(32, 10));
+    let (mut sim, attacker, _, router, _) = build(Cadence::Always, Grant::from_parts(32, 10));
     sim.kick(attacker, 0);
     sim.run_until(SimTime::from_secs(20));
     let r = sim.node::<TvaRouterNode>(router);
@@ -157,6 +154,20 @@ fn flooder_is_throttled_by_small_grants() {
     assert!(f.flooded_bytes >= admitted, "emission includes the demoted excess");
 }
 
+/// One of each cadence, with a gate that never closes within these tests'
+/// horizons: whatever a cadence adds, the request backoff underneath is
+/// shared.
+fn open_cadences() -> [Cadence; 5] {
+    let secs = SimDuration::from_secs;
+    [
+        Cadence::Always,
+        Cadence::Window { start: SimTime::ZERO, end: SimTime::from_secs(1_000_000) },
+        Cadence::Periodic { period: secs(1), on: secs(1), phase: SimDuration::ZERO },
+        Cadence::Bursts { bytes: u64::MAX, think: secs(1) },
+        Cadence::Rotating { pool: 1, every: secs(1_000_000), spoof: false },
+    ]
+}
+
 #[test]
 fn refused_flooder_backs_off_probes_to_the_cap() {
     // The colluder never grants, so the only packets on the wire are the
@@ -165,23 +176,26 @@ fn refused_flooder_backs_off_probes_to_the_cap() {
     // doubles after every unanswered probe), then one every 60 s (the cap).
     let grant = Grant::from_parts(1023, 10);
     let never = SimTime::from_secs(1_000_000);
-    let (mut sim, attacker, _, _, up) = build_with_policy(
-        None,
-        grant,
-        Box::new(GrantWindow { open: never, close: never, grant }),
-    );
-    sim.kick(attacker, 0);
-    sim.run_until(SimTime::from_secs(180));
-    let early = sim.channel(up.ab).stats.tx_pkts;
-    sim.run_until(SimTime::from_secs(300));
-    let late = sim.channel(up.ab).stats.tx_pkts;
-    // 8 doubling probes + capped probes at 110.8 and 170.8 s = 10 by 180 s.
-    // A flooder that forgot to back off would send ~900 (one per 200 ms).
-    assert_eq!(early, 10, "doubling backoff: 10 probes in the first 180 s");
-    // Once capped, exactly one probe per 60 s: 230.8 and 290.8 s.
-    assert_eq!(late - early, 2, "capped backoff: two probes per 120 s window");
-    let f = sim.node::<AuthorizedFlooder>(attacker);
-    assert_eq!(f.flooded_bytes, 0, "never authorized, never floods");
+    for cadence in open_cadences() {
+        let (mut sim, attacker, _, _, up) = build_with_policy(
+            cadence,
+            grant,
+            Box::new(GrantWindow { open: never, close: never, grant }),
+        );
+        sim.kick(attacker, 0);
+        sim.run_until(SimTime::from_secs(180));
+        let early = sim.channel(up.ab).stats.tx_pkts;
+        sim.run_until(SimTime::from_secs(300));
+        let late = sim.channel(up.ab).stats.tx_pkts;
+        // 8 doubling probes + capped probes at 110.8 and 170.8 s = 10 by
+        // 180 s. A flooder that forgot to back off would send ~900 (one per
+        // 200 ms).
+        assert_eq!(early, 10, "{cadence:?}: 10 probes in the first 180 s");
+        // Once capped, exactly one probe per 60 s: 230.8 and 290.8 s.
+        assert_eq!(late - early, 2, "{cadence:?}: two probes per 120 s window");
+        let f = sim.node::<AuthorizedFlooder>(attacker);
+        assert_eq!(f.flooded_bytes, 0, "{cadence:?}: never authorized, never floods");
+    }
 }
 
 #[test]
@@ -192,33 +206,55 @@ fn backoff_resets_when_capabilities_arrive() {
     // probing must restart from the 200 ms base — not from the capped 60 s
     // interval it had reached before the grant.
     let grant = Grant::from_parts(1023, 10);
-    let (mut sim, attacker, _, _, up) = build_with_policy(
-        None,
-        grant,
-        Box::new(GrantWindow {
-            open: SimTime::from_secs(30),
-            close: SimTime::from_secs(60),
+    for cadence in open_cadences() {
+        let (mut sim, attacker, _, _, up) = build_with_policy(
+            cadence,
             grant,
-        }),
-    );
-    sim.kick(attacker, 0);
-    sim.run_until(SimTime::from_secs(66));
-    let f = sim.node::<AuthorizedFlooder>(attacker);
-    assert!(
-        f.flooded_bytes > 500_000,
-        "the 50.8 s probe is granted and the flood runs, got {} bytes",
-        f.flooded_bytes
-    );
-    // After the capabilities lapse (≤ ~70 s) only probes remain. With the
-    // interval reset on arrival, the restarted chain puts 2–5 probes in
-    // (74, 100]; stuck at the 60 s cap it would put none before ~130 s.
-    sim.run_until(SimTime::from_secs(74));
-    let a = sim.channel(up.ab).stats.tx_pkts;
-    sim.run_until(SimTime::from_secs(100));
-    let b = sim.channel(up.ab).stats.tx_pkts;
-    assert!(
-        (2..=6).contains(&(b - a)),
-        "reset backoff re-probes from the base interval, got {} probes",
-        b - a
-    );
+            Box::new(GrantWindow {
+                open: SimTime::from_secs(30),
+                close: SimTime::from_secs(60),
+                grant,
+            }),
+        );
+        sim.kick(attacker, 0);
+        sim.run_until(SimTime::from_secs(66));
+        let f = sim.node::<AuthorizedFlooder>(attacker);
+        assert!(
+            f.flooded_bytes > 500_000,
+            "{cadence:?}: the 50.8 s probe is granted and the flood runs, got {} bytes",
+            f.flooded_bytes
+        );
+        // After the capabilities lapse (≤ ~70 s) only probes remain. With
+        // the interval reset on arrival, the restarted chain puts 2–5
+        // probes in (74, 100]; stuck at the 60 s cap it would put none
+        // before ~130 s.
+        sim.run_until(SimTime::from_secs(74));
+        let a = sim.channel(up.ab).stats.tx_pkts;
+        sim.run_until(SimTime::from_secs(100));
+        let b = sim.channel(up.ab).stats.tx_pkts;
+        assert!(
+            (2..=6).contains(&(b - a)),
+            "{cadence:?}: reset backoff re-probes from the base interval, got {} probes",
+            b - a
+        );
+    }
+}
+
+#[test]
+fn open_cadences_flood_like_always() {
+    // A gate that never closes must be invisible: the same packets, the
+    // same events, the same RNG draws as the plain flood.
+    let run = |cadence: Cadence| {
+        let (mut sim, attacker, _, _, up) = build(cadence, Grant::from_parts(1023, 10));
+        sim.kick(attacker, 0);
+        sim.run_until(SimTime::from_secs(20));
+        let wire = &sim.channel(up.ab).stats;
+        let f = sim.node::<AuthorizedFlooder>(attacker);
+        (wire.tx_pkts, wire.tx_bytes, sim.events_processed(), f.flooded_bytes)
+    };
+    let always = run(Cadence::Always);
+    assert!(always.3 > 0, "the reference flood must run");
+    for cadence in open_cadences() {
+        assert_eq!(run(cadence), always, "{cadence:?} must flood exactly like Always");
+    }
 }

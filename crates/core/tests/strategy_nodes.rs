@@ -1,11 +1,12 @@
-//! Behavioral tests for the strategic adversaries: wave gating and
+//! Behavioral tests for the strategic adversaries — the authorized
+//! flooder's cadences plus the forged request storm: wave gating and
 //! round-robin spraying (colluder ring), off-phase silence (shrew pulse),
 //! burst/think cycling (flash-crowd mimicry), forged request storms, and
 //! identity churn with authorization-state forgetting.
 
 use tva_core::{
-    AllowAll, HostConfig, MimicFlooder, PulseFlooder, RingFlooder, RotatingFlooder,
-    RouterConfig, SpoofedRequestFlooder, TvaHostShim, TvaRouterNode, TvaScheduler,
+    AllowAll, AuthorizedFlooder, Cadence, HostConfig, RouterConfig, SpoofedRequestFlooder,
+    TvaHostShim, TvaRouterNode, TvaScheduler,
 };
 use tva_sim::{DropTail, Node, SimDuration, SimTime, TopologyBuilder};
 use tva_transport::{NullShim, ServerNode, Shim, TcpConfig};
@@ -86,18 +87,18 @@ fn build(
 fn ring_flooder_sprays_every_target_and_respects_its_wave() {
     // 500 ms waves at 50% duty: the flood must reach both ring members
     // (round-robin) while emitting roughly half of an always-on budget.
-    let node = RingFlooder::new(
-        ATTACKER,
-        vec![T1, T2],
-        4_000_000,
-        tva_shim(ATTACKER),
-        SimDuration::from_millis(500),
-        50,
-    );
+    let wave = Cadence::Periodic {
+        period: SimDuration::from_millis(500),
+        on: SimDuration::from_millis(250),
+        phase: SimDuration::ZERO,
+    };
+    let node = AuthorizedFlooder::with_shim(ATTACKER, T1, 4_000_000, tva_shim(ATTACKER))
+        .with_targets(vec![T1, T2])
+        .with_cadence(wave);
     let (mut sim, attacker, _, _, down) = build(Box::new(node), &[T1, T2]);
     sim.kick(attacker, 0);
     sim.run_until(SimTime::from_secs(10));
-    let f = sim.node::<RingFlooder>(attacker);
+    let f = sim.node::<AuthorizedFlooder>(attacker);
     assert!(f.flooded > 0, "ring member must acquire capabilities and flood");
     for l in &down {
         assert!(
@@ -106,7 +107,7 @@ fn ring_flooder_sprays_every_target_and_respects_its_wave() {
         );
     }
     // Always-on at 4 Mb/s for 10 s would be ~5 MB; 50% duty halves it.
-    let f = sim.node::<RingFlooder>(attacker);
+    let f = sim.node::<AuthorizedFlooder>(attacker);
     assert!(
         (1_000_000..3_800_000).contains(&f.flooded_bytes),
         "wave gating bounds the emission, got {} bytes",
@@ -118,19 +119,17 @@ fn ring_flooder_sprays_every_target_and_respects_its_wave() {
 fn pulse_flooder_is_silent_off_phase() {
     // 100 ms bursts once per second at 10 Mb/s peak: ~1.25 MB over 10 s.
     // An attacker that ignored the phase would emit ~12.5 MB.
-    let node = PulseFlooder::new(
-        ATTACKER,
-        T1,
-        10_000_000,
-        Box::new(NullShim),
-        SimDuration::from_millis(1000),
-        SimDuration::from_millis(100),
-        SimDuration::ZERO,
-    );
+    let pulse = Cadence::Periodic {
+        period: SimDuration::from_millis(1000),
+        on: SimDuration::from_millis(100),
+        phase: SimDuration::ZERO,
+    };
+    let node = AuthorizedFlooder::with_shim(ATTACKER, T1, 10_000_000, Box::new(NullShim))
+        .with_cadence(pulse);
     let (mut sim, attacker, _, _, _) = build(Box::new(node), &[T1]);
     sim.kick(attacker, 0);
     sim.run_until(SimTime::from_secs(10));
-    let f = sim.node::<PulseFlooder>(attacker);
+    let f = sim.node::<AuthorizedFlooder>(attacker);
     assert!(
         (400_000..3_000_000).contains(&f.flooded_bytes),
         "10% duty cycle bounds the pulse budget, got {} bytes",
@@ -140,18 +139,13 @@ fn pulse_flooder_is_silent_off_phase() {
 
 #[test]
 fn mimic_flooder_cycles_bursts_and_thinks() {
-    let node = MimicFlooder::new(
-        ATTACKER,
-        T1,
-        8_000_000,
-        Box::new(NullShim),
-        64 * 1024,
-        SimDuration::from_millis(500),
-    );
+    let bursts = Cadence::Bursts { bytes: 64 * 1024, think: SimDuration::from_millis(500) };
+    let node = AuthorizedFlooder::with_shim(ATTACKER, T1, 8_000_000, Box::new(NullShim))
+        .with_cadence(bursts);
     let (mut sim, attacker, _, _, _) = build(Box::new(node), &[T1]);
     sim.kick(attacker, 0);
     sim.run_until(SimTime::from_secs(10));
-    let f = sim.node::<MimicFlooder>(attacker);
+    let f = sim.node::<AuthorizedFlooder>(attacker);
     // ~65 ms per 64 KB burst + ~500 ms think ≈ 0.57 s per cycle.
     assert!(
         (8..=30).contains(&f.bursts),
@@ -193,19 +187,13 @@ fn rotating_flooder_churns_identities_and_rebootstraps() {
     // Real source (the SIFF-style no-spoof mode) so replies route back;
     // rotation still drops authorization state via Shim::forget, forcing a
     // fresh request per identity.
-    let node = RotatingFlooder::new(
-        ATTACKER,
-        T1,
-        2_000_000,
-        tva_shim(ATTACKER),
-        8,
-        SimDuration::from_millis(1000),
-        false,
-    );
+    let churn = Cadence::Rotating { pool: 8, every: SimDuration::from_millis(1000), spoof: false };
+    let node = AuthorizedFlooder::with_shim(ATTACKER, T1, 2_000_000, tva_shim(ATTACKER))
+        .with_cadence(churn);
     let (mut sim, attacker, router, _, _) = build(Box::new(node), &[T1]);
     sim.kick(attacker, 0);
     sim.run_until(SimTime::from_secs(10));
-    let f = sim.node::<RotatingFlooder>(attacker);
+    let f = sim.node::<AuthorizedFlooder>(attacker);
     assert!(
         (8..=12).contains(&f.rotations),
         "one rotation per second, got {}",

@@ -27,8 +27,9 @@
 //! (attacking hosts).
 
 use rand::rngs::SmallRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
+use crate::check::pick;
 use crate::figrun::{results_dir, write_json};
 use crate::report::{table, write_tsv};
 use crate::scenario::{run_inspect, Attack, ScenarioConfig, Scheme};
@@ -121,11 +122,6 @@ pub fn attack_params(attack: Attack) -> String {
         }
         _ => String::from("-"),
     }
-}
-
-fn pick(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
-    debug_assert!(lo < hi);
-    lo + rng.next_u64() % (hi - lo)
 }
 
 /// Draws one parameterization of `strategy` from `rng`. Ranges bracket the

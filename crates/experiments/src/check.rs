@@ -465,7 +465,8 @@ pub fn replay(artifact: &Artifact, check: &CheckConfig) -> Vec<String> {
 // ---------------------------------------------------------------------------
 // The fuzzer's configuration generator.
 
-fn pick(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
+/// A draw in `[lo, hi)`; the attack search's parameter sampler shares it.
+pub(crate) fn pick(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
     debug_assert!(lo < hi);
     lo + rng.next_u64() % (hi - lo)
 }

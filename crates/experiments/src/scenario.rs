@@ -26,9 +26,9 @@ use tva_baselines::{
     SiffScheduler, SiffShim,
 };
 use tva_core::{
-    AllowAll, AuthorizedFlooder, ClientPolicy, GrantPolicy, HostConfig, MimicFlooder,
-    PulseFlooder, RequestLimiter, RingFlooder, RotatingFlooder, RouterConfig, ServerPolicy,
-    SpoofColluder, SpoofedRequestFlooder, TvaHostShim, TvaRouterNode, TvaScheduler,
+    AllowAll, AuthorizedFlooder, Cadence, ClientPolicy, GrantPolicy, HostConfig, RequestLimiter,
+    RouterConfig, ServerPolicy, SpoofColluder, SpoofedRequestFlooder, TvaHostShim, TvaRouterNode,
+    TvaScheduler,
 };
 use tva_sim::{
     DropTail, DutyCycleOutage, Impairments, LinkHandle, Node, NodeId, QueueDisc, SimDuration,
@@ -349,6 +349,28 @@ pub fn ring_addr(j: usize) -> Addr {
     Addr::new(10, 0, 1, (j % 200) as u8 + 1)
 }
 
+/// A §5.1 attacker: legacy data packets at the destination.
+fn legacy_flood(addr: Addr, rate: u64) -> Box<dyn Node> {
+    flood(rate, addr, None, 980)
+}
+
+/// A §5.2 attacker: request packets at the destination, padded toward
+/// 1000 B so the byte rate matches the paper's 1 Mb/s without inflating
+/// the event count (documented in EXPERIMENTS.md).
+fn request_flood(addr: Addr, rate: u64) -> Box<dyn Node> {
+    flood(rate, addr, Some(CapHeader::request()), 960)
+}
+
+fn flood(rate: u64, src: Addr, cap: Option<CapHeader>, payload_len: u32) -> Box<dyn Node> {
+    Box::new(FloodNode::new(
+        rate,
+        Box::new(move |_now, _seq| {
+            let cap = cap.clone();
+            Some(Packet { id: PacketId(0), src, dst: DEST, cap, tcp: None, payload_len })
+        }),
+    ))
+}
+
 const ACCESS_BPS: u64 = 100_000_000;
 const LINK_DELAY: SimDuration = SimDuration::from_millis(10);
 const HOST_QUEUE: u64 = 1 << 20;
@@ -596,106 +618,43 @@ impl<'a> Builder<'a> {
 
     fn add_attackers(&mut self) {
         let cfg = self.cfg;
-        let start = cfg.attack_start;
+        let (start, rate) = (cfg.attack_start, cfg.attacker_rate_bps);
+        let ms = |n: u32| SimDuration::from_millis(u64::from(n));
         for i in 0..cfg.n_attackers {
             let addr = attacker_addr(i);
-            let node: NodeId = match cfg.attack {
+            let node: Box<dyn Node> = match cfg.attack {
                 Attack::None => break,
-                Attack::LegacyFlood => self.topo.add_node(Box::new(FloodNode::new(
-                    cfg.attacker_rate_bps,
-                    Box::new(move |_now, _seq| {
-                        Some(Packet {
-                            id: PacketId(0),
-                            src: addr,
-                            dst: DEST,
-                            cap: None,
-                            tcp: None,
-                            payload_len: 980,
-                        })
-                    }),
-                ))),
-                Attack::RequestFlood => {
-                    // Request packets padded toward 1000 B so the byte rate
-                    // matches the paper's 1 Mb/s without inflating the
-                    // event count (documented in EXPERIMENTS.md).
-                    self.topo.add_node(Box::new(FloodNode::new(
-                        cfg.attacker_rate_bps,
-                        Box::new(move |_now, _seq| {
-                            Some(Packet {
-                                id: PacketId(0),
-                                src: addr,
-                                dst: DEST,
-                                cap: Some(CapHeader::request()),
-                                tcp: None,
-                                payload_len: 960,
-                            })
-                        }),
-                    )))
-                }
-                Attack::AuthorizedColluder => {
-                    let flooder = self.authorized_flooder(addr, COLLUDER, None);
-                    self.topo.add_node(flooder)
-                }
+                Attack::LegacyFlood => legacy_flood(addr, rate),
+                Attack::RequestFlood => request_flood(addr, rate),
                 Attack::Combined => match i % 3 {
-                    0 => self.topo.add_node(Box::new(FloodNode::new(
-                        cfg.attacker_rate_bps,
-                        Box::new(move |_now, _seq| {
-                            Some(Packet {
-                                id: PacketId(0),
-                                src: addr,
-                                dst: DEST,
-                                cap: None,
-                                tcp: None,
-                                payload_len: 980,
-                            })
-                        }),
-                    ))),
-                    1 => self.topo.add_node(Box::new(FloodNode::new(
-                        cfg.attacker_rate_bps,
-                        Box::new(move |_now, _seq| {
-                            Some(Packet {
-                                id: PacketId(0),
-                                src: addr,
-                                dst: DEST,
-                                cap: Some(CapHeader::request()),
-                                tcp: None,
-                                payload_len: 960,
-                            })
-                        }),
-                    ))),
-                    _ => {
-                        let flooder = self.authorized_flooder(addr, COLLUDER, None);
-                        self.topo.add_node(flooder)
-                    }
+                    0 => legacy_flood(addr, rate),
+                    1 => request_flood(addr, rate),
+                    _ => self.flooder(addr, COLLUDER, rate, Cadence::Always),
                 },
+                Attack::SpoofedRequestStorm { src_pool, fill } => {
+                    let pool = u32::from(src_pool);
+                    Box::new(SpoofedRequestFlooder::new(addr, DEST, rate, pool, fill as usize))
+                }
+                Attack::AuthorizedColluder => self.flooder(addr, COLLUDER, rate, Cadence::Always),
                 Attack::ImpreciseAllAtOnce => {
-                    let flooder = self.authorized_flooder(
-                        addr,
-                        DEST,
-                        Some((start, cfg.duration)),
-                    );
-                    self.topo.add_node(flooder)
+                    let window = Cadence::Window { start, end: cfg.duration };
+                    self.flooder(addr, DEST, rate, window)
                 }
                 Attack::ImpreciseStaged { groups, wave_secs } => {
-                    let per_group = cfg.n_attackers.div_ceil(groups);
-                    let g = (i / per_group) as u64;
+                    let g = (i / cfg.n_attackers.div_ceil(groups)) as u64;
                     let w_start = start + SimDuration::from_secs(g * wave_secs);
-                    let w_end = w_start + SimDuration::from_secs(wave_secs);
-                    let flooder = self.authorized_flooder(addr, DEST, Some((w_start, w_end)));
-                    self.topo.add_node(flooder)
+                    let end = w_start + SimDuration::from_secs(wave_secs);
+                    self.flooder(addr, DEST, rate, Cadence::Window { start: w_start, end })
                 }
                 Attack::ColluderRing { ring, wave_ms, duty_pct } => {
-                    let targets: Vec<Addr> =
-                        (0..ring.max(1) as usize).map(ring_addr).collect();
-                    let shim = self.attacker_shim(addr);
-                    self.topo.add_node(Box::new(RingFlooder::new(
-                        addr,
-                        targets,
-                        cfg.attacker_rate_bps,
-                        shim,
-                        SimDuration::from_millis(u64::from(wave_ms)),
-                        duty_pct,
-                    )))
+                    // Waves run on the shared clock (phase 0), so the ring
+                    // members burst together without coordination traffic.
+                    let period = ms(wave_ms).max(SimDuration::from_millis(10));
+                    let duty = f64::from(duty_pct.clamp(1, 100)) / 100.0;
+                    let on = SimDuration::from_nanos((period.as_nanos() as f64 * duty) as u64);
+                    let wave = Cadence::Periodic { period, on, phase: SimDuration::ZERO };
+                    let ring_addrs = (0..ring.max(1) as usize).map(ring_addr).collect();
+                    Box::new(self.flooder(addr, ring_addr(0), rate, wave).with_targets(ring_addrs))
                 }
                 Attack::PulseShrew { period_ms, burst_ms, phase_ms } => {
                     // Concentrate the constant flood's byte budget into the
@@ -703,61 +662,28 @@ impl<'a> Builder<'a> {
                     // access-link rate (which silently lowers the average
                     // for extreme duty cycles — the report scores observed
                     // wire bytes, not the nominal budget).
-                    let period = u64::from(period_ms.max(10));
-                    let burst = u64::from(burst_ms).clamp(1, period);
-                    let peak = cfg
-                        .attacker_rate_bps
-                        .saturating_mul(period)
-                        .checked_div(burst)
-                        .unwrap_or(cfg.attacker_rate_bps)
+                    let period = period_ms.max(10);
+                    let burst = burst_ms.clamp(1, period);
+                    let peak = (rate.saturating_mul(u64::from(period)) / u64::from(burst))
                         .min(ACCESS_BPS);
-                    let shim = self.attacker_shim(addr);
-                    self.topo.add_node(Box::new(PulseFlooder::new(
-                        addr,
-                        COLLUDER,
-                        peak,
-                        shim,
-                        SimDuration::from_millis(period),
-                        SimDuration::from_millis(burst),
-                        SimDuration::from_millis(u64::from(phase_ms)),
-                    )))
+                    let (period, on, phase) = (ms(period), ms(burst), ms(phase_ms));
+                    self.flooder(addr, COLLUDER, peak, Cadence::Periodic { period, on, phase })
                 }
                 Attack::FlashMimicry { burst_kb, think_ms } => {
-                    let shim = self.attacker_shim(addr);
-                    self.topo.add_node(Box::new(MimicFlooder::new(
-                        addr,
-                        DEST,
-                        cfg.attacker_rate_bps,
-                        shim,
-                        u64::from(burst_kb.max(1)) * 1024,
-                        SimDuration::from_millis(u64::from(think_ms)),
-                    )))
-                }
-                Attack::SpoofedRequestStorm { src_pool, fill } => {
-                    self.topo.add_node(Box::new(SpoofedRequestFlooder::new(
-                        addr,
-                        DEST,
-                        cfg.attacker_rate_bps,
-                        u32::from(src_pool),
-                        fill as usize,
-                    )))
+                    let bytes = u64::from(burst_kb.max(1)) * 1024;
+                    let think = ms(think_ms).max(SimDuration::from_millis(10));
+                    self.flooder(addr, DEST, rate, Cadence::Bursts { bytes, think })
                 }
                 Attack::RotatingIdentity { pool, rotate_ms } => {
-                    let shim = self.attacker_shim(addr);
                     // SIFF handshake replies must route back to the sender,
                     // so rotation there resets state without spoofing.
+                    let every = ms(rotate_ms).max(SimDuration::from_millis(10));
                     let spoof = cfg.scheme != Scheme::Siff;
-                    self.topo.add_node(Box::new(RotatingFlooder::new(
-                        addr,
-                        COLLUDER,
-                        cfg.attacker_rate_bps,
-                        shim,
-                        u32::from(pool),
-                        SimDuration::from_millis(u64::from(rotate_ms)),
-                        spoof,
-                    )))
+                    let churn = Cadence::Rotating { pool: u32::from(pool), every, spoof };
+                    self.flooder(addr, COLLUDER, rate, churn)
                 }
             };
+            let node = self.topo.add_node(node);
             let link = self.attach_host(node, addr, self.r1);
             self.attackers.push(node);
             self.attacker_links.push(link);
@@ -765,28 +691,21 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// The shim for an attacking host: its own policy is irrelevant (it
-    /// never grants anyone useful service). Under Pushback / Internet an
-    /// authorized strategy degenerates to a data flood via the NullShim,
-    /// which the paper notes matches the legacy-flood results.
-    fn attacker_shim(&self, addr: Addr) -> Box<dyn Shim> {
-        let policy = AllowAll { grant: Grant::from_parts(1023, 10) };
-        self.host_shim(addr, Box::new(policy), HostConfig::default())
-    }
-
-    fn authorized_flooder(
+    /// An authorized flooder at `addr` with the scheme's attacker shim: its
+    /// own policy is irrelevant (it never grants anyone useful service).
+    /// Under Pushback / Internet every cadence degenerates to a data flood
+    /// via the NullShim, which the paper notes matches the legacy-flood
+    /// results.
+    fn flooder(
         &self,
         addr: Addr,
         target: Addr,
-        window: Option<(SimTime, SimTime)>,
+        rate: u64,
+        cadence: Cadence,
     ) -> Box<AuthorizedFlooder> {
-        let rate = self.cfg.attacker_rate_bps;
-        let mut f =
-            AuthorizedFlooder::with_shim(addr, target, rate, self.attacker_shim(addr));
-        if let Some((s, e)) = window {
-            f = f.with_window(s, e);
-        }
-        Box::new(f)
+        let policy = AllowAll { grant: Grant::from_parts(1023, 10) };
+        let shim = self.host_shim(addr, Box::new(policy), HostConfig::default());
+        Box::new(AuthorizedFlooder::with_shim(addr, target, rate, shim).with_cadence(cadence))
     }
 
     /// Adds a cooperating destination at `addr` behind the bottleneck: it

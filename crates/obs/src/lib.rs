@@ -35,10 +35,8 @@
 //! |---|---|---|
 //! | `TVA_OBS` | master switch (`1`/`true` enables) | off |
 //! | `TVA_OBS_DIR` | output directory for obs artifacts | `results/obs` |
-//! | `TVA_OBS_SAMPLE_MS` | time-series bucket width, sim-ms | `1000` |
 //! | `TVA_OBS_FLIGHT` | flight-recorder capacity (events; `0` = off) | `4096` when `TVA_OBS` on |
 //! | `TVA_OBS_PERFETTO` | also write Perfetto/JSONL traces | off |
-//! | `TVA_OBS_TRACE_LIMIT` | max events retained for export | `200000` |
 //! | `TVA_OBS_SAMPLE_N` | flow-record packet sampling, 1-in-N (`0` = off) | off |
 
 #![forbid(unsafe_code)]
@@ -81,14 +79,13 @@ pub struct ObsConfig {
     pub enabled: bool,
     /// Output directory for obs artifacts (`TVA_OBS_DIR`).
     pub dir: PathBuf,
-    /// Sampling bucket width in simulated milliseconds
-    /// (`TVA_OBS_SAMPLE_MS`, clamped to ≥ 1).
+    /// Sampling bucket width in simulated milliseconds (1000).
     pub sample_ms: u64,
     /// Flight-recorder capacity in events; 0 disables (`TVA_OBS_FLIGHT`).
     pub flight_events: usize,
     /// Whether to export Perfetto/JSONL traces (`TVA_OBS_PERFETTO`).
     pub perfetto: bool,
-    /// Max trace events retained for export (`TVA_OBS_TRACE_LIMIT`).
+    /// Max trace events retained for export (200 000).
     pub trace_limit: usize,
     /// Flow-record packet sampling, 1-in-N; 0 disables
     /// (`TVA_OBS_SAMPLE_N`). Independent of the `TVA_OBS` master switch so
@@ -106,12 +103,11 @@ impl ObsConfig {
             dir: PathBuf::from(
                 std::env::var("TVA_OBS_DIR").unwrap_or_else(|_| "results/obs".into()),
             ),
-            sample_ms: env_u64("TVA_OBS_SAMPLE_MS", 1000).max(1),
             flight_events: env_u64("TVA_OBS_FLIGHT", if enabled { 4096 } else { 0 })
                 as usize,
             perfetto: env_flag("TVA_OBS_PERFETTO"),
-            trace_limit: env_u64("TVA_OBS_TRACE_LIMIT", 200_000).max(1) as usize,
             sample_n: env_u64("TVA_OBS_SAMPLE_N", 0) as u32,
+            ..Self::disabled()
         }
     }
 

@@ -132,6 +132,15 @@ test -s target/verify-obs/obs/fig8_TVA_trace.perfetto.json
 cargo run --release -q -p tva-obs --bin obscheck -- \
   target/verify-obs/obs/*.json target/verify-obs/obs/*.jsonl
 
+echo "==> fig9-fig11 quick (the tracked artifacts are what this commit writes)"
+rm -rf target/verify-figs
+for fig in fig9 fig10 fig11; do
+  TVA_RESULTS_DIR=target/verify-figs \
+    cargo run --release -q -p tva-experiments --bin "$fig" >/dev/null
+  cmp "target/verify-figs/$fig.tsv" "results/$fig.tsv"
+  cmp "target/verify-figs/$fig.json" "results/$fig.json"
+done
+
 echo "==> README's knob tables name exactly the TVA_* variables the code reads; other docs name no others"
 code_knobs() {
   git grep -ohE '(env_u64|env_flag|env::var|env::var_os)\("TVA_[A-Z0-9_]+' -- 'crates/*/src/*' |
