@@ -18,8 +18,9 @@
 //!   ([`trace_audit::TraceAuditor`]).
 //! * **Queue accounting** — every queue discipline's `total_bytes` /
 //!   `total_pkts` equals the sum over held packets, DRR key tables hold no
-//!   stub entries, and `FlowTable::by_expiry` mirrors `entries` exactly
-//!   ([`StructuralAuditor`] via the `audit()` hooks on
+//!   stub entries, and `FlowTable`'s map, entry slots and reclaim wheel
+//!   are in exact bijection, each slot on the one wheel list its filed
+//!   time names ([`StructuralAuditor`] via the `audit()` hooks on
 //!   [`tva_sim::QueueDisc`], `Drr`, and `FlowTable`).
 //! * **Protocol soundness** — no regular packet enters a TVA egress
 //!   scheduler without a validation event at that router, and

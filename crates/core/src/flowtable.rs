@@ -16,15 +16,25 @@
 //! legitimate fast flow needs one — attackers cannot exhaust the memory
 //! (invariant 2 of DESIGN.md).
 //!
-//! There is one reclaim strategy: a `BTreeSet` ordered by ttl expiry finds
-//! an expired victim whenever one exists and proves "every entry is live"
-//! from its oldest record alone. A reclaimed entry had `ttl ≤ now`, so the
-//! paper's 2N argument already covers the fresh budget a re-admitted
-//! capability starts with — nothing about the evicted entry needs
-//! remembering (DESIGN.md §4i has the argument and the measurements).
-
-use std::collections::hash_map::Entry;
-use std::collections::BTreeSet;
+//! There is one reclaim strategy: an index that hands out records in
+//! `(indexed expiry, key)` order finds an expired victim whenever one exists
+//! and proves "every entry is live" from its oldest record alone. A
+//! reclaimed entry had `ttl ≤ now`, so the paper's 2N argument already
+//! covers the fresh budget a re-admitted capability starts with — nothing
+//! about the evicted entry needs remembering (DESIGN.md §4i has the argument
+//! and the measurements).
+//!
+//! The index is a hierarchical timing wheel (Varghese & Lauck, SOSP '87) at
+//! 1 ns resolution: 6 levels × 64 lists span 64^6 ns ≈ 68.7 s, more than the
+//! largest `T` of 63 s, and records beyond the span wait in an overflow
+//! list. Lists are intrusive and doubly linked through one 16-byte node per
+//! entry, so filing and unlinking are O(1) and allocate nothing. A list is
+//! sorted by `(time, key)` once its whole range has passed, onto a `ready`
+//! list; a list whose range straddles `now` is first cascaded one level
+//! down. `ready` therefore always holds the smallest records in exactly
+//! `(time, key)` order, and the table picks the same victims as the ordered
+//! set of `(SimTime, FlowKey)` it replaced (`tests/reclaim_oracle.rs` keeps
+//! that table as the reference).
 
 use tva_sim::{SimDuration, SimTime};
 use tva_wire::{CapValue, DetHashMap, FlowKey, FlowNonce, Grant};
@@ -44,11 +54,6 @@ pub struct FlowEntry {
     pub bytes_used: u64,
     /// The instant the entry's ttl reaches zero (reclaim eligibility).
     pub ttl_expires: SimTime,
-    /// Where the reclaim index currently records this entry. Lags
-    /// `ttl_expires` after charges (the index is refreshed lazily on
-    /// reclaim, never on the packet fast path) but never exceeds it, so an
-    /// indexed expiry in the future proves the entry is live.
-    indexed_at: SimTime,
 }
 
 /// Outcome of charging a packet to a cached flow.
@@ -62,26 +67,31 @@ pub enum Charge {
 
 /// The bounded flow cache.
 ///
-/// `entries` uses the seeded deterministic hasher ([`DetHashMap`]): the
+/// `index` uses the seeded deterministic hasher ([`DetHashMap`]): the
 /// packet fast path hashes a [`FlowKey`] per lookup, and SipHash with a
 /// random per-process seed is both slower and a determinism hazard.
-/// Reclaim never scans `entries` — the victim comes from `by_expiry` — so
-/// no behavior depends on hash iteration order; the fixed seed makes that
+/// Reclaim never scans the map — the victim comes from the wheel — so no
+/// behavior depends on hash iteration order; the fixed seed makes that
 /// non-dependence hold by construction in every process.
 ///
+/// Entries live in `slots`, which grows to `max_entries` and never shrinks:
+/// a replaced or reclaimed entry's slot is reused in place, so a reclaim
+/// costs one map `remove` and no lookup.
+///
 /// The index is **lazy**: `charge` extends an entry's `ttl_expires`
-/// without re-keying its `by_expiry` record (a per-packet `BTreeSet`
-/// remove+insert churns B-tree nodes — measured ≈1 allocation per 7
-/// packets on the `tva-node` fast path). Each record's time is
-/// therefore a *lower bound* on the entry's true expiry; reclaim refreshes
-/// stale records to their true expiry as it meets them. Every refresh is
-/// paid for by at least one charge since the record was last keyed, so the
-/// amortized cost stays O(1) — and the packet fast path (`get` + `charge`)
-/// is pure arithmetic with zero allocations.
+/// without refiling its wheel record, so each record's time is a *lower
+/// bound* on the entry's true expiry; reclaim refreshes stale records to
+/// their true expiry as it meets them. Every refresh is paid for by at
+/// least one charge since the record was last filed, so the amortized cost
+/// stays O(1) — and the packet fast path ([`FlowTable::find`] +
+/// [`FlowRef::charge`]) is one map probe and pure arithmetic.
 pub struct FlowTable {
-    entries: DetHashMap<FlowKey, FlowEntry>,
-    /// Reclaim index ordered by (indexed expiry, key).
-    by_expiry: BTreeSet<(SimTime, FlowKey)>,
+    /// Flow → its slot in `slots`.
+    index: DetHashMap<FlowKey, u32>,
+    slots: Vec<(FlowKey, FlowEntry)>,
+    /// Reclaim index over `slots`, handed out in (indexed expiry, key)
+    /// order.
+    wheel: ExpiryWheel,
     max_entries: usize,
     /// Cumulative entries reclaimed to admit new flows.
     pub reclaims: u64,
@@ -89,36 +99,28 @@ pub struct FlowTable {
     pub admission_failures: u64,
 }
 
-impl FlowTable {
-    /// Creates a table bounded at `max_entries` records.
-    pub fn new(max_entries: usize) -> Self {
-        assert!(max_entries > 0);
-        FlowTable {
-            entries: DetHashMap::default(),
-            by_expiry: BTreeSet::new(),
-            max_entries,
-            reclaims: 0,
-            admission_failures: 0,
-        }
+/// A cached flow found by [`FlowTable::find`]: the lookup's one map probe,
+/// kept so that a nonce hit charges without probing again.
+pub struct FlowRef<'a> {
+    entry: &'a mut FlowEntry,
+}
+
+impl FlowRef<'_> {
+    /// The cached entry.
+    pub fn entry(&self) -> &FlowEntry {
+        self.entry
     }
 
-    /// Looks up the entry for `flow`.
-    pub fn get(&self, flow: FlowKey) -> Option<&FlowEntry> {
-        self.entries.get(&flow)
-    }
-
-    /// Charges `len` bytes to the flow's entry at time `now`: updates the
-    /// byte count and extends the ttl by the packet's time-equivalent value
+    /// Charges `len` bytes to the entry at time `now`: updates the byte
+    /// count and extends the ttl by the packet's time-equivalent value
     /// `len × T / N` (§3.6). Returns [`Charge::OverBudget`] without
     /// extending anything if the budget would be exceeded.
     ///
     /// This is the packet fast path: it never touches the reclaim index
     /// (the record keeps its now-stale, still-lower-bound time until
     /// reclaim refreshes it), so it performs no allocation.
-    pub fn charge(&mut self, flow: FlowKey, len: u32, now: SimTime) -> Charge {
-        let Some(entry) = self.entries.get_mut(&flow) else {
-            return Charge::OverBudget; // caller must have created state
-        };
+    pub fn charge(self, len: u32, now: SimTime) -> Charge {
+        let entry = self.entry;
         if entry.bytes_used + len as u64 > entry.grant.n.bytes() {
             return Charge::OverBudget;
         }
@@ -127,6 +129,43 @@ impl FlowTable {
         // ttl decrements as time passes: extend from max(now, old expiry).
         entry.ttl_expires = entry.ttl_expires.max(now) + add;
         Charge::Ok
+    }
+}
+
+impl FlowTable {
+    /// Creates a table bounded at `max_entries` records. Allocates only the
+    /// wheel's list heads; entries are allocated as flows arrive.
+    pub fn new(max_entries: usize) -> Self {
+        assert!(max_entries > 0 && max_entries <= MAX_SLOTS);
+        FlowTable {
+            index: DetHashMap::default(),
+            slots: Vec::new(),
+            wheel: ExpiryWheel::new(),
+            max_entries,
+            reclaims: 0,
+            admission_failures: 0,
+        }
+    }
+
+    /// Looks up the entry for `flow`.
+    pub fn get(&self, flow: FlowKey) -> Option<&FlowEntry> {
+        self.index.get(&flow).map(|&slot| &self.slots[slot as usize].1)
+    }
+
+    /// Looks up the entry for `flow` so that it can be read and then
+    /// charged with one map probe.
+    pub fn find(&mut self, flow: FlowKey) -> Option<FlowRef<'_>> {
+        let slot = *self.index.get(&flow)? as usize;
+        Some(FlowRef { entry: &mut self.slots[slot].1 })
+    }
+
+    /// Charges `len` bytes to the flow's entry at time `now` (see
+    /// [`FlowRef::charge`]); [`Charge::OverBudget`] when there is no entry.
+    pub fn charge(&mut self, flow: FlowKey, len: u32, now: SimTime) -> Charge {
+        match self.find(flow) {
+            Some(hit) => hit.charge(len, now),
+            None => Charge::OverBudget, // caller must have created state
+        }
     }
 
     /// Installs state for a newly validated flow, charging its first packet
@@ -149,78 +188,82 @@ impl FlowTable {
         len: u32,
         now: SimTime,
     ) -> bool {
-        let old = self.entries.get(&flow);
-        let carried = old.filter(|old| old.cap == cap).map_or(0, |old| old.bytes_used);
+        let old = self.index.get(&flow).map(|&slot| slot as usize);
+        let carried = old
+            .map(|slot| &self.slots[slot].1)
+            .filter(|old| old.cap == cap)
+            .map_or(0, |old| old.bytes_used);
         if carried + len as u64 > grant.n.bytes() {
             return false; // the capability's budget is spent
         }
-        if let Some(old) = old {
+        self.wheel.rewind(&self.slots, now.as_nanos());
+        let reuse = if let Some(slot) = old {
             // Replacing our own old entry (e.g. renewed capability) is
             // always allowed and is not an eviction of another flow.
-            self.by_expiry.remove(&(old.indexed_at, flow));
-        } else if self.entries.len() >= self.max_entries {
+            self.wheel.unlink(slot);
+            Some(slot)
+        } else if self.slots.len() >= self.max_entries {
             // Reclaim an expired entry if one exists; never evict live
             // state.
-            if !self.reclaim_victim(now) {
+            let Some(victim) = self.reclaim_victim(now) else {
                 self.admission_failures += 1;
                 return false;
-            }
+            };
             self.reclaims += 1;
-        }
+            self.index.remove(&self.slots[victim].0);
+            self.index.insert(flow, victim as u32);
+            Some(victim)
+        } else {
+            None
+        };
         let ttl_expires = now + ttl_value(len, grant);
-        self.entries.insert(
-            flow,
-            FlowEntry {
-                cap,
-                nonce,
-                grant,
-                bytes_used: carried + len as u64,
-                ttl_expires,
-                indexed_at: ttl_expires,
-            },
-        );
-        self.by_expiry.insert((ttl_expires, flow));
+        let entry = FlowEntry { cap, nonce, grant, bytes_used: carried + len as u64, ttl_expires };
+        let slot = match reuse {
+            Some(slot) => {
+                self.slots[slot] = (flow, entry);
+                slot
+            }
+            None => {
+                let slot = self.slots.len();
+                self.index.insert(flow, slot as u32);
+                self.slots.push((flow, entry));
+                self.wheel.grow();
+                slot
+            }
+        };
+        self.wheel.file(&self.slots, slot, ttl_expires.as_nanos());
         true
     }
 
-    /// Removes one entry whose ttl has reached zero; `false` if every entry
-    /// is live.
+    /// The slot of one entry whose ttl has reached zero, its record
+    /// unlinked; `None` if every entry is live.
     ///
-    /// Walks `by_expiry` from the oldest record: a record in the future
-    /// proves its entry live (indexed times are lower bounds), so the walk
-    /// stops there; a stale record — the entry was charged since it was
-    /// keyed — is refreshed to the entry's true expiry and the walk
-    /// continues. Each refresh strictly advances a record and is paid for
-    /// by at least one intervening `charge`, so the amortized cost per
-    /// packet stays constant.
-    fn reclaim_victim(&mut self, now: SimTime) -> bool {
-        while let Some(&(indexed, victim)) = self.by_expiry.first() {
-            if indexed > now {
-                return false; // oldest record is live ⇒ every entry is
+    /// Pops records from the oldest: a record in the future proves its
+    /// entry live (indexed times are lower bounds), so the walk stops there;
+    /// a stale record — the entry was charged since it was filed — is
+    /// refiled at the entry's true expiry and the walk continues. Each
+    /// refresh strictly advances a record and is paid for by at least one
+    /// intervening `charge`, so the amortized cost per packet stays
+    /// constant.
+    fn reclaim_victim(&mut self, now: SimTime) -> Option<usize> {
+        while let Some(slot) = self.wheel.pop_due(&self.slots, now.as_nanos()) {
+            let ttl_expires = self.slots[slot].1.ttl_expires;
+            if ttl_expires <= now {
+                return Some(slot);
             }
-            self.by_expiry.pop_first();
-            let Entry::Occupied(slot) = self.entries.entry(victim) else {
-                unreachable!("index and table are in bijection");
-            };
-            if slot.get().ttl_expires <= now {
-                slot.remove();
-                return true;
-            }
-            let entry = slot.into_mut();
-            entry.indexed_at = entry.ttl_expires;
-            self.by_expiry.insert((entry.ttl_expires, victim));
+            self.wheel.file(&self.slots, slot, ttl_expires.as_nanos());
         }
-        false
+        None
     }
 
     /// Live entry count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// The configured record bound.
@@ -228,54 +271,65 @@ impl FlowTable {
         self.max_entries
     }
 
-    /// A size estimate in bytes of the table's heap state: entries plus
-    /// the reclaim index. An estimator, not an allocator measurement — used
-    /// by the `statebound` experiment's memory-vs-flow-count curves
-    /// alongside process RSS.
+    /// A size estimate in bytes of the table's per-flow heap state: for
+    /// each entry, its arena slot, its wheel node and its bucket in the
+    /// flow → slot map (hashbrown keeps the pair plus one control byte and
+    /// runs between 7/16 and 7/8 full, so ~8/5 of that on average). The
+    /// fixed 6 KiB of list heads is not counted. An estimator, not an
+    /// allocator measurement — used by the `statebound` experiment's
+    /// memory-vs-flow-count curves alongside process RSS.
     pub fn state_bytes_estimate(&self) -> usize {
-        let per_entry = std::mem::size_of::<FlowEntry>() + std::mem::size_of::<FlowKey>() + 16;
-        let per_record = std::mem::size_of::<(SimTime, FlowKey)>() + 16;
-        self.entries.len() * per_entry + self.by_expiry.len() * per_record
+        let bucket = ((std::mem::size_of::<(FlowKey, u32)>() + 1) * 8).div_ceil(5);
+        let per_entry =
+            std::mem::size_of::<(FlowKey, FlowEntry)>() + std::mem::size_of::<Link>() + bucket;
+        self.slots.len() * per_entry
     }
 
     /// Iterates the live entries (cold path, for auditors tracking per-
     /// capability byte budgets across entry churn).
     pub fn iter_entries(&self) -> impl Iterator<Item = (&FlowKey, &FlowEntry)> {
-        self.entries.iter()
+        self.slots.iter().map(|(key, entry)| (key, entry))
     }
 
     /// Verifies the table's internal consistency (cold path; used by the
-    /// `TVA_CHECK` runtime auditors and the bijection proptest):
+    /// `TVA_CHECK` runtime auditors and the flow-table proptests):
     ///
-    /// * the reclaim index and `entries` are in exact bijection — every
-    ///   entry has exactly its `(indexed_at, key)` record and the index
-    ///   holds nothing else (a desynchronized index means reclaim picks
-    ///   phantom victims or live entries become unreclaimable);
-    /// * every index record is a valid lower bound, `indexed_at ≤
-    ///   ttl_expires` (an indexed time in the future must *prove* the entry
-    ///   live, or reclaim's early stop would skip reclaimable state);
+    /// * the map and the slots are in exact bijection (a desynchronized
+    ///   map means lookups reach another flow's entry);
+    /// * every slot sits on exactly one wheel list, the one its filed time
+    ///   says, and `ready` is sorted (otherwise reclaim picks phantom
+    ///   victims or live entries become unreclaimable);
+    /// * every filed time is a valid lower bound, `≤ ttl_expires` (a filed
+    ///   time in the future must *prove* the entry live, or reclaim's early
+    ///   stop would skip reclaimable state);
+    /// * every non-empty wheel list, and no empty one, has its occupancy
+    ///   bit set;
     /// * the record bound holds;
     /// * no entry's `bytes_used` exceeds its grant's `N` (§3.6: over-budget
     ///   packets are demoted before being charged).
     pub fn audit(&self) -> Result<(), String> {
-        if self.entries.len() > self.max_entries {
+        if self.slots.len() > self.max_entries {
             return Err(format!(
                 "flowtable: {} entries exceed bound {}",
-                self.entries.len(),
+                self.slots.len(),
                 self.max_entries
             ));
         }
-        // Same lengths + every entry present ⇒ bijection (the set cannot
-        // hold a duplicate key at a different time without the lengths
-        // diverging, because each entry matches exactly one index record).
-        if self.by_expiry.len() != self.entries.len() {
+        // Same sizes + every key maps to a slot holding that key ⇒
+        // bijection (two keys cannot share a slot that holds one key).
+        if self.index.len() != self.slots.len() {
             return Err(format!(
-                "flowtable: reclaim index has {} records, table has {}",
-                self.by_expiry.len(),
-                self.entries.len()
+                "flowtable: map has {} keys, table has {} slots",
+                self.index.len(),
+                self.slots.len()
             ));
         }
-        for (key, entry) in &self.entries {
+        for (key, &slot) in &self.index {
+            if self.slots.get(slot as usize).map(|(k, _)| k) != Some(key) {
+                return Err(format!("flowtable: map sends {key:?} to another flow's slot {slot}"));
+            }
+        }
+        for (key, entry) in &self.slots {
             if entry.bytes_used > entry.grant.n.bytes() {
                 return Err(format!(
                     "flowtable: entry {key:?} charged {} bytes over N={}",
@@ -283,20 +337,8 @@ impl FlowTable {
                     entry.grant.n.bytes()
                 ));
             }
-            if !self.by_expiry.contains(&(entry.indexed_at, *key)) {
-                return Err(format!(
-                    "flowtable: entry {key:?} (indexed {:?}) missing from reclaim index",
-                    entry.indexed_at
-                ));
-            }
-            if entry.indexed_at > entry.ttl_expires {
-                return Err(format!(
-                    "flowtable: entry {key:?} indexed at {:?}, after its expiry {:?}",
-                    entry.indexed_at, entry.ttl_expires
-                ));
-            }
         }
-        Ok(())
+        self.wheel.audit(&self.slots)
     }
 }
 
@@ -306,6 +348,314 @@ fn ttl_value(len: u32, grant: Grant) -> SimDuration {
     let n = grant.n.bytes().max(1);
     let t_ns = grant.t.secs() as u128 * 1_000_000_000;
     SimDuration::from_nanos((len as u128 * t_ns / n as u128) as u64)
+}
+
+/// Time bits resolved by one wheel level.
+const LEVEL_BITS: u32 = 6;
+const LEVEL_SLOTS: usize = 1 << LEVEL_BITS;
+const LEVELS: usize = 6;
+/// The wheel's lists span 2^36 ns ≈ 68.7 s of time: a record in a later
+/// 2^36-aligned block than `elapsed` waits in `OVERFLOW`.
+const SPAN_BITS: u32 = LEVEL_BITS * LEVELS as u32;
+/// Node ids below `HEADS` are list sentinels: the wheel's lists (level
+/// `l`, digit `d` at `l × 64 + d`), then `READY`, then `OVERFLOW`. Slot
+/// `i`'s node is `HEADS + i`.
+const READY: usize = LEVELS * LEVEL_SLOTS;
+const OVERFLOW: usize = READY + 1;
+const HEADS: usize = OVERFLOW + 1;
+const MAX_SLOTS: usize = u32::MAX as usize - HEADS;
+
+/// A node of an intrusive circular list; for a slot's node, `filed_at` is
+/// its record's time in ns.
+#[derive(Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+    filed_at: u64,
+}
+
+/// The reclaim index: one `(time, key)` record per slot, popped in exactly
+/// `(time, key)` order.
+///
+/// Invariants (checked by [`ExpiryWheel::audit`]):
+/// * `ready` holds the records with time `< elapsed`, sorted;
+/// * every other record has time `≥ elapsed` and sits on the list
+///   [`ExpiryWheel::list_for`] names: level = the highest base-64 digit in
+///   which its time differs from `elapsed`, list = that digit of its time.
+///   Levels therefore run in time order, lists within a level by digit, and
+///   a level's list at `elapsed`'s own digit is empty for levels ≥ 1.
+struct ExpiryWheel {
+    links: Vec<Link>,
+    /// Bit `d` of word `l`: wheel list (`l`, `d`) is non-empty.
+    occupied: [u64; LEVELS],
+    elapsed: u64,
+    /// Scratch for sorting a drained list; keeps its capacity.
+    sort_buf: Vec<(u64, FlowKey, u32)>,
+}
+
+impl ExpiryWheel {
+    fn new() -> Self {
+        ExpiryWheel {
+            links: (0..HEADS as u32).map(|h| Link { prev: h, next: h, filed_at: 0 }).collect(),
+            occupied: [0; LEVELS],
+            elapsed: 0,
+            sort_buf: Vec::new(),
+        }
+    }
+
+    /// Adds the node of a new slot; the caller files it next.
+    fn grow(&mut self) {
+        self.links.push(Link { prev: 0, next: 0, filed_at: 0 });
+    }
+
+    /// The list a record with time `t` belongs on.
+    fn list_for(&self, t: u64) -> usize {
+        if t < self.elapsed {
+            return READY;
+        }
+        let diff = t ^ self.elapsed;
+        if diff >> SPAN_BITS != 0 {
+            return OVERFLOW;
+        }
+        let level = (u64::BITS - 1 - (diff | 1).leading_zeros()) / LEVEL_BITS;
+        level as usize * LEVEL_SLOTS + (t >> (level * LEVEL_BITS)) as usize % LEVEL_SLOTS
+    }
+
+    /// Files `slot`'s record at time `t`.
+    fn file(&mut self, slots: &[(FlowKey, FlowEntry)], slot: usize, t: u64) {
+        let node = HEADS + slot;
+        self.links[node].filed_at = t;
+        let list = self.list_for(t);
+        if list != READY {
+            self.link_after(list, node);
+            if list < READY {
+                self.occupied[list / LEVEL_SLOTS] |= 1 << (list % LEVEL_SLOTS);
+            }
+            return;
+        }
+        // Behind `elapsed`: after `rewind`, only a zero-ttl record filed at
+        // `elapsed - 1`, the last instant drained onto `ready`, so the walk
+        // passes only same-instant records with larger keys.
+        let key = slots[slot].0;
+        let mut at = self.links[READY].prev as usize;
+        while at != READY && (self.links[at].filed_at, slots[at - HEADS].0) > (t, key) {
+            at = self.links[at].prev as usize;
+        }
+        self.link_after(at, node);
+    }
+
+    fn link_after(&mut self, at: usize, node: usize) {
+        let next = self.links[at].next;
+        self.links[node].prev = at as u32;
+        self.links[node].next = next;
+        self.links[at].next = node as u32;
+        self.links[next as usize].prev = node as u32;
+    }
+
+    /// Takes `slot`'s record off whichever list holds it.
+    fn unlink(&mut self, slot: usize) {
+        let Link { prev, next, .. } = self.links[HEADS + slot];
+        self.links[prev as usize].next = next;
+        self.links[next as usize].prev = prev;
+        // Only a sentinel is its own list's neighbour on both sides.
+        if prev == next && (prev as usize) < READY {
+            self.occupied[prev as usize / LEVEL_SLOTS] &= !(1 << (prev as usize % LEVEL_SLOTS));
+        }
+    }
+
+    /// Empties `list`, returning its first and last node.
+    fn detach(&mut self, list: usize) -> Option<(usize, usize)> {
+        let Link { prev: last, next: first, .. } = self.links[list];
+        if first as usize == list {
+            return None;
+        }
+        self.links[list].prev = list as u32;
+        self.links[list].next = list as u32;
+        if list < READY {
+            self.occupied[list / LEVEL_SLOTS] &= !(1 << (list % LEVEL_SLOTS));
+        }
+        Some((first as usize, last as usize))
+    }
+
+    /// Unlinks and returns the slot of the smallest `(time, key)` record if
+    /// its time is `≤ now`.
+    fn pop_due(&mut self, slots: &[(FlowKey, FlowEntry)], now: u64) -> Option<usize> {
+        loop {
+            let head = self.links[READY].next as usize;
+            if head != READY {
+                if self.links[head].filed_at > now {
+                    return None;
+                }
+                self.unlink(head - HEADS);
+                return Some(head - HEADS);
+            }
+            if !self.step(slots, now) {
+                return None;
+            }
+        }
+    }
+
+    /// Moves the earliest list toward `ready`; `false` when it starts after
+    /// `now`, which proves no record is due. A list at level `l` holds
+    /// times `start..start + 64^l`.
+    fn step(&mut self, slots: &[(FlowKey, FlowEntry)], now: u64) -> bool {
+        let Some(level) = self.occupied.iter().position(|&bits| bits != 0) else {
+            // Only the overflow can hold records; they start at the next
+            // block.
+            let start = ((self.elapsed >> SPAN_BITS) + 1) << SPAN_BITS;
+            let mut node = self.links[OVERFLOW].next as usize;
+            if node == OVERFLOW || start > now {
+                return false;
+            }
+            // Jump to the earliest overflow record, or to `now` if that is
+            // sooner; `advance` files the overflow into the wheel from there.
+            let mut earliest = now;
+            while node != OVERFLOW {
+                earliest = earliest.min(self.links[node].filed_at);
+                node = self.links[node].next as usize;
+            }
+            self.advance(slots, earliest);
+            return true;
+        };
+        let digit = self.occupied[level].trailing_zeros() as u64;
+        let shift = level as u32 * LEVEL_BITS;
+        let start = (self.elapsed >> shift >> LEVEL_BITS << LEVEL_BITS | digit) << shift;
+        if start > now {
+            return false;
+        }
+        let end = start + (1 << shift);
+        if end - 1 <= now {
+            // The whole range has passed: sort the list onto `ready`.
+            self.drain_sorted(slots, level * LEVEL_SLOTS + digit as usize);
+            self.advance(slots, end);
+        } else {
+            // The range straddles `now`: `advance` cascades the list.
+            self.advance(slots, start);
+        }
+        true
+    }
+
+    /// Moves `elapsed` forward to `to` — no record lies before it — and
+    /// refiles every list whose range `to` has entered, top level first.
+    fn advance(&mut self, slots: &[(FlowKey, FlowEntry)], to: u64) {
+        let crossed = (to ^ self.elapsed) >> SPAN_BITS != 0;
+        self.elapsed = to;
+        if crossed {
+            self.refile(slots, OVERFLOW);
+        }
+        for level in (1..LEVELS).rev() {
+            let digit = (to >> (level as u32 * LEVEL_BITS)) as usize % LEVEL_SLOTS;
+            self.refile(slots, level * LEVEL_SLOTS + digit);
+        }
+    }
+
+    fn refile(&mut self, slots: &[(FlowKey, FlowEntry)], list: usize) {
+        let Some((mut node, last)) = self.detach(list) else { return };
+        loop {
+            let next = self.links[node].next as usize;
+            self.file(slots, node - HEADS, self.links[node].filed_at);
+            if node == last {
+                return;
+            }
+            node = next;
+        }
+    }
+
+    /// Appends `list`'s records to `ready` in `(time, key)` order.
+    fn drain_sorted(&mut self, slots: &[(FlowKey, FlowEntry)], list: usize) {
+        let Some((mut node, last)) = self.detach(list) else { return };
+        let mut buf = std::mem::take(&mut self.sort_buf);
+        loop {
+            buf.push((self.links[node].filed_at, slots[node - HEADS].0, node as u32));
+            if node == last {
+                break;
+            }
+            node = self.links[node].next as usize;
+        }
+        buf.sort_unstable();
+        for &(_, _, node) in &buf {
+            self.link_after(self.links[READY].prev as usize, node as usize);
+        }
+        buf.clear();
+        self.sort_buf = buf;
+    }
+
+    /// A clock that stepped back below `elapsed` would file records far
+    /// behind `ready`'s tail: refile every record from `now` (or the
+    /// earliest record, if sooner) instead. O(n), only after a backward
+    /// step, and the order handed out is unchanged.
+    fn rewind(&mut self, slots: &[(FlowKey, FlowEntry)], now: u64) {
+        if now.saturating_add(1) >= self.elapsed {
+            return;
+        }
+        self.elapsed = self.links[HEADS..].iter().fold(now, |t, link| t.min(link.filed_at));
+        for head in 0..HEADS {
+            self.links[head] = Link { prev: head as u32, next: head as u32, filed_at: 0 };
+        }
+        self.occupied = [0; LEVELS];
+        for slot in 0..slots.len() {
+            self.file(slots, slot, self.links[HEADS + slot].filed_at);
+        }
+    }
+
+    fn audit(&self, slots: &[(FlowKey, FlowEntry)]) -> Result<(), String> {
+        if self.links.len() != HEADS + slots.len() {
+            return Err(format!(
+                "flowtable: wheel has {} nodes for {} slots",
+                self.links.len() - HEADS,
+                slots.len()
+            ));
+        }
+        let mut listed = vec![false; slots.len()];
+        let mut last_ready = None;
+        for list in 0..HEADS {
+            let (mut prev, mut node) = (list, self.links[list].next as usize);
+            while node != list {
+                let Some(slot) = node.checked_sub(HEADS).filter(|&slot| slot < slots.len()) else {
+                    return Err(format!("flowtable: wheel list {list} links to node {node}"));
+                };
+                let (key, entry) = &slots[slot];
+                let t = self.links[node].filed_at;
+                if self.links[node].prev as usize != prev {
+                    return Err(format!("flowtable: {key:?}'s back link on list {list} is broken"));
+                }
+                if std::mem::replace(&mut listed[slot], true) {
+                    return Err(format!("flowtable: {key:?} is on the wheel twice"));
+                }
+                if SimTime::from_nanos(t) > entry.ttl_expires {
+                    return Err(format!(
+                        "flowtable: entry {key:?} indexed at {t} ns, after its expiry {:?}",
+                        entry.ttl_expires
+                    ));
+                }
+                if self.list_for(t) != list {
+                    return Err(format!(
+                        "flowtable: {key:?} filed at {t} ns is on list {list}, not {} (elapsed {})",
+                        self.list_for(t),
+                        self.elapsed
+                    ));
+                }
+                if list == READY {
+                    if last_ready >= Some((t, *key)) {
+                        return Err(format!("flowtable: ready list out of order at {key:?}"));
+                    }
+                    last_ready = Some((t, *key));
+                }
+                (prev, node) = (node, self.links[node].next as usize);
+            }
+            if self.links[list].prev as usize != prev {
+                return Err(format!("flowtable: wheel list {list}'s tail link is broken"));
+            }
+            let bit = list < READY && self.occupied[list / LEVEL_SLOTS] >> (list % LEVEL_SLOTS) & 1 == 1;
+            if list < READY && bit != (prev != list) {
+                return Err(format!("flowtable: wheel list {list}'s occupancy bit is {bit}"));
+            }
+        }
+        match listed.iter().position(|&on| !on) {
+            Some(slot) => Err(format!("flowtable: {:?} is on no wheel list", slots[slot].0)),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -444,7 +794,7 @@ mod tests {
     fn churn_at_capacity_reclaims_only_expired_and_keeps_the_index_bijective() {
         // An identity-churning attacker (`Cadence::Rotating`) plants a fresh
         // flow per rotation against a full table. Drive rapid create/expire
-        // cycles and check, at every step, that the `entries` ↔ `by_expiry`
+        // cycles and check, at every step, that the map ↔ slots ↔ wheel
         // invariant the reclaim path depends on never desynchronizes.
         let mut t = FlowTable::new(8);
         let g = grant_32kb_10s();
@@ -474,7 +824,7 @@ mod tests {
 
     #[test]
     fn interleaved_charges_keep_reclaim_order_honest_at_capacity() {
-        // Charges move entries around inside `by_expiry` (ttl extension);
+        // Charges move entries' expiries past their wheel records;
         // interleave them with reclaim-driven creates and verify the index
         // still tracks exactly the live set — and that a charged (live)
         // entry is never the reclaim victim while an expired one exists.
@@ -513,7 +863,7 @@ mod tests {
         /// *identical* SimTimes — the regime where a lazily refreshed
         /// record, a same-instant expiry, and a same-instant re-create can
         /// disagree by zero nanoseconds — and prove the weakened invariant
-        /// plus the by_expiry bijection still hold after every single op.
+        /// plus the index bijection still hold after every single op.
         #[test]
         fn same_instant_churn_keeps_lazy_index_sound(
             ops in proptest::collection::vec(
@@ -560,7 +910,7 @@ mod tests {
                         );
                     }
                 }
-                // The audit asserts indexed_at ≤ ttl_expires and the exact
+                // The audit asserts filed time ≤ ttl_expires and the exact
                 // index bijection — the full weakened-form contract.
                 if let Err(e) = t.audit() {
                     panic!("audit failed after op ({kind}, {id}, {dt_ms}): {e}");

@@ -64,7 +64,7 @@ pub use attack::strategies::{spoofed_identity, SpoofedRequestFlooder};
 pub use attack::{AuthorizedFlooder, Cadence, SpoofColluder};
 pub use capability::{expired, mint_cap, mint_precap, validate_cap, validate_precap, CapError};
 pub use config::{HostConfig, RegularQueueKey, RequestLimiter, RouterConfig};
-pub use flowtable::{Charge, FlowEntry, FlowTable};
+pub use flowtable::{Charge, FlowEntry, FlowRef, FlowTable};
 pub use policy::{AllowAll, ClientPolicy, GrantPolicy, RequestInfo, ServerPolicy};
 pub use router::{RouterStats, TvaRouter, TvaRouterNode, Verdict};
 pub use scheduler::{SchedulerStats, TvaScheduler};

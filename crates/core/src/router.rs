@@ -247,16 +247,17 @@ impl TvaRouter {
             }
             CapPayload::Regular { nonce, ptr, caps, renewal } => {
                 let mut fverdict = FlowVerdict::Validated;
-                let is_valid = match self.table.get(flow) {
-                    Some(entry) if entry.nonce == *nonce => {
+                let is_valid = match self.table.find(flow) {
+                    Some(hit) if hit.entry().nonce == *nonce => {
                         // Fast path: nonce match. Check expiry and budget,
                         // then charge.
+                        let entry = hit.entry();
                         if expired(now_secs, entry.cap.timestamp(), entry.grant) {
                             self.stats.demoted_expired += 1;
                             fverdict = FlowVerdict::DemotedExpired;
                             false
                         } else {
-                            let ok = self.table.charge(flow, len, now) == Charge::Ok;
+                            let ok = hit.charge(len, now) == Charge::Ok;
                             if ok {
                                 self.stats.nonce_hits += 1;
                                 fverdict = FlowVerdict::NonceHit;

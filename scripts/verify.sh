@@ -57,6 +57,11 @@ TVA_CHECK=1 TVA_SHARDS=2 TVA_RESULTS_DIR=target/verify-statebound/s2 \
   cargo run --release -q -p tva-experiments --bin statebound -- --gate >/dev/null
 cmp target/verify-statebound/s1/statebound.tsv target/verify-statebound/s2/statebound.tsv
 cmp target/verify-statebound/s1/statebound.json target/verify-statebound/s2/statebound.json
+# The tracked artifact is what this commit writes: its hitrate rows depend on
+# which expired entry each reclaim picks, so a reclaim-index change that
+# moves a victim fails here.
+cmp target/verify-statebound/s1/statebound.tsv results/statebound.tsv
+cmp target/verify-statebound/s1/statebound.json results/statebound.json
 
 # The benchmark's traced runs rebuild NodeEngine::poll from public calls and
 # reject a run whose staged sum drifts from poll (node.stage_cover outside
