@@ -253,11 +253,6 @@ impl AuthorizedFlooder {
         self
     }
 
-    /// Restricts flooding to `[start, end)`.
-    pub fn with_window(self, start: SimTime, end: SimTime) -> Self {
-        self.with_cadence(Cadence::Window { start, end })
-    }
-
     /// Spoofs a victim's address on all *flood* packets (§7): the
     /// capability request also travels with the spoofed source — the
     /// pre-capabilities must bind to it — while the colluding destination

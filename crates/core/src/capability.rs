@@ -122,12 +122,6 @@ pub fn expired(now_secs: u64, ts: u8, grant: Grant) -> bool {
     elapsed > grant.t.secs()
 }
 
-/// The absolute wall-clock second at which a capability minted at
-/// `mint_secs` with `grant` expires (for hosts that know the mint time).
-pub fn expiry_secs(mint_secs: u64, grant: Grant) -> u64 {
-    mint_secs + grant.t.secs() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -125,11 +125,6 @@ impl ServerPolicy {
         self.blacklist.get(&src).is_some_and(|&until| until > now)
     }
 
-    /// Number of live blacklist entries.
-    pub fn blacklisted_count(&self, now: SimTime) -> usize {
-        self.blacklist.values().filter(|&&until| until > now).count()
-    }
-
     /// Permanently refuses `src` — used by experiments where the paper
     /// assumes "the destination was able to distinguish requests from
     /// legitimate users and those from attackers" (§5.2).

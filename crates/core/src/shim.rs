@@ -139,11 +139,6 @@ impl TvaHostShim {
             .is_some_and(|c| !c.expired(now) && !c.exhausted_for(0))
     }
 
-    /// The grant currently held toward `dst`, if any.
-    pub fn current_grant(&self, dst: Addr) -> Option<Grant> {
-        self.peers.get(&dst).and_then(|p| p.send.as_ref()).map(|c| c.grant)
-    }
-
     /// Decides the header for an outgoing packet to `dst` of base length
     /// `base_len` and charges the sender-side accounting.
     fn choose_header(&mut self, dst: Addr, base_len: u32, now: SimTime) -> CapHeader {

@@ -2,10 +2,11 @@
 //!
 //! The figure binaries reproduce the paper's *fixed* attacks; this module
 //! asks the adversary's question instead: **which strategy hurts the most
-//! per byte spent?** It samples randomized parameters for each strategic
-//! adversary in `tva-core::attack::strategies`, runs every candidate
-//! against all four schemes on the Figure 7 testbed, and scores each trial
-//! by *legitimate-goodput damage per attacker wire byte*:
+//! per byte spent?** It samples randomized parameters for each strategy —
+//! the rows of [`ATTACKS`] that declare a search draw, with their ranges —
+//! runs every candidate against all four schemes on the Figure 7 testbed,
+//! and scores each trial by *legitimate-goodput damage per attacker wire
+//! byte*:
 //!
 //! ```text
 //! damage = (baseline_completed − attacked_completed) × file_size
@@ -29,19 +30,20 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::check::pick;
+use crate::check::draw;
 use crate::figrun::{results_dir, write_json};
 use crate::report::{table, write_tsv};
-use crate::scenario::{run_inspect, Attack, ScenarioConfig, Scheme};
+use crate::scenario::{run_inspect, Attack, AttackKind, ScenarioConfig, Scheme, ATTACKS};
 use tva_core::{TvaRouterNode, TvaScheduler};
 use tva_obs::{format_prefix24, FlowSampler};
 use tva_sim::{SimDuration, SimTime};
 
-/// The strategy tags the search draws from, in report order. `const-flood`
-/// is the §5.3 constant-rate reference every other strategy is judged
-/// against.
-pub const STRATEGIES: [&str; 5] =
-    ["colluder-ring", "pulse-shrew", "flash-mimicry", "spoofed-request-storm", "rotating-identity"];
+/// The kinds the search draws, in report order: the rows of [`ATTACKS`]
+/// with a search draw. `const-flood` is the §5.3 constant-rate reference
+/// every other strategy is judged against.
+pub fn strategies() -> impl Iterator<Item = &'static AttackKind> {
+    ATTACKS.iter().filter(|k| k.params.iter().any(|p| p.search.is_some()))
+}
 
 /// Search-loop parameters.
 #[derive(Debug, Clone)]
@@ -83,7 +85,7 @@ impl SearchConfig {
 pub struct Trial {
     /// Scheme under attack.
     pub scheme: Scheme,
-    /// Strategy tag (one of [`STRATEGIES`] or `"const-flood"`).
+    /// Strategy tag (a [`strategies`] name or `"const-flood"`).
     pub strategy: &'static str,
     /// The exact attack, parameters included (replayable).
     pub attack: Attack,
@@ -102,58 +104,24 @@ pub struct Trial {
     pub frontier: bool,
 }
 
-/// A compact, stable `k=v,k=v` rendering of an attack's parameters.
+/// A compact, stable `k=v,k=v` rendering of an attack's parameters (`-`
+/// when it has none).
 pub fn attack_params(attack: Attack) -> String {
-    match attack {
-        Attack::ColluderRing { ring, wave_ms, duty_pct } => {
-            format!("ring={ring},wave_ms={wave_ms},duty={duty_pct}")
-        }
-        Attack::PulseShrew { period_ms, burst_ms, phase_ms } => {
-            format!("period_ms={period_ms},burst_ms={burst_ms},phase_ms={phase_ms}")
-        }
-        Attack::FlashMimicry { burst_kb, think_ms } => {
-            format!("burst_kb={burst_kb},think_ms={think_ms}")
-        }
-        Attack::SpoofedRequestStorm { src_pool, fill } => {
-            format!("src_pool={src_pool},fill={fill}")
-        }
-        Attack::RotatingIdentity { pool, rotate_ms } => {
-            format!("pool={pool},rotate_ms={rotate_ms}")
-        }
-        _ => String::from("-"),
+    let params = attack.kind().params.iter().zip(attack.params());
+    let rendered: Vec<String> = params.map(|(p, v)| format!("{}={v}", p.key)).collect();
+    if rendered.is_empty() {
+        "-".into()
+    } else {
+        rendered.join(",")
     }
 }
 
-/// Draws one parameterization of `strategy` from `rng`. Ranges bracket the
-/// interesting regimes: pulse periods around the transport's 200 ms min
-/// RTO / 1 s initial RTO, rotation faster and slower than the 10 s grant,
-/// spoof pools up to well past the request key-table comfort zone.
-fn sample_attack(strategy: &str, rng: &mut SmallRng) -> Attack {
-    match strategy {
-        "colluder-ring" => Attack::ColluderRing {
-            ring: pick(rng, 2, 5) as u8,
-            wave_ms: pick(rng, 400, 4_001) as u32,
-            duty_pct: pick(rng, 30, 101) as u8,
-        },
-        "pulse-shrew" => Attack::PulseShrew {
-            period_ms: [200, 500, 1000, 1100][pick(rng, 0, 4) as usize],
-            burst_ms: pick(rng, 30, 121) as u32,
-            phase_ms: pick(rng, 0, 100) as u32,
-        },
-        "flash-mimicry" => Attack::FlashMimicry {
-            burst_kb: pick(rng, 16, 65) as u16,
-            think_ms: pick(rng, 100, 1_501) as u32,
-        },
-        "spoofed-request-storm" => Attack::SpoofedRequestStorm {
-            src_pool: pick(rng, 8, 513) as u16,
-            fill: pick(rng, 0, 31) as u8,
-        },
-        "rotating-identity" => Attack::RotatingIdentity {
-            pool: pick(rng, 4, 65) as u16,
-            rotate_ms: pick(rng, 100, 2_001) as u32,
-        },
-        other => unreachable!("unknown strategy {other}"),
-    }
+/// Draws one parameterization of `kind` from `rng` (see [`ATTACKS`] for
+/// the ranges).
+fn sample_attack(kind: &AttackKind, rng: &mut SmallRng) -> Attack {
+    let values: Vec<u64> =
+        kind.params.iter().map(|p| draw(rng, p.search.expect("a strategy parameter"))).collect();
+    Attack::from_params(kind.name, &values).expect("search draws fit their fields")
 }
 
 /// The shared scenario shape: small and fast, users kept busy for the whole
@@ -241,12 +209,12 @@ pub fn search(sc: &SearchConfig) -> Vec<Trial> {
     // comparisons then see identical adversaries.
     let mut plan: Vec<(&'static str, Attack)> =
         vec![("const-flood", Attack::AuthorizedColluder)];
-    for (i, strategy) in STRATEGIES.iter().enumerate() {
+    for (i, kind) in strategies().enumerate() {
         let mut rng = SmallRng::seed_from_u64(
             sc.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
         for _ in 0..sc.trials {
-            plan.push((strategy, sample_attack(strategy, &mut rng)));
+            plan.push((kind.name, sample_attack(kind, &mut rng)));
         }
     }
 
@@ -418,7 +386,7 @@ pub fn write_reports(trials: &[Trial]) -> std::io::Result<std::path::PathBuf> {
 
     let mut registry = tva_obs::Registry::new();
     for scheme in Scheme::ALL {
-        for strategy in STRATEGIES.iter().copied().chain(["const-flood"]) {
+        for strategy in strategies().map(|k| k.name).chain(["const-flood"]) {
             let Some(best) = trials
                 .iter()
                 .filter(|t| t.scheme == scheme && t.strategy == strategy)
@@ -470,12 +438,12 @@ mod tests {
         let sc = SearchConfig { trials: 4, ..SearchConfig::default() };
         let draw = |sc: &SearchConfig| {
             let mut out = Vec::new();
-            for (i, strategy) in STRATEGIES.iter().enumerate() {
+            for (i, kind) in strategies().enumerate() {
                 let mut rng = SmallRng::seed_from_u64(
                     sc.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 );
                 for _ in 0..sc.trials {
-                    out.push(sample_attack(strategy, &mut rng));
+                    out.push(sample_attack(kind, &mut rng));
                 }
             }
             out
@@ -485,10 +453,11 @@ mod tests {
 
     #[test]
     fn frontier_marks_undominated_trials() {
+        let attack = Attack::PulseShrew { period_ms: 200, burst_ms: 60, phase_ms: 0 };
         let t = |bytes, damage| Trial {
             scheme: Scheme::Tva,
-            strategy: "pulse-shrew",
-            attack: Attack::PulseShrew { period_ms: 200, burst_ms: 60, phase_ms: 0 },
+            strategy: attack.name(),
+            attack,
             completed: 0,
             baseline_completed: 0,
             damage_bytes: damage,
@@ -517,11 +486,12 @@ mod tests {
             score: 0.0,
             frontier: false,
         };
+        let shrew = Attack::PulseShrew { period_ms: 200, burst_ms: 60, phase_ms: 0 }.name();
         // Equal in both dimensions: not a strict domination.
-        let trials = vec![mk("const-flood", 100, 100), mk("pulse-shrew", 100, 100)];
+        let trials = vec![mk("const-flood", 100, 100), mk(shrew, 100, 100)];
         assert!(schemes_dominated(&trials).is_empty());
         // Fewer bytes, same damage: dominated.
-        let trials = vec![mk("const-flood", 100, 100), mk("pulse-shrew", 90, 100)];
+        let trials = vec![mk("const-flood", 100, 100), mk(shrew, 90, 100)];
         assert_eq!(schemes_dominated(&trials), vec![Scheme::Siff]);
     }
 }

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 
 use tva_experiments::attacks::{
     attribute, attribution_rows, print_report, schemes_dominated, search, write_attribution,
-    write_reports, SearchConfig, ATTRIBUTION_HEADERS, STRATEGIES,
+    strategies, write_reports, SearchConfig, ATTRIBUTION_HEADERS,
 };
 use tva_experiments::report::table;
 
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
             }
         }
         // Every strategy must actually have engaged the network...
-        for strategy in STRATEGIES {
+        for strategy in strategies().map(|k| k.name) {
             let active = trials
                 .iter()
                 .any(|t| t.strategy == strategy && t.attacker_bytes > 0);

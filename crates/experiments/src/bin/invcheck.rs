@@ -4,7 +4,6 @@
 //! cargo run --release -p tva-experiments --bin invcheck -- fuzz [--seeds N] [--start S] [--dir D]
 //! cargo run --release -p tva-experiments --bin invcheck -- dump --seed S --out PATH
 //! cargo run --release -p tva-experiments --bin invcheck -- replay PATH
-//! cargo run --release -p tva-experiments --bin invcheck -- search [--trials N] [--seed S]
 //! ```
 //!
 //! * `fuzz` derives a randomized scenario (topology parameters, backup
@@ -18,10 +17,9 @@
 //! * `replay` re-executes an artifact deterministically and compares the
 //!   freshly observed violated-invariant set against the recorded one.
 //!   Exit code 0 iff they match.
-//! * `search` runs the attack-strategy damage search (every scheme ×
-//!   randomized strategy parameters) with all auditors on: any invariant
-//!   violation panics after dumping a replay artifact that records the
-//!   strategy and its parameters. Writes `results/attacks.{tsv,json}`.
+//!
+//! The attack search runs audited as `TVA_CHECK=1 attacks`: a violation
+//! there dumps the same artifact, naming the attack and its parameters.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -35,8 +33,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: invcheck fuzz [--seeds N] [--start S] [--dir D]\n\
          \x20      invcheck dump --seed S --out PATH\n\
-         \x20      invcheck replay PATH\n\
-         \x20      invcheck search [--trials N] [--seed S]"
+         \x20      invcheck replay PATH"
     );
     ExitCode::from(2)
 }
@@ -55,43 +52,7 @@ fn main() -> ExitCode {
         "fuzz" => fuzz(&args[1..]),
         "dump" => dump(&args[1..]),
         "replay" => replay_cmd(&args[1..]),
-        "search" => search_cmd(&args[1..]),
         _ => usage(),
-    }
-}
-
-fn search_cmd(args: &[String]) -> ExitCode {
-    let mut sc = tva_experiments::attacks::SearchConfig::from_env();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let ok = match arg.as_str() {
-            "--trials" => parse_flag(&mut it, "--trials").map(|v: u64| sc.trials = v.max(1) as usize).is_some(),
-            "--seed" => parse_flag(&mut it, "--seed").map(|v| sc.seed = v).is_some(),
-            _ => false,
-        };
-        if !ok {
-            return usage();
-        }
-    }
-    // Force the audited driver for every trial: a violation panics after
-    // dumping a replay artifact whose config names the strategy and its
-    // parameters (the round-trippable `attack_*` keys).
-    std::env::set_var("TVA_CHECK", "1");
-    eprintln!(
-        "search: {} trials/strategy, seed {}, {} attackers, {} s horizon, auditors on",
-        sc.trials, sc.seed, sc.n_attackers, sc.duration_secs
-    );
-    let trials = tva_experiments::attacks::search(&sc);
-    tva_experiments::attacks::print_report(&trials);
-    match tva_experiments::attacks::write_reports(&trials) {
-        Ok(path) => {
-            println!("wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("invcheck search: could not write report: {e}");
-            ExitCode::FAILURE
-        }
     }
 }
 

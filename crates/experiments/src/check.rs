@@ -12,6 +12,11 @@
 //! ring is dumped next to it (`<stem>.flight.json`) for packet-level
 //! context. `invcheck replay` re-executes an artifact deterministically
 //! and compares the set of violated invariants.
+//!
+//! The config's keys come from two tables: the attack's name and its
+//! `attack_<param>` keys from [`ATTACKS`], the integer fields' keys from
+//! this module's `FIELDS`. Only the scheme, seed, flags, limiter and
+//! outage window are written out by hand.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -21,9 +26,9 @@ use serde_json::{Map, Value};
 use tva_check::{CheckConfig, CheckReport, Checker};
 use tva_core::RequestLimiter;
 use tva_sim::{DutyCycleOutage, SimDuration, SimTime, Simulator};
-use tva_wire::Grant;
+use tva_wire::{Grant, NBytes, TSecs};
 
-use crate::scenario::{Attack, LinkFaults, ScenarioConfig, ScenarioResult, Scheme};
+use crate::scenario::{Attack, Draw, LinkFaults, ScenarioConfig, ScenarioResult, Scheme, ATTACKS};
 
 /// Drives the built simulator to `end` in `interval_ms`-sized steps with
 /// the full auditor set installed, returning the composed report. The
@@ -84,7 +89,8 @@ pub fn enforce_clean(check: &CheckConfig, cfg: &ScenarioConfig, report: &CheckRe
 // Configuration (de)serialization. Hand-rolled against the vendored
 // serde_json `Value`: fractions travel as ppm integers and the seed as a
 // string (u64 seeds can exceed f64's 2^53 integer range); everything else
-// fits a JSON number exactly.
+// fits a JSON number exactly. The attack's name and parameter keys come
+// from `scenario::ATTACKS`, the integer fields' keys from `FIELDS`.
 
 fn num(v: u64) -> Value {
     debug_assert!(v < (1 << 53), "JSON number out of exact f64 range: {v}");
@@ -104,15 +110,10 @@ fn get<'a>(obj: &'a Map<String, Value>, key: &str) -> Result<&'a Value, String> 
 
 fn get_u64(obj: &Map<String, Value>, key: &str) -> Result<u64, String> {
     match get(obj, key)? {
-        Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        _ => Err(format!("key {key:?}: expected a non-negative integer")),
-    }
-}
-
-fn opt_u64(obj: &Map<String, Value>, key: &str) -> Option<u64> {
-    match obj.get(key) {
-        Some(Value::Number(n)) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-        _ => None,
+        Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < (1u64 << 53) as f64 => {
+            Ok(*n as u64)
+        }
+        _ => Err(format!("key {key:?}: expected an integer in [0, 2^53)")),
     }
 }
 
@@ -152,6 +153,81 @@ fn scheme_from_str(s: &str) -> Result<Scheme, String> {
 const LIMITERS: [(RequestLimiter, &str); 2] =
     [(RequestLimiter::Flat, "flat"), (RequestLimiter::Sketched, "sketched")];
 
+/// Reads an integer field; `None` leaves the key out of the artifact.
+type Read = fn(&ScenarioConfig) -> Option<u64>;
+/// Writes an integer field; `None` when the value does not fit it.
+type Write = fn(&mut ScenarioConfig, u64) -> Option<()>;
+
+fn set<T>(slot: &mut T, v: T) -> Option<()> {
+    *slot = v;
+    Some(())
+}
+
+fn fit<T: TryFrom<u64>>(slot: &mut T, v: u64) -> Option<()> {
+    set(slot, T::try_from(v).ok()?)
+}
+
+fn nonzero(v: u32) -> Option<u64> {
+    (v != 0).then_some(v.into())
+}
+
+/// The integer-coded fields of [`ScenarioConfig`], as `(key, read, write)`.
+/// A key the default configuration writes is required; the others are
+/// written only when not at their default, so artifacts that predate them
+/// still read.
+const FIELDS: &[(&str, Read, Write)] = &[
+    ("n_attackers", |c| Some(c.n_attackers as u64), |c, v| fit(&mut c.n_attackers, v)),
+    ("n_users", |c| Some(c.n_users as u64), |c, v| fit(&mut c.n_users, v)),
+    (
+        "transfers_per_user",
+        |c| Some(c.transfers_per_user as u64),
+        |c, v| fit(&mut c.transfers_per_user, v),
+    ),
+    ("file_size", |c| Some(c.file_size.into()), |c, v| fit(&mut c.file_size, v)),
+    ("bottleneck_bps", |c| Some(c.bottleneck_bps), |c, v| set(&mut c.bottleneck_bps, v)),
+    ("attacker_rate_bps", |c| Some(c.attacker_rate_bps), |c, v| set(&mut c.attacker_rate_bps, v)),
+    (
+        "request_fraction_ppm",
+        |c| Some((c.request_fraction * 1e6).round() as u64),
+        |c, v| set(&mut c.request_fraction, v as f64 / 1e6),
+    ),
+    ("grant_kb", |c| Some(c.grant.n.kb().into()), |c, v| {
+        let kb = u16::try_from(v).ok().filter(|&kb| kb <= NBytes::MAX.kb())?;
+        set(&mut c.grant.n, NBytes::from_kb(kb))
+    }),
+    ("grant_secs", |c| Some(c.grant.t.secs().into()), |c, v| {
+        let secs = u8::try_from(v).ok().filter(|&s| s <= TSecs::MAX.secs())?;
+        set(&mut c.grant.t, TSecs::from_secs(secs))
+    }),
+    ("attack_start_ns", |c| Some(c.attack_start.as_nanos()), |c, v| {
+        set(&mut c.attack_start, SimTime::from_nanos(v))
+    }),
+    ("duration_ns", |c| Some(c.duration.as_nanos()), |c, v| {
+        set(&mut c.duration, SimTime::from_nanos(v))
+    }),
+    ("failure_grace_ns", |c| Some(c.failure_grace.as_nanos()), |c, v| {
+        set(&mut c.failure_grace, SimDuration::from_nanos(v))
+    }),
+    ("measure_after_ns", |c| Some(c.measure_after.as_nanos()), |c, v| {
+        set(&mut c.measure_after, SimTime::from_nanos(v))
+    }),
+    ("siff_key_rotation_ns", |c| Some(c.siff_key_rotation.as_nanos()), |c, v| {
+        set(&mut c.siff_key_rotation, SimDuration::from_nanos(v))
+    }),
+    ("per_queue_cap_bytes", |c| c.per_queue_cap_bytes, |c, v| {
+        set(&mut c.per_queue_cap_bytes, Some(v))
+    }),
+    ("flow_sample_n", |c| nonzero(c.flow_sample_n), |c, v| fit(&mut c.flow_sample_n, v)),
+    ("loss_ppm", |c| nonzero(c.faults.loss_ppm), |c, v| fit(&mut c.faults.loss_ppm, v)),
+    ("corrupt_ppm", |c| nonzero(c.faults.corrupt_ppm), |c, v| fit(&mut c.faults.corrupt_ppm, v)),
+    ("link_down_ns", |c| c.faults.down_at.map(SimTime::as_nanos), |c, v| {
+        set(&mut c.faults.down_at, Some(SimTime::from_nanos(v)))
+    }),
+    ("link_up_ns", |c| c.faults.up_at.map(SimTime::as_nanos), |c, v| {
+        set(&mut c.faults.up_at, Some(SimTime::from_nanos(v)))
+    }),
+];
+
 /// Keys of artifact formats this build no longer replays, rejected by name
 /// (in a config object or the artifact around it) so a stale artifact
 /// fails with its reason instead of silently running something else.
@@ -189,74 +265,19 @@ fn reject_retired(obj: &Map<String, Value>) -> Result<(), String> {
 /// Serializes a scenario configuration for a replay artifact.
 pub fn scenario_to_json(cfg: &ScenarioConfig) -> Value {
     let mut m = Map::new();
+    for &(key, read, _) in FIELDS {
+        if let Some(v) = read(cfg) {
+            m.insert(key.into(), num(v));
+        }
+    }
+    m.insert("attack".into(), Value::String(cfg.attack.name().into()));
+    for (p, v) in cfg.attack.kind().params.iter().zip(cfg.attack.params()) {
+        m.insert(p.artifact_key(), num(v));
+    }
     m.insert("scheme".into(), Value::String(cfg.scheme.name().into()));
-    let attack = match cfg.attack {
-        Attack::None => "none",
-        Attack::LegacyFlood => "legacy-flood",
-        Attack::RequestFlood => "request-flood",
-        Attack::AuthorizedColluder => "authorized-colluder",
-        Attack::ImpreciseAllAtOnce => "imprecise-all-at-once",
-        Attack::ImpreciseStaged { groups, wave_secs } => {
-            m.insert("attack_groups".into(), num(groups as u64));
-            m.insert("attack_wave_secs".into(), num(wave_secs));
-            "imprecise-staged"
-        }
-        Attack::Combined => "combined",
-        Attack::ColluderRing { ring, wave_ms, duty_pct } => {
-            m.insert("attack_ring".into(), num(u64::from(ring)));
-            m.insert("attack_wave_ms".into(), num(u64::from(wave_ms)));
-            m.insert("attack_duty_pct".into(), num(u64::from(duty_pct)));
-            "colluder-ring"
-        }
-        Attack::PulseShrew { period_ms, burst_ms, phase_ms } => {
-            m.insert("attack_period_ms".into(), num(u64::from(period_ms)));
-            m.insert("attack_burst_ms".into(), num(u64::from(burst_ms)));
-            m.insert("attack_phase_ms".into(), num(u64::from(phase_ms)));
-            "pulse-shrew"
-        }
-        Attack::FlashMimicry { burst_kb, think_ms } => {
-            m.insert("attack_burst_kb".into(), num(u64::from(burst_kb)));
-            m.insert("attack_think_ms".into(), num(u64::from(think_ms)));
-            "flash-mimicry"
-        }
-        Attack::SpoofedRequestStorm { src_pool, fill } => {
-            m.insert("attack_src_pool".into(), num(u64::from(src_pool)));
-            m.insert("attack_fill".into(), num(u64::from(fill)));
-            "spoofed-request-storm"
-        }
-        Attack::RotatingIdentity { pool, rotate_ms } => {
-            m.insert("attack_pool".into(), num(u64::from(pool)));
-            m.insert("attack_rotate_ms".into(), num(u64::from(rotate_ms)));
-            "rotating-identity"
-        }
-    };
-    m.insert("attack".into(), Value::String(attack.into()));
-    m.insert("n_attackers".into(), num(cfg.n_attackers as u64));
-    m.insert("n_users".into(), num(cfg.n_users as u64));
-    m.insert("transfers_per_user".into(), num(cfg.transfers_per_user as u64));
-    m.insert("file_size".into(), num(cfg.file_size as u64));
-    m.insert("bottleneck_bps".into(), num(cfg.bottleneck_bps));
-    m.insert("attacker_rate_bps".into(), num(cfg.attacker_rate_bps));
-    m.insert(
-        "request_fraction_ppm".into(),
-        num((cfg.request_fraction * 1e6).round() as u64),
-    );
-    m.insert("grant_kb".into(), num(cfg.grant.n.kb() as u64));
-    m.insert("grant_secs".into(), num(cfg.grant.t.secs() as u64));
-    m.insert("attack_start_ns".into(), num(cfg.attack_start.as_nanos()));
-    m.insert("duration_ns".into(), num(cfg.duration.as_nanos()));
-    m.insert("failure_grace_ns".into(), num(cfg.failure_grace.as_nanos()));
-    m.insert("measure_after_ns".into(), num(cfg.measure_after.as_nanos()));
     m.insert("seed".into(), Value::String(cfg.seed.to_string()));
-    m.insert("siff_key_rotation_ns".into(), num(cfg.siff_key_rotation.as_nanos()));
     m.insert("siff_accept_previous".into(), Value::Bool(cfg.siff_accept_previous));
     m.insert("deny_attackers".into(), Value::Bool(cfg.deny_attackers));
-    if let Some(cap) = cfg.per_queue_cap_bytes {
-        m.insert("per_queue_cap_bytes".into(), num(cap));
-    }
-    if cfg.flow_sample_n != 0 {
-        m.insert("flow_sample_n".into(), num(u64::from(cfg.flow_sample_n)));
-    }
     if cfg.request_limiter != RequestLimiter::Flat {
         let (_, name) = LIMITERS
             .iter()
@@ -267,90 +288,26 @@ pub fn scenario_to_json(cfg: &ScenarioConfig) -> Value {
     if cfg.backup_path {
         m.insert("backup_path".into(), Value::Bool(true));
     }
-    let f = &cfg.faults;
-    if f.loss_ppm != 0 {
-        m.insert("loss_ppm".into(), num(u64::from(f.loss_ppm)));
-    }
-    if f.corrupt_ppm != 0 {
-        m.insert("corrupt_ppm".into(), num(u64::from(f.corrupt_ppm)));
-    }
-    if let Some(o) = f.outage {
+    if let Some(o) = cfg.faults.outage {
         m.insert("outage_period_ns".into(), num(o.period.as_nanos()));
         m.insert("outage_down_ns".into(), num(o.down.as_nanos()));
         m.insert("outage_phase_ns".into(), num(o.phase.as_nanos()));
     }
-    if let Some(down) = f.down_at {
-        m.insert("link_down_ns".into(), num(down.as_nanos()));
-    }
-    if let Some(up) = f.up_at {
-        m.insert("link_up_ns".into(), num(up.as_nanos()));
-    }
     Value::Object(m)
 }
 
-/// Parses a scenario configuration back out of a replay artifact.
+/// Parses a scenario configuration back out of a replay artifact. A value
+/// its field cannot hold is an error naming the key, never a narrowed
+/// different scenario.
 pub fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
     let obj = as_object(v, "scenario config")?;
     reject_retired(obj)?;
-    let attack = match get_str(obj, "attack")? {
-        "none" => Attack::None,
-        "legacy-flood" => Attack::LegacyFlood,
-        "request-flood" => Attack::RequestFlood,
-        "authorized-colluder" => Attack::AuthorizedColluder,
-        "imprecise-all-at-once" => Attack::ImpreciseAllAtOnce,
-        "imprecise-staged" => Attack::ImpreciseStaged {
-            groups: get_u64(obj, "attack_groups")? as usize,
-            wave_secs: get_u64(obj, "attack_wave_secs")?,
-        },
-        "combined" => Attack::Combined,
-        "colluder-ring" => Attack::ColluderRing {
-            ring: get_u64(obj, "attack_ring")? as u8,
-            wave_ms: get_u64(obj, "attack_wave_ms")? as u32,
-            duty_pct: get_u64(obj, "attack_duty_pct")? as u8,
-        },
-        "pulse-shrew" => Attack::PulseShrew {
-            period_ms: get_u64(obj, "attack_period_ms")? as u32,
-            burst_ms: get_u64(obj, "attack_burst_ms")? as u32,
-            phase_ms: get_u64(obj, "attack_phase_ms")? as u32,
-        },
-        "flash-mimicry" => Attack::FlashMimicry {
-            burst_kb: get_u64(obj, "attack_burst_kb")? as u16,
-            think_ms: get_u64(obj, "attack_think_ms")? as u32,
-        },
-        "spoofed-request-storm" => Attack::SpoofedRequestStorm {
-            src_pool: get_u64(obj, "attack_src_pool")? as u16,
-            fill: get_u64(obj, "attack_fill")? as u8,
-        },
-        "rotating-identity" => Attack::RotatingIdentity {
-            pool: get_u64(obj, "attack_pool")? as u16,
-            rotate_ms: get_u64(obj, "attack_rotate_ms")? as u32,
-        },
-        other => return Err(format!("unknown attack {other:?}")),
-    };
-    Ok(ScenarioConfig {
+    let defaults = ScenarioConfig::default();
+    let mut cfg = ScenarioConfig {
         scheme: scheme_from_str(get_str(obj, "scheme")?)?,
-        attack,
-        n_attackers: get_u64(obj, "n_attackers")? as usize,
-        n_users: get_u64(obj, "n_users")? as usize,
-        transfers_per_user: get_u64(obj, "transfers_per_user")? as usize,
-        file_size: get_u64(obj, "file_size")? as u32,
-        bottleneck_bps: get_u64(obj, "bottleneck_bps")?,
-        attacker_rate_bps: get_u64(obj, "attacker_rate_bps")?,
-        request_fraction: get_u64(obj, "request_fraction_ppm")? as f64 / 1e6,
-        grant: Grant::from_parts(
-            get_u64(obj, "grant_kb")? as u16,
-            get_u64(obj, "grant_secs")? as u8,
-        ),
-        attack_start: SimTime::from_nanos(get_u64(obj, "attack_start_ns")?),
-        duration: SimTime::from_nanos(get_u64(obj, "duration_ns")?),
-        failure_grace: SimDuration::from_nanos(get_u64(obj, "failure_grace_ns")?),
-        measure_after: SimTime::from_nanos(get_u64(obj, "measure_after_ns")?),
         seed: get_seed(obj)?,
-        siff_key_rotation: SimDuration::from_nanos(get_u64(obj, "siff_key_rotation_ns")?),
         siff_accept_previous: get_bool(obj, "siff_accept_previous")?,
         deny_attackers: get_bool(obj, "deny_attackers")?,
-        per_queue_cap_bytes: opt_u64(obj, "per_queue_cap_bytes"),
-        flow_sample_n: opt_u64(obj, "flow_sample_n").unwrap_or(0) as u32,
         request_limiter: match obj.get("request_limiter") {
             None => RequestLimiter::Flat,
             Some(v) => LIMITERS
@@ -360,18 +317,28 @@ pub fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
                 .ok_or_else(|| format!("key \"request_limiter\": unknown limiter {v:?}"))?,
         },
         backup_path: opt_bool(obj, "backup_path"),
-        faults: LinkFaults {
-            loss_ppm: opt_u64(obj, "loss_ppm").unwrap_or(0) as u32,
-            corrupt_ppm: opt_u64(obj, "corrupt_ppm").unwrap_or(0) as u32,
-            outage: opt_u64(obj, "outage_period_ns").map(|period| DutyCycleOutage {
-                period: SimDuration::from_nanos(period),
-                down: SimDuration::from_nanos(opt_u64(obj, "outage_down_ns").unwrap_or(0)),
-                phase: SimDuration::from_nanos(opt_u64(obj, "outage_phase_ns").unwrap_or(0)),
-            }),
-            down_at: opt_u64(obj, "link_down_ns").map(SimTime::from_nanos),
-            up_at: opt_u64(obj, "link_up_ns").map(SimTime::from_nanos),
-        },
-    })
+        ..defaults.clone()
+    };
+    for &(key, read, write) in FIELDS {
+        if obj.get(key).is_some() || read(&defaults).is_some() {
+            let v = get_u64(obj, key)?;
+            write(&mut cfg, v).ok_or_else(|| format!("key {key:?}: {v} does not fit its field"))?;
+        }
+    }
+    let name = get_str(obj, "attack")?;
+    let params = ATTACKS.iter().find(|k| k.name == name).map_or(&[][..], |k| k.params);
+    let values =
+        params.iter().map(|p| get_u64(obj, &p.artifact_key())).collect::<Result<Vec<_>, _>>()?;
+    cfg.attack = Attack::from_params(name, &values)?;
+    if obj.get("outage_period_ns").is_some() {
+        let ns = |key| get_u64(obj, key).map(SimDuration::from_nanos);
+        cfg.faults.outage = Some(DutyCycleOutage {
+            period: ns("outage_period_ns")?,
+            down: ns("outage_down_ns")?,
+            phase: ns("outage_phase_ns")?,
+        });
+    }
+    Ok(cfg)
 }
 
 // ---------------------------------------------------------------------------
@@ -465,10 +432,18 @@ pub fn replay(artifact: &Artifact, check: &CheckConfig) -> Vec<String> {
 // ---------------------------------------------------------------------------
 // The fuzzer's configuration generator.
 
-/// A draw in `[lo, hi)`; the attack search's parameter sampler shares it.
-pub(crate) fn pick(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
+/// A draw in `[lo, hi)`.
+fn pick(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
     debug_assert!(lo < hi);
     lo + rng.next_u64() % (hi - lo)
+}
+
+/// One value from `d`; the attack search's parameter sampler shares it.
+pub(crate) fn draw(rng: &mut SmallRng, d: Draw) -> u64 {
+    match d {
+        Draw::Range(lo, hi) => pick(rng, lo, hi),
+        Draw::OneOf(values) => values[pick(rng, 0, values.len() as u64) as usize],
+    }
 }
 
 fn chance(rng: &mut SmallRng, percent: u64) -> bool {
@@ -483,40 +458,9 @@ fn chance(rng: &mut SmallRng, percent: u64) -> bool {
 pub fn random_config(seed: u64) -> ScenarioConfig {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xF0DD_C0DE);
     let scheme = Scheme::ALL[pick(&mut rng, 0, 4) as usize];
-    let attack = match pick(&mut rng, 0, 12) {
-        0 => Attack::None,
-        1 => Attack::LegacyFlood,
-        2 => Attack::RequestFlood,
-        3 => Attack::AuthorizedColluder,
-        4 => Attack::ImpreciseAllAtOnce,
-        5 => Attack::ImpreciseStaged {
-            groups: pick(&mut rng, 2, 5) as usize,
-            wave_secs: pick(&mut rng, 2, 6),
-        },
-        6 => Attack::Combined,
-        7 => Attack::ColluderRing {
-            ring: pick(&mut rng, 1, 5) as u8,
-            wave_ms: pick(&mut rng, 200, 4_001) as u32,
-            duty_pct: pick(&mut rng, 20, 101) as u8,
-        },
-        8 => Attack::PulseShrew {
-            period_ms: pick(&mut rng, 100, 1_201) as u32,
-            burst_ms: pick(&mut rng, 20, 101) as u32,
-            phase_ms: pick(&mut rng, 0, 200) as u32,
-        },
-        9 => Attack::FlashMimicry {
-            burst_kb: pick(&mut rng, 8, 65) as u16,
-            think_ms: pick(&mut rng, 100, 2_001) as u32,
-        },
-        10 => Attack::SpoofedRequestStorm {
-            src_pool: pick(&mut rng, 1, 257) as u16,
-            fill: pick(&mut rng, 0, 33) as u8,
-        },
-        _ => Attack::RotatingIdentity {
-            pool: pick(&mut rng, 2, 65) as u16,
-            rotate_ms: pick(&mut rng, 50, 2_001) as u32,
-        },
-    };
+    let kind = &ATTACKS[pick(&mut rng, 0, ATTACKS.len() as u64) as usize];
+    let values: Vec<u64> = kind.params.iter().map(|p| draw(&mut rng, p.fuzz)).collect();
+    let attack = Attack::from_params(kind.name, &values).expect("fuzz draws fit their fields");
     let duration_secs = pick(&mut rng, 12, 30);
     let mut cfg = ScenarioConfig {
         scheme,
@@ -610,20 +554,37 @@ mod tests {
 
     #[test]
     fn strategy_attacks_roundtrip_with_parameters() {
-        // Every strategic variant, with asymmetric parameters so a swapped
-        // field shows up (satellite: replay artifacts must carry the
-        // strategy name *and* its knobs).
+        // Every attack kind, with asymmetric parameters so a swapped field
+        // shows up (replay artifacts must carry the kind's name *and* its
+        // parameters).
         let attacks = [
+            Attack::None,
+            Attack::LegacyFlood,
+            Attack::RequestFlood,
+            Attack::AuthorizedColluder,
+            Attack::ImpreciseAllAtOnce,
+            Attack::ImpreciseStaged { groups: 3, wave_secs: 5 },
+            Attack::Combined,
             Attack::ColluderRing { ring: 3, wave_ms: 750, duty_pct: 40 },
             Attack::PulseShrew { period_ms: 1000, burst_ms: 60, phase_ms: 17 },
             Attack::FlashMimicry { burst_kb: 32, think_ms: 900 },
             Attack::SpoofedRequestStorm { src_pool: 128, fill: 7 },
             Attack::RotatingIdentity { pool: 24, rotate_ms: 350 },
         ];
+        let names: Vec<&str> = ATTACKS.iter().map(|k| k.name).collect();
+        assert_eq!(attacks.map(Attack::name).to_vec(), names, "one case per row, in row order");
         for attack in attacks {
+            let (name, params) = (attack.name(), attack.params());
+            assert_eq!(Attack::from_params(name, &params), Ok(attack));
+            let keys: Vec<String> = attack.kind().params.iter().map(|p| p.artifact_key()).collect();
+            for (i, key) in keys.iter().enumerate() {
+                assert!(!keys[..i].contains(key), "{name}: {key} appears twice");
+                assert!(FIELDS.iter().all(|(k, ..)| k != key), "{name}: {key} is a config key");
+            }
             let cfg = ScenarioConfig { attack, n_attackers: 4, ..ScenarioConfig::default() };
             let back = scenario_from_json(&scenario_to_json(&cfg)).unwrap();
             assert_eq!(back.attack, attack, "lost parameters for {attack:?}");
+            assert_eq!(canonical(&back), canonical(&cfg));
         }
     }
 
@@ -659,11 +620,22 @@ mod tests {
 
     #[test]
     fn artifacts_of_retired_formats_are_rejected_by_key() {
-        let cfg = random_config(3);
+        let ring = Attack::ColluderRing { ring: 3, wave_ms: 750, duty_pct: 40 };
+        let cfg = ScenarioConfig { attack: ring, ..random_config(3) };
+        let ring_size: &str = &ring.kind().params[0].artifact_key();
         let path = std::env::temp_dir().join("tva-check-test-retired.json");
         let t = Value::Bool(true);
+        let n = |v: u64| Value::Number(v as f64);
         // (key, value, in the config object or the artifact around it, rejected)
         let cases = [
+            // Values their field cannot hold: never narrowed into another run.
+            ("grant_secs", n(300), true, true),
+            ("grant_secs", n(64), true, true),
+            ("grant_secs", n(63), true, false),
+            (ring_size, n(300), true, true),
+            (ring_size, n(255), true, false),
+            ("file_size", n(1 << 33), true, true),
+            // Retired formats.
             ("clock_cache", t.clone(), true, true),
             ("clock_cache", Value::Bool(false), true, false),
             ("sketched_requests", t.clone(), true, true),

@@ -149,6 +149,199 @@ pub enum Attack {
     },
 }
 
+/// How a parameter is drawn: uniformly from `[lo, hi)`, or one of a set.
+#[derive(Debug, Clone, Copy)]
+pub enum Draw {
+    /// Uniform over `[lo, hi)`.
+    Range(u64, u64),
+    /// One of these values, uniformly.
+    OneOf(&'static [u64]),
+}
+
+/// One parameter of an attack kind.
+#[derive(Debug)]
+pub struct Param {
+    /// Its key, as the `attacks` report's `params` column spells it.
+    pub key: &'static str,
+    /// The `invcheck` fuzzer's draw.
+    pub fuzz: Draw,
+    /// The attack search's draw; set on the strategies' parameters only.
+    pub search: Option<Draw>,
+}
+
+impl Param {
+    /// The key a replay artifact stores this parameter under.
+    pub fn artifact_key(&self) -> String {
+        format!("attack_{}", self.key)
+    }
+}
+
+/// One row of [`ATTACKS`]: an attack kind's name and its parameters, in
+/// field order.
+#[derive(Debug)]
+pub struct AttackKind {
+    /// The name the replay codec and the reports use.
+    pub name: &'static str,
+    /// The variant's fields, in declaration order.
+    pub params: &'static [Param],
+}
+
+const fn fuzzed(key: &'static str, lo: u64, hi: u64) -> Param {
+    Param { key, fuzz: Draw::Range(lo, hi), search: None }
+}
+
+const fn searched(key: &'static str, lo: u64, hi: u64, search: Draw) -> Param {
+    Param { key, fuzz: Draw::Range(lo, hi), search: Some(search) }
+}
+
+const fn row(name: &'static str, params: &'static [Param]) -> AttackKind {
+    AttackKind { name, params }
+}
+
+/// Every attack kind, in [`Attack`]'s declaration order — the order the
+/// fuzzer indexes, so reordering rows changes every fuzz seed. Search
+/// ranges bracket the interesting regimes: pulse periods around the
+/// transport's 200 ms min RTO / 1 s initial RTO, rotation faster and
+/// slower than the 10 s grant, spoof pools well past the request
+/// key-table comfort zone.
+pub static ATTACKS: [AttackKind; 12] = {
+    use Draw::{OneOf, Range};
+    [
+        row("none", &[]),
+        row("legacy-flood", &[]),
+        row("request-flood", &[]),
+        row("authorized-colluder", &[]),
+        row("imprecise-all-at-once", &[]),
+        row("imprecise-staged", &[fuzzed("groups", 2, 5), fuzzed("wave_secs", 2, 6)]),
+        row("combined", &[]),
+        row(
+            "colluder-ring",
+            &[
+                searched("ring", 1, 5, Range(2, 5)),
+                searched("wave_ms", 200, 4_001, Range(400, 4_001)),
+                searched("duty", 20, 101, Range(30, 101)),
+            ],
+        ),
+        row(
+            "pulse-shrew",
+            &[
+                searched("period_ms", 100, 1_201, OneOf(&[200, 500, 1000, 1100])),
+                searched("burst_ms", 20, 101, Range(30, 121)),
+                searched("phase_ms", 0, 200, Range(0, 100)),
+            ],
+        ),
+        row(
+            "flash-mimicry",
+            &[
+                searched("burst_kb", 8, 65, Range(16, 65)),
+                searched("think_ms", 100, 2_001, Range(100, 1_501)),
+            ],
+        ),
+        row(
+            "spoofed-request-storm",
+            &[searched("src_pool", 1, 257, Range(8, 513)), searched("fill", 0, 33, Range(0, 31))],
+        ),
+        row(
+            "rotating-identity",
+            &[
+                searched("pool", 2, 65, Range(4, 65)),
+                searched("rotate_ms", 50, 2_001, Range(100, 2_001)),
+            ],
+        ),
+    ]
+};
+
+/// Narrows parameter `v` to its field's type, or names the key it came
+/// under.
+fn narrow<T: TryFrom<u64>>((p, v): (&Param, u64)) -> Result<T, String> {
+    T::try_from(v).map_err(|_| {
+        format!("key {:?}: {v} does not fit in {}", p.artifact_key(), std::any::type_name::<T>())
+    })
+}
+
+impl Attack {
+    /// This attack's row of [`ATTACKS`] and its parameter values.
+    fn encode(self) -> (usize, Vec<u64>) {
+        match self {
+            Attack::None => (0, vec![]),
+            Attack::LegacyFlood => (1, vec![]),
+            Attack::RequestFlood => (2, vec![]),
+            Attack::AuthorizedColluder => (3, vec![]),
+            Attack::ImpreciseAllAtOnce => (4, vec![]),
+            Attack::ImpreciseStaged { groups, wave_secs } => (5, vec![groups as u64, wave_secs]),
+            Attack::Combined => (6, vec![]),
+            Attack::ColluderRing { ring, wave_ms, duty_pct } => {
+                (7, vec![ring.into(), wave_ms.into(), duty_pct.into()])
+            }
+            Attack::PulseShrew { period_ms, burst_ms, phase_ms } => {
+                (8, vec![period_ms.into(), burst_ms.into(), phase_ms.into()])
+            }
+            Attack::FlashMimicry { burst_kb, think_ms } => {
+                (9, vec![burst_kb.into(), think_ms.into()])
+            }
+            Attack::SpoofedRequestStorm { src_pool, fill } => {
+                (10, vec![src_pool.into(), fill.into()])
+            }
+            Attack::RotatingIdentity { pool, rotate_ms } => {
+                (11, vec![pool.into(), rotate_ms.into()])
+            }
+        }
+    }
+
+    /// This attack's row of [`ATTACKS`].
+    pub fn kind(self) -> &'static AttackKind {
+        &ATTACKS[self.encode().0]
+    }
+
+    /// The kind's name.
+    pub fn name(self) -> &'static str {
+        self.kind().name
+    }
+
+    /// The parameter values, in the order of [`AttackKind::params`].
+    pub fn params(self) -> Vec<u64> {
+        self.encode().1
+    }
+
+    /// The attack named `name` with parameter `values` in field order.
+    /// Rejects an unknown name, a wrong count, and a value its field
+    /// cannot hold.
+    pub fn from_params(name: &str, values: &[u64]) -> Result<Attack, String> {
+        let i = ATTACKS
+            .iter()
+            .position(|k| k.name == name)
+            .ok_or_else(|| format!("unknown attack {name:?}"))?;
+        let params = ATTACKS[i].params;
+        if values.len() != params.len() {
+            let n = params.len();
+            return Err(format!("attack {name:?} takes {n} parameters, not {}", values.len()));
+        }
+        let v = |j: usize| (&params[j], values[j]);
+        Ok(match i {
+            0 => Attack::None,
+            1 => Attack::LegacyFlood,
+            2 => Attack::RequestFlood,
+            3 => Attack::AuthorizedColluder,
+            4 => Attack::ImpreciseAllAtOnce,
+            5 => Attack::ImpreciseStaged { groups: narrow(v(0))?, wave_secs: narrow(v(1))? },
+            6 => Attack::Combined,
+            7 => Attack::ColluderRing {
+                ring: narrow(v(0))?,
+                wave_ms: narrow(v(1))?,
+                duty_pct: narrow(v(2))?,
+            },
+            8 => Attack::PulseShrew {
+                period_ms: narrow(v(0))?,
+                burst_ms: narrow(v(1))?,
+                phase_ms: narrow(v(2))?,
+            },
+            9 => Attack::FlashMimicry { burst_kb: narrow(v(0))?, think_ms: narrow(v(1))? },
+            10 => Attack::SpoofedRequestStorm { src_pool: narrow(v(0))?, fill: narrow(v(1))? },
+            _ => Attack::RotatingIdentity { pool: narrow(v(0))?, rotate_ms: narrow(v(1))? },
+        })
+    }
+}
+
 /// Wire faults on the bottleneck link: random impairments, periodic
 /// blackouts, and one scheduled failure (with optional recovery). The
 /// default is a perfect wire that stays up. Probabilities are

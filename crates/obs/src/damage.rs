@@ -42,18 +42,18 @@ mod tests {
     #[test]
     fn records_under_stable_names() {
         let mut reg = Registry::new();
-        record_attack_damage(&mut reg, "TVA", "pulse-shrew", 1_000, 500, 2.0);
+        record_attack_damage(&mut reg, "TVA", "shrew", 1_000, 500, 2.0);
         let snap = serde_json::to_string(&reg.snapshot()).unwrap();
-        assert!(snap.contains("attack.TVA.pulse-shrew.damage_bytes"));
-        assert!(snap.contains("attack.TVA.pulse-shrew.damage_per_attacker_byte"));
+        assert!(snap.contains("attack.TVA.shrew.damage_bytes"));
+        assert!(snap.contains("attack.TVA.shrew.damage_per_attacker_byte"));
     }
 
     #[test]
     fn rerecording_overwrites() {
         let mut reg = Registry::new();
-        record_attack_damage(&mut reg, "SIFF", "colluder-ring", 10, 10, 1.0);
-        record_attack_damage(&mut reg, "SIFF", "colluder-ring", 20, 10, 2.0);
-        let g = reg.gauge("attack.SIFF.colluder-ring.damage_bytes");
+        record_attack_damage(&mut reg, "SIFF", "ring", 10, 10, 1.0);
+        record_attack_damage(&mut reg, "SIFF", "ring", 20, 10, 2.0);
+        let g = reg.gauge("attack.SIFF.ring.damage_bytes");
         assert_eq!(reg.gauge_value(g), 20.0);
     }
 }

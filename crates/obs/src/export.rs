@@ -3,9 +3,7 @@
 //! grepped or opened on a timeline in `ui.perfetto.dev`.
 
 use serde_json::{Map, Value};
-use tva_sim::{ChannelId, SimDuration, TraceEvent, TraceKind, Tracer};
-
-use std::sync::{Arc, Mutex};
+use tva_sim::{ChannelId, SimDuration, TraceEvent, TraceKind};
 
 /// Short stable label for a trace kind (used in JSON output).
 pub fn kind_label(kind: TraceKind) -> &'static str {
@@ -98,9 +96,9 @@ pub fn to_perfetto(
     Value::Object(root)
 }
 
-/// A bounded in-memory event collector, installable as a [`Tracer`] via
-/// [`collector_tracer`]. Stops retaining past `limit` events (counting the
-/// overflow) so a long run cannot exhaust memory.
+/// A bounded in-memory event collector for a [`tva_sim::Tracer`] to feed. Stops
+/// retaining past `limit` events (counting the overflow) so a long run
+/// cannot exhaust memory.
 pub struct TraceCollector {
     events: Vec<TraceEvent>,
     limit: usize,
@@ -132,22 +130,6 @@ impl TraceCollector {
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
-}
-
-/// A shareable collector handle (the simulator owns the tracer closure;
-/// the caller keeps the other reference to read events afterward).
-pub type SharedCollector = Arc<Mutex<TraceCollector>>;
-
-/// Builds a shared collector plus a [`Tracer`] feeding it.
-pub fn collector_tracer(limit: usize) -> (SharedCollector, Tracer) {
-    let shared = Arc::new(Mutex::new(TraceCollector::new(limit)));
-    let sink = Arc::clone(&shared);
-    let tracer: Tracer = Box::new(move |ev| {
-        if let Ok(mut c) = sink.lock() {
-            c.record(ev);
-        }
-    });
-    (shared, tracer)
 }
 
 #[cfg(test)]
@@ -211,11 +193,10 @@ mod tests {
 
     #[test]
     fn collector_caps_retention() {
-        let (shared, mut tracer) = collector_tracer(2);
+        let mut c = TraceCollector::new(2);
         for i in 0..5 {
-            tracer(&ev(TraceKind::Enqueued, i));
+            c.record(&ev(TraceKind::Enqueued, i));
         }
-        let c = shared.lock().unwrap();
         assert_eq!(c.events().len(), 2);
         assert_eq!(c.overflow(), 3);
     }

@@ -54,10 +54,7 @@ pub mod snapshot;
 pub mod top;
 
 pub use damage::record_attack_damage;
-pub use export::{
-    collector_tracer, event_to_json, kind_label, to_jsonl, to_perfetto, SharedCollector,
-    TraceCollector,
-};
+pub use export::{event_to_json, kind_label, to_jsonl, to_perfetto, TraceCollector};
 pub use flight::{
     clear_thread_flight, dump_thread_flight, flight_tracer, install_thread_flight,
     thread_flight_record, FlightRecorder,
@@ -65,7 +62,7 @@ pub use flight::{
 pub use flow::{format_prefix24, FlowClass, FlowCounters, FlowKey, FlowSampler, FlowVerdict};
 pub use hist::Histogram;
 pub use observe::Observe;
-pub use registry::{CounterId, GaugeId, HistId, Obs, Registry};
+pub use registry::{CounterId, GaugeId, HistId, Registry};
 pub use series::{ColId, SeriesSet};
 
 use std::path::PathBuf;

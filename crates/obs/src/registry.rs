@@ -3,9 +3,6 @@
 //!
 //! Registration (name lookup, allocation) happens once, at setup time;
 //! after that every update is an array index — zero heap on the hot path.
-//! The [`Obs`] wrapper adds the disabled mode: a `None` registry makes
-//! every operation a single branch, so instrumented code can stay
-//! unconditionally written.
 
 use serde_json::{Map, Value};
 
@@ -173,99 +170,6 @@ impl Registry {
     }
 }
 
-/// An optionally-disabled registry: `Obs::off()` turns every update into
-/// one branch on a `None`, so the same instrumented code path serves both
-/// modes without `if` litter at call sites.
-#[derive(Default)]
-pub struct Obs {
-    reg: Option<Box<Registry>>,
-}
-
-impl Obs {
-    /// Observability off: all updates are single-branch no-ops.
-    pub fn off() -> Self {
-        Obs { reg: None }
-    }
-
-    /// Observability on, with a fresh registry.
-    pub fn on() -> Self {
-        Obs { reg: Some(Box::default()) }
-    }
-
-    /// Whether a registry is attached.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.reg.is_some()
-    }
-
-    /// Registers a counter; returns a handle that is safe to use either
-    /// way (updates through it are ignored when disabled).
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        match &mut self.reg {
-            Some(r) => r.counter(name),
-            None => CounterId(0),
-        }
-    }
-
-    /// Registers a gauge (no-op handle when disabled).
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        match &mut self.reg {
-            Some(r) => r.gauge(name),
-            None => GaugeId(0),
-        }
-    }
-
-    /// Registers a histogram (no-op handle when disabled).
-    pub fn hist(&mut self, name: &str) -> HistId {
-        match &mut self.reg {
-            Some(r) => r.hist(name),
-            None => HistId(0),
-        }
-    }
-
-    /// Increments a counter (one branch when disabled).
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        if let Some(r) = &mut self.reg {
-            r.inc(id);
-        }
-    }
-
-    /// Adds to a counter (one branch when disabled).
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        if let Some(r) = &mut self.reg {
-            r.add(id, n);
-        }
-    }
-
-    /// Sets a gauge (one branch when disabled).
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, v: f64) {
-        if let Some(r) = &mut self.reg {
-            r.set(id, v);
-        }
-    }
-
-    /// Records a histogram sample (one branch when disabled).
-    #[inline]
-    pub fn record(&mut self, id: HistId, v: u64) {
-        if let Some(r) = &mut self.reg {
-            r.record(id, v);
-        }
-    }
-
-    /// The registry, if enabled.
-    pub fn registry(&self) -> Option<&Registry> {
-        self.reg.as_deref()
-    }
-
-    /// Mutable registry access, if enabled.
-    pub fn registry_mut(&mut self) -> Option<&mut Registry> {
-        self.reg.as_deref_mut()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,27 +260,5 @@ mod tests {
         for key in ["count", "min", "max", "mean", "p50", "p95", "p99", "p999"] {
             assert!(lat.get(key).is_some(), "missing {key}");
         }
-    }
-
-    #[test]
-    fn disabled_obs_is_inert() {
-        let mut o = Obs::off();
-        assert!(!o.enabled());
-        let c = o.counter("never");
-        let g = o.gauge("never");
-        let h = o.hist("never");
-        o.inc(c);
-        o.add(c, 10);
-        o.set(g, 1.0);
-        o.record(h, 42);
-        assert!(o.registry().is_none());
-    }
-
-    #[test]
-    fn enabled_obs_delegates() {
-        let mut o = Obs::on();
-        let c = o.counter("n");
-        o.inc(c);
-        assert_eq!(o.registry().unwrap().counter_value(c), 1);
     }
 }

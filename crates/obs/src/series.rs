@@ -91,25 +91,6 @@ impl SeriesSet {
         Value::Object(root)
     }
 
-    /// Tab-separated form with a header row (`t` plus column names),
-    /// for the figure pipeline.
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::from("t");
-        for (name, _) in &self.cols {
-            out.push('\t');
-            out.push_str(name);
-        }
-        out.push('\n');
-        for (row, &t) in self.times.iter().enumerate() {
-            out.push_str(&format!("{t:.3}"));
-            for (_, col) in &self.cols {
-                out.push_str(&format!("\t{:.6}", col[row]));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
     /// A small fixed-width ASCII chart of one column (terminal-friendly
     /// dynamics view for reports). Returns an empty string for unknown or
     /// empty columns.
@@ -177,21 +158,6 @@ mod tests {
         assert!(root.get("t").is_some());
         let Some(Value::Object(series)) = root.get("series") else { panic!() };
         assert_eq!(series.get("x"), Some(&Value::Array(vec![Value::Number(2.0)])));
-    }
-
-    #[test]
-    fn tsv_has_header_and_rows() {
-        let mut s = SeriesSet::new();
-        let a = s.column("q");
-        s.begin(0.0);
-        s.set(a, 1.0);
-        s.begin(1.0);
-        s.set(a, 2.0);
-        let tsv = s.to_tsv();
-        let lines: Vec<&str> = tsv.lines().collect();
-        assert_eq!(lines[0], "t\tq");
-        assert_eq!(lines.len(), 3);
-        assert!(lines[2].starts_with("1.000\t2.0"));
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl Channel {
         self.queue.len_bytes()
     }
 
-    /// Whether the serializer is mid-transmission.
-    pub fn is_busy(&self) -> bool {
-        self.busy
-    }
-
     /// Packets currently being serialized (0 or 1).
     pub fn in_flight_pkts(&self) -> usize {
         usize::from(self.in_flight.is_some())
@@ -1089,28 +1084,6 @@ impl Simulator {
         self.set_impairments(l.ba, imp);
     }
 
-    /// Fails both directions of a link immediately: the in-flight packets
-    /// are lost, queued packets are held, and routes re-converge around the
-    /// failure (dense next-hop tables are recomputed excluding every down
-    /// channel).
-    pub fn fail_link(&mut self, l: LinkHandle) {
-        let a = self.apply_channel_state(l.ab, false, self.global.now);
-        let b = self.apply_channel_state(l.ba, false, self.global.now);
-        if a || b {
-            self.reconverge();
-        }
-    }
-
-    /// Restores both directions of a link immediately and re-converges
-    /// routes; retained queued packets resume transmission.
-    pub fn restore_link(&mut self, l: LinkHandle) {
-        let a = self.apply_channel_state(l.ab, true, self.global.now);
-        let b = self.apply_channel_state(l.ba, true, self.global.now);
-        if a || b {
-            self.reconverge();
-        }
-    }
-
     /// Schedules both directions of `l` to transition at `at`, keyed on
     /// the `ab` channel's lane so the barrier's position in the global
     /// event order is identical across shard counts.
@@ -1345,13 +1318,6 @@ impl Simulator {
         self.global.tracer = tracer;
     }
 
-    /// Number of pending events (diagnostics), scheduled link transitions
-    /// included.
-    pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.core.events.len() + s.core.outbox.len()).sum::<usize>()
-            + self.global.link_events.len()
-    }
-
     /// Total events dispatched by [`Simulator::run_until`] so far — the
     /// denominator for engine-throughput (events/sec) measurements.
     pub fn events_processed(&self) -> u64 {
@@ -1361,16 +1327,6 @@ impl Simulator {
     /// How many shards this simulation runs on.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The shard owning `node`.
-    pub fn shard_of_node(&self, node: NodeId) -> usize {
-        loc_shard(self.shared.node_loc[node.0])
-    }
-
-    /// Events dispatched per shard (sums to [`Simulator::events_processed`]).
-    pub fn shard_events_dispatched(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.core.events_dispatched).collect()
     }
 
     /// Events that crossed a shard boundary through the horizon exchange.

@@ -214,10 +214,6 @@ impl EventQueue {
         self.heap.first().map(Entry::key)
     }
 
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Iterates the pending event payloads in slab (not dispatch) order.
     /// Cold path: used by the runtime auditors to count engine-held packets.
     pub fn iter_kinds(&self) -> impl Iterator<Item = &EventKind> {
@@ -346,7 +342,7 @@ mod tests {
         let bound = EventKey { time: SimTime::from_secs(3), gen: 0, tie: 1 };
         assert!(q.pop_below(bound).is_none());
         assert!(q.pop_below(EventKey::end_of(SimTime::from_secs(3))).is_some());
-        assert_eq!(q.len(), 0);
+        assert_eq!(q.peek_key(), None);
     }
 
     use proptest::prelude::*;
@@ -379,7 +375,7 @@ mod tests {
             while let Some(e) = q.pop() {
                 prop_assert_eq!(Some(read(e)), model.pop_first());
             }
-            prop_assert_eq!(q.len(), 0);
+            prop_assert_eq!(q.peek_key(), None);
             prop_assert!(model.is_empty());
         }
     }
@@ -393,7 +389,6 @@ mod tests {
         q.push(key(SimTime::from_secs(2), 2), timer(0, 20));
         q.push(key(SimTime::from_secs(5), 3), timer(0, 51)); // same time as first
         assert_eq!(drain_tokens(&mut q), vec![20, 50, 51]);
-        assert_eq!(q.len(), 0);
         assert_eq!(q.peek_key(), None);
     }
 }

@@ -5,7 +5,7 @@
 //! routes to every bound address with deterministic tie-breaking and returns
 //! a ready [`Simulator`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::engine::{Channel, RouteTable, Simulator};
 use crate::event::{ChannelId, NodeId};
@@ -253,12 +253,6 @@ pub(crate) fn apply_static_routes(
         let idx = interner.get(addr).expect("static address is interned");
         routes[node.0].insert(idx, ch);
     }
-}
-
-/// Convenience: a map from address to owning node, for experiments that need
-/// to look hosts up after building.
-pub fn addr_map(addrs: &[(Addr, NodeId)]) -> HashMap<Addr, NodeId> {
-    addrs.iter().copied().collect()
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ pub type PacketFactory = Box<dyn FnMut(SimTime, u64) -> Option<Packet> + Send>;
 
 /// A constant-bit-rate traffic source.
 ///
-/// Pacing is jittered by default: each inter-packet gap is scaled by a
+/// Pacing is jittered: each inter-packet gap is scaled by a
 /// uniform factor in `[0.5, 1.5)` (mean 1, so the average rate is exact).
 /// Without jitter, a population of flooders created with identical
 /// parameters phase-locks into synchronized bursts that collide with each
@@ -32,7 +32,6 @@ pub struct FloodNode {
     rate_bps: u64,
     /// Emission stops at this time (exclusive); `None` floods forever.
     stop_at: Option<SimTime>,
-    jitter: bool,
     seq: u64,
     /// Packets actually emitted.
     pub emitted: u64,
@@ -51,7 +50,6 @@ impl FloodNode {
             factory,
             rate_bps,
             stop_at: None,
-            jitter: true,
             seq: 0,
             emitted: 0,
             received: 0,
@@ -61,12 +59,6 @@ impl FloodNode {
     /// Stops emitting at `t`.
     pub fn stop_at(mut self, t: SimTime) -> Self {
         self.stop_at = Some(t);
-        self
-    }
-
-    /// Disables pacing jitter (for tests needing exact emission times).
-    pub fn without_jitter(mut self) -> Self {
-        self.jitter = false;
         self
     }
 
@@ -88,13 +80,11 @@ impl FloodNode {
             // the off-period doesn't burst when transmission resumes.
             1000
         };
-        // Pace to the configured bit rate based on the bytes just sent.
-        let mut gap = SimDuration::transmission(wire_len, self.rate_bps);
-        if self.jitter {
-            // Uniform in [0.5, 1.5) × gap: mean 1 preserves the rate.
-            let u = (ctx.rng().next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-            gap = SimDuration::from_nanos(((gap.as_nanos() as f64) * (0.5 + u)) as u64);
-        }
+        // Pace to the configured bit rate based on the bytes just sent,
+        // scaled by a uniform factor in [0.5, 1.5): mean 1 preserves the rate.
+        let gap = SimDuration::transmission(wire_len, self.rate_bps);
+        let u = (ctx.rng().next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        let gap = SimDuration::from_nanos(((gap.as_nanos() as f64) * (0.5 + u)) as u64);
         ctx.set_timer(gap, TOKEN_EMIT);
     }
 }

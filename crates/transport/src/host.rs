@@ -195,11 +195,6 @@ impl ServerNode {
     pub fn delivered_bytes(&self) -> u64 {
         self.stack.delivered_bytes
     }
-
-    /// Access to the shim for policy configuration / inspection.
-    pub fn shim_mut(&mut self) -> &mut dyn Shim {
-        self.shim.as_mut()
-    }
 }
 
 impl Node for ServerNode {

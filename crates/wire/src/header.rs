@@ -10,7 +10,7 @@
 //! xx10: regular w/ nonce only          xx11: renewal
 //! ```
 
-use crate::cap::{CapList, FlowNonce, RequestList, MAX_PATH_ROUTERS};
+use crate::cap::{CapList, FlowNonce, RequestList};
 use crate::nt::Grant;
 
 /// Protocol version carried in the common header.
@@ -186,14 +186,6 @@ impl CapHeader {
             t |= 0b1000;
         }
         t
-    }
-
-    /// Number of request entries a request header may still accept.
-    pub fn request_slots_left(&self) -> usize {
-        match &self.payload {
-            CapPayload::Request { entries } => MAX_PATH_ROUTERS.saturating_sub(entries.len()),
-            _ => 0,
-        }
     }
 
     /// The serialized size of this header in bytes (used for link-level

@@ -48,6 +48,11 @@ cmp target/verify-attacks/s1/attacks.json target/verify-attacks/s2/attacks.json
 cmp target/verify-attacks/s1/attacks_metrics.json target/verify-attacks/s2/attacks_metrics.json
 cmp target/verify-attacks/s1/attacks_attribution.tsv target/verify-attacks/s2/attacks_attribution.tsv
 cmp target/verify-attacks/s1/attacks_attribution.json target/verify-attacks/s2/attacks_attribution.json
+# The tracked artifacts are what this commit writes: the `params` column
+# renders each attack through the scenario's attack table.
+for f in attacks.tsv attacks.json attacks_metrics.json attacks_attribution.tsv attacks_attribution.json; do
+  cmp "target/verify-attacks/s1/$f" "results/$f"
+done
 
 echo "==> bounded-state experiment (statebound quick, self-gated, auditors on, shard-determinism)"
 rm -rf target/verify-statebound
