@@ -7,8 +7,8 @@
 //! > create a large number of flows to limit the useful traffic to only
 //! > 1/k² of the congested link."
 //!
-//! These schedulers exist to demonstrate that argument empirically (see the
-//! ablation benches); they are not part of TVA.
+//! These schedulers exist to demonstrate that argument empirically (the
+//! `strawmen` binary of `tva-experiments`); they are not part of TVA.
 
 use tva_sim::{Drr, Enqueued, Pkt, QueueDisc, SimTime};
 use tva_wire::{Addr, Packet};

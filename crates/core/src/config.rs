@@ -19,23 +19,6 @@ pub enum RegularQueueKey {
     PerSource,
 }
 
-/// How the request channel bounds per-path state.
-///
-/// The exact DRR key table is faithful to §3.2 but holds one queue per
-/// distinct path identifier — O(keys) memory. The sketched alternative
-/// replaces the key table with a count-min sketch rate limiter whose
-/// memory is a fixed array regardless of how many identifiers an
-/// attacker manufactures, trading per-path fair queuing for per-path
-/// rate policing (over-budget requests are demoted, never dropped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestLimiter {
-    /// Per-PathId DRR queues (the paper's design; the default).
-    Flat,
-    /// Count-min sketch byte policing over a single FIFO: constant
-    /// memory under path-identifier sweeps.
-    Sketched,
-}
-
 /// Router-side configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -82,14 +65,6 @@ pub struct RouterConfig {
     /// pure function of the packet id and merged tables stay
     /// shard-independent.
     pub flow_sample_seed: u64,
-    /// Request-channel state bound: exact per-PathId DRR or the
-    /// constant-memory count-min sketch limiter.
-    pub request_limiter: RequestLimiter,
-    /// Per-path byte budget for the sketch limiter, per decay epoch.
-    pub sketch_budget_bytes: u64,
-    /// Sketch decay epoch: all counters halve every this many milliseconds
-    /// (forgetting old traffic without per-key timestamps).
-    pub sketch_decay_ms: u64,
 }
 
 impl Default for RouterConfig {
@@ -111,12 +86,6 @@ impl Default for RouterConfig {
             secret_seed: 0x7441_5641, // "tAVA"
             flow_sample_n: 0,
             flow_sample_seed: 0x5F10_77CA, // "sFlowCA"
-            request_limiter: RequestLimiter::Flat,
-            // One epoch's fair share if ~16 paths split a 1%-of-10Mb/s
-            // request channel for 250 ms — roughly what a flat DRR round
-            // would grant each backlogged path.
-            sketch_budget_bytes: 4096,
-            sketch_decay_ms: 250,
         }
     }
 }

@@ -14,7 +14,10 @@
 //!   [`flowtable::FlowTable`]; [`scheduler::TvaScheduler`] implements the
 //!   Figure 2 three-class egress link sharing (rate-limited requests
 //!   fair-queued per path identifier, regular traffic fair-queued per
-//!   destination, legacy FIFO).
+//!   destination, legacy FIFO). Router state is bounded exactly: the flow
+//!   table by `C/(N/T)min` records or `max_flow_entries`, the request keys
+//!   by `max_request_queues` (a request whose tag finds that table full is
+//!   demoted, not dropped).
 //! * **Hosts** — [`shim::TvaHostShim`] attaches to any transport via
 //!   `tva_transport::Shim` and handles the full capability lifecycle:
 //!   bootstrap requests, grants under a pluggable [`policy::GrantPolicy`],
@@ -58,15 +61,13 @@ pub mod policy;
 pub mod router;
 pub mod scheduler;
 pub mod shim;
-pub mod sketch;
 
 pub use attack::strategies::{spoofed_identity, SpoofedRequestFlooder};
 pub use attack::{AuthorizedFlooder, Cadence, SpoofColluder};
 pub use capability::{expired, mint_cap, mint_precap, validate_cap, validate_precap, CapError};
-pub use config::{HostConfig, RegularQueueKey, RequestLimiter, RouterConfig};
+pub use config::{HostConfig, RegularQueueKey, RouterConfig};
 pub use flowtable::{Charge, FlowEntry, FlowRef, FlowTable};
 pub use policy::{AllowAll, ClientPolicy, GrantPolicy, RequestInfo, ServerPolicy};
 pub use router::{RouterStats, TvaRouter, TvaRouterNode, Verdict};
 pub use scheduler::{SchedulerStats, TvaScheduler};
 pub use shim::{SendCaps, ShimStats, TvaHostShim};
-pub use sketch::{CountMinSketch, SketchLimiter, SketchStats};

@@ -13,14 +13,11 @@
 //! packets and marked failures as demoted, exactly as the wire format
 //! intends — an independent box implementing Figure 2 needs nothing else.
 
-use std::collections::VecDeque;
-
 use tva_obs::{FlowClass, FlowSampler, FlowVerdict};
 use tva_sim::{Drr, Enqueued, Pkt, QueueDisc, SimDuration, SimTime};
 use tva_wire::{Addr, CapPayload, Packet, PathId};
 
-use crate::config::{RegularQueueKey, RequestLimiter, RouterConfig};
-use crate::sketch::SketchLimiter;
+use crate::config::{RegularQueueKey, RouterConfig};
 
 /// A signed-balance pacing gate: the request class may dequeue while the
 /// balance is positive; each dequeue charges the actual packet size (the
@@ -120,130 +117,15 @@ impl tva_obs::Observe for SchedulerStats {
     }
 }
 
-/// The request-channel policing structure, per
-/// [`RouterConfig::request_limiter`]. Both enforce the
-/// same contract — per-path shares with bounded router state, demoting
-/// (never dropping) what they refuse — at different state/precision
-/// trade-offs.
-enum RequestChannel {
-    /// Exact flat DRR over path identifiers (§3.2 verbatim): one queue per
-    /// distinct tag, O(distinct tags) state.
-    Flat(Drr<PathId>),
-    /// Constant-memory: a count-min sketch polices per-path byte budgets
-    /// over a decaying window and admitted requests share one FIFO. No
-    /// per-key state at all; over-estimates can only over-police (the
-    /// sketch's one-sided error), never let a path evade its budget.
-    Sketched {
-        fifo: VecDeque<Pkt>,
-        bytes: u64,
-        cap_bytes: u64,
-        limiter: SketchLimiter,
-    },
-}
-
-/// What the request channel decided about an offered packet.
-enum ReqVerdict {
-    Accepted,
-    Dropped,
-    /// Refused by policy (key table exhausted / over sketch budget): the
-    /// packet must be demoted to the legacy class, not lost.
-    Demote(Pkt),
-}
-
-impl RequestChannel {
-    fn offer(&mut self, key: PathId, pkt: Pkt, now: SimTime) -> ReqVerdict {
-        let len = pkt.wire_len();
-        match self {
-            RequestChannel::Flat(drr) => {
-                if !drr.contains_key(&key) && !drr.can_admit_new_key() {
-                    ReqVerdict::Demote(pkt)
-                } else if drr.enqueue(key, pkt) {
-                    ReqVerdict::Accepted
-                } else {
-                    ReqVerdict::Dropped
-                }
-            }
-            RequestChannel::Sketched { fifo, bytes, cap_bytes, limiter } => {
-                if !limiter.admit(u64::from(key.0), len, now) {
-                    ReqVerdict::Demote(pkt)
-                } else if *bytes + u64::from(len) > *cap_bytes {
-                    ReqVerdict::Dropped
-                } else {
-                    *bytes += u64::from(len);
-                    fifo.push_back(pkt);
-                    ReqVerdict::Accepted
-                }
-            }
-        }
-    }
-
-    fn dequeue(&mut self) -> Option<Pkt> {
-        match self {
-            RequestChannel::Flat(drr) => drr.dequeue(),
-            RequestChannel::Sketched { fifo, bytes, .. } => {
-                let pkt = fifo.pop_front()?;
-                *bytes -= pkt.wire_len() as u64;
-                Some(pkt)
-            }
-        }
-    }
-
-    fn len_pkts(&self) -> usize {
-        match self {
-            RequestChannel::Flat(drr) => drr.len_pkts(),
-            RequestChannel::Sketched { fifo, .. } => fifo.len(),
-        }
-    }
-
-    fn len_bytes(&self) -> u64 {
-        match self {
-            RequestChannel::Flat(drr) => drr.len_bytes(),
-            RequestChannel::Sketched { bytes, .. } => *bytes,
-        }
-    }
-
-    /// Distinct path keys currently holding channel state (always 0 in
-    /// sketched mode — that is the point).
-    fn active_keys(&self) -> usize {
-        match self {
-            RequestChannel::Flat(drr) => drr.active_queues(),
-            RequestChannel::Sketched { .. } => 0,
-        }
-    }
-
-    /// Estimated bytes of request-channel policing state. Queued packets
-    /// are excluded in every mode (they are transient link backlog, not
-    /// per-flow bookkeeping): the estimate isolates exactly the state an
-    /// attacker can try to scale with distinct identities.
-    fn state_bytes(&self) -> usize {
-        // Rough per-key cost of a DRR sub-queue: key + deficit + VecDeque
-        // header + hash-map slot.
-        const PER_KEY: usize = 96;
-        match self {
-            RequestChannel::Flat(drr) => drr.active_queues() * PER_KEY,
-            RequestChannel::Sketched { limiter, .. } => limiter.state_bytes(),
-        }
-    }
-
-    fn audit(&self) -> Result<(), String> {
-        match self {
-            RequestChannel::Flat(drr) => drr.audit(),
-            RequestChannel::Sketched { fifo, bytes, limiter, .. } => {
-                let held: u64 = fifo.iter().map(|p| p.wire_len() as u64).sum();
-                if held != *bytes {
-                    return Err(format!(
-                        "sketched fifo: byte ledger {bytes} != held bytes {held}"
-                    ));
-                }
-                limiter.audit()
-            }
-        }
-    }
-}
+/// Rough per-key cost of a request sub-queue: key + deficit + VecDeque
+/// header + hash-map slot.
+const REQUEST_KEY_BYTES: usize = 96;
 
 /// The scheduler; one per TVA egress channel.
 pub struct TvaScheduler {
-    requests: RequestChannel,
+    /// Requests, fair-queued per path identifier (§3.2): one queue per
+    /// distinct tag, at most `max_request_queues` of them.
+    requests: Drr<PathId>,
     regular: Drr<Addr>,
     regular_key: RegularQueueKey,
     legacy: std::collections::VecDeque<Pkt>,
@@ -266,27 +148,8 @@ impl TvaScheduler {
     /// fraction, queue caps and bounds.
     pub fn new(link_bps: u64, cfg: &RouterConfig) -> Self {
         let rate = ((link_bps as f64 / 8.0) * cfg.request_fraction).max(1.0) as u64;
-        let requests = match cfg.request_limiter {
-            RequestLimiter::Sketched => RequestChannel::Sketched {
-                fifo: VecDeque::new(),
-                bytes: 0,
-                // One shared FIFO: cap its bytes like a single DRR queue.
-                cap_bytes: cfg.per_queue_cap_bytes,
-                limiter: SketchLimiter::new(
-                    // Distinct stream from every other consumer of the seed.
-                    cfg.secret_seed ^ 0x5CE7_C4ED,
-                    cfg.sketch_budget_bytes,
-                    cfg.sketch_decay_ms,
-                ),
-            },
-            RequestLimiter::Flat => RequestChannel::Flat(Drr::new(
-                cfg.request_quantum,
-                cfg.per_queue_cap_bytes,
-                cfg.max_request_queues,
-            )),
-        };
         TvaScheduler {
-            requests,
+            requests: Drr::new(cfg.request_quantum, cfg.per_queue_cap_bytes, cfg.max_request_queues),
             regular: Drr::new(cfg.quantum, cfg.per_queue_cap_bytes, cfg.max_regular_queues),
             regular_key: cfg.regular_queue_key,
             legacy: std::collections::VecDeque::new(),
@@ -345,9 +208,9 @@ impl TvaScheduler {
     ///
     /// Demoted requests count: the scheduler *was* offered them as requests
     /// and chose the legacy class — omitting them undercounted offers
-    /// whenever the key table (or sketch budget) pushed packets to legacy,
-    /// skewing the stamped-vs-offered cross-check exactly under the
-    /// path-identifier floods it exists to audit.
+    /// whenever the key table pushed packets to legacy, skewing the
+    /// stamped-vs-offered cross-check exactly under the path-identifier
+    /// floods it exists to audit.
     pub fn requests_offered(&self) -> u64 {
         self.stats.requests_sent
             + self.stats.requests_dropped
@@ -355,42 +218,28 @@ impl TvaScheduler {
             + self.requests.len_pkts() as u64
     }
 
-    /// Distinct path keys holding request-channel state (0 in sketched
-    /// mode).
+    /// Distinct path keys holding request-channel state.
     pub fn request_keys(&self) -> usize {
-        self.requests.active_keys()
+        self.requests.active_queues()
     }
 
-    /// Estimated bytes of request-channel policing state (excludes queued
-    /// packets — see [`RequestChannel::state_bytes`]).
+    /// Estimated bytes of request-channel policing state. Queued packets
+    /// are excluded (they are transient link backlog, not per-flow
+    /// bookkeeping): the estimate isolates exactly the state an attacker
+    /// can try to scale with distinct identities.
     pub fn request_state_bytes(&self) -> usize {
-        self.requests.state_bytes()
+        self.request_keys() * REQUEST_KEY_BYTES
     }
 
-    /// The sketch limiter, when the request channel runs in sketched mode.
-    pub fn sketch(&self) -> Option<&SketchLimiter> {
-        match &self.requests {
-            RequestChannel::Sketched { limiter, .. } => Some(limiter),
-            _ => None,
-        }
-    }
-
-    /// Exports request-channel state gauges: `request_keys`,
-    /// `request_state_bytes`, and — in sketched mode — `sketch_occupancy`
-    /// plus (under `TVA_CHECK`) `sketch_mean_overestimate`.
+    /// Exports the request-channel state gauges `request_keys` and
+    /// `request_state_bytes`.
     pub fn observe_request_channel(&self, prefix: &str, reg: &mut tva_obs::Registry) {
         let mut set = |name: &str, v: f64| {
             let id = reg.gauge(&format!("{prefix}.{name}"));
             reg.set(id, v);
         };
-        set("request_keys", self.requests.active_keys() as f64);
-        set("request_state_bytes", self.requests.state_bytes() as f64);
-        if let Some(limiter) = self.sketch() {
-            set("sketch_occupancy", limiter.occupancy());
-            if let Some(err) = limiter.mean_overestimate() {
-                set("sketch_mean_overestimate", err);
-            }
-        }
+        set("request_keys", self.request_keys() as f64);
+        set("request_state_bytes", self.request_state_bytes() as f64);
     }
 }
 
@@ -414,47 +263,44 @@ enum Class {
 }
 
 impl QueueDisc for TvaScheduler {
-    fn enqueue(&mut self, pkt: Pkt, now: SimTime) -> Enqueued {
+    fn enqueue(&mut self, mut pkt: Pkt, _now: SimTime) -> Enqueued {
         match classify(&pkt) {
             Class::Request => {
                 let key = Self::request_key(&pkt);
                 let (pkt_id, src, len) = (pkt.id.0, pkt.src, pkt.wire_len());
-                match self.requests.offer(key, pkt, now) {
-                    ReqVerdict::Accepted => Enqueued::Accepted,
-                    ReqVerdict::Dropped => {
-                        self.stats.requests_dropped += 1;
-                        self.flow.record(
-                            pkt_id,
-                            src,
-                            key,
-                            FlowClass::Request,
-                            FlowVerdict::DroppedQueue,
-                            len,
-                        );
-                        Enqueued::Dropped
+                if !self.requests.contains_key(&key) && !self.requests.can_admit_new_key() {
+                    // Key-table exhaustion under a path-identifier sweep.
+                    // Demote the request to the legacy class instead of
+                    // dropping it (§3.8's demote-don't-drop principle): a
+                    // legitimate request still reaches the destination at
+                    // best-effort priority, while router memory stays
+                    // bounded.
+                    if let Some(h) = pkt.cap.as_mut() {
+                        h.demoted = true;
                     }
-                    ReqVerdict::Demote(mut pkt) => {
-                        // Policy refusal — key-table exhaustion under a
-                        // path-identifier sweep, or a path over its sketch
-                        // budget. Demote the request to the legacy class
-                        // instead of dropping it (§3.8's demote-don't-drop
-                        // principle): a legitimate request still reaches
-                        // the destination at best-effort priority, while
-                        // router memory stays bounded.
-                        if let Some(h) = pkt.cap.as_mut() {
-                            h.demoted = true;
-                        }
-                        self.stats.requests_demoted += 1;
-                        self.flow.record(
-                            pkt_id,
-                            src,
-                            key,
-                            FlowClass::Request,
-                            FlowVerdict::DemotedKeyTable,
-                            len,
-                        );
-                        self.enqueue_legacy(pkt)
-                    }
+                    self.stats.requests_demoted += 1;
+                    self.flow.record(
+                        pkt_id,
+                        src,
+                        key,
+                        FlowClass::Request,
+                        FlowVerdict::DemotedKeyTable,
+                        len,
+                    );
+                    self.enqueue_legacy(pkt)
+                } else if self.requests.enqueue(key, pkt) {
+                    Enqueued::Accepted
+                } else {
+                    self.stats.requests_dropped += 1;
+                    self.flow.record(
+                        pkt_id,
+                        src,
+                        key,
+                        FlowClass::Request,
+                        FlowVerdict::DroppedQueue,
+                        len,
+                    );
+                    Enqueued::Dropped
                 }
             }
             Class::Regular => {
@@ -841,84 +687,26 @@ mod tests {
     }
 
     #[test]
-    fn sketched_mode_demotes_over_budget_paths() {
-        // One path floods past its per-epoch sketch budget; its overflow is
-        // demoted (never dropped), while a light path stays under budget
-        // and is admitted in full — all with zero per-key channel state.
-        let cfg = RouterConfig {
-            request_limiter: crate::config::RequestLimiter::Sketched,
-            sketch_budget_bytes: 2048,
-            sketch_decay_ms: 1000,
-            ..cfg()
-        };
-        let mut s = TvaScheduler::new(10_000_000, &cfg);
-        let now = SimTime::ZERO;
-        for _ in 0..50 {
-            s.enqueue((request_pkt_sized(1, 100)).into(), now);
-        }
-        for _ in 0..5 {
-            s.enqueue((request_pkt_sized(2, 100)).into(), now);
-        }
-        assert!(s.stats.requests_demoted > 0, "flood must trip the sketch budget");
-        assert_eq!(s.stats.requests_dropped, 0, "demote, don't drop");
-        // Request wire_len ≈ 100 payload + headers; the flood fits ~2048/len
-        // packets before demotion, the light path all 5.
-        let admitted = s.requests_offered() - s.stats.requests_demoted;
-        assert!(admitted >= 5, "light path must be admitted");
-        assert_eq!(s.request_keys(), 0, "sketched mode keeps no per-key state");
-        s.audit().expect("fifo ledger and sketch bound clean");
-    }
-
-    #[test]
-    fn sketched_budget_decays_back() {
-        // After demotions, idle decay epochs halve the estimate until the
-        // path is admitted again — over-policing is transient.
-        let cfg = RouterConfig {
-            request_limiter: crate::config::RequestLimiter::Sketched,
-            sketch_budget_bytes: 1024,
-            sketch_decay_ms: 100,
-            ..cfg()
-        };
-        let mut s = TvaScheduler::new(10_000_000, &cfg);
-        let mut now = SimTime::ZERO;
-        let mut tripped = false;
-        for _ in 0..40 {
-            s.enqueue((request_pkt_sized(1, 100)).into(), now);
-            tripped |= s.stats.requests_demoted > 0;
-        }
-        assert!(tripped, "flood must exceed the budget");
-        let demoted_before = s.stats.requests_demoted;
-        now += SimDuration::from_secs(2); // 20 decay epochs
-        assert_eq!(s.enqueue((request_pkt_sized(1, 100)).into(), now), Enqueued::Accepted);
-        assert_eq!(s.stats.requests_demoted, demoted_before, "decayed path re-admitted");
-    }
-
-    #[test]
-    fn sketched_mode_memory_does_not_grow_with_paths() {
-        let cfg = RouterConfig {
-            request_limiter: crate::config::RequestLimiter::Sketched,
-            per_queue_cap_bytes: 100 << 20,
-            ..cfg()
-        };
+    fn request_state_is_capped_by_the_key_table() {
+        // A sweep of distinct path identifiers grows request state one key
+        // at a time up to `max_request_queues`, and not one byte past it:
+        // every further tag is demoted, not given a queue.
+        let cfg = cfg();
         let mut s = TvaScheduler::new(10_000_000, &cfg);
         let now = SimTime::ZERO;
         s.enqueue((request_pkt(1)).into(), now);
-        let before = s.request_state_bytes();
-        for path in 0..5000u16 {
+        let one = s.request_state_bytes();
+        for path in 1..=cfg.max_request_queues as u16 {
             s.enqueue((request_pkt(path)).into(), now);
         }
-        assert_eq!(
-            s.request_state_bytes(),
-            before,
-            "sketch state must be flat in the number of distinct paths"
-        );
-        // The exact table, in contrast, grows until its key bound.
-        let mut exact = TvaScheduler::new(10_000_000, &RouterConfig::default());
-        exact.enqueue((request_pkt(1)).into(), now);
-        let small = exact.request_state_bytes();
-        for path in 0..200u16 {
-            exact.enqueue((request_pkt(path)).into(), now);
+        let full = s.request_state_bytes();
+        assert_eq!(full, cfg.max_request_queues * one, "one key's state per distinct path");
+        for path in cfg.max_request_queues as u16 + 1..=5000 {
+            s.enqueue((request_pkt(path)).into(), now);
         }
-        assert!(exact.request_state_bytes() > small, "exact state grows with paths");
+        assert_eq!(s.request_state_bytes(), full, "state stops at the key table's bound");
+        assert_eq!(s.request_keys(), cfg.max_request_queues);
+        assert_eq!(s.stats.requests_demoted, 5000 - cfg.max_request_queues as u64);
+        s.audit().expect("accounting clean past the bound");
     }
 }

@@ -1,5 +1,5 @@
-//! Bounded router state vs exact state: memory curves, hit-rate curves,
-//! and goodput parity (see `statebound` module docs).
+//! Bounded router state vs exact state: memory curves and hit-rate curves
+//! (see `statebound` module docs).
 //!
 //! ```text
 //! cargo run --release -p tva-experiments --bin statebound [-- --full] [--gate]
@@ -7,18 +7,15 @@
 //!
 //! `--gate` makes the run self-asserting: bounded-mode state (and per-leg
 //! peak RSS, measured via single-leg subprocesses) must stay flat (±10%)
-//! from 10k to 100k concurrent flows while exact mode grows, and bounded
-//! goodput must stay within 5% of exact under both attack shapes.
+//! from 10k to 100k concurrent flows while exact mode grows.
 //!
 //! Writes `results/statebound.{tsv,json}`. The artifacts contain only
-//! deterministic fields (no RSS), so they are byte-identical across runs
-//! and under `TVA_SHARDS`.
+//! deterministic fields (no RSS), so they are byte-identical across runs.
 
 use tva_experiments::figrun::{results_dir, write_json};
 use tva_experiments::report::{ascii_chart, Series};
 use tva_experiments::statebound::{
-    drive_leg, goodput_leg, goodput_shapes, hit_rate_leg, vm_hwm_kb, GoodputPoint, HitPoint,
-    MemPoint, Mode, HIT_SIZES,
+    drive_leg, hit_rate_leg, vm_hwm_kb, HitPoint, MemPoint, Mode, HIT_SIZES,
 };
 use tva_experiments::{table, write_tsv};
 
@@ -48,12 +45,8 @@ fn leg_main(mode: Mode, flows: usize) {
 fn spawn_leg(mode: Mode, flows: usize) -> (MemPoint, Option<u64>) {
     let exe = std::env::current_exe().ok();
     if let Some(exe) = exe {
-        // TVA_CHECK auditors keep exact shadow copies of the sketched
-        // structures, which grow with flow count by design — dropping the
-        // knob here keeps the RSS measurement about the production state.
         let out = std::process::Command::new(exe)
             .args(["--leg", mode.name(), "--flows", &flows.to_string()])
-            .env_remove("TVA_CHECK")
             .output();
         if let Ok(out) = out {
             if out.status.success() {
@@ -121,26 +114,7 @@ fn hit_rows(points: &[HitPoint], rows: &mut Vec<Vec<String>>) {
     }
 }
 
-fn goodput_rows(points: &[GoodputPoint], rows: &mut Vec<Vec<String>>) {
-    for p in points {
-        let x = format!("{}_k{}", p.shape, p.k);
-        let m = p.mode.name().to_string();
-        let mut push = |metric: &str, value: String| {
-            rows.push(vec!["goodput".into(), m.clone(), x.clone(), metric.into(), value]);
-        };
-        push("fraction", format!("{:.3}", p.fraction));
-        push("time_s", format!("{:.3}", p.time_s));
-        push("drop_rate", format!("{:.3}", p.drop_rate));
-        push("util", format!("{:.3}", p.util));
-    }
-}
-
-fn gate(
-    mem: &[(MemPoint, Option<u64>)],
-    goodput: &[GoodputPoint],
-    lo_flows: usize,
-    hi_flows: usize,
-) {
+fn gate(mem: &[(MemPoint, Option<u64>)], lo_flows: usize, hi_flows: usize) {
     let mut failures = Vec::new();
     let find = |mode: Mode, flows: usize| {
         mem.iter().find(|(p, _)| p.mode == mode && p.flows == flows).expect("leg present")
@@ -182,18 +156,6 @@ fn gate(
         }
     }
 
-    for shape in goodput_shapes().iter().map(|(s, _)| *s) {
-        let pick = |mode: Mode| goodput.iter().find(|p| p.mode == mode && p.shape == shape);
-        if let (Some(e), Some(b)) = (pick(Mode::Exact), pick(Mode::Bounded)) {
-            if b.fraction < 0.95 * e.fraction {
-                failures.push(format!(
-                    "goodput parity broken under {shape}: bounded {:.3} < 95% of exact {:.3}",
-                    b.fraction, e.fraction
-                ));
-            }
-        }
-    }
-
     if failures.is_empty() {
         println!("statebound gate: OK");
     } else {
@@ -222,7 +184,6 @@ fn main() {
 
     let flow_grid: &[usize] = if full { &[1_000, 10_000, 100_000, 200_000] } else { &[10_000, 100_000] };
     let hit_refs = if full { 200_000 } else { 30_000 };
-    let (duration_s, k) = if full { (400, 10) } else { (120, 10) };
 
     eprintln!("== statebound: exact vs bounded router state ==");
     eprintln!("  memory legs ({} flows grid, per-leg subprocesses)", flow_grid.len());
@@ -245,26 +206,9 @@ fn main() {
     eprintln!("  hit-rate legs ({} sizes, {hit_refs} refs)", HIT_SIZES.len());
     let hits: Vec<HitPoint> = HIT_SIZES.iter().map(|&size| hit_rate_leg(size, hit_refs)).collect();
 
-    eprintln!("  goodput legs (2 shapes x 2 modes, {duration_s}s horizon, k={k})");
-    let mut goodput = Vec::new();
-    for &mode in &[Mode::Exact, Mode::Bounded] {
-        for (shape, attack) in goodput_shapes() {
-            let p = goodput_leg(mode, shape, attack, k, duration_s);
-            eprintln!(
-                "  {} {}: fraction={:.3} time={:.3}s",
-                p.mode.name(),
-                p.shape,
-                p.fraction,
-                p.time_s
-            );
-            goodput.push(p);
-        }
-    }
-
     let mut rows = Vec::new();
     mem_rows(&mem, &mut rows);
     hit_rows(&hits, &mut rows);
-    goodput_rows(&goodput, &mut rows);
 
     println!("statebound: bounded router state vs exact state\n");
     println!("{}", table(&HEADERS, &rows));
@@ -296,6 +240,6 @@ fn main() {
     if gating {
         let lo = *flow_grid.iter().find(|&&f| f >= 10_000).unwrap_or(&flow_grid[0]);
         let hi = *flow_grid.last().expect("non-empty grid");
-        gate(&mem, &goodput, lo, hi);
+        gate(&mem, lo, hi);
     }
 }

@@ -15,8 +15,8 @@
 //!
 //! The config's keys come from two tables: the attack's name and its
 //! `attack_<param>` keys from [`ATTACKS`], the integer fields' keys from
-//! this module's `FIELDS`. Only the scheme, seed, flags, limiter and
-//! outage window are written out by hand.
+//! this module's `FIELDS`. Only the scheme, seed, flags and outage window
+//! are written out by hand.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -24,7 +24,6 @@ use std::path::{Path, PathBuf};
 use rand::{rngs::SmallRng, RngCore, SeedableRng};
 use serde_json::{Map, Value};
 use tva_check::{CheckConfig, CheckReport, Checker};
-use tva_core::RequestLimiter;
 use tva_sim::{DutyCycleOutage, SimDuration, SimTime, Simulator};
 use tva_wire::{Grant, NBytes, TSecs};
 
@@ -150,9 +149,6 @@ fn scheme_from_str(s: &str) -> Result<Scheme, String> {
         .ok_or_else(|| format!("unknown scheme {s:?}"))
 }
 
-const LIMITERS: [(RequestLimiter, &str); 2] =
-    [(RequestLimiter::Flat, "flat"), (RequestLimiter::Sketched, "sketched")];
-
 /// Reads an integer field; `None` leaves the key out of the artifact.
 type Read = fn(&ScenarioConfig) -> Option<u64>;
 /// Writes an integer field; `None` when the value does not fit it.
@@ -233,16 +229,15 @@ const FIELDS: &[(&str, Read, Write)] = &[
 /// fails with its reason instead of silently running something else.
 fn reject_retired(obj: &Map<String, Value>) -> Result<(), String> {
     let has = |key| obj.get(key).is_some();
-    let one_limiter = "the two limiter flags became the one \"request_limiter\" choice";
+    // Only "prefix" and "sketched" were ever written ("flat" was the
+    // default, left out), and both limiters are gone.
+    let one_limiter = "the request channel has one limiter: the prefix and sketched ones \
+                       missed their keep-rules and were removed";
     let retired = [
         ("clock_cache", opt_bool(obj, "clock_cache"), "the CLOCK flow cache was removed"),
         ("sketched_requests", has("sketched_requests"), one_limiter),
         ("prefix_drr", has("prefix_drr"), one_limiter),
-        (
-            "request_limiter",
-            matches!(obj.get("request_limiter"), Some(Value::String(l)) if l == "prefix"),
-            "the prefix limiter was removed: it measured no better than \"flat\"",
-        ),
+        ("request_limiter", has("request_limiter"), one_limiter),
         (
             "extras",
             has("extras"),
@@ -278,13 +273,6 @@ pub fn scenario_to_json(cfg: &ScenarioConfig) -> Value {
     m.insert("seed".into(), Value::String(cfg.seed.to_string()));
     m.insert("siff_accept_previous".into(), Value::Bool(cfg.siff_accept_previous));
     m.insert("deny_attackers".into(), Value::Bool(cfg.deny_attackers));
-    if cfg.request_limiter != RequestLimiter::Flat {
-        let (_, name) = LIMITERS
-            .iter()
-            .find(|(limiter, _)| *limiter == cfg.request_limiter)
-            .expect("every limiter is named");
-        m.insert("request_limiter".into(), Value::String((*name).into()));
-    }
     if cfg.backup_path {
         m.insert("backup_path".into(), Value::Bool(true));
     }
@@ -308,14 +296,6 @@ pub fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
         seed: get_seed(obj)?,
         siff_accept_previous: get_bool(obj, "siff_accept_previous")?,
         deny_attackers: get_bool(obj, "deny_attackers")?,
-        request_limiter: match obj.get("request_limiter") {
-            None => RequestLimiter::Flat,
-            Some(v) => LIMITERS
-                .iter()
-                .find(|(_, name)| matches!(v, Value::String(s) if s == name))
-                .map(|&(limiter, _)| limiter)
-                .ok_or_else(|| format!("key \"request_limiter\": unknown limiter {v:?}"))?,
-        },
         backup_path: opt_bool(obj, "backup_path"),
         ..defaults.clone()
     };
@@ -489,10 +469,6 @@ pub fn random_config(seed: u64) -> ScenarioConfig {
         // A quarter of runs sample flow records, so the fuzzer also covers
         // the telemetry hooks (sampling must never perturb the simulation).
         flow_sample_n: if chance(&mut rng, 25) { pick(&mut rng, 1, 17) as u32 } else { 0 },
-        // The two request-channel structures each cover half of runs: the
-        // sketch limiter carries its own invariants for the auditors to
-        // chew on.
-        request_limiter: LIMITERS[pick(&mut rng, 0, 2) as usize].0,
         // Half of runs have the detour, so a bottleneck failure below
         // re-converges through R3 (under attack) instead of partitioning.
         backup_path: chance(&mut rng, 50),
@@ -526,7 +502,6 @@ mod tests {
         // canonical JSON forms instead — equal trees ⇒ equal configs.
         let diamond = ScenarioConfig {
             scheme: Scheme::Siff,
-            request_limiter: RequestLimiter::Sketched,
             backup_path: true,
             faults: LinkFaults {
                 loss_ppm: 13_000,
@@ -543,7 +518,6 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let back = scenario_from_json(&scenario_to_json(&diamond)).unwrap();
-        assert_eq!(back.request_limiter, diamond.request_limiter);
         assert_eq!((back.backup_path, back.faults), (true, diamond.faults));
         let fuzzed = [0, 1, 7, 42, u64::MAX - 3].map(random_config);
         for cfg in fuzzed.iter().chain([&diamond]) {
@@ -641,7 +615,8 @@ mod tests {
             ("sketched_requests", t.clone(), true, true),
             ("prefix_drr", t.clone(), true, true),
             ("request_limiter", Value::String("prefix".into()), true, true),
-            ("request_limiter", Value::String("sketched".into()), true, false),
+            ("request_limiter", Value::String("sketched".into()), true, true),
+            ("request_limiter", Value::String("flat".into()), true, true),
             ("extras", Value::Object(Map::new()), false, true),
             ("harness", Value::String("robustness".into()), false, true),
             ("harness", Value::String("scenario".into()), false, false),

@@ -190,8 +190,7 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
                     sim.node::<TvaRouterNode>(nodes.r1).router.stats.observe("r1", &mut reg);
                     sim.node::<TvaRouterNode>(nodes.r2).router.stats.observe("r2", &mut reg);
                     // Request-channel state gauges (key count, policing
-                    // bytes, sketch occupancy / overestimate in sketched
-                    // mode) from r1's egress scheduler on the bottleneck.
+                    // bytes) from r1's egress scheduler on the bottleneck.
                     let disc = sim.channel(nodes.bottleneck.ab).queue_disc();
                     if let Some(sched) =
                         disc.as_any().and_then(|a| a.downcast_ref::<TvaScheduler>())

@@ -26,9 +26,8 @@ use tva_baselines::{
     SiffScheduler, SiffShim,
 };
 use tva_core::{
-    AllowAll, AuthorizedFlooder, Cadence, ClientPolicy, GrantPolicy, HostConfig, RequestLimiter,
-    RouterConfig, ServerPolicy, SpoofColluder, SpoofedRequestFlooder, TvaHostShim, TvaRouterNode,
-    TvaScheduler,
+    AllowAll, AuthorizedFlooder, Cadence, ClientPolicy, GrantPolicy, HostConfig, RouterConfig,
+    ServerPolicy, SpoofColluder, SpoofedRequestFlooder, TvaHostShim, TvaRouterNode, TvaScheduler,
 };
 use tva_sim::{
     DropTail, DutyCycleOutage, Impairments, LinkHandle, Node, NodeId, QueueDisc, SimDuration,
@@ -435,10 +434,6 @@ pub struct ScenarioConfig {
     /// `RouterConfig` sampling seed so their records merge into one
     /// per-prefix attribution table after the run.
     pub flow_sample_n: u32,
-    /// TVA request-channel policing on every router: the exact per-path
-    /// key table (the default) or the constant-memory count-min sketch
-    /// limiter.
-    pub request_limiter: RequestLimiter,
     /// Adds a third router R3 and the R1–R3, R3–R2 links (bottleneck
     /// capacity each): a two-hop detour that carries nothing until
     /// `faults` takes the bottleneck down.
@@ -470,7 +465,6 @@ impl Default for ScenarioConfig {
             deny_attackers: false,
             per_queue_cap_bytes: None,
             flow_sample_n: 0,
-            request_limiter: RequestLimiter::Flat,
             backup_path: false,
             faults: LinkFaults::default(),
         }
@@ -677,7 +671,6 @@ impl<'a> Builder<'a> {
             secret_seed: cfg.seed ^ salt,
             flow_sample_n: cfg.flow_sample_n,
             per_queue_cap_bytes: cfg.per_queue_cap_bytes.unwrap_or(defaults.per_queue_cap_bytes),
-            request_limiter: cfg.request_limiter,
             ..defaults.clone()
         });
         let siff_cfg = SiffConfig {

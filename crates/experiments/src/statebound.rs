@@ -1,34 +1,30 @@
-//! Bounded-state experiment (`statebound` bin): exact vs constant-memory
-//! router state under identical load.
+//! Bounded-state experiment (`statebound` bin): exact vs capped router
+//! state under identical load.
 //!
-//! Three panels, all deterministic:
+//! Two panels, both deterministic:
 //!
 //! 1. **Memory vs concurrent flows** — drive a router's two stateful
 //!    structures (flow cache + request channel) directly with N distinct
 //!    concurrent flows, in *exact* mode (table sized to the paper's
-//!    `C/(N/T)min` bound, per-path DRR key table) and in *bounded* mode
-//!    (the same table capped at 4096 entries, count-min sketch limiter).
-//!    Exact state grows linearly with flows; bounded state is flat.
+//!    `C/(N/T)min` bound) and in *bounded* mode (the same table capped at
+//!    4096 entries). Both modes share the request channel, a per-path key
+//!    table capped at `max_request_queues`. Exact state grows linearly
+//!    with flows; bounded state is flat.
 //! 2. **Hit rate vs cache size** — a skewed (log-uniform) reference stream
 //!    over 8192 flows against tables of increasing capacity: the cost of
 //!    the capped table is misses, not correctness.
-//! 3. **Goodput parity** — full scenario runs (fig8 legacy-flood shape and
-//!    the PR 7 colluder-ring adversary) in exact vs bounded mode:
-//!    legitimate completion must not pay for the flat memory.
 //!
 //! Peak RSS per leg is measured by re-executing the binary as a
 //! single-leg subprocess (`--leg`), so each leg's `VmHWM` is its own;
 //! RSS is reported and gated (`--gate`) but kept **out** of the TSV/JSON
 //! artifacts, which stay byte-identical across runs and shard counts.
 
-use tva_core::{Charge, FlowTable, RequestLimiter, RouterConfig, TvaScheduler};
+use tva_core::{Charge, FlowTable, RouterConfig, TvaScheduler};
 use tva_sim::{splitmix64, QueueDisc, SimDuration, SimTime};
 use tva_wire::{
     Addr, CapHeader, CapPayload, CapValue, FlowKey, FlowNonce, Grant, PathId, Packet,
     RequestEntry,
 };
-
-use crate::scenario::{run, Attack, ScenarioConfig, Scheme};
 
 /// Canonical link rate for the microstate legs: the paper's OC-192-ish
 /// example sizes the exact table to ~305k records at 1 Gb/s.
@@ -41,10 +37,9 @@ pub const BOUNDED_CACHE_ENTRIES: usize = 4096;
 /// State-structure modes compared by the experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Flow cache at the paper's table bound + per-path DRR key table.
+    /// Flow cache at the paper's table bound.
     Exact,
-    /// Flow cache capped at [`BOUNDED_CACHE_ENTRIES`] + count-min sketch
-    /// request limiter.
+    /// Flow cache capped at [`BOUNDED_CACHE_ENTRIES`].
     Bounded,
 }
 
@@ -71,7 +66,6 @@ impl Mode {
 pub fn leg_config(mode: Mode) -> RouterConfig {
     let mut cfg = RouterConfig::default();
     if mode == Mode::Bounded {
-        cfg.request_limiter = RequestLimiter::Sketched;
         cfg.max_flow_entries = Some(BOUNDED_CACHE_ENTRIES);
     }
     cfg
@@ -88,7 +82,7 @@ pub struct MemPoint {
     pub table_entries: usize,
     /// Flow-cache state estimate (bytes).
     pub table_bytes: usize,
-    /// Request-channel keys holding state (0 in sketched mode).
+    /// Request-channel keys holding state.
     pub request_keys: usize,
     /// Request-channel policing state estimate (bytes).
     pub request_bytes: usize,
@@ -138,9 +132,13 @@ pub fn drive_leg(mode: Mode, flows: usize) -> MemPoint {
     for i in 0..flows {
         let cap = CapValue::new(1, 0x1_0000 + i as u64);
         table.create(leg_flow(i), cap, FlowNonce::new(i as u64), grant, 1500, now);
-        // Path identifiers are 16-bit; beyond 65536 flows the keys wrap,
-        // which is exactly the exact key table's saturation point.
-        sched.enqueue(request_pkt((i % (1 << 16)) as u16).into(), now);
+        // Path identifiers are 16-bit, so past 65536 flows there is no
+        // distinct tag left to offer. (A repeated tag would only queue a
+        // second packet behind its key: link backlog, not key state, and
+        // it would leak into the per-leg peak RSS.)
+        if let Ok(path) = u16::try_from(i) {
+            sched.enqueue(request_pkt(path).into(), now);
+        }
     }
 
     MemPoint {
@@ -236,64 +234,6 @@ fn hit_cap(idx: usize, gen: u64) -> CapValue {
     CapValue::new(1, ((idx as u64) << 24) | (gen & 0xFF_FFFF))
 }
 
-/// Attack shapes for the goodput-parity panel.
-pub fn goodput_shapes() -> Vec<(&'static str, Attack)> {
-    vec![
-        ("legacy_flood", Attack::LegacyFlood),
-        ("colluder_ring", Attack::ColluderRing { ring: 3, wave_ms: 1000, duty_pct: 100 }),
-    ]
-}
-
-/// Scenario config for one goodput leg: fig8 dumbbell shape, TVA scheme,
-/// exact (flat DRR key table) or bounded (sketch limiter) request-channel
-/// state — the same choice [`leg_config`] makes for the microstate legs.
-pub fn goodput_cfg(mode: Mode, attack: Attack, k: usize, duration_s: u64) -> ScenarioConfig {
-    ScenarioConfig {
-        scheme: Scheme::Tva,
-        attack,
-        n_attackers: k,
-        transfers_per_user: 2_000,
-        duration: SimTime::from_secs(duration_s),
-        measure_after: SimTime::from_secs(15),
-        request_limiter: leg_config(mode).request_limiter,
-        ..ScenarioConfig::default()
-    }
-}
-
-/// One goodput leg's outcome.
-#[derive(Debug, Clone)]
-pub struct GoodputPoint {
-    /// Mode driven.
-    pub mode: Mode,
-    /// Shape label (see [`goodput_shapes`]).
-    pub shape: &'static str,
-    /// Attacker count.
-    pub k: usize,
-    /// Completion fraction of legitimate transfers.
-    pub fraction: f64,
-    /// Mean completion time (s).
-    pub time_s: f64,
-    /// Bottleneck drop rate.
-    pub drop_rate: f64,
-    /// Bottleneck utilization.
-    pub util: f64,
-}
-
-/// Runs one goodput leg.
-pub fn goodput_leg(mode: Mode, shape: &'static str, attack: Attack, k: usize, duration_s: u64) -> GoodputPoint {
-    let cfg = goodput_cfg(mode, attack, k, duration_s);
-    let r = run(&cfg);
-    GoodputPoint {
-        mode,
-        shape,
-        k,
-        fraction: r.summary.completion_fraction,
-        time_s: r.summary.avg_completion_secs,
-        drop_rate: r.bottleneck_drop_rate,
-        util: r.bottleneck_utilization,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,7 +260,9 @@ mod tests {
         );
         assert_eq!(e1.table_entries, 6_000, "exact admits every live flow");
         assert!(b2.table_entries <= BOUNDED_CACHE_ENTRIES);
-        assert_eq!(b2.request_keys, 0, "sketched mode keeps no per-path keys");
+        let key_bound = RouterConfig::default().max_request_queues;
+        assert_eq!(b2.request_keys, key_bound, "20k paths fill the request key table");
+        assert_eq!(b2.request_bytes, e2.request_bytes, "both modes share the request channel");
     }
 
     #[test]

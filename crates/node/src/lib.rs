@@ -35,7 +35,6 @@
 //! | `TVA_NODE_SEED` | `0x7E57_5EED` | router secret seed (pktgen must match to mint valid capabilities) |
 //! | `TVA_NODE_MIX` | `clean` | `clean`, `contested`, or `dirty` traffic mix |
 //! | `TVA_NODE_FLOWS` | `128` | legitimate flow count in the generated mix |
-//! | `TVA_NODE_SKETCHED` | `0` | `1` runs the router with the count-min sketched request limiter |
 //! | `TVA_OBS_SAMPLE_N` | `0` (off) | flow-record packet sampling, 1-in-N |
 //! | `TVA_NODE_STATS_ADDR` | unset (off) | bind the live stats socket here (`serve` only), e.g. `127.0.0.1:47100` |
 
@@ -87,9 +86,6 @@ pub struct NodeConfig {
     pub flows: usize,
     /// Flow-record packet sampling, 1-in-N (0 = off); `TVA_OBS_SAMPLE_N`.
     pub sample_n: u32,
-    /// Run the router with the count-min sketched request limiter
-    /// instead of the per-path key table; `TVA_NODE_SKETCHED`.
-    pub sketched: bool,
 }
 
 impl Default for NodeConfig {
@@ -103,7 +99,6 @@ impl Default for NodeConfig {
             mix: MixKind::Clean,
             flows: 128,
             sample_n: 0,
-            sketched: false,
         }
     }
 }
@@ -135,7 +130,6 @@ impl NodeConfig {
             mix,
             flows: (env_u64("TVA_NODE_FLOWS", d.flows as u64) as usize).max(1),
             sample_n: env_u64("TVA_OBS_SAMPLE_N", d.sample_n as u64) as u32,
-            sketched: env_u64("TVA_NODE_SKETCHED", d.sketched as u64) != 0,
             ..d
         }
     }

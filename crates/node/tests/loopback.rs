@@ -6,10 +6,9 @@
 //! window, `NodeEngine::observe` exports the `node.*` names the stats socket
 //! serves, and — when the counting allocator is compiled in
 //! (`--features alloc-count`, as `scripts/verify.sh` runs this file) — a warm
-//! node forwards without touching the heap, with exact state, with flow
-//! sampling on, and with the sketched request limiter. Over a loopback UDP
-//! pair the node runs on its own thread and the generator measures end-to-end
-//! latency from IP-id send stamps.
+//! node forwards without touching the heap, with flow sampling off and on.
+//! Over a loopback UDP pair the node runs on its own thread and the generator
+//! measures end-to-end latency from IP-id send stamps.
 //!
 //! These are properties, not rates: the daemon's forwarding rate is the repo
 //! benchmark's (`bash benchmark/run.sh`, the `node_*` workloads).
@@ -141,9 +140,8 @@ fn warm_fast_path_does_not_allocate() {
     }
     let base = NodeConfig::default();
     let legs = [
-        ("exact", base.clone()),
-        ("telemetry 1-in-16", NodeConfig { sample_n: 16, ..base.clone() }),
-        ("sketched", NodeConfig { sketched: true, ..base }),
+        ("sampling off", base.clone()),
+        ("telemetry 1-in-16", NodeConfig { sample_n: 16, ..base }),
     ];
     for (leg, cfg) in legs {
         let mut lb = Loopback::warmed(&cfg);

@@ -1,11 +1,11 @@
 //! Token bucket rate limiter.
 //!
-//! TVA guarantees request packets "a small, fixed fraction of the link (5%
-//! is our default)" and rate-limits them "not to exceed this amount" (§4.3).
-//! The simulation experiments tighten this to 1% to stress the design (§5).
-//! This bucket enforces that cap with a burst allowance, and can report when
-//! tokens will next suffice so an idle link knows when to poll the request
-//! queue again.
+//! A byte-rate cap with a burst allowance that can report when tokens will
+//! next suffice. Pushback's per-aggregate rate-limit filters use it. TVA's
+//! request cap (§3.2: a small fixed fraction of the link, 5% by default,
+//! 1% in the §5 simulations) is not this bucket: `tva_core::TvaScheduler`
+//! paces the request class with its own signed-balance gate, which charges
+//! each packet after it is sent and so never needs to peek at a queue head.
 
 use crate::time::{SimDuration, SimTime};
 

@@ -54,19 +54,15 @@ for f in attacks.tsv attacks.json attacks_metrics.json attacks_attribution.tsv a
   cmp "target/verify-attacks/s1/$f" "results/$f"
 done
 
-echo "==> bounded-state experiment (statebound quick, self-gated, auditors on, shard-determinism)"
+echo "==> bounded-state experiment (statebound quick, self-gated)"
 rm -rf target/verify-statebound
-TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-statebound/s1 \
+TVA_RESULTS_DIR=target/verify-statebound \
   cargo run --release -q -p tva-experiments --bin statebound -- --gate >/dev/null
-TVA_CHECK=1 TVA_SHARDS=2 TVA_RESULTS_DIR=target/verify-statebound/s2 \
-  cargo run --release -q -p tva-experiments --bin statebound -- --gate >/dev/null
-cmp target/verify-statebound/s1/statebound.tsv target/verify-statebound/s2/statebound.tsv
-cmp target/verify-statebound/s1/statebound.json target/verify-statebound/s2/statebound.json
 # The tracked artifact is what this commit writes: its hitrate rows depend on
 # which expired entry each reclaim picks, so a reclaim-index change that
 # moves a victim fails here.
-cmp target/verify-statebound/s1/statebound.tsv results/statebound.tsv
-cmp target/verify-statebound/s1/statebound.json results/statebound.json
+cmp target/verify-statebound/statebound.tsv results/statebound.tsv
+cmp target/verify-statebound/statebound.json results/statebound.json
 
 # The benchmark's traced runs rebuild NodeEngine::poll from public calls and
 # reject a run whose staged sum drifts from poll (node.stage_cover outside
@@ -81,7 +77,7 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml ||
 echo "==> allocation discipline (counting allocator, steady-state dumbbell)"
 cargo test -q --release -p tva-bench --features alloc-count --test alloc_steady
 
-echo "==> tva-node loopback (forwards, zero malformed, one counting window, zero allocs on three legs, UDP e2e)"
+echo "==> tva-node loopback (forwards, zero malformed, one counting window, zero allocs on two legs, UDP e2e)"
 cargo test -q --release -p tva-node --features alloc-count --test loopback
 
 echo "==> telemetry plane smoke (serve + stats socket, obscheck, tva-top)"

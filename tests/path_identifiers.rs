@@ -15,11 +15,15 @@
 //!   attacker's own ingress.
 //! * How many ingresses share a 16-bit tag, and so a request queue, at the
 //!   fan-out of one scale-tree leaf.
+//! * Why the request channel needs no constant-memory variant: a trust
+//!   boundary holds at most one request key per input link, however many
+//!   tags the attackers forge, so its key table never fills.
 
 use tva::core::{
     ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouter, TvaRouterNode,
     TvaScheduler,
 };
+use tva::experiments::{run_driven, Attack, BuiltNodes, ScenarioConfig};
 use tva::sim::{ChannelId, DropTail, NodeId, SimDuration, SimTime, Simulator, TopologyBuilder};
 use tva::transport::{summarize, ClientNode, FloodNode, ServerNode, TcpConfig, TOKEN_START};
 use tva::wire::{
@@ -174,6 +178,61 @@ fn forged_path_identifiers_buy_the_attacker_nothing_downstream() {
     let s = run(50, true);
     assert!(s.completion_fraction > 0.99, "fraction {}", s.completion_fraction);
     assert!(s.avg_completion_secs < 0.5, "time {}", s.avg_completion_secs);
+}
+
+#[test]
+fn a_trust_boundary_holds_one_request_key_per_input_link() {
+    // The dumbbell's R1 re-tags every request with the tag of the link it
+    // arrived on, so its bottleneck scheduler's request keys are bounded by
+    // R1's input links: forged tags (the storm pre-fills 8 per request from
+    // a pool of 64 spoofed sources) never become queue keys, the key table
+    // never fills, and no request is demoted for want of a key.
+    let storm = Attack::SpoofedRequestStorm { src_pool: 64, fill: 8 };
+    for attack in [storm, Attack::Combined] {
+        let cfg = ScenarioConfig {
+            attack,
+            n_attackers: 100,
+            transfers_per_user: 1000,
+            duration: SimTime::from_secs(20),
+            ..ScenarioConfig::default()
+        };
+        let (mut peak_keys, mut inputs, mut demoted, mut sent) = (0, 0, u64::MAX, 0);
+        let r = run_driven(
+            &cfg,
+            |sim, nodes| {
+                let step = SimDuration::from_millis(20);
+                let mut t = SimTime::ZERO;
+                while t < cfg.duration {
+                    t += step;
+                    sim.run_until(t);
+                    peak_keys = peak_keys.max(bottleneck_sched(sim, nodes).request_keys());
+                }
+            },
+            |sim, nodes| {
+                inputs = (0..sim.channel_count())
+                    .filter(|&c| sim.channel(ChannelId(c)).to == nodes.r1)
+                    .count();
+                let stats = &bottleneck_sched(sim, nodes).stats;
+                (demoted, sent) = (stats.requests_demoted, stats.requests_sent);
+            },
+        );
+        let name = attack.name();
+        println!("{name}: peak {peak_keys} request keys from {inputs} input links, {sent} sent");
+        assert_eq!(inputs, 10 + 100 + 1, "{name}: users, attackers and R2 feed R1");
+        assert!(sent > 100, "{name}: the request channel carried the flood ({sent})");
+        assert!(peak_keys > 1, "{name}: requests queued under more than one key");
+        assert!(peak_keys <= inputs, "{name}: {peak_keys} request keys from {inputs} input links");
+        assert_eq!(demoted, 0, "{name}: a request was demoted for want of a key");
+        assert!(r.summary.completion_fraction > 0.99, "{name}: {:?}", r.summary);
+    }
+}
+
+fn bottleneck_sched<'a>(sim: &'a Simulator, nodes: &BuiltNodes) -> &'a TvaScheduler {
+    sim.channel(nodes.bottleneck.ab)
+        .queue_disc()
+        .as_any()
+        .and_then(|a| a.downcast_ref::<TvaScheduler>())
+        .expect("R1's bottleneck egress runs the TVA scheduler")
 }
 
 #[test]
