@@ -12,12 +12,8 @@
 //! * `--hosts N` / `--attackers N` / `--secs N` — override the population
 //!   and simulated horizon
 //!
-//! Environment: `TVA_SHARDS=N` splits the engine into N lookahead-
-//! synchronized shards run on N threads (trace-equivalent to 1 shard:
-//! `events` and `bottleneck_tx_pkts` in `scale.json` must not move, and
-//! `verify.sh` compares them on the quick tree); `TVA_CHECK=1` runs the full
-//! invariant-checker suite alongside and the binary exits non-zero on any
-//! violation.
+//! Environment: `TVA_CHECK=1` runs the full invariant-checker suite
+//! alongside and the binary exits non-zero on any violation.
 
 use serde_json::{Map, Value};
 use tva_bench::scale::{run_scale, ScaleConfig, ScaleRun};
@@ -57,15 +53,13 @@ fn main() {
     let run = run_scale(cfg);
     eprintln!(
         "scale: built {} nodes in {:.2}s; {} events in {:.2}s = {:.0} events/s; \
-         peak RSS {}; {} shard(s), {} cross-shard events",
+         peak RSS {}",
         run.hosts + run.routers + 1,
         run.build_s,
         run.events,
         run.run_s,
         run.events_per_sec,
         run.peak_rss_kb.map_or("n/a".into(), |kb| format!("{:.1} MB", kb as f64 / 1024.0)),
-        run.shards,
-        run.cross_shard_events,
     );
     if let Some(v) = run.check_violations {
         eprintln!("scale: invariant checker ran alongside: {v} violation(s)");
@@ -102,8 +96,6 @@ fn metrics_registry(r: &ScaleRun) -> tva_obs::Registry {
     c(&mut reg, "scale.bottleneck_tx_pkts", r.bottleneck_tx_pkts);
     c(&mut reg, "scale.attack_pkts_emitted", r.attack_pkts_emitted);
     c(&mut reg, "scale.peak_rss_kb", r.peak_rss_kb.unwrap_or(0));
-    c(&mut reg, "scale.shards", r.shards as u64);
-    c(&mut reg, "scale.cross_shard_events", r.cross_shard_events);
     if let Some(v) = r.check_violations {
         c(&mut reg, "scale.check_violations", v);
     }
@@ -120,11 +112,10 @@ fn metrics_registry(r: &ScaleRun) -> tva_obs::Registry {
 fn tsv_report(r: &ScaleRun) -> String {
     let mut s = String::from(
         "hosts\tattackers\trouters\tevents\tbuild_s\trun_s\tevents_per_sec\
-         \tbottleneck_tx_pkts\tattack_pkts_emitted\tpeak_rss_kb\tshards\
-         \tcross_shard_events\tcheck_violations\n",
+         \tbottleneck_tx_pkts\tattack_pkts_emitted\tpeak_rss_kb\tcheck_violations\n",
     );
     s.push_str(&format!(
-        "{}\t{}\t{}\t{}\t{:.3}\t{:.3}\t{:.0}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+        "{}\t{}\t{}\t{}\t{:.3}\t{:.3}\t{:.0}\t{}\t{}\t{}\t{}\n",
         r.hosts,
         r.attackers,
         r.routers,
@@ -135,8 +126,6 @@ fn tsv_report(r: &ScaleRun) -> String {
         r.bottleneck_tx_pkts,
         r.attack_pkts_emitted,
         r.peak_rss_kb.map_or_else(|| "-".into(), |kb| kb.to_string()),
-        r.shards,
-        r.cross_shard_events,
         r.check_violations.map_or_else(|| "-".into(), |v| v.to_string()),
     ));
     s
@@ -156,8 +145,6 @@ fn json_report(r: &ScaleRun) -> String {
     if let Some(kb) = r.peak_rss_kb {
         map.insert("peak_rss_kb".into(), Value::Number(kb as f64));
     }
-    map.insert("shards".into(), Value::Number(r.shards as f64));
-    map.insert("cross_shard_events".into(), Value::Number(r.cross_shard_events as f64));
     if let Some(v) = r.check_violations {
         map.insert("check_violations".into(), Value::Number(v as f64));
     }

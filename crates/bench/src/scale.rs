@@ -105,27 +105,24 @@ pub struct ScaleRun {
     /// the process happened to touch. Falls back to a before/after delta
     /// when the reset isn't permitted; `None` when procfs is unreadable.
     pub peak_rss_kb: Option<u64>,
-    /// Shards the engine ran on (`TVA_SHARDS`, after clamping).
-    pub shards: usize,
-    /// Events that crossed a shard boundary (0 on one shard).
-    pub cross_shard_events: u64,
     /// Invariant violations found when driven under `TVA_CHECK=1`
     /// (`Some(0)` = audited clean); `None` when checking was off.
     pub check_violations: Option<u64>,
 }
 
-/// Builds the tree and runs the workload. Honors `TVA_SHARDS` (engine
-/// sharding) and `TVA_CHECK` (drives the run under the full invariant
-/// auditor set instead of a plain `run_until`).
-pub fn run_scale(cfg: ScaleConfig) -> ScaleRun {
-    run_scale_with(cfg, tva_sim::shards_from_env())
+/// [`run_scale`] under the name the repo benchmark (`benchmark/src/sim.rs`)
+/// calls, from when the engine could be split into shards; only one shard
+/// exists now. ROADMAP item 1's `[benchmark]` PR switches that caller to
+/// [`run_scale`] and drops this wrapper.
+pub fn run_scale_with(cfg: ScaleConfig, shards: usize) -> ScaleRun {
+    assert_eq!(shards, 1, "the engine runs one event loop");
+    run_scale(cfg)
 }
 
-/// [`run_scale`] with an explicit shard count (the repo benchmark pins one
-/// shard whatever the environment says; the shard-invariance test compares
-/// 1-shard and sharded runs of the same config in one process, where an
-/// env knob can't distinguish them). `TVA_CHECK` is still honored.
-pub fn run_scale_with(cfg: ScaleConfig, shards: usize) -> ScaleRun {
+/// Builds the tree and runs the workload. Honors `TVA_CHECK` (drives the
+/// run under the full invariant auditor set instead of a plain
+/// `run_until`).
+pub fn run_scale(cfg: ScaleConfig) -> ScaleRun {
     assert!(cfg.attackers <= cfg.hosts, "attackers are a subset of hosts");
     let leaves_total = cfg.mid_routers * cfg.leaf_routers_per_mid;
     assert!(leaves_total > 0 && cfg.hosts >= leaves_total, "at least one host per leaf");
@@ -271,7 +268,7 @@ pub fn run_scale_with(cfg: ScaleConfig, shards: usize) -> ScaleRun {
     assert_eq!(host_idx, cfg.hosts);
 
     let routers = 1 + cfg.mid_routers * (1 + cfg.leaf_routers_per_mid);
-    let mut sim = t.build_sharded(cfg.seed, shards);
+    let mut sim = t.build(cfg.seed);
     let build_s = t_build.elapsed().as_secs_f64();
 
     for n in kicks {
@@ -307,8 +304,6 @@ pub fn run_scale_with(cfg: ScaleConfig, shards: usize) -> ScaleRun {
         bottleneck_tx_pkts: sim.channel(root_server.ab).stats.tx_pkts,
         attack_pkts_emitted,
         peak_rss_kb,
-        shards: sim.shard_count(),
-        cross_shard_events: sim.cross_shard_events(),
         check_violations,
     }
 }
@@ -337,11 +332,11 @@ mod tests {
         assert!(run.events > run.bottleneck_tx_pkts);
     }
 
-    /// The same miniature tree must produce identical results on 1 and 4
-    /// shards — the sharded engine's determinism contract, on the actual
-    /// scale workload shape (TVA routers, floods, static routes).
+    /// The miniature tree's outcome, pinned: the engine's event order and
+    /// the TVA stack's behaviour at the scale workload's shape (TVA
+    /// routers, floods, static routes) must not move silently.
     #[test]
-    fn miniature_tree_is_shard_invariant() {
+    fn miniature_tree_event_count_is_pinned() {
         let cfg = ScaleConfig {
             hosts: 200,
             attackers: 20,
@@ -351,13 +346,7 @@ mod tests {
             sim_secs: 2,
             ..ScaleConfig::full()
         };
-        let a = run_scale_with(cfg, 1);
-        let b = run_scale_with(cfg, 4);
-        assert_eq!(a.shards, 1);
-        assert_eq!(b.shards, 4);
-        assert!(b.cross_shard_events > 0, "a 4-shard tree must exchange events");
-        assert_eq!(a.events, b.events, "event counts must be shard-invariant");
-        assert_eq!(a.bottleneck_tx_pkts, b.bottleneck_tx_pkts);
-        assert_eq!(a.attack_pkts_emitted, b.attack_pkts_emitted);
+        let run = run_scale(cfg);
+        assert_eq!((run.events, run.bottleneck_tx_pkts, run.attack_pkts_emitted), (45_564, 2_802, 539));
     }
 }

@@ -62,13 +62,6 @@ impl StructuralAuditor {
         if let Err(e) = sim.audit_channels() {
             self.violation(sim, "queue-accounting", e);
         }
-        // Cross-shard reconciliation: the sharded engine's location maps,
-        // channel ownership, lookahead bound, and exchange buffers must
-        // stay mutually consistent (trivially true — but still audited —
-        // on one shard).
-        if let Err(e) = sim.audit_sharding() {
-            self.violation(sim, "shard-consistency", e);
-        }
         for n in 0..sim.node_count() {
             let Some(node) = sim.try_node::<TvaRouterNode>(NodeId(n)) else { continue };
             let router = &node.router;

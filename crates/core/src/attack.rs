@@ -39,8 +39,8 @@ fn jittered(ctx: &mut dyn Ctx, base: SimDuration) -> SimDuration {
 
 /// When an [`AuthorizedFlooder`] floods. Every schedule derives from the
 /// shared simulation clock or the node's own RNG stream, so a cohort of
-/// attackers coordinates without exchanging a packet and sharded runs stay
-/// byte-identical.
+/// attackers coordinates without exchanging a packet, and no attacker's
+/// draws depend on when another one draws.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cadence {
     /// Flood forever (§5.3).

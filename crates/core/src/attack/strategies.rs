@@ -15,8 +15,8 @@
 //!   cadence draw from.
 //!
 //! The node draws only from its own per-node RNG stream (`ctx.rng()`), so
-//! sharded runs stay byte-identical — the engine's determinism contract
-//! that the attack-search loop depends on.
+//! its draws do not depend on when any other node draws — the engine's
+//! determinism contract that the attack-search loop depends on.
 
 use std::any::Any;
 

@@ -62,8 +62,8 @@ pub struct RouterConfig {
     pub flow_sample_n: u32,
     /// Seed for the flow sampler's selection hash. Must agree across every
     /// router/scheduler whose records will be merged, so selection is a
-    /// pure function of the packet id and merged tables stay
-    /// shard-independent.
+    /// pure function of the packet id and a merged table does not depend
+    /// on which router sampled what.
     pub flow_sample_seed: u64,
 }
 

@@ -19,8 +19,7 @@
 //! flood with fewer bytes is visible at a glance. Everything is seeded —
 //! parameter draws from [`SearchConfig::seed`], scenario runs from the same
 //! fixed scenario seed — so the whole report is byte-identical across
-//! repeats and across `TVA_SHARDS` settings (the engine's determinism
-//! contract).
+//! repeats (the engine's determinism contract).
 //!
 //! Environment knobs (also see `from_env`): `TVA_ATTACK_TRIALS` (parameter
 //! draws per strategy), `TVA_ATTACK_SEED` (parameter-draw seed),
@@ -317,7 +316,7 @@ pub const ATTRIBUTION_HEADERS: [&str; 4] =
     ["prefix", "est_bytes", "est_pkts", "est_refused_bytes"];
 
 /// Renders attribution rows for the report writers (integers only, so the
-/// artifact is byte-stable across repeats and `TVA_SHARDS` settings).
+/// artifact is byte-stable across repeats).
 pub fn attribution_rows(rows: &[AttributionRow]) -> Vec<Vec<String>> {
     rows.iter()
         .map(|r| {

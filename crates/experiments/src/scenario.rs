@@ -997,11 +997,7 @@ impl<'a> Builder<'a> {
         // Attackers.
         self.add_attackers();
 
-        // `TVA_SHARDS` selects the engine's shard count; any value yields
-        // byte-identical results (the sharded engine's determinism
-        // contract), so scenarios honor it unconditionally.
-        let mut sim =
-            std::mem::take(&mut self.topo).build_sharded(cfg.seed, tva_sim::shards_from_env());
+        let mut sim = std::mem::take(&mut self.topo).build(cfg.seed);
 
         // Pushback routers need their managed egresses registered (R1's
         // toward R2, direct and via the detour) and their review loop kicked.

@@ -17,7 +17,7 @@
 //! Peak RSS per leg is measured by re-executing the binary as a
 //! single-leg subprocess (`--leg`), so each leg's `VmHWM` is its own;
 //! RSS is reported and gated (`--gate`) but kept **out** of the TSV/JSON
-//! artifacts, which stay byte-identical across runs and shard counts.
+//! artifacts, which stay byte-identical across runs.
 
 use tva_core::{Charge, FlowTable, RouterConfig, TvaScheduler};
 use tva_sim::{splitmix64, QueueDisc, SimDuration, SimTime};

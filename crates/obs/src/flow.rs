@@ -11,10 +11,11 @@
 //!
 //! * **Determinism.** Selection is a pure function of `(seed, sample_n,
 //!   packet id)` — never of arrival order, wall time, or a per-sampler
-//!   counter — so a sharded run (`TVA_SHARDS=2`) samples exactly the same
-//!   packets as a sequential one and exports byte-identical records.
-//!   Aggregation lives in a `BTreeMap`, so iteration and export order are
-//!   sorted and stable too.
+//!   counter — so merging the records of several routers is order-free:
+//!   however a packet stream is split across samplers, the merged table is
+//!   byte-identical to one sampler's over the whole stream. Aggregation
+//!   lives in a `BTreeMap`, so iteration and export order are sorted and
+//!   stable too.
 //! * **Bounded cost.** Disabled (`sample_n == 0`) is one branch per call.
 //!   Enabled, the common case is one 64-bit hash and a branch; only the
 //!   1-in-N sampled packets touch the record map. The key space is small
@@ -193,9 +194,9 @@ impl FlowSampler {
     }
 
     /// Whether a packet id is selected. Pure in `(seed, n, id)`: the same
-    /// packet is picked — or not — no matter which shard or hook point
-    /// asks, which is what keeps sharded runs byte-identical and lets the
-    /// router and scheduler sample consistently without coordination.
+    /// packet is picked — or not — no matter which router or hook point
+    /// asks, which is what makes merges order-free and lets the router and
+    /// scheduler sample consistently without coordination.
     #[inline]
     pub fn picks(&self, pkt_id: u64) -> bool {
         if self.n == 0 {
@@ -254,7 +255,7 @@ impl FlowSampler {
     }
 
     /// Folds another sampler's records into this one (collection across
-    /// routers/schedulers/shards). Sampling parameters must match or one
+    /// routers/schedulers). Sampling parameters must match or one
     /// side must be empty — merging differently-sampled tables would mix
     /// incomparable estimates.
     pub fn merge(&mut self, other: &FlowSampler) {
@@ -413,23 +414,23 @@ mod tests {
 
     #[test]
     fn selection_is_order_and_partition_independent() {
-        // The shard-determinism property at the sampler level: the set of
-        // selected ids is identical whether ids arrive sequentially or
-        // interleaved across two "shards".
+        // Merges are order-free at the sampler level: the set of selected
+        // ids is identical whether ids arrive at one sampler or interleaved
+        // across two (two routers, say).
         let mut seq = FlowSampler::new(8, SEED);
-        let mut shard_a = FlowSampler::new(8, SEED);
-        let mut shard_b = FlowSampler::new(8, SEED);
+        let mut part_a = FlowSampler::new(8, SEED);
+        let mut part_b = FlowSampler::new(8, SEED);
         let src = addr(20, 0, 1, 7);
         for id in 0..10_000u64 {
             seq.record(id, src, PathId::NONE, FlowClass::Regular, FlowVerdict::Validated, 1500);
-            let shard = if id % 2 == 0 { &mut shard_a } else { &mut shard_b };
-            shard.record(id, src, PathId::NONE, FlowClass::Regular, FlowVerdict::Validated, 1500);
+            let part = if id % 2 == 0 { &mut part_a } else { &mut part_b };
+            part.record(id, src, PathId::NONE, FlowClass::Regular, FlowVerdict::Validated, 1500);
         }
-        shard_a.merge(&shard_b);
-        assert_eq!(seq.sampled_packets(), shard_a.sampled_packets());
+        part_a.merge(&part_b);
+        assert_eq!(seq.sampled_packets(), part_a.sampled_packets());
         assert_eq!(
             serde_json::to_string(&seq.to_json()).unwrap(),
-            serde_json::to_string(&shard_a.to_json()).unwrap()
+            serde_json::to_string(&part_a.to_json()).unwrap()
         );
     }
 
@@ -529,25 +530,23 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Shard determinism, generalized: for any (n, seed) and any
-            /// packet stream split across two shards by an arbitrary
+            /// Order-free merges, generalized: for any (n, seed) and any
+            /// packet stream split across two samplers by an arbitrary
             /// per-packet assignment, the merged sampler is byte-identical
-            /// to the sequential one — the property that makes
-            /// `TVA_SHARDS=1` and `TVA_SHARDS=2` attribution tables
-            /// compare equal with `cmp`.
+            /// to one sampler that saw the whole stream.
             #[test]
             fn sharded_sampling_is_byte_identical(
                 n in 1u32..32,
                 seed in any::<u64>(),
                 ids in proptest::collection::vec(any::<u64>(), 1..400),
-                shard_of in proptest::collection::vec(any::<bool>(), 400),
+                part_of in proptest::collection::vec(any::<bool>(), 400),
             ) {
                 let mut seq = FlowSampler::new(n, seed);
                 let mut a = FlowSampler::new(n, seed);
                 let mut b = FlowSampler::new(n, seed);
                 for (i, &id) in ids.iter().enumerate() {
-                    // Derive src/class/verdict from the id so shards see
-                    // the same packet the sequential run saw.
+                    // Derive src/class/verdict from the id so both parts
+                    // see the same packet the single sampler saw.
                     let src = Addr::new(20 + (id % 3) as u8, 0, (id % 5) as u8, 1);
                     let verdict = if id % 7 == 0 {
                         FlowVerdict::DroppedQueue
@@ -556,8 +555,8 @@ mod tests {
                     };
                     let len = 40 + (id % 1460) as u32;
                     seq.record(id, src, PathId::NONE, FlowClass::Regular, verdict, len);
-                    let shard = if shard_of[i] { &mut a } else { &mut b };
-                    shard.record(id, src, PathId::NONE, FlowClass::Regular, verdict, len);
+                    let part = if part_of[i] { &mut a } else { &mut b };
+                    part.record(id, src, PathId::NONE, FlowClass::Regular, verdict, len);
                 }
                 a.merge(&b);
                 prop_assert_eq!(seq.sampled_packets(), a.sampled_packets());

@@ -1,5 +1,5 @@
 //! The event queue: a 4-ary implicit min-heap over a payload slab, with a
-//! shard-invariant total order.
+//! total order that does not depend on push order.
 //!
 //! Every event carries an [`EventKey`] `(time, gen, tie)`:
 //!
@@ -9,19 +9,17 @@
 //!   plus one, so causal chains at a single instant stay ordered parents
 //!   before children. Pushes to a strictly later time restart at 0.
 //! * `tie` — `lane_seq * total_lanes + lane`, where the *lane* is the
-//!   entity acting when the push happened (a node or a channel, numbered
-//!   globally) and `lane_seq` is that lane's private push counter. Lanes
-//!   and their counters are independent of how the topology is sharded,
-//!   which makes the full key identical whether the simulation runs on
-//!   one event loop or many — the property the sharded engine's
-//!   deterministic cross-shard merge rests on (DESIGN.md "Sharded
-//!   engine").
+//!   entity acting when the push happened (a node, or a channel numbered
+//!   after the nodes) and `lane_seq` is that lane's private push counter.
+//!   A key therefore depends only on its pusher's own history, never on
+//!   how pushes from different lanes interleave, so the dispatch order is
+//!   a pure function of the model and the seed (DESIGN.md §4f).
 //!
 //! The heap pops in exactly ascending key order, nothing else. Because a
 //! push from inside a dispatch always produces a key strictly greater
 //! than the key being dispatched (later time, or same time and higher
 //! generation), pop order equals the total key order over all events ever
-//! queued — so per-shard pop streams can be merged by key alone.
+//! queued.
 //!
 //! Layout: the heap itself holds only 24-byte `(time, tie, slot, gen)`
 //! entries; the [`EventKind`] payloads (which embed whole packets) live in
@@ -45,21 +43,12 @@ pub struct NodeId(pub usize);
 pub struct ChannelId(pub usize);
 
 /// The total dispatch order: time, then generation within the instant,
-/// then the lane-derived tiebreak (see the module docs). Identical across
-/// shard counts for the same seeded run.
+/// then the lane-derived tiebreak (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) struct EventKey {
     pub time: SimTime,
     pub gen: u16,
     pub tie: u64,
-}
-
-impl EventKey {
-    /// An upper bound covering every real key at or before `time` (real
-    /// ties never reach `u64::MAX`).
-    pub fn end_of(time: SimTime) -> Self {
-        EventKey { time, gen: u16::MAX, tie: u64::MAX }
-    }
 }
 
 /// What happens when an event fires.
@@ -186,9 +175,8 @@ impl EventQueue {
     }
 
     /// Fused peek+pop against a full-key bound (exclusive): pops the
-    /// earliest event only if its key is strictly below `bound`. The
-    /// sharded horizon loop uses this to burn a shard down to a safe
-    /// horizon or a link-event barrier.
+    /// earliest event only if its key is strictly below `bound`. The run
+    /// loop uses this to stop just short of a link-event barrier.
     #[inline]
     pub fn pop_below(&mut self, bound: EventKey) -> Option<Event> {
         let top = *self.heap.first()?;
@@ -207,11 +195,6 @@ impl EventQueue {
         let kind = self.kinds[top.slot as usize].take().expect("queued slot is occupied");
         self.free.push(top.slot);
         Event { key: top.key(), kind }
-    }
-
-    /// Key of the earliest pending event, if any.
-    pub fn peek_key(&self) -> Option<EventKey> {
-        self.heap.first().map(Entry::key)
     }
 
     /// Iterates the pending event payloads in slab (not dispatch) order.
@@ -341,8 +324,8 @@ mod tests {
         // Exclusive full-key bound: equal key does not pop.
         let bound = EventKey { time: SimTime::from_secs(3), gen: 0, tie: 1 };
         assert!(q.pop_below(bound).is_none());
-        assert!(q.pop_below(EventKey::end_of(SimTime::from_secs(3))).is_some());
-        assert_eq!(q.peek_key(), None);
+        assert!(q.pop_below(EventKey { tie: 2, ..bound }).is_some());
+        assert!(q.pop().is_none());
     }
 
     use proptest::prelude::*;
@@ -375,7 +358,6 @@ mod tests {
             while let Some(e) = q.pop() {
                 prop_assert_eq!(Some(read(e)), model.pop_first());
             }
-            prop_assert_eq!(q.peek_key(), None);
             prop_assert!(model.is_empty());
         }
     }
@@ -389,6 +371,5 @@ mod tests {
         q.push(key(SimTime::from_secs(2), 2), timer(0, 20));
         q.push(key(SimTime::from_secs(5), 3), timer(0, 51)); // same time as first
         assert_eq!(drain_tokens(&mut q), vec![20, 50, 51]);
-        assert_eq!(q.peek_key(), None);
     }
 }

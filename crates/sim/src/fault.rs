@@ -47,8 +47,8 @@ pub fn splitmix64(mut x: u64) -> u64 {
 
 /// Seed for entity `id`'s private RNG stream within the family tagged by
 /// `salt` (e.g. [`FAULT_STREAM`] for per-channel wire faults, or the node
-/// stream). A pure function of `(seed, salt, id)`, so streams are
-/// identical however the topology is sharded.
+/// stream). A pure function of `(seed, salt, id)`, so a stream's draws do
+/// not depend on when other consumers draw.
 #[inline]
 pub(crate) fn stream_seed(seed: u64, salt: u64, id: u64) -> u64 {
     splitmix64(seed ^ salt ^ splitmix64(id))

@@ -35,7 +35,6 @@ pub mod intern;
 pub mod node;
 pub mod pool;
 pub mod queue;
-mod shard;
 pub mod stats;
 pub mod time;
 pub mod topology;
@@ -43,7 +42,7 @@ pub mod trace;
 
 pub use bucket::TokenBucket;
 pub use drr::Drr;
-pub use engine::{env_flag, env_u64, shards_from_env, Channel, Simulator, MAX_SHARDS};
+pub use engine::{env_flag, env_u64, Channel, Simulator};
 pub use event::{ChannelId, NodeId};
 pub use fault::{splitmix64, DutyCycleOutage, Impairments};
 pub use intern::AddrInterner;

@@ -14,9 +14,8 @@ use tva_wire::Packet;
 
 /// A simulated network element.
 ///
-/// `Send` because a multi-shard run burns down each horizon on one worker
-/// thread per shard; node state is still only ever touched by one thread
-/// at a time.
+/// `Send` so a built simulator can move to another thread (a sweep
+/// worker, say); the engine itself runs every node on one thread.
 pub trait Node: Any + Send {
     /// Called when a packet arrives at this node on channel `from`.
     fn on_packet(&mut self, pkt: Pkt, from: ChannelId, ctx: &mut dyn Ctx);

@@ -17,9 +17,8 @@
 //! box is fully overwritten with the new packet before it is ever read, so
 //! packet contents never depend on pool state, and the pool itself is never
 //! consulted for anything but spare capacity. Each thread has its own free
-//! list (a one-shard simulation runs on one thread, a multi-shard one on a
-//! worker thread per shard; sweeps run one simulation per thread), so
-//! there is no cross-thread ordering to influence results.
+//! list (a simulation runs on one thread; sweeps run one simulation per
+//! thread), so there is no cross-thread ordering to influence results.
 
 use std::cell::RefCell;
 use std::fmt;

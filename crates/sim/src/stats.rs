@@ -2,8 +2,8 @@
 
 use crate::time::SimTime;
 
-/// Counters for one unidirectional channel. `PartialEq` so sharded and
-/// unsharded runs of the same seed can assert ledger equality.
+/// Counters for one unidirectional channel. `PartialEq` so two runs of the
+/// same seed can assert ledger equality.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Packets accepted into the egress queue.

@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use crate::engine::{Channel, RouteTable, Simulator};
+use crate::engine::{Channel, Core, RouteTable, Simulator};
 use crate::event::{ChannelId, NodeId};
 use crate::fault::Impairments;
 use crate::intern::AddrInterner;
@@ -141,24 +141,12 @@ impl TopologyBuilder {
         self.impair(l.ba, imp);
     }
 
-    /// Finishes construction on a single shard — the classic sequential
-    /// engine. Equivalent to `build_sharded(seed, 1)`.
-    pub fn build(self, seed: u64) -> Simulator {
-        self.build_sharded(seed, 1)
-    }
-
     /// Finishes construction: interns every bound address (in `bind_addr`
     /// order), computes shortest-path routes for each into dense per-node
-    /// next-hop arrays, partitions the topology across `shards` event
-    /// loops (see [`crate::engine::shards_from_env`] for the env knob),
-    /// and derives the engine RNG streams from `seed`. The address
-    /// bindings and defaults are retained by the simulator so routes can
-    /// re-converge when links fail at runtime.
-    ///
-    /// Any shard count yields the same simulation results, byte for byte;
-    /// requests that cannot be honored (more shards than nodes, a
-    /// zero-delay cross-shard link) degrade to fewer shards silently.
-    pub fn build_sharded(self, seed: u64, shards: usize) -> Simulator {
+    /// next-hop arrays, and derives the engine RNG streams from `seed`. The
+    /// address bindings and defaults are retained by the simulator so
+    /// routes can re-converge when links fail at runtime.
+    pub fn build(self, seed: u64) -> Simulator {
         let n = self.nodes.len();
         let mut interner = AddrInterner::new();
         for &(addr, _) in &self.addrs {
@@ -171,24 +159,22 @@ impl TopologyBuilder {
             self.channels.iter().map(|c| (c.from, c.to, c.up)).collect();
         let mut routes = compute_routes(n, &links, &self.addrs, &self.defaults, &interner);
         apply_static_routes(&mut routes, &interner, &self.statics);
-        crate::shard::assemble(
-            self.nodes,
-            self.channels,
-            routes,
-            interner,
-            self.addrs,
-            self.defaults,
-            self.statics,
-            seed,
-            shards,
-        )
+        Simulator {
+            core: Core::new(self.channels, routes, interner, seed),
+            nodes: self.nodes,
+            addrs: self.addrs,
+            defaults: self.defaults,
+            statics: self.statics,
+            reconvergences: 0,
+            link_events: Vec::new(),
+        }
     }
 }
 
 /// Computes hop-count shortest-path routes to every bound address, skipping
 /// channels that are currently down. `links[i]` is channel `i`'s
 /// `(from, to, up)` triple — a plain view so [`Simulator::reconverge`] can
-/// call this without reassembling `Channel` values from the shards.
+/// call this while the channels are borrowed by the engine.
 pub(crate) fn compute_routes(
     n: usize,
     links: &[(NodeId, NodeId, bool)],
@@ -241,7 +227,7 @@ pub(crate) fn compute_routes(
 }
 
 /// Installs the pinned static routes on top of freshly computed tables.
-/// Shared by [`TopologyBuilder::build_sharded`] and
+/// Shared by [`TopologyBuilder::build`] and
 /// [`Simulator::reconverge`] (static routes survive reconvergence
 /// unchanged — see [`TopologyBuilder::static_route`]).
 pub(crate) fn apply_static_routes(

@@ -1,17 +1,26 @@
 //! Invariant 6: identical seeds produce identical simulations, across the
 //! full stack (scenario harness included); different seeds produce
 //! different microscopic outcomes.
+//!
+//! Two runs are also pinned to constants: the trace-stream hash and event
+//! count of a TVA dumbbell and of a triangle whose link fails and recovers.
+//! Comparing a run with itself cannot catch a change to the engine's
+//! dispatch order that is consistent from run to run (say, a renumbered
+//! tiebreak lane); the pins can.
 
 use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, Mutex};
 
+use tva::baselines::LegacyRouterNode;
 use tva::core::{
     ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler,
 };
 use tva::experiments::{run, Attack, ScenarioConfig, Scheme};
-use tva::sim::{format_event, DropTail, SimDuration, SimTime, TopologyBuilder};
-use tva::transport::{ClientNode, ServerNode, TcpConfig, TOKEN_START};
-use tva::wire::{Addr, DetBuildHasher, Grant};
+use tva::sim::{
+    format_event, DropTail, SimDuration, SimTime, Simulator, SinkNode, TopologyBuilder,
+};
+use tva::transport::{ClientNode, FloodNode, ServerNode, TcpConfig, TOKEN_START};
+use tva::wire::{Addr, DetBuildHasher, Grant, Packet, PacketId};
 
 fn cfg(seed: u64) -> ScenarioConfig {
     ScenarioConfig {
@@ -36,11 +45,27 @@ fn same_seed_same_run() {
     assert!((a.bottleneck_drop_rate - b.bottleneck_drop_rate).abs() < 1e-12);
 }
 
+/// Installs a tracer that folds every rendered trace line into one hash;
+/// read it back with [`trace_hash`].
+fn hash_traces(sim: &mut Simulator) -> Arc<Mutex<impl Hasher>> {
+    let hasher = Arc::new(Mutex::new(DetBuildHasher::default().build_hasher()));
+    let sink = Arc::clone(&hasher);
+    sim.set_tracer(Some(Box::new(move |ev| {
+        let mut h = sink.lock().expect("tracer hash lock");
+        h.write(format_event(ev).as_bytes());
+        h.write_u8(b'\n');
+    })));
+    hasher
+}
+
+fn trace_hash(hasher: &Mutex<impl Hasher>) -> u64 {
+    hasher.lock().expect("tracer hash lock").finish()
+}
+
 /// Builds the fig8-style TVA dumbbell (clients → r1 → bottleneck → r2 →
-/// server) split across `shards` engine shards, runs `sim_secs` with a
-/// tracer hashing the rendered trace stream, and returns
-/// `(stream hash, events dispatched)`.
-fn traced_dumbbell(seed: u64, sim_secs: u64, shards: usize) -> (u64, u64) {
+/// server), runs `sim_secs` with a tracer hashing the rendered trace
+/// stream, and returns `(stream hash, events dispatched)`.
+fn traced_dumbbell(seed: u64, sim_secs: u64) -> (u64, u64) {
     const SERVER: Addr = Addr::new(10, 0, 0, 1);
     let cfg1 = RouterConfig { secret_seed: seed ^ 0x1111, ..Default::default() };
     let cfg2 = RouterConfig { secret_seed: seed ^ 0x2222, ..Default::default() };
@@ -100,22 +125,71 @@ fn traced_dumbbell(seed: u64, sim_secs: u64, shards: usize) -> (u64, u64) {
         );
         clients.push(c);
     }
-    let mut sim = t.build_sharded(seed, shards);
-    assert_eq!(sim.shard_count(), shards, "dumbbell has enough nodes for {shards} shards");
-    let hasher = Arc::new(Mutex::new(DetBuildHasher::default().build_hasher()));
-    let sink = Arc::clone(&hasher);
-    sim.set_tracer(Some(Box::new(move |ev| {
-        let mut h = sink.lock().expect("tracer hash lock");
-        h.write(format_event(ev).as_bytes());
-        h.write_u8(b'\n');
-    })));
+    let mut sim = t.build(seed);
+    let hasher = hash_traces(&mut sim);
     for &c in &clients {
         sim.kick(c, TOKEN_START);
     }
     sim.run_until(SimTime::from_secs(sim_secs));
-    let events = sim.events_processed();
-    let hash = hasher.lock().expect("tracer hash lock").finish();
-    (hash, events)
+    (trace_hash(&hasher), sim.events_processed())
+}
+
+/// A flooder → r1 → r2 → sink path on a router triangle. The r1–r2 link
+/// fails at 0.3 s (traffic reroutes via r3, and the packet on the wire is
+/// lost) and recovers at 0.6 s. A second flooder on r1 starts at exactly
+/// the instant the first packet reaches r1, with the same generation and
+/// lane push count: only the lane number orders those two events, so
+/// renumbering the lanes moves the hash. Returns `(stream hash, events
+/// dispatched)` after 1 simulated second.
+fn traced_triangle() -> (u64, u64) {
+    let q = || Box::new(DropTail::new(1 << 18));
+    let dst = Addr::new(50, 0, 0, 0);
+    let src = Addr::new(50, 0, 0, 1);
+    let late_src = Addr::new(50, 0, 0, 2);
+    let flood = |src: Addr| -> Box<FloodNode> {
+        Box::new(FloodNode::new(
+            400_000,
+            Box::new(move |_now, seq| {
+                Some(Packet {
+                    id: PacketId(0),
+                    src,
+                    dst,
+                    cap: None,
+                    tcp: None,
+                    payload_len: 400 + (seq % 200) as u32,
+                })
+            }),
+        ))
+    };
+    let mut t = TopologyBuilder::new();
+    let r1 = t.add_node(Box::<LegacyRouterNode>::default());
+    let r2 = t.add_node(Box::<LegacyRouterNode>::default());
+    let r3 = t.add_node(Box::<LegacyRouterNode>::default());
+    let d = SimDuration::from_millis(2);
+    let l12 = t.link(r1, r2, 5_000_000, d, q(), q());
+    t.link(r1, r3, 5_000_000, d, q(), q());
+    t.link(r3, r2, 5_000_000, d, q(), q());
+    let sink = t.add_node(Box::<SinkNode>::default());
+    t.bind_addr(sink, dst);
+    t.link(r2, sink, 5_000_000, d, q(), q());
+    let flooder = t.add_node(flood(src));
+    t.bind_addr(flooder, src);
+    t.link(flooder, r1, 5_000_000, d, q(), q());
+    let late = t.add_node(flood(late_src));
+    t.bind_addr(late, late_src);
+    t.link(late, r1, 5_000_000, d, q(), q());
+
+    let mut sim = t.build(11);
+    sim.schedule_link_down(l12, SimTime::from_nanos(300_000_000));
+    sim.schedule_link_up(l12, SimTime::from_nanos(600_000_000));
+    let hasher = hash_traces(&mut sim);
+    sim.kick(flooder, 0);
+    let first = Packet { id: PacketId(0), src, dst, cap: None, tcp: None, payload_len: 400 };
+    let at_r1 = SimTime::ZERO + SimDuration::transmission(first.wire_len(), 5_000_000) + d;
+    sim.kick_at(late, 0, at_r1);
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(sim.reconvergences(), 2, "down + up each re-converge once");
+    (trace_hash(&hasher), sim.events_processed())
 }
 
 /// Two runs of the same seeded scenario must produce byte-identical trace
@@ -123,26 +197,32 @@ fn traced_dumbbell(seed: u64, sim_secs: u64, shards: usize) -> (u64, u64) {
 /// time on the same channel for the same packet, in the same order.
 #[test]
 fn same_seed_identical_trace_stream() {
-    let (h1, n1) = traced_dumbbell(20_050_821, 20, 1);
-    let (h2, n2) = traced_dumbbell(20_050_821, 20, 1);
+    let (h1, n1) = traced_dumbbell(20_050_821, 20);
+    let (h2, n2) = traced_dumbbell(20_050_821, 20);
     assert!(n1 > 10_000, "dumbbell must generate real traffic, got {n1} events");
     assert_eq!(n1, n2, "event counts must match");
     assert_eq!(h1, h2, "trace streams must be byte-identical");
 }
 
-/// Sharding must not perturb the simulation at all: the trace stream of a
-/// 4-shard run (merged across shard buffers at each horizon) must be
-/// byte-identical to the 1-shard run's, event for event, in order — the
-/// `TVA_SHARDS=1` vs `TVA_SHARDS=4` equivalence the sharded engine
-/// guarantees (DESIGN.md "Sharded engine").
+/// The dumbbell's trace stream, pinned: any change to the dispatch order
+/// (event keys, lane numbering, RNG streams, packet ids) moves the hash.
 #[test]
-fn sharded_run_identical_trace_stream() {
-    let (h1, n1) = traced_dumbbell(20_050_821, 20, 1);
-    let (h4, n4) = traced_dumbbell(20_050_821, 20, 4);
-    assert!(n1 > 10_000, "dumbbell must generate real traffic, got {n1} events");
-    assert_eq!(n1, n4, "event counts must be shard-invariant");
-    assert_eq!(h1, h4, "sharded trace stream must be byte-identical to unsharded");
+fn dumbbell_trace_stream_is_pinned() {
+    assert_eq!(traced_dumbbell(20_050_821, 20), (DUMBBELL_HASH, DUMBBELL_EVENTS));
 }
+
+/// The link-failure barrier, pinned: the transitions land at the same
+/// place in the event order, and the in-flight loss and both
+/// reconvergences trace identically.
+#[test]
+fn link_failure_trace_stream_is_pinned() {
+    assert_eq!(traced_triangle(), (TRIANGLE_HASH, TRIANGLE_EVENTS));
+}
+
+const DUMBBELL_HASH: u64 = 5_541_850_419_305_535_654;
+const DUMBBELL_EVENTS: u64 = 89_974;
+const TRIANGLE_HASH: u64 = 1_050_054_078_238_550_644;
+const TRIANGLE_EVENTS: u64 = 1_628;
 
 #[test]
 fn different_seed_different_microstate() {
