@@ -75,26 +75,15 @@ pub struct EgressSpec {
     pub capacity_bps: u64,
 }
 
-/// Counters.
-#[derive(Debug, Default, Clone)]
-pub struct PushbackStats {
-    /// Packets dropped by installed filters.
-    pub filtered_drops: u64,
-    /// Filters currently installed.
-    pub active_filters: usize,
-    /// Reviews that found congestion.
-    pub congested_reviews: u64,
-}
-
-impl tva_obs::Observe for PushbackStats {
-    fn observe(&self, prefix: &str, reg: &mut tva_obs::Registry) {
-        let mut set = |name: &str, v: u64| {
-            let id = reg.counter(&format!("{prefix}.{name}"));
-            reg.set_counter(id, v);
-        };
-        set("filtered_drops", self.filtered_drops);
-        set("active_filters", self.active_filters as u64);
-        set("congested_reviews", self.congested_reviews);
+tva_sim::counters! {
+    /// Counters. The installed-filter count goes up and down, so it is a
+    /// gauge: [`PushbackRouterNode::active_filters`].
+    #[derive(Debug, Default, Clone)]
+    pub struct PushbackStats {
+        /// Packets dropped by installed filters.
+        pub filtered_drops: u64,
+        /// Reviews that found congestion.
+        pub congested_reviews: u64,
     }
 }
 
@@ -135,6 +124,11 @@ impl PushbackRouterNode {
             started: false,
             stats: PushbackStats::default(),
         }
+    }
+
+    /// Filters currently installed (per-link and aggregate).
+    pub fn active_filters(&self) -> usize {
+        self.filters.len() + self.agg_filters.len()
     }
 
     /// Registers an egress link for congestion management.
@@ -275,8 +269,14 @@ impl PushbackRouterNode {
         }
         self.agg_window.clear();
         self.ingress_window.clear();
-        self.stats.active_filters = self.filters.len() + self.agg_filters.len();
         let _ = now;
+    }
+}
+
+impl tva_obs::Observe for PushbackRouterNode {
+    fn observe(&self, prefix: &str, reg: &mut tva_obs::Registry) {
+        reg.set_counters(prefix, &self.stats);
+        reg.set_gauge(&format!("{prefix}.active_filters"), self.active_filters() as f64);
     }
 }
 

@@ -23,7 +23,7 @@ mod router;
 mod sched;
 mod shim;
 
-pub use router::{SiffRouter, SiffRouterNode, SiffVerdict};
+pub use router::{SiffRouter, SiffRouterNode, SiffStats, SiffVerdict};
 pub use sched::SiffScheduler;
 pub use shim::SiffShim;
 

@@ -8,29 +8,18 @@ use tva_wire::{Addr, CapPayload, CapValue, Packet, PathId, RequestEntry};
 
 use super::{SiffConfig, MARK_MASK};
 
-/// Router counters.
-#[derive(Debug, Default, Clone)]
-pub struct SiffStats {
-    /// Explorer packets marked.
-    pub explorers_marked: u64,
-    /// Data packets whose mark verified.
-    pub data_verified: u64,
-    /// Data packets dropped for a bad mark.
-    pub data_dropped: u64,
-    /// Legacy packets forwarded.
-    pub legacy: u64,
-}
-
-impl tva_obs::Observe for SiffStats {
-    fn observe(&self, prefix: &str, reg: &mut tva_obs::Registry) {
-        let mut set = |name: &str, v: u64| {
-            let id = reg.counter(&format!("{prefix}.{name}"));
-            reg.set_counter(id, v);
-        };
-        set("explorers_marked", self.explorers_marked);
-        set("data_verified", self.data_verified);
-        set("data_dropped", self.data_dropped);
-        set("legacy", self.legacy);
+tva_sim::counters! {
+    /// Router counters.
+    #[derive(Debug, Default, Clone)]
+    pub struct SiffStats {
+        /// Explorer packets marked.
+        pub explorers_marked: u64,
+        /// Data packets whose mark verified.
+        pub data_verified: u64,
+        /// Data packets dropped for a bad mark.
+        pub data_dropped: u64,
+        /// Legacy packets forwarded.
+        pub legacy: u64,
     }
 }
 

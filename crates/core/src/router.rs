@@ -26,38 +26,41 @@ use crate::capability::{expired, mint_precap, validate_cap};
 use crate::config::RouterConfig;
 use crate::flowtable::{Charge, FlowTable};
 
-/// Router counters, mostly mirroring the packet types of Table 1.
-#[derive(Debug, Default, Clone)]
-pub struct RouterStats {
-    /// Request packets stamped with a pre-capability.
-    pub requests_stamped: u64,
-    /// Regular packets whose nonce matched a cache entry (fast path).
-    pub nonce_hits: u64,
-    /// Regular packets fully validated with the two-hash slow path.
-    pub full_validations: u64,
-    /// Renewal packets that received a fresh pre-capability.
-    pub renewals: u64,
-    /// Packets demoted to legacy priority.
-    pub demotions: u64,
-    /// Demotions: cached entry hit but the capability's T had elapsed.
-    pub demoted_expired: u64,
-    /// Demotions: cached entry hit but the byte budget N was exceeded.
-    pub demoted_over_budget: u64,
-    /// Demotions: nonce mismatch (or no entry) and no capability list to
-    /// validate — e.g. stragglers sent under a superseded nonce.
-    pub demoted_no_caps: u64,
-    /// Demotions: a capability list was present but failed validation.
-    pub demoted_bad_cap: u64,
-    /// Bytes admitted as validated regular traffic.
-    pub regular_bytes: u64,
-    /// Legacy packets forwarded unchanged.
-    pub legacy: u64,
-    /// Valid packets refused state because the flow table was full of live
-    /// entries (counted as demotions too).
-    pub table_admission_failures: u64,
-    /// Arriving datagrams that failed wire decoding (truncated or
-    /// bit-flipped beyond recognition) and were dropped at ingress.
-    pub malformed_drops: u64,
+tva_sim::counters! {
+    /// Router counters, mostly mirroring the packet types of Table 1.
+    #[derive(Debug, Default, Clone)]
+    pub struct RouterStats {
+        /// Request packets stamped with a pre-capability.
+        pub requests_stamped: u64,
+        /// Regular packets whose nonce matched a cache entry (fast path).
+        pub nonce_hits: u64,
+        /// Regular packets fully validated with the two-hash slow path.
+        pub full_validations: u64,
+        /// Renewal packets that received a fresh pre-capability.
+        pub renewals: u64,
+        /// Packets demoted to legacy priority.
+        pub demotions: u64,
+        /// Demotions: cached entry hit but the capability's T had elapsed.
+        pub demoted_expired: u64,
+        /// Demotions: cached entry hit but the byte budget N was exceeded.
+        pub demoted_over_budget: u64,
+        /// Demotions: nonce mismatch (or no entry) and no capability list to
+        /// validate — e.g. stragglers sent under a superseded nonce.
+        pub demoted_no_caps: u64,
+        /// Demotions: a capability list was present but failed validation.
+        pub demoted_bad_cap: u64,
+        /// Bytes admitted as validated regular traffic.
+        pub regular_bytes: u64,
+        /// Legacy packets forwarded unchanged.
+        pub legacy: u64,
+        /// Fully validated packets refused state because the flow table was
+        /// full of live entries. They are still forwarded as valid regular
+        /// traffic (counted in `full_validations`, not in `demotions`).
+        pub table_admission_failures: u64,
+        /// Arriving datagrams that failed wire decoding (truncated or
+        /// bit-flipped beyond recognition) and were dropped at ingress.
+        pub malformed_drops: u64,
+    }
 }
 
 impl RouterStats {
@@ -80,28 +83,11 @@ impl RouterStats {
 
 impl tva_obs::Observe for RouterStats {
     fn observe(&self, prefix: &str, reg: &mut tva_obs::Registry) {
-        let mut set = |name: &str, v: u64| {
-            let id = reg.counter(&format!("{prefix}.{name}"));
-            reg.set_counter(id, v);
-        };
-        set("requests_stamped", self.requests_stamped);
-        set("nonce_hits", self.nonce_hits);
-        set("full_validations", self.full_validations);
-        set("renewals", self.renewals);
-        set("demotions", self.demotions);
-        set("demoted_expired", self.demoted_expired);
-        set("demoted_over_budget", self.demoted_over_budget);
-        set("demoted_no_caps", self.demoted_no_caps);
-        set("demoted_bad_cap", self.demoted_bad_cap);
-        set("regular_bytes", self.regular_bytes);
-        set("legacy", self.legacy);
-        set("table_admission_failures", self.table_admission_failures);
-        set("malformed_drops", self.malformed_drops);
+        reg.set_counters(prefix, self);
         // The gauge is simply absent until the first regular-path packet:
         // snapshots must not carry a made-up rate for an idle router.
         if let Some(rate) = self.cache_hit_rate() {
-            let g = reg.gauge(&format!("{prefix}.cache_hit_rate"));
-            reg.set(g, rate);
+            reg.set_gauge(&format!("{prefix}.cache_hit_rate"), rate);
         }
     }
 }

@@ -76,44 +76,31 @@ impl PacedGate {
     }
 }
 
-/// Per-class counters.
-#[derive(Debug, Default, Clone)]
-pub struct SchedulerStats {
-    /// Request packets sent / dropped.
-    pub requests_sent: u64,
-    /// Request packets dropped (queue caps).
-    pub requests_dropped: u64,
-    /// Request packets demoted to the legacy class because the request
-    /// key table was exhausted (path-identifier sweep hardening).
-    pub requests_demoted: u64,
-    /// Regular packets sent.
-    pub regular_sent: u64,
-    /// Regular packets dropped.
-    pub regular_dropped: u64,
-    /// Legacy + demoted packets sent.
-    pub legacy_sent: u64,
-    /// Legacy + demoted packets dropped.
-    pub legacy_dropped: u64,
-    /// Bytes sent per class: requests, regular, legacy.
-    pub bytes_sent: [u64; 3],
-}
-
-impl tva_obs::Observe for SchedulerStats {
-    fn observe(&self, prefix: &str, reg: &mut tva_obs::Registry) {
-        let mut set = |name: &str, v: u64| {
-            let id = reg.counter(&format!("{prefix}.{name}"));
-            reg.set_counter(id, v);
-        };
-        set("requests_sent", self.requests_sent);
-        set("requests_dropped", self.requests_dropped);
-        set("requests_demoted", self.requests_demoted);
-        set("regular_sent", self.regular_sent);
-        set("regular_dropped", self.regular_dropped);
-        set("legacy_sent", self.legacy_sent);
-        set("legacy_dropped", self.legacy_dropped);
-        set("bytes_sent_requests", self.bytes_sent[0]);
-        set("bytes_sent_regular", self.bytes_sent[1]);
-        set("bytes_sent_legacy", self.bytes_sent[2]);
+tva_sim::counters! {
+    /// Per-class counters.
+    #[derive(Debug, Default, Clone)]
+    pub struct SchedulerStats {
+        /// Request packets sent.
+        pub requests_sent: u64,
+        /// Request packets dropped (queue caps).
+        pub requests_dropped: u64,
+        /// Request packets demoted to the legacy class because the request
+        /// key table was exhausted (path-identifier sweep hardening).
+        pub requests_demoted: u64,
+        /// Regular packets sent.
+        pub regular_sent: u64,
+        /// Regular packets dropped.
+        pub regular_dropped: u64,
+        /// Legacy + demoted packets sent.
+        pub legacy_sent: u64,
+        /// Legacy + demoted packets dropped.
+        pub legacy_dropped: u64,
+        /// Bytes of request packets sent.
+        pub bytes_sent_requests: u64,
+        /// Bytes of regular packets sent.
+        pub bytes_sent_regular: u64,
+        /// Bytes of legacy + demoted packets sent.
+        pub bytes_sent_legacy: u64,
     }
 }
 
@@ -234,12 +221,8 @@ impl TvaScheduler {
     /// Exports the request-channel state gauges `request_keys` and
     /// `request_state_bytes`.
     pub fn observe_request_channel(&self, prefix: &str, reg: &mut tva_obs::Registry) {
-        let mut set = |name: &str, v: f64| {
-            let id = reg.gauge(&format!("{prefix}.{name}"));
-            reg.set(id, v);
-        };
-        set("request_keys", self.request_keys() as f64);
-        set("request_state_bytes", self.request_state_bytes() as f64);
+        reg.set_gauge(&format!("{prefix}.request_keys"), self.request_keys() as f64);
+        reg.set_gauge(&format!("{prefix}.request_state_bytes"), self.request_state_bytes() as f64);
     }
 }
 
@@ -334,21 +317,21 @@ impl QueueDisc for TvaScheduler {
             if let Some(pkt) = self.requests.dequeue() {
                 self.gate.charge(pkt.wire_len());
                 self.stats.requests_sent += 1;
-                self.stats.bytes_sent[0] += pkt.wire_len() as u64;
+                self.stats.bytes_sent_requests += pkt.wire_len() as u64;
                 return Some(pkt);
             }
         }
         // Regular traffic takes the remaining capacity.
         if let Some(pkt) = self.regular.dequeue() {
             self.stats.regular_sent += 1;
-            self.stats.bytes_sent[1] += pkt.wire_len() as u64;
+            self.stats.bytes_sent_regular += pkt.wire_len() as u64;
             return Some(pkt);
         }
         // Legacy soaks up whatever is left.
         if let Some(pkt) = self.legacy.pop_front() {
             self.legacy_bytes -= pkt.wire_len() as u64;
             self.stats.legacy_sent += 1;
-            self.stats.bytes_sent[2] += pkt.wire_len() as u64;
+            self.stats.bytes_sent_legacy += pkt.wire_len() as u64;
             return Some(pkt);
         }
         None

@@ -13,9 +13,9 @@ use tva_experiments::figrun::{results_dir, write_json};
 use tva_experiments::observe::write_snapshot;
 use tva_experiments::robustness::{diamond, fold_metrics};
 use tva_experiments::{
-    run_all, table, write_tsv, LinkFaults, ScenarioConfig, ScenarioResult, Scheme,
+    run_all, table, write_tsv, FaultCounters, LinkFaults, ScenarioConfig, ScenarioResult, Scheme,
 };
-use tva_sim::{SimDuration, SimTime};
+use tva_sim::{Counters, SimDuration, SimTime};
 
 const SCHEMES: [Scheme; 3] = [Scheme::Internet, Scheme::Siff, Scheme::Tva];
 
@@ -48,8 +48,7 @@ fn wire(cfg: &ScenarioConfig) -> (f64, f64, u8) {
 
 fn row(cfg: &ScenarioConfig, r: &ScenarioResult) -> Vec<String> {
     let (loss, corrupt, fails) = wire(cfg);
-    let f = &r.faults;
-    vec![
+    let mut row = vec![
         cfg.scheme.name().to_string(),
         format!("{loss:.3}"),
         format!("{corrupt:.3}"),
@@ -59,18 +58,13 @@ fn row(cfg: &ScenarioConfig, r: &ScenarioResult) -> Vec<String> {
         format!("{:.3}", r.summary.completion_fraction),
         format!("{:.3}", r.summary.avg_completion_secs),
         format!("{:.3}", r.summary.p95_secs),
-        f.completed_after_failure.to_string(),
-        f.reconvergences.to_string(),
-        f.backup_pkts.to_string(),
-        f.backup_requests_stamped.to_string(),
-        f.backup_validations.to_string(),
-        f.lost_pkts.to_string(),
-        f.corrupted_pkts.to_string(),
-        f.malformed_pkts.to_string(),
-        f.malformed_drops.to_string(),
-    ]
+    ];
+    row.extend(r.faults.counters().map(|(_, v)| v.to_string()));
+    row
 }
 
+/// The fault columns are `FaultCounters` in declaration order, under the
+/// tracked TSV's shorter names.
 const HEADERS: [&str; 18] = [
     "scheme",
     "loss",
@@ -91,6 +85,8 @@ const HEADERS: [&str; 18] = [
     "malformed",
     "malformed_drops",
 ];
+
+const _: () = assert!(HEADERS.len() == 9 + FaultCounters::NAMES.len());
 
 fn smoke() {
     eprintln!("== robustness --smoke: loss sweep + mid-transfer failure ==");

@@ -16,11 +16,11 @@ use std::path::{Path, PathBuf};
 
 use serde_json::Value;
 use tva_baselines::{PushbackRouterNode, SiffRouterNode};
-use tva_core::{TvaRouterNode, TvaScheduler};
+use tva_core::{RouterStats, TvaRouterNode, TvaScheduler};
 use tva_obs::{to_jsonl, to_perfetto, Observe, ObsConfig, Registry, SeriesSet, TraceCollector};
-use tva_sim::{ChannelId, SimDuration, SimTime, Simulator, TraceEvent, Tracer};
+use tva_sim::{ChannelId, ChannelStats, Counters, SimDuration, SimTime, TraceEvent, Tracer};
 
-use crate::scenario::{run_driven, BuiltNodes, ScenarioConfig, ScenarioResult, Scheme};
+use crate::scenario::{run_driven, ScenarioConfig, ScenarioResult, Scheme};
 
 /// A bucket drop rate at or above this fraction counts as an anomaly and
 /// triggers a flight-recorder dump (once per run).
@@ -43,26 +43,6 @@ pub struct ObservedRun {
     /// Where the anomaly flight dump was written, if a drop-rate spike
     /// fired during the run.
     pub anomaly_dump: Option<PathBuf>,
-}
-
-/// Per-bucket deltas needing previous-sample state.
-#[derive(Default, Clone, Copy)]
-struct PrevCounters {
-    enqueued: u64,
-    dropped: u64,
-    tx_bytes: u64,
-    nonce_hits: u64,
-    full_validations: u64,
-}
-
-fn scheme_cache_counters(sim: &Simulator, nodes: &BuiltNodes, scheme: Scheme) -> (u64, u64) {
-    match scheme {
-        Scheme::Tva => {
-            let r = &sim.node::<TvaRouterNode>(nodes.r1).router.stats;
-            (r.nonce_hits, r.full_validations)
-        }
-        _ => (0, 0),
-    }
 }
 
 /// Runs one scenario with observability on: stepped sampling, optional
@@ -118,41 +98,28 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
             // Stepped run with per-bucket sampling.
             let step = SimDuration::from_millis(ocfg.sample_ms);
             let bn = nodes.bottleneck.ab;
-            let mut prev = PrevCounters::default();
+            // The previous sample's tables: each bucket reads their delta.
+            let mut prev = (ChannelStats::default(), RouterStats::default());
             let mut next = SimTime::ZERO;
             let mut anomaly_fired = false;
             while next < cfg.duration {
                 next = (next + step).min(cfg.duration);
                 sim.run_until(next);
                 let ch = sim.channel(bn);
-                let st = &ch.stats;
+                let r1 = match cfg.scheme {
+                    Scheme::Tva => sim.node::<TvaRouterNode>(nodes.r1).router.stats.clone(),
+                    _ => RouterStats::default(),
+                };
+                let (d_ch, d_r1) = (ch.stats.delta(&prev.0), r1.delta(&prev.1));
                 series.begin(next.as_secs_f64());
                 series.set(q_pkts, ch.queue_pkts() as f64);
                 series.set(q_bytes, ch.queue_bytes() as f64);
-                let offered =
-                    (st.enqueued_pkts - prev.enqueued) + (st.dropped_pkts - prev.dropped);
-                let bucket_drop_rate = if offered == 0 {
-                    0.0
-                } else {
-                    (st.dropped_pkts - prev.dropped) as f64 / offered as f64
-                };
+                let bucket_drop_rate = d_ch.drop_rate();
                 series.set(drop_rate, bucket_drop_rate);
                 let dt = step.as_secs_f64().max(1e-9);
-                series.set(goodput, (st.tx_bytes - prev.tx_bytes) as f64 * 8.0 / dt);
-                let (hits, fulls) = scheme_cache_counters(sim, nodes, cfg.scheme);
-                let d_hits = hits - prev.nonce_hits;
-                let d_total = d_hits + (fulls - prev.full_validations);
-                series.set(
-                    cache_rate,
-                    if d_total == 0 { 0.0 } else { d_hits as f64 / d_total as f64 },
-                );
-                prev = PrevCounters {
-                    enqueued: st.enqueued_pkts,
-                    dropped: st.dropped_pkts,
-                    tx_bytes: st.tx_bytes,
-                    nonce_hits: hits,
-                    full_validations: fulls,
-                };
+                series.set(goodput, d_ch.tx_bytes as f64 * 8.0 / dt);
+                series.set(cache_rate, d_r1.cache_hit_rate().unwrap_or(0.0));
+                prev = (ch.stats.clone(), r1);
 
                 // Anomaly predicate: a drop-rate spike dumps the last N
                 // events once, while the history is still fresh.
@@ -199,12 +166,12 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
                     }
                 }
                 Scheme::Siff => {
-                    sim.node::<SiffRouterNode>(nodes.r1).router.stats.observe("r1", &mut reg);
-                    sim.node::<SiffRouterNode>(nodes.r2).router.stats.observe("r2", &mut reg);
+                    reg.set_counters("r1", &sim.node::<SiffRouterNode>(nodes.r1).router.stats);
+                    reg.set_counters("r2", &sim.node::<SiffRouterNode>(nodes.r2).router.stats);
                 }
                 Scheme::Pushback => {
-                    sim.node::<PushbackRouterNode>(nodes.r1).stats.observe("r1", &mut reg);
-                    sim.node::<PushbackRouterNode>(nodes.r2).stats.observe("r2", &mut reg);
+                    sim.node::<PushbackRouterNode>(nodes.r1).observe("r1", &mut reg);
+                    sim.node::<PushbackRouterNode>(nodes.r2).observe("r2", &mut reg);
                 }
                 Scheme::Internet => {}
             }

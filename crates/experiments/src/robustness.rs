@@ -29,35 +29,21 @@ pub fn diamond(scheme: Scheme) -> ScenarioConfig {
 /// document (`results/robustness_metrics.json`). The key set per prefix is
 /// schema-stable: every field is always present, even when zero.
 pub fn fold_metrics(prefix: &str, r: &ScenarioResult, reg: &mut tva_obs::Registry) {
-    let f = &r.faults;
-    let mut c = |name: &str, v: u64| {
+    for (name, v) in [("attempts", r.summary.attempts), ("completed", r.summary.completed)] {
         let id = reg.counter(&format!("{prefix}.{name}"));
-        reg.set_counter(id, v);
-    };
-    c("attempts", r.summary.attempts as u64);
-    c("completed", r.summary.completed as u64);
-    c("completed_after_failure", f.completed_after_failure as u64);
-    c("reconvergences", f.reconvergences);
-    c("backup_pkts", f.backup_pkts);
-    c("backup_requests_stamped", f.backup_requests_stamped);
-    c("backup_validations", f.backup_validations);
-    c("lost_pkts", f.lost_pkts);
-    c("corrupted_pkts", f.corrupted_pkts);
-    c("malformed_pkts", f.malformed_pkts);
-    c("malformed_drops", f.malformed_drops);
-    let mut g = |name: &str, v: f64| {
-        let id = reg.gauge(&format!("{prefix}.{name}"));
-        reg.set(id, v);
-    };
-    g("completion_fraction", r.summary.completion_fraction);
-    g("avg_completion_secs", r.summary.avg_completion_secs);
-    g("p95_secs", r.summary.p95_secs);
+        reg.set_counter(id, v as u64);
+    }
+    reg.set_counters(prefix, &r.faults);
+    reg.set_gauge(&format!("{prefix}.completion_fraction"), r.summary.completion_fraction);
+    reg.set_gauge(&format!("{prefix}.avg_completion_secs"), r.summary.avg_completion_secs);
+    reg.set_gauge(&format!("{prefix}.p95_secs"), r.summary.p95_secs);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::{run, FaultCounters, LinkFaults};
+    use tva_sim::Counters;
 
     fn quick(scheme: Scheme) -> ScenarioConfig {
         ScenarioConfig {
@@ -86,19 +72,7 @@ mod tests {
         };
         let mut reg = tva_obs::Registry::new();
         fold_metrics("tva.loss0.00", &r, &mut reg);
-        for key in [
-            "attempts",
-            "completed",
-            "completed_after_failure",
-            "reconvergences",
-            "backup_pkts",
-            "backup_requests_stamped",
-            "backup_validations",
-            "lost_pkts",
-            "corrupted_pkts",
-            "malformed_pkts",
-            "malformed_drops",
-        ] {
+        for key in ["attempts", "completed"].iter().chain(FaultCounters::NAMES) {
             assert!(
                 reg.counter_by_name(&format!("tva.loss0.00.{key}")).is_some(),
                 "missing counter {key}"

@@ -471,32 +471,34 @@ impl Default for ScenarioConfig {
     }
 }
 
-/// What the wire faults did and how the network recovered, over one run.
-/// All zero on a fault-free dumbbell.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Transfers that completed strictly after `faults.down_at` — the
-    /// liveness half of the recovery story.
-    pub completed_after_failure: usize,
-    /// Route re-convergence events the engine performed.
-    pub reconvergences: u64,
-    /// Packets the backup R3→R2 channel carried (any scheme).
-    pub backup_pkts: u64,
-    /// Requests the backup TVA router stamped (0 for other schemes):
-    /// capability re-establishment went through the new path.
-    pub backup_requests_stamped: u64,
-    /// Regular packets the backup TVA router fully validated (0 for other
-    /// schemes): re-issued capabilities were honored there.
-    pub backup_validations: u64,
-    /// Packets lost on the bottleneck (random loss, outage windows, and
-    /// the failure instant combined), both directions.
-    pub lost_pkts: u64,
-    /// Packets bit-corrupted on the bottleneck.
-    pub corrupted_pkts: u64,
-    /// Corrupted packets that no longer parsed at all.
-    pub malformed_pkts: u64,
-    /// Malformed datagrams dropped and counted by the TVA routers.
-    pub malformed_drops: u64,
+tva_sim::counters! {
+    /// What the wire faults did and how the network recovered, over one run.
+    /// All zero on a fault-free dumbbell.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FaultCounters {
+        /// Transfers that completed strictly after `faults.down_at` — the
+        /// liveness half of the recovery story.
+        pub completed_after_failure: u64,
+        /// Route re-convergence events the engine performed.
+        pub reconvergences: u64,
+        /// Packets the backup R3→R2 channel carried (any scheme).
+        pub backup_pkts: u64,
+        /// Requests the backup TVA router stamped (0 for other schemes):
+        /// capability re-establishment went through the new path.
+        pub backup_requests_stamped: u64,
+        /// Regular packets the backup TVA router fully validated (0 for other
+        /// schemes): re-issued capabilities were honored there.
+        pub backup_validations: u64,
+        /// Packets lost on the bottleneck (random loss, outage windows, and
+        /// the failure instant combined), both directions.
+        pub lost_pkts: u64,
+        /// Packets bit-corrupted on the bottleneck.
+        pub corrupted_pkts: u64,
+        /// Corrupted packets that no longer parsed at all.
+        pub malformed_pkts: u64,
+        /// Malformed datagrams dropped and counted by the TVA routers.
+        pub malformed_drops: u64,
+    }
 }
 
 /// Outcome of one scenario run.
@@ -1039,7 +1041,8 @@ impl<'a> Builder<'a> {
             let node = sim.node::<ClientNode>(c);
             if let Some(at) = cfg.faults.down_at {
                 faults.completed_after_failure +=
-                    node.records.iter().filter(|t| t.finished.is_some_and(|f| f > at)).count();
+                    node.records.iter().filter(|t| t.finished.is_some_and(|f| f > at)).count()
+                        as u64;
             }
             per_user.push(
                 node.records

@@ -73,25 +73,27 @@ impl Default for NodeClock {
     }
 }
 
-/// Frame-level counters for one node (router-level counters live in
-/// [`TvaRouter::stats`], class-level ones in the scheduler's).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NodeStats {
-    /// Frames received.
-    pub rx_frames: u64,
-    /// Bytes received.
-    pub rx_bytes: u64,
-    /// Frames forwarded.
-    pub tx_frames: u64,
-    /// Bytes forwarded.
-    pub tx_bytes: u64,
-    /// Frames that failed strict wire decode (also counted in the router's
-    /// `malformed_drops`).
-    pub malformed_drops: u64,
-    /// Packets the egress scheduler refused (class queue caps).
-    pub queue_drops: u64,
-    /// TX attempts deferred by transport backpressure.
-    pub tx_backpressure: u64,
+tva_sim::counters! {
+    /// Frame-level counters for one node (router-level counters live in
+    /// [`TvaRouter::stats`], class-level ones in the scheduler's).
+    #[derive(Debug, Default, Clone, Copy)]
+    pub struct NodeStats {
+        /// Frames received.
+        pub rx_frames: u64,
+        /// Bytes received.
+        pub rx_bytes: u64,
+        /// Frames forwarded.
+        pub tx_frames: u64,
+        /// Bytes forwarded.
+        pub tx_bytes: u64,
+        /// Frames that failed strict wire decode (also counted in the router's
+        /// `malformed_drops`).
+        pub malformed_drops: u64,
+        /// Packets the egress scheduler refused (class queue caps).
+        pub queue_drops: u64,
+        /// TX attempts deferred by transport backpressure.
+        pub tx_backpressure: u64,
+    }
 }
 
 /// The ingress interface id the daemon presents to the router. A one-port
@@ -232,40 +234,23 @@ impl NodeEngine {
     }
 
     /// Folds node counters and the latency histogram into an obs registry
-    /// under `node.*`, alongside the router's own `Observe` output.
+    /// under `node.*`, alongside the router's and the scheduler's tables.
     pub fn observe(&self, reg: &mut tva_obs::Registry) {
-        let stats = [
-            ("node.rx_frames", self.stats.rx_frames),
-            ("node.rx_bytes", self.stats.rx_bytes),
-            ("node.tx_frames", self.stats.tx_frames),
-            ("node.tx_bytes", self.stats.tx_bytes),
-            ("node.malformed_drops", self.stats.malformed_drops),
-            ("node.queue_drops", self.stats.queue_drops),
-            ("node.tx_backpressure", self.stats.tx_backpressure),
-        ];
-        for (name, v) in stats {
-            let id = reg.counter(name);
-            reg.set_counter(id, v);
-        }
+        reg.set_counters("node", &self.stats);
         let h = reg.hist("node.forward_latency_ns");
         reg.histogram_mut(h).merge(&self.latency_ns);
         // Instantaneous egress backlog, for the live dashboard's
         // queue-depth view.
-        let g = reg.gauge("node.queue_depth_pkts");
-        reg.set(g, self.sched.len_pkts() as f64);
-        let g = reg.gauge("node.queue_depth_bytes");
-        reg.set(g, self.sched.len_bytes() as f64);
+        reg.set_gauge("node.queue_depth_pkts", self.sched.len_pkts() as f64);
+        reg.set_gauge("node.queue_depth_bytes", self.sched.len_bytes() as f64);
         // Bounded-state telemetry: the flow table's and the request key
         // table's footprint.
-        let g = reg.gauge("node.state_bytes");
-        reg.set(
-            g,
-            (self.router.table().state_bytes_estimate() + self.sched.request_state_bytes()) as f64,
-        );
+        let state = self.router.table().state_bytes_estimate() + self.sched.request_state_bytes();
+        reg.set_gauge("node.state_bytes", state as f64);
         self.sched.observe_request_channel("node.sched", reg);
         use tva_obs::Observe;
         self.router.stats.observe("node.router", reg);
-        self.sched.stats.observe("node.sched", reg);
+        reg.set_counters("node.sched", &self.sched.stats);
         if self.router.flow.enabled() || self.sched.flow.enabled() {
             let mut flows = self.router.flow.clone();
             flows.merge(&self.sched.flow);
@@ -384,5 +369,40 @@ mod tests {
         node.poll(&mut node_port, &clock, 8);
         assert_eq!(node.stats.tx_frames, 4, "no forwarded packet was lost");
         assert_eq!(node.stats.queue_drops, 0);
+    }
+
+    #[test]
+    fn observe_publishes_every_table_counter() {
+        // Node, router and scheduler tables each reach the snapshot whole,
+        // under their field names and with their own values.
+        use tva_sim::Counters;
+        let mut node = NodeEngine::new(&NodeConfig::default());
+        node.stats = NodeStats::from_fn(|i| 100 + i as u64);
+        node.router.stats = Counters::from_fn(|i| 200 + i as u64);
+        node.sched.stats = Counters::from_fn(|i| 300 + i as u64);
+        let mut reg = tva_obs::Registry::new();
+        node.observe(&mut reg);
+        let serde_json::Value::Object(snap) = reg.snapshot() else { panic!() };
+        let Some(serde_json::Value::Object(counters)) = snap.get("counters") else { panic!() };
+        let under = |prefix: &str| -> Vec<(String, u64)> {
+            let mut v: Vec<(String, u64)> = counters
+                .iter()
+                .filter_map(|(name, n)| {
+                    let field = name.strip_prefix(prefix)?.strip_prefix('.')?;
+                    let serde_json::Value::Number(n) = n else { panic!() };
+                    (!field.contains('.')).then(|| (field.to_string(), *n as u64))
+                })
+                .collect();
+            v.sort();
+            v
+        };
+        fn table<T: Counters>(t: &T) -> Vec<(String, u64)> {
+            let mut v: Vec<(String, u64)> = t.counters().map(|(n, x)| (n.to_string(), x)).collect();
+            v.sort();
+            v
+        }
+        assert_eq!(under("node"), table(&node.stats));
+        assert_eq!(under("node.router"), table(&node.router.stats));
+        assert_eq!(under("node.sched"), table(&node.sched.stats));
     }
 }

@@ -28,8 +28,7 @@ use std::hash::{BuildHasher, Hasher};
 use serde_json::{Map, Value};
 use tva_wire::{Addr, DetBuildHasher, PathId};
 
-use crate::observe::Observe;
-use crate::registry::Registry;
+use crate::registry::{Observe, Registry};
 
 /// Traffic class of a sampled packet, as the scheduler would see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

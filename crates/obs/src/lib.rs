@@ -7,15 +7,15 @@
 //! * [`hist`] — log-linear (HdrHistogram-style) latency histograms with
 //!   fixed allocation and bounded relative error.
 //! * [`registry`] — named counters/gauges/histograms behind copyable
-//!   handles; zero heap in the hot path, one branch when disabled.
+//!   handles; zero heap in the hot path, one branch when disabled. A stats
+//!   struct declared through [`tva_sim::counters!`] folds in whole with
+//!   [`Registry::set_counters`]; [`Observe`] adds the gauges derived from it.
 //! * [`series`] — time-bucketed sampling into aligned time series so
 //!   figures can plot dynamics, not just endpoints.
 //! * [`flight`] — a fixed-size ring over [`tva_sim::TraceEvent`]s dumped
 //!   as JSON on panic or anomaly (black-box flight recorder).
 //! * [`export`] — JSONL and Chrome/Perfetto `trace_event` JSON exporters
 //!   over captured trace streams.
-//! * [`observe`] — the [`Observe`] trait scheme crates implement to fold
-//!   their stats structs into a registry.
 //! * [`flow`] — deterministic 1-in-N sampled flow records keyed by
 //!   (source prefix, path id, class, verdict): the live telemetry plane's
 //!   raw material for per-prefix attack attribution.
@@ -47,7 +47,6 @@ pub mod export;
 pub mod flight;
 pub mod flow;
 pub mod hist;
-pub mod observe;
 pub mod registry;
 pub mod series;
 pub mod snapshot;
@@ -61,8 +60,7 @@ pub use flight::{
 };
 pub use flow::{format_prefix24, FlowClass, FlowCounters, FlowKey, FlowSampler, FlowVerdict};
 pub use hist::Histogram;
-pub use observe::Observe;
-pub use registry::{CounterId, GaugeId, HistId, Registry};
+pub use registry::{CounterId, GaugeId, HistId, Observe, Registry};
 pub use series::{ColId, SeriesSet};
 
 use std::path::PathBuf;

@@ -5,8 +5,26 @@
 //! after that every update is an array index — zero heap on the hot path.
 
 use serde_json::{Map, Value};
+use tva_sim::{ChannelStats, Counters};
 
 use crate::hist::Histogram;
+
+/// A stats source that publishes itself into a [`Registry`] under a name
+/// prefix: its counter table through [`Registry::set_counters`] plus the
+/// gauges derived from it. Called at snapshot/sample time, so
+/// implementations may register on each call (registration is
+/// find-or-create and idempotent).
+pub trait Observe {
+    /// Folds current values into `reg`, every name prefixed `"{prefix}."`.
+    fn observe(&self, prefix: &str, reg: &mut Registry);
+}
+
+impl Observe for ChannelStats {
+    fn observe(&self, prefix: &str, reg: &mut Registry) {
+        reg.set_counters(prefix, self);
+        reg.set_gauge(&format!("{prefix}.drop_rate"), self.drop_rate());
+    }
+}
 
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +100,21 @@ impl Registry {
         self.counters[id.0 as usize].1 = v;
     }
 
+    /// Overwrites `"{prefix}.{name}"` with each counter of a table, so
+    /// every counter the table declares is published under its field name.
+    pub fn set_counters<T: Counters>(&mut self, prefix: &str, table: &T) {
+        for (name, v) in table.counters() {
+            let id = self.counter(&format!("{prefix}.{name}"));
+            self.set_counter(id, v);
+        }
+    }
+
+    /// Registers (or finds) gauge `name` and sets it (snapshot time).
+    pub fn set_gauge(&mut self, name: &str, v: f64) {
+        let id = self.gauge(name);
+        self.set(id, v);
+    }
+
     /// Sets a gauge.
     #[inline]
     pub fn set(&mut self, id: GaugeId, v: f64) {
@@ -118,6 +151,11 @@ impl Registry {
     /// Looks a counter value up by name (reporting/tests; linear scan).
     pub fn counter_by_name(&self, name: &str) -> Option<u64> {
         self.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
+    }
+
+    /// Looks a gauge value up by name (reporting/tests; linear scan).
+    pub fn gauge_by_name(&self, name: &str) -> Option<f64> {
+        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// Registered metric count across all kinds.
@@ -173,6 +211,28 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn channel_stats_publish_under_prefix() {
+        let mut reg = Registry::new();
+        let stats = ChannelStats {
+            enqueued_pkts: 75,
+            dropped_pkts: 25,
+            tx_pkts: 70,
+            tx_bytes: 70_000,
+            queued_delay_ns: 1_000,
+            queued_delay_max_ns: 400,
+            ..Default::default()
+        };
+        stats.observe("bottleneck", &mut reg);
+        assert_eq!(reg.counter_by_name("bottleneck.enqueued_pkts"), Some(75));
+        assert_eq!(reg.counter_by_name("bottleneck.tx_bytes"), Some(70_000));
+        assert_eq!(reg.counter_by_name("bottleneck.queued_delay_max_ns"), Some(400));
+        assert_eq!(reg.gauge_by_name("bottleneck.drop_rate"), Some(0.25));
+        // Re-observing overwrites rather than double-counting.
+        stats.observe("bottleneck", &mut reg);
+        assert_eq!(reg.counter_by_name("bottleneck.dropped_pkts"), Some(25));
+    }
 
     #[test]
     fn register_update_read() {

@@ -1,39 +1,114 @@
-//! Per-channel counters collected by the engine.
+//! Counter tables: the [`counters!`](crate::counters) macro that declares a
+//! stats struct once, and the per-channel counters collected by the engine.
+//!
+//! A table is a struct of `u64` counters. Its field names are its published
+//! metric names, so the registry fold, the per-bucket deltas and every
+//! column list read [`Counters`] instead of spelling the fields again.
 
 use crate::time::SimTime;
 
-/// Counters for one unidirectional channel. `PartialEq` so two runs of the
-/// same seed can assert ledger equality.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ChannelStats {
-    /// Packets accepted into the egress queue.
-    pub enqueued_pkts: u64,
-    /// Bytes of accepted packets (wire length at enqueue time).
-    pub enqueued_bytes: u64,
-    /// Packets the egress queue refused (drops).
-    pub dropped_pkts: u64,
-    /// Bytes of dropped packets.
-    pub dropped_bytes: u64,
-    /// Packets serialized onto the wire.
-    pub tx_pkts: u64,
-    /// Bytes serialized onto the wire.
-    pub tx_bytes: u64,
-    /// Packets lost on the wire (random loss, outage windows, or a failed
-    /// link) after being serialized.
-    pub lost_pkts: u64,
-    /// Bytes of lost packets.
-    pub lost_bytes: u64,
-    /// Packets whose on-wire bytes were corrupted in transit (delivered or
-    /// not — see `malformed_pkts` for the unparseable subset).
-    pub corrupted_pkts: u64,
-    /// Corrupted packets that no longer parsed and arrived as malformed
-    /// deliveries instead of packets.
-    pub malformed_pkts: u64,
-    /// Total enqueue→tx-start time across transmitted packets, in
-    /// nanoseconds — per-link queueing latency without full tracing.
-    pub queued_delay_ns: u64,
-    /// Largest single enqueue→tx-start time seen, in nanoseconds.
-    pub queued_delay_max_ns: u64,
+/// A struct of monotone `u64` counters declared through
+/// [`counters!`](crate::counters).
+pub trait Counters: Sized {
+    /// Field names, in declaration order.
+    const NAMES: &'static [&'static str];
+
+    /// `(name, value)` for every counter, in [`Self::NAMES`] order.
+    fn counters(&self) -> impl Iterator<Item = (&'static str, u64)>;
+
+    /// Field by field `self − earlier`: what was counted since `earlier`.
+    fn delta(&self, earlier: &Self) -> Self;
+
+    /// A value whose `i`-th counter is `f(i)`.
+    fn from_fn(f: impl FnMut(usize) -> u64) -> Self;
+}
+
+/// Declares a struct of `u64` counters and implements [`Counters`] for it.
+/// Attributes and docs pass through unchanged, so the caller names the
+/// derives (`Default` included) exactly as on a plain struct:
+///
+/// ```
+/// tva_sim::counters! {
+///     /// Example counters.
+///     #[derive(Debug, Default, Clone)]
+///     pub struct Example {
+///         /// Packets seen.
+///         pub pkts: u64,
+///         /// Bytes seen.
+///         pub bytes: u64,
+///     }
+/// }
+/// use tva_sim::stats::Counters;
+/// let (a, b) = (Example { pkts: 3, bytes: 90 }, Example { pkts: 1, bytes: 40 });
+/// assert_eq!(Example::NAMES, ["pkts", "bytes"]);
+/// assert_eq!(a.delta(&b).counters().collect::<Vec<_>>(), [("pkts", 2), ("bytes", 50)]);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident: u64, )*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        impl $crate::stats::Counters for $name {
+            const NAMES: &'static [&'static str] = &[$(stringify!($field)),*];
+
+            fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                Self::NAMES.iter().copied().zip([$(self.$field),*])
+            }
+
+            fn delta(&self, earlier: &Self) -> Self {
+                $name { $($field: self.$field - earlier.$field),* }
+            }
+
+            fn from_fn(mut f: impl FnMut(usize) -> u64) -> Self {
+                let mut i = 0;
+                $name { $($field: { i += 1; f(i - 1) }),* }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Counters for one unidirectional channel. `PartialEq` so two runs of the
+    /// same seed can assert ledger equality.
+    #[derive(Debug, Default, Clone, PartialEq, Eq)]
+    pub struct ChannelStats {
+        /// Packets accepted into the egress queue.
+        pub enqueued_pkts: u64,
+        /// Bytes of accepted packets (wire length at enqueue time).
+        pub enqueued_bytes: u64,
+        /// Packets the egress queue refused (drops).
+        pub dropped_pkts: u64,
+        /// Bytes of dropped packets.
+        pub dropped_bytes: u64,
+        /// Packets serialized onto the wire.
+        pub tx_pkts: u64,
+        /// Bytes serialized onto the wire.
+        pub tx_bytes: u64,
+        /// Packets lost on the wire (random loss, outage windows, or a failed
+        /// link) after being serialized.
+        pub lost_pkts: u64,
+        /// Bytes of lost packets.
+        pub lost_bytes: u64,
+        /// Packets whose on-wire bytes were corrupted in transit (delivered or
+        /// not — see `malformed_pkts` for the unparseable subset).
+        pub corrupted_pkts: u64,
+        /// Corrupted packets that no longer parsed and arrived as malformed
+        /// deliveries instead of packets.
+        pub malformed_pkts: u64,
+        /// Total enqueue→tx-start time across transmitted packets, in
+        /// nanoseconds — per-link queueing latency without full tracing.
+        pub queued_delay_ns: u64,
+        /// Largest single enqueue→tx-start time seen, in nanoseconds.
+        pub queued_delay_max_ns: u64,
+    }
 }
 
 impl ChannelStats {

@@ -73,7 +73,7 @@ cargo test -q --release -p tva-bench --features alloc-count --test alloc_steady
 echo "==> tva-node loopback (forwards, zero malformed, one counting window, zero allocs on two legs, UDP e2e)"
 cargo test -q --release -p tva-node --features alloc-count --test loopback
 
-echo "==> telemetry plane smoke (serve + stats socket, obscheck, tva-top)"
+echo "==> telemetry plane smoke (serve + pktgen burst + stats socket, obscheck, tva-top)"
 rm -rf target/verify-stats
 mkdir -p target/verify-stats
 TVA_OBS_SAMPLE_N=16 TVA_NODE_STATS_ADDR=127.0.0.1:47133 \
@@ -84,8 +84,16 @@ trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
 sleep 1
 cargo run --release -q -p tva-obs --bin tva-top -- \
   --addr 127.0.0.1:47133 --raw > target/verify-stats/poll1.json
+# A short burst between the polls (pktgen's --bind/--peer are serve's pair
+# reversed), so --monotone below compares counters that moved.
+TVA_NODE_DUR_MS=200 TVA_NODE_MIX=contested \
+  cargo run --release -q -p tva-node --bin pktgen -- \
+  --bind 127.0.0.1:47132 --peer 127.0.0.1:47131 >/dev/null
 cargo run --release -q -p tva-obs --bin tva-top -- \
   --addr 127.0.0.1:47133 --raw > target/verify-stats/poll2.json
+if ! grep -qE '"node\.rx_frames": ?[1-9]' target/verify-stats/poll2.json; then
+  echo "verify: FAIL — the daemon received no frames between the two polls"; exit 1
+fi
 cargo run --release -q -p tva-obs --bin obscheck -- \
   target/verify-stats/poll1.json target/verify-stats/poll2.json
 cargo run --release -q -p tva-obs --bin obscheck -- \
