@@ -46,7 +46,7 @@ fn main() {
         .iter()
         .map(|&(t, p)| vec![t.key().to_string(), format!("{p:.1}")])
         .collect();
-    let path = tva_experiments::figrun::results_dir().join("fig12.tsv");
+    let path = tva_sim::knobs::results_dir().join("fig12.tsv");
     if let Err(e) = tva_experiments::write_tsv(&path, &["type", "peak_kpps"], &rows) {
         eprintln!("could not write {}: {e}", path.display());
     } else {

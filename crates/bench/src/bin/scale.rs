@@ -17,7 +17,7 @@
 
 use serde_json::{Map, Value};
 use tva_bench::scale::{run_scale, ScaleConfig, ScaleRun};
-use tva_experiments::figrun::results_dir;
+use tva_sim::knobs::results_dir;
 
 fn flag_value(args: &[String], flag: &str) -> Option<u64> {
     let v = args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))?;

@@ -37,7 +37,7 @@ fn main() {
         println!("{:<22} {:>12.0} {:>12}", t.name(), ns, paper);
         rows.push(vec![t.key().to_string(), format!("{ns:.1}")]);
     }
-    let path = tva_experiments::figrun::results_dir().join("table1.tsv");
+    let path = tva_sim::knobs::results_dir().join("table1.tsv");
     if let Err(e) = tva_experiments::write_tsv(&path, &["type", "ns_per_packet"], &rows) {
         eprintln!("could not write {}: {e}", path.display());
     } else {

@@ -100,7 +100,7 @@ fn run_dumbbell_with(sim_secs: u64, observed: bool) -> DumbbellRun {
         sim.kick(c, TOKEN_START);
     }
     if observed {
-        tva_obs::install_thread_flight(4096);
+        tva_obs::install_thread_flight(tva_obs::FLIGHT_EVENTS);
         sim.set_tracer(Some(tva_obs::flight_tracer()));
     }
     sim.run_until(SimTime::from_secs(sim_secs));

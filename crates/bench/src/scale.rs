@@ -278,7 +278,7 @@ pub fn run_scale(cfg: ScaleConfig) -> ScaleRun {
     let check = tva_check::CheckConfig::from_env();
     let t_run = Instant::now();
     let check_violations = if check.enabled {
-        let report = tva_experiments::check::drive_checked(&mut sim, end, &check);
+        let report = tva_experiments::check::drive_checked(&mut sim, end);
         Some(report.violations.len() as u64)
     } else {
         sim.run_until(end);

@@ -30,9 +30,8 @@
 //! * **Engine sanity** — trace time is monotone and each channel delivers
 //!   in FIFO transmission order.
 //!
-//! Everything is gated twice: a cargo feature on the experiment harness
-//! (`check`, default-on) and the `TVA_CHECK=1` environment switch. With
-//! either off, no auditor code runs on the packet path — the audits are
+//! One switch gates everything: the `TVA_CHECK=1` environment variable.
+//! With it off, no auditor code runs on the packet path — the audits are
 //! cold methods invoked only from the stepped driver, so the benchmark
 //! gate is unaffected.
 //!
@@ -54,43 +53,27 @@ pub use trace_audit::{
 use std::path::PathBuf;
 
 use serde_json::{Map, Value};
-use tva_sim::{env_flag, SimTime, Simulator, Tracer};
+use tva_sim::{knobs, SimDuration, SimTime, Simulator, Tracer};
 
-/// Parsed `TVA_CHECK_*` environment configuration.
+/// Structural-audit interval, simulated time: how often the stepped
+/// driver stops the run to audit queues and tables.
+pub const AUDIT_INTERVAL: SimDuration = SimDuration::from_millis(250);
+
+/// Runtime checking settings: on with `TVA_CHECK`, artifacts under
+/// `<results>/check`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckConfig {
     /// Master switch (`TVA_CHECK`).
     pub enabled: bool,
-    /// Directory for violation artifacts (`TVA_CHECK_DIR`).
+    /// Directory for violation artifacts (the results directory's `check`).
     pub dir: PathBuf,
-    /// Structural-audit interval in simulated milliseconds (250).
-    pub interval_ms: u64,
-    /// Flight-recorder capacity backing violation artifacts (4096 events).
-    pub flight_events: usize,
 }
 
 impl CheckConfig {
-    /// Reads `TVA_CHECK` and `TVA_CHECK_DIR`. With `TVA_CHECK` unset or
-    /// falsy, `enabled` is false and callers must skip all checking work.
+    /// Reads `TVA_CHECK` and the results directory. With `TVA_CHECK` unset
+    /// or falsy, `enabled` is false and callers must skip all checking work.
     pub fn from_env() -> Self {
-        CheckConfig {
-            enabled: env_flag("TVA_CHECK"),
-            dir: PathBuf::from(
-                std::env::var("TVA_CHECK_DIR").unwrap_or_else(|_| "results/check".into()),
-            ),
-            ..Self::enabled_default()
-        }
-    }
-
-    /// An enabled config with defaults (tests and the fuzzer, which check
-    /// unconditionally rather than reading the environment).
-    pub fn enabled_default() -> Self {
-        CheckConfig {
-            enabled: true,
-            dir: PathBuf::from("results/check"),
-            interval_ms: 250,
-            flight_events: 4096,
-        }
+        CheckConfig { enabled: knobs::check(), dir: knobs::results_dir().join("check") }
     }
 }
 
@@ -167,11 +150,11 @@ pub struct Checker {
 
 impl Checker {
     /// Creates the checker and installs this thread's trace auditor plus a
-    /// flight-recorder ring of `cfg.flight_events` (replacing any previous
-    /// ring — violation artifacts reuse the flight dump path).
-    pub fn install(cfg: &CheckConfig) -> Self {
+    /// flight-recorder ring of [`tva_obs::FLIGHT_EVENTS`] (replacing any
+    /// previous ring — violation artifacts reuse the flight dump path).
+    pub fn install() -> Self {
         install_thread_auditor();
-        tva_obs::install_thread_flight(cfg.flight_events);
+        tva_obs::install_thread_flight(tva_obs::FLIGHT_EVENTS);
         Checker { structural: StructuralAuditor::default() }
     }
 

@@ -21,20 +21,19 @@
 //! fixed scenario seed — so the whole report is byte-identical across
 //! repeats (the engine's determinism contract).
 //!
-//! Environment knobs (also see `from_env`): `TVA_ATTACK_TRIALS` (parameter
-//! draws per strategy), `TVA_ATTACK_SEED` (parameter-draw seed),
-//! `TVA_ATTACK_SECS` (simulated horizon per run), `TVA_ATTACK_HOSTS`
-//! (attacking hosts).
+//! The search parameters are [`SearchConfig::default`]; `--smoke` runs one
+//! trial per strategy.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::check::draw;
-use crate::figrun::{results_dir, write_json};
+use crate::figrun::write_json;
 use crate::report::{table, write_tsv};
 use crate::scenario::{run_inspect, Attack, AttackKind, ScenarioConfig, Scheme, ATTACKS};
 use tva_core::{TvaRouterNode, TvaScheduler};
 use tva_obs::{format_prefix24, FlowSampler};
+use tva_sim::knobs::results_dir;
 use tva_sim::{SimDuration, SimTime};
 
 /// The kinds the search draws, in report order: the rows of [`ATTACKS`]
@@ -61,21 +60,6 @@ pub struct SearchConfig {
 impl Default for SearchConfig {
     fn default() -> Self {
         SearchConfig { trials: 3, seed: 20050821, n_attackers: 10, duration_secs: 15 }
-    }
-}
-
-impl SearchConfig {
-    /// Reads `TVA_ATTACK_TRIALS`, `TVA_ATTACK_SEED`, `TVA_ATTACK_SECS` and
-    /// `TVA_ATTACK_HOSTS` over the defaults.
-    pub fn from_env() -> Self {
-        use tva_sim::env_u64;
-        let d = SearchConfig::default();
-        SearchConfig {
-            trials: env_u64("TVA_ATTACK_TRIALS", d.trials as u64).max(1) as usize,
-            seed: env_u64("TVA_ATTACK_SEED", d.seed),
-            n_attackers: env_u64("TVA_ATTACK_HOSTS", d.n_attackers as u64).clamp(1, 100) as usize,
-            duration_secs: env_u64("TVA_ATTACK_SECS", d.duration_secs).clamp(5, 120),
-        }
     }
 }
 

@@ -86,7 +86,7 @@ fn main() {
             12
         )
     );
-    let path = tva_experiments::figrun::results_dir().join("ablation_grant.tsv");
+    let path = tva_sim::knobs::results_dir().join("ablation_grant.tsv");
     let _ = write_tsv(
         &path,
         &["n_kb", "baseline_s", "total_excess_s", "worst_s", "fraction"],

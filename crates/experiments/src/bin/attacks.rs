@@ -12,11 +12,11 @@
 //! `results/attacks.{tsv,json}` (+ a metrics snapshot). A constant-rate
 //! authorized flood runs as the reference point.
 //!
-//! Knobs: `TVA_ATTACK_TRIALS`, `TVA_ATTACK_SEED`, `TVA_ATTACK_SECS`,
-//! `TVA_ATTACK_HOSTS`; `TVA_CHECK=1` audits every run. `--smoke` runs one
-//! trial per strategy and asserts (a) every strategy drew traffic and (b)
-//! at least one strategy strictly dominates the constant-rate flood
-//! against at least one scheme — the robustness acceptance gate.
+//! `TVA_CHECK=1` audits every run (README's knob table lists every
+//! variable). `--smoke` runs one trial per strategy and asserts (a) every
+//! strategy drew traffic and (b) at least one strategy strictly dominates
+//! the constant-rate flood against at least one scheme — the robustness
+//! acceptance gate.
 
 use std::process::ExitCode;
 
@@ -28,8 +28,8 @@ use tva_experiments::report::table;
 
 fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut sc = SearchConfig::from_env();
-    if smoke && std::env::var_os("TVA_ATTACK_TRIALS").is_none() {
+    let mut sc = SearchConfig::default();
+    if smoke {
         sc.trials = 1;
     }
     eprintln!(
@@ -42,7 +42,7 @@ fn main() -> ExitCode {
         eprintln!("attacks: could not write report: {e}");
         return ExitCode::FAILURE;
     }
-    println!("wrote {}", tva_experiments::figrun::results_dir().join("attacks.tsv").display());
+    println!("wrote {}", tva_sim::knobs::results_dir().join("attacks.tsv").display());
 
     // Per-prefix attribution: who hurt the bottleneck, from the sampled
     // flow records of a colluder-ring run against TVA.

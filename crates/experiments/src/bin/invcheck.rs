@@ -58,13 +58,13 @@ fn main() -> ExitCode {
 
 fn fuzz(args: &[String]) -> ExitCode {
     let (mut seeds, mut start) = (20u64, 1u64);
-    let mut check = CheckConfig::enabled_default();
+    let mut dir = CheckConfig::from_env().dir;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let ok = match arg.as_str() {
             "--seeds" => parse_flag(&mut it, "--seeds").map(|v| seeds = v).is_some(),
             "--start" => parse_flag(&mut it, "--start").map(|v| start = v).is_some(),
-            "--dir" => parse_flag(&mut it, "--dir").map(|v: PathBuf| check.dir = v).is_some(),
+            "--dir" => parse_flag(&mut it, "--dir").map(|v: PathBuf| dir = v).is_some(),
             _ => false,
         };
         if !ok {
@@ -74,7 +74,7 @@ fn fuzz(args: &[String]) -> ExitCode {
     let mut failed = 0usize;
     for seed in start..start.saturating_add(seeds) {
         let cfg = random_config(seed);
-        let (_, report) = run_checked(&cfg, &check);
+        let (_, report) = run_checked(&cfg);
         if report.is_clean() {
             println!(
                 "seed {seed}: clean ({} events, {} audit passes, scheme {}, {:?})",
@@ -88,7 +88,7 @@ fn fuzz(args: &[String]) -> ExitCode {
         failed += 1;
         let labels = report.violated_invariants().join(", ");
         let doc = artifact_json(&cfg, &report);
-        match write_artifact(&check.dir, &format!("fuzz-seed{seed}"), &doc) {
+        match write_artifact(&dir, &format!("fuzz-seed{seed}"), &doc) {
             Ok((path, _)) => eprintln!(
                 "seed {seed}: {} violation(s) [{labels}] — artifact: {}",
                 report.violations.len(),
@@ -130,7 +130,7 @@ fn dump(args: &[String]) -> ExitCode {
         },
     );
     let cfg = random_config(seed);
-    let (_, report) = run_checked(&cfg, &CheckConfig::enabled_default());
+    let (_, report) = run_checked(&cfg);
     match write_artifact(&dir, &stem, &artifact_json(&cfg, &report)) {
         Ok((path, _)) => {
             let verdict = if report.is_clean() {
@@ -157,7 +157,7 @@ fn replay_cmd(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let observed = replay(&artifact, &CheckConfig::enabled_default());
+    let observed = replay(&artifact);
     let recorded = &artifact.violated;
     if observed == *recorded {
         let verdict = if observed.is_empty() {

@@ -9,12 +9,13 @@
 //! failure, asserts TVA recovered via capability re-request over the
 //! backup path, and writes nothing (CI fault-injection check).
 
-use tva_experiments::figrun::{results_dir, write_json};
+use tva_experiments::figrun::write_json;
 use tva_experiments::observe::write_snapshot;
 use tva_experiments::robustness::{diamond, fold_metrics};
 use tva_experiments::{
     run_all, table, write_tsv, FaultCounters, LinkFaults, ScenarioConfig, ScenarioResult, Scheme,
 };
+use tva_sim::knobs::results_dir;
 use tva_sim::{Counters, SimDuration, SimTime};
 
 const SCHEMES: [Scheme; 3] = [Scheme::Internet, Scheme::Siff, Scheme::Tva];

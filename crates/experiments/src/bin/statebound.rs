@@ -12,12 +12,13 @@
 //! Writes `results/statebound.{tsv,json}`. The artifacts contain only
 //! deterministic fields (no RSS), so they are byte-identical across runs.
 
-use tva_experiments::figrun::{results_dir, write_json};
+use tva_experiments::figrun::write_json;
 use tva_experiments::report::{ascii_chart, Series};
 use tva_experiments::statebound::{
     drive_leg, hit_rate_leg, vm_hwm_kb, HitPoint, MemPoint, Mode, HIT_SIZES,
 };
 use tva_experiments::{table, write_tsv};
+use tva_sim::knobs::results_dir;
 
 const HEADERS: [&str; 5] = ["section", "mode", "x", "metric", "value"];
 

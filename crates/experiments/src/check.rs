@@ -23,22 +23,21 @@ use std::path::{Path, PathBuf};
 
 use rand::{rngs::SmallRng, RngCore, SeedableRng};
 use serde_json::{Map, Value};
-use tva_check::{CheckConfig, CheckReport, Checker};
+use tva_check::{CheckConfig, CheckReport, Checker, AUDIT_INTERVAL};
 use tva_sim::{DutyCycleOutage, SimDuration, SimTime, Simulator};
 use tva_wire::{Grant, NBytes, TSecs};
 
 use crate::scenario::{Attack, Draw, LinkFaults, ScenarioConfig, ScenarioResult, Scheme, ATTACKS};
 
-/// Drives the built simulator to `end` in `interval_ms`-sized steps with
-/// the full auditor set installed, returning the composed report. The
+/// Drives the built simulator to `end` in [`AUDIT_INTERVAL`]-sized steps
+/// with the full auditor set installed, returning the composed report. The
 /// tracer is removed again afterwards so post-run inspection sees the
 /// simulator exactly as an unchecked run would.
-pub fn drive_checked(sim: &mut Simulator, end: SimTime, check: &CheckConfig) -> CheckReport {
-    let mut checker = Checker::install(check);
+pub fn drive_checked(sim: &mut Simulator, end: SimTime) -> CheckReport {
+    let mut checker = Checker::install();
     sim.set_tracer(Some(checker.tracer()));
-    let step = SimDuration::from_millis(check.interval_ms);
     loop {
-        let next = sim.now().saturating_add(step).min(end);
+        let next = sim.now().saturating_add(AUDIT_INTERVAL).min(end);
         sim.run_until(next);
         checker.step(sim);
         if next >= end {
@@ -52,11 +51,11 @@ pub fn drive_checked(sim: &mut Simulator, end: SimTime, check: &CheckConfig) -> 
 
 /// Runs one scenario under the auditors without enforcing cleanliness:
 /// the fuzzer's and replayer's entry point.
-pub fn run_checked(cfg: &ScenarioConfig, check: &CheckConfig) -> (ScenarioResult, CheckReport) {
+pub fn run_checked(cfg: &ScenarioConfig) -> (ScenarioResult, CheckReport) {
     let mut report = None;
     let result = crate::scenario::run_driven(
         cfg,
-        |sim, _| report = Some(drive_checked(sim, cfg.duration, check)),
+        |sim, _| report = Some(drive_checked(sim, cfg.duration)),
         |_, _| {},
     );
     (result, report.expect("scenario driver did not run"))
@@ -79,7 +78,7 @@ pub fn enforce_clean(check: &CheckConfig, cfg: &ScenarioConfig, report: &CheckRe
         Err(e) => format!("(artifact dump failed: {e})"),
     };
     panic!(
-        "TVA_CHECK: {} invariant violation(s) [{labels}] in scenario run seed {seed} — {where_}",
+        "checked run: {} invariant violation(s) [{labels}] in scenario run seed {seed} — {where_}",
         report.violations.len()
     );
 }
@@ -404,8 +403,8 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, String> {
 
 /// Re-runs an artifact's configuration under the auditors and returns the
 /// freshly observed violated-invariant labels (empty = clean).
-pub fn replay(artifact: &Artifact, check: &CheckConfig) -> Vec<String> {
-    let (_, report) = run_checked(&artifact.cfg, check);
+pub fn replay(artifact: &Artifact) -> Vec<String> {
+    let (_, report) = run_checked(&artifact.cfg);
     report.violated_invariants().into_iter().map(str::to_string).collect()
 }
 
@@ -570,18 +569,17 @@ mod tests {
     fn artifact_roundtrips_through_disk() {
         // The second seed's run (and replay) re-converges through R3 and
         // back while the attack is on.
-        let check = CheckConfig::enabled_default();
         let dir = std::env::temp_dir().join("tva-check-test-artifact");
         tva_obs::install_thread_flight(16);
         for seed in [3, REROUTED_SEED] {
             let cfg = random_config(seed);
-            let (result, report) = run_checked(&cfg, &check);
+            let (result, report) = run_checked(&cfg);
             let name = format!("roundtrip-{seed}");
             let (path, flight) = write_artifact(&dir, &name, &artifact_json(&cfg, &report)).unwrap();
             let art = read_artifact(&path).unwrap();
             assert_eq!(canonical(&art.cfg), canonical(&cfg));
             assert_eq!(art.violated, report.violated_invariants());
-            assert_eq!(replay(&art, &check), art.violated);
+            assert_eq!(replay(&art), art.violated);
             if seed == REROUTED_SEED {
                 assert!(cfg.backup_path && cfg.faults.up_at.is_some(), "{cfg:?}");
                 assert_eq!(result.faults.reconvergences, 2);

@@ -1,18 +1,11 @@
 //! Shared driver for the figure binaries: run a grid, print the paper's
 //! rows, chart the series, write TSVs under `results/`.
 
-use std::path::PathBuf;
+use tva_sim::knobs::results_dir;
 
 use crate::report::{ascii_chart, table, write_tsv, Series};
 use crate::scenario::{ScenarioConfig, ScenarioResult, Scheme};
 use crate::sweep::run_all;
-
-/// Output directory for TSVs (override with `TVA_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("TVA_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
 
 /// Runs a (scheme × attacker-count) grid and emits the two panels every
 /// sweep figure in the paper has: completion fraction and mean transfer
@@ -74,10 +67,10 @@ pub fn run_sweep_figure(name: &str, title: &str, configs: Vec<ScenarioConfig>) {
 
 /// When `TVA_OBS` is enabled, re-runs the heaviest configuration of each
 /// scheme with full observability: time-bucketed series, a metrics registry
-/// snapshot, and (with `TVA_OBS_PERFETTO`) packet-level traces. The sweep
-/// above is untouched, so its TSV/JSON stay byte-identical with obs on or
-/// off; the dynamics panel below is charted from the series JSON written to
-/// disk rather than in-memory state, so the artifact itself is exercised.
+/// snapshot, and packet-level traces. The sweep above is untouched, so its
+/// TSV/JSON stay byte-identical with obs on or off; the dynamics panel
+/// below is charted from the series JSON written to disk rather than
+/// in-memory state, so the artifact itself is exercised.
 fn obs_pass(name: &str, results: &[(ScenarioConfig, ScenarioResult)]) {
     let ocfg = tva_obs::ObsConfig::from_env();
     if !ocfg.enabled {

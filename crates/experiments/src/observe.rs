@@ -22,6 +22,9 @@ use tva_sim::{ChannelId, ChannelStats, Counters, SimDuration, SimTime, TraceEven
 
 use crate::scenario::{run_driven, ScenarioConfig, ScenarioResult, Scheme};
 
+/// Sampling bucket width, simulated time: the series are 1 Hz.
+const SAMPLE_STEP: SimDuration = SimDuration::from_millis(1000);
+
 /// A bucket drop rate at or above this fraction counts as an anomaly and
 /// triggers a flight-recorder dump (once per run).
 const DROP_SPIKE_THRESHOLD: f64 = 0.5;
@@ -30,11 +33,11 @@ const DROP_SPIKE_THRESHOLD: f64 = 0.5;
 pub struct ObservedRun {
     /// The ordinary scenario metrics (identical to an unobserved run).
     pub result: ScenarioResult,
-    /// Time series sampled every `sample_ms` of simulated time.
+    /// Time series sampled every [`SAMPLE_STEP`] of simulated time.
     pub series: SeriesSet,
     /// End-of-run metrics registry: channels + scheme router stats.
     pub registry: Registry,
-    /// Captured trace events (empty unless `perfetto` was requested).
+    /// Captured trace events, at most `trace_limit` of them.
     pub events: Vec<TraceEvent>,
     /// Trace events seen beyond the retention limit.
     pub events_overflow: u64,
@@ -71,39 +74,32 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
                 .map(|i| sim.channel(ChannelId(i)).bandwidth_bps)
                 .collect();
 
-            // Tracer: the thread-local flight ring (always on here, for the
-            // anomaly dump) plus an optional bounded collector for the
-            // trace exporters. `Tracer` must be `Send`, so the composite
-            // closure captures only the `Arc` collector handle and reaches
-            // the ring through the thread-local.
-            let collector = if ocfg.perfetto {
-                Some(std::sync::Arc::new(std::sync::Mutex::new(TraceCollector::new(
-                    ocfg.trace_limit,
-                ))))
-            } else {
-                None
-            };
+            // Tracer: the thread-local flight ring (for the anomaly dump)
+            // plus a bounded collector for the trace exporters. `Tracer`
+            // must be `Send`, so the composite closure captures only the
+            // `Arc` collector handle and reaches the ring through the
+            // thread-local.
+            let collector = std::sync::Arc::new(std::sync::Mutex::new(TraceCollector::new(
+                ocfg.trace_limit,
+            )));
             let collect_sink = collector.clone();
-            tva_obs::install_thread_flight(ocfg.flight_events.max(1));
+            tva_obs::install_thread_flight(tva_obs::FLIGHT_EVENTS);
             let tracer: Tracer = Box::new(move |ev| {
                 tva_obs::thread_flight_record(ev);
-                if let Some(shared) = &collect_sink {
-                    if let Ok(mut c) = shared.lock() {
-                        c.record(ev);
-                    }
+                if let Ok(mut c) = collect_sink.lock() {
+                    c.record(ev);
                 }
             });
             sim.set_tracer(Some(tracer));
 
             // Stepped run with per-bucket sampling.
-            let step = SimDuration::from_millis(ocfg.sample_ms);
             let bn = nodes.bottleneck.ab;
             // The previous sample's tables: each bucket reads their delta.
             let mut prev = (ChannelStats::default(), RouterStats::default());
             let mut next = SimTime::ZERO;
             let mut anomaly_fired = false;
             while next < cfg.duration {
-                next = (next + step).min(cfg.duration);
+                next = (next + SAMPLE_STEP).min(cfg.duration);
                 sim.run_until(next);
                 let ch = sim.channel(bn);
                 let r1 = match cfg.scheme {
@@ -116,7 +112,7 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
                 series.set(q_bytes, ch.queue_bytes() as f64);
                 let bucket_drop_rate = d_ch.drop_rate();
                 series.set(drop_rate, bucket_drop_rate);
-                let dt = step.as_secs_f64().max(1e-9);
+                let dt = SAMPLE_STEP.as_secs_f64();
                 series.set(goodput, d_ch.tx_bytes as f64 * 8.0 / dt);
                 series.set(cache_rate, d_r1.cache_hit_rate().unwrap_or(0.0));
                 prev = (ch.stats.clone(), r1);
@@ -142,11 +138,8 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
                 }
             }
 
-            if let Some(shared) = collector {
-                if let Ok(c) = shared.lock() {
-                    *events_out.borrow_mut() = Some((c.events().to_vec(), c.overflow()));
-                }
-            }
+            let captured = collector.lock().map(|c| (c.events().to_vec(), c.overflow()));
+            *events_out.borrow_mut() = captured.ok();
         },
         |sim, nodes| {
             let mut reg = registry.borrow_mut();
@@ -220,17 +213,15 @@ pub fn write_observed(
     write_json(&metrics_path, &snapshot_document(&base, &run.registry))?;
     written.push(metrics_path);
 
-    if ocfg.perfetto {
-        let bws = &run.channel_bandwidths;
-        let trace = to_perfetto(&run.events, &|ch: ChannelId| bws.get(ch.0).copied());
-        let perfetto_path = ocfg.dir.join(format!("{base}_trace.perfetto.json"));
-        write_json(&perfetto_path, &trace)?;
-        written.push(perfetto_path);
+    let bws = &run.channel_bandwidths;
+    let trace = to_perfetto(&run.events, &|ch: ChannelId| bws.get(ch.0).copied());
+    let perfetto_path = ocfg.dir.join(format!("{base}_trace.perfetto.json"));
+    write_json(&perfetto_path, &trace)?;
+    written.push(perfetto_path);
 
-        let jsonl_path = ocfg.dir.join(format!("{base}_trace.jsonl"));
-        std::fs::write(&jsonl_path, to_jsonl(&run.events))?;
-        written.push(jsonl_path);
-    }
+    let jsonl_path = ocfg.dir.join(format!("{base}_trace.jsonl"));
+    std::fs::write(&jsonl_path, to_jsonl(&run.events))?;
+    written.push(jsonl_path);
     Ok(written)
 }
 
@@ -274,11 +265,7 @@ mod tests {
         ObsConfig {
             enabled: true,
             dir: std::env::temp_dir().join("tva_obs_test_out"),
-            sample_ms: 1000,
-            flight_events: 64,
-            perfetto: false,
             trace_limit: 10_000,
-            sample_n: 0,
         }
     }
 
@@ -313,9 +300,7 @@ mod tests {
     #[test]
     fn trace_capture_produces_events() {
         let cfg = small(Scheme::Internet);
-        let mut ocfg = quiet_obs();
-        ocfg.perfetto = true;
-        ocfg.trace_limit = 500;
+        let ocfg = ObsConfig { trace_limit: 500, ..quiet_obs() };
         let observed = run_observed(&cfg, &ocfg);
         assert!(!observed.events.is_empty());
         assert!(observed.events.len() <= 500);

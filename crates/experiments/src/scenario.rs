@@ -565,9 +565,9 @@ const LINK_DELAY: SimDuration = SimDuration::from_millis(10);
 const HOST_QUEUE: u64 = 1 << 20;
 const ROUTER_QUEUE_PKTS: usize = 50;
 
-/// Runs one scenario to completion. When `TVA_OBS_FLIGHT` requests a
-/// flight recorder, the run feeds this thread's ring so a panic anywhere
-/// (including inside a sweep worker) can dump recent packet history.
+/// Runs one scenario to completion. With `TVA_OBS` on, the run feeds this
+/// thread's flight recorder so a panic anywhere (including inside a sweep
+/// worker) can dump recent packet history.
 pub fn run(cfg: &ScenarioConfig) -> ScenarioResult {
     run_driven(cfg, default_driver(cfg), |_, _| {})
 }
@@ -603,9 +603,9 @@ pub fn run_inspect(
     run_driven(cfg, default_driver(cfg), inspect)
 }
 
-/// The standard run loop: install the env-configured flight recorder (if
-/// any) and run straight to the horizon. With `TVA_CHECK=1` set, the run
-/// is instead driven in audited steps and panics (after dumping a replay
+/// The standard run loop: install the flight recorder (with `TVA_OBS` on)
+/// and run straight to the horizon. With `TVA_CHECK=1` set, the run is
+/// instead driven in audited steps and panics (after dumping a replay
 /// artifact) on any invariant violation.
 fn default_driver(
     cfg: &ScenarioConfig,
@@ -615,13 +615,12 @@ fn default_driver(
     move |sim, _| {
         let check = tva_check::CheckConfig::from_env();
         if check.enabled {
-            let report = crate::check::drive_checked(sim, end, &check);
+            let report = crate::check::drive_checked(sim, end);
             crate::check::enforce_clean(&check, &cfg_check, &report);
             return;
         }
-        let flight = tva_obs::ObsConfig::from_env().flight_events;
-        if flight > 0 {
-            tva_obs::install_thread_flight(flight);
+        if tva_sim::knobs::obs() {
+            tva_obs::install_thread_flight(tva_obs::FLIGHT_EVENTS);
             sim.set_tracer(Some(tva_obs::flight_tracer()));
         }
         sim.run_until(end);

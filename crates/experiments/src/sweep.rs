@@ -26,8 +26,8 @@ pub struct SweepFailure {
     /// The panic payload, if it was a string.
     pub message: String,
     /// Where the worker's flight-recorder ring was dumped, when a recorder
-    /// was active (`TVA_OBS_FLIGHT` > 0): the last packet-level events
-    /// before the panic, black-box style.
+    /// was active (`TVA_OBS` on): the last packet-level events before the
+    /// panic, black-box style.
     pub flight_dump: Option<PathBuf>,
 }
 
@@ -55,7 +55,7 @@ impl fmt::Display for SweepFailure {
 /// dump path if a recorder was active and the write succeeded.
 fn dump_flight_on_panic(index: usize) -> Option<PathBuf> {
     let ocfg = tva_obs::ObsConfig::from_env();
-    if ocfg.flight_events == 0 {
+    if !ocfg.enabled {
         return None;
     }
     std::fs::create_dir_all(&ocfg.dir).ok()?;
@@ -63,16 +63,6 @@ fn dump_flight_on_panic(index: usize) -> Option<PathBuf> {
     match tva_obs::dump_thread_flight(&path, "panic in sweep job") {
         Ok(true) => Some(path),
         _ => None,
-    }
-}
-
-/// The sweep's worker-thread count: `TVA_SWEEP_WORKERS` when set to a
-/// positive integer (so CI and bench runs can pin parallelism for
-/// reproducible timing), otherwise the machine's available parallelism.
-pub fn sweep_workers() -> usize {
-    match tva_sim::env_u64("TVA_SWEEP_WORKERS", 0) {
-        0 => thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
-        n => n as usize,
     }
 }
 
@@ -98,7 +88,7 @@ enum Outcome {
 pub fn run_all_checked(
     configs: Vec<ScenarioConfig>,
 ) -> Result<Vec<(ScenarioConfig, ScenarioResult)>, Vec<SweepFailure>> {
-    let workers = sweep_workers();
+    let workers = thread::available_parallelism().map_or(4, |n| n.get());
     let total = configs.len();
     let (job_tx, job_rx) = mpsc::channel::<(usize, ScenarioConfig)>();
     let job_rx = std::sync::Arc::new(std::sync::Mutex::new(job_rx));

@@ -13,8 +13,8 @@ use tva_sim::SimTime;
 #[test]
 fn panicking_sweep_job_dumps_its_flight_recorder() {
     let dir = std::env::temp_dir().join(format!("tva_obs_flight_{}", std::process::id()));
-    std::env::set_var("TVA_OBS_FLIGHT", "64");
-    std::env::set_var("TVA_OBS_DIR", &dir);
+    std::env::set_var("TVA_OBS", "1");
+    std::env::set_var("TVA_RESULTS_DIR", &dir);
 
     // file_size = 0 trips the sender's "nothing to send" assertion after
     // the engine has started (packets have already flowed), so the ring
@@ -35,7 +35,7 @@ fn panicking_sweep_job_dumps_its_flight_recorder() {
         .flight_dump
         .as_ref()
         .expect("flight recorder dump path attached to the failure");
-    assert!(dump.starts_with(&dir), "dump lands in TVA_OBS_DIR: {}", dump.display());
+    assert!(dump.starts_with(dir.join("obs")), "dump lands in <results>/obs: {}", dump.display());
     let text = std::fs::read_to_string(dump).expect("dump file exists");
     let doc = serde_json::from_str(&text).expect("dump is valid JSON");
     let serde_json::Value::Object(root) = doc else { panic!("dump is an object") };

@@ -2,12 +2,12 @@
 //!
 //! Usage: `pktgen [--bind ADDR] [--peer ADDR]`
 //!
-//! Emits the `TVA_NODE_MIX` traffic mix (clean / contested / dirty) for
-//! `TVA_NODE_DUR_MS`, stamping IP ids so forwarded frames coming back can
-//! be matched to their send times, and prints offered load, goodput, and
-//! end-to-end latency percentiles. The secret seed must match the node's
-//! (`TVA_NODE_SEED` on both sides) or every capability-carrying frame will
-//! be demoted.
+//! Emits the configured traffic mix (clean / contested / dirty) for the
+//! configured run length, stamping IP ids so forwarded frames coming back
+//! can be matched to their send times, and prints offered load, goodput,
+//! and end-to-end latency percentiles. The secret seed must match the
+//! node's or every capability-carrying frame will be demoted. README's
+//! knob table names the variables that set all three.
 
 use std::time::{Duration, Instant};
 

@@ -4,14 +4,15 @@
 //!
 //! Runs the node over real UDP sockets until killed, printing a stats line
 //! every 5 seconds (pair with the standalone `pktgen` binary). With
-//! `--stats` (or `TVA_NODE_STATS_ADDR`), any datagram to that address is
-//! answered with one newline-delimited JSON metrics snapshot — the live
-//! introspection endpoint `tva-top` polls.
+//! `--stats`, any datagram to that address is answered with one
+//! newline-delimited JSON metrics snapshot — the live introspection
+//! endpoint `tva-top` polls.
 //!
-//! Configuration comes from `TVA_NODE_*` environment variables (see the
-//! `tva-node` crate docs or README for the table). The daemon's forwarding
-//! rate is measured by the repo benchmark (`bash benchmark/run.sh`, the
-//! `node_*` workloads in `BENCHMARK.json`), not by this binary.
+//! The router secret seed and flow sampling come from environment knobs
+//! (README's knob table); an undeclared `TVA_*` variable is a usage error
+//! (exit 2). The daemon's forwarding rate is measured by the repo
+//! benchmark (`bash benchmark/run.sh`, the `node_*` workloads in
+//! `BENCHMARK.json`), not by this binary.
 
 use std::time::{Duration, Instant};
 
@@ -34,12 +35,7 @@ fn serve(cfg: &NodeConfig, args: &[String]) {
     let bind = arg_value(args, "--bind").unwrap_or("127.0.0.1:47001");
     let peer = arg_value(args, "--peer").unwrap_or("127.0.0.1:47002");
     let mut port = UdpPort::bind_connect(bind, peer).expect("bind UDP port");
-    // The live stats socket: --stats ADDR or TVA_NODE_STATS_ADDR; off when
-    // neither is given.
-    let stats_addr = arg_value(args, "--stats")
-        .map(str::to_string)
-        .or_else(|| std::env::var("TVA_NODE_STATS_ADDR").ok().filter(|s| !s.trim().is_empty()));
-    let mut stats = stats_addr.as_deref().map(|addr| {
+    let mut stats = arg_value(args, "--stats").map(|addr| {
         let s = StatsServer::bind(addr).expect("bind stats socket");
         eprintln!("node stats: {} (UDP poll -> NDJSON snapshot)", s.local_addr().unwrap());
         s

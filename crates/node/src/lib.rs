@@ -27,16 +27,10 @@
 //!
 //! # Environment knobs
 //!
-//! | Variable | Default | Meaning |
-//! |---|---|---|
-//! | `TVA_NODE_BATCH` | `64` | frames per RX/TX burst |
-//! | `TVA_NODE_DUR_MS` | `1000` | `pktgen` run length, milliseconds |
-//! | `TVA_NODE_LINK_BPS` | `10000000000` | egress link rate the scheduler shapes to |
-//! | `TVA_NODE_SEED` | `0x7E57_5EED` | router secret seed (pktgen must match to mint valid capabilities) |
-//! | `TVA_NODE_MIX` | `clean` | `clean`, `contested`, or `dirty` traffic mix |
-//! | `TVA_NODE_FLOWS` | `128` | legitimate flow count in the generated mix |
-//! | `TVA_OBS_SAMPLE_N` | `0` (off) | flow-record packet sampling, 1-in-N |
-//! | `TVA_NODE_STATS_ADDR` | unset (off) | bind the live stats socket here (`serve` only), e.g. `127.0.0.1:47100` |
+//! `pktgen` and `serve` read `TVA_NODE_MIX`, `TVA_NODE_DUR_MS`,
+//! `TVA_NODE_SEED` and `TVA_OBS_SAMPLE_N` through [`NodeConfig::from_env`];
+//! README's knob table gives their defaults and meaning. Every other field
+//! of [`NodeConfig`] is its default.
 
 // Unsafe is confined to the SPSC ring (`ring.rs`), which carries its own
 // per-block safety rationale.
@@ -54,6 +48,8 @@ pub use pktgen::{GenStats, PktGen};
 pub use stats::{snapshot_line, StatsServer};
 pub use transport::{ring_pair, udp_pair, RingPort, Transport, UdpPort, MAX_FRAME};
 
+use tva_sim::knobs;
+
 /// Offered-traffic mix shapes, from best-case to adversarial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MixKind {
@@ -66,8 +62,8 @@ pub enum MixKind {
     Dirty,
 }
 
-/// Daemon configuration, assembled from defaults and `TVA_NODE_*`
-/// environment variables (see the crate docs for the table).
+/// Daemon configuration: the defaults, with the environment knobs the
+/// crate docs name applied by [`NodeConfig::from_env`].
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// Frames per RX/TX burst.
@@ -84,7 +80,7 @@ pub struct NodeConfig {
     pub mix: MixKind,
     /// Legitimate flow count.
     pub flows: usize,
-    /// Flow-record packet sampling, 1-in-N (0 = off); `TVA_OBS_SAMPLE_N`.
+    /// Flow-record packet sampling, 1-in-N (0 = off).
     pub sample_n: u32,
 }
 
@@ -104,32 +100,24 @@ impl Default for NodeConfig {
 }
 
 impl NodeConfig {
-    /// Defaults overridden by any `TVA_NODE_*` variables present.
+    /// Defaults overridden by the node's environment knobs.
     pub fn from_env() -> Self {
-        use tva_sim::env_u64;
         let d = NodeConfig::default();
-        let mix = match std::env::var("TVA_NODE_MIX") {
-            Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                "clean" => MixKind::Clean,
-                "contested" => MixKind::Contested,
-                "dirty" => MixKind::Dirty,
-                other => {
-                    eprintln!(
-                        "tva-node: unknown TVA_NODE_MIX={other:?} (want clean|contested|dirty)"
-                    );
-                    d.mix
-                }
-            },
-            Err(_) => d.mix,
+        let mix = match knobs::node_mix().as_deref() {
+            None => d.mix,
+            Some("clean") => MixKind::Clean,
+            Some("contested") => MixKind::Contested,
+            Some("dirty") => MixKind::Dirty,
+            Some(other) => {
+                eprintln!("tva-node: unknown traffic mix {other:?} (want clean|contested|dirty)");
+                d.mix
+            }
         };
         NodeConfig {
-            batch: (env_u64("TVA_NODE_BATCH", d.batch as u64) as usize).max(1),
-            duration_ms: env_u64("TVA_NODE_DUR_MS", d.duration_ms).max(1),
-            link_bps: env_u64("TVA_NODE_LINK_BPS", d.link_bps).max(1),
-            secret_seed: env_u64("TVA_NODE_SEED", d.secret_seed),
+            duration_ms: knobs::node_dur_ms().unwrap_or(d.duration_ms).max(1),
+            secret_seed: knobs::node_seed().unwrap_or(d.secret_seed),
             mix,
-            flows: (env_u64("TVA_NODE_FLOWS", d.flows as u64) as usize).max(1),
-            sample_n: env_u64("TVA_OBS_SAMPLE_N", d.sample_n as u64) as u32,
+            sample_n: knobs::obs_sample_n().map_or(d.sample_n, |n| u32::try_from(n).unwrap_or(u32::MAX)),
             ..d
         }
     }

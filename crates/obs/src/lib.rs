@@ -25,19 +25,11 @@
 //! * [`top`] — pure snapshot-to-text rendering for the `tva-top` live
 //!   dashboard (rates, queue depth, latency, top-offender prefixes).
 //!
-//! ## Runtime switches
+//! ## Runtime switch
 //!
 //! Everything is off by default and costs one branch per event when off.
-//! The experiment harness reads these environment variables (see
-//! [`ObsConfig::from_env`]):
-//!
-//! | Variable | Meaning | Default |
-//! |---|---|---|
-//! | `TVA_OBS` | master switch (`1`/`true` enables) | off |
-//! | `TVA_OBS_DIR` | output directory for obs artifacts | `results/obs` |
-//! | `TVA_OBS_FLIGHT` | flight-recorder capacity (events; `0` = off) | `4096` when `TVA_OBS` on |
-//! | `TVA_OBS_PERFETTO` | also write Perfetto/JSONL traces | off |
-//! | `TVA_OBS_SAMPLE_N` | flow-record packet sampling, 1-in-N (`0` = off) | off |
+//! `TVA_OBS` turns the experiment harness's observed pass on (see
+//! [`ObsConfig::from_env`]); README's knob table lists every variable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,58 +57,33 @@ pub use series::{ColId, SeriesSet};
 
 use std::path::PathBuf;
 
-use tva_sim::{env_flag, env_u64};
+use tva_sim::knobs;
 
-/// Parsed `TVA_OBS_*` environment configuration.
+/// Capacity, in trace events, of every flight recorder the harness
+/// installs: observed runs, sweep jobs under `TVA_OBS`, audited runs.
+pub const FLIGHT_EVENTS: usize = 4096;
+
+/// Observability settings: on with `TVA_OBS`, artifacts under
+/// `<results>/obs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Master switch (`TVA_OBS`).
+    /// Master switch (`TVA_OBS`): series, snapshot, traces and the flight
+    /// recorder.
     pub enabled: bool,
-    /// Output directory for obs artifacts (`TVA_OBS_DIR`).
+    /// Output directory for obs artifacts (the results directory's `obs`).
     pub dir: PathBuf,
-    /// Sampling bucket width in simulated milliseconds (1000).
-    pub sample_ms: u64,
-    /// Flight-recorder capacity in events; 0 disables (`TVA_OBS_FLIGHT`).
-    pub flight_events: usize,
-    /// Whether to export Perfetto/JSONL traces (`TVA_OBS_PERFETTO`).
-    pub perfetto: bool,
     /// Max trace events retained for export (200 000).
     pub trace_limit: usize,
-    /// Flow-record packet sampling, 1-in-N; 0 disables
-    /// (`TVA_OBS_SAMPLE_N`). Independent of the `TVA_OBS` master switch so
-    /// the daemon can sample flows without trace export.
-    pub sample_n: u32,
 }
 
 impl ObsConfig {
-    /// Reads the `TVA_OBS_*` variables. With `TVA_OBS` unset or falsy,
-    /// `enabled` is false and callers should skip all obs work.
+    /// Reads `TVA_OBS` and the results directory. With `TVA_OBS` unset or
+    /// falsy, `enabled` is false and callers should skip all obs work.
     pub fn from_env() -> Self {
-        let enabled = env_flag("TVA_OBS");
         ObsConfig {
-            enabled,
-            dir: PathBuf::from(
-                std::env::var("TVA_OBS_DIR").unwrap_or_else(|_| "results/obs".into()),
-            ),
-            flight_events: env_u64("TVA_OBS_FLIGHT", if enabled { 4096 } else { 0 })
-                as usize,
-            perfetto: env_flag("TVA_OBS_PERFETTO"),
-            sample_n: env_u64("TVA_OBS_SAMPLE_N", 0) as u32,
-            ..Self::disabled()
-        }
-    }
-
-    /// A disabled config (the obs-off fast path, used by benches as the
-    /// baseline).
-    pub fn disabled() -> Self {
-        ObsConfig {
-            enabled: false,
-            dir: PathBuf::from("results/obs"),
-            sample_ms: 1000,
-            flight_events: 0,
-            perfetto: false,
+            enabled: knobs::obs(),
+            dir: knobs::results_dir().join("obs"),
             trace_limit: 200_000,
-            sample_n: 0,
         }
     }
 }

@@ -603,32 +603,6 @@ pub struct Simulator {
     pub(crate) link_events: Vec<LinkEvent>,
 }
 
-/// Truthy environment flag (`1`, `true`, anything non-empty except `0` /
-/// `false`). The one parser behind every boolean `TVA_*` knob.
-pub fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-    })
-}
-
-/// `u64` environment knob — decimal or `0x` hex, `_` separators allowed;
-/// `default` when unset. A value that does not parse is reported on stderr
-/// by variable and value, then `default` is used. The one parser behind
-/// every numeric `TVA_*` knob.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    let Ok(v) = std::env::var(name) else { return default };
-    let digits = v.trim().replace('_', "");
-    let parsed = match digits.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => digits.parse(),
-    };
-    parsed.unwrap_or_else(|_| {
-        eprintln!("warning: ignoring unparseable {name}={v:?}, using {default}");
-        default
-    })
-}
-
 impl Simulator {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {

@@ -22,6 +22,8 @@
 //!   routing.
 //! * [`fault`] — seeded wire impairments (loss, corruption, outages) and
 //!   runtime link failure with route re-convergence.
+//! * [`knobs`] — the `TVA_*` environment knobs, declared once and read
+//!   only there.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,6 +34,7 @@ pub mod engine;
 pub mod event;
 pub mod fault;
 pub mod intern;
+pub mod knobs;
 pub mod node;
 pub mod pool;
 pub mod queue;
@@ -42,7 +45,7 @@ pub mod trace;
 
 pub use bucket::TokenBucket;
 pub use drr::Drr;
-pub use engine::{env_flag, env_u64, Channel, Simulator};
+pub use engine::{Channel, Simulator};
 pub use event::{ChannelId, NodeId};
 pub use fault::{splitmix64, DutyCycleOutage, Impairments};
 pub use intern::AddrInterner;
@@ -53,19 +56,3 @@ pub use stats::{ChannelStats, Counters};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkHandle, TopologyBuilder};
 pub use trace::{format_event, TraceCounts, TraceEvent, TraceKind, Tracer};
-
-#[cfg(test)]
-mod tests {
-    use super::env_u64;
-
-    #[test]
-    fn env_u64_accepts_hex_underscores_and_rejects_junk() {
-        std::env::set_var("TVA_NODE_TEST_A", "0x7E57_5EED");
-        std::env::set_var("TVA_NODE_TEST_B", " 1_000_000 ");
-        std::env::set_var("TVA_NODE_TEST_C", "banana");
-        assert_eq!(env_u64("TVA_NODE_TEST_A", 1), 0x7E57_5EED);
-        assert_eq!(env_u64("TVA_NODE_TEST_B", 1), 1_000_000);
-        assert_eq!(env_u64("TVA_NODE_TEST_C", 7), 7, "junk is reported, then the default");
-        assert_eq!(env_u64("TVA_NODE_TEST_UNSET", 9), 9);
-    }
-}
