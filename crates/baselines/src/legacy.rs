@@ -2,8 +2,6 @@
 //! notion of authorization. Used with [`tva_sim::DropTail`] egress queues,
 //! this is the "Internet" line of Figures 8–10.
 
-use std::any::Any;
-
 use tva_sim::{ChannelId, Ctx, Node, Pkt};
 
 /// A plain best-effort IP router.
@@ -20,14 +18,6 @@ impl Node for LegacyRouterNode {
     }
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Ctx) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -23,5 +23,5 @@ pub mod siff;
 
 pub use fq::{FqKey, FqScheduler};
 pub use legacy::LegacyRouterNode;
-pub use pushback::{EgressSpec, PushbackConfig, PushbackRouterNode, PushbackStats, TOKEN_REVIEW};
+pub use pushback::{EgressSpec, PushbackRouterNode, PushbackStats, TOKEN_REVIEW};
 pub use siff::{SiffConfig, SiffRouter, SiffRouterNode, SiffScheduler, SiffShim, SiffVerdict};

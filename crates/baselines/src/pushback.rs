@@ -16,7 +16,7 @@
 //!
 //! Identification follows ACC's contribution logic: an incoming link is an
 //! identifiable culprit only while it contributes more than a threshold
-//! fraction of the offending aggregate (default 1/40). With few attackers
+//! fraction of the offending aggregate (1/40). With few attackers
 //! each flooding link stands out and is clamped, protecting legitimate
 //! flows. With many attackers *"each incoming link contributes a small
 //! fraction of the overall attack"* (§5.1) — no link crosses the threshold,
@@ -24,7 +24,6 @@
 //! legitimate traffic inside the aggregate shares the indiscriminate drops.
 //! That is exactly Figure 8's pushback knee.
 
-use std::any::Any;
 use std::collections::HashMap;
 
 use tva_sim::{ChannelId, Ctx, Node, Pkt, SimDuration, SimTime, TokenBucket};
@@ -33,38 +32,21 @@ use tva_wire::Addr;
 /// Timer token for the periodic review.
 pub const TOKEN_REVIEW: u64 = 77;
 
-/// Pushback configuration.
-#[derive(Debug, Clone)]
-pub struct PushbackConfig {
-    /// Review period.
-    pub interval: SimDuration,
-    /// Declare congestion when an egress's offered rate exceeds this
-    /// multiple of its capacity.
-    pub trigger_utilization: f64,
-    /// Rate-limit the offending aggregate down to this multiple of
-    /// capacity (leaving headroom for the rest).
-    pub target_utilization: f64,
-    /// Release filters after this many consecutive calm reviews.
-    pub calm_reviews_to_release: u32,
-    /// Burst allowance of installed rate limiters, bytes.
-    pub filter_burst_bytes: u64,
-    /// A link is an identifiable culprit only while it contributes more
-    /// than this fraction of the offending aggregate.
-    pub contribution_threshold: f64,
-}
-
-impl Default for PushbackConfig {
-    fn default() -> Self {
-        PushbackConfig {
-            interval: SimDuration::from_secs(1),
-            trigger_utilization: 0.98,
-            target_utilization: 0.95,
-            calm_reviews_to_release: 3,
-            filter_burst_bytes: 4_000,
-            contribution_threshold: 1.0 / 40.0,
-        }
-    }
-}
+/// Review period.
+const INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Declare congestion when an egress's offered rate exceeds this multiple
+/// of its capacity.
+const TRIGGER_UTILIZATION: f64 = 0.98;
+/// Rate-limit the offending aggregate down to this multiple of capacity
+/// (leaving headroom for the rest).
+const TARGET_UTILIZATION: f64 = 0.95;
+/// Release filters after this many consecutive calm reviews.
+const CALM_REVIEWS_TO_RELEASE: u32 = 3;
+/// Burst allowance of installed rate limiters, bytes.
+const FILTER_BURST_BYTES: u64 = 4_000;
+/// A link is an identifiable culprit only while it contributes more than
+/// this fraction of the offending aggregate.
+const CONTRIBUTION_THRESHOLD: f64 = 1.0 / 40.0;
 
 /// An egress link this router manages (configured after topology build).
 #[derive(Debug, Clone, Copy)]
@@ -88,8 +70,8 @@ tva_sim::counters! {
 }
 
 /// The pushback router node.
+#[derive(Default)]
 pub struct PushbackRouterNode {
-    cfg: PushbackConfig,
     /// Egress links to manage; set via [`Self::manage`] after topology
     /// construction (channel ids are only known then).
     egresses: Vec<EgressSpec>,
@@ -112,18 +94,8 @@ impl PushbackRouterNode {
     /// Creates a pushback router. Call [`Self::manage`] for each egress
     /// link once channel ids exist, then kick the node with
     /// [`TOKEN_REVIEW`].
-    pub fn new(cfg: PushbackConfig) -> Self {
-        PushbackRouterNode {
-            cfg,
-            egresses: Vec::new(),
-            agg_window: HashMap::new(),
-            ingress_window: HashMap::new(),
-            filters: HashMap::new(),
-            agg_filters: HashMap::new(),
-            calm: HashMap::new(),
-            started: false,
-            stats: PushbackStats::default(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Filters currently installed (per-link and aggregate).
@@ -158,7 +130,7 @@ impl PushbackRouterNode {
     }
 
     fn review(&mut self, now: SimTime) {
-        let secs = self.cfg.interval.as_secs_f64();
+        let secs = INTERVAL.as_secs_f64();
         for spec in self.egresses.clone() {
             let offered: u64 = self
                 .agg_window
@@ -167,11 +139,11 @@ impl PushbackRouterNode {
                 .map(|(_, b)| *b)
                 .sum();
             let capacity_bytes = spec.capacity_bps as f64 / 8.0 * secs;
-            if (offered as f64) < capacity_bytes * self.cfg.trigger_utilization {
+            if (offered as f64) < capacity_bytes * TRIGGER_UTILIZATION {
                 // Calm: count toward release.
                 let calm = self.calm.entry(spec.channel).or_insert(0);
                 *calm += 1;
-                if *calm >= self.cfg.calm_reviews_to_release {
+                if *calm >= CALM_REVIEWS_TO_RELEASE {
                     // Gradual release: double every limit; a filter whose
                     // limit exceeds the link is pointless and is removed.
                     let link_rate = spec.capacity_bps / 8;
@@ -217,7 +189,7 @@ impl PushbackRouterNode {
                 .filter(|((e, d), _)| *e == spec.channel && *d != agg)
                 .map(|(_, b)| *b)
                 .sum();
-            let target = (spec.capacity_bps as f64 / 8.0) * self.cfg.target_utilization
+            let target = (spec.capacity_bps as f64 / 8.0) * TARGET_UTILIZATION
                 - non_agg as f64 / secs;
             let target = target.max(spec.capacity_bps as f64 / 80.0); // floor at 10%
 
@@ -226,7 +198,7 @@ impl PushbackRouterNode {
             let culprits: Vec<(ChannelId, f64)> = demands
                 .iter()
                 .copied()
-                .filter(|(_, d)| *d > agg_rate * self.cfg.contribution_threshold)
+                .filter(|(_, d)| *d > agg_rate * CONTRIBUTION_THRESHOLD)
                 .collect();
             let culprit_rate: f64 = culprits.iter().map(|(_, d)| d).sum();
             let innocent_rate = agg_rate - culprit_rate;
@@ -249,7 +221,7 @@ impl PushbackRouterNode {
                             key,
                             TokenBucket::new(
                                 lambda.max(1.0) as u64,
-                                self.cfg.filter_burst_bytes,
+                                FILTER_BURST_BYTES,
                             ),
                         );
                     } else {
@@ -263,7 +235,7 @@ impl PushbackRouterNode {
                 self.filters.retain(|&(_, d), _| d != agg);
                 self.agg_filters.insert(
                     agg,
-                    TokenBucket::new(target.max(1.0) as u64, self.cfg.filter_burst_bytes),
+                    TokenBucket::new(target.max(1.0) as u64, FILTER_BURST_BYTES),
                 );
             }
         }
@@ -316,15 +288,7 @@ impl Node for PushbackRouterNode {
             self.review(ctx.now());
         }
         self.started = true;
-        ctx.set_timer(self.cfg.interval, TOKEN_REVIEW);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+        ctx.set_timer(INTERVAL, TOKEN_REVIEW);
     }
 }
 

@@ -41,11 +41,6 @@ pub struct SiffConfig {
     /// breaking flows at every transition (which is exactly the behavior
     /// Figure 11 shows).
     pub accept_previous: bool,
-    /// Packet capacity of the priority (authorized) FIFO (ns-2 style
-    /// packet-count limit; see `tva_sim::DropTail::packets`).
-    pub priority_queue_pkts: usize,
-    /// Packet capacity of the low-priority (explorer + legacy) FIFO.
-    pub low_queue_pkts: usize,
     /// Router key seed.
     pub secret_seed: u64,
 }
@@ -55,8 +50,6 @@ impl Default for SiffConfig {
         SiffConfig {
             key_rotation: SimDuration::from_secs(128),
             accept_previous: true,
-            priority_queue_pkts: 50,
-            low_queue_pkts: 50,
             secret_seed: 0x51FF,
         }
     }

@@ -1,7 +1,5 @@
 //! The SIFF router: stateless 2-bit marking and verification.
 
-use std::any::Any;
-
 use tva_crypto::{keyed56, HashInput, SipKey};
 use tva_sim::{ChannelId, Ctx, Node, Pkt, SimTime};
 use tva_wire::{Addr, CapPayload, CapValue, Packet, PathId, RequestEntry};
@@ -140,14 +138,6 @@ impl Node for SiffRouterNode {
     }
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Ctx) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -5,39 +5,26 @@
 
 use std::collections::VecDeque;
 
-use tva_sim::{Enqueued, Pkt, QueueDisc, SimTime};
+use tva_sim::{Enqueued, Pkt, QueueDisc, SimTime, ROUTER_QUEUE_PKTS};
 use tva_wire::{CapPayload, Packet};
 
-/// The SIFF egress queue.
+/// The SIFF egress queue: two FIFOs of [`ROUTER_QUEUE_PKTS`] packets each
+/// (ns-2 style packet counts: no small-packet bias under large-packet
+/// floods).
+#[derive(Default)]
 pub struct SiffScheduler {
     high: VecDeque<Pkt>,
     high_bytes: u64,
-    high_cap: usize,
     low: VecDeque<Pkt>,
     low_bytes: u64,
-    low_cap: usize,
     /// Packets dropped per class (high, low).
     pub drops: [u64; 2],
 }
 
 impl SiffScheduler {
-    /// Creates a scheduler with the given packet-count capacities (ns-2
-    /// style: no small-packet bias under large-packet floods).
-    pub fn new(high_cap: usize, low_cap: usize) -> Self {
-        SiffScheduler {
-            high: VecDeque::new(),
-            high_bytes: 0,
-            high_cap,
-            low: VecDeque::new(),
-            low_bytes: 0,
-            low_cap,
-            drops: [0, 0],
-        }
-    }
-
-    /// From a [`super::SiffConfig`].
-    pub fn from_config(cfg: &super::SiffConfig) -> Self {
-        SiffScheduler::new(cfg.priority_queue_pkts, cfg.low_queue_pkts)
+    /// Creates an empty scheduler.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn is_verified_data(pkt: &Packet) -> bool {
@@ -54,14 +41,14 @@ impl QueueDisc for SiffScheduler {
     fn enqueue(&mut self, pkt: Pkt, _now: SimTime) -> Enqueued {
         let len = pkt.wire_len() as u64;
         if Self::is_verified_data(&pkt) {
-            if self.high.len() >= self.high_cap {
+            if self.high.len() >= ROUTER_QUEUE_PKTS {
                 self.drops[0] += 1;
                 return Enqueued::Dropped;
             }
             self.high_bytes += len;
             self.high.push_back(pkt);
         } else {
-            if self.low.len() >= self.low_cap {
+            if self.low.len() >= ROUTER_QUEUE_PKTS {
                 self.drops[1] += 1;
                 return Enqueued::Dropped;
             }
@@ -92,16 +79,19 @@ impl QueueDisc for SiffScheduler {
     }
 
     fn audit(&self) -> Result<(), String> {
-        for (name, q, bytes, cap) in [
-            ("high", &self.high, self.high_bytes, self.high_cap),
-            ("low", &self.low, self.low_bytes, self.low_cap),
+        for (name, q, bytes) in [
+            ("high", &self.high, self.high_bytes),
+            ("low", &self.low, self.low_bytes),
         ] {
             let held: u64 = q.iter().map(|p| p.wire_len() as u64).sum();
             if held != bytes {
                 return Err(format!("siff-sched {name}: byte ledger {bytes} != held {held}"));
             }
-            if q.len() > cap {
-                return Err(format!("siff-sched {name}: {} pkts over cap {cap}", q.len()));
+            if q.len() > ROUTER_QUEUE_PKTS {
+                return Err(format!(
+                    "siff-sched {name}: {} pkts over cap {ROUTER_QUEUE_PKTS}",
+                    q.len()
+                ));
             }
         }
         Ok(())
@@ -126,7 +116,7 @@ mod tests {
 
     #[test]
     fn data_preempts_explorers_and_legacy() {
-        let mut s = SiffScheduler::new(1000, 1000);
+        let mut s = SiffScheduler::new();
         let now = SimTime::ZERO;
         s.enqueue((pkt(None)).into(), now); // legacy
         s.enqueue((pkt(Some(CapHeader::request()))).into(), now); // explorer
@@ -154,10 +144,11 @@ mod tests {
     fn explorers_share_fate_with_legacy_floods() {
         // Fill the low queue with legacy; an explorer then drops — the
         // weakness Figure 8/9 shows for SIFF.
-        let mut s = SiffScheduler::new(1000, 2);
+        let mut s = SiffScheduler::new();
         let now = SimTime::ZERO;
-        assert!(s.enqueue((pkt(None)).into(), now).is_accepted());
-        assert!(s.enqueue((pkt(None)).into(), now).is_accepted());
+        for _ in 0..ROUTER_QUEUE_PKTS {
+            assert!(s.enqueue((pkt(None)).into(), now).is_accepted());
+        }
         assert_eq!(s.enqueue((pkt(Some(CapHeader::request()))).into(), now), Enqueued::Dropped);
         assert_eq!(s.drops[1], 1);
     }

@@ -19,6 +19,9 @@ fn dummy_grant() -> Grant {
     Grant::from_parts(1023, 63)
 }
 
+/// Misbehavior threshold (bytes/second) for the destination role.
+const MISBEHAVIOR_BYTES_PER_SEC: f64 = 100.0 * 1024.0;
+
 struct SiffPeer {
     /// Marks we hold for sending to this peer.
     marks: Option<(CapList, SimTime)>,
@@ -36,8 +39,6 @@ pub struct SiffShim {
     /// router keys, so they refresh on a timer — set it to the deployment's
     /// key rotation period).
     pub refresh_after: SimDuration,
-    /// Misbehavior threshold (bytes/second) for the destination role.
-    pub misbehavior_bytes_per_sec: f64,
     rx: HashMap<Addr, (SimTime, u64)>,
     /// Explorers sent.
     pub explorers_sent: u64,
@@ -55,7 +56,6 @@ impl SiffShim {
             peers: HashMap::new(),
             outbox: Vec::new(),
             refresh_after,
-            misbehavior_bytes_per_sec: 100.0 * 1024.0,
             rx: HashMap::new(),
             explorers_sent: 0,
             marks_acquired: 0,
@@ -69,13 +69,12 @@ impl SiffShim {
     }
 
     fn note_rx(&mut self, src: Addr, len: u32, now: SimTime) {
-        let threshold = self.misbehavior_bytes_per_sec;
         let e = self.rx.entry(src).or_insert((now, 0));
         if now.since(e.0) > SimDuration::from_secs(1) {
             *e = (now, 0);
         }
         e.1 += len as u64;
-        if e.1 as f64 > threshold {
+        if e.1 as f64 > MISBEHAVIOR_BYTES_PER_SEC {
             *e = (now, 0);
             self.policy.note_misbehavior(src, now);
         }

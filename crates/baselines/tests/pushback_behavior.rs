@@ -2,7 +2,7 @@
 //! few links dominate, the indiscriminate aggregate fallback when many
 //! small links share the flood, and filter release after calm.
 
-use tva_baselines::{EgressSpec, PushbackConfig, PushbackRouterNode, TOKEN_REVIEW};
+use tva_baselines::{EgressSpec, PushbackRouterNode, TOKEN_REVIEW};
 use tva_sim::{DropTail, SimDuration, SimTime, SinkNode, TopologyBuilder};
 use tva_transport::FloodNode;
 use tva_wire::{Addr, Packet, PacketId};
@@ -15,7 +15,7 @@ const BOTTLENECK: u64 = 10_000_000;
 /// (light sender's delivered bytes, router stats) after 30 s.
 fn run(n_attackers: usize, rate_bps: u64) -> (u64, tva_baselines::PushbackStats, u64) {
     let mut t = TopologyBuilder::new();
-    let router = t.add_node(Box::new(PushbackRouterNode::new(PushbackConfig::default())));
+    let router = t.add_node(Box::new(PushbackRouterNode::new()));
     let sink = t.add_node(Box::<SinkNode>::default());
     t.bind_addr(sink, DEST);
     let light_src = Addr::new(20, 0, 0, 1);

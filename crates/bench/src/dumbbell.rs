@@ -4,11 +4,9 @@
 //! `BENCHMARK.json`) prices the flight recorder from the plain / observed
 //! pair (`obs.flight_ns_per_event`).
 
-use tva_core::{
-    ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler,
-};
+use tva_core::{ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler};
 use tva_sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
-use tva_transport::{ClientNode, ServerNode, TcpConfig, TOKEN_START};
+use tva_transport::{ClientNode, ServerNode, TOKEN_START};
 use tva_wire::{Addr, Grant};
 
 const SERVER: Addr = Addr::new(10, 0, 0, 1);
@@ -44,10 +42,8 @@ fn run_dumbbell_with(sim_secs: u64, observed: bool) -> DumbbellRun {
     let r2 = t.add_node(Box::new(TvaRouterNode::new(cfg2.clone(), 10_000_000)));
     let server = t.add_node(Box::new(ServerNode::new(
         SERVER,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             SERVER,
-            HostConfig::default(),
             Box::new(ServerPolicy::new(Grant::from_parts(100, 10), SimDuration::from_secs(30))),
         )),
     )));
@@ -77,10 +73,8 @@ fn run_dumbbell_with(sim_secs: u64, observed: bool) -> DumbbellRun {
             SERVER,
             20 * 1024,
             100_000,
-            TcpConfig::default(),
             Box::new(TvaHostShim::new(
                 addr,
-                HostConfig::default(),
                 Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
             )),
         )));

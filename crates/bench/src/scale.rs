@@ -23,11 +23,9 @@
 
 use std::time::Instant;
 
-use tva_core::{
-    ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler,
-};
+use tva_core::{ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler};
 use tva_sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
-use tva_transport::{ClientNode, FloodNode, ServerNode, TcpConfig, TOKEN_START};
+use tva_transport::{ClientNode, FloodNode, ServerNode, TOKEN_START};
 use tva_wire::{Addr, CapHeader, Grant, Packet, PacketId};
 
 /// The server's address (outside the host address block).
@@ -143,10 +141,8 @@ pub fn run_scale(cfg: ScaleConfig) -> ScaleRun {
     // Server behind the root: the contended destination.
     let server = t.add_node(Box::new(ServerNode::new(
         SERVER,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             SERVER,
-            HostConfig::default(),
             Box::new(ServerPolicy::new(Grant::from_parts(100, 10), SimDuration::from_secs(30))),
         )),
     )));
@@ -236,10 +232,8 @@ pub fn run_scale(cfg: ScaleConfig) -> ScaleRun {
                     SERVER,
                     20 * 1024,
                     100_000,
-                    TcpConfig::default(),
                     Box::new(TvaHostShim::new(
                         addr,
-                        HostConfig::default(),
                         Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
                     )),
                 )));

@@ -6,6 +6,8 @@
 //! ledger-drift bugs are caught *while the run is in the offending state*,
 //! not just if they happen to persist to the end.
 
+use std::any::Any;
+
 use tva_core::{TvaRouterNode, TvaScheduler};
 use tva_sim::{ChannelId, NodeId, Simulator};
 use tva_wire::{CapValue, DetHashMap, FlowKey};
@@ -134,11 +136,8 @@ impl StructuralAuditor {
             if ch.from != NodeId(n) {
                 continue;
             }
-            let Some(sched) = ch
-                .queue_disc()
-                .as_any()
-                .and_then(|a| a.downcast_ref::<TvaScheduler>())
-            else {
+            let disc: &dyn Any = ch.queue_disc();
+            let Some(sched) = disc.downcast_ref::<TvaScheduler>() else {
                 continue;
             };
             any = true;

@@ -13,13 +13,10 @@
 
 pub mod strategies;
 
-use std::any::Any;
-
 use tva_sim::{ChannelId, Ctx, Node, SimDuration, SimTime};
 use tva_transport::Shim;
 use tva_wire::{Addr, Grant, Packet};
 
-use crate::config::HostConfig;
 use crate::policy::AllowAll;
 use crate::shim::TvaHostShim;
 use strategies::spoofed_identity;
@@ -209,7 +206,6 @@ impl AuthorizedFlooder {
         // never grants anyone useful service), AllowAll keeps it simple.
         let shim = TvaHostShim::new(
             local,
-            HostConfig::default(),
             Box::new(AllowAll { grant: Grant::from_parts(1023, 10) }),
         );
         Self::with_shim(local, target, rate_bps, Box::new(shim))
@@ -407,14 +403,6 @@ impl Node for AuthorizedFlooder {
             self.emit(ctx);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A colluding destination for the §7 spoofed-source attack: it grants
@@ -478,12 +466,4 @@ impl Node for SpoofColluder {
     }
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Ctx) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }

@@ -18,8 +18,6 @@
 //! its draws do not depend on when any other node draws — the engine's
 //! determinism contract that the attack-search loop depends on.
 
-use std::any::Any;
-
 use tva_sim::{ChannelId, Ctx, Node, SimDuration};
 use tva_wire::{Addr, CapHeader, CapPayload, CapValue, Packet, PathId, RequestEntry};
 
@@ -117,13 +115,5 @@ impl Node for SpoofedRequestFlooder {
 
     fn on_timer(&mut self, _token: u64, ctx: &mut dyn Ctx) {
         self.emit(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -16,7 +16,7 @@
 //!   fair-queued per path identifier, regular traffic fair-queued per
 //!   destination, legacy FIFO). Router state is bounded exactly: the flow
 //!   table by `C/(N/T)min` records or `max_flow_entries`, the request keys
-//!   by `max_request_queues` (a request whose tag finds that table full is
+//!   by [`scheduler::MAX_REQUEST_QUEUES`] (a request whose tag finds that table full is
 //!   demoted, not dropped).
 //! * **Hosts** — [`shim::TvaHostShim`] attaches to any transport via
 //!   `tva_transport::Shim` and handles the full capability lifecycle:
@@ -65,7 +65,7 @@ pub mod shim;
 pub use attack::strategies::{spoofed_identity, SpoofedRequestFlooder};
 pub use attack::{AuthorizedFlooder, Cadence, SpoofColluder};
 pub use capability::{expired, mint_cap, mint_precap, validate_cap, validate_precap, CapError};
-pub use config::{HostConfig, RegularQueueKey, RouterConfig};
+pub use config::{RegularQueueKey, RouterConfig};
 pub use flowtable::{Charge, FlowEntry, FlowRef, FlowTable};
 pub use policy::{AllowAll, ClientPolicy, GrantPolicy, RequestInfo, ServerPolicy};
 pub use router::{RouterStats, TvaRouter, TvaRouterNode, Verdict};

@@ -3,8 +3,8 @@
 //! For every packet the router either:
 //!
 //! * forwards it untouched (legacy traffic, lowest priority),
-//! * stamps it (requests: append a pre-capability, and a path-identifier
-//!   tag at trust boundaries),
+//! * stamps it (requests: append a pre-capability and a path-identifier
+//!   tag; every router is modelled as a trust boundary, §3.2),
 //! * validates it (regular packets: nonce fast path against the flow cache,
 //!   or the two-hash slow path for packets carrying capabilities, with byte
 //!   budget and expiry checks), or
@@ -15,15 +15,13 @@
 //! ([`crate::scheduler::TvaScheduler`]), which reads the decisions this
 //! pipeline has written into the capability header.
 
-use std::any::Any;
-
 use tva_crypto::{siphash24, SecretSchedule, SipKey};
 use tva_obs::{FlowClass, FlowSampler, FlowVerdict};
 use tva_sim::{ChannelId, Ctx, Node, SimTime};
 use tva_wire::{CapPayload, DetHashMap, Packet, PathId, RequestEntry};
 
 use crate::capability::{expired, mint_precap, validate_cap};
-use crate::config::RouterConfig;
+use crate::config::{RouterConfig, FLOW_SAMPLE_SEED};
 use crate::flowtable::{Charge, FlowTable};
 
 tva_sim::counters! {
@@ -118,7 +116,7 @@ pub struct TvaRouter {
     /// Counters.
     pub stats: RouterStats,
     /// Sampled flow records (one branch per packet when disabled). Keyed
-    /// off `RouterConfig::flow_sample_n` / `flow_sample_seed`.
+    /// off `RouterConfig::flow_sample_n` and `FLOW_SAMPLE_SEED`.
     pub flow: FlowSampler,
 }
 
@@ -128,7 +126,7 @@ impl TvaRouter {
     pub fn new(cfg: RouterConfig, link_bps: u64) -> Self {
         let bound = cfg.flow_table_bound(link_bps);
         let schedule = SecretSchedule::from_seed(cfg.secret_seed);
-        let flow = FlowSampler::new(cfg.flow_sample_n, cfg.flow_sample_seed);
+        let flow = FlowSampler::new(cfg.flow_sample_n, FLOW_SAMPLE_SEED);
         let table = FlowTable::new(bound);
         TvaRouter {
             cfg,
@@ -211,11 +209,7 @@ impl TvaRouter {
                     }
                     return Verdict::Legacy;
                 }
-                let path_id = if self.cfg.trust_boundary {
-                    self.tag_for(ingress)
-                } else {
-                    PathId::NONE
-                };
+                let path_id = self.tag_for(ingress);
                 let precap = mint_precap(&self.schedule, now_secs, src, dst);
                 entries.push(RequestEntry { path_id, precap });
                 self.stats.requests_stamped += 1;
@@ -398,14 +392,6 @@ impl Node for TvaRouterNode {
         // nothing but this counter.
         self.router.stats.malformed_drops += 1;
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -456,16 +442,6 @@ mod tests {
             DST,
             entries[0].precap
         ));
-    }
-
-    #[test]
-    fn non_boundary_router_does_not_tag() {
-        let cfg = RouterConfig { trust_boundary: false, ..Default::default() };
-        let mut r = TvaRouter::new(cfg, 10_000_000);
-        let mut p = pkt(Some(CapHeader::request()), 0);
-        r.process(&mut p, IN, SimTime::ZERO);
-        let CapPayload::Request { entries } = &p.cap.unwrap().payload else { panic!() };
-        assert_eq!(entries[0].path_id, PathId::NONE);
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! intends — an independent box implementing Figure 2 needs nothing else.
 
 use tva_obs::{FlowClass, FlowSampler, FlowVerdict};
-use tva_sim::{Drr, Enqueued, Pkt, QueueDisc, SimDuration, SimTime};
+use tva_sim::{Drr, Enqueued, Pkt, QueueDisc, SimDuration, SimTime, ROUTER_QUEUE_PKTS};
 use tva_wire::{Addr, CapPayload, Packet, PathId};
 
-use crate::config::{RegularQueueKey, RouterConfig};
+use crate::config::{RegularQueueKey, RouterConfig, FLOW_SAMPLE_SEED};
 
 /// A signed-balance pacing gate: the request class may dequeue while the
 /// balance is positive; each dequeue charges the actual packet size (the
@@ -104,6 +104,19 @@ tva_sim::counters! {
     }
 }
 
+/// Burst allowance for the request rate limiter, in bytes.
+pub const REQUEST_BURST_BYTES: u64 = 3000;
+/// DRR quantum in bytes for the regular class (one MTU).
+const QUANTUM: u32 = 1500;
+/// DRR quantum for the request class; requests are small, so a smaller
+/// quantum interleaves path identifiers at finer granularity.
+const REQUEST_QUANTUM: u32 = 300;
+/// Maximum distinct path-identifier request queues (the 16-bit tag space
+/// bounds this architecturally; deployments size it to memory).
+pub const MAX_REQUEST_QUEUES: usize = 1 << 12;
+/// Maximum distinct per-destination regular queues.
+const MAX_REGULAR_QUEUES: usize = 1 << 12;
+
 /// Rough per-key cost of a request sub-queue: key + deficit + VecDeque
 /// header + hash-map slot.
 const REQUEST_KEY_BYTES: usize = 96;
@@ -111,13 +124,12 @@ const REQUEST_KEY_BYTES: usize = 96;
 /// The scheduler; one per TVA egress channel.
 pub struct TvaScheduler {
     /// Requests, fair-queued per path identifier (§3.2): one queue per
-    /// distinct tag, at most `max_request_queues` of them.
+    /// distinct tag, at most [`MAX_REQUEST_QUEUES`] of them.
     requests: Drr<PathId>,
     regular: Drr<Addr>,
     regular_key: RegularQueueKey,
     legacy: std::collections::VecDeque<Pkt>,
     legacy_bytes: u64,
-    legacy_cap_pkts: usize,
     gate: PacedGate,
     /// Counters.
     pub stats: SchedulerStats,
@@ -132,19 +144,19 @@ pub struct TvaScheduler {
 
 impl TvaScheduler {
     /// Creates a scheduler for a link of `link_bps` using `cfg`'s request
-    /// fraction, queue caps and bounds.
+    /// fraction, per-queue cap, regular-class key and flow sampling. The
+    /// legacy FIFO holds [`ROUTER_QUEUE_PKTS`] packets.
     pub fn new(link_bps: u64, cfg: &RouterConfig) -> Self {
         let rate = ((link_bps as f64 / 8.0) * cfg.request_fraction).max(1.0) as u64;
         TvaScheduler {
-            requests: Drr::new(cfg.request_quantum, cfg.per_queue_cap_bytes, cfg.max_request_queues),
-            regular: Drr::new(cfg.quantum, cfg.per_queue_cap_bytes, cfg.max_regular_queues),
+            requests: Drr::new(REQUEST_QUANTUM, cfg.per_queue_cap_bytes, MAX_REQUEST_QUEUES),
+            regular: Drr::new(QUANTUM, cfg.per_queue_cap_bytes, MAX_REGULAR_QUEUES),
             regular_key: cfg.regular_queue_key,
             legacy: std::collections::VecDeque::new(),
             legacy_bytes: 0,
-            legacy_cap_pkts: cfg.legacy_queue_pkts,
-            gate: PacedGate::new(rate, cfg.request_burst_bytes),
+            gate: PacedGate::new(rate, REQUEST_BURST_BYTES),
             stats: SchedulerStats::default(),
-            flow: FlowSampler::new(cfg.flow_sample_n, cfg.flow_sample_seed),
+            flow: FlowSampler::new(cfg.flow_sample_n, FLOW_SAMPLE_SEED),
         }
     }
 
@@ -164,7 +176,7 @@ impl TvaScheduler {
 
     fn enqueue_legacy(&mut self, pkt: Pkt) -> Enqueued {
         let len = pkt.wire_len() as u64;
-        if self.legacy.len() >= self.legacy_cap_pkts {
+        if self.legacy.len() >= ROUTER_QUEUE_PKTS {
             self.stats.legacy_dropped += 1;
             self.flow.record(
                 pkt.id.0,
@@ -365,18 +377,14 @@ impl QueueDisc for TvaScheduler {
                 self.legacy_bytes
             ));
         }
-        if self.legacy.len() > self.legacy_cap_pkts {
+        if self.legacy.len() > ROUTER_QUEUE_PKTS {
             return Err(format!(
                 "tva-sched legacy: {} pkts over cap {}",
                 self.legacy.len(),
-                self.legacy_cap_pkts
+                ROUTER_QUEUE_PKTS
             ));
         }
         Ok(())
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -570,20 +578,17 @@ mod tests {
 
     #[test]
     fn next_ready_reports_gate_opening() {
-        let cfg = RouterConfig {
-            request_fraction: 0.01,
-            request_burst_bytes: 100,
-            ..cfg()
-        };
+        let cfg = RouterConfig { request_fraction: 0.01, ..cfg() };
         let mut s = TvaScheduler::new(8_000, &cfg); // 10 B/s of request budget
         let now = SimTime::ZERO;
-        // A request bigger than the 100-byte burst drives the balance
-        // negative once dequeued.
-        s.enqueue((request_pkt_sized(1, 200)).into(), now);
+        // A request bigger than the burst drives the balance negative once
+        // dequeued.
+        let big = REQUEST_BURST_BYTES as u32;
+        s.enqueue((request_pkt_sized(1, big)).into(), now);
         // Drain the burst.
         let p = s.dequeue(now).unwrap();
         assert!(p.cap.is_some());
-        s.enqueue((request_pkt_sized(1, 200)).into(), now);
+        s.enqueue((request_pkt_sized(1, big)).into(), now);
         // Balance is now negative; dequeue yields nothing and next_ready
         // points to the future.
         assert!(s.dequeue(now).is_none());
@@ -600,22 +605,27 @@ mod tests {
         // exhaust the request key table; spillover requests must fall to
         // the legacy class as demoted rather than vanish, so legitimate
         // requests for fresh paths still reach the destination.
-        let cfg = RouterConfig { max_request_queues: 2, ..cfg() };
-        let mut s = TvaScheduler::new(10_000_000, &cfg);
-        let now = SimTime::ZERO;
-        assert_eq!(s.enqueue((request_pkt(1)).into(), now), Enqueued::Accepted);
-        assert_eq!(s.enqueue((request_pkt(2)).into(), now), Enqueued::Accepted);
-        // Keys 3..8 exceed the table: demoted into the legacy FIFO.
-        for path in 3..8 {
+        let mut s = TvaScheduler::new(10_000_000, &cfg());
+        let mut now = SimTime::ZERO;
+        let full = MAX_REQUEST_QUEUES as u16;
+        for path in 1..=full {
+            assert_eq!(s.enqueue((request_pkt(path)).into(), now), Enqueued::Accepted);
+        }
+        // Five more keys exceed the table: demoted into the legacy FIFO.
+        for path in full + 1..full + 6 {
             assert_eq!(s.enqueue((request_pkt(path)).into(), now), Enqueued::Accepted);
         }
         assert_eq!(s.stats.requests_demoted, 5);
         assert_eq!(s.stats.requests_dropped, 0);
         s.audit().expect("accounting clean under the sweep");
-        // The two admitted requests leave first (request class), then the
-        // spillover drains from legacy, demoted on the wire.
-        assert!(s.dequeue(now).is_some());
-        assert!(s.dequeue(now).is_some());
+        // The admitted requests leave first (request class, dequeued slower
+        // than the gate refills), then the spillover drains from legacy,
+        // demoted on the wire.
+        for _ in 0..full {
+            let p = s.dequeue(now).expect("admitted request present");
+            assert!(!p.is_demoted(), "admitted requests leave as requests");
+            now += SimDuration::from_millis(10);
+        }
         let spilled = s.dequeue(now).expect("legacy spillover present");
         assert!(spilled.is_demoted(), "spilled request must carry the demoted bit");
         assert_eq!(s.stats.legacy_sent, 1);
@@ -652,44 +662,47 @@ mod tests {
         // made the scheduler report fewer request offers than the router
         // had stamped — silently weakening the stamped-vs-offered
         // cross-check in exactly the attack it polices.
-        let cfg = RouterConfig { max_request_queues: 2, ..cfg() };
-        let mut s = TvaScheduler::new(10_000_000, &cfg);
-        let now = SimTime::ZERO;
-        for path in 1..=7 {
+        let mut s = TvaScheduler::new(10_000_000, &cfg());
+        let mut now = SimTime::ZERO;
+        let offered = MAX_REQUEST_QUEUES as u64 + 5;
+        for path in 1..=offered as u16 {
             assert_eq!(s.enqueue((request_pkt(path)).into(), now), Enqueued::Accepted);
         }
         assert_eq!(s.stats.requests_demoted, 5);
         assert_eq!(
             s.requests_offered(),
-            7,
-            "offered must count all 7 requests: 2 queued + 5 demoted"
+            offered,
+            "offered must count every request: the key table's worth queued + 5 demoted"
         );
-        // Drain: the count must be stable as queued become sent.
-        while s.dequeue(now).is_some() {}
-        assert_eq!(s.requests_offered(), 7);
+        // Drain, slower than the gate refills: the count must be stable as
+        // queued become sent.
+        while s.dequeue(now).is_some() {
+            now += SimDuration::from_millis(10);
+        }
+        assert_eq!(s.stats.requests_sent + 5, offered, "every queued request was sent");
+        assert_eq!(s.requests_offered(), offered);
     }
 
     #[test]
     fn request_state_is_capped_by_the_key_table() {
         // A sweep of distinct path identifiers grows request state one key
-        // at a time up to `max_request_queues`, and not one byte past it:
+        // at a time up to `MAX_REQUEST_QUEUES`, and not one byte past it:
         // every further tag is demoted, not given a queue.
-        let cfg = cfg();
-        let mut s = TvaScheduler::new(10_000_000, &cfg);
+        let mut s = TvaScheduler::new(10_000_000, &cfg());
         let now = SimTime::ZERO;
         s.enqueue((request_pkt(1)).into(), now);
         let one = s.request_state_bytes();
-        for path in 1..=cfg.max_request_queues as u16 {
+        for path in 1..=MAX_REQUEST_QUEUES as u16 {
             s.enqueue((request_pkt(path)).into(), now);
         }
         let full = s.request_state_bytes();
-        assert_eq!(full, cfg.max_request_queues * one, "one key's state per distinct path");
-        for path in cfg.max_request_queues as u16 + 1..=5000 {
+        assert_eq!(full, MAX_REQUEST_QUEUES * one, "one key's state per distinct path");
+        for path in MAX_REQUEST_QUEUES as u16 + 1..=5000 {
             s.enqueue((request_pkt(path)).into(), now);
         }
         assert_eq!(s.request_state_bytes(), full, "state stops at the key table's bound");
-        assert_eq!(s.request_keys(), cfg.max_request_queues);
-        assert_eq!(s.stats.requests_demoted, 5000 - cfg.max_request_queues as u64);
+        assert_eq!(s.request_keys(), MAX_REQUEST_QUEUES);
+        assert_eq!(s.stats.requests_demoted, 5000 - MAX_REQUEST_QUEUES as u64);
         s.audit().expect("accounting clean past the bound");
     }
 }

@@ -4,11 +4,11 @@
 //! every cadence shares.
 
 use tva_core::{
-    AllowAll, AuthorizedFlooder, Cadence, GrantPolicy, HostConfig, RequestInfo, RouterConfig,
+    AllowAll, AuthorizedFlooder, Cadence, GrantPolicy, RequestInfo, RouterConfig,
     TvaHostShim, TvaRouterNode, TvaScheduler,
 };
 use tva_sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
-use tva_transport::{ServerNode, TcpConfig};
+use tva_transport::ServerNode;
 use tva_wire::{Addr, Grant};
 
 const ATTACKER: Addr = Addr::new(66, 0, 0, 1);
@@ -40,14 +40,13 @@ fn build(
     tva_sim::NodeId,
     tva_sim::LinkHandle,
 ) {
-    build_with_policy(cadence, grant, Box::new(AllowAll { grant }))
+    build_with_policy(cadence, Box::new(AllowAll { grant }))
 }
 
 /// Same topology as [`build`], but the colluder decides requests with an
 /// arbitrary policy (used to exercise the refused-attacker probe path).
 fn build_with_policy(
     cadence: Cadence,
-    grant: Grant,
     policy: Box<dyn GrantPolicy>,
 ) -> (
     tva_sim::Simulator,
@@ -59,20 +58,8 @@ fn build_with_policy(
     let cfg = RouterConfig { secret_seed: 5, ..Default::default() };
     let mut t = TopologyBuilder::new();
     let router = t.add_node(Box::new(TvaRouterNode::new(cfg.clone(), 10_000_000)));
-    let colluder = t.add_node(Box::new(ServerNode::new(
-        COLLUDER,
-        TcpConfig::default(),
-        Box::new(TvaHostShim::new(
-            COLLUDER,
-            HostConfig {
-                default_grant: grant,
-                misbehavior_bytes_per_sec: f64::INFINITY,
-                misbehavior_demoted_bytes_per_sec: f64::INFINITY,
-                ..HostConfig::default()
-            },
-            policy,
-        )),
-    )));
+    let shim = TvaHostShim::new(COLLUDER, policy);
+    let colluder = t.add_node(Box::new(ServerNode::new(COLLUDER, Box::new(shim))));
     t.bind_addr(colluder, COLLUDER);
     let flooder = AuthorizedFlooder::new(ATTACKER, COLLUDER, 1_000_000).with_cadence(cadence);
     let attacker = t.add_node(Box::new(flooder));
@@ -179,7 +166,6 @@ fn refused_flooder_backs_off_probes_to_the_cap() {
     for cadence in open_cadences() {
         let (mut sim, attacker, _, _, up) = build_with_policy(
             cadence,
-            grant,
             Box::new(GrantWindow { open: never, close: never, grant }),
         );
         sim.kick(attacker, 0);
@@ -209,7 +195,6 @@ fn backoff_resets_when_capabilities_arrive() {
     for cadence in open_cadences() {
         let (mut sim, attacker, _, _, up) = build_with_policy(
             cadence,
-            grant,
             Box::new(GrantWindow {
                 open: SimTime::from_secs(30),
                 close: SimTime::from_secs(60),

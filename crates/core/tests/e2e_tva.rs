@@ -2,11 +2,11 @@
 //! the Figure 7 dumbbell, with and without floods.
 
 use tva_core::{
-    AuthorizedFlooder, ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim,
+    AuthorizedFlooder, ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim,
     TvaRouterNode, TvaScheduler,
 };
 use tva_sim::{DropTail, NodeId, SimDuration, SimTime, Simulator, TopologyBuilder};
-use tva_transport::{summarize, ClientNode, FloodNode, ServerNode, TcpConfig, TOKEN_START};
+use tva_transport::{summarize, ClientNode, FloodNode, ServerNode, TOKEN_START};
 use tva_wire::{Addr, Grant, Packet, PacketId};
 
 const SERVER: Addr = Addr::new(10, 0, 0, 1);
@@ -54,14 +54,9 @@ fn build(
 
     let server_shim = TvaHostShim::new(
         SERVER,
-        HostConfig { default_grant: grant, ..HostConfig::default() },
         Box::new(ServerPolicy::new(grant, SimDuration::from_secs(600))),
     );
-    let server = t.add_node(Box::new(ServerNode::new(
-        SERVER,
-        TcpConfig::default(),
-        Box::new(server_shim),
-    )));
+    let server = t.add_node(Box::new(ServerNode::new(SERVER, Box::new(server_shim))));
     t.bind_addr(server, SERVER);
     let _ = server;
 
@@ -89,7 +84,6 @@ fn build(
         let addr = client_addr(i);
         let shim = TvaHostShim::new(
             addr,
-            HostConfig::default(),
             Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
         );
         let c = t.add_node(Box::new(ClientNode::new(
@@ -97,7 +91,6 @@ fn build(
             SERVER,
             20 * 1024,
             transfers,
-            TcpConfig::default(),
             Box::new(shim),
         )));
         t.bind_addr(c, addr);
@@ -265,14 +258,9 @@ fn tva_colluder_flood_shares_bandwidth_per_destination() {
         // reachable via r2 (node id 1).
         let colluder_shim = TvaHostShim::new(
             COLLUDER,
-            HostConfig::default(),
             Box::new(tva_core::AllowAll { grant: Grant::from_parts(1023, 10) }),
         );
-        let colluder = t.add_node(Box::new(ServerNode::new(
-            COLLUDER,
-            TcpConfig::default(),
-            Box::new(colluder_shim),
-        )));
+        let colluder = t.add_node(Box::new(ServerNode::new(COLLUDER, Box::new(colluder_shim))));
         t.bind_addr(colluder, COLLUDER);
         t.link(
             NodeId(1), // r2

@@ -1,8 +1,6 @@
 //! Router ingress hardening: corrupted on-wire bytes must never panic a
 //! router — they are dropped and accounted in `malformed_drops`.
 
-use std::any::Any;
-
 use tva_core::{RouterConfig, TvaRouterNode};
 use tva_sim::{
     ChannelId, Ctx, DropTail, Impairments, Node, SimDuration, SimTime, SinkNode,
@@ -39,12 +37,6 @@ impl Node for Blaster {
         let id = ctx.alloc_packet_id();
         ctx.send_new(Packet { id, src: SRC, dst: DST, cap: None, tcp: None, payload_len: 0 });
         ctx.set_timer(SimDuration::from_nanos(1_000_000), 0);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -2,6 +2,7 @@
 //! modular-clock expiry, and demotion stickiness.
 
 use proptest::prelude::*;
+use tva_core::scheduler::REQUEST_BURST_BYTES;
 use tva_core::{capability, RouterConfig, TvaRouter, TvaScheduler, Verdict};
 use tva_crypto::SecretSchedule;
 use tva_sim::{ChannelId, QueueDisc, SimDuration, SimTime};
@@ -93,7 +94,7 @@ proptest! {
         }
         let elapsed = t.as_secs_f64().max(1e-9);
         let allowed = (link_bps as f64 / 8.0) * (fraction_pct as f64 / 100.0) * elapsed
-            + cfg.request_burst_bytes as f64;
+            + REQUEST_BURST_BYTES as f64;
         prop_assert!(
             req_bytes as f64 <= allowed + 1500.0,
             "requests got {req_bytes} of {total_bytes} bytes; allowed ≈{allowed:.0}"

@@ -11,11 +11,11 @@
 //! addresses, and the attackers flood authorized traffic "from" the victim.
 
 use tva_core::{
-    AuthorizedFlooder, ClientPolicy, HostConfig, RegularQueueKey, RouterConfig, ServerPolicy,
+    AuthorizedFlooder, ClientPolicy, RegularQueueKey, RouterConfig, ServerPolicy,
     SpoofColluder, TvaHostShim, TvaRouterNode, TvaScheduler,
 };
 use tva_sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
-use tva_transport::{summarize, ClientNode, ServerNode, TcpConfig, TransferSummary, TOKEN_START};
+use tva_transport::{summarize, ClientNode, ServerNode, TransferSummary, TOKEN_START};
 use tva_wire::{Addr, Grant};
 
 const VICTIM: Addr = Addr::new(20, 0, 0, 1);
@@ -50,10 +50,8 @@ fn run_with(key: RegularQueueKey) -> TransferSummary {
 
     let dest = t.add_node(Box::new(ServerNode::new(
         DEST,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             DEST,
-            HostConfig::default(),
             Box::new(ServerPolicy::new(
                 Grant::from_parts(100, 10),
                 SimDuration::from_secs(30),
@@ -101,10 +99,8 @@ fn run_with(key: RegularQueueKey) -> TransferSummary {
         DEST,
         20 * 1024,
         2000,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             VICTIM,
-            HostConfig::default(),
             Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
         )),
     )));

@@ -5,11 +5,11 @@
 //! identity churn with authorization-state forgetting.
 
 use tva_core::{
-    AllowAll, AuthorizedFlooder, Cadence, HostConfig, RouterConfig, SpoofedRequestFlooder,
+    AllowAll, AuthorizedFlooder, Cadence, RouterConfig, SpoofedRequestFlooder,
     TvaHostShim, TvaRouterNode, TvaScheduler,
 };
 use tva_sim::{DropTail, Node, SimDuration, SimTime, TopologyBuilder};
-use tva_transport::{NullShim, ServerNode, Shim, TcpConfig};
+use tva_transport::{NullShim, ServerNode, Shim};
 use tva_wire::{Addr, Grant};
 
 const ATTACKER: Addr = Addr::new(66, 0, 0, 1);
@@ -23,16 +23,7 @@ fn grant() -> Grant {
 /// A TVA shim that grants everything and never blacklists — both the
 /// attacker's sender side and the colluding servers' destination side.
 fn tva_shim(local: Addr) -> Box<dyn Shim> {
-    Box::new(TvaHostShim::new(
-        local,
-        HostConfig {
-            default_grant: grant(),
-            misbehavior_bytes_per_sec: f64::INFINITY,
-            misbehavior_demoted_bytes_per_sec: f64::INFINITY,
-            ..HostConfig::default()
-        },
-        Box::new(AllowAll { grant: grant() }),
-    ))
+    Box::new(TvaHostShim::new(local, Box::new(AllowAll { grant: grant() })))
 }
 
 /// Attacker → TVA router → one always-granting server per address in
@@ -53,11 +44,7 @@ fn build(
     let d = SimDuration::from_millis(5);
     let mut down = Vec::new();
     for &addr in servers {
-        let s = t.add_node(Box::new(ServerNode::new(
-            addr,
-            TcpConfig::default(),
-            tva_shim(addr),
-        )));
+        let s = t.add_node(Box::new(ServerNode::new(addr, tva_shim(addr))));
         t.bind_addr(s, addr);
         let l = t.link(
             router,

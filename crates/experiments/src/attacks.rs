@@ -24,6 +24,8 @@
 //! The search parameters are [`SearchConfig::default`]; `--smoke` runs one
 //! trial per strategy.
 
+use std::any::Any;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -276,10 +278,8 @@ pub fn attribute(sc: &SearchConfig) -> Vec<AttributionRow> {
     run_inspect(&cfg, |sim, nodes| {
         merged.merge(&sim.node::<TvaRouterNode>(nodes.r1).router.flow);
         merged.merge(&sim.node::<TvaRouterNode>(nodes.r2).router.flow);
-        let disc = sim.channel(nodes.bottleneck.ab).queue_disc();
-        if let Some(sched) =
-            disc.as_any().and_then(|a| a.downcast_ref::<TvaScheduler>())
-        {
+        let disc: &dyn Any = sim.channel(nodes.bottleneck.ab).queue_disc();
+        if let Some(sched) = disc.downcast_ref::<TvaScheduler>() {
             merged.merge(&sched.flow);
         }
     });

@@ -13,7 +13,7 @@
 //! deterministic fields (no RSS), so they are byte-identical across runs.
 
 use tva_experiments::figrun::write_json;
-use tva_experiments::report::{ascii_chart, Series};
+use tva_experiments::{ascii_chart, Series};
 use tva_experiments::statebound::{
     drive_leg, hit_rate_leg, vm_hwm_kb, HitPoint, MemPoint, Mode, HIT_SIZES,
 };

@@ -34,12 +34,6 @@ impl tva_sim::Node for Fwd {
         ctx.send(pkt);
     }
     fn on_timer(&mut self, _t: u64, _ctx: &mut dyn tva_sim::Ctx) {}
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 fn main() {
@@ -186,10 +180,4 @@ impl tva_sim::Node for CountingSink {
         }
     }
     fn on_timer(&mut self, _t: u64, _ctx: &mut dyn tva_sim::Ctx) {}
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }

@@ -1,9 +1,10 @@
 //! Shared driver for the figure binaries: run a grid, print the paper's
 //! rows, chart the series, write TSVs under `results/`.
 
+use tva_obs::{ascii_chart, Series};
 use tva_sim::knobs::results_dir;
 
-use crate::report::{ascii_chart, table, write_tsv, Series};
+use crate::report::{table, write_tsv};
 use crate::scenario::{ScenarioConfig, ScenarioResult, Scheme};
 use crate::sweep::run_all;
 

@@ -30,7 +30,8 @@ pub mod sweep;
 
 pub use figures::{fig10, fig11, fig8, fig9, Fidelity};
 pub use observe::{run_observed, snapshot_document, write_observed, write_snapshot, ObservedRun};
-pub use report::{ascii_chart, table, write_tsv, Series};
+pub use report::{table, write_tsv};
+pub use tva_obs::{ascii_chart, Series};
 pub use scenario::{
     attacker_addr, run, run_driven, run_inspect, Attack, BuiltNodes, FaultCounters, LinkFaults,
     ScenarioConfig, ScenarioResult, Scheme, COLLUDER, DEST,

@@ -10,6 +10,7 @@
 //!
 //! [`run`]: crate::scenario::run
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -151,10 +152,8 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
                     sim.node::<TvaRouterNode>(nodes.r2).router.stats.observe("r2", &mut reg);
                     // Request-channel state gauges (key count, policing
                     // bytes) from r1's egress scheduler on the bottleneck.
-                    let disc = sim.channel(nodes.bottleneck.ab).queue_disc();
-                    if let Some(sched) =
-                        disc.as_any().and_then(|a| a.downcast_ref::<TvaScheduler>())
-                    {
+                    let disc: &dyn Any = sim.channel(nodes.bottleneck.ab).queue_disc();
+                    if let Some(sched) = disc.downcast_ref::<TvaScheduler>() {
                         sched.observe_request_channel("r1.sched", &mut reg);
                     }
                 }

@@ -1,18 +1,10 @@
-//! Result output: aligned tables, TSV files, and ASCII charts, so each
-//! figure binary prints the same rows/series the paper plots.
+//! Result output: aligned tables and TSV files, so each figure binary
+//! prints the same rows the paper plots (its charts come from
+//! [`tva_obs::series::ascii_chart`]).
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
-
-/// A labelled series of (x, y) points.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Legend label (e.g. a scheme name).
-    pub label: String,
-    /// Data points.
-    pub points: Vec<(f64, f64)>,
-}
 
 /// Renders rows as an aligned text table.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -61,44 +53,6 @@ pub fn write_tsv(
     fs::write(path, out)
 }
 
-/// Renders series as a simple ASCII chart (one glyph per series). The x
-/// axis is laid out on the data's min..max range; y on 0..y_max.
-pub fn ascii_chart(title: &str, series: &[Series], width: usize, height: usize) -> String {
-    let glyphs = ['*', 'o', '+', 'x', '#', '@'];
-    let all: Vec<(f64, f64)> = series.iter().flat_map(|s| s.points.iter().copied()).collect();
-    if all.is_empty() {
-        return format!("{title}\n(no data)\n");
-    }
-    let (x_min, x_max) = all
-        .iter()
-        .fold((f64::MAX, f64::MIN), |(lo, hi), &(x, _)| (lo.min(x), hi.max(x)));
-    let y_max = all.iter().fold(0.0f64, |m, &(_, y)| m.max(y)).max(1e-12);
-    let x_span = (x_max - x_min).max(1e-12);
-
-    let mut grid = vec![vec![' '; width]; height];
-    for (si, s) in series.iter().enumerate() {
-        let g = glyphs[si % glyphs.len()];
-        for &(x, y) in &s.points {
-            let col = (((x - x_min) / x_span) * (width as f64 - 1.0)).round() as usize;
-            let row = ((y / y_max) * (height as f64 - 1.0)).round() as usize;
-            let row = height - 1 - row.min(height - 1);
-            grid[row][col.min(width - 1)] = g;
-        }
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = writeln!(out, "y_max = {y_max:.3}");
-    for row in grid {
-        let _ = writeln!(out, "|{}", row.iter().collect::<String>());
-    }
-    let _ = writeln!(out, "+{}", "-".repeat(width));
-    let _ = writeln!(out, " x: {x_min:.1} .. {x_max:.1}");
-    for (si, s) in series.iter().enumerate() {
-        let _ = writeln!(out, "   {} = {}", glyphs[si % glyphs.len()], s.label);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,19 +80,5 @@ mod tests {
         let got = std::fs::read_to_string(&path).unwrap();
         assert_eq!(got, "a\tb\n1\t2\n");
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn chart_marks_points() {
-        let s = Series { label: "t".into(), points: vec![(0.0, 0.0), (10.0, 1.0)] };
-        let c = ascii_chart("test", &[s], 20, 5);
-        assert!(c.contains('*'));
-        assert!(c.contains("x: 0.0 .. 10.0"));
-    }
-
-    #[test]
-    fn chart_empty_is_graceful() {
-        let c = ascii_chart("empty", &[], 10, 5);
-        assert!(c.contains("no data"));
     }
 }

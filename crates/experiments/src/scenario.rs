@@ -22,19 +22,19 @@
 //! evidence that they did.
 
 use tva_baselines::{
-    EgressSpec, LegacyRouterNode, PushbackConfig, PushbackRouterNode, SiffConfig, SiffRouterNode,
+    EgressSpec, LegacyRouterNode, PushbackRouterNode, SiffConfig, SiffRouterNode,
     SiffScheduler, SiffShim,
 };
 use tva_core::{
-    AllowAll, AuthorizedFlooder, Cadence, ClientPolicy, GrantPolicy, HostConfig, RouterConfig,
+    AllowAll, AuthorizedFlooder, Cadence, ClientPolicy, GrantPolicy, RouterConfig,
     ServerPolicy, SpoofColluder, SpoofedRequestFlooder, TvaHostShim, TvaRouterNode, TvaScheduler,
 };
 use tva_sim::{
     DropTail, DutyCycleOutage, Impairments, LinkHandle, Node, NodeId, QueueDisc, SimDuration,
-    SimTime, Simulator, TopologyBuilder,
+    SimTime, Simulator, TopologyBuilder, ROUTER_QUEUE_PKTS,
 };
 use tva_transport::{
-    summarize, ClientNode, FloodNode, NullShim, ServerNode, Shim, TcpConfig, TransferRecord,
+    summarize, ClientNode, FloodNode, NullShim, ServerNode, Shim, TransferRecord,
     TransferSummary, TOKEN_START,
 };
 use tva_wire::{Addr, CapHeader, Grant, Packet, PacketId};
@@ -563,7 +563,6 @@ fn flood(rate: u64, src: Addr, cap: Option<CapHeader>, payload_len: u32) -> Box<
 const ACCESS_BPS: u64 = 100_000_000;
 const LINK_DELAY: SimDuration = SimDuration::from_millis(10);
 const HOST_QUEUE: u64 = 1 << 20;
-const ROUTER_QUEUE_PKTS: usize = 50;
 
 /// Runs one scenario to completion. With `TVA_OBS` on, the run feeds this
 /// thread's flight recorder so a panic anywhere (including inside a sweep
@@ -658,14 +657,13 @@ struct Builder<'a> {
     attacker_links: Vec<LinkHandle>,
     /// One per router, in R1, R2, R3 order.
     tva_cfgs: [RouterConfig; 3],
-    siff_cfg: SiffConfig,
 }
 
 impl<'a> Builder<'a> {
     fn new(cfg: &'a ScenarioConfig) -> Self {
-        // Note: `flow_sample_seed` stays at its shared default on purpose —
-        // samplers with one (n, seed) pair can be merged across the routers
-        // and the egress schedulers for whole-testbed attribution.
+        // Every sampler shares `FLOW_SAMPLE_SEED`, so samplers with one
+        // `flow_sample_n` can be merged across the routers and the egress
+        // schedulers for whole-testbed attribution.
         let defaults = RouterConfig::default();
         let tva_cfgs = TVA_SALTS.map(|salt| RouterConfig {
             request_fraction: cfg.request_fraction,
@@ -674,22 +672,17 @@ impl<'a> Builder<'a> {
             per_queue_cap_bytes: cfg.per_queue_cap_bytes.unwrap_or(defaults.per_queue_cap_bytes),
             ..defaults.clone()
         });
-        let siff_cfg = SiffConfig {
-            key_rotation: cfg.siff_key_rotation,
-            accept_previous: cfg.siff_accept_previous,
-            secret_seed: cfg.seed ^ SIFF_SALTS[0],
-            ..SiffConfig::default()
-        };
         let router = |i: usize| -> Box<dyn Node> {
             match cfg.scheme {
                 Scheme::Tva => {
                     Box::new(TvaRouterNode::new(tva_cfgs[i].clone(), cfg.bottleneck_bps))
                 }
                 Scheme::Siff => Box::new(SiffRouterNode::new(SiffConfig {
+                    key_rotation: cfg.siff_key_rotation,
+                    accept_previous: cfg.siff_accept_previous,
                     secret_seed: cfg.seed ^ SIFF_SALTS[i],
-                    ..siff_cfg.clone()
                 })),
-                Scheme::Pushback => Box::new(PushbackRouterNode::new(PushbackConfig::default())),
+                Scheme::Pushback => Box::new(PushbackRouterNode::new()),
                 Scheme::Internet => Box::<LegacyRouterNode>::default(),
             }
         };
@@ -708,7 +701,6 @@ impl<'a> Builder<'a> {
             attackers: Vec::new(),
             attacker_links: Vec::new(),
             tva_cfgs,
-            siff_cfg,
         }
     }
 
@@ -724,7 +716,7 @@ impl<'a> Builder<'a> {
                 let i = self.routers().position(|r| r == which).expect("a router of this testbed");
                 Box::new(TvaScheduler::new(bps, &self.tva_cfgs[i]))
             }
-            Scheme::Siff => Box::new(SiffScheduler::from_config(&self.siff_cfg)),
+            Scheme::Siff => Box::new(SiffScheduler::new()),
             Scheme::Pushback | Scheme::Internet => Box::new(DropTail::packets(ROUTER_QUEUE_PKTS)),
         }
     }
@@ -733,29 +725,18 @@ impl<'a> Builder<'a> {
         Box::new(DropTail::new(HOST_QUEUE))
     }
 
-    /// The scheme's host shim for `addr`, granting by `policy`. `tuning` is
-    /// the TVA host configuration. Pushback and the Internet have no
-    /// authorization concept, so every host there gets the `NullShim`.
-    fn host_shim(
-        &self,
-        addr: Addr,
-        policy: Box<dyn GrantPolicy>,
-        tuning: HostConfig,
-    ) -> Box<dyn Shim> {
+    /// The scheme's host shim for `addr`, granting by `policy`. Pushback
+    /// and the Internet have no authorization concept, so every host there
+    /// gets the `NullShim`.
+    fn host_shim(&self, addr: Addr, policy: Box<dyn GrantPolicy>) -> Box<dyn Shim> {
         match self.cfg.scheme {
-            Scheme::Tva => Box::new(TvaHostShim::new(addr, tuning, policy)),
+            Scheme::Tva => Box::new(TvaHostShim::new(addr, policy)),
             Scheme::Siff => {
                 // Hosts refresh marks slightly faster than routers rotate keys.
                 let refresh = SimDuration::from_nanos(
                     (self.cfg.siff_key_rotation.as_nanos() as f64 * 0.9) as u64,
                 );
-                let mut s = SiffShim::new(addr, policy, refresh);
-                // SIFF keeps its own report threshold; only a colluder's
-                // "never reports" carries over from the TVA tuning.
-                if tuning.misbehavior_bytes_per_sec == f64::INFINITY {
-                    s.misbehavior_bytes_per_sec = f64::INFINITY;
-                }
-                Box::new(s)
+                Box::new(SiffShim::new(addr, policy, refresh))
             }
             Scheme::Pushback | Scheme::Internet => Box::new(NullShim),
         }
@@ -783,11 +764,7 @@ impl<'a> Builder<'a> {
                 policy.single_grant(attacker_addr(i));
             }
         }
-        self.host_shim(
-            DEST,
-            Box::new(policy),
-            HostConfig { default_grant: self.cfg.grant, ..HostConfig::default() },
-        )
+        self.host_shim(DEST, Box::new(policy))
     }
 
     /// A router-to-router link at the bottleneck's capacity.
@@ -891,26 +868,17 @@ impl<'a> Builder<'a> {
         cadence: Cadence,
     ) -> Box<AuthorizedFlooder> {
         let policy = AllowAll { grant: Grant::from_parts(1023, 10) };
-        let shim = self.host_shim(addr, Box::new(policy), HostConfig::default());
+        let shim = self.host_shim(addr, Box::new(policy));
         Box::new(AuthorizedFlooder::with_shim(addr, target, rate, shim).with_cadence(cadence))
     }
 
     /// Adds a cooperating destination at `addr` behind the bottleneck: it
-    /// grants every request, never reports misbehavior, and absorbs the
-    /// authorized flood.
+    /// grants every request, never blacklists (`AllowAll` ignores
+    /// misbehavior reports), and absorbs the authorized flood.
     fn add_colluder_server(&mut self, addr: Addr) {
-        let shim = self.host_shim(
-            addr,
-            Box::new(AllowAll { grant: Grant::from_parts(1023, 10) }),
-            HostConfig {
-                default_grant: Grant::from_parts(1023, 10),
-                // The colluder never reports its friends.
-                misbehavior_bytes_per_sec: f64::INFINITY,
-                ..HostConfig::default()
-            },
-        );
-        let colluder =
-            self.topo.add_node(Box::new(ServerNode::new(addr, TcpConfig::default(), shim)));
+        let policy = AllowAll { grant: Grant::from_parts(1023, 10) };
+        let shim = self.host_shim(addr, Box::new(policy));
+        let colluder = self.topo.add_node(Box::new(ServerNode::new(addr, shim)));
         self.topo.bind_addr(colluder, addr);
         let qc = self.router_queue(self.r2, ACCESS_BPS);
         self.topo.link(self.r2, colluder, ACCESS_BPS, LINK_DELAY, qc, self.host_queue());
@@ -924,11 +892,7 @@ impl<'a> Builder<'a> {
         let cfg = self.cfg.clone();
 
         // Destination host.
-        let dest = self.topo.add_node(Box::new(ServerNode::new(
-            DEST,
-            TcpConfig::default(),
-            self.dest_shim(),
-        )));
+        let dest = self.topo.add_node(Box::new(ServerNode::new(DEST, self.dest_shim())));
         self.topo.bind_addr(dest, DEST);
 
         // Bottleneck, then the two-hop detour around it.
@@ -979,13 +943,12 @@ impl<'a> Builder<'a> {
         for i in 0..cfg.n_users {
             let addr = user_addr(i);
             let policy = ClientPolicy { grant: Grant::from_parts(100, 10) };
-            let shim = self.host_shim(addr, Box::new(policy), HostConfig::default());
+            let shim = self.host_shim(addr, Box::new(policy));
             let c = self.topo.add_node(Box::new(ClientNode::new(
                 addr,
                 DEST,
                 cfg.file_size,
                 cfg.transfers_per_user,
-                TcpConfig::default(),
                 shim,
             )));
             self.attach_host(c, addr, self.r1);

@@ -8,7 +8,7 @@
 //!    concurrent flows, in *exact* mode (table sized to the paper's
 //!    `C/(N/T)min` bound) and in *bounded* mode (the same table capped at
 //!    4096 entries). Both modes share the request channel, a per-path key
-//!    table capped at `max_request_queues`. Exact state grows linearly
+//!    table capped at `MAX_REQUEST_QUEUES`. Exact state grows linearly
 //!    with flows; bounded state is flat.
 //! 2. **Hit rate vs cache size** — a skewed (log-uniform) reference stream
 //!    over 8192 flows against tables of increasing capacity: the cost of
@@ -237,6 +237,7 @@ fn hit_cap(idx: usize, gen: u64) -> CapValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tva_core::scheduler::MAX_REQUEST_QUEUES;
 
     #[test]
     fn exact_state_grows_with_flows_while_bounded_stays_flat() {
@@ -260,8 +261,7 @@ mod tests {
         );
         assert_eq!(e1.table_entries, 6_000, "exact admits every live flow");
         assert!(b2.table_entries <= BOUNDED_CACHE_ENTRIES);
-        let key_bound = RouterConfig::default().max_request_queues;
-        assert_eq!(b2.request_keys, key_bound, "20k paths fill the request key table");
+        assert_eq!(b2.request_keys, MAX_REQUEST_QUEUES, "20k paths fill the request key table");
         assert_eq!(b2.request_bytes, e2.request_bytes, "both modes share the request channel");
     }
 

@@ -9,7 +9,7 @@
 
 use serde_json::Value;
 use tva_baselines::siff::SiffStats;
-use tva_baselines::{PushbackConfig, PushbackRouterNode, PushbackStats};
+use tva_baselines::{PushbackRouterNode, PushbackStats};
 use tva_core::{RouterStats, SchedulerStats};
 use tva_experiments::robustness::fold_metrics;
 use tva_experiments::{FaultCounters, ScenarioResult};
@@ -80,7 +80,7 @@ fn baseline_stats_publish_every_counter() {
     reg.set_counters("r1", &siff);
     check("SiffStats", &siff, &reg, "r1");
 
-    let mut pushback = PushbackRouterNode::new(PushbackConfig::default());
+    let mut pushback = PushbackRouterNode::new();
     pushback.stats = distinct::<PushbackStats>();
     let mut reg = Registry::new();
     pushback.observe("r1", &mut reg);

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use serde_json::Value;
-use tva_obs::{top, SeriesSet};
+use tva_obs::{ascii_chart, top, Series};
 
 fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
@@ -66,8 +66,7 @@ fn main() -> ExitCode {
 
     let mut buf = vec![0u8; 1 << 20];
     let mut prev: Option<Value> = None;
-    let mut history = SeriesSet::new();
-    let pps_col = history.column("pps");
+    let mut history = Series { label: "forwarded pps".into(), points: Vec::new() };
     let mut t = 0.0f64;
 
     loop {
@@ -90,8 +89,7 @@ fn main() -> ExitCode {
             let dt = (n1 - n0) / 1e9;
             if dt > 0.0 {
                 t += dt;
-                history.begin(t);
-                history.set(pps_col, (tx1 - tx0) / dt);
+                history.points.push((t, (tx1 - tx0) / dt));
             }
         }
         if raw {
@@ -111,7 +109,11 @@ fn main() -> ExitCode {
             }
             return ExitCode::SUCCESS;
         }
-        let chart = if history.is_empty() { String::new() } else { history.ascii_chart("pps", 6) };
+        let chart = if history.points.is_empty() {
+            String::new()
+        } else {
+            ascii_chart("pps history (x: seconds)", std::slice::from_ref(&history), 60, 6)
+        };
         match top::render(prev.as_ref(), &curr, Some(&chart)) {
             Ok(frame) => {
                 if !once {

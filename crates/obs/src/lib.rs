@@ -53,7 +53,7 @@ pub use flight::{
 pub use flow::{format_prefix24, FlowClass, FlowCounters, FlowKey, FlowSampler, FlowVerdict};
 pub use hist::Histogram;
 pub use registry::{CounterId, GaugeId, HistId, Observe, Registry};
-pub use series::{ColId, SeriesSet};
+pub use series::{ascii_chart, ColId, Series, SeriesSet};
 
 use std::path::PathBuf;
 

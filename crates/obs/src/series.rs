@@ -6,8 +6,60 @@
 //! length. The sampling driver calls [`SeriesSet::begin`] once per bucket
 //! and then [`SeriesSet::set`] for each column, so ragged data is
 //! impossible by construction.
+//!
+//! [`ascii_chart`] is the one terminal chart renderer: the figure binaries
+//! plot their [`Series`] through it, and so does `tva-top`'s pps history.
+
+use std::fmt::Write as _;
 
 use serde_json::{Map, Value};
+
+/// A labelled series of (x, y) points.
+#[derive(Debug, Clone)]
+pub struct Series {
+    /// Legend label (e.g. a scheme name).
+    pub label: String,
+    /// Data points.
+    pub points: Vec<(f64, f64)>,
+}
+
+/// Renders series as a simple ASCII chart (one glyph per series). The x
+/// axis is laid out on the data's min..max range; y on 0..y_max.
+pub fn ascii_chart(title: &str, series: &[Series], width: usize, height: usize) -> String {
+    let glyphs = ['*', 'o', '+', 'x', '#', '@'];
+    let all: Vec<(f64, f64)> = series.iter().flat_map(|s| s.points.iter().copied()).collect();
+    if all.is_empty() {
+        return format!("{title}\n(no data)\n");
+    }
+    let (x_min, x_max) = all
+        .iter()
+        .fold((f64::MAX, f64::MIN), |(lo, hi), &(x, _)| (lo.min(x), hi.max(x)));
+    let y_max = all.iter().fold(0.0f64, |m, &(_, y)| m.max(y)).max(1e-12);
+    let x_span = (x_max - x_min).max(1e-12);
+
+    let mut grid = vec![vec![' '; width]; height];
+    for (si, s) in series.iter().enumerate() {
+        let g = glyphs[si % glyphs.len()];
+        for &(x, y) in &s.points {
+            let col = (((x - x_min) / x_span) * (width as f64 - 1.0)).round() as usize;
+            let row = ((y / y_max) * (height as f64 - 1.0)).round() as usize;
+            let row = height - 1 - row.min(height - 1);
+            grid[row][col.min(width - 1)] = g;
+        }
+    }
+    let mut out = String::new();
+    let _ = writeln!(out, "{title}");
+    let _ = writeln!(out, "y_max = {y_max:.3}");
+    for row in grid {
+        let _ = writeln!(out, "|{}", row.iter().collect::<String>());
+    }
+    let _ = writeln!(out, "+{}", "-".repeat(width));
+    let _ = writeln!(out, " x: {x_min:.1} .. {x_max:.1}");
+    for (si, s) in series.iter().enumerate() {
+        let _ = writeln!(out, "   {} = {}", glyphs[si % glyphs.len()], s.label);
+    }
+    out
+}
 
 /// Handle to a registered series column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,28 +142,6 @@ impl SeriesSet {
         root.insert("series".into(), Value::Object(series));
         Value::Object(root)
     }
-
-    /// A small fixed-width ASCII chart of one column (terminal-friendly
-    /// dynamics view for reports). Returns an empty string for unknown or
-    /// empty columns.
-    pub fn ascii_chart(&self, name: &str, height: usize) -> String {
-        let Some(vals) = self.values(name) else { return String::new() };
-        if vals.is_empty() || height == 0 {
-            return String::new();
-        }
-        let max = vals.iter().cloned().fold(0.0_f64, f64::max);
-        let scale = if max > 0.0 { height as f64 / max } else { 0.0 };
-        let mut out = String::new();
-        for level in (1..=height).rev() {
-            let threshold = level as f64 - 0.5;
-            for &v in vals {
-                out.push(if v * scale >= threshold { '#' } else { ' ' });
-            }
-            out.push('\n');
-        }
-        out.push_str(&format!("{name}: max={max:.4} over {} samples\n", vals.len()));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -162,15 +192,26 @@ mod tests {
 
     #[test]
     fn ascii_chart_is_bounded() {
-        let mut s = SeriesSet::new();
-        let a = s.column("q");
-        for i in 0..10 {
-            s.begin(i as f64);
-            s.set(a, i as f64);
-        }
-        let chart = s.ascii_chart("q", 4);
-        assert_eq!(chart.lines().count(), 5);
-        assert!(chart.contains('#'));
-        assert_eq!(s.ascii_chart("missing", 4), "");
+        // Title, y_max, `height` rows, axis, x range, one legend line: the
+        // frame never grows with the data, and no row outgrows the width.
+        let points = (0..100).map(|i| (i as f64, (i * i) as f64)).collect();
+        let chart = ascii_chart("q", &[Series { label: "q".into(), points }], 20, 4);
+        assert_eq!(chart.lines().count(), 4 + 5);
+        assert!(chart.lines().all(|l| l.chars().count() <= 21));
+        assert!(chart.contains('*'));
+    }
+
+    #[test]
+    fn chart_marks_points() {
+        let s = Series { label: "t".into(), points: vec![(0.0, 0.0), (10.0, 1.0)] };
+        let c = ascii_chart("test", &[s], 20, 5);
+        assert!(c.contains('*'));
+        assert!(c.contains("x: 0.0 .. 10.0"));
+    }
+
+    #[test]
+    fn chart_empty_is_graceful() {
+        let c = ascii_chart("empty", &[], 10, 5);
+        assert!(c.contains("no data"));
     }
 }

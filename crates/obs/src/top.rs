@@ -113,7 +113,7 @@ fn fmt_ns(ns: f64) -> String {
 /// Renders one dashboard frame. `prev` (the previous poll's document)
 /// enables the rate columns; without it the frame shows cumulative
 /// counters only. `chart` is an optional pre-rendered pps-history block
-/// (from [`crate::SeriesSet::ascii_chart`]) appended verbatim.
+/// (from [`crate::ascii_chart`]) appended verbatim.
 ///
 /// Fails (rather than rendering garbage) when the snapshot does not
 /// validate against the supported schema version.

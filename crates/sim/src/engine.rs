@@ -11,6 +11,8 @@
 //! the next one's key, applies it, and re-converges routes. See DESIGN.md
 //! §4f.
 
+use std::any::Any;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -804,7 +806,8 @@ impl Simulator {
     /// `T` — the non-panicking variant of [`Simulator::node`], for auditors
     /// scanning heterogeneous node sets.
     pub fn try_node<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.nodes[id.0].as_any().downcast_ref::<T>()
+        let node: &dyn Any = &*self.nodes[id.0];
+        node.downcast_ref::<T>()
     }
 
     /// Number of nodes, for iterating `NodeId(0..n)`.
@@ -837,7 +840,8 @@ impl Simulator {
 
     /// Mutable access to a node, downcast to its concrete type.
     pub fn node_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
-        self.nodes[id.0].as_any_mut().downcast_mut::<T>().expect("node type mismatch")
+        let node: &mut dyn Any = &mut *self.nodes[id.0];
+        node.downcast_mut::<T>().expect("node type mismatch")
     }
 
     /// Channel metadata and statistics.

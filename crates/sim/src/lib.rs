@@ -51,7 +51,7 @@ pub use fault::{splitmix64, DutyCycleOutage, Impairments};
 pub use intern::AddrInterner;
 pub use node::{Ctx, Node, SinkNode};
 pub use pool::{pool_stats, Pkt, PoolStats};
-pub use queue::{DropTail, Enqueued, QueueDisc};
+pub use queue::{DropTail, Enqueued, QueueDisc, ROUTER_QUEUE_PKTS};
 pub use stats::{ChannelStats, Counters};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkHandle, TopologyBuilder};

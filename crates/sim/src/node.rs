@@ -15,7 +15,9 @@ use tva_wire::Packet;
 /// A simulated network element.
 ///
 /// `Send` so a built simulator can move to another thread (a sweep
-/// worker, say); the engine itself runs every node on one thread.
+/// worker, say); the engine itself runs every node on one thread. `Any`
+/// so [`crate::Simulator::node`] can hand back the concrete type for
+/// post-simulation inspection.
 pub trait Node: Any + Send {
     /// Called when a packet arrives at this node on channel `from`.
     fn on_packet(&mut self, pkt: Pkt, from: ChannelId, ctx: &mut dyn Ctx);
@@ -29,12 +31,6 @@ pub trait Node: Any + Send {
     fn on_malformed(&mut self, error: tva_wire::WireError, from: ChannelId, ctx: &mut dyn Ctx) {
         let _ = (error, from, ctx);
     }
-
-    /// Downcast support for post-simulation inspection.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Downcast support for configuration between runs.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// The services the engine offers a node during a callback.
@@ -100,12 +96,4 @@ impl Node for SinkNode {
     }
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Ctx) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }

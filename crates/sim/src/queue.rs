@@ -7,6 +7,8 @@
 //! hold packets back even while the link is idle; [`QueueDisc::next_ready`]
 //! lets them tell the link when to poll again.
 
+use std::any::Any;
+
 use crate::pool::Pkt;
 use crate::time::SimTime;
 
@@ -27,8 +29,11 @@ impl Enqueued {
     }
 }
 
-/// An egress queue discipline.
-pub trait QueueDisc: Send {
+/// An egress queue discipline. `Any` lets auditors that inspect specific
+/// scheduler types (e.g. cross-checking a TVA scheduler's per-class
+/// counters against its router's validation counters) downcast a
+/// `&dyn QueueDisc` with `downcast_ref`.
+pub trait QueueDisc: Any + Send {
     /// Offers a packet at time `now`.
     fn enqueue(&mut self, pkt: Pkt, now: SimTime) -> Enqueued;
 
@@ -58,15 +63,13 @@ pub trait QueueDisc: Send {
     fn audit(&self) -> Result<(), String> {
         Ok(())
     }
-
-    /// The concrete discipline as `Any`, for auditors that inspect specific
-    /// scheduler types (e.g. cross-checking a TVA scheduler's per-class
-    /// counters against its router's validation counters). Disciplines
-    /// without such cross-checks keep the `None` default.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
 }
+
+/// Packet capacity of every router FIFO: the Internet and pushback egress
+/// queues, SIFF's two classes and the TVA scheduler's legacy class. ns-2's
+/// default DropTail (the paper's §5 simulator) limits packets, not bytes,
+/// and holds 50 (DESIGN §3a, item 1).
+pub const ROUTER_QUEUE_PKTS: usize = 50;
 
 /// A bounded drop-tail FIFO — the legacy Internet's queue and the building
 /// block inside fancier disciplines. Limits may be imposed in bytes, in

@@ -265,12 +265,6 @@ mod tests {
             ctx.send(pkt);
         }
         fn on_timer(&mut self, _token: u64, _ctx: &mut dyn crate::node::Ctx) {}
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]

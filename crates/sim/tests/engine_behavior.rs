@@ -1,8 +1,6 @@
 //! Engine-level behavioural tests: link timing, bottleneck saturation,
 //! rate-limited queues waking the link, and determinism.
 
-use std::any::Any;
-
 use tva_sim::{
     queue::Enqueued, ChannelId, Ctx, DropTail, Node, Pkt, QueueDisc, SimDuration, SimTime,
     SinkNode, TokenBucket, TopologyBuilder,
@@ -36,12 +34,6 @@ impl Node for Blaster {
             self.sent += 1;
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Records arrival times.
@@ -55,12 +47,6 @@ impl Node for Recorder {
         self.times.push(_ctx.now());
     }
     fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Ctx) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[test]

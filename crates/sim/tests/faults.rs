@@ -2,7 +2,6 @@
 //! runtime link failure with route re-convergence, and the determinism
 //! guarantees around both.
 
-use std::any::Any;
 use std::sync::{Arc, Mutex};
 
 use tva_sim::{
@@ -29,12 +28,6 @@ impl Node for Fwd {
         ctx.send(pkt);
     }
     fn on_timer(&mut self, _token: u64, _ctx: &mut dyn Ctx) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Emits one packet per millisecond until `remaining` runs out.
@@ -67,12 +60,6 @@ impl Node for Blaster {
         });
         ctx.set_timer(SimDuration::from_millis(1), 0);
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A sink that also counts malformed deliveries and records their errors.
@@ -90,12 +77,6 @@ impl Node for MalformedSink {
     fn on_malformed(&mut self, error: WireError, _from: ChannelId, _ctx: &mut dyn Ctx) {
         self.malformed += 1;
         self.errors.push(error);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

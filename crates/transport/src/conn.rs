@@ -14,7 +14,10 @@ use std::collections::BTreeMap;
 use tva_sim::{Pkt, SimDuration, SimTime};
 use tva_wire::{Addr, DetHashMap, Packet, PacketId, TcpFlags, TcpSegment};
 
-use crate::config::TcpConfig;
+use crate::config::{
+    ABORT_RTO, DUPACK_THRESHOLD, INITIAL_RTO, INIT_CWND, INIT_SSTHRESH, MAX_SEG_TX, MIN_RTO, MSS,
+    SYN_MAX_TX, SYN_TIMEOUT,
+};
 
 /// Identifies a connection from the local host's perspective.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -112,7 +115,6 @@ impl SenderConn {
         key: ConnKey,
         local: Addr,
         bytes_total: u32,
-        cfg: &TcpConfig,
         now: SimTime,
         out: &mut Vec<Pkt>,
         recycled: Option<SenderConn>,
@@ -133,18 +135,18 @@ impl SenderConn {
             bytes_total,
             snd_una: 0,
             snd_nxt: 1,
-            cwnd: cfg.init_cwnd as f64,
-            ssthresh: cfg.init_ssthresh as f64,
+            cwnd: INIT_CWND as f64,
+            ssthresh: INIT_SSTHRESH as f64,
             dup_acks: 0,
             rtt: None,
-            base_rto: cfg.initial_rto,
+            base_rto: INITIAL_RTO,
             backoff: 0,
             timer: None,
             syn_tx: 0,
             tx_counts,
             send_times,
         };
-        c.send_syn(cfg, now, out);
+        c.send_syn(now, out);
         c
     }
 
@@ -152,9 +154,9 @@ impl SenderConn {
         self.bytes_total + 1
     }
 
-    fn send_syn(&mut self, cfg: &TcpConfig, now: SimTime, out: &mut Vec<Pkt>) {
+    fn send_syn(&mut self, now: SimTime, out: &mut Vec<Pkt>) {
         self.syn_tx += 1;
-        self.timer = Some(now + cfg.syn_timeout);
+        self.timer = Some(now + SYN_TIMEOUT);
         out.push(Pkt::new(Packet {
             id: PacketId(0),
             src: self.local,
@@ -170,8 +172,8 @@ impl SenderConn {
     }
 
     /// The effective RTO including backoff.
-    fn rto(&self, cfg: &TcpConfig) -> SimDuration {
-        let base = self.base_rto.max(cfg.min_rto);
+    fn rto(&self) -> SimDuration {
+        let base = self.base_rto.max(MIN_RTO);
         base * (1u64 << self.backoff.min(16))
     }
 
@@ -185,12 +187,11 @@ impl SenderConn {
     fn transmit_seg(
         &mut self,
         seq: u32,
-        cfg: &TcpConfig,
         now: SimTime,
         out: &mut Vec<Pkt>,
     ) -> bool {
         let count = self.tx_counts.entry(seq).or_insert(0);
-        if *count >= cfg.max_seg_tx {
+        if *count >= MAX_SEG_TX {
             return false;
         }
         *count += 1;
@@ -203,19 +204,19 @@ impl SenderConn {
         let (len, fin) = if seq == self.fin_seq() {
             (0, true)
         } else {
-            ((self.bytes_total + 1 - seq).min(cfg.mss), false)
+            ((self.bytes_total + 1 - seq).min(MSS), false)
         };
         out.push(Pkt::new(self.seg_packet(seq, len, fin)));
         true
     }
 
     /// Fills the congestion window with new segments.
-    fn push_window(&mut self, cfg: &TcpConfig, now: SimTime, out: &mut Vec<Pkt>) {
-        let cwnd_bytes = (self.cwnd * cfg.mss as f64) as u32;
+    fn push_window(&mut self, now: SimTime, out: &mut Vec<Pkt>) {
+        let cwnd_bytes = (self.cwnd * MSS as f64) as u32;
         while self.snd_nxt <= self.bytes_total && self.flight() < cwnd_bytes {
             let seq = self.snd_nxt;
-            let len = (self.bytes_total + 1 - seq).min(cfg.mss);
-            if !self.transmit_seg(seq, cfg, now, out) {
+            let len = (self.bytes_total + 1 - seq).min(MSS);
+            if !self.transmit_seg(seq, now, out) {
                 break; // budget exhausted; timeout path will abort
             }
             self.snd_nxt += len;
@@ -223,12 +224,12 @@ impl SenderConn {
         // FIN once all data is out and acked.
         if self.state == SenderState::Finishing
             && self.snd_nxt == self.fin_seq()
-            && self.transmit_seg(self.fin_seq(), cfg, now, out)
+            && self.transmit_seg(self.fin_seq(), now, out)
         {
             self.snd_nxt += 1;
         }
         if self.timer.is_none() && self.flight() > 0 {
-            self.timer = Some(now + self.rto(cfg));
+            self.timer = Some(now + self.rto());
         }
     }
 
@@ -236,7 +237,6 @@ impl SenderConn {
     pub fn on_segment(
         &mut self,
         seg: &TcpSegment,
-        cfg: &TcpConfig,
         now: SimTime,
         out: &mut Vec<Pkt>,
     ) -> SenderEvent {
@@ -254,9 +254,9 @@ impl SenderConn {
                     // Sample handshake RTT from the last SYN only if it was
                     // the first (Karn).
                     if self.syn_tx == 1 {
-                        self.rtt_sample(now.since(self.opened_at), cfg);
+                        self.rtt_sample(now.since(self.opened_at));
                     }
-                    self.push_window(cfg, now, out);
+                    self.push_window(now, out);
                 }
                 SenderEvent::None
             }
@@ -264,7 +264,7 @@ impl SenderConn {
                 if !seg.flags.ack {
                     return SenderEvent::None;
                 }
-                self.process_ack(seg.ack, cfg, now, out)
+                self.process_ack(seg.ack, now, out)
             }
             SenderState::Closed | SenderState::Aborted(_) => SenderEvent::None,
         }
@@ -273,7 +273,6 @@ impl SenderConn {
     fn process_ack(
         &mut self,
         ack: u32,
-        cfg: &TcpConfig,
         now: SimTime,
         out: &mut Vec<Pkt>,
     ) -> SenderEvent {
@@ -287,7 +286,7 @@ impl SenderConn {
         if ack > self.snd_una {
             // New data acknowledged.
             if let Some(sent) = self.send_times.remove(&self.snd_una) {
-                self.rtt_sample(now.since(sent), cfg);
+                self.rtt_sample(now.since(sent));
             }
             // Drop bookkeeping for fully acked segments.
             self.tx_counts.retain(|&seq, _| seq >= ack);
@@ -303,13 +302,13 @@ impl SenderConn {
             }
             // Restart the retransmission timer.
             self.timer =
-                if self.snd_una < self.snd_nxt { Some(now + self.rto(cfg)) } else { None };
+                if self.snd_una < self.snd_nxt { Some(now + self.rto()) } else { None };
 
             if self.state == SenderState::Established && self.snd_una == self.fin_seq() {
                 // All data acked.
                 self.state = SenderState::Finishing;
                 self.completed_at = Some(now);
-                self.push_window(cfg, now, out);
+                self.push_window(now, out);
                 return SenderEvent::DataComplete;
             }
             if self.state == SenderState::Finishing && ack > self.fin_seq() {
@@ -317,21 +316,21 @@ impl SenderConn {
                 self.timer = None;
                 return SenderEvent::None;
             }
-            self.push_window(cfg, now, out);
+            self.push_window(now, out);
             SenderEvent::None
         } else if ack == self.snd_una && self.flight() > 0 {
             // Duplicate ACK.
             self.dup_acks += 1;
-            if self.dup_acks == cfg.dupack_threshold {
+            if self.dup_acks == DUPACK_THRESHOLD {
                 // Fast retransmit + multiplicative decrease.
-                let flight_segs = (self.flight() as f64 / cfg.mss as f64).max(1.0);
+                let flight_segs = (self.flight() as f64 / MSS as f64).max(1.0);
                 self.ssthresh = (flight_segs / 2.0).max(2.0);
                 self.cwnd = self.ssthresh;
                 let seq = self.snd_una.max(1);
-                if !self.transmit_seg(seq, cfg, now, out) {
+                if !self.transmit_seg(seq, now, out) {
                     return self.abort(AbortReason::TooManyRetx);
                 }
-                self.timer = Some(now + self.rto(cfg));
+                self.timer = Some(now + self.rto());
             }
             SenderEvent::None
         } else {
@@ -342,18 +341,17 @@ impl SenderConn {
     /// Handles timer expiry; call only when `timer` is due.
     pub fn on_timeout(
         &mut self,
-        cfg: &TcpConfig,
         now: SimTime,
         out: &mut Vec<Pkt>,
     ) -> SenderEvent {
         self.timer = None;
         match self.state {
             SenderState::SynSent => {
-                if self.syn_tx >= cfg.syn_max_tx {
+                if self.syn_tx >= SYN_MAX_TX {
                     return self.abort(AbortReason::SynTimeout);
                 }
                 // Fixed timeout, no backoff (paper §5).
-                self.send_syn(cfg, now, out);
+                self.send_syn(now, out);
                 SenderEvent::None
             }
             SenderState::Established | SenderState::Finishing => {
@@ -362,17 +360,17 @@ impl SenderConn {
                 }
                 // Backed-off RTO; abort if it exceeds the paper's 64 s cap.
                 self.backoff += 1;
-                if self.rto(cfg) > cfg.abort_rto {
+                if self.rto() > ABORT_RTO {
                     return self.abort(AbortReason::RtoTooLarge);
                 }
-                self.ssthresh = ((self.flight() as f64 / cfg.mss as f64) / 2.0).max(2.0);
+                self.ssthresh = ((self.flight() as f64 / MSS as f64) / 2.0).max(2.0);
                 self.cwnd = 1.0;
                 self.dup_acks = 0;
                 let seq = self.snd_una.max(1);
-                if !self.transmit_seg(seq, cfg, now, out) {
+                if !self.transmit_seg(seq, now, out) {
                     return self.abort(AbortReason::TooManyRetx);
                 }
-                self.timer = Some(now + self.rto(cfg));
+                self.timer = Some(now + self.rto());
                 SenderEvent::None
             }
             SenderState::Closed | SenderState::Aborted(_) => SenderEvent::None,
@@ -385,7 +383,7 @@ impl SenderConn {
         SenderEvent::Aborted(reason)
     }
 
-    fn rtt_sample(&mut self, sample: SimDuration, cfg: &TcpConfig) {
+    fn rtt_sample(&mut self, sample: SimDuration) {
         let r = sample.as_secs_f64();
         let (srtt, rttvar) = match self.rtt {
             None => (r, r / 2.0),
@@ -397,7 +395,7 @@ impl SenderConn {
         };
         self.rtt = Some((srtt, rttvar));
         let rto = srtt + 4.0 * rttvar;
-        self.base_rto = SimDuration::from_secs_f64(rto).max(cfg.min_rto);
+        self.base_rto = SimDuration::from_secs_f64(rto).max(MIN_RTO);
     }
 
     /// True once the connection needs no further processing.
@@ -506,10 +504,6 @@ fn out_packet(local: Addr, key: ConnKey, seq: u32, ack: u32, payload: u32, fin: 
 mod tests {
     use super::*;
 
-    fn cfg() -> TcpConfig {
-        TcpConfig::default()
-    }
-
     fn key() -> ConnKey {
         ConnKey { peer: Addr::new(2, 0, 0, 1), local_port: 1000, peer_port: 80 }
     }
@@ -539,7 +533,7 @@ mod tests {
     #[test]
     fn open_emits_syn() {
         let mut out = Vec::new();
-        let c = SenderConn::open(key(), LOCAL, 5000, &cfg(), SimTime::ZERO, &mut out, None);
+        let c = SenderConn::open(key(), LOCAL, 5000, SimTime::ZERO, &mut out, None);
         assert_eq!(out.len(), 1);
         assert!(out[0].tcp.unwrap().flags.syn);
         assert_eq!(c.state, SenderState::SynSent);
@@ -549,10 +543,10 @@ mod tests {
     #[test]
     fn synack_opens_initial_window() {
         let mut out = Vec::new();
-        let mut c = SenderConn::open(key(), LOCAL, 5000, &cfg(), SimTime::ZERO, &mut out, None);
+        let mut c = SenderConn::open(key(), LOCAL, 5000, SimTime::ZERO, &mut out, None);
         out.clear();
         let t = SimTime::from_nanos(60_000_000);
-        c.on_segment(&synack(), &cfg(), t, &mut out);
+        c.on_segment(&synack(), t, &mut out);
         assert_eq!(c.state, SenderState::Established);
         // init_cwnd = 2 segments.
         assert_eq!(out.len(), 2);
@@ -564,25 +558,25 @@ mod tests {
     #[test]
     fn acks_grow_window_and_complete() {
         let mut out = Vec::new();
-        let mut c = SenderConn::open(key(), LOCAL, 3000, &cfg(), SimTime::ZERO, &mut out, None);
+        let mut c = SenderConn::open(key(), LOCAL, 3000, SimTime::ZERO, &mut out, None);
         let mut now = SimTime::from_nanos(60_000_000);
-        c.on_segment(&synack(), &cfg(), now, &mut out);
+        c.on_segment(&synack(), now, &mut out);
         // ACK first segment: window grows, third (final) segment flows.
         out.clear();
         now += SimDuration::from_millis(60);
-        let ev = c.on_segment(&ack(1001), &cfg(), now, &mut out);
+        let ev = c.on_segment(&ack(1001), now, &mut out);
         assert_eq!(ev, SenderEvent::None);
         assert_eq!(out.len(), 1, "third segment sent");
         // ACK everything: DataComplete and FIN emitted.
         out.clear();
         now += SimDuration::from_millis(60);
-        let ev = c.on_segment(&ack(3001), &cfg(), now, &mut out);
+        let ev = c.on_segment(&ack(3001), now, &mut out);
         assert_eq!(ev, SenderEvent::DataComplete);
         assert_eq!(c.completed_at, Some(now));
         assert_eq!(out.len(), 1);
         assert!(out[0].tcp.unwrap().flags.fin);
         // ACK the FIN: closed.
-        let ev = c.on_segment(&ack(3002), &cfg(), now, &mut out);
+        let ev = c.on_segment(&ack(3002), now, &mut out);
         assert_eq!(ev, SenderEvent::None);
         assert_eq!(c.state, SenderState::Closed);
         assert!(c.finished());
@@ -591,18 +585,18 @@ mod tests {
     #[test]
     fn syn_retransmits_fixed_interval_then_aborts() {
         let mut out = Vec::new();
-        let mut c = SenderConn::open(key(), LOCAL, 1000, &cfg(), SimTime::ZERO, &mut out, None);
+        let mut c = SenderConn::open(key(), LOCAL, 1000, SimTime::ZERO, &mut out, None);
         for i in 1..9 {
             out.clear();
             let due = c.timer.expect("SYN timer armed");
             assert_eq!(due, SimTime::from_secs(i), "fixed 1s timeout, no backoff");
-            let ev = c.on_timeout(&cfg(), due, &mut out);
+            let ev = c.on_timeout(due, &mut out);
             assert_eq!(ev, SenderEvent::None);
             assert_eq!(out.len(), 1, "SYN retransmission {i}");
         }
         // 9th transmission done; next timeout aborts.
         let due = c.timer.unwrap();
-        let ev = c.on_timeout(&cfg(), due, &mut out);
+        let ev = c.on_timeout(due, &mut out);
         assert_eq!(ev, SenderEvent::Aborted(AbortReason::SynTimeout));
         assert!(c.finished());
     }
@@ -610,17 +604,17 @@ mod tests {
     #[test]
     fn triple_dupack_fast_retransmits() {
         let mut out = Vec::new();
-        let mut c = SenderConn::open(key(), LOCAL, 10_000, &cfg(), SimTime::ZERO, &mut out, None);
+        let mut c = SenderConn::open(key(), LOCAL, 10_000, SimTime::ZERO, &mut out, None);
         let now = SimTime::from_nanos(60_000_000);
-        c.on_segment(&synack(), &cfg(), now, &mut out);
+        c.on_segment(&synack(), now, &mut out);
         // Grow the window a bit.
-        c.on_segment(&ack(1001), &cfg(), now, &mut out);
+        c.on_segment(&ack(1001), now, &mut out);
         out.clear();
         for _ in 0..2 {
-            c.on_segment(&ack(1001), &cfg(), now, &mut out);
+            c.on_segment(&ack(1001), now, &mut out);
             assert!(out.is_empty(), "below dupack threshold");
         }
-        c.on_segment(&ack(1001), &cfg(), now, &mut out);
+        c.on_segment(&ack(1001), now, &mut out);
         assert_eq!(out.len(), 1, "fast retransmit fired");
         assert_eq!(out[0].tcp.unwrap().seq, 1001);
     }
@@ -628,15 +622,15 @@ mod tests {
     #[test]
     fn rto_backoff_reaches_abort_threshold() {
         let mut out = Vec::new();
-        let mut c = SenderConn::open(key(), LOCAL, 10_000, &cfg(), SimTime::ZERO, &mut out, None);
+        let mut c = SenderConn::open(key(), LOCAL, 10_000, SimTime::ZERO, &mut out, None);
         let now = SimTime::from_nanos(60_000_000);
-        c.on_segment(&synack(), &cfg(), now, &mut out);
+        c.on_segment(&synack(), now, &mut out);
         // Repeated timeouts double the RTO until it passes 64 s.
         let mut aborted = false;
         for _ in 0..20 {
             let due = c.timer.expect("timer armed");
             out.clear();
-            match c.on_timeout(&cfg(), due, &mut out) {
+            match c.on_timeout(due, &mut out) {
                 SenderEvent::Aborted(AbortReason::RtoTooLarge) => {
                     aborted = true;
                     break;
@@ -650,18 +644,26 @@ mod tests {
 
     #[test]
     fn max_transmissions_aborts() {
-        // Tiny abort_rto never trips; transmission count does.
-        let mut cfg = cfg();
-        cfg.abort_rto = SimDuration::from_secs(1 << 30);
+        // Timeouts alone trip RtoTooLarge after nine transmissions (200 ms
+        // doubled past 64 s). Fast retransmits count transmissions without
+        // backing off the RTO, so three duplicate ACKs before every timeout
+        // reach the tenth transmission first.
         let mut out = Vec::new();
-        let mut c = SenderConn::open(key(), LOCAL, 1000, &cfg, SimTime::ZERO, &mut out, None);
-        let now = SimTime::from_nanos(60_000_000);
-        c.on_segment(&synack(), &cfg, now, &mut out);
+        let mut c = SenderConn::open(key(), LOCAL, 1000, SimTime::ZERO, &mut out, None);
+        let mut now = SimTime::from_nanos(60_000_000);
+        c.on_segment(&synack(), now, &mut out);
         let mut aborted = None;
         for _ in 0..20 {
-            let due = c.timer.expect("timer armed");
-            out.clear();
-            if let SenderEvent::Aborted(r) = c.on_timeout(&cfg, due, &mut out) {
+            for _ in 0..DUPACK_THRESHOLD {
+                if let SenderEvent::Aborted(r) = c.on_segment(&ack(1), now, &mut out) {
+                    aborted = Some(r);
+                }
+            }
+            if aborted.is_some() {
+                break;
+            }
+            now = c.timer.expect("timer armed");
+            if let SenderEvent::Aborted(r) = c.on_timeout(now, &mut out) {
                 aborted = Some(r);
                 break;
             }
@@ -672,17 +674,17 @@ mod tests {
     #[test]
     fn forged_ack_beyond_snd_nxt_is_ignored() {
         let mut out = Vec::new();
-        let mut c = SenderConn::open(key(), LOCAL, 10_000, &cfg(), SimTime::ZERO, &mut out, None);
+        let mut c = SenderConn::open(key(), LOCAL, 10_000, SimTime::ZERO, &mut out, None);
         let now = SimTime::from_nanos(60_000_000);
-        c.on_segment(&synack(), &cfg(), now, &mut out);
+        c.on_segment(&synack(), now, &mut out);
         out.clear();
         // An attacker acks far beyond anything sent: must be a no-op.
-        let ev = c.on_segment(&ack(1_000_000), &cfg(), now, &mut out);
+        let ev = c.on_segment(&ack(1_000_000), now, &mut out);
         assert_eq!(ev, SenderEvent::None);
         assert!(out.is_empty(), "no retransmission or window burst");
         assert_eq!(c.state, SenderState::Established);
         // The connection still works with a legitimate ACK.
-        let ev = c.on_segment(&ack(1001), &cfg(), now, &mut out);
+        let ev = c.on_segment(&ack(1001), now, &mut out);
         assert_eq!(ev, SenderEvent::None);
         assert!(!out.is_empty(), "window advances normally afterwards");
     }

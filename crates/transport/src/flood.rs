@@ -6,8 +6,6 @@
 //! so each experiment chooses the packet shape while the pacing logic stays
 //! shared.
 
-use std::any::Any;
-
 use tva_sim::{ChannelId, Ctx, Node, SimDuration, SimTime};
 use tva_wire::Packet;
 
@@ -96,14 +94,6 @@ impl Node for FloodNode {
 
     fn on_timer(&mut self, _token: u64, ctx: &mut dyn Ctx) {
         self.emit(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

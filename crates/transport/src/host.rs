@@ -6,12 +6,9 @@
 //! starting after the previous one completes or aborts due to excessive
 //! loss" (§5).
 
-use std::any::Any;
-
 use tva_sim::{Ctx, Node, Pkt, SimTime};
 use tva_wire::Addr;
 
-use crate::config::TcpConfig;
 use crate::metrics::TransferRecord;
 use crate::shim::Shim;
 use crate::stack::{TcpEvent, TcpStack};
@@ -72,11 +69,10 @@ impl ClientNode {
         server: Addr,
         file_size: u32,
         transfers_target: usize,
-        cfg: TcpConfig,
         shim: Box<dyn Shim>,
     ) -> Self {
         ClientNode {
-            stack: TcpStack::new(addr, cfg),
+            stack: TcpStack::new(addr),
             shim,
             server,
             file_size,
@@ -163,14 +159,6 @@ impl Node for ClientNode {
         let events = pump(&mut self.stack, self.shim.as_mut(), &mut self.timer_armed, ctx);
         self.handle_events(events, now);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// A destination host: accepts connections and receives files.
@@ -182,8 +170,8 @@ pub struct ServerNode {
 
 impl ServerNode {
     /// Creates a server at `addr`.
-    pub fn new(addr: Addr, cfg: TcpConfig, shim: Box<dyn Shim>) -> Self {
-        ServerNode { stack: TcpStack::new(addr, cfg), shim, timer_armed: None }
+    pub fn new(addr: Addr, shim: Box<dyn Shim>) -> Self {
+        ServerNode { stack: TcpStack::new(addr), shim, timer_armed: None }
     }
 
     /// This server's address.
@@ -212,13 +200,5 @@ impl Node for ServerNode {
             self.stack.on_tick(ctx.now());
         }
         pump(&mut self.stack, self.shim.as_mut(), &mut self.timer_armed, ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

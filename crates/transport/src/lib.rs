@@ -25,7 +25,7 @@ pub mod metrics;
 pub mod shim;
 pub mod stack;
 
-pub use config::{TcpConfig, SERVER_PORT};
+pub use config::SERVER_PORT;
 pub use conn::{AbortReason, ConnKey, ReceiverConn, SenderConn, SenderEvent, SenderState};
 pub use flood::{FloodNode, PacketFactory};
 pub use host::{ClientNode, ServerNode, TOKEN_START, TOKEN_TICK};

@@ -4,7 +4,7 @@
 use tva_sim::{Pkt, SimTime};
 use tva_wire::{Addr, DetHashMap, Packet};
 
-use crate::config::{TcpConfig, SERVER_PORT};
+use crate::config::{RECEIVER_IDLE_TIMEOUT, SERVER_PORT};
 use crate::conn::{AbortReason, ConnKey, ReceiverConn, SenderConn, SenderEvent, SenderState};
 
 /// Events the stack reports to the application.
@@ -34,7 +34,6 @@ pub enum TcpEvent {
 /// (receiving) connections.
 pub struct TcpStack {
     local: Addr,
-    cfg: TcpConfig,
     senders: DetHashMap<ConnKey, SenderConn>,
     receivers: DetHashMap<ConnKey, ReceiverConn>,
     out: Vec<Pkt>,
@@ -56,10 +55,9 @@ const PRUNE_EVERY: u32 = 1024;
 
 impl TcpStack {
     /// Creates a stack for a host with address `local`.
-    pub fn new(local: Addr, cfg: TcpConfig) -> Self {
+    pub fn new(local: Addr) -> Self {
         TcpStack {
             local,
-            cfg,
             senders: DetHashMap::default(),
             receivers: DetHashMap::default(),
             out: Vec::new(),
@@ -72,8 +70,7 @@ impl TcpStack {
     }
 
     fn prune_idle_receivers(&mut self, now: SimTime) {
-        let idle = self.cfg.receiver_idle_timeout;
-        self.receivers.retain(|_, c| now.since(c.last_activity) < idle);
+        self.receivers.retain(|_, c| now.since(c.last_activity) < RECEIVER_IDLE_TIMEOUT);
     }
 
     /// The configured local address.
@@ -86,7 +83,7 @@ impl TcpStack {
         let key = ConnKey { peer, local_port: self.next_port, peer_port: SERVER_PORT };
         self.next_port = self.next_port.checked_add(1).expect("port space exhausted");
         let recycled = self.spare_sender.take();
-        let conn = SenderConn::open(key, self.local, bytes, &self.cfg, now, &mut self.out, recycled);
+        let conn = SenderConn::open(key, self.local, bytes, now, &mut self.out, recycled);
         self.senders.insert(key, conn);
         key
     }
@@ -117,7 +114,7 @@ impl TcpStack {
 
         if let Some(conn) = self.senders.get_mut(&key) {
             let before = conn.state;
-            let ev = conn.on_segment(&seg, &self.cfg, now, &mut self.out);
+            let ev = conn.on_segment(&seg, now, &mut self.out);
             self.report(key, before, ev);
             if self.senders.get(&key).is_some_and(|c| c.finished()) {
                 self.spare_sender = self.senders.remove(&key);
@@ -177,7 +174,7 @@ impl TcpStack {
         for key in due {
             let conn = self.senders.get_mut(&key).expect("key from scan");
             let before = conn.state;
-            let ev = conn.on_timeout(&self.cfg, now, &mut self.out);
+            let ev = conn.on_timeout(now, &mut self.out);
             self.report(key, before, ev);
             if self.senders.get(&key).is_some_and(|c| c.finished()) {
                 self.spare_sender = self.senders.remove(&key);
@@ -270,8 +267,8 @@ mod tests {
 
     #[test]
     fn transfer_completes_over_perfect_wire() {
-        let mut a = TcpStack::new(A, TcpConfig::default());
-        let mut b = TcpStack::new(B, TcpConfig::default());
+        let mut a = TcpStack::new(A);
+        let mut b = TcpStack::new(B);
         a.open(B, 20_480, SimTime::ZERO);
         let events = run_loopback(&mut a, &mut b, SimTime::from_secs(30));
         assert_eq!(events.len(), 1);
@@ -294,7 +291,7 @@ mod tests {
 
     #[test]
     fn unreachable_peer_aborts_after_nine_syns() {
-        let mut a = TcpStack::new(A, TcpConfig::default());
+        let mut a = TcpStack::new(A);
         a.open(B, 1000, SimTime::ZERO);
         // Fire SYN timers by hand; no peer exists.
         let mut aborted_at = None;
@@ -318,8 +315,8 @@ mod tests {
 
     #[test]
     fn multiple_parallel_transfers() {
-        let mut a = TcpStack::new(A, TcpConfig::default());
-        let mut b = TcpStack::new(B, TcpConfig::default());
+        let mut a = TcpStack::new(A);
+        let mut b = TcpStack::new(B);
         for _ in 0..5 {
             a.open(B, 5_000, SimTime::ZERO);
         }
@@ -334,7 +331,7 @@ mod tests {
 
     #[test]
     fn ports_are_unique_across_opens() {
-        let mut a = TcpStack::new(A, TcpConfig::default());
+        let mut a = TcpStack::new(A);
         let k1 = a.open(B, 100, SimTime::ZERO);
         let k2 = a.open(B, 100, SimTime::ZERO);
         assert_ne!(k1.local_port, k2.local_port);
@@ -343,7 +340,7 @@ mod tests {
     #[test]
     fn idle_receivers_are_pruned() {
         use tva_wire::{PacketId, TcpSegment};
-        let mut b = TcpStack::new(B, TcpConfig::default());
+        let mut b = TcpStack::new(B);
         // A bare SYN creates receiver state; the sender then vanishes.
         let syn = Packet {
             id: PacketId(0),

@@ -2,9 +2,7 @@
 //! paper's Figure 7 dumbbell with no attackers, plain FIFO queues.
 
 use tva_sim::{DropTail, NodeId, SimDuration, SimTime, TopologyBuilder};
-use tva_transport::{
-    summarize, ClientNode, FloodNode, NullShim, ServerNode, TcpConfig, TOKEN_START,
-};
+use tva_transport::{summarize, ClientNode, FloodNode, NullShim, ServerNode, TOKEN_START};
 use tva_wire::{Addr, Packet, PacketId};
 
 const SERVER: Addr = Addr::new(10, 0, 0, 1);
@@ -35,21 +33,11 @@ fn dumbbell(n_users: usize, transfers: usize) -> (tva_sim::Simulator, Vec<NodeId
             ctx.send(pkt);
         }
         fn on_timer(&mut self, _t: u64, _ctx: &mut dyn tva_sim::Ctx) {}
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     let r1 = t.add_node(Box::new(Fwd));
     let r2 = t.add_node(Box::new(Fwd));
-    let server = t.add_node(Box::new(ServerNode::new(
-        SERVER,
-        TcpConfig::default(),
-        Box::new(NullShim),
-    )));
+    let server = t.add_node(Box::new(ServerNode::new(SERVER, Box::new(NullShim))));
     t.bind_addr(server, SERVER);
     // Bottleneck: 10 Mb/s, 10 ms.
     t.link(r1, r2, 10_000_000, SimDuration::from_millis(10), q(), q());
@@ -64,7 +52,6 @@ fn dumbbell(n_users: usize, transfers: usize) -> (tva_sim::Simulator, Vec<NodeId
             SERVER,
             20 * 1024,
             transfers,
-            TcpConfig::default(),
             Box::new(NullShim),
         )));
         t.bind_addr(c, addr);
@@ -132,20 +119,10 @@ fn legacy_flood_starves_legacy_clients() {
             ctx.send(pkt);
         }
         fn on_timer(&mut self, _t: u64, _ctx: &mut dyn tva_sim::Ctx) {}
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
     let r1 = t.add_node(Box::new(Fwd));
     let r2 = t.add_node(Box::new(Fwd));
-    let server = t.add_node(Box::new(ServerNode::new(
-        SERVER,
-        TcpConfig::default(),
-        Box::new(NullShim),
-    )));
+    let server = t.add_node(Box::new(ServerNode::new(SERVER, Box::new(NullShim))));
     t.bind_addr(server, SERVER);
     t.link(r1, r2, 10_000_000, SimDuration::from_millis(10), q(), q());
     t.link(r2, server, 100_000_000, SimDuration::from_millis(10), q(), q());
@@ -157,7 +134,6 @@ fn legacy_flood_starves_legacy_clients() {
             SERVER,
             20 * 1024,
             5,
-            TcpConfig::default(),
             Box::new(NullShim),
         )));
         t.bind_addr(c, addr);
@@ -216,19 +192,17 @@ fn debug_flood_dynamics() {
     impl tva_sim::Node for Fwd {
         fn on_packet(&mut self, pkt: tva_sim::Pkt, _from: tva_sim::ChannelId, ctx: &mut dyn tva_sim::Ctx) { ctx.send(pkt); }
         fn on_timer(&mut self, _t: u64, _ctx: &mut dyn tva_sim::Ctx) {}
-        fn as_any(&self) -> &dyn std::any::Any { self }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
     }
     let r1 = t.add_node(Box::new(Fwd));
     let r2 = t.add_node(Box::new(Fwd));
-    let server = t.add_node(Box::new(ServerNode::new(SERVER, TcpConfig::default(), Box::new(NullShim))));
+    let server = t.add_node(Box::new(ServerNode::new(SERVER, Box::new(NullShim))));
     t.bind_addr(server, SERVER);
     let bott = t.link(r1, r2, 10_000_000, SimDuration::from_millis(10), q(), q());
     t.link(r2, server, 100_000_000, SimDuration::from_millis(10), q(), q());
     let mut cs = Vec::new();
     for i in 0..10 {
         let addr = client_addr(i);
-        let c = t.add_node(Box::new(ClientNode::new(addr, SERVER, 20*1024, 5, TcpConfig::default(), Box::new(NullShim))));
+        let c = t.add_node(Box::new(ClientNode::new(addr, SERVER, 20*1024, 5, Box::new(NullShim))));
         t.bind_addr(c, addr);
         t.link(c, r1, 100_000_000, SimDuration::from_millis(10), q(), q());
         cs.push(c);

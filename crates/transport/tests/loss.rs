@@ -13,7 +13,7 @@ use tva_sim::{
     format_event, DropTail, Impairments, NodeId, SimDuration, SimTime, Simulator,
     TopologyBuilder,
 };
-use tva_transport::{ClientNode, NullShim, ServerNode, TcpConfig, TOKEN_START};
+use tva_transport::{ClientNode, NullShim, ServerNode, TOKEN_START};
 use tva_wire::Addr;
 
 const CLIENT: Addr = Addr::new(20, 0, 0, 1);
@@ -32,14 +32,9 @@ fn build(loss: f64, seed: u64) -> (Simulator, NodeId, NodeId) {
         SERVER,
         FILE,
         1,
-        TcpConfig::default(),
         Box::new(NullShim),
     )));
-    let s = t.add_node(Box::new(ServerNode::new(
-        SERVER,
-        TcpConfig::default(),
-        Box::new(NullShim),
-    )));
+    let s = t.add_node(Box::new(ServerNode::new(SERVER, Box::new(NullShim))));
     t.bind_addr(c, CLIENT);
     t.bind_addr(s, SERVER);
     let l = t.link(c, s, 10_000_000, SimDuration::from_nanos(10_000_000), q(), q());

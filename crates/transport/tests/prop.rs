@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use tva_sim::{SimDuration, SimTime};
-use tva_transport::{ReceiverConn, TcpConfig, TcpEvent, TcpStack};
+use tva_transport::{ReceiverConn, TcpEvent, TcpStack};
 use tva_wire::{Addr, TcpFlags, TcpSegment};
 
 const A: Addr = Addr::new(1, 0, 0, 1);
@@ -18,8 +18,8 @@ fn run_lossy(
     drop_pattern: &[bool],
     horizon: SimTime,
 ) -> (Vec<TcpEvent>, bool) {
-    let mut a = TcpStack::new(A, TcpConfig::default());
-    let mut b = TcpStack::new(B, TcpConfig::default());
+    let mut a = TcpStack::new(A);
+    let mut b = TcpStack::new(B);
     a.open(B, file_size, SimTime::ZERO);
     let delay = SimDuration::from_millis(25);
     let mut wire: Vec<(SimTime, bool, tva_sim::Pkt)> = Vec::new();

@@ -7,9 +7,9 @@
 //!
 //! Run: `cargo run --release --example renewal_demotion`
 
-use tva::core::{ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler};
+use tva::core::{ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler};
 use tva::sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
-use tva::transport::{ClientNode, ServerNode, TcpConfig, TOKEN_START};
+use tva::transport::{ClientNode, ServerNode, TOKEN_START};
 use tva::wire::{Addr, Grant};
 
 fn main() {
@@ -27,19 +27,15 @@ fn main() {
         SERVER,
         20 * 1024,
         200,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             CLIENT,
-            HostConfig::default(),
             Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
         )),
     )));
     let server = t.add_node(Box::new(ServerNode::new(
         SERVER,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             SERVER,
-            HostConfig { default_grant: grant, ..HostConfig::default() },
             Box::new(ServerPolicy::new(grant, SimDuration::from_secs(600))),
         )),
     )));

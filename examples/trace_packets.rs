@@ -9,9 +9,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use tva::core::{ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler};
+use tva::core::{ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler};
 use tva::sim::{format_event, DropTail, SimDuration, SimTime, TopologyBuilder, TraceCounts};
-use tva::transport::{ClientNode, ServerNode, TcpConfig, TOKEN_START};
+use tva::transport::{ClientNode, ServerNode, TOKEN_START};
 use tva::wire::{Addr, Grant};
 
 fn main() {
@@ -25,19 +25,15 @@ fn main() {
         SERVER,
         4 * 1024,
         1,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             CLIENT,
-            HostConfig::default(),
             Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
         )),
     )));
     let server = t.add_node(Box::new(ServerNode::new(
         SERVER,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             SERVER,
-            HostConfig::default(),
             Box::new(ServerPolicy::new(
                 Grant::from_parts(100, 10),
                 SimDuration::from_secs(30),

@@ -2,8 +2,7 @@
 # Production lines of Rust, per crate and in total: non-blank lines that are
 # not `//` comments, in crates/*/src/**/*.rs and src/, up to each file's
 # first `#[cfg(test)]`; then the options: the rows of the TVA_* knob table
-# (crates/sim/src/knobs.rs) and the settable fields of the three config
-# structs.
+# (crates/sim/src/knobs.rs) and the settable fields of every config struct.
 # ROADMAP item 3's "less code, fewer options" as numbers; verify.sh prints
 # the last two lines.
 set -eu
@@ -25,18 +24,18 @@ printf 'code_lines total: %d\n' "$total"
 # One `const NAME: Knob = knob(` per row; tests/options.rs holds README's
 # table equal to them.
 knobs=$(grep -c '^const [A-Z0-9_]*: Knob = knob(' crates/sim/src/knobs.rs)
-# `pub` fields of `pub struct $2` in file $1.
-fields() {
-  awk -v open="pub struct $2 {" '
-    $0 == open { on = 1; next }
-    on && /^}/ { exit }
-    on && /^    pub [a-z_0-9]+:/ { n++ }
-    END { print n + 0 }
-  ' "$1"
-}
-scenario=crates/experiments/src/scenario.rs
-# `faults` is a LinkFaults: count its fields in place of the one that holds it.
-printf 'options: env knobs %d, ScenarioConfig %d, RouterConfig %d, NodeConfig %d\n' "$knobs" \
-  $(($(fields $scenario ScenarioConfig) - 1 + $(fields $scenario LinkFaults))) \
-  "$(fields crates/core/src/config.rs RouterConfig)" \
-  "$(fields crates/node/src/lib.rs NodeConfig)"
+# The `pub` fields of every `pub struct *Config` under crates/*/src, one
+# "Name count" line each. ScenarioConfig's `faults` is a LinkFaults: its
+# fields are counted in place of the one that holds them.
+configs=$(find crates/*/src -name '*.rs' | sort | xargs awk '
+  /^pub struct [A-Za-z0-9_]*Config \{$/ { name = $3; n[name] = 0; on = 1; next }
+  /^pub struct LinkFaults \{$/ { name = ""; on = 1; next }
+  on && /^}/ { on = 0; next }
+  on && /^    pub [a-z_0-9]+:/ { if (name == "") faults++; else n[name]++ }
+  END {
+    for (s in n) print s, (s == "ScenarioConfig" ? n[s] - 1 + faults : n[s])
+  }
+' | sort -k2,2nr -k1,1)
+total_fields=$(printf '%s\n' "$configs" | awk '{ t += $2 } END { print t + 0 }')
+per_struct=$(printf '%s\n' "$configs" | awk '{ printf "%s%s %d", sep, $1, $2; sep = ", " }')
+printf 'options: env knobs %d, config fields %d (%s)\n' "$knobs" "$total_fields" "$per_struct"

@@ -6,11 +6,11 @@
 
 use tva::baselines::LegacyRouterNode;
 use tva::core::{
-    ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode,
+    ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode,
     TvaScheduler,
 };
 use tva::sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
-use tva::transport::{summarize, ClientNode, FloodNode, ServerNode, TcpConfig, TOKEN_START};
+use tva::transport::{summarize, ClientNode, FloodNode, ServerNode, TOKEN_START};
 use tva::wire::{Addr, Grant, Packet, PacketId};
 
 const SERVER: Addr = Addr::new(10, 0, 0, 1);
@@ -25,10 +25,8 @@ fn single_upgraded_router_at_the_bottleneck_still_defends() {
     let r2 = t.add_node(Box::<LegacyRouterNode>::default());
     let server = t.add_node(Box::new(ServerNode::new(
         SERVER,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             SERVER,
-            HostConfig::default(),
             Box::new(ServerPolicy::new(
                 Grant::from_parts(100, 10),
                 SimDuration::from_secs(30),
@@ -59,10 +57,8 @@ fn single_upgraded_router_at_the_bottleneck_still_defends() {
             SERVER,
             20 * 1024,
             50,
-            TcpConfig::default(),
             Box::new(TvaHostShim::new(
                 addr,
-                HostConfig::default(),
                 Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
             )),
         )));
@@ -135,7 +131,6 @@ fn legacy_hosts_still_communicate_through_capability_routers() {
     let r1 = t.add_node(Box::new(TvaRouterNode::new(cfg1.clone(), 10_000_000)));
     let server = t.add_node(Box::new(ServerNode::new(
         SERVER,
-        TcpConfig::default(),
         Box::new(tva::transport::NullShim), // legacy host: no capability layer
     )));
     t.bind_addr(server, SERVER);
@@ -145,7 +140,6 @@ fn legacy_hosts_still_communicate_through_capability_routers() {
         SERVER,
         20 * 1024,
         10,
-        TcpConfig::default(),
         Box::new(tva::transport::NullShim), // legacy host
     )));
     t.bind_addr(client, client_addr);

@@ -12,14 +12,12 @@ use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, Mutex};
 
 use tva::baselines::LegacyRouterNode;
-use tva::core::{
-    ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler,
-};
+use tva::core::{ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler};
 use tva::experiments::{run, Attack, ScenarioConfig, Scheme};
 use tva::sim::{
     format_event, DropTail, SimDuration, SimTime, Simulator, SinkNode, TopologyBuilder,
 };
-use tva::transport::{ClientNode, FloodNode, ServerNode, TcpConfig, TOKEN_START};
+use tva::transport::{ClientNode, FloodNode, ServerNode, TOKEN_START};
 use tva::wire::{Addr, DetBuildHasher, Grant, Packet, PacketId};
 
 fn cfg(seed: u64) -> ScenarioConfig {
@@ -74,10 +72,8 @@ fn traced_dumbbell(seed: u64, sim_secs: u64) -> (u64, u64) {
     let r2 = t.add_node(Box::new(TvaRouterNode::new(cfg2.clone(), 10_000_000)));
     let server = t.add_node(Box::new(ServerNode::new(
         SERVER,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             SERVER,
-            HostConfig::default(),
             Box::new(ServerPolicy::new(Grant::from_parts(100, 10), SimDuration::from_secs(30))),
         )),
     )));
@@ -107,10 +103,8 @@ fn traced_dumbbell(seed: u64, sim_secs: u64) -> (u64, u64) {
             SERVER,
             20 * 1024,
             100_000,
-            TcpConfig::default(),
             Box::new(TvaHostShim::new(
                 addr,
-                HostConfig::default(),
                 Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
             )),
         )));

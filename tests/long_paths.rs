@@ -7,11 +7,11 @@
 //! depth, plus secret independence across four routers.
 
 use tva::core::{
-    ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode,
+    ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode,
     TvaScheduler,
 };
 use tva::sim::{DropTail, NodeId, SimDuration, SimTime, TopologyBuilder};
-use tva::transport::{summarize, ClientNode, ServerNode, TcpConfig, TOKEN_START};
+use tva::transport::{summarize, ClientNode, ServerNode, TOKEN_START};
 use tva::wire::{Addr, Grant};
 
 const CLIENT: Addr = Addr::new(20, 0, 0, 1);
@@ -32,19 +32,15 @@ fn four_router_chain_works_end_to_end() {
         SERVER,
         20 * 1024,
         50,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             CLIENT,
-            HostConfig::default(),
             Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
         )),
     )));
     let server = t.add_node(Box::new(ServerNode::new(
         SERVER,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             SERVER,
-            HostConfig::default(),
             Box::new(ServerPolicy::new(
                 Grant::from_parts(64, 10), // small: force renewals in flight
                 SimDuration::from_secs(30),

@@ -7,6 +7,10 @@
 //!   no knob can be read around the table.
 //! * `unsafe` stays in the three files that carry it, and every library
 //!   but `tva-node` (whose ring module is one of the three) forbids it.
+//! * Every `pub` field of every `pub struct *Config` under `crates/*/src`
+//!   is read (`.field`) somewhere under `crates/*/src` outside the
+//!   struct's `Default` impl: a setting nothing reads is a promise the
+//!   program does not keep.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -131,9 +135,93 @@ fn unsafe_stays_in_its_three_files() {
     assert_eq!(unforbidden, [PathBuf::from("crates/node/src/lib.rs")], "lib.rs files without forbid(unsafe_code)");
 }
 
+/// The `pub struct *Config` declarations in `text`: each name with its
+/// `pub` fields.
+fn config_structs(text: &str) -> Vec<(String, Vec<String>)> {
+    let mut out = Vec::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        let trimmed = line.trim_start();
+        let Some(name) = trimmed.strip_prefix("pub struct ").and_then(|s| s.strip_suffix(" {")) else {
+            continue;
+        };
+        if !name.ends_with("Config") {
+            continue;
+        }
+        let close = format!("{}}}", &line[..line.len() - trimmed.len()]);
+        let fields = lines
+            .by_ref()
+            .take_while(|l| *l != close)
+            .filter_map(|l| l.trim_start().strip_prefix("pub ")?.split_once(':'))
+            .map(|(field, _)| field.to_string())
+            .collect();
+        out.push((name.to_string(), fields));
+    }
+    out
+}
+
+/// `text` without the body of `impl Default for <name>`.
+fn without_default_impl(text: &str, name: &str) -> String {
+    let open = format!("impl Default for {name} {{");
+    let Some(start) = text.find(&open) else { return text.to_string() };
+    let indent = &text[text[..start].rfind('\n').map_or(0, |i| i + 1)..start];
+    let close = format!("\n{indent}}}");
+    let end = text[start..].find(&close).map_or(text.len(), |i| start + i + close.len());
+    format!("{}{}", &text[..start], &text[end..])
+}
+
+/// Whether `text` reads `.field`: the name with no identifier character
+/// after it, and not the target of a plain `=` assignment.
+fn reads_field(text: &str, field: &str) -> bool {
+    let dotted = format!(".{field}");
+    text.match_indices(&dotted).any(|(i, _)| {
+        let rest = &text[i + dotted.len()..];
+        let next = rest.chars().next();
+        if next.is_some_and(|c| c.is_alphanumeric() || c == '_') || text[..i].ends_with('.') {
+            return false;
+        }
+        let after = rest.trim_start();
+        !after.starts_with('=') || after.starts_with("==")
+    })
+}
+
+#[test]
+fn every_config_field_is_read() {
+    let code: Vec<(PathBuf, String)> = source_files()
+        .into_iter()
+        .filter(|p| p.starts_with("crates") && p.extension().is_some_and(|e| e == "rs"))
+        .map(|p| {
+            let text = read(&p);
+            (p, text)
+        })
+        .collect();
+    let mut unread = Vec::new();
+    let mut structs = 0;
+    for (_, text) in &code {
+        for (name, fields) in config_structs(text) {
+            structs += 1;
+            let readers: Vec<String> = code.iter().map(|(_, t)| without_default_impl(t, &name)).collect();
+            for field in fields {
+                if !readers.iter().any(|t| reads_field(t, &field)) {
+                    unread.push(format!("{name}::{field}"));
+                }
+            }
+        }
+    }
+    assert!(structs >= 5, "found only {structs} config structs: the scanner lost them");
+    assert!(unread.is_empty(), "config fields nothing under crates/*/src reads: {unread:?}");
+}
+
 #[test]
 fn name_and_word_scanners() {
     assert_eq!(tva_names("`TVA_OBS=1` fig8_TVA_series `TVA_*` TVA_NODE_SEED."), ["TVA_OBS", "TVA_NODE_SEED"]);
     assert!(has_word("an unsafe block", "unsafe"));
     assert!(!has_word("#![forbid(unsafe_code)]", "unsafe"));
+    let decl = "pub struct AConfig {\n    /// Doc.\n    pub x: u32,\n    y: u8,\n}\npub struct B {\n    pub z: u8,\n}\n";
+    assert_eq!(config_structs(decl), [("AConfig".to_string(), vec!["x".to_string()])]);
+    assert!(reads_field("let a = c.x + 1;", "x"));
+    assert!(reads_field("c.x == 2", "x"));
+    assert!(!reads_field("c.x = 2; c.xy; ..x", "x"));
+    let with_default = "impl Default for AConfig {\n    fn default() -> Self { c.x }\n}\nd.y";
+    assert_eq!(without_default_impl(with_default, "AConfig"), "\nd.y");
 }

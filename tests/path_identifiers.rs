@@ -19,13 +19,15 @@
 //!   boundary holds at most one request key per input link, however many
 //!   tags the attackers forge, so its key table never fills.
 
+use std::any::Any;
+
 use tva::core::{
-    ClientPolicy, HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouter, TvaRouterNode,
+    ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim, TvaRouter, TvaRouterNode,
     TvaScheduler,
 };
 use tva::experiments::{run_driven, Attack, BuiltNodes, ScenarioConfig};
 use tva::sim::{ChannelId, DropTail, NodeId, SimDuration, SimTime, Simulator, TopologyBuilder};
-use tva::transport::{summarize, ClientNode, FloodNode, ServerNode, TcpConfig, TOKEN_START};
+use tva::transport::{summarize, ClientNode, FloodNode, ServerNode, TOKEN_START};
 use tva::wire::{
     Addr, CapHeader, CapPayload, CapValue, Grant, Packet, PacketId, PathId, RequestEntry,
 };
@@ -45,10 +47,8 @@ fn build(n_attackers: usize, forge_tags: bool) -> (Simulator, Vec<NodeId>, Vec<N
     let core = t.add_node(Box::new(TvaRouterNode::new(cfg_core.clone(), 10_000_000)));
     let server = t.add_node(Box::new(ServerNode::new(
         DEST,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             DEST,
-            HostConfig::default(),
             Box::new(ServerPolicy::new(
                 Grant::from_parts(100, 10),
                 SimDuration::from_secs(30),
@@ -93,10 +93,8 @@ fn build(n_attackers: usize, forge_tags: bool) -> (Simulator, Vec<NodeId>, Vec<N
             DEST,
             20 * 1024,
             2000,
-            TcpConfig::default(),
             Box::new(TvaHostShim::new(
                 addr,
-                HostConfig::default(),
                 Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
             )),
         )));
@@ -228,11 +226,8 @@ fn a_trust_boundary_holds_one_request_key_per_input_link() {
 }
 
 fn bottleneck_sched<'a>(sim: &'a Simulator, nodes: &BuiltNodes) -> &'a TvaScheduler {
-    sim.channel(nodes.bottleneck.ab)
-        .queue_disc()
-        .as_any()
-        .and_then(|a| a.downcast_ref::<TvaScheduler>())
-        .expect("R1's bottleneck egress runs the TVA scheduler")
+    let disc: &dyn Any = sim.channel(nodes.bottleneck.ab).queue_disc();
+    disc.downcast_ref::<TvaScheduler>().expect("R1's bottleneck egress runs the TVA scheduler")
 }
 
 #[test]

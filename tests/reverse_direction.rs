@@ -6,11 +6,11 @@
 //! floods at servers are.
 
 use tva::core::{
-    HostConfig, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode,
+    RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode,
     TvaScheduler,
 };
 use tva::sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
-use tva::transport::{summarize, ClientNode, FloodNode, ServerNode, TcpConfig, TOKEN_START};
+use tva::transport::{summarize, ClientNode, FloodNode, ServerNode, TOKEN_START};
 use tva::wire::{Addr, Grant, Packet, PacketId};
 
 const USER: Addr = Addr::new(20, 0, 0, 1);
@@ -36,10 +36,8 @@ fn downloads_survive_floods_at_the_user_side() {
         USER,
         20 * 1024,
         2000,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             SERVER,
-            HostConfig::default(),
             Box::new(ServerPolicy::new(
                 Grant::from_parts(100, 10),
                 SimDuration::from_secs(30),
@@ -61,10 +59,8 @@ fn downloads_survive_floods_at_the_user_side() {
     // ServerPolicy to model a host that accepts inbound transfers).
     let user = t.add_node(Box::new(ServerNode::new(
         USER,
-        TcpConfig::default(),
         Box::new(TvaHostShim::new(
             USER,
-            HostConfig::default(),
             Box::new(ServerPolicy::new(
                 Grant::from_parts(100, 10),
                 SimDuration::from_secs(30),
