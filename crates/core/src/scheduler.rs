@@ -121,16 +121,57 @@ const MAX_REGULAR_QUEUES: usize = 1 << 12;
 /// header + hash-map slot.
 const REQUEST_KEY_BYTES: usize = 96;
 
-/// The scheduler; one per TVA egress channel.
-pub struct TvaScheduler {
+/// The three class queues and the request gate: everything a scheduler
+/// holds once traffic has used it.
+struct Classes {
     /// Requests, fair-queued per path identifier (§3.2): one queue per
     /// distinct tag, at most [`MAX_REQUEST_QUEUES`] of them.
     requests: Drr<PathId>,
     regular: Drr<Addr>,
-    regular_key: RegularQueueKey,
     legacy: std::collections::VecDeque<Pkt>,
     legacy_bytes: u64,
     gate: PacedGate,
+}
+
+impl Classes {
+    fn enqueue_legacy(
+        &mut self,
+        pkt: Pkt,
+        stats: &mut SchedulerStats,
+        flow: &mut FlowSampler,
+    ) -> Enqueued {
+        let len = pkt.wire_len() as u64;
+        if self.legacy.len() >= ROUTER_QUEUE_PKTS {
+            stats.legacy_dropped += 1;
+            flow.record(
+                pkt.id.0,
+                pkt.src,
+                PathId::NONE,
+                FlowClass::Legacy,
+                FlowVerdict::DroppedQueue,
+                pkt.wire_len(),
+            );
+            return Enqueued::Dropped;
+        }
+        self.legacy_bytes += len;
+        self.legacy.push_back(pkt);
+        Enqueued::Accepted
+    }
+}
+
+/// The scheduler; one per TVA egress channel.
+///
+/// Idle state costs a pointer: the class queues and the request gate are
+/// created on the first `enqueue`, so the egress of a host that never
+/// receives anything holds no queues (DESIGN §4c). A gate created then
+/// starts full, exactly as one created with the scheduler would be at its
+/// first refill.
+pub struct TvaScheduler {
+    classes: Option<Box<Classes>>,
+    /// Request-class rate in bytes per second, for the lazily built gate.
+    request_rate: u64,
+    per_queue_cap: u64,
+    regular_key: RegularQueueKey,
     /// Counters.
     pub stats: SchedulerStats,
     /// Sampled flow records for scheduler-side refusals (key-table
@@ -147,17 +188,31 @@ impl TvaScheduler {
     /// fraction, per-queue cap, regular-class key and flow sampling. The
     /// legacy FIFO holds [`ROUTER_QUEUE_PKTS`] packets.
     pub fn new(link_bps: u64, cfg: &RouterConfig) -> Self {
-        let rate = ((link_bps as f64 / 8.0) * cfg.request_fraction).max(1.0) as u64;
+        let request_rate = ((link_bps as f64 / 8.0) * cfg.request_fraction).max(1.0) as u64;
         TvaScheduler {
-            requests: Drr::new(REQUEST_QUANTUM, cfg.per_queue_cap_bytes, MAX_REQUEST_QUEUES),
-            regular: Drr::new(QUANTUM, cfg.per_queue_cap_bytes, MAX_REGULAR_QUEUES),
+            classes: None,
+            request_rate,
+            per_queue_cap: cfg.per_queue_cap_bytes,
             regular_key: cfg.regular_queue_key,
-            legacy: std::collections::VecDeque::new(),
-            legacy_bytes: 0,
-            gate: PacedGate::new(rate, REQUEST_BURST_BYTES),
             stats: SchedulerStats::default(),
             flow: FlowSampler::new(cfg.flow_sample_n, FLOW_SAMPLE_SEED),
         }
+    }
+
+    /// The class queues, created on first use, beside the counters and
+    /// the sampler (borrowed apart so enqueue can update all three).
+    fn parts(&mut self) -> (&mut Classes, &mut SchedulerStats, &mut FlowSampler) {
+        let (rate, cap) = (self.request_rate, self.per_queue_cap);
+        let classes = self.classes.get_or_insert_with(|| {
+            Box::new(Classes {
+                requests: Drr::new(REQUEST_QUANTUM, cap, MAX_REQUEST_QUEUES),
+                regular: Drr::new(QUANTUM, cap, MAX_REGULAR_QUEUES),
+                legacy: std::collections::VecDeque::new(),
+                legacy_bytes: 0,
+                gate: PacedGate::new(rate, REQUEST_BURST_BYTES),
+            })
+        });
+        (classes, &mut self.stats, &mut self.flow)
     }
 
     /// The most recent path-identifier tag on a request — the fair-queuing
@@ -174,25 +229,6 @@ impl TvaScheduler {
         }
     }
 
-    fn enqueue_legacy(&mut self, pkt: Pkt) -> Enqueued {
-        let len = pkt.wire_len() as u64;
-        if self.legacy.len() >= ROUTER_QUEUE_PKTS {
-            self.stats.legacy_dropped += 1;
-            self.flow.record(
-                pkt.id.0,
-                pkt.src,
-                PathId::NONE,
-                FlowClass::Legacy,
-                FlowVerdict::DroppedQueue,
-                pkt.wire_len(),
-            );
-            return Enqueued::Dropped;
-        }
-        self.legacy_bytes += len;
-        self.legacy.push_back(pkt);
-        Enqueued::Accepted
-    }
-
     /// Regular-class packets this scheduler has been offered and accepted:
     /// sent, still queued, or dropped by the class's own caps. Every one of
     /// them passed the router's validation first (classification only
@@ -200,7 +236,8 @@ impl TvaScheduler {
     /// validation count must cover the sum over its egress schedulers —
     /// the protocol-soundness auditor's cross-check.
     pub fn regular_offered(&self) -> u64 {
-        self.stats.regular_sent + self.stats.regular_dropped + self.regular.len_pkts() as u64
+        let queued = self.classes.as_ref().map_or(0, |c| c.regular.len_pkts());
+        self.stats.regular_sent + self.stats.regular_dropped + queued as u64
     }
 
     /// Request-class packets offered (sent + queued + dropped + demoted).
@@ -211,15 +248,16 @@ impl TvaScheduler {
     /// stamped-vs-offered cross-check exactly under the path-identifier
     /// floods it exists to audit.
     pub fn requests_offered(&self) -> u64 {
+        let queued = self.classes.as_ref().map_or(0, |c| c.requests.len_pkts());
         self.stats.requests_sent
             + self.stats.requests_dropped
             + self.stats.requests_demoted
-            + self.requests.len_pkts() as u64
+            + queued as u64
     }
 
     /// Distinct path keys holding request-channel state.
     pub fn request_keys(&self) -> usize {
-        self.requests.active_queues()
+        self.classes.as_ref().map_or(0, |c| c.requests.active_queues())
     }
 
     /// Estimated bytes of request-channel policing state. Queued packets
@@ -259,11 +297,13 @@ enum Class {
 
 impl QueueDisc for TvaScheduler {
     fn enqueue(&mut self, mut pkt: Pkt, _now: SimTime) -> Enqueued {
+        let regular_key = self.regular_key;
+        let (q, stats, flow) = self.parts();
         match classify(&pkt) {
             Class::Request => {
                 let key = Self::request_key(&pkt);
                 let (pkt_id, src, len) = (pkt.id.0, pkt.src, pkt.wire_len());
-                if !self.requests.contains_key(&key) && !self.requests.can_admit_new_key() {
+                if !q.requests.contains_key(&key) && !q.requests.can_admit_new_key() {
                     // Key-table exhaustion under a path-identifier sweep.
                     // Demote the request to the legacy class instead of
                     // dropping it (§3.8's demote-don't-drop principle): a
@@ -273,8 +313,8 @@ impl QueueDisc for TvaScheduler {
                     if let Some(h) = pkt.cap.as_mut() {
                         h.demoted = true;
                     }
-                    self.stats.requests_demoted += 1;
-                    self.flow.record(
+                    stats.requests_demoted += 1;
+                    flow.record(
                         pkt_id,
                         src,
                         key,
@@ -282,12 +322,12 @@ impl QueueDisc for TvaScheduler {
                         FlowVerdict::DemotedKeyTable,
                         len,
                     );
-                    self.enqueue_legacy(pkt)
-                } else if self.requests.enqueue(key, pkt) {
+                    q.enqueue_legacy(pkt, stats, flow)
+                } else if q.requests.enqueue(key, pkt) {
                     Enqueued::Accepted
                 } else {
-                    self.stats.requests_dropped += 1;
-                    self.flow.record(
+                    stats.requests_dropped += 1;
+                    flow.record(
                         pkt_id,
                         src,
                         key,
@@ -299,16 +339,16 @@ impl QueueDisc for TvaScheduler {
                 }
             }
             Class::Regular => {
-                let key = match self.regular_key {
+                let key = match regular_key {
                     RegularQueueKey::PerDestination => pkt.dst,
                     RegularQueueKey::PerSource => pkt.src,
                 };
                 let (pkt_id, src, len) = (pkt.id.0, pkt.src, pkt.wire_len());
-                if self.regular.enqueue(key, pkt) {
+                if q.regular.enqueue(key, pkt) {
                     Enqueued::Accepted
                 } else {
-                    self.stats.regular_dropped += 1;
-                    self.flow.record(
+                    stats.regular_dropped += 1;
+                    flow.record(
                         pkt_id,
                         src,
                         PathId::NONE,
@@ -319,29 +359,30 @@ impl QueueDisc for TvaScheduler {
                     Enqueued::Dropped
                 }
             }
-            Class::Legacy => self.enqueue_legacy(pkt),
+            Class::Legacy => q.enqueue_legacy(pkt, stats, flow),
         }
     }
 
     fn dequeue(&mut self, now: SimTime) -> Option<Pkt> {
+        let q = self.classes.as_deref_mut()?;
         // Requests first, within their rate budget.
-        if self.requests.len_pkts() > 0 && self.gate.ready(now) {
-            if let Some(pkt) = self.requests.dequeue() {
-                self.gate.charge(pkt.wire_len());
+        if q.requests.len_pkts() > 0 && q.gate.ready(now) {
+            if let Some(pkt) = q.requests.dequeue() {
+                q.gate.charge(pkt.wire_len());
                 self.stats.requests_sent += 1;
                 self.stats.bytes_sent_requests += pkt.wire_len() as u64;
                 return Some(pkt);
             }
         }
         // Regular traffic takes the remaining capacity.
-        if let Some(pkt) = self.regular.dequeue() {
+        if let Some(pkt) = q.regular.dequeue() {
             self.stats.regular_sent += 1;
             self.stats.bytes_sent_regular += pkt.wire_len() as u64;
             return Some(pkt);
         }
         // Legacy soaks up whatever is left.
-        if let Some(pkt) = self.legacy.pop_front() {
-            self.legacy_bytes -= pkt.wire_len() as u64;
+        if let Some(pkt) = q.legacy.pop_front() {
+            q.legacy_bytes -= pkt.wire_len() as u64;
             self.stats.legacy_sent += 1;
             self.stats.bytes_sent_legacy += pkt.wire_len() as u64;
             return Some(pkt);
@@ -353,34 +394,40 @@ impl QueueDisc for TvaScheduler {
         // Only reachable when dequeue returned None, i.e. regular and legacy
         // are empty; if requests are pending they are gated — report when
         // the gate opens.
-        if self.requests.len_pkts() == 0 {
+        let q = self.classes.as_deref()?;
+        if q.requests.len_pkts() == 0 {
             return None;
         }
-        Some(now + self.gate.time_until_ready(now))
+        Some(now + q.gate.time_until_ready(now))
     }
 
     fn len_pkts(&self) -> usize {
-        self.requests.len_pkts() + self.regular.len_pkts() + self.legacy.len()
+        self.classes
+            .as_ref()
+            .map_or(0, |q| q.requests.len_pkts() + q.regular.len_pkts() + q.legacy.len())
     }
 
     fn len_bytes(&self) -> u64 {
-        self.requests.len_bytes() + self.regular.len_bytes() + self.legacy_bytes
+        self.classes
+            .as_ref()
+            .map_or(0, |q| q.requests.len_bytes() + q.regular.len_bytes() + q.legacy_bytes)
     }
 
     fn audit(&self) -> Result<(), String> {
-        self.requests.audit().map_err(|e| format!("tva-sched requests: {e}"))?;
-        self.regular.audit().map_err(|e| format!("tva-sched regular: {e}"))?;
-        let held: u64 = self.legacy.iter().map(|p| p.wire_len() as u64).sum();
-        if held != self.legacy_bytes {
+        let Some(q) = self.classes.as_deref() else { return Ok(()) };
+        q.requests.audit().map_err(|e| format!("tva-sched requests: {e}"))?;
+        q.regular.audit().map_err(|e| format!("tva-sched regular: {e}"))?;
+        let held: u64 = q.legacy.iter().map(|p| p.wire_len() as u64).sum();
+        if held != q.legacy_bytes {
             return Err(format!(
                 "tva-sched legacy: byte ledger {} != held bytes {held}",
-                self.legacy_bytes
+                q.legacy_bytes
             ));
         }
-        if self.legacy.len() > ROUTER_QUEUE_PKTS {
+        if q.legacy.len() > ROUTER_QUEUE_PKTS {
             return Err(format!(
                 "tva-sched legacy: {} pkts over cap {}",
-                self.legacy.len(),
+                q.legacy.len(),
                 ROUTER_QUEUE_PKTS
             ));
         }
@@ -704,5 +751,53 @@ mod tests {
         assert_eq!(s.request_keys(), MAX_REQUEST_QUEUES);
         assert_eq!(s.stats.requests_demoted, 5000 - MAX_REQUEST_QUEUES as u64);
         s.audit().expect("accounting clean past the bound");
+    }
+
+    /// Every host's access link has a scheduler on its router side, and
+    /// most of them never carry a packet: idle, one holds its counters, its
+    /// sampler and a null pointer where the class queues go.
+    #[test]
+    fn idle_scheduler_stays_small() {
+        let size = std::mem::size_of::<TvaScheduler>();
+        assert!(size <= 120, "{size}");
+    }
+
+    /// A scheduler nothing was ever offered answers every query with the
+    /// empty value, and answering creates no queues.
+    #[test]
+    fn never_used_scheduler_is_empty_and_holds_no_queues() {
+        let cfg = RouterConfig { flow_sample_n: 1, ..cfg() };
+        let mut s = TvaScheduler::new(10_000_000, &cfg);
+        let now = SimTime::from_secs(1);
+        assert_eq!(s.len_pkts(), 0);
+        assert_eq!(s.len_bytes(), 0);
+        assert!(s.dequeue(now).is_none());
+        assert_eq!(s.next_ready(now), None);
+        assert_eq!(s.audit(), Ok(()));
+        assert_eq!(s.requests_offered(), 0);
+        assert_eq!(s.regular_offered(), 0);
+        assert_eq!(s.request_keys(), 0);
+        assert_eq!(s.request_state_bytes(), 0);
+        assert!(s.classes.is_none(), "queries must not create the class queues");
+        s.enqueue(legacy_pkt(100).into(), now);
+        assert!(s.classes.is_some(), "the first enqueue creates them");
+    }
+
+    /// A gate created at the first enqueue starts full, as one created with
+    /// the scheduler would be at its first refill: a late first burst of
+    /// requests leaves exactly as a burst offered at time zero does.
+    #[test]
+    fn lazy_gate_starts_full() {
+        let cfg = RouterConfig { request_fraction: 0.01, ..cfg() };
+        let late = SimTime::from_secs(5);
+        let served = |start: SimTime| {
+            let mut s = TvaScheduler::new(8_000, &cfg);
+            for _ in 0..4 {
+                s.enqueue(request_pkt_sized(1, 1000).into(), start);
+            }
+            std::iter::from_fn(|| s.dequeue(start)).count()
+        };
+        assert_eq!(served(late), served(SimTime::ZERO));
+        assert!(served(late) > 0);
     }
 }

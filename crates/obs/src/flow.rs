@@ -151,6 +151,13 @@ pub fn format_prefix24(prefix: u32) -> String {
 /// The sampler plus its aggregated record table.
 #[derive(Debug, Clone)]
 pub struct FlowSampler {
+    /// `None` while disabled: a disabled sampler holds no table.
+    on: Option<Box<Sampling>>,
+}
+
+/// An enabled sampler's parameters and records.
+#[derive(Debug, Clone)]
+struct Sampling {
     n: u32,
     seed: u64,
     /// Selection threshold: a packet is picked iff `hash(id) <= threshold`.
@@ -162,34 +169,46 @@ pub struct FlowSampler {
     sampled_bytes: u64,
 }
 
+impl Sampling {
+    #[inline]
+    fn picks(&self, pkt_id: u64) -> bool {
+        let mut h = DetBuildHasher::with_seed(self.seed).build_hasher();
+        h.write_u64(pkt_id);
+        h.finish() <= self.threshold
+    }
+}
+
 impl FlowSampler {
     /// A sampler keeping 1-in-`n` packets (`n == 0` disables sampling;
     /// `n == 1` samples everything). `seed` keys the selection hash.
     pub fn new(n: u32, seed: u64) -> Self {
-        FlowSampler {
-            n,
-            seed,
-            threshold: if n == 0 { 0 } else { u64::MAX / n as u64 },
-            records: BTreeMap::new(),
-            sampled_pkts: 0,
-            sampled_bytes: 0,
-        }
+        let on = (n != 0).then(|| {
+            Box::new(Sampling {
+                n,
+                seed,
+                threshold: u64::MAX / n as u64,
+                records: BTreeMap::new(),
+                sampled_pkts: 0,
+                sampled_bytes: 0,
+            })
+        });
+        FlowSampler { on }
     }
 
     /// A disabled sampler: every call is one branch, no state.
     pub fn disabled() -> Self {
-        FlowSampler::new(0, 0)
+        FlowSampler { on: None }
     }
 
     /// Whether sampling is on.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.n != 0
+        self.on.is_some()
     }
 
     /// The sampling ratio denominator (0 = off).
     pub fn sample_n(&self) -> u32 {
-        self.n
+        self.on.as_ref().map_or(0, |s| s.n)
     }
 
     /// Whether a packet id is selected. Pure in `(seed, n, id)`: the same
@@ -198,12 +217,7 @@ impl FlowSampler {
     /// scheduler sample consistently without coordination.
     #[inline]
     pub fn picks(&self, pkt_id: u64) -> bool {
-        if self.n == 0 {
-            return false;
-        }
-        let mut h = DetBuildHasher::with_seed(self.seed).build_hasher();
-        h.write_u64(pkt_id);
-        h.finish() <= self.threshold
+        self.on.as_ref().is_some_and(|s| s.picks(pkt_id))
     }
 
     /// Offers one packet at a verdict point; records it iff selected.
@@ -217,40 +231,41 @@ impl FlowSampler {
         verdict: FlowVerdict,
         wire_len: u32,
     ) {
-        if !self.picks(pkt_id) {
+        let Some(s) = self.on.as_deref_mut() else { return };
+        if !s.picks(pkt_id) {
             return;
         }
         let key = FlowKey { prefix: src.prefix24(), path_id: path_id.0, class, verdict };
-        let rec = self.records.entry(key).or_default();
+        let rec = s.records.entry(key).or_default();
         rec.packets += 1;
         rec.bytes += wire_len as u64;
-        self.sampled_pkts += 1;
-        self.sampled_bytes += wire_len as u64;
+        s.sampled_pkts += 1;
+        s.sampled_bytes += wire_len as u64;
     }
 
     /// Total sampled packets across all records.
     pub fn sampled_packets(&self) -> u64 {
-        self.sampled_pkts
+        self.on.as_ref().map_or(0, |s| s.sampled_pkts)
     }
 
     /// Total sampled bytes across all records.
     pub fn sampled_bytes(&self) -> u64 {
-        self.sampled_bytes
+        self.on.as_ref().map_or(0, |s| s.sampled_bytes)
     }
 
     /// Number of distinct flow records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.on.as_ref().map_or(0, |s| s.records.len())
     }
 
     /// Whether nothing has been sampled.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Iterates records in canonical (sorted) key order.
     pub fn records(&self) -> impl Iterator<Item = (&FlowKey, &FlowCounters)> {
-        self.records.iter()
+        self.on.iter().flat_map(|s| s.records.iter())
     }
 
     /// Folds another sampler's records into this one (collection across
@@ -258,22 +273,22 @@ impl FlowSampler {
     /// side must be empty — merging differently-sampled tables would mix
     /// incomparable estimates.
     pub fn merge(&mut self, other: &FlowSampler) {
+        let Some(o) = other.on.as_deref() else { return };
+        let Some(s) = self.on.as_deref_mut() else {
+            self.on = Some(Box::new(o.clone()));
+            return;
+        };
         assert!(
-            other.is_empty() || self.is_empty() || (self.n == other.n && self.seed == other.seed),
+            o.records.is_empty() || s.records.is_empty() || (s.n == o.n && s.seed == o.seed),
             "merging samplers with different sampling parameters"
         );
-        if self.n == 0 {
-            self.n = other.n;
-            self.seed = other.seed;
-            self.threshold = other.threshold;
-        }
-        for (key, counters) in &other.records {
-            let rec = self.records.entry(*key).or_default();
+        for (key, counters) in &o.records {
+            let rec = s.records.entry(*key).or_default();
             rec.packets += counters.packets;
             rec.bytes += counters.bytes;
         }
-        self.sampled_pkts += other.sampled_pkts;
-        self.sampled_bytes += other.sampled_bytes;
+        s.sampled_pkts += o.sampled_pkts;
+        s.sampled_bytes += o.sampled_bytes;
     }
 
     /// Per-prefix totals (all classes/verdicts), plus the refused subset,
@@ -282,7 +297,7 @@ impl FlowSampler {
     /// counters scaled back up by `sample_n` into estimates.
     pub fn top_prefixes(&self, k: usize) -> Vec<(u32, FlowCounters, FlowCounters)> {
         let mut by_prefix: BTreeMap<u32, (FlowCounters, FlowCounters)> = BTreeMap::new();
-        for (key, c) in &self.records {
+        for (key, c) in self.records() {
             let entry = by_prefix.entry(key.prefix).or_default();
             entry.0.packets += c.packets;
             entry.0.bytes += c.bytes;
@@ -291,7 +306,7 @@ impl FlowSampler {
                 entry.1.bytes += c.bytes;
             }
         }
-        let scale = self.n.max(1) as u64;
+        let scale = self.sample_n().max(1) as u64;
         let mut rows: Vec<(u32, FlowCounters, FlowCounters)> = by_prefix
             .into_iter()
             .map(|(p, (mut t, mut r))| {
@@ -317,10 +332,9 @@ impl FlowSampler {
     ///              "est_packets":…,"est_bytes":…}, …]}
     /// ```
     pub fn to_json(&self) -> Value {
-        let scale = self.n.max(1) as u64;
+        let scale = self.sample_n().max(1) as u64;
         let records: Vec<Value> = self
-            .records
-            .iter()
+            .records()
             .map(|(key, c)| {
                 let mut m = Map::new();
                 m.insert("prefix".into(), Value::String(format_prefix24(key.prefix)));
@@ -335,9 +349,9 @@ impl FlowSampler {
             })
             .collect();
         let mut root = Map::new();
-        root.insert("sample_n".into(), Value::Number(self.n as f64));
-        root.insert("sampled_packets".into(), Value::Number(self.sampled_pkts as f64));
-        root.insert("sampled_bytes".into(), Value::Number(self.sampled_bytes as f64));
+        root.insert("sample_n".into(), Value::Number(self.sample_n() as f64));
+        root.insert("sampled_packets".into(), Value::Number(self.sampled_packets() as f64));
+        root.insert("sampled_bytes".into(), Value::Number(self.sampled_bytes() as f64));
         root.insert("records".into(), Value::Array(records));
         Value::Object(root)
     }
@@ -351,13 +365,13 @@ impl Observe for FlowSampler {
     /// metric namespace.
     fn observe(&self, prefix: &str, reg: &mut Registry) {
         let c = reg.counter(&format!("{prefix}.sampled_packets"));
-        reg.set_counter(c, self.sampled_pkts);
+        reg.set_counter(c, self.sampled_packets());
         let c = reg.counter(&format!("{prefix}.sampled_bytes"));
-        reg.set_counter(c, self.sampled_bytes);
+        reg.set_counter(c, self.sampled_bytes());
         let c = reg.counter(&format!("{prefix}.records"));
-        reg.set_counter(c, self.records.len() as u64);
+        reg.set_counter(c, self.len() as u64);
         let mut by_verdict: BTreeMap<FlowVerdict, FlowCounters> = BTreeMap::new();
-        for (key, counters) in &self.records {
+        for (key, counters) in self.records() {
             let entry = by_verdict.entry(key.verdict).or_default();
             entry.packets += counters.packets;
             entry.bytes += counters.bytes;
@@ -379,6 +393,15 @@ mod tests {
 
     fn addr(a: u8, b: u8, c: u8, d: u8) -> Addr {
         Addr::new(a, b, c, d)
+    }
+
+    /// Every scheduler and router carries a sampler, and most run with
+    /// sampling off: disabled, one is a null pointer.
+    #[test]
+    fn disabled_sampler_stays_small() {
+        assert!(std::mem::size_of::<FlowSampler>() <= 8, "{}", std::mem::size_of::<FlowSampler>());
+        assert!(FlowSampler::disabled().on.is_none());
+        assert!(FlowSampler::new(0, SEED).on.is_none());
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub struct Drr<K: Hash + Eq + Clone> {
     max_queues: usize,
     total_bytes: u64,
     total_pkts: usize,
-    drops: u64,
 }
 
 /// Drained ring buffers kept for reuse per scheduler (beyond this they are
@@ -69,12 +68,11 @@ impl<K: Hash + Eq + Clone> Drr<K> {
             max_queues,
             total_bytes: 0,
             total_pkts: 0,
-            drops: 0,
         }
     }
 
-    /// Offers a packet under `key`. Returns false (and counts a drop) if the
-    /// key's queue is full or the key table is exhausted.
+    /// Offers a packet under `key`. Returns false (a drop, which the caller
+    /// counts) if the key's queue is full or the key table is exhausted.
     ///
     /// All admission checks run *before* any state for a new key is created:
     /// a rejected first packet must leave no trace, or an attacker sending
@@ -85,7 +83,6 @@ impl<K: Hash + Eq + Clone> Drr<K> {
         match self.queues.get_mut(&key) {
             Some(q) => {
                 if q.bytes + len > self.per_queue_cap {
-                    self.drops += 1;
                     return false;
                 }
                 q.bytes += len;
@@ -98,7 +95,6 @@ impl<K: Hash + Eq + Clone> Drr<K> {
             }
             None => {
                 if self.queues.len() >= self.max_queues || len > self.per_queue_cap {
-                    self.drops += 1;
                     return false;
                 }
                 let mut pkts = self.spare.pop().unwrap_or_default();
@@ -177,11 +173,6 @@ impl<K: Hash + Eq + Clone> Drr<K> {
     /// identifiers — probe this before `enqueue`.
     pub fn can_admit_new_key(&self) -> bool {
         self.queues.len() < self.max_queues
-    }
-
-    /// Cumulative drops (full queue or key-table exhaustion).
-    pub fn drops(&self) -> u64 {
-        self.drops
     }
 
     /// Verifies the scheduler's internal accounting (cold path; used by the
@@ -314,11 +305,17 @@ mod tests {
     #[test]
     fn key_table_bound_drops_new_keys() {
         let mut d: Drr<u32> = Drr::new(1500, 1 << 20, 2);
-        assert!(d.enqueue(1, pkt(1, 100)));
-        assert!(d.enqueue(2, pkt(2, 100)));
-        assert!(!d.enqueue(3, pkt(3, 100)), "third key must be rejected");
-        assert!(d.enqueue(1, pkt(4, 100)), "existing keys still accept");
-        assert_eq!(d.drops(), 1);
+        let mut drops = 0;
+        let mut offer = |key: u32, id: u64| {
+            let accepted = d.enqueue(key, pkt(id, 100));
+            drops += usize::from(!accepted);
+            accepted
+        };
+        assert!(offer(1, 1));
+        assert!(offer(2, 2));
+        assert!(!offer(3, 3), "third key must be rejected");
+        assert!(offer(1, 4), "existing keys still accept");
+        assert_eq!(drops, 1);
     }
 
     #[test]
@@ -349,9 +346,9 @@ mod tests {
         // permanently consumed a key slot — attacker-reachable state
         // exhaustion defeating the bounded-memory claim.
         let mut d: Drr<u32> = Drr::new(1500, 250, 2);
-        assert!(!d.enqueue(1, pkt(1, 500)), "oversized first packet must be dropped");
+        let drops = usize::from(!d.enqueue(1, pkt(1, 500)));
+        assert_eq!(drops, 1, "oversized first packet must be dropped");
         assert_eq!(d.active_queues(), 0, "dropped first packet must not pin a key slot");
-        assert_eq!(d.drops(), 1);
         d.audit().expect("accounting clean after rejected first packet");
         // Both key slots remain usable by well-behaved keys.
         assert!(d.enqueue(2, pkt(2, 100)));
@@ -366,11 +363,9 @@ mod tests {
         // permanently filled the table with stubs, locking legitimate keys
         // out forever. Post-fix the table stays empty.
         let mut d: Drr<u32> = Drr::new(1500, 250, 4);
-        for k in 0..100u32 {
-            assert!(!d.enqueue(k, pkt(k as u64, 500)));
-        }
+        let drops = (0..100u32).filter(|&k| !d.enqueue(k, pkt(k as u64, 500))).count();
         assert_eq!(d.active_queues(), 0);
-        assert_eq!(d.drops(), 100);
+        assert_eq!(drops, 100);
         for k in 0..4u32 {
             assert!(d.enqueue(1000 + k, pkt(1000 + k as u64, 100)), "legitimate key {k} locked out");
         }

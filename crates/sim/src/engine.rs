@@ -24,7 +24,7 @@ use crate::pool::Pkt;
 use crate::queue::QueueDisc;
 use crate::stats::ChannelStats;
 use crate::time::{SimDuration, SimTime};
-use crate::topology::LinkHandle;
+use crate::topology::{LinkHandle, StaticRoute};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
 use tva_wire::{Addr, Packet, PacketId};
 
@@ -48,16 +48,13 @@ pub struct Channel {
     /// Propagation delay.
     pub delay: SimDuration,
     pub(crate) queue: Box<dyn QueueDisc>,
-    pub(crate) busy: bool,
+    /// The packet being serialized; `Some` exactly while the transmitter
+    /// is busy.
     pub(crate) in_flight: Option<Pkt>,
     pub(crate) wake_at: Option<SimTime>,
-    /// Wire impairments; `None` (the default) costs one branch per packet.
-    pub(crate) impair: Option<Impairments>,
-    /// This channel's private fault stream, seeded lazily from
-    /// `(seed, channel id)` on the first impaired draw. Per-channel (not
-    /// global) so fault draws are independent of which other channels are
-    /// impaired.
-    pub(crate) fault_rng: Option<Box<SmallRng>>,
+    /// Wire impairments and their fault stream; `None` (the default) costs
+    /// one pointer and one branch per packet.
+    pub(crate) faults: Option<Box<Faults>>,
     /// `false` while the link is failed: the channel loses everything
     /// offered to it and starts no new transmissions. Queued packets are
     /// retained (a router holding its output buffer) and resume on recovery.
@@ -67,6 +64,26 @@ pub struct Channel {
     pub(crate) epoch: u64,
     /// Counters.
     pub stats: ChannelStats,
+}
+
+/// A channel's cold fault state: its impairments and the private stream
+/// they draw from.
+pub(crate) struct Faults {
+    /// Never a no-op configuration (that is `Channel::faults == None`).
+    imp: Impairments,
+    /// Seeded lazily from `(seed, FAULT_STREAM, channel id)` on the first
+    /// impaired draw. Per-channel (not global) so fault draws are
+    /// independent of which other channels are impaired.
+    rng: Option<SmallRng>,
+}
+
+impl Faults {
+    /// The fault state for `imp`, or `None` when `imp` perturbs nothing.
+    /// Clearing a channel's impairments drops its stream, so setting them
+    /// again restarts the stream from its seed.
+    pub(crate) fn of(imp: Impairments) -> Option<Box<Faults>> {
+        (!imp.is_noop()).then(|| Box::new(Faults { imp, rng: None }))
+    }
 }
 
 impl Channel {
@@ -98,19 +115,12 @@ impl Channel {
     }
 
     /// Verifies this channel's accounting (cold path; used by the
-    /// `TVA_CHECK` runtime auditors): the egress queue's own ledgers, the
-    /// busy/in-flight pairing, and the [`ChannelStats`] conservation
-    /// identities — packets and bytes accepted minus transmitted must equal
-    /// exactly what the queue still holds.
+    /// `TVA_CHECK` runtime auditors): the egress queue's own ledgers and
+    /// the [`ChannelStats`] conservation identities — packets and bytes
+    /// accepted minus transmitted must equal exactly what the queue still
+    /// holds.
     pub fn audit(&self) -> Result<(), String> {
         self.queue.audit()?;
-        if self.busy != self.in_flight.is_some() {
-            return Err(format!(
-                "channel: busy={} but in_flight={}",
-                self.busy,
-                self.in_flight.is_some()
-            ));
-        }
         let held_pkts = self.queue.len_pkts() as u64;
         match self.stats.enqueued_pkts.checked_sub(self.stats.tx_pkts) {
             Some(d) if d == held_pkts => {}
@@ -364,7 +374,7 @@ impl Core {
     fn try_start(&mut self, ch: ChannelId) {
         let now = self.now;
         let c = &mut self.channels[ch.0];
-        if c.busy || !c.up {
+        if c.in_flight.is_some() || !c.up {
             return;
         }
         match c.queue.dequeue(now) {
@@ -377,7 +387,6 @@ impl Core {
                 c.stats.queued_delay_max_ns = c.stats.queued_delay_max_ns.max(waited);
                 c.stats.tx_pkts += 1;
                 c.stats.tx_bytes += wire_len as u64;
-                c.busy = true;
                 c.in_flight = Some(pkt);
                 c.wake_at = None;
                 let epoch = c.epoch;
@@ -408,21 +417,16 @@ impl Core {
             return;
         }
         let pkt = c.in_flight.take().expect("TxComplete without packet in flight");
-        c.busy = false;
         let arrival = self.now + c.delay;
         let node = c.to;
-        let fate = match c.impair {
+        let fate = match c.faults.as_deref_mut() {
             None => WireFate::Deliver,
-            Some(imp) => {
-                let (seed, now) = (self.seed, self.now);
-                let rng = c.fault_rng.get_or_insert_with(|| {
-                    Box::new(SmallRng::seed_from_u64(stream_seed(
-                        seed,
-                        FAULT_STREAM,
-                        ch.0 as u64,
-                    )))
+            Some(f) => {
+                let seed = self.seed;
+                let rng = f.rng.get_or_insert_with(|| {
+                    SmallRng::seed_from_u64(stream_seed(seed, FAULT_STREAM, ch.0 as u64))
                 });
-                wire_fate(now, &imp, rng)
+                wire_fate(self.now, &f.imp, rng)
             }
         };
         match fate {
@@ -447,8 +451,9 @@ impl Core {
                 // and let the codec decide what survives.
                 let mut bytes = tva_wire::encode_packet(&pkt);
                 let rng = self.channels[ch.0]
-                    .fault_rng
+                    .faults
                     .as_mut()
+                    .and_then(|f| f.rng.as_mut())
                     .expect("fault stream initialized by the fate draw");
                 fault::corrupt_bytes(&mut bytes, rng);
                 match tva_wire::decode_packet(&bytes) {
@@ -494,7 +499,6 @@ impl Core {
             self.try_start(ch);
         } else {
             c.epoch += 1;
-            c.busy = false;
             if let Some(pkt) = c.in_flight.take() {
                 let (id, src, dst) = (pkt.id, pkt.src, pkt.dst);
                 let wire_len = pkt.wire_len();
@@ -598,7 +602,7 @@ pub struct Simulator {
     /// Default routes from the topology (same retention rationale).
     pub(crate) defaults: Vec<(NodeId, ChannelId)>,
     /// Static routes installed by the topology (node, addr, egress).
-    pub(crate) statics: Vec<(NodeId, Addr, ChannelId)>,
+    pub(crate) statics: Vec<StaticRoute>,
     /// Times the dense next-hop tables have been recomputed at runtime.
     pub(crate) reconvergences: u64,
     /// Pending scheduled link transitions, sorted by key.
@@ -743,7 +747,7 @@ impl Simulator {
     /// Sets (or clears, when `imp.is_noop()`) one channel's impairments.
     /// Channels without impairments pay a single branch per packet.
     pub fn set_impairments(&mut self, ch: ChannelId, imp: Impairments) {
-        self.core.channels[ch.0].impair = if imp.is_noop() { None } else { Some(imp) };
+        self.core.channels[ch.0].faults = Faults::of(imp);
     }
 
     /// Applies the same impairments to both directions of a link.
@@ -872,5 +876,18 @@ impl Simulator {
     /// denominator for engine-throughput (events/sec) measurements.
     pub fn events_processed(&self) -> u64 {
         self.core.events_dispatched
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every link costs two channels, so a channel's size is per-host
+    /// memory in a tree topology. Wire faults sit behind one pointer and
+    /// `in_flight` doubles as the busy flag.
+    #[test]
+    fn channel_stays_small() {
+        assert!(std::mem::size_of::<Channel>() <= 208, "{}", std::mem::size_of::<Channel>());
     }
 }

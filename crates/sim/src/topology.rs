@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use crate::engine::{Channel, Core, RouteTable, Simulator};
+use crate::engine::{Channel, Core, Faults, RouteTable, Simulator};
 use crate::event::{ChannelId, NodeId};
 use crate::fault::Impairments;
 use crate::intern::AddrInterner;
@@ -25,6 +25,11 @@ pub struct LinkHandle {
     pub ba: ChannelId,
 }
 
+/// A static route row `(node, addr, egress channel)`, ids narrowed to
+/// 32 bits: 12 bytes instead of 24, one row per (ancestor, host) pair of a
+/// tree topology, retained for the simulator's lifetime.
+pub(crate) type StaticRoute = (u32, Addr, u32);
+
 /// Builder for a [`Simulator`].
 #[derive(Default)]
 pub struct TopologyBuilder {
@@ -32,7 +37,7 @@ pub struct TopologyBuilder {
     channels: Vec<Channel>,
     addrs: Vec<(Addr, NodeId)>,
     defaults: Vec<(NodeId, ChannelId)>,
-    statics: Vec<(NodeId, Addr, ChannelId)>,
+    statics: Vec<StaticRoute>,
 }
 
 impl TopologyBuilder {
@@ -70,7 +75,8 @@ impl TopologyBuilder {
     /// that a failed static next hop blackholes like a real misconfigured
     /// route would.
     pub fn static_route(&mut self, node: NodeId, addr: Addr, ch: ChannelId) {
-        self.statics.push((node, addr, ch));
+        let id = |i: usize| u32::try_from(i).expect("static route ids fit in 32 bits");
+        self.statics.push((id(node.0), addr, id(ch.0)));
     }
 
     /// Declares that `addr` lives at `node` (i.e. packets addressed to
@@ -101,11 +107,9 @@ impl TopologyBuilder {
             bandwidth_bps,
             delay,
             queue: qa,
-            busy: false,
             in_flight: None,
             wake_at: None,
-            impair: None,
-            fault_rng: None,
+            faults: None,
             up: true,
             epoch: 0,
             stats: Default::default(),
@@ -117,11 +121,9 @@ impl TopologyBuilder {
             bandwidth_bps,
             delay,
             queue: qb,
-            busy: false,
             in_flight: None,
             wake_at: None,
-            impair: None,
-            fault_rng: None,
+            faults: None,
             up: true,
             epoch: 0,
             stats: Default::default(),
@@ -132,7 +134,7 @@ impl TopologyBuilder {
     /// Configures wire impairments on one channel (see
     /// [`crate::fault::Impairments`]); a no-op configuration clears them.
     pub fn impair(&mut self, ch: ChannelId, imp: Impairments) {
-        self.channels[ch.0].impair = if imp.is_noop() { None } else { Some(imp) };
+        self.channels[ch.0].faults = Faults::of(imp);
     }
 
     /// Applies the same impairments to both directions of a link.
@@ -233,11 +235,11 @@ pub(crate) fn compute_routes(
 pub(crate) fn apply_static_routes(
     routes: &mut [RouteTable],
     interner: &AddrInterner,
-    statics: &[(NodeId, Addr, ChannelId)],
+    statics: &[StaticRoute],
 ) {
     for &(node, addr, ch) in statics {
         let idx = interner.get(addr).expect("static address is interned");
-        routes[node.0].insert(idx, ch);
+        routes[node as usize].insert(idx, ChannelId(ch as usize));
     }
 }
 

@@ -46,9 +46,19 @@ fn pump(
     stack.take_events()
 }
 
+/// The TCP stack in `slot`, built for `addr` on first use.
+fn lazy_stack(slot: &mut Option<Box<TcpStack>>, addr: Addr) -> &mut TcpStack {
+    slot.get_or_insert_with(|| Box::new(TcpStack::new(addr)))
+}
+
 /// A legitimate user: repeatedly pushes `file_size` bytes to `server`.
+///
+/// The TCP stack is built on the first `open` or the first packet, so a
+/// client that is never kicked and never addressed holds its address and a
+/// null pointer instead of a stack (DESIGN §4c).
 pub struct ClientNode {
-    stack: TcpStack,
+    addr: Addr,
+    stack: Option<Box<TcpStack>>,
     shim: Box<dyn Shim>,
     server: Addr,
     file_size: u32,
@@ -72,7 +82,8 @@ impl ClientNode {
         shim: Box<dyn Shim>,
     ) -> Self {
         ClientNode {
-            stack: TcpStack::new(addr),
+            addr,
+            stack: None,
             shim,
             server,
             file_size,
@@ -86,7 +97,14 @@ impl ClientNode {
 
     /// This client's address.
     pub fn addr(&self) -> Addr {
-        self.stack.local_addr()
+        self.addr
+    }
+
+    /// Pumps the stack through the shim and handles the events it reports.
+    fn pump(&mut self, ctx: &mut dyn Ctx) {
+        let stack = lazy_stack(&mut self.stack, self.addr);
+        let events = pump(stack, self.shim.as_mut(), &mut self.timer_armed, ctx);
+        self.handle_events(events, ctx.now());
     }
 
     /// True once all transfers have been attempted and resolved.
@@ -106,7 +124,7 @@ impl ClientNode {
 
     fn maybe_open_next(&mut self, now: SimTime) {
         if self.started < self.transfers_target && self.started == self.records.len() {
-            self.stack.open(self.server, self.file_size, now);
+            lazy_stack(&mut self.stack, self.addr).open(self.server, self.file_size, now);
             self.started += 1;
             self.in_flight_started = Some(now);
         }
@@ -136,12 +154,10 @@ impl Node for ClientNode {
         if !self.shim.on_receive(&mut pkt, ctx.now()) {
             return;
         }
-        self.stack.on_packet(&pkt, ctx.now());
-        let events = pump(&mut self.stack, self.shim.as_mut(), &mut self.timer_armed, ctx);
-        self.handle_events(events, ctx.now());
+        lazy_stack(&mut self.stack, self.addr).on_packet(&pkt, ctx.now());
+        self.pump(ctx);
         // An event may have opened the next transfer; flush its SYN.
-        let events = pump(&mut self.stack, self.shim.as_mut(), &mut self.timer_armed, ctx);
-        self.handle_events(events, ctx.now());
+        self.pump(ctx);
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut dyn Ctx) {
@@ -150,14 +166,12 @@ impl Node for ClientNode {
             TOKEN_START => self.maybe_open_next(now),
             TOKEN_TICK => {
                 self.timer_armed = None;
-                self.stack.on_tick(now);
+                lazy_stack(&mut self.stack, self.addr).on_tick(now);
             }
             _ => {}
         }
-        let events = pump(&mut self.stack, self.shim.as_mut(), &mut self.timer_armed, ctx);
-        self.handle_events(events, now);
-        let events = pump(&mut self.stack, self.shim.as_mut(), &mut self.timer_armed, ctx);
-        self.handle_events(events, now);
+        self.pump(ctx);
+        self.pump(ctx);
     }
 }
 
@@ -200,5 +214,22 @@ impl Node for ServerNode {
             self.stack.on_tick(ctx.now());
         }
         pump(&mut self.stack, self.shim.as_mut(), &mut self.timer_armed, ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shim::NullShim;
+
+    /// Most clients of a large tree are never kicked: an idle client holds
+    /// its address and no TCP stack.
+    #[test]
+    fn idle_client_stays_small() {
+        assert!(std::mem::size_of::<ClientNode>() <= 112, "{}", std::mem::size_of::<ClientNode>());
+        let addr = Addr::new(1, 0, 0, 1);
+        let c = ClientNode::new(addr, Addr::new(2, 0, 0, 1), 1000, 1, Box::new(NullShim));
+        assert!(c.stack.is_none());
+        assert_eq!(c.addr(), addr);
     }
 }

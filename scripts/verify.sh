@@ -111,6 +111,12 @@ TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-scale \
   cargo run --release -q -p tva-bench --bin scale -- --quick
 test -s target/verify-scale/scale_metrics.json
 grep -q '"check_violations": 0' target/verify-scale/scale.json
+# The quick tree's outcome is pinned: a change that moves these moved the
+# engine's event order or the TVA stack's behaviour.
+for pin in '"events": 440596,' '"bottleneck_tx_pkts": 16221,' '"attack_pkts_emitted": 25906,'; do
+  grep -q "$pin" target/verify-scale/scale.json \
+    || { echo "verify: FAIL — quick scale tree lost $pin"; exit 1; }
+done
 
 echo "==> observability smoke (fig8 quick: obs-off vs obs-on, TSVs byte-identical)"
 rm -rf target/verify-obs
