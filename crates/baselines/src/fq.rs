@@ -8,7 +8,8 @@
 //! > 1/k² of the congested link."
 //!
 //! These schedulers exist to demonstrate that argument empirically (the
-//! `strawmen` binary of `tva-experiments`); they are not part of TVA.
+//! `repro strawmen` artifact, `tva_experiments::strawmen`); they are not
+//! part of TVA.
 
 use tva_sim::{Drr, Enqueued, Pkt, QueueDisc, SimTime};
 use tva_wire::{Addr, Packet};

@@ -3,10 +3,11 @@
 //! The Table 1 / Figure 12 measurement substrate: crafted packets of every
 //! type the paper's §6 micro-benchmarks exercise, driven straight through
 //! the real [`tva_core::TvaRouter`] pipeline (the same code the simulations
-//! run), behind the `table1` / `fig12` binaries; plus the simulator
-//! workloads ([`dumbbell`], [`scale`]) and the allocation / RSS probes
-//! ([`alloc`]) that the repo benchmark (`bash benchmark/run.sh`,
-//! `BENCHMARK.json`) builds against.
+//! run), behind the [`table1_fig12`] producer (`repro table1`); plus the
+//! simulator workloads ([`dumbbell`], [`scale`], whose [`scale::produce`]
+//! is `repro scale`) and the allocation / RSS probes ([`alloc`]) that the
+//! repo benchmark (`bash benchmark/run.sh`, `BENCHMARK.json`) builds
+//! against.
 //!
 //! The paper measured a Linux 2.6.8 netfilter module on a 3.2 GHz Xeon with
 //! a kernel packet generator; we measure the identical pipeline in-process
@@ -26,6 +27,7 @@ pub mod dumbbell;
 pub mod scale;
 
 use tva_core::{capability, RouterConfig, TvaRouter, Verdict};
+use tva_experiments::{ascii_chart, tsv, Files, Series, Size};
 use tva_sim::{ChannelId, SimDuration, SimTime};
 use tva_wire::{Addr, CapHeader, CapValue, FlowNonce, Grant, Packet, PacketId};
 
@@ -252,7 +254,7 @@ impl Rig {
 
     /// Measures mean per-packet processing time for `t` over `n` packets
     /// (packet construction excluded from the timed section), returning
-    /// seconds per packet. The `table1`/`fig12` binaries use this.
+    /// seconds per packet. [`table1_fig12`] uses this.
     pub fn measure(&mut self, t: PktType, n: usize) -> f64 {
         let batch = BATCH.min(n.max(1));
         let mut total = std::time::Duration::ZERO;
@@ -273,6 +275,74 @@ impl Rig {
         }
         total.as_secs_f64() / n as f64
     }
+}
+
+/// The paper's Table 1 values in nanoseconds (3.2 GHz Xeon, 2005).
+fn paper_ns(t: PktType) -> Option<f64> {
+    match t {
+        PktType::LegacyIp => None,
+        PktType::Request => Some(460.0),
+        PktType::RegularCached => Some(33.0),
+        PktType::RegularUncached => Some(1486.0),
+        PktType::RenewalCached => Some(439.0),
+        PktType::RenewalUncached => Some(1821.0),
+    }
+}
+
+/// Table 1 and Figure 12 from one measurement of each packet type:
+/// 200 000 packets per type (quick) or 1 000 000 (full), after a tenth as
+/// many to warm the caches and branch predictors.
+///
+/// Table 1 replays the paper's §6 micro-benchmark on this machine: mean
+/// nanoseconds per packet next to the paper's Xeon numbers; the ordering
+/// and rough ratios are the reproduced result. Figure 12 is the peak output
+/// rate that cost allows: the paper swept a kernel packet generator's input
+/// rate and saw output saturate at a per-type peak (160–280 kpps in 2005);
+/// here output = min(input, peak).
+pub fn table1_fig12(size: Size) -> Result<Files, String> {
+    let n: usize = match size {
+        Size::Smoke => return Err("no smoke size (quick or full)".into()),
+        Size::Quick => 200_000,
+        Size::Full => 1_000_000,
+    };
+    let mut rig = Rig::new(65_536, 262_144);
+    println!("Table 1 / Figure 12: processing cost and peak rate by packet type");
+    println!("({n} packets per type)\n");
+    println!("{:<22} {:>12} {:>12} {:>14}", "Packet type", "measured ns", "paper ns", "peak kpps");
+    println!("{}", "-".repeat(63));
+    let (mut table1, mut fig12, mut peaks) = (Vec::new(), Vec::new(), Vec::new());
+    for t in PktType::ALL {
+        rig.measure(t, n / 10);
+        let secs = rig.measure(t, n);
+        let (ns, kpps) = (secs * 1e9, 1.0 / secs / 1000.0);
+        let paper = paper_ns(t).map_or("-".to_string(), |p| format!("{p:.0}"));
+        println!("{:<22} {ns:>12.0} {paper:>12} {kpps:>14.0}", t.name());
+        table1.push(vec![t.key().to_string(), format!("{ns:.1}")]);
+        fig12.push(vec![t.key().to_string(), format!("{kpps:.1}")]);
+        peaks.push((t, kpps));
+    }
+
+    // The paper's x axis: input 0..400 kpps. Ours can be much faster;
+    // sweep to 1.2x the fastest peak so every curve's knee is visible.
+    let x_max = peaks.iter().map(|&(_, p)| p).fold(0.0, f64::max) * 1.2;
+    let series: Vec<Series> = peaks
+        .iter()
+        .map(|&(t, peak)| Series {
+            label: t.name().to_string(),
+            points: (0..=24)
+                .map(|i| {
+                    let input = x_max * i as f64 / 24.0;
+                    (input, input.min(peak))
+                })
+                .collect(),
+        })
+        .collect();
+    println!();
+    println!("{}", ascii_chart("fig12: output kpps vs input kpps", &series, 64, 14));
+    Ok(vec![
+        ("table1.tsv".into(), tsv(&["type", "ns_per_packet"], &table1)),
+        ("fig12.tsv".into(), tsv(&["type", "peak_kpps"], &fig12)),
+    ])
 }
 
 #[cfg(test)]

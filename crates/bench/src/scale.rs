@@ -23,9 +23,11 @@
 
 use std::time::Instant;
 
+use serde_json::Value;
 use tva_core::{ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler};
 use tva_sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
 use tva_transport::{ClientNode, FloodNode, ServerNode, TOKEN_START};
+use tva_experiments::{snapshot_json, tsv, Files, Size};
 use tva_wire::{Addr, CapHeader, Grant, Packet, PacketId};
 
 /// The server's address (outside the host address block).
@@ -300,6 +302,121 @@ pub fn run_scale(cfg: ScaleConfig) -> ScaleRun {
         peak_rss_kb,
         check_violations,
     }
+}
+
+/// `scale.{tsv,json}` and `scale_metrics.json`: engine throughput and
+/// memory of the tree at [`ScaleConfig::full`] (1M hosts / 100k attackers)
+/// or [`ScaleConfig::quick`] (10k hosts). Nothing gates on these numbers:
+/// the repo's performance ledger is `BENCHMARK.json`, whose `sim_scale`
+/// workload times the same tree at 100k hosts. Under `TVA_CHECK=1` the run
+/// is audited and any violation is an error.
+pub fn produce(size: Size) -> Result<Files, String> {
+    produce_with(size, None, None)
+}
+
+/// [`produce`] with `hosts` and `secs` overriding the population (the
+/// attackers and active users shrink to at most a tenth and a twentieth
+/// of it) and the simulated horizon.
+pub fn produce_with(size: Size, hosts: Option<usize>, secs: Option<u64>) -> Result<Files, String> {
+    let mut cfg = match size {
+        Size::Smoke => return Err("no smoke size (quick or full)".into()),
+        Size::Quick => ScaleConfig::quick(),
+        Size::Full => ScaleConfig::full(),
+    };
+    if let Some(n) = hosts {
+        cfg.hosts = n;
+        cfg.attackers = cfg.attackers.min(n / 10);
+        cfg.active_users = cfg.active_users.min(n / 20);
+    }
+    cfg.sim_secs = secs.unwrap_or(cfg.sim_secs);
+    eprintln!(
+        "scale: {} hosts / {} attackers / {} active users, {}s simulated ...",
+        cfg.hosts, cfg.attackers, cfg.active_users, cfg.sim_secs
+    );
+    let run = run_scale(cfg);
+    eprintln!(
+        "scale: built {} nodes in {:.2}s; {} events in {:.2}s = {:.0} events/s; peak RSS {}",
+        run.hosts + run.routers + 1,
+        run.build_s,
+        run.events,
+        run.run_s,
+        run.events_per_sec,
+        run.peak_rss_kb.map_or("n/a".into(), |kb| format!("{:.1} MB", kb as f64 / 1024.0)),
+    );
+    match run.check_violations {
+        Some(v) if v > 0 => return Err(format!("{v} invariant violation(s)")),
+        Some(_) => eprintln!("scale: invariant checker ran alongside: 0 violations"),
+        None => {}
+    }
+    Ok(vec![
+        ("scale.tsv".into(), tsv_report(&run)),
+        ("scale.json".into(), json_report(&run)),
+        ("scale_metrics.json".into(), snapshot_json("scale", &metrics_registry(&run))),
+    ])
+}
+
+/// Folds the headline scale numbers into a metrics registry so the run is
+/// exported in the same snapshot-document schema as the robustness sweep.
+fn metrics_registry(r: &ScaleRun) -> tva_obs::Registry {
+    let mut reg = tva_obs::Registry::new();
+    let counters = [
+        ("hosts", r.hosts as u64),
+        ("attackers", r.attackers as u64),
+        ("routers", r.routers as u64),
+        ("events", r.events),
+        ("bottleneck_tx_pkts", r.bottleneck_tx_pkts),
+        ("attack_pkts_emitted", r.attack_pkts_emitted),
+        ("peak_rss_kb", r.peak_rss_kb.unwrap_or(0)),
+    ];
+    for (name, v) in counters.into_iter().chain(r.check_violations.map(|v| ("check_violations", v))) {
+        let id = reg.counter(&format!("scale.{name}"));
+        reg.set_counter(id, v);
+    }
+    for (name, v) in [("build_s", r.build_s), ("run_s", r.run_s), ("events_per_sec", r.events_per_sec)] {
+        reg.set_gauge(&format!("scale.{name}"), v);
+    }
+    reg
+}
+
+fn tsv_report(r: &ScaleRun) -> String {
+    let opt = |v: Option<u64>| v.map_or_else(|| "-".into(), |v| v.to_string());
+    let row = vec![
+        r.hosts.to_string(),
+        r.attackers.to_string(),
+        r.routers.to_string(),
+        r.events.to_string(),
+        format!("{:.3}", r.build_s),
+        format!("{:.3}", r.run_s),
+        format!("{:.0}", r.events_per_sec),
+        r.bottleneck_tx_pkts.to_string(),
+        r.attack_pkts_emitted.to_string(),
+        opt(r.peak_rss_kb),
+        opt(r.check_violations),
+    ];
+    let headers = [
+        "hosts", "attackers", "routers", "events", "build_s", "run_s", "events_per_sec",
+        "bottleneck_tx_pkts", "attack_pkts_emitted", "peak_rss_kb", "check_violations",
+    ];
+    tsv(&headers, &[row])
+}
+
+fn json_report(r: &ScaleRun) -> String {
+    let ms = |s: f64| (s * 1000.0).round() / 1000.0;
+    let fields = [
+        ("hosts", r.hosts as f64),
+        ("attackers", r.attackers as f64),
+        ("routers", r.routers as f64),
+        ("events", r.events as f64),
+        ("build_s", ms(r.build_s)),
+        ("run_s", ms(r.run_s)),
+        ("events_per_sec", r.events_per_sec.round()),
+        ("bottleneck_tx_pkts", r.bottleneck_tx_pkts as f64),
+        ("attack_pkts_emitted", r.attack_pkts_emitted as f64),
+    ];
+    let optional = [("peak_rss_kb", r.peak_rss_kb), ("check_violations", r.check_violations)];
+    let optional = optional.into_iter().filter_map(|(k, v)| Some((k, v? as f64)));
+    let map = fields.into_iter().chain(optional).map(|(k, v)| (k.to_string(), Value::Number(v)));
+    serde_json::to_string_pretty(&Value::Object(map.collect())).expect("serializable") + "\n"
 }
 
 #[cfg(test)]

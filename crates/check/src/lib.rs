@@ -36,7 +36,7 @@
 //! gate is unaffected.
 //!
 //! On violation, the harness dumps a replay artifact (seed + config JSON +
-//! violations + the flight-recorder ring) that `invcheck replay`
+//! violations + the flight-recorder ring) that `repro invcheck replay`
 //! re-executes deterministically.
 
 #![forbid(unsafe_code)]

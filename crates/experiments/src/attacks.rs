@@ -1,6 +1,6 @@
 //! Attack-strategy search: the damage frontier.
 //!
-//! The figure binaries reproduce the paper's *fixed* attacks; this module
+//! The figure producers reproduce the paper's *fixed* attacks; this module
 //! asks the adversary's question instead: **which strategy hurts the most
 //! per byte spent?** It samples randomized parameters for each strategy —
 //! the rows of [`ATTACKS`] that declare a search draw, with their ranges —
@@ -21,8 +21,9 @@
 //! fixed scenario seed — so the whole report is byte-identical across
 //! repeats (the engine's determinism contract).
 //!
-//! The search parameters are [`SearchConfig::default`]; `--smoke` runs one
-//! trial per strategy.
+//! The search parameters are [`SearchConfig::default`]; the smoke size,
+//! which writes the tracked files, runs one trial per strategy and asserts
+//! what the search must show (see [`produce`]).
 
 use std::any::Any;
 
@@ -30,12 +31,10 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::check::draw;
-use crate::figrun::write_json;
-use crate::report::{table, write_tsv};
+use crate::report::{records_json, table, tsv, Files, Size};
 use crate::scenario::{run_inspect, Attack, AttackKind, ScenarioConfig, Scheme, ATTACKS};
 use tva_core::{TvaRouterNode, TvaScheduler};
 use tva_obs::{format_prefix24, FlowSampler};
-use tva_sim::knobs::results_dir;
 use tva_sim::{SimDuration, SimTime};
 
 /// The kinds the search draws, in report order: the rows of [`ATTACKS`]
@@ -314,16 +313,6 @@ pub fn attribution_rows(rows: &[AttributionRow]) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Writes `results/attacks_attribution.{tsv,json}` and returns the TSV
-/// path.
-pub fn write_attribution(rows: &[AttributionRow]) -> std::io::Result<std::path::PathBuf> {
-    let rendered = attribution_rows(rows);
-    let path = results_dir().join("attacks_attribution.tsv");
-    write_tsv(&path, &ATTRIBUTION_HEADERS, &rendered)?;
-    write_json("attacks_attribution", &ATTRIBUTION_HEADERS, &rendered);
-    Ok(path)
-}
-
 /// Column headers of `results/attacks.tsv` / `.json`.
 pub const HEADERS: [&str; 9] = [
     "scheme",
@@ -358,15 +347,74 @@ pub fn rows(trials: &[Trial]) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Writes `results/attacks.{tsv,json}` plus a schema-stable metrics
-/// snapshot (`results/attacks_metrics.json`) carrying each strategy's best
-/// trial per scheme through the tva-obs seam. Returns the TSV path.
-pub fn write_reports(trials: &[Trial]) -> std::io::Result<std::path::PathBuf> {
-    let rows = rows(trials);
-    let path = results_dir().join("attacks.tsv");
-    write_tsv(&path, &HEADERS, &rows)?;
-    write_json("attacks", &HEADERS, &rows);
+/// The attack search's artifacts: `attacks.{tsv,json}`, a schema-stable
+/// metrics snapshot (`attacks_metrics.json`) carrying each strategy's best
+/// trial per scheme through the tva-obs seam, and the per-prefix
+/// attribution of a colluder-ring run against TVA
+/// (`attacks_attribution.{tsv,json}`).
+///
+/// The smoke size runs one trial per strategy and fails unless (a) the
+/// attribution names the colluder ring's prefix as the top offender with
+/// refused traffic, (b) every strategy drew traffic and (c) some strategy
+/// strictly dominates the constant-rate flood against some scheme — the
+/// robustness acceptance gate. Quick runs [`SearchConfig::default`].
+/// `TVA_CHECK=1` audits every run.
+pub fn produce(size: Size) -> Result<Files, String> {
+    let sc = match size {
+        Size::Smoke => SearchConfig { trials: 1, ..SearchConfig::default() },
+        Size::Quick => SearchConfig::default(),
+        Size::Full => return Err("no full size (smoke or quick)".into()),
+    };
+    eprintln!(
+        "== attacks: damage-frontier search ({} trials/strategy, seed {}) ==",
+        sc.trials, sc.seed
+    );
+    let trials = search(&sc);
+    let rows = rows(&trials);
+    print_report(&trials, &rows);
+    // Per-prefix attribution: who hurt the bottleneck, from the sampled
+    // flow records of a colluder-ring run against TVA.
+    let attribution = attribute(&sc);
+    let attribution_rows = attribution_rows(&attribution);
+    println!("per-prefix attribution (TVA, colluder-ring, sampled):");
+    println!("{}", table(&ATTRIBUTION_HEADERS, &attribution_rows));
+    if size == Size::Smoke {
+        smoke(&trials, &attribution)?;
+    }
+    Ok(vec![
+        ("attacks.tsv".into(), tsv(&HEADERS, &rows)),
+        ("attacks.json".into(), records_json(&HEADERS, &rows)),
+        ("attacks_metrics.json".into(), metrics(&trials)),
+        ("attacks_attribution.tsv".into(), tsv(&ATTRIBUTION_HEADERS, &attribution_rows)),
+        ("attacks_attribution.json".into(), records_json(&ATTRIBUTION_HEADERS, &attribution_rows)),
+    ])
+}
 
+/// The smoke size's three claims (see [`produce`]).
+fn smoke(trials: &[Trial], attribution: &[AttributionRow]) -> Result<(), String> {
+    match attribution.first() {
+        Some(top) if top.prefix == "66.0.0/24" && top.est_refused_bytes > 0 => println!(
+            "smoke ok: top offender {} ({} est bytes, {} refused)",
+            top.prefix, top.est_bytes, top.est_refused_bytes
+        ),
+        top => return Err(format!("attribution did not name the attacker prefix: {top:?}")),
+    }
+    for strategy in strategies().map(|k| k.name) {
+        if !trials.iter().any(|t| t.strategy == strategy && t.attacker_bytes > 0) {
+            return Err(format!("strategy {strategy} emitted no attacker bytes"));
+        }
+    }
+    let dominated = schemes_dominated(trials);
+    if dominated.is_empty() {
+        return Err("no strategy strictly dominates the constant-rate flood".into());
+    }
+    let names: Vec<&str> = dominated.iter().map(|s| s.name()).collect();
+    println!("smoke ok: const-flood dominated against {}", names.join(", "));
+    Ok(())
+}
+
+/// The metrics snapshot: each strategy's best trial per scheme.
+fn metrics(trials: &[Trial]) -> String {
     let mut registry = tva_obs::Registry::new();
     for scheme in Scheme::ALL {
         for strategy in strategies().map(|k| k.name).chain(["const-flood"]) {
@@ -387,14 +435,12 @@ pub fn write_reports(trials: &[Trial]) -> std::io::Result<std::path::PathBuf> {
             );
         }
     }
-    let metrics_path = results_dir().join("attacks_metrics.json");
-    crate::observe::write_snapshot(&metrics_path, "attacks", &registry)?;
-    Ok(path)
+    crate::observe::snapshot_json("attacks", &registry)
 }
 
 /// Prints the report table and frontier summary to stdout.
-pub fn print_report(trials: &[Trial]) {
-    println!("{}", table(&HEADERS, &rows(trials)));
+fn print_report(trials: &[Trial], rows: &[Vec<String>]) {
+    println!("{}", table(&HEADERS, rows));
     for scheme in Scheme::ALL {
         let frontier: Vec<String> = trials
             .iter()

@@ -1,6 +1,6 @@
 //! `TVA_CHECK` wiring: drives scenario runs through the [`tva_check`]
 //! auditors, dumps replay artifacts on violation, and provides the seeded
-//! configuration generator behind the `invcheck` scenario fuzzer.
+//! configuration generator behind the `repro invcheck` scenario fuzzer.
 //!
 //! The auditors cost nothing until `TVA_CHECK=1` is set at runtime:
 //! [`CheckConfig::from_env`] is consulted once per run, off the packet
@@ -10,7 +10,7 @@
 //! [`ScenarioConfig`] (seed, topology and bottleneck faults included), the
 //! violated invariants, and the violation details; the flight-recorder
 //! ring is dumped next to it (`<stem>.flight.json`) for packet-level
-//! context. `invcheck replay` re-executes an artifact deterministically
+//! context. `repro invcheck replay` re-executes an artifact deterministically
 //! and compares the set of violated invariants.
 //!
 //! The config's keys come from two tables: the attack's name and its
@@ -406,6 +406,76 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, String> {
 pub fn replay(artifact: &Artifact) -> Vec<String> {
     let (_, report) = run_checked(&artifact.cfg);
     report.violated_invariants().into_iter().map(str::to_string).collect()
+}
+
+/// A report's verdict: `clean` or the violated invariants.
+fn verdict(violated: &[impl AsRef<str>]) -> String {
+    if violated.is_empty() {
+        return "clean".into();
+    }
+    let labels: Vec<&str> = violated.iter().map(AsRef::as_ref).collect();
+    format!("violated [{}]", labels.join(", "))
+}
+
+/// `repro invcheck fuzz`: runs the scenario [`random_config`] derives from
+/// each seed in `[start, start + seeds)` with every auditor on, prints one
+/// line per seed, and writes a replay artifact under `dir` for each seed
+/// that violates an invariant. Returns how many did.
+pub fn fuzz(start: u64, seeds: u64, dir: &Path) -> usize {
+    let mut failed = 0usize;
+    for seed in start..start.saturating_add(seeds) {
+        let cfg = random_config(seed);
+        let (_, report) = run_checked(&cfg);
+        if report.is_clean() {
+            println!(
+                "seed {seed}: clean ({} events, {} audit passes, scheme {}, {:?})",
+                report.events_audited,
+                report.audit_passes,
+                cfg.scheme.name(),
+                cfg.attack,
+            );
+            continue;
+        }
+        failed += 1;
+        let doc = artifact_json(&cfg, &report);
+        let artifact = match write_artifact(dir, &format!("fuzz-seed{seed}"), &doc) {
+            Ok((path, _)) => format!("artifact: {}", path.display()),
+            Err(e) => format!("artifact dump failed: {e}"),
+        };
+        let (n, labels) = (report.violations.len(), report.violated_invariants().join(", "));
+        eprintln!("seed {seed}: {n} violation(s) [{labels}] — {artifact}");
+    }
+    println!("fuzz: {seeds} seed(s), {failed} violating");
+    failed
+}
+
+/// `repro invcheck dump`: runs one seed and always writes its artifact to
+/// `out`, clean or not — the fixture half of the replay round-trip.
+pub fn dump(seed: u64, out: &Path) -> Result<(), String> {
+    let stem = out.file_stem().and_then(|s| s.to_str()).ok_or("dump: --out needs a file name")?;
+    let dir = out.parent().unwrap_or(Path::new("."));
+    let cfg = random_config(seed);
+    let (_, report) = run_checked(&cfg);
+    let (path, _) = write_artifact(dir, stem, &artifact_json(&cfg, &report))
+        .map_err(|e| format!("dump: {e}"))?;
+    println!("seed {seed}: {} — artifact: {}", verdict(&report.violated_invariants()), path.display());
+    Ok(())
+}
+
+/// `repro invcheck replay`: re-runs the artifact at `path` and fails unless
+/// it violates exactly the invariants it recorded.
+pub fn replay_file(path: &Path) -> Result<(), String> {
+    let artifact = read_artifact(path).map_err(|e| format!("replay: {e}"))?;
+    let observed = replay(&artifact);
+    if observed != artifact.violated {
+        return Err(format!(
+            "replay: verdict MISMATCH — recorded [{}], observed [{}]",
+            artifact.violated.join(", "),
+            observed.join(", ")
+        ));
+    }
+    println!("replay: verdict reproduced exactly — {}", verdict(&observed));
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,63 @@
-//! Shared driver for the figure binaries: run a grid, print the paper's
-//! rows, chart the series, write TSVs under `results/`.
+//! The producers of Figures 8–11: run a grid, print the paper's rows,
+//! chart the series, and return each figure's TSV and JSON.
 
 use tva_obs::{ascii_chart, Series};
-use tva_sim::knobs::results_dir;
 
-use crate::report::{table, write_tsv};
+use crate::figures;
+use crate::report::{records_json, table, tsv, Files, Size};
 use crate::scenario::{ScenarioConfig, ScenarioResult, Scheme};
 use crate::sweep::run_all;
+
+/// Figure 8: legacy packet floods.
+///
+/// Each of 1–100 attackers floods legacy data at 1 Mb/s toward the
+/// destination while 10 users repeat 20 KB transfers. TVA holds ~100%
+/// completion at baseline time; SIFF degrades like (1 − p⁹); pushback knees
+/// past ~40 attackers; the Internet collapses.
+pub fn fig8(size: Size) -> Result<Files, String> {
+    let configs = figures::fig8(size.fidelity()?);
+    Ok(sweep_figure("fig8", "Figure 8: legacy traffic floods", configs))
+}
+
+/// Figure 9: request packet floods.
+///
+/// Attackers flood capability-request packets. TVA rate-limits and
+/// fair-queues requests per path identifier, so legitimate requests still
+/// pass; SIFF treats requests as legacy and fails like Figure 8; pushback
+/// and the Internet see them as ordinary data.
+pub fn fig9(size: Size) -> Result<Files, String> {
+    let configs = figures::fig9(size.fidelity()?);
+    Ok(sweep_figure("fig9", "Figure 9: request packet floods", configs))
+}
+
+/// Figure 10: authorized packet floods via a colluder.
+///
+/// A colluder behind the bottleneck grants capabilities to attackers, who
+/// then flood authorized traffic. TVA's per-destination fair queuing splits
+/// the bottleneck between the colluder and the destination (transfer time
+/// 0.31 s → ≈0.33 s, 100% completion); SIFF starves once the authorized
+/// flood exceeds the bottleneck.
+pub fn fig10(size: Size) -> Result<Files, String> {
+    let configs = figures::fig10(size.fidelity()?);
+    Ok(sweep_figure("fig10", "Figure 10: authorized traffic floods (colluder)", configs))
+}
+
+/// Figure 11: imprecise authorization policies.
+///
+/// The destination grants everyone 32 KB / 10 s once and stops renewing
+/// flooders. Under TVA the fine-grained byte budget caps each attacker, so
+/// both the all-at-once and the 10-wave staged attacks disturb transfers
+/// for only a few seconds. Under SIFF (3-second keys) each wave floods
+/// unchecked until the next key transition.
+pub fn fig11(size: Size) -> Result<Files, String> {
+    let configs = figures::fig11(size.fidelity()?);
+    Ok(timeseries_figure("fig11", "Figure 11: imprecise authorization policies", configs))
+}
 
 /// Runs a (scheme × attacker-count) grid and emits the two panels every
 /// sweep figure in the paper has: completion fraction and mean transfer
 /// time versus number of attackers.
-pub fn run_sweep_figure(name: &str, title: &str, configs: Vec<ScenarioConfig>) {
+fn sweep_figure(name: &str, title: &str, configs: Vec<ScenarioConfig>) -> Files {
     eprintln!("== {name}: {title} ({} runs) ==", configs.len());
     let results = run_all(configs);
 
@@ -57,13 +103,16 @@ pub fn run_sweep_figure(name: &str, title: &str, configs: Vec<ScenarioConfig>) {
         ascii_chart(&format!("{name}: transfer time (s) vs attackers"), &time_series, 60, 12)
     );
 
-    let path = results_dir().join(format!("{name}.tsv"));
-    match write_tsv(&path, &headers, &rows) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    write_json(name, &headers, &rows);
     obs_pass(name, &results);
+    files(name, &headers, &rows)
+}
+
+/// A figure's `<name>.tsv` and `<name>.json`.
+fn files(name: &str, headers: &[&str], rows: &[Vec<String>]) -> Files {
+    vec![
+        (format!("{name}.tsv"), tsv(headers, rows)),
+        (format!("{name}.json"), records_json(headers, rows)),
+    ]
 }
 
 /// When `TVA_OBS` is enabled, re-runs the heaviest configuration of each
@@ -133,29 +182,9 @@ fn series_from_json(path: &std::path::Path, column: &str) -> Option<Vec<(f64, f6
     times.iter().zip(vals).map(|(t, v)| Some((num(t)?, num(v)?))).collect()
 }
 
-/// Writes rows as a JSON array of string-valued records next to the TSV.
-pub fn write_json(name: &str, headers: &[&str], rows: &[Vec<String>]) {
-    let records: Vec<serde_json::Value> = rows
-        .iter()
-        .map(|row| {
-            let map: serde_json::Map<String, serde_json::Value> = headers
-                .iter()
-                .zip(row)
-                .map(|(h, v)| (h.to_string(), serde_json::Value::String(v.clone())))
-                .collect();
-            serde_json::Value::Object(map)
-        })
-        .collect();
-    let path = results_dir().join(format!("{name}.json"));
-    match std::fs::write(&path, serde_json::to_string_pretty(&records).expect("serializable")) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 /// Runs the Figure 11 time-series experiments and emits transfer time vs
 /// transfer start time for each (scheme, attack shape).
-pub fn run_timeseries_figure(name: &str, title: &str, configs: Vec<ScenarioConfig>) {
+fn timeseries_figure(name: &str, title: &str, configs: Vec<ScenarioConfig>) -> Files {
     eprintln!("== {name}: {title} ({} runs) ==", configs.len());
     let results = run_all(configs);
 
@@ -210,11 +239,5 @@ pub fn run_timeseries_figure(name: &str, title: &str, configs: Vec<ScenarioConfi
         );
     }
 
-    let path = results_dir().join(format!("{name}.tsv"));
-    let headers = ["series", "start_s", "duration_s"];
-    match write_tsv(&path, &headers, &rows) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-    write_json(name, &headers, &rows);
+    files(name, &["series", "start_s", "duration_s"], &rows)
 }

@@ -18,15 +18,6 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
-    /// Parses `--full` from argv.
-    pub fn from_args() -> Fidelity {
-        if std::env::args().any(|a| a == "--full") {
-            Fidelity::Full
-        } else {
-            Fidelity::Quick
-        }
-    }
-
     /// Attacker counts swept on the x axis.
     pub fn attacker_grid(self) -> Vec<usize> {
         match self {

@@ -2,21 +2,24 @@
 //!
 //! The evaluation harness: declarative scenarios for the Figure 7 dumbbell
 //! (optionally with a backup path and wire faults on the bottleneck),
-//! attacker models for every §5 attack, parallel parameter sweeps, and
-//! reporting that regenerates each table and figure of the paper.
+//! attacker models for every §5 attack, parallel parameter sweeps, and the
+//! producers of every simulated artifact under `results/` (Figures 8–11,
+//! robustness, attacks, statebound, the §2 strawmen and the grant
+//! ablation).
 //!
-//! Regenerate a figure with, e.g.:
+//! A producer is a `fn(Size) -> Result<Files, String>`: it prints its rows
+//! and charts and returns its files' bytes. `tva::artifacts::ARTIFACTS`
+//! names each one with the files it makes, and the `repro` binary runs
+//! them, e.g.:
 //!
 //! ```text
-//! cargo run --release -p tva-experiments --bin fig8 [-- --full]
+//! cargo run --release --bin repro -- fig8 [--full]
 //! ```
-//!
-//! Each binary prints the figure's rows and writes TSV + ASCII charts under
-//! `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod attacks;
 pub mod check;
 pub mod figrun;
@@ -26,11 +29,12 @@ pub mod report;
 pub mod robustness;
 pub mod scenario;
 pub mod statebound;
+pub mod strawmen;
 pub mod sweep;
 
 pub use figures::{fig10, fig11, fig8, fig9, Fidelity};
-pub use observe::{run_observed, snapshot_document, write_observed, write_snapshot, ObservedRun};
-pub use report::{table, write_tsv};
+pub use observe::{run_observed, snapshot_document, snapshot_json, write_observed, ObservedRun};
+pub use report::{records_json, table, tsv, Files, Size};
 pub use tva_obs::{ascii_chart, Series};
 pub use scenario::{
     attacker_addr, run, run_driven, run_inspect, Attack, BuiltNodes, FaultCounters, LinkFaults,

@@ -232,16 +232,17 @@ fn write_json(path: &Path, value: &Value) -> io::Result<()> {
 
 /// Builds the "metrics snapshot" object written alongside robustness and
 /// scale TSVs. Delegates to [`tva_obs::snapshot::document`] so every
-/// producer — experiment binaries, the `tva-node` stats socket — emits
+/// producer — the `repro` artifacts, the `tva-node` stats socket — emits
 /// the same versioned schema, and `obscheck`/`tva-top` validate all of
 /// them against one definition.
 pub fn snapshot_document(label: &str, registry: &Registry) -> Value {
     tva_obs::snapshot::document(label, registry)
 }
 
-/// Writes a snapshot document to `path` as pretty JSON.
-pub fn write_snapshot(path: &Path, label: &str, registry: &Registry) -> io::Result<()> {
-    write_json(path, &snapshot_document(label, registry))
+/// A snapshot document as pretty JSON, the bytes of a `*_metrics.json`
+/// artifact.
+pub fn snapshot_json(label: &str, registry: &Registry) -> String {
+    serde_json::to_string_pretty(&snapshot_document(label, registry)).expect("serializable")
 }
 
 #[cfg(test)]

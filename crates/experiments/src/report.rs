@@ -1,10 +1,46 @@
-//! Result output: aligned tables and TSV files, so each figure binary
-//! prints the same rows the paper plots (its charts come from
-//! [`tva_obs::series::ascii_chart`]).
+//! Result output: the size a producer runs at, the files it returns, and
+//! the aligned tables and TSV/JSON renderings every producer prints and
+//! writes (its charts come from [`tva_obs::series::ascii_chart`]).
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
+
+use crate::figures::Fidelity;
+
+/// How big a run a producer makes. Each tracked artifact is written at one
+/// of these (`tva::artifacts::ARTIFACTS` says which); a producer with a
+/// single size ignores it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Size {
+    /// The smallest run that still asserts its claim — seconds.
+    Smoke,
+    /// The default grids — minutes at most.
+    Quick,
+    /// The paper's grids and longer runs.
+    Full,
+}
+
+impl Size {
+    /// The lower-case name, as the `repro` flags spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Size::Smoke => "smoke",
+            Size::Quick => "quick",
+            Size::Full => "full",
+        }
+    }
+
+    /// The figure grids' fidelity; they have no smoke size.
+    pub fn fidelity(self) -> Result<Fidelity, String> {
+        match self {
+            Size::Smoke => Err("no smoke size (quick or full)".into()),
+            Size::Quick => Ok(Fidelity::Quick),
+            Size::Full => Ok(Fidelity::Full),
+        }
+    }
+}
+
+/// What a producer made: each file's name under `results/`, with its bytes.
+pub type Files = Vec<(String, String)>;
 
 /// Renders rows as an aligned text table.
 pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -34,23 +70,28 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Writes rows as a TSV file (creating parent directories).
-pub fn write_tsv(
-    path: &Path,
-    headers: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        fs::create_dir_all(parent)?;
-    }
-    let mut out = String::new();
-    out.push_str(&headers.join("\t"));
-    out.push('\n');
+/// Renders rows as a TSV file: a header line, then one line per row.
+pub fn tsv(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = headers.join("\t") + "\n";
     for row in rows {
         out.push_str(&row.join("\t"));
         out.push('\n');
     }
-    fs::write(path, out)
+    out
+}
+
+/// Renders rows as a pretty JSON array of string-valued records, the
+/// companion of [`tsv`].
+pub fn records_json(headers: &[&str], rows: &[Vec<String>]) -> String {
+    use serde_json::Value;
+    let records: Vec<Value> = rows
+        .iter()
+        .map(|row| {
+            let map = headers.iter().zip(row).map(|(h, v)| (h.to_string(), Value::String(v.clone())));
+            Value::Object(map.collect())
+        })
+        .collect();
+    serde_json::to_string_pretty(&records).expect("serializable")
 }
 
 #[cfg(test)]
@@ -74,11 +115,10 @@ mod tests {
 
     #[test]
     fn tsv_round_trips() {
-        let dir = std::env::temp_dir().join("tva_report_test");
-        let path = dir.join("t.tsv");
-        write_tsv(&path, &["a", "b"], &[vec!["1".into(), "2".into()]]).unwrap();
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(got, "a\tb\n1\t2\n");
-        let _ = std::fs::remove_dir_all(dir);
+        assert_eq!(tsv(&["a", "b"], &[vec!["1".into(), "2".into()]]), "a\tb\n1\t2\n");
+        assert_eq!(
+            records_json(&["a", "b"], &[vec!["1".into(), "2".into()]]),
+            "[\n  {\n    \"a\": \"1\",\n    \"b\": \"2\"\n  }\n]"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Bounded-state experiment (`statebound` bin): exact vs capped router
+//! Bounded-state experiment (`repro statebound`): exact vs capped router
 //! state under identical load.
 //!
 //! Two panels, both deterministic:
@@ -15,16 +15,22 @@
 //!    the capped table is misses, not correctness.
 //!
 //! Peak RSS per leg is measured by re-executing the binary as a
-//! single-leg subprocess (`--leg`), so each leg's `VmHWM` is its own;
-//! RSS is reported and gated (`--gate`) but kept **out** of the TSV/JSON
-//! artifacts, which stay byte-identical across runs.
+//! single-leg subprocess (`repro statebound --leg`), so each leg's `VmHWM`
+//! is its own; a leg that fails is an error. RSS is reported and gated on
+//! every run but kept **out** of the TSV/JSON artifacts, which stay
+//! byte-identical across runs.
+
+use std::process::Command;
 
 use tva_core::{Charge, FlowTable, RouterConfig, TvaScheduler};
 use tva_sim::{splitmix64, QueueDisc, SimDuration, SimTime};
+use tva_obs::{ascii_chart, Series};
 use tva_wire::{
     Addr, CapHeader, CapPayload, CapValue, FlowKey, FlowNonce, Grant, PathId, Packet,
     RequestEntry,
 };
+
+use crate::report::{records_json, table, tsv, Files, Size};
 
 /// Canonical link rate for the microstate legs: the paper's OC-192-ish
 /// example sizes the exact table to ~305k records at 1 Gb/s.
@@ -232,6 +238,168 @@ pub fn hit_rate_leg(capacity: usize, refs: usize) -> HitPoint {
 
 fn hit_cap(idx: usize, gen: u64) -> CapValue {
     CapValue::new(1, ((idx as u64) << 24) | (gen & 0xFF_FFFF))
+}
+
+const HEADERS: [&str; 5] = ["section", "mode", "x", "metric", "value"];
+
+/// The hit-rate panel's `mode` column and chart label (the flow cache's one
+/// reclaim index).
+const HIT_MODE: &str = "exact_ttl";
+
+/// `statebound.{tsv,json}`: both panels, the memory legs at 10k and 100k
+/// flows (quick) or 1k–200k (full). Fails unless bounded state and bounded
+/// peak RSS stay flat (±10 %) from 10k flows to the largest leg while exact
+/// state grows at least 3× and exact peak RSS at least 20 %.
+pub fn produce(size: Size) -> Result<Files, String> {
+    let (flow_grid, hit_refs): (&[usize], usize) = match size {
+        Size::Smoke => return Err("no smoke size (quick or full)".into()),
+        Size::Quick => (&[10_000, 100_000], 30_000),
+        Size::Full => (&[1_000, 10_000, 100_000, 200_000], 200_000),
+    };
+    eprintln!("== statebound: exact vs bounded router state ==");
+    eprintln!("  memory legs ({} flows grid, per-leg subprocesses)", flow_grid.len());
+    let mut mem = Vec::new();
+    for &mode in &[Mode::Exact, Mode::Bounded] {
+        for &flows in flow_grid {
+            let (p, rss) = spawn_leg(mode, flows)?;
+            eprintln!(
+                "  {} @ {:>7} flows: {:>7} entries, {:>9} B state, peak RSS {rss} kB",
+                p.mode.name(),
+                p.flows,
+                p.table_entries,
+                p.total_bytes(),
+            );
+            mem.push((p, rss));
+        }
+    }
+
+    eprintln!("  hit-rate legs ({} sizes, {hit_refs} refs)", HIT_SIZES.len());
+    let hits: Vec<HitPoint> = HIT_SIZES.iter().map(|&size| hit_rate_leg(size, hit_refs)).collect();
+
+    let mut rows = Vec::new();
+    mem_rows(&mem, &mut rows);
+    hit_rows(&hits, &mut rows);
+
+    println!("statebound: bounded router state vs exact state\n");
+    println!("{}", table(&HEADERS, &rows));
+    let mem_series: Vec<Series> = [Mode::Exact, Mode::Bounded]
+        .iter()
+        .map(|&m| Series {
+            label: m.name().into(),
+            points: mem
+                .iter()
+                .filter(|(p, _)| p.mode == m)
+                .map(|(p, _)| (p.flows as f64, p.total_bytes() as f64 / 1024.0))
+                .collect(),
+        })
+        .collect();
+    println!("{}", ascii_chart("statebound: state (KiB) vs concurrent flows", &mem_series, 60, 12));
+    let hit_series = [Series {
+        label: HIT_MODE.into(),
+        points: hits.iter().map(|p| (p.capacity as f64, p.hit_rate())).collect(),
+    }];
+    println!("{}", ascii_chart("statebound: hit rate vs cache size", &hit_series, 60, 12));
+
+    gate(&mem, 10_000, flow_grid[flow_grid.len() - 1])?;
+    Ok(vec![
+        ("statebound.tsv".into(), tsv(&HEADERS, &rows)),
+        ("statebound.json".into(), records_json(&HEADERS, &rows)),
+    ])
+}
+
+/// Runs one microstate leg and returns this process's peak RSS in kB: what
+/// a leg subprocess prints.
+pub fn leg_rss_kb(mode: Mode, flows: usize) -> u64 {
+    drive_leg(mode, flows);
+    vm_hwm_kb().unwrap_or(0)
+}
+
+/// A microstate leg: its state, driven here, and its peak RSS (kB),
+/// measured in a subprocess so it is the leg's own — this executable re-run
+/// as `repro statebound --leg MODE --flows N`, which prints [`leg_rss_kb`].
+fn spawn_leg(mode: Mode, flows: usize) -> Result<(MemPoint, u64), String> {
+    let leg = format!("leg {} @ {flows} flows", mode.name());
+    let exe = std::env::current_exe().map_err(|e| format!("{leg}: {e}"))?;
+    let out = Command::new(exe)
+        .args(["statebound", "--leg", mode.name(), "--flows", &flows.to_string()])
+        .output()
+        .map_err(|e| format!("{leg}: {e}"))?;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    match stdout.trim().parse::<u64>() {
+        Ok(rss) if out.status.success() && rss > 0 => Ok((drive_leg(mode, flows), rss)),
+        _ => Err(format!("{leg} failed ({}): {}", out.status, String::from_utf8_lossy(&out.stderr).trim())),
+    }
+}
+
+fn mem_rows(points: &[(MemPoint, u64)], rows: &mut Vec<Vec<String>>) {
+    for (p, _) in points {
+        let x = p.flows.to_string();
+        let m = p.mode.name().to_string();
+        let mut push = |metric: &str, value: String| {
+            rows.push(vec!["memory".into(), m.clone(), x.clone(), metric.into(), value]);
+        };
+        push("table_entries", p.table_entries.to_string());
+        push("table_bytes", p.table_bytes.to_string());
+        push("request_keys", p.request_keys.to_string());
+        push("request_bytes", p.request_bytes.to_string());
+        push("total_bytes", p.total_bytes().to_string());
+    }
+}
+
+fn hit_rows(points: &[HitPoint], rows: &mut Vec<Vec<String>>) {
+    for p in points {
+        let x = p.capacity.to_string();
+        rows.push(vec![
+            "hitrate".into(),
+            HIT_MODE.into(),
+            x.clone(),
+            "hit_rate".into(),
+            format!("{:.4}", p.hit_rate()),
+        ]);
+        rows.push(vec!["hitrate".into(), HIT_MODE.into(), x, "refused".into(), p.refused.to_string()]);
+    }
+}
+
+fn gate(mem: &[(MemPoint, u64)], lo_flows: usize, hi_flows: usize) -> Result<(), String> {
+    let mut failures = Vec::new();
+    let find = |mode: Mode, flows: usize| {
+        mem.iter().find(|(p, _)| p.mode == mode && p.flows == flows).expect("leg present")
+    };
+    let (e_lo, e_rss_lo) = find(Mode::Exact, lo_flows);
+    let (e_hi, e_rss_hi) = find(Mode::Exact, hi_flows);
+    let (b_lo, b_rss_lo) = find(Mode::Bounded, lo_flows);
+    let (b_hi, b_rss_hi) = find(Mode::Bounded, hi_flows);
+
+    if b_hi.total_bytes() * 10 > b_lo.total_bytes() * 11 {
+        failures.push(format!(
+            "bounded state not flat: {} B @ {lo_flows} -> {} B @ {hi_flows} (> +10%)",
+            b_lo.total_bytes(),
+            b_hi.total_bytes()
+        ));
+    }
+    if e_hi.total_bytes() < 3 * e_lo.total_bytes() {
+        failures.push(format!(
+            "exact state did not grow: {} B @ {lo_flows} -> {} B @ {hi_flows} (< 3x)",
+            e_lo.total_bytes(),
+            e_hi.total_bytes()
+        ));
+    }
+    if b_rss_hi * 10 > b_rss_lo * 11 {
+        failures.push(format!(
+            "bounded peak RSS not flat: {b_rss_lo} kB @ {lo_flows} -> {b_rss_hi} kB @ {hi_flows} (> +10%)"
+        ));
+    }
+    if *e_rss_hi < e_rss_lo + e_rss_lo / 5 {
+        failures.push(format!(
+            "exact peak RSS did not grow: {e_rss_lo} kB @ {lo_flows} -> {e_rss_hi} kB @ {hi_flows} (< +20%)"
+        ));
+    }
+    if failures.is_empty() {
+        println!("statebound gate: OK");
+        Ok(())
+    } else {
+        Err(format!("gate failed: {}", failures.join("; ")))
+    }
 }
 
 #[cfg(test)]

@@ -9,14 +9,14 @@
 //! A victim and k attackers saturate a bottleneck governed by per-source or
 //! per-(source, destination) DRR; attackers spray k destinations each in
 //! pair mode. The victim's measured share tracks 1/(k+1) and 1/(k²+1).
-//!
-//! Run: `cargo run --release -p tva-experiments --bin strawmen`
 
 use tva_baselines::{FqKey, FqScheduler};
-use tva_experiments::{ascii_chart, table, write_tsv, Series};
+use tva_obs::{ascii_chart, Series};
 use tva_sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
 use tva_transport::FloodNode;
 use tva_wire::{Addr, Packet, PacketId};
+
+use crate::report::{table, tsv, Files, Size};
 
 const BOTTLENECK: u64 = 10_000_000;
 
@@ -36,7 +36,9 @@ impl tva_sim::Node for Fwd {
     fn on_timer(&mut self, _t: u64, _ctx: &mut dyn tva_sim::Ctx) {}
 }
 
-fn main() {
+/// `strawmen.tsv`: the victim's measured share next to the analytic one
+/// for k ∈ {1, 2, 4, 8, 16}. Deterministic, about a second; one size.
+pub fn produce(_size: Size) -> Result<Files, String> {
     let ks = [1usize, 2, 4, 8, 16];
     let mut rows = Vec::new();
     let mut series = Vec::new();
@@ -72,9 +74,7 @@ fn main() {
          both collapses (see fig8/fig10).",
         rows.last().map(|r| r[2].parse::<f64>().unwrap_or(0.0) * 100.0).unwrap_or(0.0)
     );
-    let path = tva_sim::knobs::results_dir().join("strawmen.tsv");
-    let _ = write_tsv(&path, &["queuing", "attackers", "share", "analytic"], &rows);
-    println!("wrote {}", path.display());
+    Ok(vec![("strawmen.tsv".into(), tsv(&["queuing", "attackers", "share", "analytic"], &rows))])
 }
 
 /// Measures the victim's delivered share of the bottleneck: a victim flood

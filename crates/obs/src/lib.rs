@@ -20,7 +20,7 @@
 //!   (source prefix, path id, class, verdict): the live telemetry plane's
 //!   raw material for per-prefix attack attribution.
 //! * [`snapshot`] — the versioned metrics-snapshot JSON document shared
-//!   by experiment binaries, the `tva-node` stats socket, `obscheck`,
+//!   by the `repro` artifacts, the `tva-node` stats socket, `obscheck`,
 //!   and `tva-top`.
 //! * [`top`] — pure snapshot-to-text rendering for the `tva-top` live
 //!   dashboard (rates, queue depth, latency, top-offender prefixes).

@@ -7,7 +7,7 @@
 //! and then [`SeriesSet::set`] for each column, so ragged data is
 //! impossible by construction.
 //!
-//! [`ascii_chart`] is the one terminal chart renderer: the figure binaries
+//! [`ascii_chart`] is the one terminal chart renderer: the figure producers
 //! plot their [`Series`] through it, and so does `tva-top`'s pps history.
 
 use std::fmt::Write as _;

@@ -1,5 +1,5 @@
 //! The versioned metrics-snapshot document: the one schema every snapshot
-//! producer (experiment binaries, the `tva-node` stats socket) and every
+//! producer (the `repro` artifacts, the `tva-node` stats socket) and every
 //! consumer (`obscheck`, `tva-top`, the attacks/robustness report readers)
 //! agree on.
 //!

@@ -28,13 +28,13 @@ pub struct Knob {
 }
 
 const RESULTS_DIR: Knob = knob("TVA_RESULTS_DIR", "`results`",
-    "Where every binary writes its TSV/JSON; observability artifacts go to `<dir>/obs`, \
-     violation artifacts to `<dir>/check`");
+    "Where `repro` writes its TSV/JSON (`--check DIR` writes to `DIR`); observability \
+     artifacts go to `<dir>/obs`, violation artifacts to `<dir>/check`");
 const CHECK: Knob = knob("TVA_CHECK", "off",
     "Drive every scenario run through the runtime invariant auditors; a violation writes a \
      replay artifact and aborts the run");
 const OBS: Knob = knob("TVA_OBS", "off",
-    "Figure binaries re-run each scheme's heaviest point observed (1 Hz series, metrics \
+    "Figures 8–10 re-run each scheme's heaviest point observed (1 Hz series, metrics \
      snapshot, Perfetto + JSONL traces); every run keeps a 4096-event flight recorder");
 const OBS_SAMPLE_N: Knob = knob("TVA_OBS_SAMPLE_N", "`0` (off)",
     "`tva-node`: sampled flow records, 1-in-N packets (per-prefix attribution on the stats socket)");
@@ -48,7 +48,7 @@ const NODE_SEED: Knob = knob("TVA_NODE_SEED", "`0x7E57_5EED`",
 /// Every knob, in README's order.
 pub const KNOBS: [Knob; 7] = [RESULTS_DIR, CHECK, OBS, OBS_SAMPLE_N, NODE_MIX, NODE_DUR_MS, NODE_SEED];
 
-/// Output directory for every binary's TSV/JSON (`TVA_RESULTS_DIR`).
+/// Output directory for `repro`'s TSV/JSON (`TVA_RESULTS_DIR`).
 pub fn results_dir() -> PathBuf {
     read(&RESULTS_DIR).map_or_else(|| PathBuf::from("results"), PathBuf::from)
 }

@@ -7,6 +7,8 @@ cd "$(dirname "$0")/.."
 # Everything below writes under target/; the last step checks that.
 tree_before=$(git status --porcelain)
 
+repro() { cargo run --release -q --bin repro -- "$@"; }
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -17,46 +19,25 @@ cargo test -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> fault-injection smoke (loss sweep + mid-transfer link failure)"
-cargo run --release -q -p tva-experiments --bin robustness -- --smoke
+# Every byte-held row of tva::artifacts::ARTIFACTS (fig8-fig11, robustness,
+# the attack search's smoke, statebound with its gate, strawmen,
+# ablation_grant), regenerated at its tracked size under the auditors and
+# compared with results/: a mismatch names the file and its first differing
+# line. The attack report's `params` column renders `scenario::ATTACKS`;
+# statebound's hitrate rows pin which expired entry each reclaim picks.
+echo "==> every byte-held artifact, audited, against results/ (repro --check)"
+rm -rf target/verify-repro
+TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-repro repro --check target/verify-repro | tail -n 1
 
-echo "==> robustness quick sweep (the tracked artifacts are what this commit writes)"
-TVA_RESULTS_DIR=target/verify-robustness \
-  cargo run --release -q -p tva-experiments --bin robustness >/dev/null
-for f in robustness.tsv robustness.json robustness_metrics.json; do
-  cmp target/verify-robustness/$f results/$f
-done
+echo "==> fault-injection smoke (loss sweep + mid-transfer link failure), plain and audited"
+repro robustness --smoke
+TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-repro repro robustness --smoke
 
 echo "==> invariant-checker smoke (fuzz batch + replay round-trip, auditors on)"
 rm -rf target/verify-invcheck
-cargo run --release -q -p tva-experiments --bin invcheck -- \
-  fuzz --seeds 16 --start 1 --dir target/verify-invcheck
-cargo run --release -q -p tva-experiments --bin invcheck -- \
-  dump --seed 20 --out target/verify-invcheck/fixture.json
-cargo run --release -q -p tva-experiments --bin invcheck -- \
-  replay target/verify-invcheck/fixture.json
-TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-invcheck \
-  cargo run --release -q -p tva-experiments --bin robustness -- --smoke
-
-echo "==> attack-suite smoke (damage search, auditors on)"
-rm -rf target/verify-attacks
-TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-attacks \
-  cargo run --release -q -p tva-experiments --bin attacks -- --smoke
-# The tracked artifacts are what this commit writes: the `params` column
-# renders each attack through the scenario's attack table.
-for f in attacks.tsv attacks.json attacks_metrics.json attacks_attribution.tsv attacks_attribution.json; do
-  cmp "target/verify-attacks/$f" "results/$f"
-done
-
-echo "==> bounded-state experiment (statebound quick, self-gated)"
-rm -rf target/verify-statebound
-TVA_RESULTS_DIR=target/verify-statebound \
-  cargo run --release -q -p tva-experiments --bin statebound -- --gate >/dev/null
-# The tracked artifact is what this commit writes: its hitrate rows depend on
-# which expired entry each reclaim picks, so a reclaim-index change that
-# moves a victim fails here.
-cmp target/verify-statebound/statebound.tsv results/statebound.tsv
-cmp target/verify-statebound/statebound.json results/statebound.json
+repro invcheck fuzz --seeds 16 --start 1 --dir target/verify-invcheck
+repro invcheck dump --seed 20 --out target/verify-invcheck/fixture.json
+repro invcheck replay target/verify-invcheck/fixture.json
 
 # The benchmark's traced runs rebuild NodeEngine::poll from public calls and
 # reject a run whose staged sum drifts from poll (node.stage_cover outside
@@ -107,8 +88,7 @@ wait "$serve_pid" 2>/dev/null || true
 trap - EXIT
 
 echo "==> internet-scale tree, quick variant (~10k hosts, invariant checker on)"
-TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-scale \
-  cargo run --release -q -p tva-bench --bin scale -- --quick
+TVA_CHECK=1 TVA_RESULTS_DIR=target/verify-scale repro scale --quick
 test -s target/verify-scale/scale_metrics.json
 grep -q '"check_violations": 0' target/verify-scale/scale.json
 # The quick tree's outcome is pinned: a change that moves these moved the
@@ -118,30 +98,17 @@ for pin in '"events": 440596,' '"bottleneck_tx_pkts": 16221,' '"attack_pkts_emit
     || { echo "verify: FAIL — quick scale tree lost $pin"; exit 1; }
 done
 
-echo "==> observability smoke (fig8 quick: obs-off vs obs-on, TSVs byte-identical)"
+# fig8 with TVA_OBS=1 must write the bytes the obs-off check run wrote
+# (which equal results/), plus parseable obs artifacts.
+echo "==> observability smoke (fig8 quick: obs-on TSVs byte-identical to obs-off)"
 rm -rf target/verify-obs
-TVA_RESULTS_DIR=target/verify-obs/off \
-  cargo run --release -q -p tva-experiments --bin fig8 >/dev/null
-TVA_RESULTS_DIR=target/verify-obs/on TVA_OBS=1 \
-  cargo run --release -q -p tva-experiments --bin fig8 >/dev/null
-cmp target/verify-obs/off/fig8.tsv target/verify-obs/on/fig8.tsv
-cmp target/verify-obs/off/fig8.json target/verify-obs/on/fig8.json
-# The tracked artifact is what this commit's fig8 binary writes.
-cmp target/verify-obs/off/fig8.tsv results/fig8.tsv
-cmp target/verify-obs/off/fig8.json results/fig8.json
-test -s target/verify-obs/on/obs/fig8_TVA_series.json
-test -s target/verify-obs/on/obs/fig8_TVA_trace.perfetto.json
+TVA_RESULTS_DIR=target/verify-obs TVA_OBS=1 repro fig8 >/dev/null
+cmp target/verify-obs/fig8.tsv target/verify-repro/fig8.tsv
+cmp target/verify-obs/fig8.json target/verify-repro/fig8.json
+test -s target/verify-obs/obs/fig8_TVA_series.json
+test -s target/verify-obs/obs/fig8_TVA_trace.perfetto.json
 cargo run --release -q -p tva-obs --bin obscheck -- \
-  target/verify-obs/on/obs/*.json target/verify-obs/on/obs/*.jsonl
-
-echo "==> fig9-fig11 quick (the tracked artifacts are what this commit writes)"
-rm -rf target/verify-figs
-for fig in fig9 fig10 fig11; do
-  TVA_RESULTS_DIR=target/verify-figs \
-    cargo run --release -q -p tva-experiments --bin "$fig" >/dev/null
-  cmp "target/verify-figs/$fig.tsv" "results/$fig.tsv"
-  cmp "target/verify-figs/$fig.json" "results/$fig.json"
-done
+  target/verify-obs/obs/*.json target/verify-obs/obs/*.jsonl
 
 sh scripts/loc.sh | tail -2
 

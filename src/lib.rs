@@ -16,14 +16,20 @@
 //! * [`baselines`] — SIFF, pushback, legacy Internet and fair queuing.
 //! * [`experiments`] — the harness that regenerates every figure and table
 //!   of the paper's evaluation.
+//! * [`bench`] — the Table 1 / Figure 12 rig and the scale tree.
 //!
-//! See `examples/quickstart.rs` for a guided tour and README.md for how to
+//! [`artifacts::ARTIFACTS`] declares every tracked result under `results/`
+//! and the producer that writes it; the `repro` binary runs them. See
+//! `examples/quickstart.rs` for a guided tour and README.md for how to
 //! regenerate the paper's results.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifacts;
+
 pub use tva_baselines as baselines;
+pub use tva_bench as bench;
 pub use tva_core as core;
 pub use tva_crypto as crypto;
 pub use tva_experiments as experiments;
