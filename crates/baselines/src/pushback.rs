@@ -24,10 +24,8 @@
 //! legitimate traffic inside the aggregate shares the indiscriminate drops.
 //! That is exactly Figure 8's pushback knee.
 
-use std::collections::HashMap;
-
 use tva_sim::{ChannelId, Ctx, Node, Pkt, SimDuration, SimTime, TokenBucket};
-use tva_wire::Addr;
+use tva_wire::{Addr, DetHashMap};
 
 /// Timer token for the periodic review.
 pub const TOKEN_REVIEW: u64 = 77;
@@ -76,15 +74,15 @@ pub struct PushbackRouterNode {
     /// construction (channel ids are only known then).
     egresses: Vec<EgressSpec>,
     /// Offered bytes per (egress, aggregate) this window.
-    agg_window: HashMap<(ChannelId, Addr), u64>,
+    agg_window: DetHashMap<(ChannelId, Addr), u64>,
     /// Offered bytes per (ingress, aggregate) this window.
-    ingress_window: HashMap<(ChannelId, Addr), u64>,
+    ingress_window: DetHashMap<(ChannelId, Addr), u64>,
     /// Installed per-link rate limiters keyed by (ingress, aggregate).
-    filters: HashMap<(ChannelId, Addr), TokenBucket>,
+    filters: DetHashMap<(ChannelId, Addr), TokenBucket>,
     /// Indiscriminate aggregate limiters (culprits unidentifiable).
-    agg_filters: HashMap<Addr, TokenBucket>,
+    agg_filters: DetHashMap<Addr, TokenBucket>,
     /// Consecutive calm reviews per egress.
-    calm: HashMap<ChannelId, u32>,
+    calm: DetHashMap<ChannelId, u32>,
     started: bool,
     /// Counters.
     pub stats: PushbackStats,
@@ -172,13 +170,15 @@ impl PushbackRouterNode {
                 continue;
             };
 
-            // Per-ingress demands for the aggregate (bytes/sec).
-            let demands: Vec<(ChannelId, f64)> = self
+            // Per-ingress demands for the aggregate (bytes/sec), in ingress
+            // order: the `f64` sums below depend on the order they add in.
+            let mut demands: Vec<(ChannelId, f64)> = self
                 .ingress_window
                 .iter()
                 .filter(|((_, d), _)| *d == agg)
                 .map(|((ing, _), b)| (*ing, *b as f64 / secs))
                 .collect();
+            demands.sort_unstable_by_key(|&(ing, _)| ing);
             if demands.is_empty() {
                 continue;
             }
@@ -195,12 +195,10 @@ impl PushbackRouterNode {
 
             // Culprit identification (ACC): links contributing more than
             // the threshold fraction of the aggregate.
-            let culprits: Vec<(ChannelId, f64)> = demands
-                .iter()
-                .copied()
-                .filter(|(_, d)| *d > agg_rate * CONTRIBUTION_THRESHOLD)
-                .collect();
-            let culprit_rate: f64 = culprits.iter().map(|(_, d)| d).sum();
+            let is_culprit = |d: f64| d > agg_rate * CONTRIBUTION_THRESHOLD;
+            let culprits: Vec<f64> =
+                demands.iter().map(|&(_, d)| d).filter(|&d| is_culprit(d)).collect();
+            let culprit_rate: f64 = culprits.iter().sum();
             let innocent_rate = agg_rate - culprit_rate;
 
             if !culprits.is_empty() && culprit_rate >= (agg_rate - target).max(0.0) {
@@ -208,15 +206,10 @@ impl PushbackRouterNode {
                 // left after innocents among the culprit links.
                 self.agg_filters.remove(&agg);
                 let culprit_budget = (target - innocent_rate).max(target * 0.05);
-                let lambda = Self::max_min_share(
-                    &culprits.iter().map(|(_, d)| *d).collect::<Vec<_>>(),
-                    culprit_budget,
-                );
-                let culprit_set: std::collections::HashSet<ChannelId> =
-                    culprits.iter().map(|(c, _)| *c).collect();
+                let lambda = Self::max_min_share(&culprits, culprit_budget);
                 for (ing, demand) in demands {
                     let key = (ing, agg);
-                    if culprit_set.contains(&ing) && demand > lambda {
+                    if is_culprit(demand) && demand > lambda {
                         self.filters.insert(
                             key,
                             TokenBucket::new(
@@ -311,6 +304,32 @@ mod tests {
         // Single huge demand: gets the whole target.
         let l = PushbackRouterNode::max_min_share(&[100.0], 5.0);
         assert!((l - 5.0).abs() < 1e-9);
+    }
+
+    /// One ingress sends 2^53 bytes and sixteen send one byte each: summed
+    /// from the large one, every single byte rounds away, but summed with
+    /// two or more small ones first, they count. The demands add in ingress
+    /// order, so both insertion orders install the same filter, sized as if
+    /// the innocents sent nothing.
+    #[test]
+    fn filters_do_not_depend_on_window_insertion_order() {
+        let (egress, victim) = (ChannelId(100), Addr(7));
+        let filters = |ingresses: Vec<usize>| {
+            let mut r = PushbackRouterNode::new();
+            r.manage(EgressSpec { channel: egress, capacity_bps: 8_000_000 });
+            for i in ingresses {
+                let bytes = if i == 0 { 1u64 << 53 } else { 1 };
+                *r.agg_window.entry((egress, victim)).or_insert(0) += bytes;
+                r.ingress_window.insert((ChannelId(i), victim), bytes);
+            }
+            r.review(SimTime::from_secs(1));
+            let mut f: Vec<_> = r.filters.iter().map(|(k, b)| (*k, b.rate_bytes_per_sec())).collect();
+            f.sort_unstable();
+            (f, r.agg_filters.len())
+        };
+        let forward = filters((0..=16).collect());
+        assert_eq!(forward, filters((0..=16).rev().collect()));
+        assert_eq!(forward, (vec![((ChannelId(0), victim), 950_000)], 0));
     }
 
     #[test]

@@ -21,15 +21,20 @@
 //! generation), pop order equals the total key order over all events ever
 //! queued.
 //!
-//! Layout: the heap itself holds only 24-byte `(time, tie, slot, gen)`
-//! entries; the [`EventKind`] payloads (which embed whole packets) live in
-//! a slab indexed by `slot` and never move while queued. That beats
-//! `std::collections::BinaryHeap<Event>` two ways: sift operations copy
-//! small `Copy` keys instead of shuffling ~packet-sized events at every
-//! level, and the 4-ary shape halves the tree depth while keeping each
-//! node's four children on one or two cache lines for the child-minimum
-//! scan. Freed slab slots are recycled through a free list, so the steady
-//! state allocates nothing per event.
+//! Layout: the heap itself holds only 24-byte entries `{ hi, lo, slot }`
+//! with the key packed as `hi = time_ns << 16 | gen`, `lo = tie`, so one
+//! `u128` compare of `(hi, lo)` orders two entries exactly as `EventKey`'s
+//! derived order does whenever `time < 2^48` ns (about 78 h of simulated
+//! time; [`EventQueue::push`] asserts it). The [`EventKind`] payloads
+//! (which embed whole packets) live in a slab indexed by `slot` and never
+//! move while queued, so sift operations copy small `Copy` entries instead
+//! of ~packet-sized events. The 4-ary shape halves the tree depth while
+//! keeping each node's four children on one or two cache lines. A pop
+//! walks the hole left by the top down to a leaf along the minimum child
+//! (three branch-free compares per level), then sifts the displaced last
+//! entry up from that leaf: it came from the bottom level, so it rarely
+//! climbs far. Freed slab slots are recycled through a free list, so the
+//! steady state allocates nothing per event.
 
 use crate::pool::Pkt;
 use crate::time::SimTime;
@@ -104,20 +109,48 @@ pub(crate) struct Event {
     pub kind: EventKind,
 }
 
-/// A heap entry: the ordering key plus the slab slot holding the payload.
+/// Event times must stay below this many nanoseconds (2^48 ns, about 78 h
+/// of simulated time) so that `time_ns << 16 | gen` fits in a `u64`.
+const TIME_LIMIT_NS: u64 = 1 << 48;
+
+/// A heap entry: the packed ordering key plus the slab slot holding the
+/// payload. `(hi, lo)` read as one `u128` orders exactly as [`EventKey`]
+/// does for every time below [`TIME_LIMIT_NS`].
 #[derive(Clone, Copy)]
 struct Entry {
-    time: SimTime,
-    tie: u64,
+    /// `time_ns << 16 | gen`.
+    hi: u64,
+    /// `tie`.
+    lo: u64,
     slot: u32,
-    gen: u16,
 }
 
 impl Entry {
     #[inline]
-    fn key(&self) -> EventKey {
-        EventKey { time: self.time, gen: self.gen, tie: self.tie }
+    fn new(key: EventKey, slot: u32) -> Self {
+        Entry { hi: key.time.as_nanos() << 16 | key.gen as u64, lo: key.tie, slot }
     }
+
+    #[inline]
+    fn time(&self) -> SimTime {
+        SimTime::from_nanos(self.hi >> 16)
+    }
+
+    #[inline]
+    fn key(&self) -> EventKey {
+        EventKey { time: self.time(), gen: self.hi as u16, tie: self.lo }
+    }
+
+    #[inline]
+    fn packed(&self) -> u128 {
+        (self.hi as u128) << 64 | self.lo as u128
+    }
+}
+
+/// `a` fires before `b`: one `u128` compare, no branch.
+#[inline(always)]
+fn before(a: &Entry, b: &Entry) -> bool {
+    a.packed() < b.packed()
 }
 
 /// Children of heap slot `i` live at `4i + 1 ..= 4i + 4`; its parent at
@@ -142,6 +175,8 @@ impl EventQueue {
     }
 
     pub fn push(&mut self, key: EventKey, kind: EventKind) {
+        let ns = key.time.as_nanos();
+        assert!(ns < TIME_LIMIT_NS, "event at {ns} ns is past the queue's 2^48 ns (~78 h) horizon");
         let slot = match self.free.pop() {
             Some(s) => {
                 self.kinds[s as usize] = Some(kind);
@@ -152,8 +187,9 @@ impl EventQueue {
                 (self.kinds.len() - 1) as u32
             }
         };
-        self.heap.push(Entry { time: key.time, tie: key.tie, slot, gen: key.gen });
-        self.sift_up(self.heap.len() - 1);
+        let e = Entry::new(key, slot);
+        self.heap.push(e);
+        self.sift_up(self.heap.len() - 1, e);
     }
 
     #[allow(dead_code)]
@@ -168,7 +204,7 @@ impl EventQueue {
     #[inline]
     pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<Event> {
         let top = *self.heap.first()?;
-        if top.time > limit {
+        if top.time() > limit {
             return None;
         }
         Some(self.remove_top(top))
@@ -189,8 +225,8 @@ impl EventQueue {
     fn remove_top(&mut self, top: Entry) -> Event {
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.sift_down(0);
+            let leaf = self.sift_down();
+            self.sift_up(leaf, last);
         }
         let kind = self.kinds[top.slot as usize].take().expect("queued slot is occupied");
         self.free.push(top.slot);
@@ -203,45 +239,43 @@ impl EventQueue {
         self.kinds.iter().filter_map(|k| k.as_ref())
     }
 
-    fn sift_up(&mut self, mut i: usize) {
-        let e = self.heap[i];
+    /// Writes `e` into the hole at `i`, first moving the hole up past
+    /// every parent that fires after `e`.
+    fn sift_up(&mut self, mut i: usize, e: Entry) {
         while i > 0 {
             let parent = (i - 1) / ARITY;
-            if e.key() < self.heap[parent].key() {
-                self.heap[i] = self.heap[parent];
-                i = parent;
-            } else {
+            if !before(&e, &self.heap[parent]) {
                 break;
             }
+            self.heap[i] = self.heap[parent];
+            i = parent;
         }
         self.heap[i] = e;
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        let e = self.heap[i];
-        let n = self.heap.len();
+    /// Walks the hole left at the root down to a leaf, filling it at each
+    /// level with the minimum child, and returns the leaf. A full level
+    /// picks its child with three compares that select rather than branch;
+    /// only the last parent can have fewer than four children.
+    fn sift_down(&mut self) -> usize {
+        let heap = &mut self.heap[..];
+        let n = heap.len();
+        let mut i = 0;
         loop {
             let first = i * ARITY + 1;
-            if first >= n {
-                break;
-            }
-            let mut best = first;
-            let mut best_key = self.heap[first].key();
-            for c in first + 1..(first + ARITY).min(n) {
-                let k = self.heap[c].key();
-                if k < best_key {
-                    best = c;
-                    best_key = k;
-                }
-            }
-            if best_key < e.key() {
-                self.heap[i] = self.heap[best];
-                i = best;
+            let best = if first + ARITY <= n {
+                let kids = &heap[first..first + ARITY];
+                let a = before(&kids[1], &kids[0]) as usize;
+                let b = 2 + before(&kids[3], &kids[2]) as usize;
+                first + if before(&kids[b], &kids[a]) { b } else { a }
+            } else if first < n {
+                (first + 1..n).fold(first, |m, c| if before(&heap[c], &heap[m]) { c } else { m })
             } else {
-                break;
-            }
+                return i;
+            };
+            heap[i] = heap[best];
+            i = best;
         }
-        self.heap[i] = e;
     }
 }
 
@@ -331,28 +365,38 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
+    /// Spreads `0..40` over the whole horizon, ending at `2^48 - 1` ns, so
+    /// that draws still collide on time and exercise `gen` and `tie`.
+    fn horizon_time(t: u64) -> SimTime {
+        SimTime::from_nanos(t * ((TIME_LIMIT_NS - 1) / 39))
+    }
+
+    fn gens() -> impl Strategy<Value = u16> {
+        prop_oneof![0u16..4, u16::MAX - 3..=u16::MAX]
+    }
+
     proptest! {
         /// Under arbitrary interleavings of pushes and pops, every pop must
         /// return exactly the minimum `(time, gen, tie)` element currently
-        /// queued — checked against a `BTreeSet` reference model. Ties are
-        /// assigned in push order (so they are unique) and generations are
-        /// drawn randomly.
+        /// queued — checked against a `BTreeSet` reference model. Times
+        /// reach `2^48 - 1` ns, generations `u16::MAX` and ties `u64::MAX`;
+        /// a tie's low 32 bits count pushes, so ties stay unique.
         #[test]
         fn prop_pops_min_key_under_interleaving(
-            ops in proptest::collection::vec((0u64..40, 0u16..4, any::<bool>()), 1..400),
+            ops in proptest::collection::vec((0u64..40, gens(), any::<u32>(), any::<bool>()), 1..400),
         ) {
             let mut q = EventQueue::new();
             let mut model: BTreeSet<(SimTime, u16, u64)> = BTreeSet::new();
-            let mut next_tie = 0u64;
+            let mut pushes = 0u64;
             let read = |e: Event| (e.key.time, e.key.gen, e.key.tie);
-            for &(t, gen, is_pop) in &ops {
+            for &(t, gen, tie_hi, is_pop) in &ops {
                 if is_pop {
                     prop_assert_eq!(q.pop().map(read), model.pop_first());
                 } else {
-                    let time = SimTime::from_nanos(t * 1_000_000);
-                    q.push(EventKey { time, gen, tie: next_tie }, timer(0, next_tie));
-                    model.insert((time, gen, next_tie));
-                    next_tie += 1;
+                    let (time, tie) = (horizon_time(t), (tie_hi as u64) << 32 | pushes);
+                    q.push(EventKey { time, gen, tie }, timer(0, tie));
+                    model.insert((time, gen, tie));
+                    pushes += 1;
                 }
             }
             while let Some(e) = q.pop() {
@@ -360,6 +404,40 @@ mod tests {
             }
             prop_assert!(model.is_empty());
         }
+
+        /// The packed compare is `EventKey`'s `<` on the whole horizon.
+        /// The second key copies each field of the first with probability
+        /// one half, so equal times, generations and whole keys all occur.
+        #[test]
+        fn packed_order_matches_event_key(
+            a in (0u64..TIME_LIMIT_NS, gens(), any::<u64>()),
+            b in (0u64..TIME_LIMIT_NS, gens(), any::<u64>()),
+            same in (any::<bool>(), any::<bool>(), any::<bool>()),
+        ) {
+            let ka = EventKey { time: SimTime::from_nanos(a.0), gen: a.1, tie: a.2 };
+            let kb = EventKey {
+                time: if same.0 { ka.time } else { SimTime::from_nanos(b.0) },
+                gen: if same.1 { ka.gen } else { b.1 },
+                tie: if same.2 { ka.tie } else { b.2 },
+            };
+            let (ea, eb) = (Entry::new(ka, 0), Entry::new(kb, 1));
+            prop_assert_eq!(ea.key(), ka);
+            prop_assert_eq!(before(&ea, &eb), ka < kb);
+            prop_assert_eq!(before(&eb, &ea), kb < ka);
+        }
+    }
+
+    /// The heap moves whole entries at every level of every sift.
+    #[test]
+    fn heap_entry_stays_small() {
+        assert!(std::mem::size_of::<Entry>() <= 24, "{}", std::mem::size_of::<Entry>());
+    }
+
+    #[test]
+    #[should_panic(expected = "2^48 ns")]
+    fn push_past_the_horizon_panics() {
+        let mut q = EventQueue::new();
+        q.push(key(SimTime::from_nanos(TIME_LIMIT_NS), 0), timer(0, 0));
     }
 
     #[test]

@@ -119,11 +119,15 @@ impl SimDuration {
     /// treated as zero.
     pub fn transmission(bytes: u32, bits_per_sec: u64) -> Self {
         assert!(bits_per_sec > 0, "link bandwidth must be positive");
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
-        SimDuration(ns as u64)
+        // The product fits a `u64` below about 2.3 GB, so every real packet
+        // divides in `u64` (a `u128` divide is a libcall); the `u128` path
+        // only catches the overflow.
+        let ns = match (bytes as u64 * 8).checked_mul(1_000_000_000) {
+            Some(bit_ns) => bit_ns.div_ceil(bits_per_sec),
+            None => (bytes as u128 * 8 * 1_000_000_000).div_ceil(bits_per_sec as u128) as u64,
+        };
+        SimDuration(ns)
     }
-
 }
 
 /// Scalar multiply (for backoff doubling etc.), saturating.
@@ -208,6 +212,21 @@ mod tests {
         assert_eq!(SimDuration::transmission(1, 1_000_000_000).as_nanos(), 8);
         assert_eq!(SimDuration::transmission(1, 3_000_000_000).as_nanos(), 3);
         assert!(SimDuration::transmission(1, u64::MAX).as_nanos() >= 1);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The `u64` fast path computes the `u128` formula exactly,
+        /// including the edges of both arguments.
+        #[test]
+        fn transmission_matches_u128_formula(
+            bytes in prop_oneof![0u32..=1, Just(u32::MAX), any::<u32>(), 0u32..10_000],
+            bps in prop_oneof![Just(1u64), Just(u64::MAX), 1u64..=u64::MAX, 1u64..100_000_000_000],
+        ) {
+            let want = (bytes as u128 * 8 * 1_000_000_000).div_ceil(bps as u128) as u64;
+            prop_assert_eq!(SimDuration::transmission(bytes, bps).as_nanos(), want);
+        }
     }
 
     #[test]

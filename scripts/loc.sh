@@ -3,8 +3,8 @@
 # not `//` comments, in crates/*/src/**/*.rs and src/, up to each file's
 # first `#[cfg(test)]`; then the options: the rows of the TVA_* knob table
 # (crates/sim/src/knobs.rs) and the settable fields of every config struct.
-# ROADMAP item 3's "less code, fewer options" as numbers; verify.sh prints
-# the last two lines.
+# "Less code, fewer options" as numbers; verify.sh prints the last two
+# lines.
 set -eu
 cd "$(dirname "$0")/.."
 
