@@ -1,5 +1,5 @@
 //! The end-to-end engine workload: a 5-user TVA dumbbell driven through the
-//! full simulator. `tests/alloc_steady.rs` counts its steady-state
+//! full simulator. The root `tests/zero_alloc.rs` counts its steady-state
 //! allocations; the repo benchmark (`bash benchmark/run.sh`,
 //! `BENCHMARK.json`) prices the flight recorder from the plain / observed
 //! pair (`obs.flight_ns_per_event`).

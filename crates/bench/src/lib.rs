@@ -5,7 +5,7 @@
 //! the real [`tva_core::TvaRouter`] pipeline (the same code the simulations
 //! run), behind the [`table1_fig12`] producer (`repro table1`); plus the
 //! simulator workloads ([`dumbbell`], [`scale`], whose [`scale::produce`]
-//! is `repro scale`) and the allocation / RSS probes ([`alloc`]) that the
+//! is `repro scale`) and the peak-RSS probe ([`alloc`]) that the
 //! repo benchmark (`bash benchmark/run.sh`, `BENCHMARK.json`) builds
 //! against.
 //!
@@ -15,11 +15,7 @@
 //! ratios* between packet types — the basis of the paper's "gigabit on
 //! commodity hardware" argument — are what the harness checks.
 
-// `alloc-count` needs one `unsafe impl GlobalAlloc` (in `alloc::counting`);
-// everything else stays unsafe-free, enforced crate-wide in the default
-// build and by `deny` outside that module when the feature is on.
-#![cfg_attr(not(feature = "alloc-count"), forbid(unsafe_code))]
-#![cfg_attr(feature = "alloc-count", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;

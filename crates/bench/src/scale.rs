@@ -112,7 +112,7 @@ pub struct ScaleRun {
 
 /// [`run_scale`] under the name the repo benchmark (`benchmark/src/sim.rs`)
 /// calls, from when the engine could be split into shards; only one shard
-/// exists now. ROADMAP item 1's `[benchmark]` PR switches that caller to
+/// exists now. The next change to the benchmark switches that caller to
 /// [`run_scale`] and drops this wrapper.
 pub fn run_scale_with(cfg: ScaleConfig, shards: usize) -> ScaleRun {
     assert_eq!(shards, 1, "the engine runs one event loop");

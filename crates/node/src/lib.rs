@@ -8,9 +8,9 @@
 //! wire and "now" is a clock, not an event queue? Two transports bracket
 //! the answer:
 //!
-//! * [`transport::RingPort`] — a lock-free SPSC-ring virtual NIC pair
-//!   ([`ring`]), in-process, for maximum-rate loopback runs (the repo
-//!   benchmark's `node_*` workloads and `tests/loopback.rs`).
+//! * [`transport::RingPort`] — a virtual NIC pair of frame rings,
+//!   in-process with both ends on one thread, for maximum-rate loopback
+//!   runs (the repo benchmark's `node_*` workloads and `tests/loopback.rs`).
 //! * [`transport::UdpPort`] — nonblocking UDP sockets drained in
 //!   `recvmmsg`-style bursts, for end-to-end runs across processes
 //!   (`tva-node serve` + standalone `pktgen`).
@@ -22,8 +22,9 @@
 //! `node.*` metrics through `tva-obs`. The daemon's performance numbers are
 //! the `node_*` workloads of the repo benchmark (`bash benchmark/run.sh`,
 //! `BENCHMARK.json`); `tests/loopback.rs` holds the loopback properties
-//! (frames forwarded, none malformed, layers counting one window, zero
-//! allocations per frame under `--features alloc-count`).
+//! (frames forwarded, none malformed, layers counting one window), and the
+//! root `tests/zero_alloc.rs` holds zero allocations per forwarded frame
+//! under a counting global allocator.
 //!
 //! # Environment knobs
 //!
@@ -32,14 +33,11 @@
 //! README's knob table gives their defaults and meaning. Every other field
 //! of [`NodeConfig`] is its default.
 
-// Unsafe is confined to the SPSC ring (`ring.rs`), which carries its own
-// per-block safety rationale.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod node;
 pub mod pktgen;
-#[allow(unsafe_code)]
-pub mod ring;
+mod ring;
 pub mod stats;
 pub mod transport;
 

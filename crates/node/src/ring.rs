@@ -1,151 +1,62 @@
-//! A lock-free single-producer/single-consumer ring of byte frames: the
-//! "virtual NIC" the loopback benchmark runs the forwarding path over.
+//! A single-thread ring of byte frames: one direction of the "virtual NIC"
+//! pair ([`crate::ring_pair`]) the loopback benchmark runs the forwarding
+//! path over.
 //!
 //! Each slot owns a `Vec<u8>` frame buffer that is written in place by the
-//! producer and read in place by the consumer, so after every slot has been
-//! touched once the ring moves packets with zero allocations: push is a
-//! `clear` + `extend_from_slice` (or an in-place encode) into retained
-//! capacity, pop hands the consumer a borrowed `&[u8]`.
+//! sending port and read in place by the receiving one, so after every slot
+//! has been touched once the ring moves frames with zero allocations: push
+//! is a `clear` + `extend_from_slice` (or an in-place encode) into retained
+//! capacity, pop hands the reader a borrowed `&[u8]`.
 //!
-//! This is the classic Lamport queue with cached indices: the producer owns
-//! `tail`, the consumer owns `head`, each re-reads the other's index only
-//! when its cached copy says the ring looks full/empty. Both indices grow
-//! monotonically (wrapping `usize`) and are masked into the power-of-two
-//! slot array, which distinguishes full from empty without a spare slot.
+//! `head` is the next slot to read and `tail` the next to fill. Both only
+//! grow (wrapping `usize`) and are masked into the power-of-two slot array,
+//! so `tail - head` is the number of frames waiting and full is told from
+//! empty without a spare slot. Both ends run on one thread; a frame that
+//! must cross threads goes over [`crate::UdpPort`].
 
-// The slot array is shared mutably between exactly two threads under the
-// head/tail publication protocol below; `UnsafeCell` + two `unsafe` blocks
-// express that. Everything outside this module stays unsafe-free (the
-// `#[allow(unsafe_code)]` sits on the module declaration in lib.rs).
+use crate::MAX_FRAME;
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Keeps the producer- and consumer-owned indices on separate cache lines so
-/// the two sides don't false-share.
-#[repr(align(64))]
-struct Aligned(AtomicUsize);
-
-struct Inner {
-    slots: Box<[UnsafeCell<Vec<u8>>]>,
-    mask: usize,
-    /// Next slot the consumer will pop; written only by the consumer.
-    head: Aligned,
-    /// Next slot the producer will fill; written only by the producer.
-    tail: Aligned,
-}
-
-// SAFETY: the only shared mutable state is `slots`. A slot is written by
-// the producer strictly before the `tail` Release-store that publishes it,
-// and read by the consumer strictly after the Acquire-load that observes
-// that store; symmetrically, a popped slot is re-written only after the
-// producer observes the consumer's `head` Release-store. The `Producer` /
-// `Consumer` handles are not `Clone`, so there is exactly one of each side.
-unsafe impl Send for Inner {}
-unsafe impl Sync for Inner {}
-
-/// The write side of a frame ring. `!Clone`: single producer by type.
-pub struct Producer {
-    inner: Arc<Inner>,
-    /// Producer's private copy of its own index (authoritative).
-    tail: usize,
-    /// Last observed consumer index (refreshed only when the ring looks full).
-    head_cache: usize,
-}
-
-/// The read side of a frame ring. `!Clone`: single consumer by type.
-pub struct Consumer {
-    inner: Arc<Inner>,
-    /// Consumer's private copy of its own index (authoritative).
+/// A ring of at least `depth` frame slots (rounded up to a power of two,
+/// minimum 2), each pre-reserving [`MAX_FRAME`] bytes so steady traffic
+/// never reallocates.
+pub(crate) struct Ring {
+    slots: Vec<Vec<u8>>,
     head: usize,
-    /// Last observed producer index (refreshed only when the ring looks empty).
-    tail_cache: usize,
+    tail: usize,
 }
 
-/// Creates a ring with at least `depth` slots (rounded up to a power of
-/// two, minimum 2), each slot pre-reserving `frame_cap` bytes so steady
-/// traffic up to that frame size never reallocates.
-pub fn ring(depth: usize, frame_cap: usize) -> (Producer, Consumer) {
-    let depth = depth.max(2).next_power_of_two();
-    let slots: Box<[UnsafeCell<Vec<u8>>]> =
-        (0..depth).map(|_| UnsafeCell::new(Vec::with_capacity(frame_cap))).collect();
-    let inner = Arc::new(Inner {
-        slots,
-        mask: depth - 1,
-        head: Aligned(AtomicUsize::new(0)),
-        tail: Aligned(AtomicUsize::new(0)),
-    });
-    (
-        Producer { inner: Arc::clone(&inner), tail: 0, head_cache: 0 },
-        Consumer { inner, head: 0, tail_cache: 0 },
-    )
-}
-
-impl Producer {
-    /// Slots in the ring.
-    pub fn capacity(&self) -> usize {
-        self.inner.mask + 1
+impl Ring {
+    pub(crate) fn new(depth: usize) -> Self {
+        let depth = depth.max(2).next_power_of_two();
+        Ring { slots: (0..depth).map(|_| Vec::with_capacity(MAX_FRAME)).collect(), head: 0, tail: 0 }
     }
 
-    /// Fills the next free slot via `fill` and publishes it. Returns `false`
-    /// (without calling `fill`) when the ring is full. `fill` is handed the
+    /// Fills the next free slot via `fill`. Returns `false` (without
+    /// calling `fill`) when the ring is full. `fill` is handed the
     /// slot's retained buffer and must leave the complete frame in it;
     /// callers clear-and-write (e.g. [`tva_wire::encode_packet_into`]).
     #[inline]
-    pub fn try_push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> bool {
-        let cap = self.inner.mask + 1;
-        if self.tail.wrapping_sub(self.head_cache) == cap {
-            self.head_cache = self.inner.head.0.load(Ordering::Acquire);
-            if self.tail.wrapping_sub(self.head_cache) == cap {
-                return false;
-            }
+    pub(crate) fn try_push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> bool {
+        let mask = self.slots.len() - 1;
+        if self.tail.wrapping_sub(self.head) > mask {
+            return false;
         }
-        // SAFETY: `tail` is unpublished (the consumer stops at the last
-        // Release-stored value, which is < `self.tail + 1`), and the slot's
-        // previous occupant was released by the `head` store we Acquired
-        // into `head_cache`, so this thread has exclusive access.
-        let slot = unsafe { &mut *self.inner.slots[self.tail & self.inner.mask].get() };
-        fill(slot);
+        fill(&mut self.slots[self.tail & mask]);
         self.tail = self.tail.wrapping_add(1);
-        self.inner.tail.0.store(self.tail, Ordering::Release);
         true
     }
-}
 
-impl Consumer {
-    /// Reads the oldest published frame via `read`, then releases the slot.
-    /// Returns `None` when the ring is empty. The borrow handed to `read`
-    /// is valid only for the call — copy out what must outlive it.
+    /// Reads the oldest frame via `read`, then frees its slot. Returns
+    /// `None` when the ring is empty. The borrow handed to `read` is valid
+    /// only for the call — copy out what must outlive it.
     #[inline]
-    pub fn try_pop_with<R>(&mut self, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        if self.head == self.tail_cache {
-            self.tail_cache = self.inner.tail.0.load(Ordering::Acquire);
-            if self.head == self.tail_cache {
-                return None;
-            }
+    pub(crate) fn try_pop_with<R>(&mut self, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        if self.head == self.tail {
+            return None;
         }
-        // SAFETY: `head < tail_cache` means the producer Release-stored a
-        // tail past this slot after filling it, and our Acquire-load saw
-        // it; the producer will not rewrite the slot until it observes the
-        // `head` store below.
-        let slot = unsafe { &*self.inner.slots[self.head & self.inner.mask].get() };
-        let r = read(slot);
+        let r = read(&self.slots[self.head & (self.slots.len() - 1)]);
         self.head = self.head.wrapping_add(1);
-        self.inner.head.0.store(self.head, Ordering::Release);
         Some(r)
-    }
-
-    /// Published frames currently waiting (a racy lower bound when the
-    /// producer is live).
-    pub fn len(&mut self) -> usize {
-        self.tail_cache = self.inner.tail.0.load(Ordering::Acquire);
-        self.tail_cache.wrapping_sub(self.head)
-    }
-
-    /// Whether no published frame is waiting (racy, like [`len`](Self::len)).
-    pub fn is_empty(&mut self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -155,33 +66,33 @@ mod tests {
 
     #[test]
     fn push_pop_in_order() {
-        let (mut tx, mut rx) = ring(4, 64);
+        let mut ring = Ring::new(4);
         for i in 0u8..3 {
-            assert!(tx.try_push_with(|b| {
+            assert!(ring.try_push_with(|b| {
                 b.clear();
                 b.extend_from_slice(&[i; 5]);
             }));
         }
         for i in 0u8..3 {
-            let got = rx.try_pop_with(|f| f.to_vec()).unwrap();
+            let got = ring.try_pop_with(|f| f.to_vec()).unwrap();
             assert_eq!(got, vec![i; 5]);
         }
-        assert!(rx.try_pop_with(|_| ()).is_none());
+        assert!(ring.try_pop_with(|_| ()).is_none());
     }
 
     #[test]
     fn full_ring_rejects_without_calling_fill() {
-        let (mut tx, mut rx) = ring(2, 8);
-        assert!(tx.try_push_with(|b| b.push(1)));
-        assert!(tx.try_push_with(|b| {
+        let mut ring = Ring::new(2);
+        assert!(ring.try_push_with(|b| b.push(1)));
+        assert!(ring.try_push_with(|b| {
             b.clear();
             b.push(2)
         }));
         let mut called = false;
-        assert!(!tx.try_push_with(|_| called = true));
+        assert!(!ring.try_push_with(|_| called = true));
         assert!(!called, "fill must not run on a full ring");
-        assert_eq!(rx.try_pop_with(|f| f[0]), Some(1));
-        assert!(tx.try_push_with(|b| {
+        assert_eq!(ring.try_pop_with(|f| f[0]), Some(1));
+        assert!(ring.try_push_with(|b| {
             b.clear();
             b.push(3)
         }));
@@ -189,46 +100,15 @@ mod tests {
 
     #[test]
     fn wraps_many_times_reusing_capacity() {
-        let (mut tx, mut rx) = ring(8, 32);
+        let mut ring = Ring::new(8);
         for round in 0u32..10_000 {
-            assert!(tx.try_push_with(|b| {
+            assert!(ring.try_push_with(|b| {
                 b.clear();
                 b.extend_from_slice(&round.to_be_bytes());
             }));
-            let got = rx.try_pop_with(|f| u32::from_be_bytes(f.try_into().unwrap()));
+            let got = ring.try_pop_with(|f| u32::from_be_bytes(f.try_into().unwrap()));
             assert_eq!(got, Some(round));
         }
-    }
-
-    #[test]
-    fn cross_thread_sequence_is_lossless() {
-        let (mut tx, mut rx) = ring(64, 16);
-        const N: u64 = 200_000;
-        let producer = std::thread::spawn(move || {
-            let mut i = 0u64;
-            while i < N {
-                let v = i;
-                if tx.try_push_with(|b| {
-                    b.clear();
-                    b.extend_from_slice(&v.to_be_bytes());
-                }) {
-                    i += 1;
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-        });
-        let mut expect = 0u64;
-        while expect < N {
-            if let Some(v) =
-                rx.try_pop_with(|f| u64::from_be_bytes(f.try_into().unwrap()))
-            {
-                assert_eq!(v, expect, "frames must arrive exactly once, in order");
-                expect += 1;
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        producer.join().unwrap();
+        assert!(ring.slots.iter().all(|s| s.capacity() == MAX_FRAME), "no slot reallocated");
     }
 }

@@ -1,16 +1,18 @@
-//! Frame transports the node forwards over: the SPSC-ring virtual NIC pair
-//! (in-process, maximum rate) and nonblocking UDP sockets driven in
-//! `recvmmsg`-style bursts.
+//! Frame transports the node forwards over: the ring virtual NIC pair
+//! (in-process, one thread, maximum rate) and nonblocking UDP sockets
+//! driven in `recvmmsg`-style bursts.
 //!
 //! The std-only environment has no `libc`, so the UDP path cannot issue a
 //! real `recvmmsg(2)`/`sendmmsg(2)`; it approximates the same shape — amortize
 //! wakeups over batches of N datagrams — with a nonblocking socket drained
 //! until `WouldBlock`. DESIGN.md §"Fast path daemon" discusses the gap.
 
+use std::cell::RefCell;
 use std::io;
 use std::net::UdpSocket;
+use std::rc::Rc;
 
-use crate::ring::{ring, Consumer, Producer};
+use crate::ring::Ring;
 
 /// Largest frame any transport must carry: an IPv4 total length caps at
 /// 65535 but TVA frames are small; 2 KiB covers an MTU-sized packet with a
@@ -32,27 +34,33 @@ pub trait Transport {
 }
 
 /// One end of an in-process virtual NIC pair: TX ring toward the peer, RX
-/// ring from the peer.
+/// ring from the peer. Each ring is shared with the peer port through an
+/// `Rc`, so both ends of a pair live on one thread (`RingPort` is not
+/// `Send`); [`UdpPort`] is the transport that crosses threads.
 pub struct RingPort {
-    /// Frames this port sends.
-    pub tx: Producer,
-    /// Frames this port receives.
-    pub rx: Consumer,
+    tx: Rc<RefCell<Ring>>,
+    rx: Rc<RefCell<Ring>>,
 }
 
 /// Builds two cross-connected [`RingPort`]s (`a.tx → b.rx`, `b.tx → a.rx`),
 /// each direction a `depth`-slot ring of `MAX_FRAME`-capacity buffers.
 pub fn ring_pair(depth: usize) -> (RingPort, RingPort) {
-    let (a_tx, b_rx) = ring(depth, MAX_FRAME);
-    let (b_tx, a_rx) = ring(depth, MAX_FRAME);
-    (RingPort { tx: a_tx, rx: a_rx }, RingPort { tx: b_tx, rx: b_rx })
+    let a_to_b = Rc::new(RefCell::new(Ring::new(depth)));
+    let b_to_a = Rc::new(RefCell::new(Ring::new(depth)));
+    (
+        RingPort { tx: Rc::clone(&a_to_b), rx: Rc::clone(&b_to_a) },
+        RingPort { tx: b_to_a, rx: a_to_b },
+    )
 }
 
 impl Transport for RingPort {
+    /// `sink` must not transmit into the ring it is reading from (the peer
+    /// port's `tx_frame`): the ring is borrowed for the whole burst.
     #[inline]
     fn rx_burst(&mut self, max: usize, sink: &mut dyn FnMut(&[u8])) -> usize {
+        let mut rx = self.rx.borrow_mut();
         let mut n = 0;
-        while n < max && self.rx.try_pop_with(|f| sink(f)).is_some() {
+        while n < max && rx.try_pop_with(|f| sink(f)).is_some() {
             n += 1;
         }
         n
@@ -60,7 +68,7 @@ impl Transport for RingPort {
 
     #[inline]
     fn tx_frame(&mut self, fill: &mut dyn FnMut(&mut Vec<u8>)) -> bool {
-        self.tx.try_push_with(fill)
+        self.tx.borrow_mut().try_push_with(fill)
     }
 }
 

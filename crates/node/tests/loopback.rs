@@ -1,31 +1,24 @@
 //! The daemon end to end over its two transports: generator → node → sink.
 //!
-//! Over the SPSC ring pair everything runs on one thread, a fixed number of
+//! Over the ring pair everything runs on one thread, a fixed number of
 //! bursts (no wall-clock window): the clean mix is forwarded with nothing
 //! malformed, `reset_meters` puts node and scheduler on one counting window,
-//! `NodeEngine::observe` exports the `node.*` names the stats socket serves,
-//! and — when the counting allocator is compiled in (`--features
-//! alloc-count`, as `scripts/verify.sh` runs this file) — a warm node
-//! forwards without touching the heap, with flow sampling off and on.
+//! and `NodeEngine::observe` exports the `node.*` names the stats socket
+//! serves. (That a warm node forwards without touching the heap is the root
+//! `tests/zero_alloc.rs`, whose binary counts allocations.)
 //! Over a loopback UDP pair the node runs on its own thread and the generator
 //! measures end-to-end latency from IP-id send stamps.
 //!
 //! These are properties, not rates: the daemon's forwarding rate is the repo
 //! benchmark's (`bash benchmark/run.sh`, the `node_*` workloads).
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use serde_json::Value;
-use tva_bench::alloc;
 use tva_node::{
     ring_pair, udp_pair, NodeClock, NodeConfig, NodeEngine, PktGen, RingPort, Transport,
 };
 use tva_obs::{Histogram, Registry};
-
-/// The allocation counter is process-wide, so the tests of this file run one
-/// at a time.
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// Bursts before meters reset: enough to populate the packet pool, the flow
 /// table and every queue's steady capacity.
@@ -34,8 +27,6 @@ const WARMUP_BURSTS: usize = 2_000;
 /// stays inside every flow's first capability budget (~13 000 frames × 128
 /// flows), so the window holds established flows only.
 const BURSTS: usize = 1_000;
-/// Enough further bursts to take every flow through a capability rotation.
-const ROTATION_BURSTS: usize = 25_000;
 
 /// Generator, node and sink on one thread over the ring pair.
 struct Loopback {
@@ -81,7 +72,6 @@ impl Loopback {
 
 #[test]
 fn clean_mix_is_forwarded_whole() {
-    let _one = ONE_AT_A_TIME.lock();
     let mut lb = Loopback::warmed(&NodeConfig::default());
     lb.run(BURSTS);
     let node = &lb.node;
@@ -98,7 +88,6 @@ fn layers_count_the_same_window() {
     // the node's, or they keep the warm-up's traffic on top of the frames
     // the node reports. (The router's side, and every other identity
     // between the layers, is `tests/conservation.rs`.)
-    let _one = ONE_AT_A_TIME.lock();
     let mut lb = Loopback::warmed(&NodeConfig::default());
     lb.run(BURSTS);
     let node = &lb.node;
@@ -114,7 +103,6 @@ fn layers_count_the_same_window() {
 
 #[test]
 fn observe_exports_the_headline() {
-    let _one = ONE_AT_A_TIME.lock();
     let mut lb = Loopback::warmed(&NodeConfig::default());
     lb.run(BURSTS);
     let mut reg = Registry::new();
@@ -127,44 +115,7 @@ fn observe_exports_the_headline() {
 }
 
 #[test]
-fn warm_fast_path_does_not_allocate() {
-    let _one = ONE_AT_A_TIME.lock();
-    if !alloc::counting_enabled() {
-        return;
-    }
-    let base = NodeConfig::default();
-    let legs = [
-        ("sampling off", base.clone()),
-        ("telemetry 1-in-16", NodeConfig { sample_n: 16, ..base }),
-    ];
-    for (leg, cfg) in legs {
-        let mut lb = Loopback::warmed(&cfg);
-        let before = alloc::alloc_count();
-        lb.run(BURSTS);
-        let allocs = alloc::alloc_count() - before;
-        let forwarded = lb.node.stats.tx_frames;
-        assert!(forwarded > 1000, "{leg}: loopback must forward ({forwarded})");
-        assert_eq!(lb.node.stats.malformed_drops, 0, "{leg}: clean mix");
-        assert_eq!(allocs, 0, "{leg}: {allocs} allocations over {forwarded} forwarded frames");
-
-        // A rotated flow is a new flow-table entry, and an insert may grow
-        // the table's index (measured: 22 allocations over 1.92 M frames).
-        // That is per new flow, not per frame: it must round to zero at the
-        // four decimals the per-frame rate is quoted to.
-        lb.run(ROTATION_BURSTS);
-        let allocs = alloc::alloc_count() - before;
-        let forwarded = lb.node.stats.tx_frames;
-        assert!(lb.node.router.stats.full_validations > 0, "{leg}: no flow rotated");
-        assert!(
-            allocs * 20_000 < forwarded,
-            "{leg}: {allocs} allocations over {forwarded} forwarded frames across a rotation"
-        );
-    }
-}
-
-#[test]
 fn udp_pair_measures_end_to_end() {
-    let _one = ONE_AT_A_TIME.lock();
     let cfg = NodeConfig::default();
     let (mut node_port, mut wire) = udp_pair().expect("loopback sockets");
     let clock = NodeClock::new();

@@ -116,7 +116,7 @@ impl SimDuration {
 
     /// The time to serialize `bytes` onto a link of `bits_per_sec`,
     /// rounded up to the next nanosecond so transmission time is never
-    /// treated as zero.
+    /// treated as zero, and saturating at `u64::MAX` ns.
     pub fn transmission(bytes: u32, bits_per_sec: u64) -> Self {
         assert!(bits_per_sec > 0, "link bandwidth must be positive");
         // The product fits a `u64` below about 2.3 GB, so every real packet
@@ -124,7 +124,10 @@ impl SimDuration {
         // only catches the overflow.
         let ns = match (bytes as u64 * 8).checked_mul(1_000_000_000) {
             Some(bit_ns) => bit_ns.div_ceil(bits_per_sec),
-            None => (bytes as u128 * 8 * 1_000_000_000).div_ceil(bits_per_sec as u128) as u64,
+            None => {
+                let ns = (bytes as u128 * 8 * 1_000_000_000).div_ceil(bits_per_sec as u128);
+                u64::try_from(ns).unwrap_or(u64::MAX)
+            }
         };
         SimDuration(ns)
     }
@@ -212,19 +215,23 @@ mod tests {
         assert_eq!(SimDuration::transmission(1, 1_000_000_000).as_nanos(), 8);
         assert_eq!(SimDuration::transmission(1, 3_000_000_000).as_nanos(), 3);
         assert!(SimDuration::transmission(1, u64::MAX).as_nanos() >= 1);
+        // 4 GiB at 1 b/s is ~3.4e19 ns, past u64::MAX (~1.8e19): saturates.
+        assert_eq!(SimDuration::transmission(u32::MAX, 1).as_nanos(), u64::MAX);
     }
 
     use proptest::prelude::*;
 
     proptest! {
-        /// The `u64` fast path computes the `u128` formula exactly,
-        /// including the edges of both arguments.
+        /// The `u64` fast path computes the `u128` formula exactly, and
+        /// the overflow path saturates it, including the edges of both
+        /// arguments.
         #[test]
         fn transmission_matches_u128_formula(
             bytes in prop_oneof![0u32..=1, Just(u32::MAX), any::<u32>(), 0u32..10_000],
             bps in prop_oneof![Just(1u64), Just(u64::MAX), 1u64..=u64::MAX, 1u64..100_000_000_000],
         ) {
-            let want = (bytes as u128 * 8 * 1_000_000_000).div_ceil(bps as u128) as u64;
+            let want = (bytes as u128 * 8 * 1_000_000_000).div_ceil(bps as u128);
+            let want = u64::try_from(want).unwrap_or(u64::MAX);
             prop_assert_eq!(SimDuration::transmission(bytes, bps).as_nanos(), want);
         }
     }

@@ -2,7 +2,8 @@
 # Production lines of Rust, per crate and in total: non-blank lines that are
 # not `//` comments, in crates/*/src/**/*.rs and src/, up to each file's
 # first `#[cfg(test)]`; then the options: the rows of the TVA_* knob table
-# (crates/sim/src/knobs.rs) and the settable fields of every config struct.
+# (crates/sim/src/knobs.rs), the settable fields of every config struct and
+# the cargo features the manifests declare.
 # "Less code, fewer options" as numbers; verify.sh prints the last two
 # lines.
 set -eu
@@ -38,4 +39,12 @@ configs=$(find crates/*/src -name '*.rs' | sort | xargs awk '
 ' | sort -k2,2nr -k1,1)
 total_fields=$(printf '%s\n' "$configs" | awk '{ t += $2 } END { print t + 0 }')
 per_struct=$(printf '%s\n' "$configs" | awk '{ printf "%s%s %d", sep, $1, $2; sep = ", " }')
-printf 'options: env knobs %d, config fields %d (%s)\n' "$knobs" "$total_fields" "$per_struct"
+# The `name = [...]` lines of every `[features]` table in the root and
+# crate manifests; tests/options.rs holds it at zero.
+features=$(awk '
+  /^\[/ { on = ($0 == "[features]"); next }
+  on && /^[A-Za-z0-9_-]+[[:space:]]*=/ { n++ }
+  END { print n + 0 }
+' Cargo.toml crates/*/Cargo.toml)
+printf 'options: env knobs %d, config fields %d (%s), cargo features %d\n' \
+  "$knobs" "$total_fields" "$per_struct" "$features"

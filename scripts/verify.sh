@@ -12,7 +12,8 @@ repro() { cargo run --release -q --bin repro -- "$@"; }
 echo "==> cargo build --release"
 cargo build --release
 
-# default-members in the root manifest makes this the whole workspace.
+# default-members in the root manifest makes this the whole workspace,
+# the zero-allocation checks (tests/zero_alloc.rs) included.
 echo "==> cargo test -q"
 cargo test -q
 
@@ -48,12 +49,6 @@ repro invcheck replay target/verify-invcheck/fixture.json
 echo "==> repo benchmark self-test (5 workloads, traced + untraced, quick sizing)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml ||
   cargo test -q --offline --manifest-path benchmark/Cargo.toml
-
-echo "==> allocation discipline (counting allocator, steady-state dumbbell)"
-cargo test -q --release -p tva-bench --features alloc-count --test alloc_steady
-
-echo "==> tva-node loopback (forwards, zero malformed, one counting window, zero allocs on two legs, UDP e2e)"
-cargo test -q --release -p tva-node --features alloc-count --test loopback
 
 echo "==> telemetry plane smoke (serve + pktgen burst + stats socket, obscheck, tva-top)"
 rm -rf target/verify-stats
