@@ -75,12 +75,6 @@ struct PeerState {
 pub struct ShimStats {
     /// Request headers attached.
     pub requests_sent: u64,
-    /// Capability sets installed from return info.
-    pub caps_acquired: u64,
-    /// Renewal headers attached.
-    pub renewals_sent: u64,
-    /// Demotion notices received (sender role).
-    pub demotion_notices: u64,
     /// Demoted packets observed (destination role).
     pub demoted_seen: u64,
     /// Requests granted (destination role).
@@ -89,8 +83,6 @@ pub struct ShimStats {
     pub refused: u64,
     /// Misbehavior reports to the policy.
     pub misbehavior_reports: u64,
-    /// Bare reply packets emitted via the outbox.
-    pub bare_replies: u64,
 }
 
 /// Renew capabilities once this fraction of the byte budget `N` is
@@ -113,29 +105,61 @@ const MISBEHAVIOR_BYTES_PER_SEC: f64 = 512.0 * 1024.0;
 /// under congestion; a dedicated flooder sustains more.
 const MISBEHAVIOR_DEMOTED_BYTES_PER_SEC: f64 = 128.0 * 1024.0;
 
+/// What a shim keeps once it has exchanged a packet: per-peer state, the
+/// bare replies waiting for the transport, and the counters.
+#[derive(Default)]
+struct ShimState {
+    peers: DetHashMap<Addr, PeerState>,
+    outbox: Vec<Packet>,
+    stats: ShimStats,
+}
+
+impl ShimState {
+    /// The first packet's allocation, kept out of line so every later
+    /// access to the state stays one test.
+    #[cold]
+    #[inline(never)]
+    fn build(slot: &mut Option<Box<ShimState>>) -> &mut ShimState {
+        slot.insert(Box::default())
+    }
+
+    fn peer(&mut self, addr: Addr) -> &mut PeerState {
+        self.peers.entry(addr).or_default()
+    }
+}
+
 /// The TVA host shim.
 pub struct TvaHostShim {
     local: Addr,
     policy: Box<dyn GrantPolicy>,
-    peers: DetHashMap<Addr, PeerState>,
-    outbox: Vec<Packet>,
     /// xorshift64 state for nonce generation (deterministic per host).
     rng: u64,
-    /// Counters.
-    pub stats: ShimStats,
+    /// Built on first use: most hosts of a large tree never exchange a
+    /// packet, and an idle shim costs one pointer here.
+    state: Option<Box<ShimState>>,
 }
 
 impl TvaHostShim {
     /// Creates a shim for a host at `local` with the given policy.
     pub fn new(local: Addr, policy: Box<dyn GrantPolicy>) -> Self {
-        TvaHostShim {
-            local,
-            policy,
-            peers: DetHashMap::default(),
-            outbox: Vec::new(),
-            rng: (local.to_u32() as u64) << 16 | 0x9E37,
-            stats: ShimStats::default(),
+        TvaHostShim { local, policy, rng: (local.to_u32() as u64) << 16 | 0x9E37, state: None }
+    }
+
+    /// The counters (all zero until the shim first handles a packet).
+    pub fn stats(&self) -> ShimStats {
+        self.state.as_ref().map(|s| s.stats.clone()).unwrap_or_default()
+    }
+
+    /// The per-peer state, built by the first call.
+    fn state(&mut self) -> &mut ShimState {
+        match &mut self.state {
+            Some(state) => state,
+            unbuilt => ShimState::build(unbuilt),
         }
+    }
+
+    fn peer(&self, addr: Addr) -> Option<&PeerState> {
+        self.state.as_ref()?.peers.get(&addr)
     }
 
     fn fresh_nonce(&mut self) -> FlowNonce {
@@ -150,8 +174,7 @@ impl TvaHostShim {
 
     /// Whether this host currently holds usable capabilities toward `dst`.
     pub fn has_caps(&self, dst: Addr, now: SimTime) -> bool {
-        self.peers
-            .get(&dst)
+        self.peer(dst)
             .and_then(|p| p.send.as_ref())
             .is_some_and(|c| !c.expired(now) && !c.exhausted_for(0))
     }
@@ -163,24 +186,19 @@ impl TvaHostShim {
         // carrying MAX_PATH_ROUTERS capabilities), so the sender's budget
         // check can never pass while the on-wire packet exceeds N.
         const MAX_HEADER: u32 = 12 + 8 * tva_wire::MAX_PATH_ROUTERS as u32;
-        let nonce = {
-            let st = self.peers.entry(dst).or_default();
-            match &st.send {
-                Some(c) if !c.expired(now) && !c.exhausted_for(base_len + MAX_HEADER) => None,
-                _ => Some(()),
+        let state = self.state();
+        let st = state.peer(dst);
+        let caps = match &mut st.send {
+            Some(c) if !c.expired(now) && !c.exhausted_for(base_len + MAX_HEADER) => c,
+            _ => {
+                // No usable capabilities: bootstrap (or re-bootstrap) with
+                // a request.
+                st.send = None;
+                st.requested_at = Some(now);
+                state.stats.requests_sent += 1;
+                return CapHeader::request();
             }
         };
-        if nonce.is_some() {
-            // No usable capabilities: bootstrap (or re-bootstrap) with a
-            // request.
-            let st = self.peers.entry(dst).or_default();
-            st.send = None;
-            st.requested_at = Some(now);
-            self.stats.requests_sent += 1;
-            return CapHeader::request();
-        }
-        let st = self.peers.get_mut(&dst).expect("peer entry exists");
-        let caps = st.send.as_mut().expect("caps checked above");
 
         let age = now.since(caps.acquired).as_secs_f64();
         let t = caps.grant.t.secs() as f64;
@@ -190,7 +208,6 @@ impl TvaHostShim {
         let cache_cold = !caps.primed || now >= caps.model_ttl_expires;
 
         let header = if need_renew {
-            self.stats.renewals_sent += 1;
             CapHeader::renewal(caps.nonce, caps.grant, caps.caps.clone())
         } else if cache_cold {
             CapHeader::regular_with_caps(caps.nonce, caps.grant, caps.caps.clone())
@@ -219,7 +236,7 @@ impl TvaHostShim {
         now: SimTime,
     ) -> bool {
         let initiated = {
-            let st = self.peers.entry(src).or_default();
+            let st = self.state().peer(src);
             st.send.is_some() || st.requested_at.is_some()
         };
         let info = RequestInfo { src, path_id, initiated };
@@ -228,17 +245,17 @@ impl TvaHostShim {
                 // An empty pre-capability list (a request that crossed no
                 // capability router) yields nothing to return — an empty
                 // list on the wire would read as a refusal (§4.2).
+                let state = self.state();
                 if !precaps.is_empty() {
                     let caps: CapList =
                         precaps.iter().map(|&pc| mint_cap(pc, grant)).collect();
-                    let st = self.peers.entry(src).or_default();
-                    st.pending_return = Some((grant, caps, now));
+                    state.peer(src).pending_return = Some((grant, caps, now));
                 }
-                self.stats.granted += 1;
+                state.stats.granted += 1;
                 true
             }
             None => {
-                self.stats.refused += 1;
+                self.state().stats.refused += 1;
                 false
             }
         }
@@ -248,7 +265,7 @@ impl TvaHostShim {
     /// Demoted arrivals (traffic beyond the sender's authorization) are the
     /// primary signal; raw volume is a high backstop.
     fn note_rx(&mut self, src: Addr, len: u32, demoted: bool, now: SimTime) {
-        let st = self.peers.entry(src).or_default();
+        let st = self.state().peer(src);
         if now.since(st.rx_window_start) > SimDuration::from_secs(1) {
             st.rx_window_start = now;
             st.rx_window_bytes = 0;
@@ -265,14 +282,14 @@ impl TvaHostShim {
             st.rx_window_demoted = 0;
             st.rx_window_start = now;
             self.policy.note_misbehavior(src, now);
-            self.stats.misbehavior_reports += 1;
+            self.state().stats.misbehavior_reports += 1;
         }
     }
 
     /// Attaches pending return info / demotion echo onto a header bound for
     /// `dst`.
     fn attach_return(&mut self, dst: Addr, header: &mut CapHeader, now: SimTime) {
-        let st = self.peers.entry(dst).or_default();
+        let st = self.state().peer(dst);
         if let Some((grant, caps, granted_at)) = &st.pending_return {
             // Sticky until the peer demonstrably uses capabilities or the
             // grant goes stale (half its validity).
@@ -304,7 +321,6 @@ impl TvaHostShim {
             payload_len: 0,
         };
         self.decorate(&mut pkt, now);
-        self.stats.bare_replies += 1;
         pkt
     }
 
@@ -333,8 +349,9 @@ impl Shim for TvaHostShim {
 
         if header.demoted {
             // We are the destination of a demoted packet: echo it (§3.8).
-            self.stats.demoted_seen += 1;
-            self.peers.entry(src).or_default().demote_echo = true;
+            let state = self.state();
+            state.stats.demoted_seen += 1;
+            state.peer(src).demote_echo = true;
         }
 
         // Harvest return information first: it may install capabilities that
@@ -349,8 +366,7 @@ impl Shim for TvaHostShim {
                 // of in-flight old-nonce packets that routers demote) and
                 // re-acquiring would discard perfectly good capabilities,
                 // looping forever.
-                self.stats.demotion_notices += 1;
-                let st = self.peers.entry(src).or_default();
+                let st = self.state().peer(src);
                 let fresh = st
                     .send
                     .as_ref()
@@ -362,7 +378,7 @@ impl Shim for TvaHostShim {
             }
             Some(ReturnInfo::Capabilities { grant, caps }) if !caps.is_empty() => {
                 let nonce = self.fresh_nonce();
-                let st = self.peers.entry(src).or_default();
+                let st = self.state().peer(src);
                 // Install unless identical caps are already in place (the
                 // return is sticky, so duplicates arrive; reinstalling
                 // would reset accounting and desynchronize from routers).
@@ -381,12 +397,11 @@ impl Shim for TvaHostShim {
                         primed: false,
                     });
                     st.requested_at = None;
-                    self.stats.caps_acquired += 1;
                 }
             }
             Some(ReturnInfo::Capabilities { .. }) => {
                 // Empty list: an explicit refusal (§4.2).
-                let st = self.peers.entry(src).or_default();
+                let st = self.state().peer(src);
                 st.send = None;
                 st.requested_at = None;
             }
@@ -424,13 +439,10 @@ impl Shim for TvaHostShim {
                 // request did not ride on a SYN) and there is something to
                 // return.
                 let is_syn = pkt.tcp.is_some_and(|t| t.flags.syn);
-                let has_pending = self
-                    .peers
-                    .get(&src)
-                    .is_some_and(|st| st.pending_return.is_some());
+                let has_pending = self.peer(src).is_some_and(|st| st.pending_return.is_some());
                 if !is_syn && has_pending {
                     let reply = self.bare_reply(src, now);
-                    self.outbox.push(reply);
+                    self.state().outbox.push(reply);
                 }
                 true
             }
@@ -438,7 +450,7 @@ impl Shim for TvaHostShim {
                 self.note_rx(src, pkt.wire_len(), false, now);
                 // The peer is using capabilities: the sticky return did its
                 // job.
-                self.peers.entry(src).or_default().pending_return = None;
+                self.state().peer(src).pending_return = None;
                 if *renewal {
                     // The capability list now holds fresh pre-capabilities
                     // minted by the routers (§4.3): grant or refuse anew.
@@ -446,7 +458,7 @@ impl Shim for TvaHostShim {
                         let granted = self.decide_grant(src, PathId::NONE, list, now);
                         if granted && pkt.tcp.is_none() {
                             let reply = self.bare_reply(src, now);
-                            self.outbox.push(reply);
+                            self.state().outbox.push(reply);
                         }
                     }
                 }
@@ -460,7 +472,7 @@ impl Shim for TvaHostShim {
     }
 
     fn take_outbox(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.outbox)
+        self.state.as_mut().map(|s| std::mem::take(&mut s.outbox)).unwrap_or_default()
     }
 
     fn forget(&mut self, dst: Addr) {
@@ -468,7 +480,7 @@ impl Shim for TvaHostShim {
         // address we held when they were acquired; a host that changes
         // identity must drop them and re-bootstrap. Destination-role state
         // (pending returns, misbehavior windows) is unaffected.
-        if let Some(st) = self.peers.get_mut(&dst) {
+        if let Some(st) = self.state.as_mut().and_then(|s| s.peers.get_mut(&dst)) {
             st.send = None;
             st.requested_at = None;
         }
@@ -512,6 +524,29 @@ mod tests {
         (g, vec![mint_cap(pc, g)])
     }
 
+    /// A client shim is per-host memory in a tree topology, and most
+    /// hosts stay idle: the address, policy box, nonce state and one
+    /// pointer to the state built on first use.
+    #[test]
+    fn idle_shim_stays_small() {
+        assert!(std::mem::size_of::<TvaHostShim>() <= 40, "{}", std::mem::size_of::<TvaHostShim>());
+    }
+
+    #[test]
+    fn queries_on_an_idle_shim_build_nothing() {
+        let mut s = shim(Box::new(AllowAll { grant: grant() }));
+        assert!(!s.has_caps(PEER, SimTime::ZERO));
+        assert!(!s.ready_to_send(PEER, SimTime::ZERO));
+        assert!(s.take_outbox().is_empty());
+        s.forget(PEER);
+        assert_eq!(s.stats().requests_sent, 0);
+        let mut legacy = data_pkt(PEER, ME, 100);
+        assert!(s.on_receive(&mut legacy, SimTime::ZERO), "legacy packets pass");
+        assert!(s.state.is_none(), "no query and no legacy packet builds the state");
+        s.on_send(&mut data_pkt(ME, PEER, 0), SimTime::ZERO);
+        assert!(s.state.is_some());
+    }
+
     #[test]
     fn first_send_is_a_request() {
         let mut s = shim(Box::new(AllowAll { grant: grant() }));
@@ -521,7 +556,7 @@ mod tests {
             p.cap.as_ref().unwrap().payload,
             CapPayload::Request { .. }
         ));
-        assert_eq!(s.stats.requests_sent, 1);
+        assert_eq!(s.stats().requests_sent, 1);
     }
 
     #[test]
@@ -646,7 +681,7 @@ mod tests {
         let mut req = data_pkt(PEER, ME, 0);
         req.cap = Some(CapHeader::request());
         assert!(!s.on_receive(&mut req, now), "unsolicited request consumed");
-        assert_eq!(s.stats.refused, 1);
+        assert_eq!(s.stats().refused, 1);
         assert!(s.take_outbox().is_empty());
     }
 
@@ -721,7 +756,7 @@ mod tests {
             p.cap = Some(h);
             s.on_receive(&mut p, now + SimDuration::from_millis(i));
         }
-        assert!(s.stats.misbehavior_reports >= 1);
+        assert!(s.stats().misbehavior_reports >= 1);
         // A renewal from the flooder is now refused.
         let mut req = data_pkt(PEER, ME, 0);
         req.cap = Some(CapHeader::request());
@@ -744,7 +779,7 @@ mod tests {
         let mut pkt = data_pkt(PEER, ME, 100);
         pkt.cap = Some(h);
         assert!(s.on_receive(&mut pkt, now), "the data itself is still delivered");
-        assert_eq!(s.stats.granted, 0, "no grant from a demoted renewal");
+        assert_eq!(s.stats().granted, 0, "no grant from a demoted renewal");
         assert!(s.take_outbox().is_empty(), "no bare reply either");
         // Same for a demoted request.
         let mut h = CapHeader::request();
@@ -755,9 +790,9 @@ mod tests {
         let mut pkt = data_pkt(PEER, ME, 0);
         pkt.cap = Some(h);
         s.on_receive(&mut pkt, now);
-        assert_eq!(s.stats.granted, 0);
+        assert_eq!(s.stats().granted, 0);
         // But the demotion itself is observed (echo + misbehavior signal).
-        assert!(s.stats.demoted_seen >= 2);
+        assert!(s.stats().demoted_seen >= 2);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::intern::AddrInterner;
 use crate::node::{Ctx, Node};
 use crate::pool::Pkt;
 use crate::queue::QueueDisc;
-use crate::stats::ChannelStats;
+use crate::stats::{ChannelStats, LazyChannelStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkHandle, StaticRoute};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
@@ -62,8 +62,9 @@ pub struct Channel {
     /// Bumped on every failure so completions scheduled before the failure
     /// are recognized as stale (see `EventKind::TxComplete`).
     pub(crate) epoch: u64,
-    /// Counters.
-    pub stats: ChannelStats,
+    /// Counters, boxed on the first write: a channel that never carries
+    /// a packet costs one pointer and reads all zeros.
+    pub stats: LazyChannelStats,
 }
 
 /// A channel's cold fault state: its impairments and the private stream
@@ -178,7 +179,7 @@ const NO_ROUTE: u32 = u32::MAX;
 /// entries matching the default route are pruned at build time — so stub
 /// hosts carry an empty array and a million-host tree's leaf routers pay
 /// only for their own subtree's contiguous address block.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct RouteTable {
     base: u32,
     next_hop: Vec<u32>,
@@ -351,20 +352,23 @@ impl Core {
         let c = &mut self.channels[ch.0];
         if !c.up {
             // A failed link loses everything offered to it.
-            c.stats.lost_pkts += 1;
-            c.stats.lost_bytes += wire_len as u64;
+            let st = &mut *c.stats;
+            st.lost_pkts += 1;
+            st.lost_bytes += wire_len as u64;
             self.trace_fields(TraceKind::Lost, ch, id, src, dst, wire_len);
             return false;
         }
         if c.queue.enqueue(pkt, self.now).is_accepted() {
-            c.stats.enqueued_pkts += 1;
-            c.stats.enqueued_bytes += wire_len as u64;
+            let st = &mut *c.stats;
+            st.enqueued_pkts += 1;
+            st.enqueued_bytes += wire_len as u64;
             self.trace_fields(TraceKind::Enqueued, ch, id, src, dst, wire_len);
             self.try_start(ch);
             true
         } else {
-            c.stats.dropped_pkts += 1;
-            c.stats.dropped_bytes += wire_len as u64;
+            let st = &mut *c.stats;
+            st.dropped_pkts += 1;
+            st.dropped_bytes += wire_len as u64;
             self.trace_fields(TraceKind::Dropped, ch, id, src, dst, wire_len);
             false
         }
@@ -383,10 +387,11 @@ impl Core {
                 let wire_len = pkt.wire_len();
                 let tx = SimDuration::transmission(wire_len, c.bandwidth_bps);
                 let waited = now.since(pkt.enqueued_at).as_nanos();
-                c.stats.queued_delay_ns += waited;
-                c.stats.queued_delay_max_ns = c.stats.queued_delay_max_ns.max(waited);
-                c.stats.tx_pkts += 1;
-                c.stats.tx_bytes += wire_len as u64;
+                let st = &mut *c.stats;
+                st.queued_delay_ns += waited;
+                st.queued_delay_max_ns = st.queued_delay_max_ns.max(waited);
+                st.tx_pkts += 1;
+                st.tx_bytes += wire_len as u64;
                 c.in_flight = Some(pkt);
                 c.wake_at = None;
                 let epoch = c.epoch;
@@ -437,9 +442,9 @@ impl Core {
             WireFate::Lost => {
                 let (id, src, dst) = (pkt.id, pkt.src, pkt.dst);
                 let wire_len = pkt.wire_len();
-                let c = &mut self.channels[ch.0];
-                c.stats.lost_pkts += 1;
-                c.stats.lost_bytes += wire_len as u64;
+                let st = &mut *self.channels[ch.0].stats;
+                st.lost_pkts += 1;
+                st.lost_bytes += wire_len as u64;
                 self.trace_fields(TraceKind::Lost, ch, id, src, dst, wire_len);
             }
             WireFate::Corrupt => {
@@ -502,9 +507,9 @@ impl Core {
             if let Some(pkt) = c.in_flight.take() {
                 let (id, src, dst) = (pkt.id, pkt.src, pkt.dst);
                 let wire_len = pkt.wire_len();
-                let c = &mut self.channels[ch.0];
-                c.stats.lost_pkts += 1;
-                c.stats.lost_bytes += wire_len as u64;
+                let st = &mut *self.channels[ch.0].stats;
+                st.lost_pkts += 1;
+                st.lost_bytes += wire_len as u64;
                 self.trace_fields(TraceKind::Lost, ch, id, src, dst, wire_len);
             }
         }
@@ -782,11 +787,9 @@ impl Simulator {
     /// topology, excluding channels that are currently down. Called
     /// automatically on link failure/recovery; public for tests.
     pub fn reconverge(&mut self) {
-        let links: Vec<(NodeId, NodeId, bool)> =
-            self.core.channels.iter().map(|c| (c.from, c.to, c.up)).collect();
         let mut routes = crate::topology::compute_routes(
             self.nodes.len(),
-            &links,
+            &self.core.channels,
             &self.addrs,
             &self.defaults,
             &self.core.interner,
@@ -884,10 +887,10 @@ mod tests {
     use super::*;
 
     /// Every link costs two channels, so a channel's size is per-host
-    /// memory in a tree topology. Wire faults sit behind one pointer and
-    /// `in_flight` doubles as the busy flag.
+    /// memory in a tree topology. Wire faults and the counters sit behind
+    /// one pointer each and `in_flight` doubles as the busy flag.
     #[test]
     fn channel_stays_small() {
-        assert!(std::mem::size_of::<Channel>() <= 208, "{}", std::mem::size_of::<Channel>());
+        assert!(std::mem::size_of::<Channel>() <= 120, "{}", std::mem::size_of::<Channel>());
     }
 }

@@ -52,7 +52,7 @@ pub use intern::AddrInterner;
 pub use node::{Ctx, Node, SinkNode};
 pub use pool::{pool_stats, Pkt, PoolStats};
 pub use queue::{DropTail, Enqueued, QueueDisc, ROUTER_QUEUE_PKTS};
-pub use stats::{ChannelStats, Counters};
+pub use stats::{ChannelStats, Counters, LazyChannelStats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkHandle, TopologyBuilder};
 pub use trace::{format_event, TraceCounts, TraceEvent, TraceKind, Tracer};

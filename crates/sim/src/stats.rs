@@ -1,9 +1,13 @@
 //! Counter tables: the [`counters!`](crate::counters) macro that declares a
-//! stats struct once, and the per-channel counters collected by the engine.
+//! stats struct once, and the per-channel counters collected by the engine,
+//! built on a channel's first write ([`LazyChannelStats`]).
 //!
 //! A table is a struct of `u64` counters. Its field names are its published
 //! metric names, so the registry fold, the per-bucket deltas and every
 //! column list read [`Counters`] instead of spelling the fields again.
+
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use crate::time::SimTime;
 
@@ -54,6 +58,11 @@ macro_rules! counters {
         $(#[$meta])*
         $vis struct $name {
             $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        impl $name {
+            /// Every counter zero, as a constant.
+            pub const ZERO: Self = $name { $($field: 0),* };
         }
 
         impl $crate::stats::Counters for $name {
@@ -142,6 +151,72 @@ impl ChannelStats {
     }
 }
 
+/// What a never-written [`LazyChannelStats`] reads: the one shared static,
+/// read-only.
+static UNWRITTEN: ChannelStats = ChannelStats::ZERO;
+
+/// A channel's [`ChannelStats`], boxed on the first write. Most channels of
+/// a large tree never carry a packet, so an unused table costs one pointer
+/// and reads as all zeros. Reads go through `Deref`; any `&mut` access
+/// (every counter write) builds the table first.
+#[derive(Default)]
+pub struct LazyChannelStats(Option<Box<ChannelStats>>);
+
+impl LazyChannelStats {
+    /// Whether any counter has been written (the table exists).
+    pub fn is_built(&self) -> bool {
+        self.0.is_some()
+    }
+}
+
+impl Deref for LazyChannelStats {
+    type Target = ChannelStats;
+
+    #[inline]
+    fn deref(&self) -> &ChannelStats {
+        self.0.as_deref().unwrap_or(&UNWRITTEN)
+    }
+}
+
+impl DerefMut for LazyChannelStats {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut ChannelStats {
+        match &mut self.0 {
+            Some(table) => table,
+            unbuilt => build(unbuilt),
+        }
+    }
+}
+
+/// The first write's allocation, kept out of line so the counter writes
+/// on the forwarding path stay one test and a store.
+#[cold]
+#[inline(never)]
+fn build(slot: &mut Option<Box<ChannelStats>>) -> &mut ChannelStats {
+    slot.insert(Box::default())
+}
+
+/// Compares values: an unused table equals a built one holding zeros.
+impl PartialEq for LazyChannelStats {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for LazyChannelStats {}
+
+impl PartialEq<ChannelStats> for LazyChannelStats {
+    fn eq(&self, other: &ChannelStats) -> bool {
+        **self == *other
+    }
+}
+
+impl fmt::Debug for LazyChannelStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,5 +258,19 @@ mod tests {
         };
         assert!((s.mean_queued_delay_s() - 0.5).abs() < 1e-12);
         assert_eq!(ChannelStats::default().mean_queued_delay_s(), 0.0);
+    }
+
+    #[test]
+    fn lazy_table_reads_zero_until_written() {
+        let mut s = LazyChannelStats::default();
+        assert!(!s.is_built());
+        assert_eq!(s, ChannelStats::default());
+        assert_eq!(s, LazyChannelStats::default());
+        assert_eq!(s.drop_rate(), 0.0);
+        assert!(!s.is_built(), "reads build nothing");
+        s.tx_pkts += 1;
+        assert!(s.is_built());
+        assert_eq!(s, ChannelStats { tx_pkts: 1, ..Default::default() });
+        assert_ne!(s, LazyChannelStats::default());
     }
 }

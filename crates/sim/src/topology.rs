@@ -5,8 +5,6 @@
 //! routes to every bound address with deterministic tie-breaking and returns
 //! a ready [`Simulator`].
 
-use std::collections::VecDeque;
-
 use crate::engine::{Channel, Core, Faults, RouteTable, Simulator};
 use crate::event::{ChannelId, NodeId};
 use crate::fault::Impairments;
@@ -157,9 +155,7 @@ impl TopologyBuilder {
         for &(_, addr, _) in &self.statics {
             interner.intern(addr);
         }
-        let links: Vec<(NodeId, NodeId, bool)> =
-            self.channels.iter().map(|c| (c.from, c.to, c.up)).collect();
-        let mut routes = compute_routes(n, &links, &self.addrs, &self.defaults, &interner);
+        let mut routes = compute_routes(n, &self.channels, &self.addrs, &self.defaults, &interner);
         apply_static_routes(&mut routes, &interner, &self.statics);
         Simulator {
             core: Core::new(self.channels, routes, interner, seed),
@@ -174,52 +170,72 @@ impl TopologyBuilder {
 }
 
 /// Computes hop-count shortest-path routes to every bound address, skipping
-/// channels that are currently down. `links[i]` is channel `i`'s
-/// `(from, to, up)` triple — a plain view so [`Simulator::reconverge`] can
-/// call this while the channels are borrowed by the engine.
+/// channels that are currently down. Reads the channels in place, so
+/// [`TopologyBuilder::build`] and [`Simulator::reconverge`] share it.
 pub(crate) fn compute_routes(
     n: usize,
-    links: &[(NodeId, NodeId, bool)],
+    channels: &[Channel],
     addrs: &[(Addr, NodeId)],
     defaults: &[(NodeId, ChannelId)],
     interner: &AddrInterner,
 ) -> Vec<RouteTable> {
     let mut routes: Vec<RouteTable> = (0..n).map(|_| RouteTable::default()).collect();
-
-    // Incoming channel lists per node (edges reversed for BFS from the
-    // destination outward).
-    let mut in_channels: Vec<Vec<ChannelId>> = vec![Vec::new(); n];
-    for (i, &(_, to, up)) in links.iter().enumerate() {
-        if up {
-            in_channels[to.0].push(ChannelId(i));
-        }
-    }
-
     for &(node, ch) in defaults {
         routes[node.0].set_default(Some(ch));
     }
 
+    // Incoming up channels per node, flat (edges reversed for BFS from the
+    // destination outward): node v's ids are `in_ids[start[v]..start[v + 1]]`,
+    // in ascending order because channels are placed in id order.
+    let id = |i: usize| u32::try_from(i).expect("channel and node ids fit in 32 bits");
+    let mut start = vec![0u32; n + 1];
+    for c in channels.iter().filter(|c| c.up) {
+        start[c.to.0 + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut in_ids = vec![0u32; start[n] as usize];
+    for (i, c) in channels.iter().enumerate().filter(|(_, c)| c.up) {
+        let slot = &mut start[c.to.0];
+        in_ids[*slot as usize] = id(i);
+        *slot += 1;
+    }
+    // Placing advanced every start to the next node's; shift them back.
+    start.copy_within(0..n, 1);
+    start[0] = 0;
+
+    // BFS over reversed edges; dist[v] = hops from v to the target. The
+    // queue is a vector read from `head`, and every node it holds is the
+    // exact set to reset before the next address.
+    const UNSEEN: u32 = u32::MAX;
+    let mut dist = vec![UNSEEN; n];
+    let mut queue: Vec<u32> = Vec::new();
     for &(addr, target) in addrs {
         let idx = interner.get(addr).expect("bound address is interned");
-        // BFS over reversed edges; dist[v] = hops from v to target.
-        let mut dist: Vec<Option<u32>> = vec![None; n];
-        dist[target.0] = Some(0);
-        let mut q = VecDeque::new();
-        q.push_back(target);
-        while let Some(v) = q.pop_front() {
-            let dv = dist[v.0].expect("popped node has distance");
+        for &v in &queue {
+            dist[v as usize] = UNSEEN;
+        }
+        queue.clear();
+        dist[target.0] = 0;
+        queue.push(id(target.0));
+        let mut head = 0;
+        while let Some(&v) = queue.get(head) {
+            head += 1;
+            let (v, dv) = (v as usize, dist[v as usize]);
             // Deterministic order: channel ids ascend.
-            for &ch_id in &in_channels[v.0] {
-                let u = links[ch_id.0].0;
-                if dist[u.0].is_none() {
-                    dist[u.0] = Some(dv + 1);
+            for &ch in &in_ids[start[v] as usize..start[v + 1] as usize] {
+                let ch = ChannelId(ch as usize);
+                let u = channels[ch.0].from.0;
+                if dist[u] == UNSEEN {
+                    dist[u] = dv + 1;
                     // An entry equal to the node's default route would
                     // resolve identically through the fallback; prune
                     // it so stub hosts keep an empty array.
-                    if !routes[u.0].default_is(ch_id) {
-                        routes[u.0].insert(idx, ch_id);
+                    if !routes[u].default_is(ch) {
+                        routes[u].insert(idx, ch);
                     }
-                    q.push_back(u);
+                    queue.push(id(u));
                 }
             }
         }
@@ -370,6 +386,108 @@ mod tests {
         assert_eq!(sim.node::<SinkNode>(d1).received, 2);
         assert_eq!(sim.node::<SinkNode>(d2).received, 1);
         assert_eq!(sim.unrouted(), 0);
+    }
+
+    /// The per-node-list BFS `compute_routes` replaced, kept as the
+    /// oracle: a `Vec` of incoming channels per node, a fresh distance
+    /// array and queue per bound address.
+    fn routes_by_node_lists(
+        n: usize,
+        links: &[(NodeId, NodeId, bool)],
+        addrs: &[(Addr, NodeId)],
+        defaults: &[(NodeId, ChannelId)],
+        interner: &AddrInterner,
+    ) -> Vec<RouteTable> {
+        let mut routes: Vec<RouteTable> = (0..n).map(|_| RouteTable::default()).collect();
+        let mut in_channels: Vec<Vec<ChannelId>> = vec![Vec::new(); n];
+        for (i, &(_, to, up)) in links.iter().enumerate() {
+            if up {
+                in_channels[to.0].push(ChannelId(i));
+            }
+        }
+        for &(node, ch) in defaults {
+            routes[node.0].set_default(Some(ch));
+        }
+        for &(addr, target) in addrs {
+            let idx = interner.get(addr).expect("bound address is interned");
+            let mut dist: Vec<Option<u32>> = vec![None; n];
+            dist[target.0] = Some(0);
+            let mut q = std::collections::VecDeque::new();
+            q.push_back(target);
+            while let Some(v) = q.pop_front() {
+                let dv = dist[v.0].expect("popped node has distance");
+                for &ch_id in &in_channels[v.0] {
+                    let u = links[ch_id.0].0;
+                    if dist[u.0].is_none() {
+                        dist[u.0] = Some(dv + 1);
+                        if !routes[u.0].default_is(ch_id) {
+                            routes[u.0].insert(idx, ch_id);
+                        }
+                        q.push_back(u);
+                    }
+                }
+            }
+        }
+        routes
+    }
+
+    proptest::proptest! {
+        /// The flat in-channel index routes exactly as per-node lists did:
+        /// same next hop (tie-breaks included) and default at every node,
+        /// with some channels down, several bound addresses, defaults and
+        /// statics on top.
+        #[test]
+        fn flat_index_routes_match_per_node_lists(
+            n in 1usize..12,
+            links in proptest::collection::vec(
+                // A direction is down when its draw is 0 (one in five).
+                (0usize..12, 0usize..12, 0u8..5, 0u8..5),
+                0..30,
+            ),
+            bound in proptest::collection::vec((0usize..12, 0u8..8), 0..6),
+            defaults in proptest::collection::vec((0usize..12, 0usize..60), 0..6),
+            statics in proptest::collection::vec((0usize..12, 0u8..12, 0usize..60), 0..6),
+        ) {
+            let mut t = TopologyBuilder::new();
+            for _ in 0..n {
+                t.add_node(Box::<SinkNode>::default());
+            }
+            let d = SimDuration::from_millis(1);
+            for &(a, b, up_ab, up_ba) in &links {
+                let l = t.link(NodeId(a % n), NodeId(b % n), 1_000_000, d, q(), q());
+                t.channels[l.ab.0].up = up_ab != 0;
+                t.channels[l.ba.0].up = up_ba != 0;
+            }
+            let addr = |k: u8| Addr::new(10, 0, 0, k);
+            for &(node, k) in &bound {
+                if !t.addrs.iter().any(|&(a, _)| a == addr(k)) {
+                    t.bind_addr(NodeId(node % n), addr(k));
+                }
+            }
+            let chans = t.channels.len();
+            if chans > 0 {
+                for &(node, ch) in &defaults {
+                    t.default_route(NodeId(node % n), ChannelId(ch % chans));
+                }
+                for &(node, k, ch) in &statics {
+                    t.static_route(NodeId(node % n), addr(k), ChannelId(ch % chans));
+                }
+            }
+            let mut interner = AddrInterner::new();
+            for &(a, _) in &t.addrs {
+                interner.intern(a);
+            }
+            for &(_, a, _) in &t.statics {
+                interner.intern(a);
+            }
+            let triples: Vec<(NodeId, NodeId, bool)> =
+                t.channels.iter().map(|c| (c.from, c.to, c.up)).collect();
+            let mut got = compute_routes(n, &t.channels, &t.addrs, &t.defaults, &interner);
+            let mut want = routes_by_node_lists(n, &triples, &t.addrs, &t.defaults, &interner);
+            apply_static_routes(&mut got, &interner, &t.statics);
+            apply_static_routes(&mut want, &interner, &t.statics);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 
     #[test]
