@@ -8,7 +8,7 @@ use tva_sim::{ChannelId, Ctx, Node, Pkt};
 #[derive(Default)]
 pub struct LegacyRouterNode {
     /// Packets forwarded.
-    pub forwarded: u64,
+    pub(crate) forwarded: u64,
 }
 
 impl Node for LegacyRouterNode {

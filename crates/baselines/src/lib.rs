@@ -16,12 +16,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fq;
-pub mod legacy;
-pub mod pushback;
-pub mod siff;
+mod fq;
+mod legacy;
+mod pushback;
+mod siff;
 
 pub use fq::{FqKey, FqScheduler};
 pub use legacy::LegacyRouterNode;
 pub use pushback::{EgressSpec, PushbackRouterNode, PushbackStats, TOKEN_REVIEW};
-pub use siff::{SiffConfig, SiffRouter, SiffRouterNode, SiffScheduler, SiffShim, SiffVerdict};
+pub use siff::{
+    SiffConfig, SiffRouter, SiffRouterNode, SiffScheduler, SiffShim, SiffStats, SiffVerdict,
+};

@@ -97,7 +97,7 @@ impl PushbackRouterNode {
     }
 
     /// Filters currently installed (per-link and aggregate).
-    pub fn active_filters(&self) -> usize {
+    pub(crate) fn active_filters(&self) -> usize {
         self.filters.len() + self.agg_filters.len()
     }
 

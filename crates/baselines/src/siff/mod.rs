@@ -56,7 +56,7 @@ impl Default for SiffConfig {
 }
 
 /// The width of a SIFF router mark in bits.
-pub const MARK_BITS: u32 = 2;
+pub(crate) const MARK_BITS: u32 = 2;
 
 /// Mask selecting a mark.
-pub const MARK_MASK: u64 = (1 << MARK_BITS) - 1;
+pub(crate) const MARK_MASK: u64 = (1 << MARK_BITS) - 1;

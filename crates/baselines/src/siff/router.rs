@@ -57,7 +57,7 @@ impl SiffRouter {
 
     /// The 2-bit mark this router computes for (src → dst) under key
     /// generation `g`.
-    pub fn mark(&self, src: Addr, dst: Addr, g: u64) -> u64 {
+    pub(crate) fn mark(&self, src: Addr, dst: Addr, g: u64) -> u64 {
         let mut input = HashInput::new();
         input.push_u32(src.to_u32());
         input.push_u32(dst.to_u32());

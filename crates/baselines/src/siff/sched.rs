@@ -18,7 +18,7 @@ pub struct SiffScheduler {
     low: VecDeque<Pkt>,
     low_bytes: u64,
     /// Packets dropped per class (high, low).
-    pub drops: [u64; 2],
+    pub(crate) drops: [u64; 2],
 }
 
 impl SiffScheduler {

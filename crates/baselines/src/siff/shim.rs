@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use tva_core::policy::{GrantPolicy, RequestInfo};
+use tva_core::{GrantPolicy, RequestInfo};
 use tva_sim::{SimDuration, SimTime};
 use tva_transport::Shim;
 use tva_wire::{
@@ -38,12 +38,12 @@ pub struct SiffShim {
     /// Re-explore when held marks are older than this (senders cannot see
     /// router keys, so they refresh on a timer — set it to the deployment's
     /// key rotation period).
-    pub refresh_after: SimDuration,
+    pub(crate) refresh_after: SimDuration,
     rx: HashMap<Addr, (SimTime, u64)>,
     /// Explorers sent.
-    pub explorers_sent: u64,
+    pub(crate) explorers_sent: u64,
     /// Mark sets acquired.
-    pub marks_acquired: u64,
+    pub(crate) marks_acquired: u64,
 }
 
 impl SiffShim {
@@ -187,7 +187,7 @@ impl Shim for SiffShim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tva_core::policy::AllowAll;
+    use tva_core::AllowAll;
     use tva_wire::CapValue;
 
     const ME: Addr = Addr::new(1, 0, 0, 1);

@@ -23,14 +23,15 @@ pub mod dumbbell;
 pub mod scale;
 
 use tva_core::{capability, RouterConfig, TvaRouter, Verdict};
-use tva_experiments::{ascii_chart, tsv, Files, Series, Size};
+use tva_experiments::{tsv, Files, Size};
+use tva_obs::{ascii_chart, Series};
 use tva_sim::{ChannelId, SimDuration, SimTime};
 use tva_wire::{Addr, CapHeader, CapValue, FlowNonce, Grant, Packet, PacketId};
 
 /// The five capability packet types of Table 1, plus plain IP forwarding as
 /// the baseline the paper compares against in Figure 12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PktType {
+pub(crate) enum PktType {
     /// Legacy IP packet (no capability processing).
     LegacyIp,
     /// Request packet (one pre-capability hash).
@@ -49,7 +50,7 @@ pub enum PktType {
 
 impl PktType {
     /// All six, in Table 1's presentation order (legacy baseline first).
-    pub const ALL: [PktType; 6] = [
+    pub(crate) const ALL: [PktType; 6] = [
         PktType::LegacyIp,
         PktType::Request,
         PktType::RegularCached,
@@ -59,7 +60,7 @@ impl PktType {
     ];
 
     /// Display name matching the paper's rows.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PktType::LegacyIp => "legacy IP",
             PktType::Request => "request",
@@ -71,7 +72,7 @@ impl PktType {
     }
 
     /// Short machine-friendly key for TSV output.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             PktType::LegacyIp => "legacy",
             PktType::Request => "request",
@@ -96,9 +97,9 @@ const INGRESS: ChannelId = ChannelId(1);
 
 /// A self-contained measurement rig: a router plus generators that produce
 /// valid packets of each type.
-pub struct Rig {
+pub(crate) struct Rig {
     /// The router under test.
-    pub router: TvaRouter,
+    pub(crate) router: TvaRouter,
     /// The processing clock, advanced once per measurement batch.
     now: SimTime,
     grant: Grant,
@@ -122,7 +123,7 @@ impl Rig {
     /// reclaims an expired one — the steady state of a router whose table
     /// is sized to its link (a measurement batch must fit the table for
     /// that, or its tail finds only live entries to reclaim).
-    pub fn new(max_entries: usize, src_pool: u32) -> Self {
+    pub(crate) fn new(max_entries: usize, src_pool: u32) -> Self {
         assert!(src_pool as usize >= 2 * max_entries, "a source recurs while still cached");
         let cfg = RouterConfig {
             max_flow_entries: Some(max_entries),
@@ -162,7 +163,7 @@ impl Rig {
     /// fixed source could never obtain a fresh budget. A fresh source
     /// yields a genuinely new capability (and a new nonce keeps the
     /// replace path exercised).
-    pub fn rewarm(&mut self) {
+    pub(crate) fn rewarm(&mut self) {
         let next = self.warm_src.to_u32().wrapping_add(1) | 0xAC00_0000;
         self.warm_src = Addr(next);
         self.warm_nonce = FlowNonce::new(self.warm_nonce.to_u64().wrapping_add(1));
@@ -198,7 +199,7 @@ impl Rig {
     }
 
     /// Builds a measurement packet of type `t`, valid for this router.
-    pub fn make(&mut self, t: PktType) -> Packet {
+    pub(crate) fn make(&mut self, t: PktType) -> Packet {
         let (src, cap) = match t {
             PktType::LegacyIp => (self.warm_src, None),
             PktType::Request => (self.warm_src, Some(CapHeader::request())),
@@ -234,7 +235,7 @@ impl Rig {
 
     /// Processes one packet, asserting (in debug builds) the expected
     /// verdict for its type.
-    pub fn process(&mut self, t: PktType, pkt: &mut Packet) -> Verdict {
+    pub(crate) fn process(&mut self, t: PktType, pkt: &mut Packet) -> Verdict {
         let v = self.router.process(pkt, INGRESS, self.now);
         debug_assert_eq!(
             v,
@@ -251,7 +252,7 @@ impl Rig {
     /// Measures mean per-packet processing time for `t` over `n` packets
     /// (packet construction excluded from the timed section), returning
     /// seconds per packet. [`table1_fig12`] uses this.
-    pub fn measure(&mut self, t: PktType, n: usize) -> f64 {
+    pub(crate) fn measure(&mut self, t: PktType, n: usize) -> f64 {
         let batch = BATCH.min(n.max(1));
         let mut total = std::time::Duration::ZERO;
         let mut done = 0;

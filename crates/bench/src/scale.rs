@@ -86,7 +86,7 @@ pub struct ScaleRun {
     /// Flooding hosts.
     pub attackers: usize,
     /// Routers built (root + mid + leaf).
-    pub routers: usize,
+    pub(crate) routers: usize,
     /// Engine events dispatched.
     pub events: u64,
     /// Seconds spent building the topology (routes included).
@@ -94,11 +94,11 @@ pub struct ScaleRun {
     /// Seconds spent dispatching events.
     pub run_s: f64,
     /// Events per wall-clock second during dispatch.
-    pub events_per_sec: f64,
+    pub(crate) events_per_sec: f64,
     /// Packets the bottleneck (root→server) carried.
     pub bottleneck_tx_pkts: u64,
     /// Requests the attackers emitted.
-    pub attack_pkts_emitted: u64,
+    pub(crate) attack_pkts_emitted: u64,
     /// Peak RSS attributable to this run in KiB: the kernel's high-water
     /// mark is reset before the build (see `alloc::reset_peak_rss`), so
     /// this is the run's own footprint, not whatever an earlier phase of
@@ -107,7 +107,7 @@ pub struct ScaleRun {
     pub peak_rss_kb: Option<u64>,
     /// Invariant violations found when driven under `TVA_CHECK=1`
     /// (`Some(0)` = audited clean); `None` when checking was off.
-    pub check_violations: Option<u64>,
+    pub(crate) check_violations: Option<u64>,
 }
 
 /// [`run_scale`] under the name the repo benchmark (`benchmark/src/sim.rs`)
@@ -275,7 +275,7 @@ pub fn run_scale(cfg: ScaleConfig) -> ScaleRun {
     let t_run = Instant::now();
     let check_violations = if check.enabled {
         let report = tva_experiments::check::drive_checked(&mut sim, end);
-        Some(report.violations.len() as u64)
+        Some(report.violation_count() as u64)
     } else {
         sim.run_until(end);
         None

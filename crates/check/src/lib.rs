@@ -42,18 +42,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod structural;
-pub mod trace_audit;
-
-pub use structural::StructuralAuditor;
-pub use trace_audit::{
-    install_thread_auditor, take_thread_auditor, thread_audit_record, TraceAuditor,
-};
+mod structural;
+mod trace_audit;
 
 use std::path::PathBuf;
 
 use serde_json::{Map, Value};
 use tva_sim::{knobs, SimDuration, SimTime, Simulator, Tracer};
+
+use structural::StructuralAuditor;
+use trace_audit::{install_thread_auditor, take_thread_auditor, thread_audit_record};
 
 /// Structural-audit interval, simulated time: how often the stepped
 /// driver stops the run to audit queues and tables.
@@ -79,19 +77,19 @@ impl CheckConfig {
 
 /// One detected invariant violation.
 #[derive(Debug, Clone)]
-pub struct Violation {
+pub(crate) struct Violation {
     /// Simulation time at detection.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// Which invariant family failed (stable, machine-comparable label —
     /// replay round-trips compare these).
-    pub invariant: &'static str,
+    pub(crate) invariant: &'static str,
     /// Human-readable specifics.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl Violation {
     /// JSON object form for artifacts.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         let mut m = Map::new();
         m.insert("time_ns".into(), Value::Number(self.time.as_nanos() as f64));
         m.insert("invariant".into(), Value::String(self.invariant.to_string()));
@@ -104,7 +102,7 @@ impl Violation {
 #[derive(Debug, Clone, Default)]
 pub struct CheckReport {
     /// Violations in detection order (bounded; see [`MAX_VIOLATIONS`]).
-    pub violations: Vec<Violation>,
+    pub(crate) violations: Vec<Violation>,
     /// Trace events audited.
     pub events_audited: u64,
     /// Structural audit passes performed.
@@ -113,12 +111,17 @@ pub struct CheckReport {
 
 /// Cap on retained violations: one broken invariant tends to re-fire every
 /// interval, and the first few instances carry all the signal.
-pub const MAX_VIOLATIONS: usize = 256;
+pub(crate) const MAX_VIOLATIONS: usize = 256;
 
 impl CheckReport {
     /// Whether the run satisfied every audited invariant.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Violations retained (at most [`MAX_VIOLATIONS`]).
+    pub fn violation_count(&self) -> usize {
+        self.violations.len()
     }
 
     /// The distinct invariant labels violated, in first-detection order —

@@ -40,7 +40,7 @@ struct CapUse {
 /// The structural auditor: owns the capability ledger and accumulates
 /// violations across audit passes.
 #[derive(Default)]
-pub struct StructuralAuditor {
+pub(crate) struct StructuralAuditor {
     ledger: CapLedger,
     violations: Vec<Violation>,
     passes: u64,
@@ -54,12 +54,12 @@ impl StructuralAuditor {
     }
 
     /// Audit passes performed so far.
-    pub fn passes(&self) -> u64 {
+    pub(crate) fn passes(&self) -> u64 {
         self.passes
     }
 
     /// Runs one full structural audit pass.
-    pub fn step(&mut self, sim: &Simulator) {
+    pub(crate) fn step(&mut self, sim: &Simulator) {
         self.passes += 1;
         if let Err(e) = sim.audit_channels() {
             self.violation(sim, "queue-accounting", e);
@@ -167,7 +167,7 @@ impl StructuralAuditor {
     }
 
     /// The violations, consuming the auditor.
-    pub fn into_violations(self) -> Vec<Violation> {
+    pub(crate) fn into_violations(self) -> Vec<Violation> {
         self.violations
     }
 }

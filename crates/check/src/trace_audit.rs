@@ -50,7 +50,7 @@ struct ChanAudit {
 /// The streaming auditor. Create via [`install_thread_auditor`], feed via
 /// [`thread_audit_record`], harvest via [`take_thread_auditor`].
 #[derive(Default)]
-pub struct TraceAuditor {
+pub(crate) struct TraceAuditor {
     last_time: Option<SimTime>,
     channels: Vec<ChanAudit>,
     violations: Vec<Violation>,
@@ -72,7 +72,7 @@ impl TraceAuditor {
     }
 
     /// Feeds one trace event.
-    pub fn record(&mut self, ev: &TraceEvent) {
+    pub(crate) fn record(&mut self, ev: &TraceEvent) {
         self.events_seen += 1;
         match self.last_time {
             Some(t) if ev.time < t => self.violation(
@@ -141,14 +141,14 @@ impl TraceAuditor {
     }
 
     /// Total events audited.
-    pub fn events_seen(&self) -> u64 {
+    pub(crate) fn events_seen(&self) -> u64 {
         self.events_seen
     }
 
     /// End-of-run reconciliation against the paused simulator: trace
     /// counts vs `ChannelStats`, and the wire model vs what the engine
     /// still holds (serializing + propagating + malformed).
-    pub fn reconcile(&mut self, sim: &Simulator) {
+    pub(crate) fn reconcile(&mut self, sim: &Simulator) {
         let now = sim.now();
         if self.channels.len() > sim.channel_count() {
             let (got, have) = (self.channels.len(), sim.channel_count());
@@ -201,7 +201,7 @@ impl TraceAuditor {
     }
 
     /// The violations, consuming the auditor.
-    pub fn into_violations(self) -> Vec<Violation> {
+    pub(crate) fn into_violations(self) -> Vec<Violation> {
         self.violations
     }
 }
@@ -211,13 +211,13 @@ thread_local! {
 }
 
 /// Installs (or resets) this thread's trace auditor.
-pub fn install_thread_auditor() {
+pub(crate) fn install_thread_auditor() {
     AUDITOR.with(|a| *a.borrow_mut() = Some(TraceAuditor::default()));
 }
 
 /// Feeds one event to this thread's auditor, if installed.
 #[inline]
-pub fn thread_audit_record(ev: &TraceEvent) {
+pub(crate) fn thread_audit_record(ev: &TraceEvent) {
     AUDITOR.with(|a| {
         if let Some(audit) = a.borrow_mut().as_mut() {
             audit.record(ev);
@@ -226,7 +226,7 @@ pub fn thread_audit_record(ev: &TraceEvent) {
 }
 
 /// Removes and returns this thread's auditor.
-pub fn take_thread_auditor() -> Option<TraceAuditor> {
+pub(crate) fn take_thread_auditor() -> Option<TraceAuditor> {
     AUDITOR.with(|a| a.borrow_mut().take())
 }
 

@@ -11,7 +11,7 @@
 //! it only in *when* they flood, which is its [`Cadence`].
 //! [`strategies`] holds the attackers that never hold a capability.
 
-pub mod strategies;
+pub(crate) mod strategies;
 
 use tva_sim::{ChannelId, Ctx, Node, SimDuration, SimTime};
 use tva_transport::Shim;

@@ -28,7 +28,7 @@ use super::{jittered, MIN_ARM, TOKEN_EMIT};
 /// (an attacker can forge sources, but its ingress pins the prefix it can
 /// plausibly claim — §3.2) and never collides with another attacker's pool
 /// (the low octet is preserved). Identity 0 is the real address.
-pub fn spoofed_identity(base: Addr, k: u32) -> Addr {
+pub(crate) fn spoofed_identity(base: Addr, k: u32) -> Addr {
     Addr(base.0 ^ ((k & 0xFFFF) << 8))
 }
 

@@ -116,7 +116,7 @@ pub fn validate_cap(
 /// while `(now - timestamp) mod 256 ≤ T`. `T ≤ 63 < 128` keeps the modular
 /// comparison unambiguous (§3.5); replays older than a full wrap are killed
 /// by secret rotation, not by this check.
-pub fn expired(now_secs: u64, ts: u8, grant: Grant) -> bool {
+pub(crate) fn expired(now_secs: u64, ts: u8, grant: Grant) -> bool {
     let now_mod = (now_secs % 256) as u8;
     let elapsed = now_mod.wrapping_sub(ts);
     elapsed > grant.t.secs()

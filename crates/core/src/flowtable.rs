@@ -101,13 +101,13 @@ pub struct FlowTable {
 
 /// A cached flow found by [`FlowTable::find`]: the lookup's one map probe,
 /// kept so that a nonce hit charges without probing again.
-pub struct FlowRef<'a> {
+pub(crate) struct FlowRef<'a> {
     entry: &'a mut FlowEntry,
 }
 
 impl FlowRef<'_> {
     /// The cached entry.
-    pub fn entry(&self) -> &FlowEntry {
+    pub(crate) fn entry(&self) -> &FlowEntry {
         self.entry
     }
 
@@ -119,7 +119,7 @@ impl FlowRef<'_> {
     /// This is the packet fast path: it never touches the reclaim index
     /// (the record keeps its now-stale, still-lower-bound time until
     /// reclaim refreshes it), so it performs no allocation.
-    pub fn charge(self, len: u32, now: SimTime) -> Charge {
+    pub(crate) fn charge(self, len: u32, now: SimTime) -> Charge {
         let entry = self.entry;
         if entry.bytes_used + len as u64 > entry.grant.n.bytes() {
             return Charge::OverBudget;
@@ -154,7 +154,7 @@ impl FlowTable {
 
     /// Looks up the entry for `flow` so that it can be read and then
     /// charged with one map probe.
-    pub fn find(&mut self, flow: FlowKey) -> Option<FlowRef<'_>> {
+    pub(crate) fn find(&mut self, flow: FlowKey) -> Option<FlowRef<'_>> {
         let slot = *self.index.get(&flow)? as usize;
         Some(FlowRef { entry: &mut self.slots[slot].1 })
     }

@@ -53,21 +53,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attack;
+mod attack;
 pub mod capability;
-pub mod config;
-pub mod flowtable;
-pub mod policy;
-pub mod router;
-pub mod scheduler;
-pub mod shim;
+mod config;
+mod flowtable;
+mod policy;
+mod router;
+mod scheduler;
+mod shim;
 
-pub use attack::strategies::{spoofed_identity, SpoofedRequestFlooder};
+pub use attack::strategies::SpoofedRequestFlooder;
 pub use attack::{AuthorizedFlooder, Cadence, SpoofColluder};
-pub use capability::{expired, mint_cap, mint_precap, validate_cap, validate_precap, CapError};
 pub use config::{RegularQueueKey, RouterConfig};
-pub use flowtable::{Charge, FlowEntry, FlowRef, FlowTable};
+pub use flowtable::{Charge, FlowEntry, FlowTable};
 pub use policy::{AllowAll, ClientPolicy, GrantPolicy, RequestInfo, ServerPolicy};
 pub use router::{RouterStats, TvaRouter, TvaRouterNode, Verdict};
-pub use scheduler::{SchedulerStats, TvaScheduler};
-pub use shim::{SendCaps, ShimStats, TvaHostShim};
+pub use scheduler::{SchedulerStats, TvaScheduler, MAX_REQUEST_QUEUES, REQUEST_BURST_BYTES};
+pub use shim::{ShimStats, TvaHostShim};

@@ -91,10 +91,10 @@ pub struct ServerPolicy {
     /// Blacklist: source → expiry time.
     blacklist: tva_wire::DetHashMap<Addr, SimTime>,
     /// How long a blacklist entry lasts.
-    pub blacklist_duration: tva_sim::SimDuration,
+    pub(crate) blacklist_duration: tva_sim::SimDuration,
     single: SingleGrant,
     /// Cumulative refusals (diagnostics).
-    pub refusals: u64,
+    pub(crate) refusals: u64,
 }
 
 impl ServerPolicy {
@@ -121,7 +121,7 @@ impl ServerPolicy {
     }
 
     /// Whether `src` is currently blacklisted.
-    pub fn is_blacklisted(&self, src: Addr, now: SimTime) -> bool {
+    pub(crate) fn is_blacklisted(&self, src: Addr, now: SimTime) -> bool {
         self.blacklist.get(&src).is_some_and(|&until| until > now)
     }
 

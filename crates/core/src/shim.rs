@@ -25,22 +25,22 @@ use crate::policy::{GrantPolicy, RequestInfo};
 
 /// Capabilities this host holds for sending to one peer.
 #[derive(Debug, Clone)]
-pub struct SendCaps {
+pub(crate) struct SendCaps {
     /// One capability per router on the path, in path order.
-    pub caps: CapList,
+    pub(crate) caps: CapList,
     /// The authorized budget.
-    pub grant: Grant,
+    pub(crate) grant: Grant,
     /// The flow nonce chosen when these capabilities were installed.
-    pub nonce: FlowNonce,
+    pub(crate) nonce: FlowNonce,
     /// When they were granted.
-    pub acquired: SimTime,
+    pub(crate) acquired: SimTime,
     /// Bytes charged so far (sender-side conservative estimate).
-    pub bytes_sent: u64,
+    pub(crate) bytes_sent: u64,
     /// Router cache model: when we believe routers will have evicted our
     /// entry (same `L × T / N` accumulation routers use, §3.7).
-    pub model_ttl_expires: SimTime,
+    pub(crate) model_ttl_expires: SimTime,
     /// Whether we have sent at least one packet carrying the full list.
-    pub primed: bool,
+    pub(crate) primed: bool,
 }
 
 impl SendCaps {
@@ -74,15 +74,15 @@ struct PeerState {
 #[derive(Debug, Default, Clone)]
 pub struct ShimStats {
     /// Request headers attached.
-    pub requests_sent: u64,
+    pub(crate) requests_sent: u64,
     /// Demoted packets observed (destination role).
-    pub demoted_seen: u64,
+    pub(crate) demoted_seen: u64,
     /// Requests granted (destination role).
     pub granted: u64,
     /// Requests refused (destination role).
-    pub refused: u64,
+    pub(crate) refused: u64,
     /// Misbehavior reports to the policy.
-    pub misbehavior_reports: u64,
+    pub(crate) misbehavior_reports: u64,
 }
 
 /// Renew capabilities once this fraction of the byte budget `N` is
@@ -173,7 +173,7 @@ impl TvaHostShim {
     }
 
     /// Whether this host currently holds usable capabilities toward `dst`.
-    pub fn has_caps(&self, dst: Addr, now: SimTime) -> bool {
+    pub(crate) fn has_caps(&self, dst: Addr, now: SimTime) -> bool {
         self.peer(dst)
             .and_then(|p| p.send.as_ref())
             .is_some_and(|c| !c.expired(now) && !c.exhausted_for(0))

@@ -6,7 +6,8 @@ use tva_sim::{
     ChannelId, Ctx, DropTail, Impairments, Node, SimDuration, SimTime, SinkNode,
     TopologyBuilder,
 };
-use tva_wire::{encode_packet, Addr, Packet, PacketId};
+use tva_wire::ipcodec::encode_packet;
+use tva_wire::{Addr, Packet, PacketId};
 
 const SRC: Addr = Addr::new(20, 0, 0, 1);
 const DST: Addr = Addr::new(10, 0, 0, 1);

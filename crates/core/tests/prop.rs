@@ -2,7 +2,7 @@
 //! modular-clock expiry, and demotion stickiness.
 
 use proptest::prelude::*;
-use tva_core::scheduler::REQUEST_BURST_BYTES;
+use tva_core::REQUEST_BURST_BYTES;
 use tva_core::{capability, RouterConfig, TvaRouter, TvaScheduler, Verdict};
 use tva_crypto::SecretSchedule;
 use tva_sim::{ChannelId, QueueDisc, SimDuration, SimTime};

@@ -41,7 +41,7 @@ pub fn second56(input: &[u8]) -> u64 {
 /// allocation on the router fast path.
 ///
 /// ```
-/// use tva_crypto::keyed::HashInput;
+/// use tva_crypto::HashInput;
 /// let mut input = HashInput::new();
 /// input.push_u32(0x0a000001); // source IP
 /// input.push_u32(0x0a000002); // destination IP
@@ -74,25 +74,11 @@ impl HashInput {
         self.len += 1;
     }
 
-    /// Appends a big-endian u16.
-    #[inline]
-    pub fn push_u16(&mut self, v: u16) {
-        self.buf[self.len..self.len + 2].copy_from_slice(&v.to_be_bytes());
-        self.len += 2;
-    }
-
     /// Appends a big-endian u32.
     #[inline]
     pub fn push_u32(&mut self, v: u32) {
         self.buf[self.len..self.len + 4].copy_from_slice(&v.to_be_bytes());
         self.len += 4;
-    }
-
-    /// Appends a big-endian u64.
-    #[inline]
-    pub fn push_u64(&mut self, v: u64) {
-        self.buf[self.len..self.len + 8].copy_from_slice(&v.to_be_bytes());
-        self.len += 8;
     }
 
     /// The bytes accumulated so far.
@@ -133,13 +119,9 @@ mod tests {
     fn hash_input_layout() {
         let mut h = HashInput::new();
         h.push_u8(0xab);
-        h.push_u16(0x0102);
         h.push_u32(0x03040506);
-        h.push_u64(0x0708090a0b0c0d0e);
-        assert_eq!(
-            h.as_bytes(),
-            &[0xab, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0xa, 0xb, 0xc, 0xd, 0xe]
-        );
+        h.push_u8(0x07);
+        assert_eq!(h.as_bytes(), &[0xab, 3, 4, 5, 6, 7]);
     }
 
     #[test]

@@ -23,12 +23,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod keyed;
-pub mod secret;
-pub mod sha1;
-pub mod siphash;
+mod keyed;
+mod secret;
+mod sha1;
+mod siphash;
 
 pub use keyed::{keyed56, second56, HashInput, MASK56};
-pub use secret::{SecretChoice, SecretSchedule, ROTATION_PERIOD_SECS, TIMESTAMP_ROLLOVER_SECS};
-pub use sha1::sha1;
+pub use secret::SecretSchedule;
+pub use sha1::{sha1, MAX_ONE_BLOCK};
 pub use siphash::{siphash24, SipKey};

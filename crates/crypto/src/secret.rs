@@ -23,14 +23,14 @@
 use crate::siphash::{siphash24, SipKey};
 
 /// Seconds between secret changes: half the modulo-256 timestamp rollover.
-pub const ROTATION_PERIOD_SECS: u64 = 128;
+pub(crate) const ROTATION_PERIOD_SECS: u64 = 128;
 
 /// Seconds for the 8-bit timestamp to roll over.
-pub const TIMESTAMP_ROLLOVER_SECS: u64 = 256;
+pub(crate) const TIMESTAMP_ROLLOVER_SECS: u64 = 256;
 
 /// Which secret generation a validation should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SecretChoice {
+pub(crate) enum SecretChoice {
     /// The stamp was minted under the secret currently in force.
     Current,
     /// The stamp was minted under the immediately preceding secret.
@@ -64,7 +64,7 @@ const NO_GENERATION: u64 = u64::MAX;
 
 impl SecretSchedule {
     /// Creates a schedule from a 128-bit master key.
-    pub const fn new(master: SipKey) -> Self {
+    pub(crate) const fn new(master: SipKey) -> Self {
         let unset = SipKey::from_halves(0, 0);
         SecretSchedule { master, cached_gen: NO_GENERATION, keys: [unset, unset] }
     }
@@ -89,12 +89,12 @@ impl SecretSchedule {
 
     /// The secret generation index in force at `now_secs`.
     #[inline]
-    pub fn generation_at(&self, now_secs: u64) -> u64 {
+    pub(crate) fn generation_at(&self, now_secs: u64) -> u64 {
         now_secs / ROTATION_PERIOD_SECS
     }
 
     /// The key for generation `g`.
-    pub fn key_for_generation(&self, g: u64) -> SipKey {
+    pub(crate) fn key_for_generation(&self, g: u64) -> SipKey {
         // Stack-built input (generation || label): this runs per packet on
         // the router hot path, where a `concat()` Vec would be the only
         // remaining steady-state allocation.
@@ -131,7 +131,7 @@ impl SecretSchedule {
     /// timestamp versus the router's own: equal bits mean the stamp was
     /// minted in the same 128-second half-cycle (current secret), unequal
     /// bits mean the previous half-cycle (previous secret).
-    pub fn choose(&self, stamp_ts: u8, now_secs: u64) -> SecretChoice {
+    pub(crate) fn choose(&self, stamp_ts: u8, now_secs: u64) -> SecretChoice {
         let now_hi = (self.timestamp(now_secs) >> 7) & 1;
         let stamp_hi = (stamp_ts >> 7) & 1;
         if now_hi == stamp_hi {
@@ -156,17 +156,6 @@ impl SecretSchedule {
         } else {
             self.key_for_generation(g.saturating_sub(slot as u64))
         }
-    }
-
-    /// Seconds of validity a stamp minted at `mint_secs` has left at
-    /// `now_secs` before secret rotation alone would invalidate it. Returns
-    /// zero once the stamp can no longer validate under current-or-previous.
-    pub fn remaining_lifetime(&self, mint_secs: u64, now_secs: u64) -> u64 {
-        let mint_gen = self.generation_at(mint_secs);
-        // The stamp dies when generation mint_gen + 2 begins (it is then
-        // older than "previous").
-        let death = (mint_gen + 2) * ROTATION_PERIOD_SECS;
-        death.saturating_sub(now_secs.max(mint_secs))
     }
 }
 
@@ -221,7 +210,9 @@ mod tests {
         for mint in (0..1024).step_by(7) {
             let ts = s.timestamp(mint);
             let mint_key = s.mint_key(mint);
-            let life = s.remaining_lifetime(mint, mint);
+            // The stamp dies when generation mint_gen + 2 begins (it is
+            // then older than "previous").
+            let life = (s.generation_at(mint) + 2) * ROTATION_PERIOD_SECS - mint;
             assert!(life >= ROTATION_PERIOD_SECS, "minimum one period of validity");
             for dt in (0..life).step_by(13) {
                 assert_eq!(
@@ -240,16 +231,5 @@ mod tests {
         // must NOT validate under the minting key.
         let ts = s.timestamp(0);
         assert_ne!(s.validate_key(ts, 300), s.mint_key(0));
-    }
-
-    #[test]
-    fn remaining_lifetime_bounds() {
-        let s = SecretSchedule::from_seed(7);
-        // Minted at the very start of a generation: lives 2 periods.
-        assert_eq!(s.remaining_lifetime(128, 128), 2 * ROTATION_PERIOD_SECS);
-        // Minted at the very end of a generation: lives just over 1 period.
-        assert_eq!(s.remaining_lifetime(127, 127), ROTATION_PERIOD_SECS + 1);
-        // After expiry: zero.
-        assert_eq!(s.remaining_lifetime(0, 10_000), 0);
     }
 }

@@ -15,10 +15,10 @@
 //! which also holds the multi-block FIPS 180-1 vectors.
 
 /// Output size of SHA-1 in bytes.
-pub const DIGEST_LEN: usize = 20;
+pub(crate) const DIGEST_LEN: usize = 20;
 
 /// Block size of SHA-1 in bytes.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 /// Longest message [`sha1`] accepts: the `0x80` pad byte and the 8-byte
 /// length must follow it inside the same block.
@@ -31,7 +31,7 @@ const H0: [u32; 5] = [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2
 /// programming error, as with [`crate::keyed::HashInput`]'s capacity).
 ///
 /// ```
-/// use tva_crypto::sha1::sha1;
+/// use tva_crypto::sha1;
 /// let digest = sha1(b"abc");
 /// assert_eq!(digest[..4], [0xa9, 0x99, 0x3e, 0x36]);
 /// ```

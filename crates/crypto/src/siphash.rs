@@ -23,13 +23,6 @@ impl SipKey {
     pub const fn from_halves(k0: u64, k1: u64) -> Self {
         SipKey { k0, k1 }
     }
-
-    /// Builds a key from 16 little-endian bytes (the reference layout).
-    pub fn from_bytes(bytes: &[u8; 16]) -> Self {
-        let k0 = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-        let k1 = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        SipKey { k0, k1 }
-    }
 }
 
 #[inline]
@@ -110,12 +103,9 @@ mod tests {
         [0xe5, 0x45, 0xbe, 0x49, 0x61, 0xca, 0x29, 0xa1],
     ];
 
+    /// The reference key: bytes 00 01 … 0f, read as two little-endian halves.
     fn reference_key() -> SipKey {
-        let mut k = [0u8; 16];
-        for (i, b) in k.iter_mut().enumerate() {
-            *b = i as u8;
-        }
-        SipKey::from_bytes(&k)
+        SipKey::from_halves(0x0706_0504_0302_0100, 0x0f0e_0d0c_0b0a_0908)
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! `second56` equal to the reference digest's first 7 bytes.
 
 use proptest::prelude::*;
-use tva_crypto::sha1::MAX_ONE_BLOCK;
+use tva_crypto::MAX_ONE_BLOCK;
 use tva_crypto::{second56, sha1};
 
 /// The streaming SHA-1 `tva-crypto` shipped before the one-block rewrite,

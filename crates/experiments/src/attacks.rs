@@ -40,22 +40,22 @@ use tva_sim::{SimDuration, SimTime};
 /// The kinds the search draws, in report order: the rows of [`ATTACKS`]
 /// with a search draw. `const-flood` is the §5.3 constant-rate reference
 /// every other strategy is judged against.
-pub fn strategies() -> impl Iterator<Item = &'static AttackKind> {
+pub(crate) fn strategies() -> impl Iterator<Item = &'static AttackKind> {
     ATTACKS.iter().filter(|k| k.params.iter().any(|p| p.search.is_some()))
 }
 
 /// Search-loop parameters.
 #[derive(Debug, Clone)]
-pub struct SearchConfig {
+pub(crate) struct SearchConfig {
     /// Randomized parameter draws per strategy (each runs on all schemes).
-    pub trials: usize,
+    pub(crate) trials: usize,
     /// Seed for the parameter draws (scenario runs use their own fixed
     /// seed, so this only selects *which* strategies are tried).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Attacking hosts per run.
-    pub n_attackers: usize,
+    pub(crate) n_attackers: usize,
     /// Simulated horizon per run, seconds.
-    pub duration_secs: u64,
+    pub(crate) duration_secs: u64,
 }
 
 impl Default for SearchConfig {
@@ -66,31 +66,31 @@ impl Default for SearchConfig {
 
 /// One scored run of one strategy parameterization against one scheme.
 #[derive(Debug, Clone)]
-pub struct Trial {
+pub(crate) struct Trial {
     /// Scheme under attack.
-    pub scheme: Scheme,
+    pub(crate) scheme: Scheme,
     /// Strategy tag (a [`strategies`] name or `"const-flood"`).
-    pub strategy: &'static str,
+    pub(crate) strategy: &'static str,
     /// The exact attack, parameters included (replayable).
-    pub attack: Attack,
+    pub(crate) attack: Attack,
     /// Legitimate transfers completed under attack.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Legitimate transfers completed with no attack (same seed).
-    pub baseline_completed: u64,
+    pub(crate) baseline_completed: u64,
     /// Goodput lost to the attack, in bytes.
-    pub damage_bytes: u64,
+    pub(crate) damage_bytes: u64,
     /// Wire bytes the attackers offered at their access links.
-    pub attacker_bytes: u64,
+    pub(crate) attacker_bytes: u64,
     /// Damage per attacker byte (the search objective; 0 when free).
-    pub score: f64,
+    pub(crate) score: f64,
     /// Whether this trial sits on the scheme's Pareto frontier
     /// (attacker bytes ↓, damage ↑).
-    pub frontier: bool,
+    pub(crate) frontier: bool,
 }
 
 /// A compact, stable `k=v,k=v` rendering of an attack's parameters (`-`
 /// when it has none).
-pub fn attack_params(attack: Attack) -> String {
+pub(crate) fn attack_params(attack: Attack) -> String {
     let params = attack.kind().params.iter().zip(attack.params());
     let rendered: Vec<String> = params.map(|(p, v)| format!("{}={v}", p.key)).collect();
     if rendered.is_empty() {
@@ -163,7 +163,7 @@ fn mark_frontier(trials: &mut [Trial]) {
 /// Schemes against which at least one sampled strategy *strictly dominates*
 /// the constant-rate flood: more damage for no more bytes, or the same
 /// damage for strictly fewer bytes.
-pub fn schemes_dominated(trials: &[Trial]) -> Vec<Scheme> {
+pub(crate) fn schemes_dominated(trials: &[Trial]) -> Vec<Scheme> {
     Scheme::ALL
         .into_iter()
         .filter(|&scheme| {
@@ -188,7 +188,7 @@ pub fn schemes_dominated(trials: &[Trial]) -> Vec<Scheme> {
 /// constant-flood reference, and `trials` parameter draws of each strategy
 /// (the *same* draws across schemes, so rows are comparable), scored and
 /// frontier-marked.
-pub fn search(sc: &SearchConfig) -> Vec<Trial> {
+pub(crate) fn search(sc: &SearchConfig) -> Vec<Trial> {
     // Draw every strategy's parameter sets once, up front: scheme
     // comparisons then see identical adversaries.
     let mut plan: Vec<(&'static str, Attack)> =
@@ -250,15 +250,15 @@ const ATTRIBUTION_SAMPLE_N: u32 = 4;
 /// One row of the who-hurt-whom table: a source /24 prefix and its
 /// sampled-and-scaled traffic estimate at the TVA routers.
 #[derive(Debug, Clone)]
-pub struct AttributionRow {
+pub(crate) struct AttributionRow {
     /// Dotted source prefix, e.g. `66.0.0/24`.
-    pub prefix: String,
+    pub(crate) prefix: String,
     /// Estimated wire bytes this prefix offered (sampled count × N).
-    pub est_bytes: u64,
+    pub(crate) est_bytes: u64,
     /// Estimated packets offered.
-    pub est_pkts: u64,
+    pub(crate) est_pkts: u64,
     /// Estimated bytes the defense refused (demotions + queue drops).
-    pub est_refused_bytes: u64,
+    pub(crate) est_refused_bytes: u64,
 }
 
 /// Runs the colluder-ring reference attack against TVA with flow sampling
@@ -267,7 +267,7 @@ pub struct AttributionRow {
 /// estimated bytes descending. This is per-prefix *attack attribution*:
 /// the same sampled flow records the `tva-node` stats socket exports,
 /// here naming the colluder-ring source prefix as the top offender.
-pub fn attribute(sc: &SearchConfig) -> Vec<AttributionRow> {
+pub(crate) fn attribute(sc: &SearchConfig) -> Vec<AttributionRow> {
     let mut cfg = base_config(Scheme::Tva, sc);
     cfg.attack =
         Attack::ColluderRing { ring: 3, wave_ms: 1000, duty_pct: 100 };
@@ -295,12 +295,12 @@ pub fn attribute(sc: &SearchConfig) -> Vec<AttributionRow> {
 }
 
 /// Column headers of `results/attacks_attribution.tsv` / `.json`.
-pub const ATTRIBUTION_HEADERS: [&str; 4] =
+pub(crate) const ATTRIBUTION_HEADERS: [&str; 4] =
     ["prefix", "est_bytes", "est_pkts", "est_refused_bytes"];
 
 /// Renders attribution rows for the report writers (integers only, so the
 /// artifact is byte-stable across repeats).
-pub fn attribution_rows(rows: &[AttributionRow]) -> Vec<Vec<String>> {
+pub(crate) fn attribution_rows(rows: &[AttributionRow]) -> Vec<Vec<String>> {
     rows.iter()
         .map(|r| {
             vec![
@@ -314,7 +314,7 @@ pub fn attribution_rows(rows: &[AttributionRow]) -> Vec<Vec<String>> {
 }
 
 /// Column headers of `results/attacks.tsv` / `.json`.
-pub const HEADERS: [&str; 9] = [
+pub(crate) const HEADERS: [&str; 9] = [
     "scheme",
     "strategy",
     "params",
@@ -328,7 +328,7 @@ pub const HEADERS: [&str; 9] = [
 
 /// Renders trials into report rows (stable formatting: integers and
 /// fixed-precision ratios only, so the artifact is byte-stable).
-pub fn rows(trials: &[Trial]) -> Vec<Vec<String>> {
+pub(crate) fn rows(trials: &[Trial]) -> Vec<Vec<String>> {
     trials
         .iter()
         .map(|t| {

@@ -51,7 +51,7 @@ pub fn drive_checked(sim: &mut Simulator, end: SimTime) -> CheckReport {
 
 /// Runs one scenario under the auditors without enforcing cleanliness:
 /// the fuzzer's and replayer's entry point.
-pub fn run_checked(cfg: &ScenarioConfig) -> (ScenarioResult, CheckReport) {
+pub(crate) fn run_checked(cfg: &ScenarioConfig) -> (ScenarioResult, CheckReport) {
     let mut report = None;
     let result = crate::scenario::run_driven(
         cfg,
@@ -64,7 +64,7 @@ pub fn run_checked(cfg: &ScenarioConfig) -> (ScenarioResult, CheckReport) {
 /// Enforces a clean report for an env-gated (`TVA_CHECK=1`) run: on any
 /// violation, writes the replay artifact plus the flight-recorder dump
 /// and panics with their paths. Clean runs return silently.
-pub fn enforce_clean(check: &CheckConfig, cfg: &ScenarioConfig, report: &CheckReport) {
+pub(crate) fn enforce_clean(check: &CheckConfig, cfg: &ScenarioConfig, report: &CheckReport) {
     if report.is_clean() {
         return;
     }
@@ -79,7 +79,7 @@ pub fn enforce_clean(check: &CheckConfig, cfg: &ScenarioConfig, report: &CheckRe
     };
     panic!(
         "checked run: {} invariant violation(s) [{labels}] in scenario run seed {seed} — {where_}",
-        report.violations.len()
+        report.violation_count()
     );
 }
 
@@ -257,7 +257,7 @@ fn reject_retired(obj: &Map<String, Value>) -> Result<(), String> {
 }
 
 /// Serializes a scenario configuration for a replay artifact.
-pub fn scenario_to_json(cfg: &ScenarioConfig) -> Value {
+pub(crate) fn scenario_to_json(cfg: &ScenarioConfig) -> Value {
     let mut m = Map::new();
     for &(key, read, _) in FIELDS {
         if let Some(v) = read(cfg) {
@@ -286,7 +286,7 @@ pub fn scenario_to_json(cfg: &ScenarioConfig) -> Value {
 /// Parses a scenario configuration back out of a replay artifact. A value
 /// its field cannot hold is an error naming the key, never a narrowed
 /// different scenario.
-pub fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
+pub(crate) fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
     let obj = as_object(v, "scenario config")?;
     reject_retired(obj)?;
     let defaults = ScenarioConfig::default();
@@ -324,7 +324,7 @@ pub fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
 // Artifacts.
 
 /// Composes the full replay-artifact document.
-pub fn artifact_json(cfg: &ScenarioConfig, report: &CheckReport) -> Value {
+pub(crate) fn artifact_json(cfg: &ScenarioConfig, report: &CheckReport) -> Value {
     let mut m = Map::new();
     m.insert("kind".into(), Value::String("tva-check-artifact".into()));
     m.insert("version".into(), num(1));
@@ -350,7 +350,7 @@ pub fn artifact_json(cfg: &ScenarioConfig, report: &CheckReport) -> Value {
 /// Writes the artifact as `<dir>/<name>.json` and dumps this thread's
 /// flight-recorder ring next to it as `<dir>/<name>.flight.json`.
 /// Returns both paths.
-pub fn write_artifact(
+pub(crate) fn write_artifact(
     dir: &Path,
     name: &str,
     doc: &Value,
@@ -367,15 +367,15 @@ pub fn write_artifact(
 
 /// A replay artifact read back from disk.
 #[derive(Debug, Clone)]
-pub struct Artifact {
+pub(crate) struct Artifact {
     /// What to re-run: the full scenario configuration, seed included.
-    pub cfg: ScenarioConfig,
+    pub(crate) cfg: ScenarioConfig,
     /// Invariant labels the recorded run violated (the comparison key).
-    pub violated: Vec<String>,
+    pub(crate) violated: Vec<String>,
 }
 
 /// Reads and validates a replay artifact.
-pub fn read_artifact(path: &Path) -> Result<Artifact, String> {
+pub(crate) fn read_artifact(path: &Path) -> Result<Artifact, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let doc = serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     let obj = as_object(&doc, "artifact")?;
@@ -403,7 +403,7 @@ pub fn read_artifact(path: &Path) -> Result<Artifact, String> {
 
 /// Re-runs an artifact's configuration under the auditors and returns the
 /// freshly observed violated-invariant labels (empty = clean).
-pub fn replay(artifact: &Artifact) -> Vec<String> {
+pub(crate) fn replay(artifact: &Artifact) -> Vec<String> {
     let (_, report) = run_checked(&artifact.cfg);
     report.violated_invariants().into_iter().map(str::to_string).collect()
 }
@@ -442,7 +442,7 @@ pub fn fuzz(start: u64, seeds: u64, dir: &Path) -> usize {
             Ok((path, _)) => format!("artifact: {}", path.display()),
             Err(e) => format!("artifact dump failed: {e}"),
         };
-        let (n, labels) = (report.violations.len(), report.violated_invariants().join(", "));
+        let (n, labels) = (report.violation_count(), report.violated_invariants().join(", "));
         eprintln!("seed {seed}: {n} violation(s) [{labels}] — {artifact}");
     }
     println!("fuzz: {seeds} seed(s), {failed} violating");
@@ -504,7 +504,7 @@ fn chance(rng: &mut SmallRng, percent: u64) -> bool {
 /// handful of hosts) so a fuzz batch of many seeds finishes in well under a
 /// minute; the mapping is pure, so one seed is a complete reproduction
 /// recipe.
-pub fn random_config(seed: u64) -> ScenarioConfig {
+pub(crate) fn random_config(seed: u64) -> ScenarioConfig {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xF0DD_C0DE);
     let scheme = Scheme::ALL[pick(&mut rng, 0, 4) as usize];
     let kind = &ATTACKS[pick(&mut rng, 0, ATTACKS.len() as u64) as usize];

@@ -19,7 +19,7 @@ pub enum Fidelity {
 
 impl Fidelity {
     /// Attacker counts swept on the x axis.
-    pub fn attacker_grid(self) -> Vec<usize> {
+    pub(crate) fn attacker_grid(self) -> Vec<usize> {
         match self {
             Fidelity::Quick => vec![1, 10, 30, 60, 100],
             Fidelity::Full => vec![1, 2, 5, 10, 20, 30, 40, 60, 80, 100],

@@ -23,21 +23,20 @@ pub mod ablation;
 pub mod attacks;
 pub mod check;
 pub mod figrun;
-pub mod figures;
-pub mod observe;
-pub mod report;
+mod figures;
+mod observe;
+mod report;
 pub mod robustness;
-pub mod scenario;
+mod scenario;
 pub mod statebound;
 pub mod strawmen;
-pub mod sweep;
+mod sweep;
 
 pub use figures::{fig10, fig11, fig8, fig9, Fidelity};
-pub use observe::{run_observed, snapshot_document, snapshot_json, write_observed, ObservedRun};
-pub use report::{records_json, table, tsv, Files, Size};
-pub use tva_obs::{ascii_chart, Series};
+pub use observe::snapshot_json;
+pub use report::{table, tsv, Files, Size};
 pub use scenario::{
-    attacker_addr, run, run_driven, run_inspect, Attack, BuiltNodes, FaultCounters, LinkFaults,
-    ScenarioConfig, ScenarioResult, Scheme, COLLUDER, DEST,
+    attacker_addr, run, run_driven, Attack, BuiltNodes, FaultCounters, LinkFaults, ScenarioConfig,
+    ScenarioResult, Scheme, COLLUDER, DEST,
 };
-pub use sweep::{run_all, run_all_checked, SweepFailure};
+pub use sweep::{run_all_checked, SweepFailure};

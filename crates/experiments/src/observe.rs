@@ -21,7 +21,7 @@ use tva_core::{RouterStats, TvaRouterNode, TvaScheduler};
 use tva_obs::{to_jsonl, to_perfetto, Observe, ObsConfig, Registry, SeriesSet, TraceCollector};
 use tva_sim::{ChannelId, ChannelStats, Counters, SimDuration, SimTime, TraceEvent, Tracer};
 
-use crate::scenario::{run_driven, ScenarioConfig, ScenarioResult, Scheme};
+use crate::scenario::{run_driven, ScenarioConfig, Scheme};
 
 /// Sampling bucket width, simulated time: the series are 1 Hz.
 const SAMPLE_STEP: SimDuration = SimDuration::from_millis(1000);
@@ -31,29 +31,25 @@ const SAMPLE_STEP: SimDuration = SimDuration::from_millis(1000);
 const DROP_SPIKE_THRESHOLD: f64 = 0.5;
 
 /// Everything an observed run produces beyond the plain result.
-pub struct ObservedRun {
-    /// The ordinary scenario metrics (identical to an unobserved run).
-    pub result: ScenarioResult,
+pub(crate) struct ObservedRun {
     /// Time series sampled every [`SAMPLE_STEP`] of simulated time.
-    pub series: SeriesSet,
+    pub(crate) series: SeriesSet,
     /// End-of-run metrics registry: channels + scheme router stats.
-    pub registry: Registry,
+    pub(crate) registry: Registry,
     /// Captured trace events, at most `trace_limit` of them.
-    pub events: Vec<TraceEvent>,
-    /// Trace events seen beyond the retention limit.
-    pub events_overflow: u64,
+    pub(crate) events: Vec<TraceEvent>,
     /// Bandwidth of each channel, captured for Perfetto slice durations.
-    pub channel_bandwidths: Vec<u64>,
+    pub(crate) channel_bandwidths: Vec<u64>,
     /// Where the anomaly flight dump was written, if a drop-rate spike
     /// fired during the run.
-    pub anomaly_dump: Option<PathBuf>,
+    pub(crate) anomaly_dump: Option<PathBuf>,
 }
 
 /// Runs one scenario with observability on: stepped sampling, optional
 /// trace capture, and a flight recorder with a drop-spike anomaly
 /// predicate. The transfer metrics are identical to a plain run with the
 /// same config (tracing and sampling never perturb simulation state).
-pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
+pub(crate) fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
     let mut series = SeriesSet::new();
     let q_pkts = series.column("bottleneck.queue_pkts");
     let q_bytes = series.column("bottleneck.queue_bytes");
@@ -62,12 +58,12 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
     let cache_rate = series.column("r1.cache_hit_rate");
 
     // Slots the driver and inspect closures fill by shared borrow.
-    let events_out: RefCell<Option<(Vec<TraceEvent>, u64)>> = RefCell::default();
+    let events_out: RefCell<Vec<TraceEvent>> = RefCell::default();
     let bw_out: RefCell<Vec<u64>> = RefCell::default();
     let anomaly_out: RefCell<Option<PathBuf>> = RefCell::default();
     let registry: RefCell<Registry> = RefCell::default();
 
-    let result = run_driven(
+    run_driven(
         cfg,
         |sim, nodes| {
             // Capture per-channel bandwidths for the Perfetto exporter.
@@ -139,8 +135,8 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
                 }
             }
 
-            let captured = collector.lock().map(|c| (c.events().to_vec(), c.overflow()));
-            *events_out.borrow_mut() = captured.ok();
+            let captured = collector.lock().map(|c| c.events().to_vec());
+            *events_out.borrow_mut() = captured.unwrap_or_default();
         },
         |sim, nodes| {
             let mut reg = registry.borrow_mut();
@@ -180,13 +176,10 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
     );
     tva_obs::clear_thread_flight();
 
-    let (events, events_overflow) = events_out.into_inner().unwrap_or_default();
     ObservedRun {
-        result,
         series,
         registry: registry.into_inner(),
-        events,
-        events_overflow,
+        events: events_out.into_inner(),
         channel_bandwidths: bw_out.into_inner(),
         anomaly_dump: anomaly_out.into_inner(),
     }
@@ -194,7 +187,7 @@ pub fn run_observed(cfg: &ScenarioConfig, ocfg: &ObsConfig) -> ObservedRun {
 
 /// Writes every artifact of an observed run under `ocfg.dir`, named
 /// `{name}_{scheme}…`, and returns the paths written.
-pub fn write_observed(
+pub(crate) fn write_observed(
     name: &str,
     run: &ObservedRun,
     scheme: Scheme,
@@ -235,7 +228,7 @@ fn write_json(path: &Path, value: &Value) -> io::Result<()> {
 /// producer — the `repro` artifacts, the `tva-node` stats socket — emits
 /// the same versioned schema, and `obscheck`/`tva-top` validate all of
 /// them against one definition.
-pub fn snapshot_document(label: &str, registry: &Registry) -> Value {
+pub(crate) fn snapshot_document(label: &str, registry: &Registry) -> Value {
     tva_obs::snapshot::document(label, registry)
 }
 
@@ -271,25 +264,17 @@ mod tests {
 
     #[test]
     fn observed_run_matches_plain_run() {
-        // Sampling and tracing must not perturb the simulation: the §5
-        // metrics of an observed run are identical to a plain run.
+        // Sampling and tracing must not perturb the simulation: the
+        // bottleneck's counters after an observed run are a plain run's.
         let cfg = small(Scheme::Tva);
-        let plain = crate::scenario::run(&cfg);
+        let mut plain = None;
+        crate::scenario::run_inspect(&cfg, |sim, nodes| {
+            plain = Some((*sim.channel(nodes.bottleneck.ab).stats).clone());
+        });
         let observed = run_observed(&cfg, &quiet_obs());
-        assert_eq!(
-            observed.result.summary.completed,
-            plain.summary.completed
-        );
-        assert!(
-            (observed.result.summary.avg_completion_secs
-                - plain.summary.avg_completion_secs)
-                .abs()
-                < 1e-12
-        );
-        assert!(
-            (observed.result.bottleneck_utilization - plain.bottleneck_utilization).abs()
-                < 1e-12
-        );
+        for (name, v) in plain.expect("inspected").counters() {
+            assert_eq!(observed.registry.counter_by_name(&format!("bottleneck.{name}")), Some(v), "{name}");
+        }
         // 20 s at 1 Hz sampling = 20 buckets.
         assert_eq!(observed.series.len(), 20);
         // A clean TVA run validated traffic: cache metrics exist.

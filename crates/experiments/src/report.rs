@@ -1,6 +1,6 @@
 //! Result output: the size a producer runs at, the files it returns, and
 //! the aligned tables and TSV/JSON renderings every producer prints and
-//! writes (its charts come from [`tva_obs::series::ascii_chart`]).
+//! writes (its charts come from [`tva_obs::ascii_chart`]).
 
 use std::fmt::Write as _;
 
@@ -30,7 +30,7 @@ impl Size {
     }
 
     /// The figure grids' fidelity; they have no smoke size.
-    pub fn fidelity(self) -> Result<Fidelity, String> {
+    pub(crate) fn fidelity(self) -> Result<Fidelity, String> {
         match self {
             Size::Smoke => Err("no smoke size (quick or full)".into()),
             Size::Quick => Ok(Fidelity::Quick),
@@ -82,7 +82,7 @@ pub fn tsv(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Renders rows as a pretty JSON array of string-valued records, the
 /// companion of [`tsv`].
-pub fn records_json(headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn records_json(headers: &[&str], rows: &[Vec<String>]) -> String {
     use serde_json::Value;
     let records: Vec<Value> = rows
         .iter()

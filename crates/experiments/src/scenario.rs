@@ -150,7 +150,7 @@ pub enum Attack {
 
 /// How a parameter is drawn: uniformly from `[lo, hi)`, or one of a set.
 #[derive(Debug, Clone, Copy)]
-pub enum Draw {
+pub(crate) enum Draw {
     /// Uniform over `[lo, hi)`.
     Range(u64, u64),
     /// One of these values, uniformly.
@@ -159,18 +159,18 @@ pub enum Draw {
 
 /// One parameter of an attack kind.
 #[derive(Debug)]
-pub struct Param {
+pub(crate) struct Param {
     /// Its key, as the `attacks` report's `params` column spells it.
-    pub key: &'static str,
+    pub(crate) key: &'static str,
     /// The `invcheck` fuzzer's draw.
-    pub fuzz: Draw,
+    pub(crate) fuzz: Draw,
     /// The attack search's draw; set on the strategies' parameters only.
-    pub search: Option<Draw>,
+    pub(crate) search: Option<Draw>,
 }
 
 impl Param {
     /// The key a replay artifact stores this parameter under.
-    pub fn artifact_key(&self) -> String {
+    pub(crate) fn artifact_key(&self) -> String {
         format!("attack_{}", self.key)
     }
 }
@@ -182,7 +182,7 @@ pub struct AttackKind {
     /// The name the replay codec and the reports use.
     pub name: &'static str,
     /// The variant's fields, in declaration order.
-    pub params: &'static [Param],
+    pub(crate) params: &'static [Param],
 }
 
 const fn fuzzed(key: &'static str, lo: u64, hi: u64) -> Param {
@@ -203,7 +203,7 @@ const fn row(name: &'static str, params: &'static [Param]) -> AttackKind {
 /// transport's 200 ms min RTO / 1 s initial RTO, rotation faster and
 /// slower than the 10 s grant, spoof pools well past the request
 /// key-table comfort zone.
-pub static ATTACKS: [AttackKind; 12] = {
+pub(crate) static ATTACKS: [AttackKind; 12] = {
     use Draw::{OneOf, Range};
     [
         row("none", &[]),
@@ -298,14 +298,14 @@ impl Attack {
     }
 
     /// The parameter values, in the order of [`AttackKind::params`].
-    pub fn params(self) -> Vec<u64> {
+    pub(crate) fn params(self) -> Vec<u64> {
         self.encode().1
     }
 
     /// The attack named `name` with parameter `values` in field order.
     /// Rejects an unknown name, a wrong count, and a value its field
     /// cannot hold.
-    pub fn from_params(name: &str, values: &[u64]) -> Result<Attack, String> {
+    pub(crate) fn from_params(name: &str, values: &[u64]) -> Result<Attack, String> {
         let i = ATTACKS
             .iter()
             .position(|k| k.name == name)
@@ -534,7 +534,7 @@ pub fn attacker_addr(i: usize) -> Addr {
 
 /// Addresses of the colluder-ring destinations (behind the bottleneck,
 /// alongside [`COLLUDER`]).
-pub fn ring_addr(j: usize) -> Addr {
+pub(crate) fn ring_addr(j: usize) -> Addr {
     Addr::new(10, 0, 1, (j % 200) as u8 + 1)
 }
 
@@ -577,25 +577,21 @@ pub struct BuiltNodes {
     /// The access-side router (attackers and users attach here).
     pub r1: NodeId,
     /// The destination-side router.
-    pub r2: NodeId,
-    /// The destination server.
-    pub dest: NodeId,
-    /// Legitimate users, in index order.
-    pub clients: Vec<NodeId>,
+    pub(crate) r2: NodeId,
     /// Attackers, in index order.
     pub attackers: Vec<NodeId>,
     /// The attackers' access links, in index order (`.ab` is the
     /// attacker→R1 direction) — wire-level attacker cost accounting.
-    pub attacker_links: Vec<LinkHandle>,
+    pub(crate) attacker_links: Vec<LinkHandle>,
     /// The bottleneck link (r1→r2 direction is `.ab`).
     pub bottleneck: LinkHandle,
     /// With `backup_path`: R3 and the R3–R2 link (R3→R2 is `.ab`).
-    pub backup: Option<(NodeId, LinkHandle)>,
+    pub(crate) backup: Option<(NodeId, LinkHandle)>,
 }
 
 /// Like [`run`], but hands the finished simulator to `inspect` before
 /// metrics are returned (tests and diagnostics).
-pub fn run_inspect(
+pub(crate) fn run_inspect(
     cfg: &ScenarioConfig,
     inspect: impl FnOnce(&Simulator, &BuiltNodes),
 ) -> ScenarioResult {
@@ -985,8 +981,6 @@ impl<'a> Builder<'a> {
         let nodes = BuiltNodes {
             r1: self.r1,
             r2: self.r2,
-            dest,
-            clients: self.clients.clone(),
             attackers: self.attackers.clone(),
             attacker_links: self.attacker_links.clone(),
             bottleneck,

@@ -20,11 +20,11 @@ use crate::scenario::{run, ScenarioConfig, ScenarioResult};
 #[derive(Debug)]
 pub struct SweepFailure {
     /// Position of the failing configuration in the input vector.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The configuration that panicked.
-    pub config: ScenarioConfig,
+    pub(crate) config: ScenarioConfig,
     /// The panic payload, if it was a string.
-    pub message: String,
+    pub(crate) message: String,
     /// Where the worker's flight-recorder ring was dumped, when a recorder
     /// was active (`TVA_OBS` on): the last packet-level events before the
     /// panic, black-box style.
@@ -169,7 +169,7 @@ pub fn run_all_checked(
 
 /// Runs every configuration, in parallel, preserving order; panics with a
 /// report naming each failing configuration if any job blew up.
-pub fn run_all(configs: Vec<ScenarioConfig>) -> Vec<(ScenarioConfig, ScenarioResult)> {
+pub(crate) fn run_all(configs: Vec<ScenarioConfig>) -> Vec<(ScenarioConfig, ScenarioResult)> {
     match run_all_checked(configs) {
         Ok(results) => results,
         Err(failures) => {

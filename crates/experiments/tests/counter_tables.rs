@@ -8,7 +8,7 @@
 //! has the same check beside `NodeEngine::observe`, in `tva-node`.)
 
 use serde_json::Value;
-use tva_baselines::siff::SiffStats;
+use tva_baselines::SiffStats;
 use tva_baselines::{PushbackRouterNode, PushbackStats};
 use tva_core::{RouterStats, SchedulerStats};
 use tva_experiments::robustness::fold_metrics;

@@ -6,7 +6,7 @@
 //! recorder through process-global environment variables; sharing a
 //! process with other tests would race their reads.
 
-use tva_experiments::sweep::run_all_checked;
+use tva_experiments::run_all_checked;
 use tva_experiments::{Attack, ScenarioConfig, Scheme};
 use tva_sim::SimTime;
 

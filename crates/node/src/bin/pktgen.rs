@@ -12,7 +12,7 @@
 use std::time::{Duration, Instant};
 
 use tva_obs::Histogram;
-use tva_node::pktgen::PktGen;
+use tva_node::PktGen;
 use tva_node::{NodeClock, NodeConfig, Transport, UdpPort};
 
 fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {

@@ -35,15 +35,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod node;
+mod node;
 pub mod pktgen;
 mod ring;
-pub mod stats;
-pub mod transport;
+mod stats;
+mod transport;
 
 pub use node::{NodeClock, NodeEngine, NodeStats, NODE_INGRESS};
 pub use pktgen::{GenStats, PktGen};
-pub use stats::{snapshot_line, StatsServer};
+pub use stats::StatsServer;
 pub use transport::{ring_pair, udp_pair, RingPort, Transport, UdpPort, MAX_FRAME};
 
 use tva_sim::knobs;

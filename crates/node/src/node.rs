@@ -263,7 +263,8 @@ impl NodeEngine {
 mod tests {
     use super::*;
     use crate::transport::ring_pair;
-    use tva_wire::{encode_packet, Addr, CapHeader, Packet, PacketId};
+    use tva_wire::ipcodec::encode_packet;
+    use tva_wire::{Addr, CapHeader, Packet, PacketId};
 
     fn legacy_frame() -> Vec<u8> {
         encode_packet(&Packet {

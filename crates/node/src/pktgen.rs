@@ -106,7 +106,7 @@ fn encode(pkt: &Packet) -> Vec<u8> {
 
 /// Overwrites the IPv4 identification field and recomputes the header
 /// checksum (10 u16 adds — cheap enough to keep emission template-based).
-pub fn set_ip_id(frame: &mut [u8], id: u16) {
+pub(crate) fn set_ip_id(frame: &mut [u8], id: u16) {
     frame[4..6].copy_from_slice(&id.to_be_bytes());
     frame[10] = 0;
     frame[11] = 0;
@@ -116,7 +116,7 @@ pub fn set_ip_id(frame: &mut [u8], id: u16) {
 
 /// Reads the IPv4 identification field (frames shorter than a header yield
 /// `None`).
-pub fn ip_id(frame: &[u8]) -> Option<u16> {
+pub(crate) fn ip_id(frame: &[u8]) -> Option<u16> {
     frame.get(4..6).map(|b| u16::from_be_bytes([b[0], b[1]]))
 }
 
@@ -491,6 +491,6 @@ mod tests {
         set_ip_id(&mut frame, 0xABCD);
         assert_eq!(ip_id(&frame), Some(0xABCD));
         assert_eq!(internet_checksum(&frame[..IP_HEADER_LEN]), 0);
-        assert!(tva_wire::decode_packet(&frame).is_ok());
+        assert!(tva_wire::ipcodec::decode_packet(&frame).is_ok());
     }
 }

@@ -34,7 +34,7 @@ impl Ring {
     /// Fills the next free slot via `fill`. Returns `false` (without
     /// calling `fill`) when the ring is full. `fill` is handed the
     /// slot's retained buffer and must leave the complete frame in it;
-    /// callers clear-and-write (e.g. [`tva_wire::encode_packet_into`]).
+    /// callers clear-and-write (e.g. [`tva_wire::ipcodec::encode_packet_into`]).
     #[inline]
     pub(crate) fn try_push_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> bool {
         let mask = self.slots.len() - 1;

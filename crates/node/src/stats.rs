@@ -43,11 +43,6 @@ impl StatsServer {
         self.sock.local_addr()
     }
 
-    /// Number of snapshots served so far.
-    pub fn served(&self) -> u64 {
-        self.seq
-    }
-
     /// Answers every pending poll request with one snapshot line each.
     /// Returns how many were served (0 on an idle socket).
     pub fn poll(&mut self, node: &NodeEngine, clock: &NodeClock) -> io::Result<usize> {
@@ -75,7 +70,7 @@ impl StatsServer {
 /// `tva_obs::snapshot` schema with `seq`, `now_ns`, and `flows` extras.
 /// Shared by the socket server and the `serve` loop's periodic stderr
 /// line, and exercised directly by tests.
-pub fn snapshot_line(node: &NodeEngine, clock: &NodeClock, seq: u64) -> String {
+pub(crate) fn snapshot_line(node: &NodeEngine, clock: &NodeClock, seq: u64) -> String {
     let mut reg = Registry::new();
     node.observe(&mut reg);
     let mut flows = node.router.flow.clone();
@@ -149,7 +144,7 @@ mod tests {
         let second = poll_once(&node, &mut server);
         snapshot::validate(&second).unwrap();
         snapshot::counters_monotone(&first, &second).expect("counters monotone across polls");
-        assert_eq!(server.served(), 2);
+        assert_eq!(server.seq, 2, "two snapshots served");
     }
 
     #[test]

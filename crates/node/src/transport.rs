@@ -80,7 +80,7 @@ pub struct UdpPort {
     rx_buf: Vec<u8>,
     tx_buf: Vec<u8>,
     /// Datagrams dropped by TX backpressure or transient send errors.
-    pub tx_errors: u64,
+    pub(crate) tx_errors: u64,
 }
 
 impl UdpPort {
@@ -95,11 +95,6 @@ impl UdpPort {
             tx_buf: Vec::with_capacity(MAX_FRAME),
             tx_errors: 0,
         })
-    }
-
-    /// The locally bound address (useful with port 0 binds in tests).
-    pub fn local_addr(&self) -> io::Result<std::net::SocketAddr> {
-        self.sock.local_addr()
     }
 
     fn from_socket(sock: UdpSocket) -> io::Result<Self> {

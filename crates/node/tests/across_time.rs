@@ -12,13 +12,13 @@
 //! `mint ≤ now ≤ mint + T` — never before, never after, however the
 //! rotations and the wrap fall.
 
-use tva_core::{mint_cap, mint_precap, validate_cap, RouterConfig};
+use tva_core::capability::{mint_cap, mint_precap, validate_cap};
+use tva_core::RouterConfig;
 use tva_crypto::SecretSchedule;
 use tva_node::{ring_pair, NodeClock, NodeConfig, NodeEngine, Transport};
 use tva_sim::SimTime;
-use tva_wire::{
-    decode_packet, encode_packet, Addr, CapHeader, CapValue, FlowNonce, Grant, Packet, PacketId,
-};
+use tva_wire::ipcodec::{decode_packet, encode_packet};
+use tva_wire::{Addr, CapHeader, CapValue, FlowNonce, Grant, Packet, PacketId};
 
 const DST: Addr = Addr::new(10, 9, 0, 1);
 const HORIZON_SECS: u64 = 600;

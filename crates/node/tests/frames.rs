@@ -10,10 +10,10 @@
 
 use proptest::prelude::*;
 use tva_node::{NodeClock, NodeConfig, NodeEngine, Transport};
+use tva_wire::ipcodec::{decode_packet, encode_packet};
 use tva_wire::{
-    decode_packet, encode_packet, Addr, CapHeader, CapList, CapPayload, CapValue, FlowNonce,
-    Grant, Packet, PacketId, PathId, RequestEntry, RequestList, ReturnInfo, TcpFlags, TcpSegment,
-    MAX_PATH_ROUTERS,
+    Addr, CapHeader, CapList, CapPayload, CapValue, FlowNonce, Grant, Packet, PacketId, PathId,
+    RequestEntry, RequestList, ReturnInfo, TcpFlags, TcpSegment, MAX_PATH_ROUTERS,
 };
 
 fn arb_capvalue() -> impl Strategy<Value = CapValue> {

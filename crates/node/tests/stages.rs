@@ -17,7 +17,8 @@ use std::collections::VecDeque;
 
 use tva_node::{MixKind, NodeClock, NodeConfig, NodeEngine, PktGen, Transport, NODE_INGRESS};
 use tva_sim::{Enqueued, Pkt, QueueDisc, SimDuration, SimTime};
-use tva_wire::{decode_packet, encode_packet_into, Packet};
+use tva_wire::ipcodec::{decode_packet, encode_packet_into};
+use tva_wire::Packet;
 
 /// A transport that is two queues: frames to receive, frames sent.
 #[derive(Default)]

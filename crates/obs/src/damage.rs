@@ -53,7 +53,6 @@ mod tests {
         let mut reg = Registry::new();
         record_attack_damage(&mut reg, "SIFF", "ring", 10, 10, 1.0);
         record_attack_damage(&mut reg, "SIFF", "ring", 20, 10, 2.0);
-        let g = reg.gauge("attack.SIFF.ring.damage_bytes");
-        assert_eq!(reg.gauge_value(g), 20.0);
+        assert_eq!(reg.gauge_by_name("attack.SIFF.ring.damage_bytes"), Some(20.0));
     }
 }

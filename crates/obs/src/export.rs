@@ -6,7 +6,7 @@ use serde_json::{Map, Value};
 use tva_sim::{ChannelId, SimDuration, TraceEvent, TraceKind};
 
 /// Short stable label for a trace kind (used in JSON output).
-pub fn kind_label(kind: TraceKind) -> &'static str {
+pub(crate) fn kind_label(kind: TraceKind) -> &'static str {
     match kind {
         TraceKind::Enqueued => "enq",
         TraceKind::Dropped => "drop",
@@ -19,7 +19,7 @@ pub fn kind_label(kind: TraceKind) -> &'static str {
 
 /// One trace event as a JSON object (shared by JSONL and the flight
 /// recorder dump).
-pub fn event_to_json(ev: &TraceEvent) -> Value {
+pub(crate) fn event_to_json(ev: &TraceEvent) -> Value {
     let mut m = Map::new();
     m.insert("t".into(), Value::Number(ev.time.as_secs_f64()));
     m.insert("kind".into(), Value::String(kind_label(ev.kind).to_string()));
@@ -97,18 +97,16 @@ pub fn to_perfetto(
 }
 
 /// A bounded in-memory event collector for a [`tva_sim::Tracer`] to feed. Stops
-/// retaining past `limit` events (counting the overflow) so a long run
-/// cannot exhaust memory.
+/// retaining past `limit` events so a long run cannot exhaust memory.
 pub struct TraceCollector {
     events: Vec<TraceEvent>,
     limit: usize,
-    overflow: u64,
 }
 
 impl TraceCollector {
     /// A collector retaining at most `limit` events.
     pub fn new(limit: usize) -> Self {
-        TraceCollector { events: Vec::new(), limit: limit.max(1), overflow: 0 }
+        TraceCollector { events: Vec::new(), limit: limit.max(1) }
     }
 
     /// Records one event (drops it once the limit is reached).
@@ -116,19 +114,12 @@ impl TraceCollector {
     pub fn record(&mut self, ev: &TraceEvent) {
         if self.events.len() < self.limit {
             self.events.push(*ev);
-        } else {
-            self.overflow += 1;
         }
     }
 
     /// The retained events, in arrival order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
-    }
-
-    /// Events seen beyond the retention limit.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 }
 
@@ -197,7 +188,7 @@ mod tests {
         for i in 0..5 {
             c.record(&ev(TraceKind::Enqueued, i));
         }
-        assert_eq!(c.events().len(), 2);
-        assert_eq!(c.overflow(), 3);
+        let times: Vec<u64> = c.events().iter().map(|e| e.time.as_nanos()).collect();
+        assert_eq!(times, [0, 1], "the first two are kept");
     }
 }

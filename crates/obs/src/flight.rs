@@ -17,7 +17,7 @@ use tva_sim::{format_event, TraceEvent, Tracer};
 use crate::export::event_to_json;
 
 /// A fixed-capacity ring buffer of trace events.
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     buf: Vec<TraceEvent>,
     cap: usize,
     next: usize,
@@ -26,7 +26,7 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder keeping the last `cap` events (`cap` is clamped to ≥ 1).
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         let cap = cap.max(1);
         FlightRecorder { buf: Vec::with_capacity(cap), cap, next: 0, total: 0 }
     }
@@ -34,7 +34,7 @@ impl FlightRecorder {
     /// Records one event, evicting the oldest once full. Amortized
     /// zero-alloc: the ring fills once and is overwritten in place after.
     #[inline]
-    pub fn record(&mut self, ev: &TraceEvent) {
+    pub(crate) fn record(&mut self, ev: &TraceEvent) {
         if self.buf.len() < self.cap {
             self.buf.push(*ev);
         } else {
@@ -49,23 +49,8 @@ impl FlightRecorder {
         self.total += 1;
     }
 
-    /// Events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events ever seen (including evicted ones).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
+    pub(crate) fn events(&self) -> Vec<TraceEvent> {
         if self.buf.len() < self.cap {
             self.buf.clone()
         } else {
@@ -78,7 +63,7 @@ impl FlightRecorder {
 
     /// JSON dump: `{"total_seen":…, "retained":…, "reason":…, "events":[…]}`
     /// with events oldest-first, each also carrying its ns-2-style line.
-    pub fn to_json(&self, reason: &str) -> Value {
+    pub(crate) fn to_json(&self, reason: &str) -> Value {
         let events = self
             .events()
             .iter()
@@ -100,7 +85,7 @@ impl FlightRecorder {
     }
 
     /// Writes the JSON dump to `path`.
-    pub fn dump_to(&self, path: &Path, reason: &str) -> io::Result<()> {
+    pub(crate) fn dump_to(&self, path: &Path, reason: &str) -> io::Result<()> {
         let text = serde_json::to_string_pretty(&self.to_json(reason))
             .map_err(|e| io::Error::other(e.to_string()))?;
         std::fs::write(path, text)
@@ -172,8 +157,8 @@ mod tests {
         for i in 0..10 {
             r.record(&ev(i));
         }
-        assert_eq!(r.total(), 10);
-        assert_eq!(r.len(), 4);
+        assert_eq!(r.total, 10);
+        assert_eq!(r.buf.len(), 4);
         let ids: Vec<u64> = r.events().iter().map(|e| e.id.0).collect();
         assert_eq!(ids, [6, 7, 8, 9]);
     }
@@ -200,8 +185,8 @@ mod tests {
             for i in 0..total {
                 r.record(&ev(i));
             }
-            assert_eq!(r.total(), total);
-            assert_eq!(r.len(), cap);
+            assert_eq!(r.total, total);
+            assert_eq!(r.buf.len(), cap);
             let ids: Vec<u64> = r.events().iter().map(|e| e.id.0).collect();
             let want: Vec<u64> = (total - cap as u64..total).collect();
             assert_eq!(ids, want, "after {total} records into a {cap}-ring");

@@ -108,7 +108,7 @@ impl FlowVerdict {
 
     /// Whether this verdict marks traffic the architecture is *refusing*
     /// service to (demotions and drops) — the attack-attribution signal.
-    pub fn is_refusal(self) -> bool {
+    pub(crate) fn is_refusal(self) -> bool {
         !matches!(
             self,
             FlowVerdict::Stamped
@@ -125,11 +125,11 @@ impl FlowVerdict {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowKey {
     /// Source /24 prefix ([`Addr::prefix24`]).
-    pub prefix: u32,
+    pub(crate) prefix: u32,
     /// Most recent path-identifier tag (0 = untagged / not a request).
     pub path_id: u16,
     /// Traffic class at the sampling point.
-    pub class: FlowClass,
+    pub(crate) class: FlowClass,
     /// Lifecycle verdict at the sampling point.
     pub verdict: FlowVerdict,
 }
@@ -249,12 +249,12 @@ impl FlowSampler {
     }
 
     /// Total sampled bytes across all records.
-    pub fn sampled_bytes(&self) -> u64 {
+    pub(crate) fn sampled_bytes(&self) -> u64 {
         self.on.as_ref().map_or(0, |s| s.sampled_bytes)
     }
 
     /// Number of distinct flow records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.on.as_ref().map_or(0, |s| s.records.len())
     }
 

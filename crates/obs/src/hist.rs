@@ -85,7 +85,7 @@ impl Histogram {
     }
 
     /// Smallest sample (0 when empty).
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -99,7 +99,7 @@ impl Histogram {
     }
 
     /// Exact mean of all samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

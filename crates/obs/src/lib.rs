@@ -34,25 +34,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod damage;
-pub mod export;
-pub mod flight;
-pub mod flow;
-pub mod hist;
-pub mod registry;
-pub mod series;
+mod damage;
+mod export;
+mod flight;
+mod flow;
+mod hist;
+mod registry;
+mod series;
 pub mod snapshot;
 pub mod top;
 
 pub use damage::record_attack_damage;
-pub use export::{event_to_json, kind_label, to_jsonl, to_perfetto, TraceCollector};
+pub use export::{to_jsonl, to_perfetto, TraceCollector};
 pub use flight::{
     clear_thread_flight, dump_thread_flight, flight_tracer, install_thread_flight,
-    thread_flight_record, FlightRecorder,
+    thread_flight_record,
 };
 pub use flow::{format_prefix24, FlowClass, FlowCounters, FlowKey, FlowSampler, FlowVerdict};
 pub use hist::Histogram;
-pub use registry::{CounterId, GaugeId, HistId, Observe, Registry};
+pub use registry::{CounterId, HistId, Observe, Registry};
 pub use series::{ascii_chart, ColId, Series, SeriesSet};
 
 use std::path::PathBuf;

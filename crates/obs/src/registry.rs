@@ -32,7 +32,7 @@ pub struct CounterId(u32);
 
 /// Handle to a registered gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(u32);
+pub(crate) struct GaugeId(u32);
 
 /// Handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +64,7 @@ impl Registry {
     }
 
     /// Registers (or finds) a gauge by name.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
+    pub(crate) fn gauge(&mut self, name: &str) -> GaugeId {
         if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
             return GaugeId(i as u32);
         }
@@ -79,12 +79,6 @@ impl Registry {
         }
         self.hists.push((name.to_string(), Histogram::new()));
         HistId((self.hists.len() - 1) as u32)
-    }
-
-    /// Increments a counter by 1.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        self.counters[id.0 as usize].1 += 1;
     }
 
     /// Adds `n` to a counter.
@@ -117,7 +111,7 @@ impl Registry {
 
     /// Sets a gauge.
     #[inline]
-    pub fn set(&mut self, id: GaugeId, v: f64) {
+    pub(crate) fn set(&mut self, id: GaugeId, v: f64) {
         self.gauges[id.0 as usize].1 = v;
     }
 
@@ -127,25 +121,10 @@ impl Registry {
         self.hists[id.0 as usize].1.record(v);
     }
 
-    /// Current counter value.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0 as usize].1
-    }
-
-    /// Current gauge value.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0 as usize].1
-    }
-
     /// Borrow a histogram mutably (merging an externally-filled histogram
     /// in at snapshot time).
     pub fn histogram_mut(&mut self, id: HistId) -> &mut Histogram {
         &mut self.hists[id.0 as usize].1
-    }
-
-    /// Borrow a histogram (reading quantiles).
-    pub fn histogram(&self, id: HistId) -> &Histogram {
-        &self.hists[id.0 as usize].1
     }
 
     /// Looks a counter value up by name (reporting/tests; linear scan).
@@ -156,16 +135,6 @@ impl Registry {
     /// Looks a gauge value up by name (reporting/tests; linear scan).
     pub fn gauge_by_name(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
-    /// Registered metric count across all kinds.
-    pub fn len(&self) -> usize {
-        self.counters.len() + self.gauges.len() + self.hists.len()
-    }
-
-    /// Whether nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Snapshot of every metric as a JSON object:
@@ -240,14 +209,13 @@ mod tests {
         let c = r.counter("a.count");
         let g = r.gauge("a.depth");
         let h = r.hist("a.delay_ns");
-        r.inc(c);
+        r.add(c, 1);
         r.add(c, 4);
         r.set(g, 2.5);
         r.record(h, 100);
         r.record(h, 300);
-        assert_eq!(r.counter_value(c), 5);
-        assert_eq!(r.gauge_value(g), 2.5);
-        assert_eq!(r.histogram(h).count(), 2);
+        assert_eq!(r.gauge_by_name("a.depth"), Some(2.5));
+        assert_eq!(r.histogram_mut(h).count(), 2);
         assert_eq!(r.counter_by_name("a.count"), Some(5));
         assert_eq!(r.counter_by_name("missing"), None);
     }
@@ -258,10 +226,10 @@ mod tests {
         let a = r.counter("x");
         let b = r.counter("x");
         assert_eq!(a, b);
-        r.inc(a);
-        r.inc(b);
-        assert_eq!(r.counter_value(a), 2);
-        assert_eq!(r.len(), 1);
+        r.add(a, 1);
+        r.add(b, 1);
+        assert_eq!(r.counter_by_name("x"), Some(2));
+        assert_eq!(r.counters.len(), 1);
     }
 
     #[test]
@@ -275,13 +243,12 @@ mod tests {
         r.add(early, 1);
         for i in 0..100 {
             let id = r.counter(&format!("c{i}"));
-            r.inc(id);
+            r.add(id, 1);
         }
         let again = r.counter("first");
         assert_eq!(early, again, "re-registration returns the original handle");
         r.add(again, 2);
-        assert_eq!(r.counter_value(early), 3, "both handles hit one slot");
-        assert_eq!(r.counter_by_name("first"), Some(3));
+        assert_eq!(r.counter_by_name("first"), Some(3), "both handles hit one slot");
 
         let g1 = r.gauge("depth");
         let h1 = r.hist("lat");
@@ -296,8 +263,8 @@ mod tests {
         assert_eq!(h1, h2);
         r.set(g2, 4.0);
         r.record(h2, 7);
-        assert_eq!(r.gauge_value(g1), 4.0);
-        assert_eq!(r.histogram(h1).count(), 2);
+        assert_eq!(r.gauge_by_name("depth"), Some(4.0));
+        assert_eq!(r.histogram_mut(h1).count(), 2);
     }
 
     #[test]

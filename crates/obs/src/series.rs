@@ -115,16 +115,6 @@ impl SeriesSet {
         self.times.is_empty()
     }
 
-    /// A column's samples by name (reporting/tests).
-    pub fn values(&self, name: &str) -> Option<&[f64]> {
-        self.cols.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_slice())
-    }
-
-    /// The shared time axis (seconds).
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-
     /// JSON form: `{"t": [...], "series": {"name": [...], ...}}`.
     pub fn to_json(&self) -> Value {
         let mut series = Map::new();
@@ -159,9 +149,8 @@ mod tests {
         s.set(a, 5.0);
         s.set(b, 1.0);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.values("depth"), Some(&[3.0, 5.0][..]));
-        assert_eq!(s.values("drops"), Some(&[0.0, 1.0][..]));
-        assert_eq!(s.times(), &[0.0, 1.0]);
+        assert_eq!(s.cols, [("depth".to_string(), vec![3.0, 5.0]), ("drops".to_string(), vec![0.0, 1.0])]);
+        assert_eq!(s.times, [0.0, 1.0]);
     }
 
     #[test]
@@ -173,7 +162,7 @@ mod tests {
         let b = s.column("late");
         s.begin(1.0);
         s.set(b, 9.0);
-        assert_eq!(s.values("late"), Some(&[0.0, 9.0][..]));
+        assert_eq!(s.cols[1], ("late".to_string(), vec![0.0, 9.0]));
     }
 
     #[test]

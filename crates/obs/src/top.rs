@@ -61,7 +61,7 @@ fn label_is_refusal(label: &str) -> bool {
 
 /// Per-prefix estimated totals from a snapshot's `flows` section, sorted
 /// by estimated bytes descending: `(prefix, est_bytes, refused_est_bytes)`.
-pub fn top_offenders(doc: &Value, k: usize) -> Vec<(String, f64, f64)> {
+pub(crate) fn top_offenders(doc: &Value, k: usize) -> Vec<(String, f64, f64)> {
     let mut by_prefix: std::collections::BTreeMap<String, (f64, f64)> = Default::default();
     let records = obj(doc)
         .and_then(|root| root.get("flows"))

@@ -36,14 +36,6 @@ impl TokenBucket {
         }
     }
 
-    /// Convenience: a bucket for `fraction` of a `link_bps` link, with a
-    /// `burst_bytes` allowance ("with the added margin for bursts", §3.2).
-    pub fn for_link_fraction(link_bps: u64, fraction: f64, burst_bytes: u64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction) && fraction > 0.0, "bad fraction {fraction}");
-        let rate = ((link_bps as f64 / 8.0) * fraction).max(1.0) as u64;
-        TokenBucket::new(rate, burst_bytes)
-    }
-
     fn refill(&mut self, now: SimTime) {
         let dt = now.since(self.last_refill).as_nanos();
         if dt == 0 {
@@ -78,13 +70,6 @@ impl TokenBucket {
         let deficit = need - probe.tokens_nb;
         let ns = deficit.div_ceil(probe.rate_bytes_per_sec as u128);
         SimDuration::from_nanos(ns as u64)
-    }
-
-    /// Whole tokens currently available (after a hypothetical refill at `now`).
-    pub fn available(&self, now: SimTime) -> u64 {
-        let mut probe = self.clone();
-        probe.refill(now);
-        (probe.tokens_nb / NB) as u64
     }
 
     /// The configured refill rate.
@@ -123,7 +108,8 @@ mod tests {
     fn burst_caps_accumulation() {
         let mut b = TokenBucket::new(1000, 500);
         let t = SimTime::from_secs(1000);
-        assert_eq!(b.available(t), 500);
+        b.refill(t);
+        assert_eq!(b.tokens_nb, 500 * NB);
         assert!(b.try_consume(500, t));
         assert!(!b.try_consume(1, t));
     }
@@ -140,13 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn link_fraction_constructor() {
-        // 1% of 10 Mb/s = 12.5 KB/s.
-        let b = TokenBucket::for_link_fraction(10_000_000, 0.01, 3000);
-        assert_eq!(b.rate_bytes_per_sec, 12_500);
-    }
-
-    #[test]
     fn no_drift_under_many_small_refills() {
         let mut b = TokenBucket::new(12_500, 3000);
         b.try_consume(3000, SimTime::ZERO);
@@ -156,6 +135,6 @@ mod tests {
             t += SimDuration::from_micros(1);
             b.refill(t);
         }
-        assert_eq!(b.available(t), 1000);
+        assert_eq!(b.tokens_nb, 1000 * NB);
     }
 }

@@ -46,7 +46,7 @@ pub struct Channel {
     /// Serialization rate in bits per second.
     pub bandwidth_bps: u64,
     /// Propagation delay.
-    pub delay: SimDuration,
+    pub(crate) delay: SimDuration,
     pub(crate) queue: Box<dyn QueueDisc>,
     /// The packet being serialized; `Some` exactly while the transmitter
     /// is busy.
@@ -120,7 +120,7 @@ impl Channel {
     /// the [`ChannelStats`] conservation identities — packets and bytes
     /// accepted minus transmitted must equal exactly what the queue still
     /// holds.
-    pub fn audit(&self) -> Result<(), String> {
+    pub(crate) fn audit(&self) -> Result<(), String> {
         self.queue.audit()?;
         let held_pkts = self.queue.len_pkts() as u64;
         match self.stats.enqueued_pkts.checked_sub(self.stats.tx_pkts) {
@@ -194,7 +194,7 @@ impl Default for RouteTable {
 
 impl RouteTable {
     /// Installs an exact route for interned address index `idx`.
-    pub fn insert(&mut self, idx: u32, ch: ChannelId) {
+    pub(crate) fn insert(&mut self, idx: u32, ch: ChannelId) {
         let hop = ch.0 as u32;
         debug_assert!(hop != NO_ROUTE, "channel id collides with the NO_ROUTE sentinel");
         if self.next_hop.is_empty() {
@@ -213,12 +213,12 @@ impl RouteTable {
     }
 
     /// Sets or clears the default route.
-    pub fn set_default(&mut self, ch: Option<ChannelId>) {
+    pub(crate) fn set_default(&mut self, ch: Option<ChannelId>) {
         self.default = ch.map_or(NO_ROUTE, |c| c.0 as u32);
     }
 
     /// Whether `ch` is exactly this table's default route.
-    pub fn default_is(&self, ch: ChannelId) -> bool {
+    pub(crate) fn default_is(&self, ch: ChannelId) -> bool {
         self.default == ch.0 as u32
     }
 
@@ -454,14 +454,14 @@ impl Core {
                 self.trace_fields(TraceKind::Corrupted, ch, id, src, dst, wire_len);
                 // Real corruption: flip bits in the actual on-wire encoding
                 // and let the codec decide what survives.
-                let mut bytes = tva_wire::encode_packet(&pkt);
+                let mut bytes = tva_wire::ipcodec::encode_packet(&pkt);
                 let rng = self.channels[ch.0]
                     .faults
                     .as_mut()
                     .and_then(|f| f.rng.as_mut())
                     .expect("fault stream initialized by the fate draw");
                 fault::corrupt_bytes(&mut bytes, rng);
-                match tva_wire::decode_packet(&bytes) {
+                match tva_wire::ipcodec::decode_packet(&bytes) {
                     Ok(decoded) => {
                         // Reuse the packet's own storage for the decoded
                         // bytes, but restore the id: the codec truncates the
@@ -477,12 +477,7 @@ impl Core {
                     Err(error) => {
                         self.channels[ch.0].stats.malformed_pkts += 1;
                         let key = self.push_key(arrival);
-                        self.events.push(key, EventKind::Malformed {
-                            node,
-                            from: ch,
-                            error,
-                            wire_len,
-                        });
+                        self.events.push(key, EventKind::Malformed { node, from: ch, error });
                     }
                 }
             }
@@ -588,10 +583,10 @@ impl Ctx for EngineCtx<'_> {
 /// applying it re-converges routing for every node, so the loop runs
 /// strictly below its key, applies it, then resumes.
 pub(crate) struct LinkEvent {
-    pub key: EventKey,
-    pub ab: ChannelId,
-    pub ba: ChannelId,
-    pub up: bool,
+    pub(crate) key: EventKey,
+    pub(crate) ab: ChannelId,
+    pub(crate) ba: ChannelId,
+    pub(crate) up: bool,
 }
 
 /// The simulator: the engine core, the nodes (kept apart from the core so
@@ -675,7 +670,7 @@ impl Simulator {
                 core.cur_lane = core.chan_lane(channel);
                 core.on_wake(channel);
             }
-            EventKind::Malformed { node, from, error, wire_len: _ } => {
+            EventKind::Malformed { node, from, error } => {
                 core.cur_lane = node.0;
                 self.nodes[node.0].on_malformed(error, from, &mut EngineCtx { core, node });
             }
@@ -739,19 +734,19 @@ impl Simulator {
     /// delivery. This is the fuzzing entry point — arbitrary input can
     /// never panic the engine or a node.
     pub fn inject_bytes(&mut self, node: NodeId, from: ChannelId, bytes: &[u8]) {
-        match tva_wire::decode_packet(bytes) {
+        match tva_wire::ipcodec::decode_packet(bytes) {
             Ok(packet) => self.inject(node, from, packet),
             Err(error) => self.push_driver_event(
                 self.core.now,
                 node,
-                EventKind::Malformed { node, from, error, wire_len: bytes.len() as u32 },
+                EventKind::Malformed { node, from, error },
             ),
         }
     }
 
     /// Sets (or clears, when `imp.is_noop()`) one channel's impairments.
     /// Channels without impairments pay a single branch per packet.
-    pub fn set_impairments(&mut self, ch: ChannelId, imp: Impairments) {
+    pub(crate) fn set_impairments(&mut self, ch: ChannelId, imp: Impairments) {
         self.core.channels[ch.0].faults = Faults::of(imp);
     }
 
@@ -784,9 +779,12 @@ impl Simulator {
     }
 
     /// Recomputes every node's dense next-hop table from the retained
-    /// topology, excluding channels that are currently down. Called
-    /// automatically on link failure/recovery; public for tests.
-    pub fn reconverge(&mut self) {
+    /// topology, excluding channels that are currently down. Called on link
+    /// failure and recovery only, so it is kept out of the run loop it
+    /// would otherwise be inlined into.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn reconverge(&mut self) {
         let mut routes = crate::topology::compute_routes(
             self.nodes.len(),
             &self.core.channels,

@@ -51,14 +51,14 @@ pub struct ChannelId(pub usize);
 /// then the lane-derived tiebreak (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) struct EventKey {
-    pub time: SimTime,
-    pub gen: u16,
-    pub tie: u64,
+    pub(crate) time: SimTime,
+    pub(crate) gen: u16,
+    pub(crate) tie: u64,
 }
 
 /// What happens when an event fires.
 #[derive(Debug)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// A packet finishes propagating and arrives at a node.
     Arrival {
         /// Receiving node.
@@ -99,14 +99,12 @@ pub enum EventKind {
         from: ChannelId,
         /// Why the decode failed.
         error: tva_wire::WireError,
-        /// On-wire size of the unparseable datagram.
-        wire_len: u32,
     },
 }
 
 pub(crate) struct Event {
-    pub key: EventKey,
-    pub kind: EventKind,
+    pub(crate) key: EventKey,
+    pub(crate) kind: EventKind,
 }
 
 /// Event times must stay below this many nanoseconds (2^48 ns, about 78 h
@@ -170,11 +168,11 @@ impl EventQueue {
     // `new` and the unfused `pop` are exercised only by this module's
     // tests; the engine uses `Default` and the fused pops.
     #[allow(dead_code)]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn push(&mut self, key: EventKey, kind: EventKind) {
+    pub(crate) fn push(&mut self, key: EventKey, kind: EventKind) {
         let ns = key.time.as_nanos();
         assert!(ns < TIME_LIMIT_NS, "event at {ns} ns is past the queue's 2^48 ns (~78 h) horizon");
         let slot = match self.free.pop() {
@@ -193,7 +191,7 @@ impl EventQueue {
     }
 
     #[allow(dead_code)]
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         let top = *self.heap.first()?;
         Some(self.remove_top(top))
     }
@@ -202,7 +200,7 @@ impl EventQueue {
     /// before `limit` — one heap-top read instead of a peek/pop pair per
     /// dispatched event.
     #[inline]
-    pub fn pop_at_or_before(&mut self, limit: SimTime) -> Option<Event> {
+    pub(crate) fn pop_at_or_before(&mut self, limit: SimTime) -> Option<Event> {
         let top = *self.heap.first()?;
         if top.time() > limit {
             return None;
@@ -214,7 +212,7 @@ impl EventQueue {
     /// earliest event only if its key is strictly below `bound`. The run
     /// loop uses this to stop just short of a link-event barrier.
     #[inline]
-    pub fn pop_below(&mut self, bound: EventKey) -> Option<Event> {
+    pub(crate) fn pop_below(&mut self, bound: EventKey) -> Option<Event> {
         let top = *self.heap.first()?;
         if top.key() >= bound {
             return None;
@@ -235,7 +233,7 @@ impl EventQueue {
 
     /// Iterates the pending event payloads in slab (not dispatch) order.
     /// Cold path: used by the runtime auditors to count engine-held packets.
-    pub fn iter_kinds(&self) -> impl Iterator<Item = &EventKind> {
+    pub(crate) fn iter_kinds(&self) -> impl Iterator<Item = &EventKind> {
         self.kinds.iter().filter_map(|k| k.as_ref())
     }
 

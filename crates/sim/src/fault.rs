@@ -6,7 +6,7 @@
 //! * **Random loss** — each packet leaving the serializer is discarded with
 //!   probability `loss`, independently.
 //! * **Bit corruption** — with probability `corrupt` the packet is encoded
-//!   to its on-wire bytes ([`tva_wire::encode_packet`]), a few random bits
+//!   to its on-wire bytes ([`tva_wire::ipcodec::encode_packet`]), a few random bits
 //!   are flipped, and the result is decoded again. If it still parses, the
 //!   (possibly altered) packet is delivered; if not, the receiving node gets
 //!   a *malformed* delivery ([`crate::node::Node::on_malformed`]) carrying
@@ -74,7 +74,7 @@ impl DutyCycleOutage {
 
     /// Whether the channel is in a blackout window at `now`.
     #[inline]
-    pub fn is_down(&self, now: SimTime) -> bool {
+    pub(crate) fn is_down(&self, now: SimTime) -> bool {
         let period = self.period.as_nanos();
         if period == 0 {
             return false;
@@ -107,7 +107,7 @@ impl Impairments {
 
     /// Whether this configuration perturbs nothing (treated as "no
     /// impairment" so the hot path stays branch-only).
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.loss <= 0.0 && self.corrupt <= 0.0 && self.outage.is_none()
     }
 }

@@ -10,36 +10,26 @@ use tva_wire::{Addr, DetHashMap};
 
 /// Interns [`Addr`]s to dense indices `0..len`.
 #[derive(Default)]
-pub struct AddrInterner {
+pub(crate) struct AddrInterner {
     map: DetHashMap<Addr, u32>,
 }
 
 impl AddrInterner {
     /// Creates an empty interner.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Interns `addr`, assigning the next index if it is new.
-    pub fn intern(&mut self, addr: Addr) -> u32 {
+    pub(crate) fn intern(&mut self, addr: Addr) -> u32 {
         let next = self.map.len() as u32;
         *self.map.entry(addr).or_insert(next)
     }
 
     /// The index of `addr`, if it was interned.
     #[inline]
-    pub fn get(&self, addr: Addr) -> Option<u32> {
+    pub(crate) fn get(&self, addr: Addr) -> Option<u32> {
         self.map.get(&addr).copied()
-    }
-
-    /// Number of interned addresses.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no addresses have been interned.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -55,7 +45,7 @@ mod tests {
         assert_eq!(i.intern(a), 0);
         assert_eq!(i.intern(b), 1);
         assert_eq!(i.intern(a), 0, "re-interning returns the same index");
-        assert_eq!(i.len(), 2);
+        assert_eq!(i.map.len(), 2);
         assert_eq!(i.get(b), Some(1));
         assert_eq!(i.get(Addr::new(9, 9, 9, 9)), None);
     }

@@ -28,27 +28,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bucket;
-pub mod drr;
-pub mod engine;
-pub mod event;
-pub mod fault;
-pub mod intern;
+mod bucket;
+mod drr;
+mod engine;
+mod event;
+mod fault;
+mod intern;
 pub mod knobs;
-pub mod node;
-pub mod pool;
-pub mod queue;
-pub mod stats;
-pub mod time;
-pub mod topology;
-pub mod trace;
+mod node;
+mod pool;
+mod queue;
+mod stats;
+mod time;
+mod topology;
+mod trace;
 
 pub use bucket::TokenBucket;
 pub use drr::Drr;
 pub use engine::{Channel, Simulator};
 pub use event::{ChannelId, NodeId};
 pub use fault::{splitmix64, DutyCycleOutage, Impairments};
-pub use intern::AddrInterner;
 pub use node::{Ctx, Node, SinkNode};
 pub use pool::{pool_stats, Pkt, PoolStats};
 pub use queue::{DropTail, Enqueued, QueueDisc, ROUTER_QUEUE_PKTS};

@@ -54,7 +54,7 @@ pub struct PoolStats {
     /// Boxes reused from the free list (pool hits).
     pub reuses: u64,
     /// Boxes currently on the free list.
-    pub free: usize,
+    pub(crate) free: usize,
 }
 
 /// This thread's pool counters.

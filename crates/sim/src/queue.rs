@@ -105,11 +105,6 @@ impl DropTail {
             capacity_pkts: n,
         }
     }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
 }
 
 impl QueueDisc for DropTail {

@@ -42,7 +42,7 @@ pub trait Counters: Sized {
 ///         pub bytes: u64,
 ///     }
 /// }
-/// use tva_sim::stats::Counters;
+/// use tva_sim::Counters;
 /// let (a, b) = (Example { pkts: 3, bytes: 90 }, Example { pkts: 1, bytes: 40 });
 /// assert_eq!(Example::NAMES, ["pkts", "bytes"]);
 /// assert_eq!(a.delta(&b).counters().collect::<Vec<_>>(), [("pkts", 2), ("bytes", 50)]);
@@ -65,7 +65,7 @@ macro_rules! counters {
             pub const ZERO: Self = $name { $($field: 0),* };
         }
 
-        impl $crate::stats::Counters for $name {
+        impl $crate::Counters for $name {
             const NAMES: &'static [&'static str] = &[$(stringify!($field)),*];
 
             fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {

@@ -60,9 +60,9 @@ pub struct TraceCounts {
     /// Deliveries.
     pub delivered: u64,
     /// Wire losses.
-    pub lost: u64,
+    pub(crate) lost: u64,
     /// Wire corruptions.
-    pub corrupted: u64,
+    pub(crate) corrupted: u64,
 }
 
 impl TraceCounts {

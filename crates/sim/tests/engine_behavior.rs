@@ -2,7 +2,7 @@
 //! rate-limited queues waking the link, and determinism.
 
 use tva_sim::{
-    queue::Enqueued, ChannelId, Ctx, DropTail, Node, Pkt, QueueDisc, SimDuration, SimTime,
+    ChannelId, Ctx, DropTail, Enqueued, Node, Pkt, QueueDisc, SimDuration, SimTime,
     SinkNode, TokenBucket, TopologyBuilder,
 };
 use tva_wire::{Addr, Packet, PacketId};

@@ -166,7 +166,7 @@ fn inject_bytes_routes_malformed_input_to_the_node() {
     t.bind_addr(d, DST);
     let mut sim = t.build(0);
 
-    let good = tva_wire::encode_packet(&pkt(1, 64));
+    let good = tva_wire::ipcodec::encode_packet(&pkt(1, 64));
     sim.inject_bytes(d, ChannelId(0), &good);
     // Truncated header.
     sim.inject_bytes(d, ChannelId(0), &good[..10]);

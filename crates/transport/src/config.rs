@@ -11,7 +11,7 @@
 use tva_sim::SimDuration;
 
 /// The well-known server port file transfers connect to.
-pub const SERVER_PORT: u16 = 80;
+pub(crate) const SERVER_PORT: u16 = 80;
 
 /// Maximum segment payload in bytes.
 pub(crate) const MSS: u32 = 1000;

@@ -45,7 +45,7 @@ pub enum AbortReason {
 
 /// Sender connection state.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SenderState {
+pub(crate) enum SenderState {
     /// SYN sent, awaiting SYN/ACK.
     SynSent,
     /// Handshake done; pushing data.
@@ -60,7 +60,7 @@ pub enum SenderState {
 
 /// What a sender connection reports upward after processing input.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SenderEvent {
+pub(crate) enum SenderEvent {
     /// Nothing of note.
     None,
     /// All payload bytes are acknowledged — the transfer is complete (the
@@ -71,17 +71,17 @@ pub enum SenderEvent {
 }
 
 /// The active (sending) side of a connection.
-pub struct SenderConn {
+pub(crate) struct SenderConn {
     /// Connection identity.
-    pub key: ConnKey,
+    pub(crate) key: ConnKey,
     /// Local address (packet source).
-    pub local: Addr,
+    pub(crate) local: Addr,
     /// Current state.
-    pub state: SenderState,
+    pub(crate) state: SenderState,
     /// When `open` was called (for transfer metrics).
-    pub opened_at: SimTime,
+    pub(crate) opened_at: SimTime,
     /// When the last data byte was acknowledged.
-    pub completed_at: Option<SimTime>,
+    pub(crate) completed_at: Option<SimTime>,
 
     bytes_total: u32,
     snd_una: u32,
@@ -98,7 +98,7 @@ pub struct SenderConn {
     /// Consecutive timeout backoff exponent.
     backoff: u32,
     /// Retransmission / SYN timer deadline.
-    pub timer: Option<SimTime>,
+    pub(crate) timer: Option<SimTime>,
     syn_tx: u32,
     /// Transmission counts per segment start sequence.
     tx_counts: DetHashMap<u32, u32>,
@@ -111,7 +111,7 @@ impl SenderConn {
     /// into `out`. `recycled` donates the hash-map storage of a finished
     /// connection (cleared here) so steady transfer churn stops allocating;
     /// every other field is freshly initialised either way.
-    pub fn open(
+    pub(crate) fn open(
         key: ConnKey,
         local: Addr,
         bytes_total: u32,
@@ -234,7 +234,7 @@ impl SenderConn {
     }
 
     /// Handles an arriving segment addressed to this connection.
-    pub fn on_segment(
+    pub(crate) fn on_segment(
         &mut self,
         seg: &TcpSegment,
         now: SimTime,
@@ -339,7 +339,7 @@ impl SenderConn {
     }
 
     /// Handles timer expiry; call only when `timer` is due.
-    pub fn on_timeout(
+    pub(crate) fn on_timeout(
         &mut self,
         now: SimTime,
         out: &mut Vec<Pkt>,
@@ -399,7 +399,7 @@ impl SenderConn {
     }
 
     /// True once the connection needs no further processing.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         matches!(self.state, SenderState::Closed | SenderState::Aborted(_))
     }
 }
@@ -407,9 +407,9 @@ impl SenderConn {
 /// The passive (receiving) side of a connection.
 pub struct ReceiverConn {
     /// Connection identity.
-    pub key: ConnKey,
+    pub(crate) key: ConnKey,
     /// Local address.
-    pub local: Addr,
+    pub(crate) local: Addr,
     /// Next contiguous byte expected.
     pub rcv_nxt: u32,
     /// Out-of-order segments: start seq → length.
@@ -417,11 +417,11 @@ pub struct ReceiverConn {
     /// Total payload bytes delivered in order.
     pub delivered: u64,
     /// Set once the FIN is acknowledged; the stack then discards the state.
-    pub closed: bool,
+    pub(crate) closed: bool,
     /// Last time the peer was heard from; idle receivers whose FIN never
     /// arrives (aborted senders) are pruned by the stack so server memory
     /// does not grow with every aborted inbound connection.
-    pub last_activity: SimTime,
+    pub(crate) last_activity: SimTime,
 }
 
 impl ReceiverConn {

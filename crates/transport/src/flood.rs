@@ -28,8 +28,6 @@ pub type PacketFactory = Box<dyn FnMut(SimTime, u64) -> Option<Packet> + Send>;
 pub struct FloodNode {
     factory: PacketFactory,
     rate_bps: u64,
-    /// Emission stops at this time (exclusive); `None` floods forever.
-    stop_at: Option<SimTime>,
     seq: u64,
     /// Packets actually emitted.
     pub emitted: u64,
@@ -47,24 +45,14 @@ impl FloodNode {
         FloodNode {
             factory,
             rate_bps,
-            stop_at: None,
             seq: 0,
             emitted: 0,
             received: 0,
         }
     }
 
-    /// Stops emitting at `t`.
-    pub fn stop_at(mut self, t: SimTime) -> Self {
-        self.stop_at = Some(t);
-        self
-    }
-
     fn emit(&mut self, ctx: &mut dyn Ctx) {
         let now = ctx.now();
-        if self.stop_at.is_some_and(|s| now >= s) {
-            return;
-        }
         let seq = self.seq;
         self.seq += 1;
         let wire_len = if let Some(mut pkt) = (self.factory)(now, seq) {
@@ -142,33 +130,6 @@ mod tests {
         let expect = 1_250_000f64;
         let err = (bytes as f64 - expect).abs() / expect;
         assert!(err < 0.01, "flooded {bytes} bytes, expected ≈{expect}");
-    }
-
-    #[test]
-    fn stop_at_halts_emission() {
-        let mut t = TopologyBuilder::new();
-        let atk = t.add_node(Box::new(
-            FloodNode::new(1_000_000, data_factory(980)).stop_at(SimTime::from_secs(1)),
-        ));
-        let sink = t.add_node(Box::<SinkNode>::default());
-        t.bind_addr(atk, SRC);
-        t.bind_addr(sink, DST);
-        t.link(
-            atk,
-            sink,
-            10_000_000,
-            SimDuration::from_millis(1),
-            Box::new(DropTail::new(1 << 20)),
-            Box::new(DropTail::new(1 << 20)),
-        );
-        let mut sim = t.build(3);
-        sim.kick(atk, 0);
-        sim.run_until(SimTime::from_secs(5));
-        let bytes = sim.node::<SinkNode>(sink).bytes;
-        let expect = 125_000f64; // 1 Mb/s × 1 s
-        let err = (bytes as f64 - expect).abs() / expect;
-        // Jittered pacing makes the cutoff boundary fuzzy by a few packets.
-        assert!(err < 0.08, "flooded {bytes} bytes, expected ≈{expect}");
     }
 
     #[test]

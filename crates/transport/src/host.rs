@@ -16,7 +16,7 @@ use crate::stack::{TcpEvent, TcpStack};
 /// Timer token that starts the client's transfer loop.
 pub const TOKEN_START: u64 = 0;
 /// Timer token for TCP tick processing.
-pub const TOKEN_TICK: u64 = 1;
+pub(crate) const TOKEN_TICK: u64 = 1;
 
 /// Drains a stack's output through the shim onto the wire and (re)arms the
 /// host's tick timer. Returns the TCP events produced.
@@ -93,11 +93,6 @@ impl ClientNode {
             in_flight_started: None,
             timer_armed: None,
         }
-    }
-
-    /// This client's address.
-    pub fn addr(&self) -> Addr {
-        self.addr
     }
 
     /// Pumps the stack through the shim and handles the events it reports.
@@ -188,11 +183,6 @@ impl ServerNode {
         ServerNode { stack: TcpStack::new(addr), shim, timer_armed: None }
     }
 
-    /// This server's address.
-    pub fn addr(&self) -> Addr {
-        self.stack.local_addr()
-    }
-
     /// Total payload bytes delivered in order.
     pub fn delivered_bytes(&self) -> u64 {
         self.stack.delivered_bytes
@@ -230,6 +220,6 @@ mod tests {
         let addr = Addr::new(1, 0, 0, 1);
         let c = ClientNode::new(addr, Addr::new(2, 0, 0, 1), 1000, 1, Box::new(NullShim));
         assert!(c.stack.is_none());
-        assert_eq!(c.addr(), addr);
+        assert_eq!(c.addr, addr);
     }
 }

@@ -17,18 +17,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod conn;
-pub mod flood;
-pub mod host;
-pub mod metrics;
-pub mod shim;
-pub mod stack;
+mod config;
+mod conn;
+mod flood;
+mod host;
+mod metrics;
+mod shim;
+mod stack;
 
-pub use config::SERVER_PORT;
-pub use conn::{AbortReason, ConnKey, ReceiverConn, SenderConn, SenderEvent, SenderState};
+pub use conn::{AbortReason, ConnKey, ReceiverConn};
 pub use flood::{FloodNode, PacketFactory};
-pub use host::{ClientNode, ServerNode, TOKEN_START, TOKEN_TICK};
+pub use host::{ClientNode, ServerNode, TOKEN_START};
 pub use metrics::{summarize, TransferRecord, TransferSummary};
 pub use shim::{NullShim, Shim};
 pub use stack::{TcpEvent, TcpStack};

@@ -35,11 +35,11 @@ pub struct TransferSummary {
     /// none completed.
     pub avg_completion_secs: f64,
     /// Median completion time (seconds).
-    pub p50_secs: f64,
+    pub(crate) p50_secs: f64,
     /// 95th-percentile completion time (seconds).
     pub p95_secs: f64,
     /// Worst completion time (seconds).
-    pub worst_secs: f64,
+    pub(crate) worst_secs: f64,
 }
 
 /// Summarizes a set of transfer records. Records with `finished: None`

@@ -47,7 +47,7 @@ pub struct TcpStack {
     prune_countdown: u32,
     /// Total payload bytes delivered in order across all receiver
     /// connections (including ones already closed).
-    pub delivered_bytes: u64,
+    pub(crate) delivered_bytes: u64,
 }
 
 /// How many packets between idle-receiver sweeps on the receive path.
@@ -71,11 +71,6 @@ impl TcpStack {
 
     fn prune_idle_receivers(&mut self, now: SimTime) {
         self.receivers.retain(|_, c| now.since(c.last_activity) < RECEIVER_IDLE_TIMEOUT);
-    }
-
-    /// The configured local address.
-    pub fn local_addr(&self) -> Addr {
-        self.local
     }
 
     /// Opens a connection pushing `bytes` to `peer`; returns its key.
@@ -189,7 +184,7 @@ impl TcpStack {
 
     /// Drains packets the stack wants transmitted. The internal buffer
     /// keeps its capacity, so steady-state pumping does not allocate.
-    pub fn drain_out(&mut self) -> std::vec::Drain<'_, Pkt> {
+    pub(crate) fn drain_out(&mut self) -> std::vec::Drain<'_, Pkt> {
         self.out.drain(..)
     }
 
@@ -202,16 +197,6 @@ impl TcpStack {
     /// Drains application events.
     pub fn take_events(&mut self) -> Vec<TcpEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Number of live sender connections (diagnostics).
-    pub fn active_senders(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Number of live receiver connections (diagnostics).
-    pub fn active_receivers(&self) -> usize {
-        self.receivers.len()
     }
 }
 
@@ -286,7 +271,7 @@ mod tests {
         }
         assert_eq!(b.delivered_bytes, 20_480);
         // Connections fully cleaned up after FIN handshake.
-        assert_eq!(a.active_senders(), 0);
+        assert_eq!(a.senders.len(), 0);
     }
 
     #[test]
@@ -310,7 +295,7 @@ mod tests {
             Some(SimTime::from_secs(9)),
             "9 SYNs at 1s intervals, abort on the 9th timeout"
         );
-        assert_eq!(a.active_senders(), 0);
+        assert_eq!(a.senders.len(), 0);
     }
 
     #[test]
@@ -351,7 +336,7 @@ mod tests {
             payload_len: 0,
         };
         b.on_packet(&syn, SimTime::ZERO);
-        assert_eq!(b.active_receivers(), 1);
+        assert_eq!(b.receivers.len(), 1);
         // Long after the idle timeout, traffic for another connection
         // triggers the periodic sweep.
         let later = SimTime::from_secs(600);
@@ -366,6 +351,6 @@ mod tests {
         for _ in 0..1100 {
             b.on_packet(&other, later);
         }
-        assert_eq!(b.active_receivers(), 1, "the stale receiver is gone, the live one stays");
+        assert_eq!(b.receivers.len(), 1, "the stale receiver is gone, the live one stays");
     }
 }

@@ -16,7 +16,7 @@
 //! numbers) or by flow keys in a *simulation* whose adversary model is the
 //! paper's, not a hash-flooding one.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
 /// The Fx multiplier (golden-ratio derived, odd).
@@ -139,9 +139,6 @@ impl BuildHasher for DetBuildHasher {
 /// A `HashMap` with the deterministic seeded hasher. Construct with
 /// `DetHashMap::default()`.
 pub type DetHashMap<K, V> = HashMap<K, V, DetBuildHasher>;
-
-/// A `HashSet` with the deterministic seeded hasher.
-pub type DetHashSet<T> = HashSet<T, DetBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -32,7 +32,7 @@ pub enum CapKind {
 
 impl CapKind {
     /// The two-bit wire encoding.
-    pub const fn bits(self) -> u8 {
+    pub(crate) const fn bits(self) -> u8 {
         match self {
             CapKind::Request => 0b00,
             CapKind::RegularWithCaps => 0b01,

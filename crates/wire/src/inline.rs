@@ -18,7 +18,7 @@ use std::ops::{Deref, DerefMut};
 
 /// Entries stored in the list itself before it spills to the heap: the
 /// deepest capability-router path in the repository (`tests/long_paths.rs`).
-pub const INLINE: usize = 4;
+pub(crate) const INLINE: usize = 4;
 
 /// A list of at most `N` elements: up to [`INLINE`] stored inline, a longer
 /// one in a single heap block of `N` slots (which then holds *all* entries,

@@ -13,27 +13,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod addr;
-pub mod cap;
-pub mod codec;
-pub mod error;
-pub mod fasthash;
-pub mod header;
-pub mod inline;
+mod addr;
+mod cap;
+mod codec;
+mod error;
+mod fasthash;
+mod header;
+mod inline;
 pub mod ipcodec;
-pub mod nt;
-pub mod packet;
+mod nt;
+mod packet;
 
 pub use addr::{Addr, FlowKey};
 pub use cap::{CapList, CapValue, FlowNonce, PathId, RequestEntry, RequestList, MAX_PATH_ROUTERS};
 pub use codec::{decode, decode_prefix, encode, encode_into};
-pub use ipcodec::{
-    decode_packet, encode_packet, encode_packet_into, internet_checksum, IPPROTO_DATA,
-    IPPROTO_TCP, IPPROTO_TVA,
-};
 pub use error::WireError;
-pub use fasthash::{DetBuildHasher, DetHashMap, DetHashSet, FastHasher};
+pub use fasthash::{DetBuildHasher, DetHashMap, FastHasher};
 pub use header::{CapHeader, CapKind, CapPayload, ReturnInfo, VERSION};
 pub use inline::InlineList;
 pub use nt::{Grant, NBytes, TSecs};
-pub use packet::{Packet, PacketId, PacketIdGen, TcpFlags, TcpSegment, IP_HEADER_LEN, TCP_HEADER_LEN};
+pub use packet::{Packet, PacketId, TcpFlags, TcpSegment, IP_HEADER_LEN, TCP_HEADER_LEN};

@@ -77,11 +77,6 @@ pub struct Grant {
 }
 
 impl Grant {
-    /// Builds a grant.
-    pub const fn new(n: NBytes, t: TSecs) -> Self {
-        Grant { n, t }
-    }
-
     /// Convenience constructor from raw units.
     pub const fn from_parts(kb: u16, secs: u8) -> Self {
         Grant { n: NBytes::from_kb(kb), t: TSecs::from_secs(secs) }

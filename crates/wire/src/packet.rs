@@ -96,40 +96,10 @@ impl Packet {
         IP_HEADER_LEN as u32 + cap as u32 + tcp as u32 + self.payload_len
     }
 
-    /// Whether this is a legacy packet (no capability shim).
-    #[inline]
-    pub fn is_legacy(&self) -> bool {
-        self.cap.is_none()
-    }
-
     /// Whether the packet has been demoted by some router on its path.
     #[inline]
     pub fn is_demoted(&self) -> bool {
         self.cap.as_ref().is_some_and(|c| c.demoted)
-    }
-}
-
-/// Allocates tracing ids for packets. Each traffic source owns one,
-/// parameterized by a distinct stream id so ids never collide across
-/// sources while remaining fully deterministic.
-#[derive(Debug)]
-pub struct PacketIdGen {
-    next: u64,
-    step: u64,
-}
-
-impl PacketIdGen {
-    /// Creates a generator for stream `stream` out of `streams` total.
-    pub fn new(stream: u64, streams: u64) -> Self {
-        assert!(streams > 0 && stream < streams);
-        PacketIdGen { next: stream, step: streams }
-    }
-
-    /// Returns the next id.
-    pub fn next_id(&mut self) -> PacketId {
-        let id = PacketId(self.next);
-        self.next += self.step;
-        id
     }
 }
 
@@ -180,25 +150,13 @@ mod tests {
     }
 
     #[test]
-    fn id_gen_streams_disjoint() {
-        let mut a = PacketIdGen::new(0, 3);
-        let mut b = PacketIdGen::new(1, 3);
-        let ids: Vec<u64> = (0..4)
-            .flat_map(|_| [a.next_id().0, b.next_id().0])
-            .collect();
-        let unique: std::collections::HashSet<_> = ids.iter().collect();
-        assert_eq!(unique.len(), ids.len());
-    }
-
-    #[test]
     fn flow_and_demotion_helpers() {
         let mut p = base_packet();
-        assert!(p.is_legacy());
+        assert!(p.cap.is_none());
         assert!(!p.is_demoted());
         let mut h = CapHeader::regular_nonce_only(FlowNonce::new(1));
         h.demoted = true;
         p.cap = Some(h);
-        assert!(!p.is_legacy());
         assert!(p.is_demoted());
         assert_eq!(p.flow().reversed().src, p.dst);
     }

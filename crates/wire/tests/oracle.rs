@@ -16,10 +16,11 @@
 //! `BadVersion(0xFF)`.
 
 use proptest::prelude::*;
+use tva_wire::ipcodec::{decode_packet, encode_packet, encode_packet_into};
 use tva_wire::{
-    decode_packet, decode_prefix, encode, encode_packet, encode_packet_into, Addr, CapHeader,
-    CapList, CapPayload, CapValue, FlowNonce, Grant, Packet, PacketId, PathId, RequestEntry,
-    RequestList, ReturnInfo, TcpFlags, TcpSegment, WireError, IP_HEADER_LEN, MAX_PATH_ROUTERS,
+    decode_prefix, encode, Addr, CapHeader, CapList, CapPayload, CapValue, FlowNonce, Grant,
+    Packet, PacketId, PathId, RequestEntry, RequestList, ReturnInfo, TcpFlags, TcpSegment,
+    WireError, IP_HEADER_LEN, MAX_PATH_ROUTERS,
 };
 
 /// The cursor-based codec `tva-wire` shipped before the fixed-offset
@@ -27,11 +28,11 @@ use tva_wire::{
 /// one `Buf`/`BufMut` call per field, one length check per list element.
 mod reference {
     use bytes::{Buf, BufMut};
-    use tva_wire::ipcodec::{IPPROTO_DATA, IPPROTO_TCP, IPPROTO_TVA, UPPER_NONE};
+    use tva_wire::ipcodec::{internet_checksum, IPPROTO_DATA, IPPROTO_TCP, IPPROTO_TVA, UPPER_NONE};
     use tva_wire::{
-        internet_checksum, Addr, CapHeader, CapKind, CapList, CapPayload, CapValue, FlowNonce,
-        Grant, Packet, PacketId, PathId, RequestEntry, RequestList, ReturnInfo, TcpFlags,
-        TcpSegment, WireError, IP_HEADER_LEN, MAX_PATH_ROUTERS, TCP_HEADER_LEN, VERSION,
+        Addr, CapHeader, CapKind, CapList, CapPayload, CapValue, FlowNonce, Grant, Packet,
+        PacketId, PathId, RequestEntry, RequestList, ReturnInfo, TcpFlags, TcpSegment, WireError,
+        IP_HEADER_LEN, MAX_PATH_ROUTERS, TCP_HEADER_LEN, VERSION,
     };
 
     const RET_DEMOTION: u8 = 0b0000_0001;
@@ -596,7 +597,7 @@ proptest! {
         let frame = assert_same_encoding(&pkt);
         assert_same_decode(&frame);
         prop_assert_eq!(decode_packet(&frame), Ok(pkt));
-        if frame[9] == tva_wire::IPPROTO_TVA {
+        if frame[9] == tva_wire::ipcodec::IPPROTO_TVA {
             assert_same_prefix(&frame[IP_HEADER_LEN..]);
         }
     }
@@ -659,7 +660,7 @@ proptest! {
         let total = (frame.len() as u16).to_be_bytes();
         frame[2..4].copy_from_slice(&total);
         frame[10..12].copy_from_slice(&[0, 0]);
-        let csum = tva_wire::internet_checksum(&frame[..IP_HEADER_LEN]).to_be_bytes();
+        let csum = tva_wire::ipcodec::internet_checksum(&frame[..IP_HEADER_LEN]).to_be_bytes();
         frame[10..12].copy_from_slice(&csum);
         assert_same_decode(&frame);
     }

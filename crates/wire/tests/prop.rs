@@ -279,9 +279,9 @@ proptest! {
             tcp,
             payload_len: payload,
         };
-        let bytes = tva_wire::encode_packet(&pkt);
+        let bytes = tva_wire::ipcodec::encode_packet(&pkt);
         prop_assert_eq!(bytes.len() as u32, pkt.wire_len());
-        let back = tva_wire::decode_packet(&bytes).unwrap();
+        let back = tva_wire::ipcodec::decode_packet(&bytes).unwrap();
         prop_assert_eq!(back.src, pkt.src);
         prop_assert_eq!(back.dst, pkt.dst);
         prop_assert_eq!(back.cap, pkt.cap);
@@ -292,6 +292,6 @@ proptest! {
     /// The full-packet decoder never panics on arbitrary bytes.
     #[test]
     fn packet_decoder_never_panics(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = tva_wire::decode_packet(&data);
+        let _ = tva_wire::ipcodec::decode_packet(&data);
     }
 }

@@ -46,9 +46,10 @@ repro invcheck replay target/verify-invcheck/fixture.json
 # --quick sizing, so a divergence fails here, not at the benchmark driver.
 # One retry: at the quick sizing a rep is ~25 ms, so a busy host can push
 # stage_cover out of band on its own; a real divergence fails both times.
+# --locked: a change that would rewrite benchmark/Cargo.lock fails here.
 echo "==> repo benchmark self-test (5 workloads, traced + untraced, quick sizing)"
-cargo test -q --offline --manifest-path benchmark/Cargo.toml ||
-  cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml ||
+  cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> telemetry plane smoke (serve + pktgen burst + stats socket, obscheck, tva-top)"
 rm -rf target/verify-stats

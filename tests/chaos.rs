@@ -14,7 +14,8 @@ use tva::experiments::{run, LinkFaults, ScenarioConfig, Scheme};
 use tva::sim::{
     DropTail, DutyCycleOutage, SimDuration, SimTime, SinkNode, TopologyBuilder,
 };
-use tva::wire::{decode_packet, Addr};
+use tva::wire::ipcodec::decode_packet;
+use tva::wire::Addr;
 
 /// Loss and corruption are per-mille, as the proptest draws them.
 fn chaos_cfg(

@@ -7,12 +7,13 @@
 //! packet; an allocation per packet is neither. §5–§6's case for Internet
 //! scale rests on small per-host state. This test binary installs a
 //! counting global allocator around [`System`], so `cargo test` holds both
-//! properties in the default build. The counters are process-wide, so the
-//! tests here run one at a time.
+//! properties in the default build. Each thread counts only its own
+//! allocations, and every leg runs on the thread that measures it, so the
+//! test harness's other threads cannot move a count between a reset and
+//! an assert.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::Cell;
 
 use tva::bench::dumbbell::run_dumbbell;
 use tva::bench::scale::{run_scale, ScaleConfig};
@@ -23,31 +24,43 @@ use tva::sim::{
 use tva::wire::{Addr, Packet, PacketId};
 use tva_node::{ring_pair, NodeClock, NodeConfig, NodeEngine, PktGen, RingPort, Transport};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently allocated, as requested (not as the allocator rounds
-/// them), so the figure is the same on every host.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-/// High-water mark of [`LIVE`] since the last [`reset_peak_live`].
-static PEAK_LIVE: AtomicU64 = AtomicU64::new(0);
+// The calling thread's counters: `const`-initialised `Cell`s of types with
+// no destructor, so the allocator can read and write them at any point of
+// a thread's life without allocating or registering anything.
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed, as requested (not
+    /// as the allocator rounds them), so the figure is the same on every
+    /// host. Signed: a thread may free what another allocated.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// High-water mark of [`LIVE`] since the last [`reset_peak_live`].
+    static PEAK_LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
-    PEAK_LIVE.fetch_max(live, Relaxed);
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + bytes as i64);
+        let _ = PEAK_LIVE.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes as u64, Relaxed);
+    let _ = LIVE.try_with(|live| live.set(live.get() - bytes as i64));
 }
 
 /// [`System`], counting every call that can hand out fresh memory and the
 /// bytes it holds.
 struct CountingAlloc;
 
-// SAFETY: defers entirely to `System`; the only additions are relaxed
-// counter updates, which allocate nothing and cannot unwind.
+// SAFETY: defers entirely to `System`; the only additions are updates of
+// the calling thread's counters, which allocate nothing and cannot unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count_alloc();
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             grow(layout.size());
@@ -63,7 +76,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // A realloc that moves is a fresh allocation from the data path's point
     // of view; counting every call overstates rather than hides churn.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count_alloc();
         let new = unsafe { System.realloc(ptr, layout, new_size) };
         if !new.is_null() {
             // The old block is gone once this returns: count the change.
@@ -76,7 +89,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count_alloc();
         let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
             grow(layout.size());
@@ -88,38 +101,47 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
-
-fn one_at_a_time() -> MutexGuard<'static, ()> {
-    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn allocs() -> u64 {
-    ALLOCS.load(Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
-fn live() -> u64 {
-    LIVE.load(Relaxed)
+fn live() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+fn peak_live() -> i64 {
+    PEAK_LIVE.with(Cell::get)
 }
 
 /// Starts a fresh high-water mark at the current live bytes and returns
 /// them.
-fn reset_peak_live() -> u64 {
+fn reset_peak_live() -> i64 {
     let now = live();
-    PEAK_LIVE.store(now, Relaxed);
+    PEAK_LIVE.with(|peak| peak.set(now));
     now
 }
 
 #[test]
 fn counter_sees_a_boxed_allocation() {
-    let _one = one_at_a_time();
     let before = allocs();
     let base = reset_peak_live();
     drop(std::hint::black_box(vec![0u8; 1 << 20]));
-    assert!(allocs() > before, "the allocation must be counted");
-    // The harness's other threads may free a little meanwhile: half the
-    // block is a margin no such noise reaches.
-    assert!(PEAK_LIVE.load(Relaxed) >= base + (1 << 19), "its bytes must be counted live");
+    assert_eq!(allocs() - before, 1, "the allocation must be counted once");
+    assert_eq!(peak_live() - base, 1 << 20, "its bytes must be counted live");
+    assert_eq!(live(), base, "and freed");
+}
+
+#[test]
+fn another_threads_allocation_is_not_counted() {
+    let base = reset_peak_live();
+    let child = std::thread::spawn(|| {
+        let before = allocs();
+        drop(std::hint::black_box(vec![0u8; 1 << 20]));
+        allocs() - before
+    });
+    assert_eq!(child.join().expect("child thread"), 1, "the spawned thread counts its own allocation");
+    let here = peak_live() - base;
+    assert!(here < 1 << 16, "{here} B peak on this thread: the child's 1 MiB leaked into its count");
 }
 
 /// Once the packet pool and the long-lived tables (routing, flow cache,
@@ -130,7 +152,6 @@ fn counter_sees_a_boxed_allocation() {
 /// run is measured.
 #[test]
 fn steady_state_forwarding_does_not_allocate() {
-    let _one = one_at_a_time();
     run_dumbbell(50);
 
     let pool_before = pool_stats();
@@ -186,7 +207,6 @@ impl Loopback {
 
 #[test]
 fn warm_fast_path_does_not_allocate() {
-    let _one = one_at_a_time();
     let base = NodeConfig::default();
     let legs = [
         ("sampling off", base.clone()),
@@ -236,18 +256,18 @@ fn warm_fast_path_does_not_allocate() {
 /// (`run_scale`'s shape at 10 000 hosts, with no simulated time):
 /// requested sizes, so the figure does not depend on the allocator or the
 /// host. 89.5 % of those hosts never exchange a packet, so this is mostly
-/// what an idle host costs. Measured 1 080.9 B, and the bound is that plus
-/// 5 %; 1 474.9 B with every channel's counters and every client shim's
-/// peer state built eagerly and `compute_routes` copying the channels.
+/// what an idle host costs. Measured 1 079.2 B; the bound is 5 % above
+/// the 1 080.9 B measured when it was set. 1 474.9 B with every channel's
+/// counters and every client shim's peer state built eagerly and
+/// `compute_routes` copying the channels.
 const SCALE_BUILD_HEAP_BYTES_PER_HOST: f64 = 1_135.0;
 
 #[test]
 fn scale_tree_build_heap_per_host_stays_bounded() {
-    let _one = one_at_a_time();
     let cfg = ScaleConfig { sim_secs: 0, ..ScaleConfig::quick() };
     let base = reset_peak_live();
     let run = run_scale(cfg);
-    let peak = PEAK_LIVE.load(Relaxed) - base;
+    let peak = peak_live() - base;
     assert_eq!(run.hosts, 10_000);
     let per_host = peak as f64 / run.hosts as f64;
     eprintln!("scale tree build: {peak} B peak live heap, {per_host:.1} B per host");
@@ -272,7 +292,6 @@ impl Node for Forward {
 /// carried a packet reads all zeros, and reading it allocates nothing.
 #[test]
 fn never_written_channel_reads_zero_without_allocating() {
-    let _one = one_at_a_time();
     let mut t = TopologyBuilder::new();
     let a = t.add_node(Box::new(Forward));
     let b = t.add_node(Box::<SinkNode>::default());
