@@ -21,8 +21,6 @@ pub enum FqKey {
     BySource,
     /// One queue per (source, destination) pair — the 1/k² scheme.
     BySourceDest,
-    /// One queue per destination address.
-    ByDest,
 }
 
 /// A plain DRR fair queue over the configured key.
@@ -45,7 +43,6 @@ impl FqScheduler {
         match self.key {
             FqKey::BySource => (pkt.src, Addr::UNSPECIFIED),
             FqKey::BySourceDest => (pkt.src, pkt.dst),
-            FqKey::ByDest => (Addr::UNSPECIFIED, pkt.dst),
         }
     }
 }

@@ -1,15 +1,12 @@
-//! The end-to-end engine workload: a 5-user TVA dumbbell driven through the
-//! full simulator. The root `tests/zero_alloc.rs` counts its steady-state
-//! allocations; the repo benchmark (`bash benchmark/run.sh`,
+//! The end-to-end engine workload: a 5-user TVA dumbbell, the scenario
+//! harness's Figure 7 testbed with users that keep transferring, driven
+//! through the full simulator. The root `tests/zero_alloc.rs` counts its
+//! steady-state allocations; the repo benchmark (`bash benchmark/run.sh`,
 //! `BENCHMARK.json`) prices the flight recorder from the plain / observed
 //! pair (`obs.flight_ns_per_event`).
 
-use tva_core::{ClientPolicy, RouterConfig, ServerPolicy, TvaHostShim, TvaRouterNode, TvaScheduler};
-use tva_sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
-use tva_transport::{ClientNode, ServerNode, TOKEN_START};
-use tva_wire::{Addr, Grant};
-
-const SERVER: Addr = Addr::new(10, 0, 0, 1);
+use tva_experiments::{run_driven, ScenarioConfig};
+use tva_sim::SimTime;
 
 /// Outcome of one dumbbell run.
 #[derive(Debug, Clone, Copy)]
@@ -35,76 +32,32 @@ pub fn run_dumbbell_observed(sim_secs: u64) -> DumbbellRun {
 }
 
 fn run_dumbbell_with(sim_secs: u64, observed: bool) -> DumbbellRun {
-    let cfg1 = RouterConfig { secret_seed: 1, ..Default::default() };
-    let cfg2 = RouterConfig { secret_seed: 2, ..Default::default() };
-    let mut t = TopologyBuilder::new();
-    let r1 = t.add_node(Box::new(TvaRouterNode::new(cfg1.clone(), 10_000_000)));
-    let r2 = t.add_node(Box::new(TvaRouterNode::new(cfg2.clone(), 10_000_000)));
-    let server = t.add_node(Box::new(ServerNode::new(
-        SERVER,
-        Box::new(TvaHostShim::new(
-            SERVER,
-            Box::new(ServerPolicy::new(Grant::from_parts(100, 10), SimDuration::from_secs(30))),
-        )),
-    )));
-    t.bind_addr(server, SERVER);
-    let d = SimDuration::from_millis(10);
-    let link = t.link(
-        r1,
-        r2,
-        10_000_000,
-        d,
-        Box::new(TvaScheduler::new(10_000_000, &cfg1)),
-        Box::new(TvaScheduler::new(10_000_000, &cfg2)),
+    let cfg = ScenarioConfig {
+        n_users: 5,
+        transfers_per_user: 100_000,
+        duration: SimTime::from_secs(sim_secs),
+        seed: 3,
+        ..ScenarioConfig::default()
+    };
+    let mut run = DumbbellRun { bottleneck_tx_pkts: 0, events: 0 };
+    run_driven(
+        &cfg,
+        |sim, _| {
+            if observed {
+                tva_obs::install_thread_flight(tva_obs::FLIGHT_EVENTS);
+                sim.set_tracer(Some(tva_obs::flight_tracer()));
+            }
+            sim.run_until(cfg.duration);
+            if observed {
+                tva_obs::clear_thread_flight();
+            }
+        },
+        |sim, nodes| {
+            run.bottleneck_tx_pkts = sim.channel(nodes.bottleneck.ab).stats.tx_pkts;
+            run.events = sim.events_processed();
+        },
     );
-    t.link(
-        r2,
-        server,
-        100_000_000,
-        d,
-        Box::new(TvaScheduler::new(100_000_000, &cfg2)),
-        Box::new(DropTail::new(1 << 20)),
-    );
-    let mut clients = Vec::new();
-    for i in 0..5 {
-        let addr = Addr::new(20, 0, 0, i + 1);
-        let c = t.add_node(Box::new(ClientNode::new(
-            addr,
-            SERVER,
-            20 * 1024,
-            100_000,
-            Box::new(TvaHostShim::new(
-                addr,
-                Box::new(ClientPolicy { grant: Grant::from_parts(100, 10) }),
-            )),
-        )));
-        t.bind_addr(c, addr);
-        t.link(
-            c,
-            r1,
-            100_000_000,
-            d,
-            Box::new(DropTail::new(1 << 20)),
-            Box::new(TvaScheduler::new(100_000_000, &cfg1)),
-        );
-        clients.push(c);
-    }
-    let mut sim = t.build(3);
-    for &c in &clients {
-        sim.kick(c, TOKEN_START);
-    }
-    if observed {
-        tva_obs::install_thread_flight(tva_obs::FLIGHT_EVENTS);
-        sim.set_tracer(Some(tva_obs::flight_tracer()));
-    }
-    sim.run_until(SimTime::from_secs(sim_secs));
-    if observed {
-        tva_obs::clear_thread_flight();
-    }
-    DumbbellRun {
-        bottleneck_tx_pkts: sim.channel(link.ab).stats.tx_pkts,
-        events: sim.events_processed(),
-    }
+    run
 }
 
 #[cfg(test)]

@@ -27,7 +27,9 @@ use tva_check::{CheckConfig, CheckReport, Checker, AUDIT_INTERVAL};
 use tva_sim::{DutyCycleOutage, SimDuration, SimTime, Simulator};
 use tva_wire::{Grant, NBytes, TSecs};
 
-use crate::scenario::{Attack, Draw, LinkFaults, ScenarioConfig, ScenarioResult, Scheme, ATTACKS};
+use crate::scenario::{
+    Attack, Draw, LinkFaults, ScenarioConfig, ScenarioResult, Scheme, Shape, TreeConfig, ATTACKS,
+};
 
 /// Drives the built simulator to `end` in [`AUDIT_INTERVAL`]-sized steps
 /// with the full auditor set installed, returning the composed report. The
@@ -272,8 +274,20 @@ pub(crate) fn scenario_to_json(cfg: &ScenarioConfig) -> Value {
     m.insert("seed".into(), Value::String(cfg.seed.to_string()));
     m.insert("siff_accept_previous".into(), Value::Bool(cfg.siff_accept_previous));
     m.insert("deny_attackers".into(), Value::Bool(cfg.deny_attackers));
-    if cfg.backup_path {
-        m.insert("backup_path".into(), Value::Bool(true));
+    match cfg.shape {
+        Shape::Dumbbell => {}
+        Shape::Diamond => {
+            m.insert("backup_path".into(), Value::Bool(true));
+        }
+        Shape::Tree(t) => {
+            for (key, v) in [
+                ("tree_mid_routers", t.mid_routers),
+                ("tree_leaf_routers_per_mid", t.leaf_routers_per_mid),
+                ("tree_hosts", t.hosts),
+            ] {
+                m.insert(key.into(), num(v as u64));
+            }
+        }
     }
     if let Some(o) = cfg.faults.outage {
         m.insert("outage_period_ns".into(), num(o.period.as_nanos()));
@@ -295,7 +309,7 @@ pub(crate) fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
         seed: get_seed(obj)?,
         siff_accept_previous: get_bool(obj, "siff_accept_previous")?,
         deny_attackers: get_bool(obj, "deny_attackers")?,
-        backup_path: opt_bool(obj, "backup_path"),
+        shape: shape_from_json(obj)?,
         ..defaults.clone()
     };
     for &(key, read, write) in FIELDS {
@@ -318,6 +332,23 @@ pub(crate) fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
         });
     }
     Ok(cfg)
+}
+
+/// The topology: `"backup_path"` is the diamond, the `"tree_*"` keys a
+/// tree, neither the dumbbell.
+fn shape_from_json(obj: &Map<String, Value>) -> Result<Shape, String> {
+    if opt_bool(obj, "backup_path") {
+        return Ok(Shape::Diamond);
+    }
+    if obj.get("tree_hosts").is_none() {
+        return Ok(Shape::Dumbbell);
+    }
+    let size = |key| get_u64(obj, key).map(|v| v as usize);
+    Ok(Shape::Tree(TreeConfig {
+        mid_routers: size("tree_mid_routers")?,
+        leaf_routers_per_mid: size("tree_leaf_routers_per_mid")?,
+        hosts: size("tree_hosts")?,
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -540,7 +571,7 @@ pub(crate) fn random_config(seed: u64) -> ScenarioConfig {
         flow_sample_n: if chance(&mut rng, 25) { pick(&mut rng, 1, 17) as u32 } else { 0 },
         // Half of runs have the detour, so a bottleneck failure below
         // re-converges through R3 (under attack) instead of partitioning.
-        backup_path: chance(&mut rng, 50),
+        shape: if chance(&mut rng, 50) { Shape::Diamond } else { Shape::Dumbbell },
         faults: LinkFaults::default(),
     };
     if chance(&mut rng, 50) {
@@ -571,7 +602,7 @@ mod tests {
         // canonical JSON forms instead — equal trees ⇒ equal configs.
         let diamond = ScenarioConfig {
             scheme: Scheme::Siff,
-            backup_path: true,
+            shape: Shape::Diamond,
             faults: LinkFaults {
                 loss_ppm: 13_000,
                 corrupt_ppm: 2_000,
@@ -587,9 +618,15 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let back = scenario_from_json(&scenario_to_json(&diamond)).unwrap();
-        assert_eq!((back.backup_path, back.faults), (true, diamond.faults));
+        assert_eq!((back.shape, back.faults), (Shape::Diamond, diamond.faults));
+        let tree = ScenarioConfig {
+            n_attackers: 20,
+            ..ScenarioConfig::tree(TreeConfig { mid_routers: 2, leaf_routers_per_mid: 3, hosts: 200 })
+        };
+        let back = scenario_from_json(&scenario_to_json(&tree)).unwrap();
+        assert_eq!(back.shape, tree.shape);
         let fuzzed = [0, 1, 7, 42, u64::MAX - 3].map(random_config);
-        for cfg in fuzzed.iter().chain([&diamond]) {
+        for cfg in fuzzed.iter().chain([&diamond, &tree]) {
             let back = scenario_from_json(&scenario_to_json(cfg)).unwrap();
             assert_eq!(canonical(cfg), canonical(&back));
         }
@@ -651,7 +688,7 @@ mod tests {
             assert_eq!(art.violated, report.violated_invariants());
             assert_eq!(replay(&art), art.violated);
             if seed == REROUTED_SEED {
-                assert!(cfg.backup_path && cfg.faults.up_at.is_some(), "{cfg:?}");
+                assert!(cfg.shape == Shape::Diamond && cfg.faults.up_at.is_some(), "{cfg:?}");
                 assert_eq!(result.faults.reconvergences, 2);
                 assert!(result.faults.backup_pkts > 0, "{:?}", result.faults);
             }

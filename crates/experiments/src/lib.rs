@@ -1,9 +1,9 @@
 //! # tva-experiments
 //!
-//! The evaluation harness: declarative scenarios for the Figure 7 dumbbell
-//! (optionally with a backup path and wire faults on the bottleneck),
-//! attacker models for every §5 attack, parallel parameter sweeps, and the
-//! producers of every simulated artifact under `results/` (Figures 8–11,
+//! The evaluation harness: declarative scenarios on three topologies (the
+//! Figure 7 dumbbell, the diamond with its backup path, the scale tree)
+//! with wire faults on the bottleneck, attacker models for every §5
+//! attack, parallel parameter sweeps, and the producers of every simulated artifact under `results/` (Figures 8–11,
 //! robustness, attacks, statebound, the §2 strawmen and the grant
 //! ablation).
 //!
@@ -37,6 +37,6 @@ pub use observe::snapshot_json;
 pub use report::{table, tsv, Files, Size};
 pub use scenario::{
     attacker_addr, run, run_driven, Attack, BuiltNodes, FaultCounters, LinkFaults, ScenarioConfig,
-    ScenarioResult, Scheme, COLLUDER, DEST,
+    ScenarioResult, Scheme, Shape, TreeConfig, COLLUDER, DEST,
 };
 pub use sweep::{run_all_checked, SweepFailure};

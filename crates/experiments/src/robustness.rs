@@ -1,13 +1,13 @@
 //! The robustness sweep: loss rate, corruption and a mid-transfer link
 //! failure across TVA / SIFF / legacy on the diamond testbed. The diamond
-//! is a [`ScenarioConfig`] preset with `backup_path`, whose users transfer
-//! back-to-back for the whole run so a fault always lands mid-transfer;
+//! is a [`ScenarioConfig`] preset with [`Shape::Diamond`], whose users
+//! transfer back-to-back for the whole run so a fault always lands mid-transfer;
 //! a run's fault and recovery counters are exported as a metrics snapshot.
 
 use tva_sim::{Counters, SimDuration, SimTime};
 
 use crate::report::{records_json, table, tsv, Files, Size};
-use crate::scenario::{FaultCounters, LinkFaults, ScenarioConfig, ScenarioResult, Scheme};
+use crate::scenario::{FaultCounters, LinkFaults, ScenarioConfig, ScenarioResult, Scheme, Shape};
 use crate::sweep::run_all;
 
 /// The robustness testbed for `scheme`: five users on the diamond, each
@@ -16,7 +16,7 @@ use crate::sweep::run_all;
 pub fn diamond(scheme: Scheme) -> ScenarioConfig {
     ScenarioConfig {
         scheme,
-        backup_path: true,
+        shape: Shape::Diamond,
         n_users: 5,
         // Effectively "keep transferring until the horizon" (and exact in
         // a replay artifact's JSON numbers).
@@ -256,7 +256,7 @@ mod tests {
         // wire the diamond and the dumbbell complete the same transfers.
         for scheme in Scheme::ALL {
             let diamond = run(&quick(scheme));
-            let dumbbell = run(&ScenarioConfig { backup_path: false, ..quick(scheme) });
+            let dumbbell = run(&ScenarioConfig { shape: Shape::Dumbbell, ..quick(scheme) });
             assert_eq!(diamond.transfers, dumbbell.transfers, "{scheme:?}");
             assert!(diamond.summary.completed > 0, "{scheme:?}: {:?}", diamond.summary);
             assert_eq!(diamond.faults, FaultCounters::default(), "{scheme:?}");

@@ -1,25 +1,36 @@
-//! The Figure 7 testbed: one declarative configuration that assembles the
-//! dumbbell topology for any of the four schemes and any of the paper's
-//! attacks, runs it, and collects the §5 metrics.
+//! The testbeds: one declarative configuration that assembles a topology
+//! for any of the four schemes and any of the paper's attacks, runs it,
+//! and collects the §5 metrics. Every shape is wired from the same
+//! per-scheme router, egress-queue, host-shim and attacker factories.
 //!
 //! ```text
 //! 10 users ───┐                         ┌─── destination
 //!             ├── R1 ══ 10 Mb/s ══ R2 ──┤
 //! 1–100 atk ──┘   \  (bottleneck)  /    └─── colluder
-//!                  R3 ─ ─ ─ ─ ─ ─ ─          (R3: `backup_path` only)
+//!                  R3 ─ ─ ─ ─ ─ ─ ─          (R3: `Diamond` only)
 //! ```
 //!
-//! All access links are 100 Mb/s with 10 ms delay; the bottleneck is
-//! 10 Mb/s with 10 ms delay, giving the paper's 60 ms RTT.
+//! [`Shape::Dumbbell`] is Figure 7: all access links are 100 Mb/s with
+//! 10 ms delay; the bottleneck is 10 Mb/s with 10 ms delay, giving the
+//! paper's 60 ms RTT.
 //!
-//! With `backup_path` the dumbbell becomes a diamond: the bottleneck is one
-//! hop, the R1–R3–R2 detour two, so shortest-path routing prefers the
-//! bottleneck until `faults` takes it down and routes re-converge through
-//! R3. For TVA that re-route invalidates every capability in flight —
-//! capabilities are bound to the router path (§3.1), and R3 has never
-//! stamped these flows — so senders must recover via demotion notices and
-//! re-request (§3.8). R3's `requests_stamped` counter is the direct
-//! evidence that they did.
+//! [`Shape::Diamond`] adds R3: the bottleneck is one hop, the R1–R3–R2
+//! detour two, so shortest-path routing prefers the bottleneck until
+//! `faults` takes it down and routes re-converge through R3. For TVA that
+//! re-route invalidates every capability in flight — capabilities are
+//! bound to the router path (§3.1), and R3 has never stamped these flows —
+//! so senders must recover via demotion notices and re-request (§3.8).
+//! R3's `requests_stamped` counter is the direct evidence that they did.
+//!
+//! [`Shape::Tree`] is Figure 11's shape grown to internet scale: a root
+//! router with the destination behind the bottleneck, core routers under
+//! the root, access routers under each, and every host a node with its own
+//! access link and address (`20.0.0.0 + i`); links are 5 ms. Attackers sit
+//! at a fixed stride and a strided sample of users transfers; the other
+//! hosts are idle clients, never kicked and never collected. Routing uses
+//! [`TopologyBuilder::static_route`]: default routes point up the tree, one
+//! static entry per (ancestor, host) points down, O(depth) per host instead
+//! of the whole-graph BFS per address that `bind_addr` costs.
 
 use tva_baselines::{
     EgressSpec, LegacyRouterNode, PushbackRouterNode, SiffConfig, SiffRouterNode,
@@ -379,6 +390,49 @@ impl LinkFaults {
     }
 }
 
+/// The testbed's topology (see the module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Shape {
+    /// Figure 7's dumbbell.
+    #[default]
+    Dumbbell,
+    /// The dumbbell plus a third router R3 and the R1–R3, R3–R2 links
+    /// (bottleneck capacity each): a two-hop detour that carries nothing
+    /// until `faults` takes the bottleneck down.
+    Diamond,
+    /// The scale tree; `n_attackers` and `n_users` are its strided
+    /// attackers and active users.
+    Tree(TreeConfig),
+}
+
+/// The tree's size: `mid_routers` core routers under the root,
+/// `leaf_routers_per_mid` access routers under each, and `hosts` hosts
+/// (attackers included) spread evenly over the access routers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TreeConfig {
+    /// Core routers under the root.
+    pub mid_routers: usize,
+    /// Access routers under each core router.
+    pub leaf_routers_per_mid: usize,
+    /// Hosts at the access routers.
+    pub hosts: usize,
+}
+
+impl TreeConfig {
+    /// Host strides of the attackers and of the active users: attacker
+    /// positions are multiples of the first, active users sit one past
+    /// multiples of the second, so both stay spread across every leaf.
+    fn strides(self, n_attackers: usize, n_users: usize) -> (usize, usize) {
+        let every = |n: usize| self.hosts.checked_div(n).unwrap_or(usize::MAX).max(1);
+        (every(n_attackers), every(n_users))
+    }
+}
+
+/// Host `i`'s address in the tree.
+fn host_addr(i: usize) -> Addr {
+    Addr(0x1400_0000 + i as u32) // 20.0.0.0 + i
+}
+
 /// Scenario parameters (defaults reproduce the paper's setup).
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
@@ -434,10 +488,8 @@ pub struct ScenarioConfig {
     /// `RouterConfig` sampling seed so their records merge into one
     /// per-prefix attribution table after the run.
     pub flow_sample_n: u32,
-    /// Adds a third router R3 and the R1–R3, R3–R2 links (bottleneck
-    /// capacity each): a two-hop detour that carries nothing until
-    /// `faults` takes the bottleneck down.
-    pub backup_path: bool,
+    /// The topology.
+    pub shape: Shape,
     /// Wire faults on the bottleneck link.
     pub faults: LinkFaults,
 }
@@ -465,8 +517,29 @@ impl Default for ScenarioConfig {
             deny_attackers: false,
             per_queue_cap_bytes: None,
             flow_sample_n: 0,
-            backup_path: false,
+            shape: Shape::Dumbbell,
             faults: LinkFaults::default(),
+        }
+    }
+}
+
+impl ScenarioConfig {
+    /// The scale workload on `tree`: request flooders at 100 kb/s each and
+    /// users fetching 20 KB files back to back, through a 100 Mb/s
+    /// bottleneck, for 2 s. TVA's routers run the default 5 % request
+    /// channel. Callers set `n_attackers` and `n_users` (none and ten
+    /// here).
+    pub fn tree(tree: TreeConfig) -> Self {
+        ScenarioConfig {
+            attack: Attack::RequestFlood,
+            transfers_per_user: 100_000,
+            bottleneck_bps: 100_000_000,
+            attacker_rate_bps: 100_000,
+            request_fraction: RouterConfig::default().request_fraction,
+            duration: SimTime::from_secs(2),
+            seed: 3,
+            shape: Shape::Tree(tree),
+            ..ScenarioConfig::default()
         }
     }
 }
@@ -540,21 +613,24 @@ pub(crate) fn ring_addr(j: usize) -> Addr {
 
 /// A §5.1 attacker: legacy data packets at the destination.
 fn legacy_flood(addr: Addr, rate: u64) -> Box<dyn Node> {
-    flood(rate, addr, None, 980)
+    flood(rate, addr, false, 980)
 }
 
 /// A §5.2 attacker: request packets at the destination, padded toward
 /// 1000 B so the byte rate matches the paper's 1 Mb/s without inflating
 /// the event count (documented in EXPERIMENTS.md).
 fn request_flood(addr: Addr, rate: u64) -> Box<dyn Node> {
-    flood(rate, addr, Some(CapHeader::request()), 960)
+    flood(rate, addr, true, 960)
 }
 
-fn flood(rate: u64, src: Addr, cap: Option<CapHeader>, payload_len: u32) -> Box<dyn Node> {
+/// A flooder of `payload_len`-byte packets from `src` at the destination,
+/// requests if `request`. The closure holds no header: at a scale tree's
+/// 100 000 attackers its size is paid per attacker.
+fn flood(rate: u64, src: Addr, request: bool, payload_len: u32) -> Box<dyn Node> {
     Box::new(FloodNode::new(
         rate,
         Box::new(move |_now, _seq| {
-            let cap = cap.clone();
+            let cap = request.then(CapHeader::request);
             Some(Packet { id: PacketId(0), src, dst: DEST, cap, tcp: None, payload_len })
         }),
     ))
@@ -563,6 +639,10 @@ fn flood(rate: u64, src: Addr, cap: Option<CapHeader>, payload_len: u32) -> Box<
 const ACCESS_BPS: u64 = 100_000_000;
 const LINK_DELAY: SimDuration = SimDuration::from_millis(10);
 const HOST_QUEUE: u64 = 1 << 20;
+/// The tree's link delay and its core (root–mid) and leaf (mid–leaf) rates.
+const TREE_DELAY: SimDuration = SimDuration::from_millis(5);
+const TREE_CORE_BPS: u64 = 10_000_000_000;
+const TREE_LEAF_BPS: u64 = 1_000_000_000;
 
 /// Runs one scenario to completion. With `TVA_OBS` on, the run feeds this
 /// thread's flight recorder so a panic anywhere (including inside a sweep
@@ -574,18 +654,21 @@ pub fn run(cfg: &ScenarioConfig) -> ScenarioResult {
 /// Node ids of the built testbed, for post-run inspection.
 #[derive(Debug, Clone)]
 pub struct BuiltNodes {
-    /// The access-side router (attackers and users attach here).
+    /// The router that sends over the bottleneck: R1, or the tree's root.
     pub r1: NodeId,
-    /// The destination-side router.
+    /// The router the destination hangs off: R2, or the tree's root.
     pub(crate) r2: NodeId,
+    /// Every router, in build order: R1, R2 (and R3); in the tree the root,
+    /// then each core router followed by its access routers.
+    pub routers: Vec<NodeId>,
     /// Attackers, in index order.
     pub attackers: Vec<NodeId>,
     /// The attackers' access links, in index order (`.ab` is the
-    /// attacker→R1 direction) — wire-level attacker cost accounting.
+    /// attacker→router direction) — wire-level attacker cost accounting.
     pub(crate) attacker_links: Vec<LinkHandle>,
-    /// The bottleneck link (r1→r2 direction is `.ab`).
+    /// The bottleneck link (`.ab` is the direction toward the destination).
     pub bottleneck: LinkHandle,
-    /// With `backup_path`: R3 and the R3–R2 link (R3→R2 is `.ab`).
+    /// On the diamond: R3 and the R3–R2 link (R3→R2 is `.ab`).
     pub(crate) backup: Option<(NodeId, LinkHandle)>,
 }
 
@@ -632,86 +715,89 @@ pub fn run_driven(
     drive: impl FnOnce(&mut Simulator, &BuiltNodes),
     inspect: impl FnOnce(&Simulator, &BuiltNodes),
 ) -> ScenarioResult {
-    let mut b = Builder::new(cfg);
-    b.build_and_run(drive, inspect)
+    Builder::new(cfg).build_and_run(drive, inspect)
 }
 
-/// Per-router secret salts, in R1, R2, R3 order.
+/// The dumbbell's and the diamond's routers, as indices into
+/// `Builder::routers`, and their secret salts in that order. The tree's
+/// root is router 0 too.
+const R1: usize = 0;
+const R2: usize = 1;
+const R3: usize = 2;
 const TVA_SALTS: [u64; 3] = [0x1111, 0x2222, 0x3333];
 const SIFF_SALTS: [u64; 3] = [0x3333, 0x4444, 0x5555];
 
 struct Builder<'a> {
     cfg: &'a ScenarioConfig,
     topo: TopologyBuilder,
-    r1: NodeId,
-    r2: NodeId,
-    /// The backup router, with `backup_path`.
-    r3: Option<NodeId>,
+    /// The shape's router for the destination and the colluders (R2, or
+    /// the tree's root) and its link delay.
+    dest_router: usize,
+    delay: SimDuration,
+    /// Every router, in the order added.
+    routers: Vec<NodeId>,
+    /// `routers[i]`'s TVA configuration, built for every scheme so the
+    /// egress queues can look theirs up by index.
+    tva_cfgs: Vec<RouterConfig>,
     kicks: Vec<(NodeId, u64, SimTime)>,
     clients: Vec<NodeId>,
     attackers: Vec<NodeId>,
     attacker_links: Vec<LinkHandle>,
-    /// One per router, in R1, R2, R3 order.
-    tva_cfgs: [RouterConfig; 3],
 }
 
 impl<'a> Builder<'a> {
     fn new(cfg: &'a ScenarioConfig) -> Self {
-        // Every sampler shares `FLOW_SAMPLE_SEED`, so samplers with one
-        // `flow_sample_n` can be merged across the routers and the egress
-        // schedulers for whole-testbed attribution.
-        let defaults = RouterConfig::default();
-        let tva_cfgs = TVA_SALTS.map(|salt| RouterConfig {
-            request_fraction: cfg.request_fraction,
-            secret_seed: cfg.seed ^ salt,
-            flow_sample_n: cfg.flow_sample_n,
-            per_queue_cap_bytes: cfg.per_queue_cap_bytes.unwrap_or(defaults.per_queue_cap_bytes),
-            ..defaults.clone()
-        });
-        let router = |i: usize| -> Box<dyn Node> {
-            match cfg.scheme {
-                Scheme::Tva => {
-                    Box::new(TvaRouterNode::new(tva_cfgs[i].clone(), cfg.bottleneck_bps))
-                }
-                Scheme::Siff => Box::new(SiffRouterNode::new(SiffConfig {
-                    key_rotation: cfg.siff_key_rotation,
-                    accept_previous: cfg.siff_accept_previous,
-                    secret_seed: cfg.seed ^ SIFF_SALTS[i],
-                })),
-                Scheme::Pushback => Box::new(PushbackRouterNode::new()),
-                Scheme::Internet => Box::<LegacyRouterNode>::default(),
-            }
-        };
-        let mut topo = TopologyBuilder::new();
-        let r1 = topo.add_node(router(0));
-        let r2 = topo.add_node(router(1));
-        let r3 = cfg.backup_path.then(|| topo.add_node(router(2)));
+        let tree = matches!(cfg.shape, Shape::Tree(_));
         Builder {
             cfg,
-            topo,
-            r1,
-            r2,
-            r3,
+            topo: TopologyBuilder::new(),
+            dest_router: if tree { R1 } else { R2 },
+            delay: if tree { TREE_DELAY } else { LINK_DELAY },
+            routers: Vec::new(),
+            tva_cfgs: Vec::new(),
             kicks: Vec::new(),
             clients: Vec::new(),
             attackers: Vec::new(),
             attacker_links: Vec::new(),
-            tva_cfgs,
         }
     }
 
-    /// R1, R2 and — with `backup_path` — R3.
-    fn routers(&self) -> impl Iterator<Item = NodeId> {
-        [self.r1, self.r2].into_iter().chain(self.r3)
+    /// Adds the scheme's router, its secrets salted by `tva_salt` (TVA) or
+    /// `siff_salt` (SIFF) and a TVA router sized for a `bps` link; returns
+    /// its index into `routers`.
+    fn add_router(&mut self, tva_salt: u64, siff_salt: u64, bps: u64) -> usize {
+        let cfg = self.cfg;
+        // Every sampler shares `FLOW_SAMPLE_SEED`, so samplers with one
+        // `flow_sample_n` can be merged across the routers and the egress
+        // schedulers for whole-testbed attribution.
+        let defaults = RouterConfig::default();
+        let tva = RouterConfig {
+            request_fraction: cfg.request_fraction,
+            secret_seed: cfg.seed ^ tva_salt,
+            flow_sample_n: cfg.flow_sample_n,
+            per_queue_cap_bytes: cfg.per_queue_cap_bytes.unwrap_or(defaults.per_queue_cap_bytes),
+            ..defaults
+        };
+        let node: Box<dyn Node> = match cfg.scheme {
+            Scheme::Tva => Box::new(TvaRouterNode::new(tva.clone(), bps)),
+            Scheme::Siff => Box::new(SiffRouterNode::new(SiffConfig {
+                key_rotation: cfg.siff_key_rotation,
+                accept_previous: cfg.siff_accept_previous,
+                secret_seed: cfg.seed ^ siff_salt,
+            })),
+            Scheme::Pushback => Box::new(PushbackRouterNode::new()),
+            Scheme::Internet => Box::<LegacyRouterNode>::default(),
+        };
+        self.routers.push(self.topo.add_node(node));
+        self.tva_cfgs.push(tva);
+        self.routers.len() - 1
     }
 
-    /// An egress queue appropriate for the scheme, for a link of `bps`.
-    fn router_queue(&self, which: NodeId, bps: u64) -> Box<dyn QueueDisc> {
+    /// An egress queue appropriate for the scheme, for router `r`'s link of
+    /// `bps`.
+    fn router_queue(&self, r: usize, bps: u64) -> Box<dyn QueueDisc> {
         match self.cfg.scheme {
-            Scheme::Tva => {
-                let i = self.routers().position(|r| r == which).expect("a router of this testbed");
-                Box::new(TvaScheduler::new(bps, &self.tva_cfgs[i]))
-            }
+            Scheme::Tva => Box::new(TvaScheduler::new(bps, &self.tva_cfgs[r])),
             Scheme::Siff => Box::new(SiffScheduler::new()),
             Scheme::Pushback | Scheme::Internet => Box::new(DropTail::packets(ROUTER_QUEUE_PKTS)),
         }
@@ -738,6 +824,14 @@ impl<'a> Builder<'a> {
         }
     }
 
+    /// Attacker `i`'s address under the shape's address plan.
+    fn attacker_at(&self, i: usize) -> Addr {
+        match self.cfg.shape {
+            Shape::Tree(tree) => host_addr(i * tree.strides(self.cfg.n_attackers, 0).0),
+            Shape::Dumbbell | Shape::Diamond => attacker_addr(i),
+        }
+    }
+
     /// The destination's shim, honoring `deny_attackers` and the scenario
     /// grant.
     fn dest_shim(&self) -> Box<dyn Shim> {
@@ -746,7 +840,7 @@ impl<'a> Builder<'a> {
         let mut policy = ServerPolicy::new(self.cfg.grant, SimDuration::from_secs(30));
         if self.cfg.deny_attackers {
             for i in 0..self.cfg.n_attackers {
-                policy.deny_forever(attacker_addr(i));
+                policy.deny_forever(self.attacker_at(i));
             }
         }
         if matches!(
@@ -757,98 +851,114 @@ impl<'a> Builder<'a> {
             // grant exactly once; the destination "does not renew
             // capabilities because of the attack" (§5.4).
             for i in 0..self.cfg.n_attackers {
-                policy.single_grant(attacker_addr(i));
+                policy.single_grant(self.attacker_at(i));
             }
         }
         self.host_shim(DEST, Box::new(policy))
     }
 
-    /// A router-to-router link at the bottleneck's capacity.
-    fn core_link(&mut self, from: NodeId, to: NodeId) -> LinkHandle {
-        let bps = self.cfg.bottleneck_bps;
-        let (qf, qt) = (self.router_queue(from, bps), self.router_queue(to, bps));
-        self.topo.link(from, to, bps, LINK_DELAY, qf, qt)
+    /// A link from router `a` to router `b`.
+    fn router_link(&mut self, a: usize, b: usize, bps: u64) -> LinkHandle {
+        let (qa, qb) = (self.router_queue(a, bps), self.router_queue(b, bps));
+        self.topo.link(self.routers[a], self.routers[b], bps, self.delay, qa, qb)
     }
 
-    fn attach_host(&mut self, node: NodeId, addr: Addr, via: NodeId) -> LinkHandle {
+    /// Binds a destination-side host at `addr` and links it under the
+    /// destination router; in the tree it also gets its default route.
+    fn attach_server(&mut self, node: NodeId, addr: Addr, bps: u64) -> LinkHandle {
         self.topo.bind_addr(node, addr);
-        let q_router = self.router_queue(via, ACCESS_BPS);
-        self.topo.link(node, via, ACCESS_BPS, LINK_DELAY, self.host_queue(), q_router)
+        let r = self.dest_router;
+        let q = self.router_queue(r, bps);
+        let link = self.topo.link(self.routers[r], node, bps, self.delay, q, self.host_queue());
+        if matches!(self.cfg.shape, Shape::Tree(_)) {
+            self.topo.default_route(node, link.ba);
+        }
+        link
     }
 
-    fn add_attackers(&mut self) {
+    /// Binds a dumbbell host at `addr` and links it to R1.
+    fn attach_host(&mut self, node: NodeId, addr: Addr) -> LinkHandle {
+        self.topo.bind_addr(node, addr);
+        let q_router = self.router_queue(R1, ACCESS_BPS);
+        self.topo.link(node, self.routers[R1], ACCESS_BPS, LINK_DELAY, self.host_queue(), q_router)
+    }
+
+    /// A client at `addr` fetching the scenario's files from the
+    /// destination.
+    fn client(&self, addr: Addr) -> Box<dyn Node> {
+        let policy = ClientPolicy { grant: Grant::from_parts(100, 10) };
+        let shim = self.host_shim(addr, Box::new(policy));
+        let cfg = self.cfg;
+        Box::new(ClientNode::new(addr, DEST, cfg.file_size, cfg.transfers_per_user, shim))
+    }
+
+    /// Attacker number `i` at `addr`, by the scenario's attack; `None`
+    /// without one.
+    fn attacker_node(&self, i: usize, addr: Addr) -> Option<Box<dyn Node>> {
         let cfg = self.cfg;
         let (start, rate) = (cfg.attack_start, cfg.attacker_rate_bps);
         let ms = |n: u32| SimDuration::from_millis(u64::from(n));
-        for i in 0..cfg.n_attackers {
-            let addr = attacker_addr(i);
-            let node: Box<dyn Node> = match cfg.attack {
-                Attack::None => break,
-                Attack::LegacyFlood => legacy_flood(addr, rate),
-                Attack::RequestFlood => request_flood(addr, rate),
-                Attack::Combined => match i % 3 {
-                    0 => legacy_flood(addr, rate),
-                    1 => request_flood(addr, rate),
-                    _ => self.flooder(addr, COLLUDER, rate, Cadence::Always),
-                },
-                Attack::SpoofedRequestStorm { src_pool, fill } => {
-                    let pool = u32::from(src_pool);
-                    Box::new(SpoofedRequestFlooder::new(addr, DEST, rate, pool, fill as usize))
-                }
-                Attack::AuthorizedColluder => self.flooder(addr, COLLUDER, rate, Cadence::Always),
-                Attack::ImpreciseAllAtOnce => {
-                    let window = Cadence::Window { start, end: cfg.duration };
-                    self.flooder(addr, DEST, rate, window)
-                }
-                Attack::ImpreciseStaged { groups, wave_secs } => {
-                    let g = (i / cfg.n_attackers.div_ceil(groups)) as u64;
-                    let w_start = start + SimDuration::from_secs(g * wave_secs);
-                    let end = w_start + SimDuration::from_secs(wave_secs);
-                    self.flooder(addr, DEST, rate, Cadence::Window { start: w_start, end })
-                }
-                Attack::ColluderRing { ring, wave_ms, duty_pct } => {
-                    // Waves run on the shared clock (phase 0), so the ring
-                    // members burst together without coordination traffic.
-                    let period = ms(wave_ms).max(SimDuration::from_millis(10));
-                    let duty = f64::from(duty_pct.clamp(1, 100)) / 100.0;
-                    let on = SimDuration::from_nanos((period.as_nanos() as f64 * duty) as u64);
-                    let wave = Cadence::Periodic { period, on, phase: SimDuration::ZERO };
-                    let ring_addrs = (0..ring.max(1) as usize).map(ring_addr).collect();
-                    Box::new(self.flooder(addr, ring_addr(0), rate, wave).with_targets(ring_addrs))
-                }
-                Attack::PulseShrew { period_ms, burst_ms, phase_ms } => {
-                    // Concentrate the constant flood's byte budget into the
-                    // burst: peak = avg * period / burst, capped at the
-                    // access-link rate (which silently lowers the average
-                    // for extreme duty cycles — the report scores observed
-                    // wire bytes, not the nominal budget).
-                    let period = period_ms.max(10);
-                    let burst = burst_ms.clamp(1, period);
-                    let peak = (rate.saturating_mul(u64::from(period)) / u64::from(burst))
-                        .min(ACCESS_BPS);
-                    let (period, on, phase) = (ms(period), ms(burst), ms(phase_ms));
-                    self.flooder(addr, COLLUDER, peak, Cadence::Periodic { period, on, phase })
-                }
-                Attack::FlashMimicry { burst_kb, think_ms } => {
-                    let bytes = u64::from(burst_kb.max(1)) * 1024;
-                    let think = ms(think_ms).max(SimDuration::from_millis(10));
-                    self.flooder(addr, DEST, rate, Cadence::Bursts { bytes, think })
-                }
-                Attack::RotatingIdentity { pool, rotate_ms } => {
-                    // SIFF handshake replies must route back to the sender,
-                    // so rotation there resets state without spoofing.
-                    let every = ms(rotate_ms).max(SimDuration::from_millis(10));
-                    let spoof = cfg.scheme != Scheme::Siff;
-                    let churn = Cadence::Rotating { pool: u32::from(pool), every, spoof };
-                    self.flooder(addr, COLLUDER, rate, churn)
-                }
-            };
-            let node = self.topo.add_node(node);
-            let link = self.attach_host(node, addr, self.r1);
-            self.attackers.push(node);
-            self.attacker_links.push(link);
-            self.kicks.push((node, 0, start));
-        }
+        Some(match cfg.attack {
+            Attack::None => return None,
+            Attack::LegacyFlood => legacy_flood(addr, rate),
+            Attack::RequestFlood => request_flood(addr, rate),
+            Attack::Combined => match i % 3 {
+                0 => legacy_flood(addr, rate),
+                1 => request_flood(addr, rate),
+                _ => self.flooder(addr, COLLUDER, rate, Cadence::Always),
+            },
+            Attack::SpoofedRequestStorm { src_pool, fill } => {
+                let pool = u32::from(src_pool);
+                Box::new(SpoofedRequestFlooder::new(addr, DEST, rate, pool, fill as usize))
+            }
+            Attack::AuthorizedColluder => self.flooder(addr, COLLUDER, rate, Cadence::Always),
+            Attack::ImpreciseAllAtOnce => {
+                let window = Cadence::Window { start, end: cfg.duration };
+                self.flooder(addr, DEST, rate, window)
+            }
+            Attack::ImpreciseStaged { groups, wave_secs } => {
+                let g = (i / cfg.n_attackers.div_ceil(groups)) as u64;
+                let w_start = start + SimDuration::from_secs(g * wave_secs);
+                let end = w_start + SimDuration::from_secs(wave_secs);
+                self.flooder(addr, DEST, rate, Cadence::Window { start: w_start, end })
+            }
+            Attack::ColluderRing { ring, wave_ms, duty_pct } => {
+                // Waves run on the shared clock (phase 0), so the ring
+                // members burst together without coordination traffic.
+                let period = ms(wave_ms).max(SimDuration::from_millis(10));
+                let duty = f64::from(duty_pct.clamp(1, 100)) / 100.0;
+                let on = SimDuration::from_nanos((period.as_nanos() as f64 * duty) as u64);
+                let wave = Cadence::Periodic { period, on, phase: SimDuration::ZERO };
+                let ring_addrs = (0..ring.max(1) as usize).map(ring_addr).collect();
+                Box::new(self.flooder(addr, ring_addr(0), rate, wave).with_targets(ring_addrs))
+            }
+            Attack::PulseShrew { period_ms, burst_ms, phase_ms } => {
+                // Concentrate the constant flood's byte budget into the
+                // burst: peak = avg * period / burst, capped at the
+                // access-link rate (which silently lowers the average
+                // for extreme duty cycles — the report scores observed
+                // wire bytes, not the nominal budget).
+                let period = period_ms.max(10);
+                let burst = burst_ms.clamp(1, period);
+                let peak = (rate.saturating_mul(u64::from(period)) / u64::from(burst))
+                    .min(ACCESS_BPS);
+                let (period, on, phase) = (ms(period), ms(burst), ms(phase_ms));
+                self.flooder(addr, COLLUDER, peak, Cadence::Periodic { period, on, phase })
+            }
+            Attack::FlashMimicry { burst_kb, think_ms } => {
+                let bytes = u64::from(burst_kb.max(1)) * 1024;
+                let think = ms(think_ms).max(SimDuration::from_millis(10));
+                self.flooder(addr, DEST, rate, Cadence::Bursts { bytes, think })
+            }
+            Attack::RotatingIdentity { pool, rotate_ms } => {
+                // SIFF handshake replies must route back to the sender,
+                // so rotation there resets state without spoofing.
+                let every = ms(rotate_ms).max(SimDuration::from_millis(10));
+                let spoof = cfg.scheme != Scheme::Siff;
+                let churn = Cadence::Rotating { pool: u32::from(pool), every, spoof };
+                self.flooder(addr, COLLUDER, rate, churn)
+            }
+        })
     }
 
     /// An authorized flooder at `addr` with the scheme's attacker shim: its
@@ -875,32 +985,12 @@ impl<'a> Builder<'a> {
         let policy = AllowAll { grant: Grant::from_parts(1023, 10) };
         let shim = self.host_shim(addr, Box::new(policy));
         let colluder = self.topo.add_node(Box::new(ServerNode::new(addr, shim)));
-        self.topo.bind_addr(colluder, addr);
-        let qc = self.router_queue(self.r2, ACCESS_BPS);
-        self.topo.link(self.r2, colluder, ACCESS_BPS, LINK_DELAY, qc, self.host_queue());
+        self.attach_server(colluder, addr, ACCESS_BPS);
     }
 
-    fn build_and_run(
-        &mut self,
-        drive: impl FnOnce(&mut Simulator, &BuiltNodes),
-        inspect: impl FnOnce(&Simulator, &BuiltNodes),
-    ) -> ScenarioResult {
-        let cfg = self.cfg.clone();
-
-        // Destination host.
-        let dest = self.topo.add_node(Box::new(ServerNode::new(DEST, self.dest_shim())));
-        self.topo.bind_addr(dest, DEST);
-
-        // Bottleneck, then the two-hop detour around it.
-        let bottleneck = self.core_link(self.r1, self.r2);
-        let detour = self.r3.map(|r3| (self.core_link(self.r1, r3), self.core_link(r3, self.r2)));
-
-        // Destination access link.
-        let qd = self.router_queue(self.r2, ACCESS_BPS);
-        self.topo.link(self.r2, dest, ACCESS_BPS, LINK_DELAY, qd, self.host_queue());
-
-        // Colluders (only meaningful for the authorized attacks, but
-        // harmless otherwise; only add when used to keep runs lean).
+    /// The attack's colluders behind the bottleneck, if it has any.
+    fn add_colluders(&mut self) {
+        let cfg = self.cfg;
         let rotating_tva = matches!(cfg.attack, Attack::RotatingIdentity { .. })
             && cfg.scheme == Scheme::Tva;
         if matches!(
@@ -918,57 +1008,151 @@ impl<'a> Builder<'a> {
             // colluder's grants would be misrouted: use the §7 spoof
             // colluder, which leaks capabilities to the attackers' *real*
             // addresses out-of-band.
-            let accomplices: Vec<Addr> =
-                (0..cfg.n_attackers).map(attacker_addr).collect();
+            let accomplices = (0..cfg.n_attackers).map(|i| self.attacker_at(i)).collect();
             let colluder = self.topo.add_node(Box::new(SpoofColluder::new(
                 COLLUDER,
                 accomplices,
                 Grant::from_parts(1023, 10),
             )));
-            self.topo.bind_addr(colluder, COLLUDER);
-            let qc = self.router_queue(self.r2, ACCESS_BPS);
-            self.topo.link(self.r2, colluder, ACCESS_BPS, LINK_DELAY, qc, self.host_queue());
+            self.attach_server(colluder, COLLUDER, ACCESS_BPS);
         }
         if let Attack::ColluderRing { ring, .. } = cfg.attack {
             for j in 0..ring.max(1) as usize {
                 self.add_colluder_server(ring_addr(j));
             }
         }
+    }
 
-        // Users.
+    /// The dumbbell, or with `Diamond` the diamond: routers, destination,
+    /// colluders, users, attackers. Returns the bottleneck and the
+    /// detour's R1–R3 and R3–R2 links.
+    fn dumbbell(&mut self) -> (LinkHandle, Option<(LinkHandle, LinkHandle)>) {
+        let cfg = self.cfg;
+        let n_routers = if cfg.shape == Shape::Diamond { 3 } else { 2 };
+        for (tva_salt, siff_salt) in TVA_SALTS.into_iter().zip(SIFF_SALTS).take(n_routers) {
+            self.add_router(tva_salt, siff_salt, cfg.bottleneck_bps);
+        }
+        let dest = self.topo.add_node(Box::new(ServerNode::new(DEST, self.dest_shim())));
+        // Bottleneck, then the two-hop detour around it.
+        let bottleneck = self.router_link(R1, R2, cfg.bottleneck_bps);
+        let detour = (n_routers == 3).then(|| {
+            let r1_r3 = self.router_link(R1, R3, cfg.bottleneck_bps);
+            (r1_r3, self.router_link(R3, R2, cfg.bottleneck_bps))
+        });
+        self.attach_server(dest, DEST, ACCESS_BPS);
+        self.add_colluders();
+
         for i in 0..cfg.n_users {
             let addr = user_addr(i);
-            let policy = ClientPolicy { grant: Grant::from_parts(100, 10) };
-            let shim = self.host_shim(addr, Box::new(policy));
-            let c = self.topo.add_node(Box::new(ClientNode::new(
-                addr,
-                DEST,
-                cfg.file_size,
-                cfg.transfers_per_user,
-                shim,
-            )));
-            self.attach_host(c, addr, self.r1);
+            let c = self.topo.add_node(self.client(addr));
+            self.attach_host(c, addr);
             self.clients.push(c);
             // Stagger starts across the first 100 ms to avoid phase locking.
             let start = SimTime::from_nanos(1 + (i as u64) * 10_000_000);
             self.kicks.push((c, TOKEN_START, start));
         }
+        for i in 0..cfg.n_attackers {
+            let addr = attacker_addr(i);
+            let Some(node) = self.attacker_node(i, addr) else { break };
+            let node = self.topo.add_node(node);
+            let link = self.attach_host(node, addr);
+            self.attackers.push(node);
+            self.attacker_links.push(link);
+            self.kicks.push((node, 0, cfg.attack_start));
+        }
+        (bottleneck, detour)
+    }
 
-        // Attackers.
-        self.add_attackers();
+    /// The scale tree: the root with the destination behind the bottleneck,
+    /// the core and access routers, then every host, leaf by leaf, kicked
+    /// in host order. Returns the bottleneck.
+    fn tree(&mut self, tree: TreeConfig) -> LinkHandle {
+        let cfg = self.cfg;
+        let leaves_total = tree.mid_routers * tree.leaf_routers_per_mid;
+        assert!(leaves_total > 0 && tree.hosts >= leaves_total, "at least one host per leaf");
+        let root = self.add_router(0xB007, 0xB007, cfg.bottleneck_bps);
+        let server = self.topo.add_node(Box::new(ServerNode::new(DEST, self.dest_shim())));
+        let bottleneck = self.attach_server(server, DEST, cfg.bottleneck_bps);
+        self.add_colluders();
 
+        // Every router's default points up; downward reachability comes
+        // from the per-host static routes installed below. Tuples: (leaf,
+        // mid, mid→leaf channel, root→mid channel).
+        let mut leaves = Vec::with_capacity(leaves_total);
+        for m in 0..tree.mid_routers {
+            let salt = 0x4D00 + m as u64;
+            let mid = self.add_router(salt, salt, TREE_CORE_BPS);
+            let mid_up = self.router_link(mid, root, TREE_CORE_BPS);
+            self.topo.default_route(self.routers[mid], mid_up.ab);
+            for l in 0..tree.leaf_routers_per_mid {
+                let salt = 0x1EAF_0000 + (m * 256 + l) as u64;
+                let leaf = self.add_router(salt, salt, TREE_LEAF_BPS);
+                let leaf_up = self.router_link(leaf, mid, TREE_LEAF_BPS);
+                self.topo.default_route(self.routers[leaf], leaf_up.ab);
+                leaves.push((leaf, self.routers[mid], leaf_up.ba, mid_up.ba));
+            }
+        }
+
+        let (attack_every, active_every) = tree.strides(cfg.n_attackers, cfg.n_users);
+        self.kicks.reserve_exact(cfg.n_attackers + cfg.n_users);
+        self.attackers.reserve_exact(cfg.n_attackers);
+        self.attacker_links.reserve_exact(cfg.n_attackers);
+        let root = self.routers[root];
+        let mut host = 0;
+        for (li, &(leaf, mid, leaf_down, root_down)) in leaves.iter().enumerate() {
+            let share = tree.hosts / leaves_total + usize::from(li < tree.hosts % leaves_total);
+            for _ in 0..share {
+                let addr = host_addr(host);
+                let attacker = (self.attackers.len() < cfg.n_attackers
+                    && host.is_multiple_of(attack_every))
+                .then(|| self.attacker_node(self.attackers.len(), addr))
+                .flatten();
+                let is_attacker = attacker.is_some();
+                let node = self.topo.add_node(attacker.unwrap_or_else(|| self.client(addr)));
+                let (q_host, q_leaf) = (self.host_queue(), self.router_queue(leaf, ACCESS_BPS));
+                let leaf = self.routers[leaf];
+                let access = self.topo.link(node, leaf, ACCESS_BPS, TREE_DELAY, q_host, q_leaf);
+                if is_attacker {
+                    self.attackers.push(node);
+                    self.attacker_links.push(access);
+                    self.kicks.push((node, 0, cfg.attack_start));
+                } else if self.clients.len() < cfg.n_users && host % active_every == 1 {
+                    self.clients.push(node);
+                    self.kicks.push((node, TOKEN_START, SimTime::ZERO));
+                }
+                self.topo.default_route(node, access.ab);
+                self.topo.static_route(leaf, addr, access.ba);
+                self.topo.static_route(mid, addr, leaf_down);
+                self.topo.static_route(root, addr, root_down);
+                host += 1;
+            }
+        }
+        bottleneck
+    }
+
+    fn build_and_run(
+        mut self,
+        drive: impl FnOnce(&mut Simulator, &BuiltNodes),
+        inspect: impl FnOnce(&Simulator, &BuiltNodes),
+    ) -> ScenarioResult {
+        let cfg = self.cfg;
+        let (bottleneck, detour) = match cfg.shape {
+            Shape::Tree(tree) => (self.tree(tree), None),
+            Shape::Dumbbell | Shape::Diamond => self.dumbbell(),
+        };
         let mut sim = std::mem::take(&mut self.topo).build(cfg.seed);
 
-        // Pushback routers need their managed egresses registered (R1's
-        // toward R2, direct and via the detour) and their review loop kicked.
+        // Pushback routers need their managed egresses registered (the
+        // bottleneck's sender toward the destination, direct and via the
+        // detour) and their review loop kicked.
         if cfg.scheme == Scheme::Pushback {
             for link in std::iter::once(bottleneck).chain(detour.map(|(r1_r3, _)| r1_r3)) {
-                sim.node_mut::<PushbackRouterNode>(self.r1).manage(EgressSpec {
+                sim.node_mut::<PushbackRouterNode>(self.routers[R1]).manage(EgressSpec {
                     channel: link.ab,
                     capacity_bps: cfg.bottleneck_bps,
                 });
             }
-            for r in self.routers() {
+            for &r in &self.routers {
                 sim.kick(r, tva_baselines::TOKEN_REVIEW);
             }
         }
@@ -979,12 +1163,13 @@ impl<'a> Builder<'a> {
         cfg.faults.apply(&mut sim, bottleneck);
 
         let nodes = BuiltNodes {
-            r1: self.r1,
-            r2: self.r2,
-            attackers: self.attackers.clone(),
-            attacker_links: self.attacker_links.clone(),
+            r1: self.routers[R1],
+            r2: self.routers[self.dest_router],
+            backup: detour.map(|(_, r3_r2)| (self.routers[R3], r3_r2)),
+            routers: self.routers,
+            attackers: self.attackers,
+            attacker_links: self.attacker_links,
             bottleneck,
-            backup: self.r3.zip(detour.map(|(_, r3_r2)| r3_r2)),
         };
         drive(&mut sim, &nodes);
         inspect(&sim, &nodes);
@@ -1029,8 +1214,8 @@ impl<'a> Builder<'a> {
         }
         if cfg.scheme == Scheme::Tva {
             let stats = |r: NodeId| &sim.node::<TvaRouterNode>(r).router.stats;
-            faults.malformed_drops = self.routers().map(|r| stats(r).malformed_drops).sum();
-            if let Some(r3) = self.r3 {
+            faults.malformed_drops = nodes.routers.iter().map(|&r| stats(r).malformed_drops).sum();
+            if let Some((r3, _)) = nodes.backup {
                 faults.backup_requests_stamped = stats(r3).requests_stamped;
                 faults.backup_validations = stats(r3).full_validations;
             }
@@ -1043,5 +1228,78 @@ impl<'a> Builder<'a> {
             bottleneck_utilization: st.utilization(cfg.bottleneck_bps, sim.now()),
             faults,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The scale tree in miniature: 200 hosts under 2 × 2 routers, 20
+    /// request flooders and 10 active users, 2 s.
+    fn miniature(scheme: Scheme) -> ScenarioConfig {
+        let tree = TreeConfig { mid_routers: 2, leaf_routers_per_mid: 2, hosts: 200 };
+        ScenarioConfig { scheme, n_attackers: 20, n_users: 10, ..ScenarioConfig::tree(tree) }
+    }
+
+    /// What the scale run reports of a tree: routers built, events,
+    /// bottleneck packets and attack packets emitted.
+    #[derive(Debug, Default)]
+    struct TreeRun {
+        routers: usize,
+        events: u64,
+        bottleneck_tx_pkts: u64,
+        attack_pkts_emitted: u64,
+    }
+
+    fn run_tree(cfg: &ScenarioConfig) -> (TreeRun, ScenarioResult) {
+        let mut run = TreeRun::default();
+        let result = run_inspect(cfg, |sim, nodes| {
+            run = TreeRun {
+                routers: nodes.routers.len(),
+                events: sim.events_processed(),
+                bottleneck_tx_pkts: sim.channel(nodes.bottleneck.ab).stats.tx_pkts,
+                attack_pkts_emitted: nodes
+                    .attackers
+                    .iter()
+                    .map(|&n| sim.node::<FloodNode>(n).emitted)
+                    .sum(),
+            };
+        });
+        (run, result)
+    }
+
+    /// Every scheme runs on the tree: its bottleneck carries packets and
+    /// its users complete transfers.
+    #[test]
+    fn miniature_tree_runs_every_scheme() {
+        for scheme in Scheme::ALL {
+            let (run, result) = run_tree(&miniature(scheme));
+            assert!(run.bottleneck_tx_pkts > 0, "{scheme:?}: the bottleneck must carry packets");
+            assert!(result.summary.completed > 0, "{scheme:?}: {:?}", result.summary);
+        }
+    }
+
+    /// A miniature tree (same shape, 200 hosts) must carry attack traffic
+    /// to the bottleneck and serve legitimate transfers.
+    #[test]
+    fn miniature_tree_carries_traffic() {
+        let (run, _) = run_tree(&miniature(Scheme::Tva));
+        assert_eq!(run.routers, 1 + 2 * 3);
+        assert!(run.attack_pkts_emitted > 0, "attackers must emit");
+        assert!(run.bottleneck_tx_pkts > 0, "bottleneck must carry packets");
+        assert!(run.events > run.bottleneck_tx_pkts);
+    }
+
+    /// The miniature tree's outcome, pinned: the engine's event order and
+    /// the TVA stack's behaviour at the scale workload's shape (TVA
+    /// routers, floods, static routes) must not move silently.
+    #[test]
+    fn miniature_tree_event_count_is_pinned() {
+        let (run, result) = run_tree(&miniature(Scheme::Tva));
+        assert_eq!(
+            (run.events, run.bottleneck_tx_pkts, run.attack_pkts_emitted, result.summary.completed),
+            (45_564, 2_802, 539, 90)
+        );
     }
 }

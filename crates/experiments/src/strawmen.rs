@@ -10,7 +10,7 @@
 //! per-(source, destination) DRR; attackers spray k destinations each in
 //! pair mode. The victim's measured share tracks 1/(k+1) and 1/(k²+1).
 
-use tva_baselines::{FqKey, FqScheduler};
+use tva_baselines::{FqKey, FqScheduler, LegacyRouterNode};
 use tva_obs::{ascii_chart, Series};
 use tva_sim::{DropTail, SimDuration, SimTime, TopologyBuilder};
 use tva_transport::FloodNode;
@@ -19,22 +19,6 @@ use tva_wire::{Addr, Packet, PacketId};
 use crate::report::{table, tsv, Files, Size};
 
 const BOTTLENECK: u64 = 10_000_000;
-
-/// A plain forwarding router.
-#[derive(Default)]
-struct Fwd;
-
-impl tva_sim::Node for Fwd {
-    fn on_packet(
-        &mut self,
-        pkt: tva_sim::Pkt,
-        _from: tva_sim::ChannelId,
-        ctx: &mut dyn tva_sim::Ctx,
-    ) {
-        ctx.send(pkt);
-    }
-    fn on_timer(&mut self, _t: u64, _ctx: &mut dyn tva_sim::Ctx) {}
-}
 
 /// `strawmen.tsv`: the victim's measured share next to the analytic one
 /// for k ∈ {1, 2, 4, 8, 16}. Deterministic, about a second; one size.
@@ -49,7 +33,6 @@ pub fn produce(_size: Size) -> Result<Files, String> {
             let ideal = match key {
                 FqKey::BySource => 1.0 / (k as f64 + 1.0),
                 FqKey::BySourceDest => 1.0 / ((k * k) as f64 + 1.0),
-                FqKey::ByDest => unreachable!(),
             };
             rows.push(vec![
                 label.to_string(),
@@ -85,7 +68,7 @@ fn victim_share_counted(key: FqKey, k: usize) -> f64 {
     let victim_src = Addr::new(20, 0, 0, 1);
     let victim_dst = Addr::new(10, 0, 0, 1);
 
-    let router = t.add_node(Box::<Fwd>::default());
+    let router = t.add_node(Box::<LegacyRouterNode>::default());
     let sink = t.add_node(Box::new(CountingSink { victim: victim_dst, victim_bytes: 0 }));
     t.bind_addr(sink, victim_dst);
     let sprayed = if key == FqKey::BySourceDest { k.max(1) } else { 1 };

@@ -72,11 +72,6 @@ impl FlowKey {
     pub const fn new(src: Addr, dst: Addr) -> Self {
         FlowKey { src, dst }
     }
-
-    /// The reverse-direction flow (used to map responses onto requests).
-    pub const fn reversed(self) -> Self {
-        FlowKey { src: self.dst, dst: self.src }
-    }
 }
 
 impl fmt::Display for FlowKey {
@@ -100,12 +95,5 @@ mod tests {
     fn prefix24() {
         assert_eq!(Addr::new(10, 1, 2, 3).prefix24(), Addr::new(10, 1, 2, 99).prefix24());
         assert_ne!(Addr::new(10, 1, 2, 3).prefix24(), Addr::new(10, 1, 3, 3).prefix24());
-    }
-
-    #[test]
-    fn flow_key_reverse() {
-        let k = FlowKey::new(Addr::new(1, 0, 0, 1), Addr::new(2, 0, 0, 2));
-        assert_eq!(k.reversed().reversed(), k);
-        assert_ne!(k.reversed(), k);
     }
 }

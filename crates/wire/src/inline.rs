@@ -70,13 +70,6 @@ impl<T: Copy + Default, const N: usize> InlineList<T, N> {
         block[..INLINE].copy_from_slice(head);
         block.try_into().unwrap_or_else(|_| unreachable!("the block was built with N slots"))
     }
-
-    /// Removes all elements (and frees the heap block, if any).
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill = None;
-    }
 }
 
 impl<T, const N: usize> InlineList<T, N> {
@@ -256,15 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_len() {
-        let mut l = L::new();
-        l.push(1);
-        l.clear();
-        assert!(l.is_empty());
-        assert_eq!(l, L::new());
-    }
-
-    #[test]
     fn slice_mutation_via_deref_mut() {
         let mut l = L::new();
         l.push(1);
@@ -304,21 +288,6 @@ mod tests {
         assert_eq!(l.len(), 32);
         assert_eq!(l.iter().copied().collect::<Vec<_>>(), (10..42).collect::<Vec<u32>>());
         assert_eq!(l.clone(), l);
-    }
-
-    #[test]
-    fn clear_then_repush_starts_inline_again() {
-        let mut l: Long = (0..20).collect();
-        assert!(l.spilled());
-        l.clear();
-        assert!(l.is_empty());
-        assert!(!l.spilled(), "clear frees the heap block");
-        l.push(7);
-        assert_eq!(&l[..], &[7]);
-        assert!(!l.spilled());
-        l.extend(8..14);
-        assert!(l.spilled());
-        assert_eq!(&l[..], &[7, 8, 9, 10, 11, 12, 13]);
     }
 
     #[test]

@@ -158,6 +158,6 @@ mod tests {
         h.demoted = true;
         p.cap = Some(h);
         assert!(p.is_demoted());
-        assert_eq!(p.flow().reversed().src, p.dst);
+        assert_eq!((p.flow().src, p.flow().dst), (p.src, p.dst));
     }
 }

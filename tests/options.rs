@@ -6,6 +6,9 @@
 //!   variable that table does not declare.
 //! * No source file outside the knobs module spells a `"TVA_` literal, so
 //!   no knob can be read around the table.
+//! * Outside tests, only the scenario harness (and the engine's own
+//!   builder, and the §2 strawmen's fair-queuing rig) calls
+//!   `TopologyBuilder::new()`: every testbed is a `ScenarioConfig` shape.
 //! * No source file says `unsafe`, and every library forbids it. (The one
 //!   `unsafe impl` the repo needs, a counting global allocator, lives in
 //!   the test binary `tests/zero_alloc.rs`.)
@@ -143,6 +146,31 @@ fn only_the_knobs_module_spells_a_knob_name() {
         .filter(|p| p != module && read(p).contains("\"TVA_"))
         .collect();
     assert!(spelled.is_empty(), "\"TVA_ literals outside {}: {spelled:?}", module.display());
+}
+
+/// `text` up to its first `#[cfg(test)]` line: the production code, as
+/// `scripts/loc.sh` counts it.
+fn before_tests(text: &str) -> &str {
+    let mut at = 0;
+    for line in text.split_inclusive('\n') {
+        if line.trim_start().starts_with("#[cfg(test)]") {
+            break;
+        }
+        at += line.len();
+    }
+    &text[..at]
+}
+
+#[test]
+fn only_the_scenario_builds_topologies() {
+    // The engine's own builder, the scenario harness that wires every
+    // testbed, and the §2 strawmen's fair-queuing rig, which no scheme runs.
+    let builders = ["crates/sim/src/topology.rs", "crates/experiments/src/scenario.rs", "crates/experiments/src/strawmen.rs"];
+    let building = |p: &Path| code_only(before_tests(&read(p))).contains("TopologyBuilder::new()");
+    assert!(building(Path::new(builders[1])), "the scanner no longer sees the scenario's builder");
+    let others: Vec<PathBuf> =
+        source_files().into_iter().filter(|p| !builders.iter().any(|b| p == Path::new(b)) && building(p)).collect();
+    assert!(others.is_empty(), "production code outside {builders:?} builds a topology: {others:?}");
 }
 
 #[test]
@@ -685,6 +713,7 @@ fn surface_and_citation_scanners() {
     assert_eq!(items[3].decl, "pub const fn k(\n    a: u8,\n) -> u8 {");
     assert_eq!(trait_impl_types("impl B for D {\n    type H = F;\n    fn f() {}\n}\n"), "    type H = F;\n");
     assert_eq!(code_only("// x\nlet a = \"//\"; // y\n"), "\nlet a = \"//\";\n");
+    assert_eq!(before_tests("fn a() {}\n    #[cfg(test)]\nmod tests {}\n"), "fn a() {}\n");
     let parents = ["tva_sim".to_string(), "tva::sim".to_string()];
     assert!(names_module("use tva::sim::knobs::KNOBS;", &parents, "knobs"));
     assert!(names_module("use tva_sim::{knobs, SimTime};", &parents, "knobs"));

@@ -256,8 +256,10 @@ fn warm_fast_path_does_not_allocate() {
 /// (`run_scale`'s shape at 10 000 hosts, with no simulated time):
 /// requested sizes, so the figure does not depend on the allocator or the
 /// host. 89.5 % of those hosts never exchange a packet, so this is mostly
-/// what an idle host costs. Measured 1 079.2 B; the bound is 5 % above
-/// the 1 080.9 B measured when it was set. 1 474.9 B with every channel's
+/// what an idle host costs. Measured 1 084.4 B (1 079.2 B before the tree
+/// was wired by the scenario builder, whose per-kick and per-attacker
+/// bookkeeping is the difference); the bound is 5 % above the 1 080.9 B
+/// measured when it was set. 1 474.9 B with every channel's
 /// counters and every client shim's peer state built eagerly and
 /// `compute_routes` copying the channels.
 const SCALE_BUILD_HEAP_BYTES_PER_HOST: f64 = 1_135.0;
